@@ -662,7 +662,7 @@ let run_cmd =
         string_of_int s.Qcache.result_hits;
         string_of_int s.Qcache.result_misses;
         "-";
-        Printf.sprintf "%d stale, %d gens bumped" s.Qcache.result_stale s.Qcache.gens_bumped ];
+        Printf.sprintf "%d stale" s.Qcache.result_stale ];
     Bpq_util.Table.print t
   in
   let print_matches matches =
@@ -777,7 +777,8 @@ let run_cmd =
          | Some _ ->
            failwith (Printf.sprintf "%s: shard manifests embed their constraints; drop -a" graph)
          | None -> ());
-        (open_sharded ?workers ~pushdown:(not no_pushdown) graph, None)
+        let store = open_sharded ?workers ~pushdown:(not no_pushdown) graph in
+        (store, Option.map Costs.make (Store.selectivity store))
       end
       else if Graph_io.is_snapshot graph then begin
         (match constraints with
@@ -969,7 +970,8 @@ let serve_cmd =
        | Some _ ->
          failwith (Printf.sprintf "%s: shard manifests embed their constraints; drop -a" graph)
        | None -> ());
-      (open_sharded ~pushdown graph, None)
+      let store = open_sharded ~pushdown graph in
+      (store, Option.map Costs.make (Store.selectivity store))
     end
     else if Graph_io.is_snapshot graph then begin
       (match constraints with

@@ -81,7 +81,7 @@ val copy : t -> t
 
 val apply_delta :
   t -> old_graph:Digraph.t -> new_graph:Digraph.t -> Digraph.delta -> unit
-(** Incrementally repair the index in place.  Cost is proportional to the
+(** Repair the index in place (compaction's fold).  Cost is proportional to the
     changed nodes' neighbourhood products, never to [|G|].  [new_graph] must
     be [Digraph.apply_delta old_graph delta]. *)
 

@@ -70,17 +70,15 @@ val run : ?pool:Bpq_util.Pool.t -> ?cache:Fetch_cache.t -> Schema.t -> Plan.t ->
     [cache] memoises index lookups across calls (see {!Fetch_cache}); the
     result — candidate sets, [G_Q], stats, trace — is byte-identical with
     the cache absent, present, or at any capacity, because the cache
-    replays exactly the index buckets.  The cache must only ever be fed
-    lookups of one schema lineage (one {!Schema.build} and its
-    [apply_delta] descendants do {e not} share buckets — use a fresh cache
-    or {!Qcache}'s invalidation discipline). *)
+    replays exactly the index buckets. *)
 
 (** {1 Abstract data sources}
 
     The executor only ever touches the data through index lookups, edge
     probes and node attribute reads; {!run_with} makes that interface
-    explicit so alternative backends (the sharded store of {!Distributed},
-    the out-of-core store of [Bpq_store.Paged]) can serve the same plans.
+    explicit so alternative backends (the out-of-core store of
+    [Bpq_store.Paged], the sharded workers of [Bpq_store.Remote]) can
+    serve the same plans.
     Plan generation and cache keying need three facts about the data
     besides the lookups — the constraint set, the schema-lineage stamp and
     [|G|] — so a source carries those too, making it the complete

@@ -56,8 +56,6 @@ type t = {
   result_capacity : int;
   mutex : Mutex.t;
   mutable shards : (int * shard) list;  (* keyed by Domain.id *)
-  mutable label_gens : int array;  (* grown on demand; see note_delta *)
-  mutable gens_bumped : int;  (* total per-label generation bumps *)
 }
 
 let create ?(plan_capacity = 4096) ?(fetch_capacity = 65536) ?(result_capacity = 1024) () =
@@ -67,9 +65,7 @@ let create ?(plan_capacity = 4096) ?(fetch_capacity = 65536) ?(result_capacity =
     fetch_capacity;
     result_capacity;
     mutex = Mutex.create ();
-    shards = [];
-    label_gens = Array.make 0 0;
-    gens_bumped = 0 }
+    shards = [] }
 
 (* ~384 bytes per fetch bucket (4 slot words + a ~40-entry payload is the
    high end on these schemas); results get a fixed slice of the budget. *)
@@ -222,7 +218,9 @@ let plan_for t ?costs semantics schema q =
 (* Result tier                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let gen_of t l = if l < Array.length t.label_gens then t.label_gens.(l) else 0
+(* A static source never changes under its stamp: every label stays at
+   generation 0, so its entries never go stale. *)
+let static_gen (_ : Label.t) = 0
 
 (* Exact key including predicates and the limit: the answer depends on
    both.  Predicates marshal structurally, so equal queries built
@@ -258,11 +256,8 @@ let eval_plan_with t ?pool ?deadline ?limit (src : Exec.source) (plan : Plan.t) 
      slot then tags its answer with the generations it actually
      observed, never with newer ones another thread published meanwhile
      — so a hit that validates against the *current* slot's generations
-     is guaranteed computed on equivalent data.  Static sources fall
-     back to the cache-global counters fed by [note_delta]. *)
-  let gen =
-    match src.Exec.label_gen with Some f -> f | None -> gen_of t
-  in
+     is guaranteed computed on equivalent data. *)
+  let gen = Option.value src.Exec.label_gen ~default:static_gen in
   let fresh_gens () =
     List.map (fun l -> (l, gen l)) (Pattern.labels_used plan.pattern)
   in
@@ -296,41 +291,6 @@ let eval t ?pool ?costs ?deadline ?limit semantics schema q =
   eval_with t ?pool ?costs ?deadline ?limit semantics (Exec.source_of_schema schema) q
 
 (* ------------------------------------------------------------------ *)
-(* Invalidation                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let note_delta t g (delta : Digraph.delta) =
-  let n = Digraph.n_nodes g in
-  let added = Array.of_list delta.added_nodes in
-  let label_of v =
-    if v < n then Some (Digraph.label g v)
-    else if v - n < Array.length added then Some (fst added.(v - n))
-    else None
-  in
-  let affected = Hashtbl.create 16 in
-  let touch = function None -> () | Some l -> Hashtbl.replace affected l () in
-  List.iter
-    (fun (s, d) ->
-      touch (label_of s);
-      touch (label_of d))
-    (delta.added_edges @ delta.removed_edges);
-  Array.iter (fun (l, _) -> Hashtbl.replace affected l ()) added;
-  Mutex.lock t.mutex;
-  let max_l = Hashtbl.fold (fun l () acc -> max l acc) affected (-1) in
-  if max_l >= Array.length t.label_gens then begin
-    let grown = Array.make (max_l + 1) 0 in
-    Array.blit t.label_gens 0 grown 0 (Array.length t.label_gens);
-    t.label_gens <- grown
-  end;
-  Hashtbl.iter (fun l () -> t.label_gens.(l) <- t.label_gens.(l) + 1) affected;
-  t.gens_bumped <- t.gens_bumped + Hashtbl.length affected;
-  (* Fetch buckets mirror index contents, which the delta repairs — drop
-     them wholesale (per-label surgery on packed keys is not worth it;
-     result entries are the tier that stays warm across deltas). *)
-  List.iter (fun (_, s) -> Fetch_cache.clear s.fetch) t.shards;
-  Mutex.unlock t.mutex
-
-(* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -344,13 +304,11 @@ type stats = {
   result_hits : int;
   result_misses : int;
   result_stale : int;
-  gens_bumped : int;
 }
 
 let stats t =
   Mutex.lock t.mutex;
   let shards = List.map snd t.shards in
-  let gens_bumped = t.gens_bumped in
   Mutex.unlock t.mutex;
   List.fold_left
     (fun acc s ->
@@ -367,8 +325,7 @@ let stats t =
               bypasses = acc.bypasses + f.bypasses })
           (Fetch_cache.stats s.fetch) s.vfetch
       in
-      { acc with
-        plan_hits = acc.plan_hits + s.plan_hits;
+      { plan_hits = acc.plan_hits + s.plan_hits;
         plan_misses = acc.plan_misses + s.plan_misses;
         fetch_hits = acc.fetch_hits + f.hits;
         fetch_misses = acc.fetch_misses + f.misses;
@@ -385,6 +342,5 @@ let stats t =
       fetch_bypasses = 0;
       result_hits = 0;
       result_misses = 0;
-      result_stale = 0;
-      gens_bumped }
+      result_stale = 0 }
     shards

@@ -17,10 +17,12 @@
       ({!Fetch_cache}), shared by every evaluation through this value, so
       overlapping [G_Q] fragments are fetched once.
     + {b result cache} — full answers keyed by schema stamp, the exact
-      pattern {e including} predicates, and the match limit; invalidated
-      by graph deltas through per-label generations ({!note_delta}), so a
-      delta only evicts answers whose patterns use an affected label —
-      irrelevant deltas keep entries warm.
+      pattern {e including} predicates, and the match limit; validated
+      against the per-label write generations the source carries
+      ({!Exec.source.label_gen}), so a write only stales answers whose
+      patterns use a label it touched — other entries stay warm.  A
+      source without generations is static: every label is at
+      generation 0 and its entries never go stale.
 
     {b Answer fidelity.}  For repeated shapes with unchanged node
     numbering — every instantiation of one template, and any query asked
@@ -37,17 +39,15 @@
     result map, counters) {e per domain}, created on first use under a
     mutex and touched only by its owning domain afterwards — no locks on
     the hot path, no cross-domain mutation.  {!stats} merges the shards'
-    counters.  {!note_delta} mutates shared invalidation state and must
-    not run concurrently with evaluations (apply deltas between serving
-    batches, as {!Incremental} does).
+    counters.
 
-    {b Lineage.}  A cache follows one schema lineage: a {!Bpq_access.Schema.build}
-    result and its [apply_delta] descendants.  Evaluating a superseded
-    ancestor through the same cache after {!note_delta} is unsupported
-    (the generations have moved on). *)
+    {b Changing data.}  The only supported way to change the data under
+    a cache is the write path: a write-through source
+    ([Bpq_store.Overlay.wrap]) carries a fresh [data_version] and bumped
+    label generations per applied batch, which is all the result and
+    fetch tiers need to stay correct. *)
 
 open Bpq_util
-open Bpq_graph
 open Bpq_pattern
 open Bpq_access
 
@@ -166,15 +166,6 @@ val flight_key :
     serve both; renumbered isomorphs (whose answer columns differ) never
     collide.  Pure — no cache state is read or written. *)
 
-val note_delta : t -> Digraph.t -> Digraph.delta -> unit
-(** [note_delta t g delta] — [g] is the {e pre-delta} graph.  Bumps the
-    generation of every label the delta can affect (labels of changed
-    edges' endpoints and of added nodes), which lazily invalidates result
-    entries whose pattern uses one of them, and clears the fetch tiers
-    (their buckets mirror index contents, which the delta repairs).  Plan
-    entries survive: the constraint set, and hence every plan, is
-    delta-invariant ({!Bpq_access.Schema.stamp}). *)
-
 type stats = {
   plan_hits : int;
   plan_misses : int;
@@ -184,12 +175,7 @@ type stats = {
   fetch_bypasses : int;
   result_hits : int;
   result_misses : int;
-  result_stale : int;  (** Entries found but invalidated by a delta. *)
-  gens_bumped : int;
-      (** Total per-label generation bumps recorded by {!note_delta} —
-          how much delta-driven invalidation pressure the result tier has
-          seen.  Write-through sources carry their own generations
-          ({!Exec.source.label_gen}) and do not count here. *)
+  result_stale : int;  (** Entries found but invalidated by a write. *)
 }
 
 val stats : t -> stats

@@ -233,8 +233,13 @@ module Cur = struct
   let pos c = c.pos
   let seek c p = c.pos <- p
 
+  let remaining c = c.limit - c.pos
+
+  (* Lengths are compared against what is left, never added to the
+     position or multiplied by an item size: a hostile length near
+     [max_int] must not wrap into a passing check. *)
   let need c n =
-    if c.pos < 0 || n < 0 || c.pos + n > c.limit then
+    if c.pos < 0 || n < 0 || n > remaining c then
       corrupt "section payload ends early (want %d bytes at %d of %d)" n c.pos c.limit
 
   let i64 c =
@@ -245,7 +250,9 @@ module Cur = struct
 
   let array c n =
     if n < 0 then corrupt "negative array length %d" n;
-    need c (8 * n);
+    need c 0;
+    if n > remaining c / 8 then
+      corrupt "array of %d elements exceeds the payload (%d bytes left)" n (remaining c);
     let arr = Array.init n (fun i -> get_i64 c.data (c.pos + (8 * i))) in
     c.pos <- c.pos + (8 * n);
     arr
@@ -276,7 +283,7 @@ module Cur = struct
      remaining payload is corrupt — checked before allocating. *)
   let varint_len c =
     let n = uvarint c in
-    if n > c.limit - c.pos then corrupt "varint array length %d exceeds payload" n;
+    if n > remaining c then corrupt "varint array length %d exceeds payload" n;
     n
 
   let sorted_array c =

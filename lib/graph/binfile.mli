@@ -119,7 +119,12 @@ module Cur : sig
   val pos : t -> int
   val seek : t -> int -> unit
 
-  (** All raise [Corrupt] on reads past the end of the payload. *)
+  val remaining : t -> int
+  (** Bytes left after the position — what a decoder compares a wire
+      count against (divided by the item size) before allocating. *)
+
+  (** All raise [Corrupt] on reads past the end of the payload, and on
+      lengths the rest of the payload cannot hold, before allocating. *)
 end
 
 (** {1 Out-of-core reading} *)

@@ -129,7 +129,13 @@ let serve ?page_cache_mb ~input ~output shard_file =
               let con = constraint_of (Binfile.Cur.i64 c) in
               let arity = Constr.arity con in
               let nkeys = Binfile.Cur.i64 c in
-              if nkeys < 0 then failwith "negative key count";
+              (* Checked against the frame before allocating: a key is
+                 [arity] i64s, and an arity-0 constraint has one key. *)
+              let max_keys =
+                if arity = 0 then 1 else Binfile.Cur.remaining c / (8 * arity)
+              in
+              if nkeys < 0 || nkeys > max_keys then
+                failwith (Printf.sprintf "key count %d exceeds the frame" nkeys);
               let keys = Array.init nkeys (fun _ -> Binfile.Cur.array c arity) in
               ok (fun b ->
                   Binfile.add_i64 b nkeys;
@@ -141,7 +147,8 @@ let serve ?page_cache_mb ~input ~output shard_file =
                     keys)
             | op when op = op_probe ->
               let n = Binfile.Cur.i64 c in
-              if n < 0 then failwith "negative pair count";
+              if n < 0 || n > Binfile.Cur.remaining c / 16 then
+                failwith (Printf.sprintf "pair count %d exceeds the frame" n);
               let verdicts = Bytes.create n in
               for i = 0 to n - 1 do
                 let s = Binfile.Cur.i64 c in

@@ -1,7 +1,7 @@
 open Bpq_graph
 open Bpq_access
 
-let format_version = 1
+let format_version = 2
 let partition_version = 1
 
 (* Private section tags (disjoint from the graph/schema tags 1-5). *)
@@ -24,6 +24,7 @@ type manifest = {
   n_edges : int;
   table : Label.table;
   constraints : Constr.t list;
+  selectivity : Gstats.selectivity option;
   files : shard_file array;
 }
 
@@ -224,7 +225,7 @@ let write_shard ~dir ~shards ~stamp ~s tbl (r : Digraph.Repr.t) n_edges_global e
 
 let partition ~shards ~snapshot ~dir =
   if shards <= 0 then invalid_arg "Shard.partition: shards must be positive";
-  let schema, _ = Schema.load (Label.create_table ()) snapshot in
+  let schema, selectivity = Schema.load (Label.create_table ()) snapshot in
   let g = Schema.graph schema in
   let tbl = Digraph.label_table g in
   let r = Digraph.Repr.of_graph g in
@@ -267,6 +268,9 @@ let partition ~shards ~snapshot ~dir =
           Binfile.add_i64 b f.n_keys;
           Binfile.add_i64 b f.payload_ints)
         files);
+  (* The snapshot's statistics ride along, so a coordinator plans with
+     the same cost model as the single-node backends. *)
+  Option.iter (Gstats.add_selectivity_section w) selectivity;
   Binfile.write w (manifest_path dir);
   { dir;
     shards;
@@ -275,6 +279,7 @@ let partition ~shards ~snapshot ~dir =
     n_edges = r.n_edges;
     table = tbl;
     constraints = cons;
+    selectivity;
     files }
 
 (* ---------------- reading ---------------- *)
@@ -335,8 +340,17 @@ let load_manifest path =
   in
   let owned = Array.fold_left (fun acc (f : shard_file) -> acc + f.n_edges) 0 files in
   if owned <> n_edges then corrupt "manifest: shard edge counts do not sum to the total";
+  let selectivity = Graph_io.selectivity_of_reader table ~map:(Array.init nlabels Fun.id) r in
   Schema.register_stamp stamp;
-  { dir = Filename.dirname path; shards; stamp; n_nodes; n_edges; table; constraints; files }
+  { dir = Filename.dirname path;
+    shards;
+    stamp;
+    n_nodes;
+    n_edges;
+    table;
+    constraints;
+    selectivity;
+    files }
 
 let verify_files m =
   Array.iter

@@ -23,8 +23,9 @@
 
     The manifest ([MANIFEST] in the output directory) records the
     partition-function version, shard count, schema stamp, global sizes,
-    the full constraint list and a per-shard file name + FNV-1a
-    checksum; {!Remote} coordinators plan and route from it alone. *)
+    the full constraint list, the snapshot's selectivity statistics (if
+    it has them) and a per-shard file name + FNV-1a checksum; {!Remote}
+    coordinators plan and route from it alone. *)
 
 open Bpq_graph
 open Bpq_access
@@ -55,6 +56,9 @@ type manifest = {
   n_edges : int;  (** Global sizes — [graph_size] is their sum. *)
   table : Label.table;
   constraints : Constr.t list;
+  selectivity : Gstats.selectivity option;
+      (** The snapshot's statistics, for planning with {!Bpq_core.Costs}
+          exactly as the single-node backends do. *)
   files : shard_file array;
 }
 

@@ -116,7 +116,7 @@ let selectivity t =
   match t.b with
   | In_mem m -> m.sel
   | On_disk p -> Paged.selectivity p
-  | Sharded_t _ -> None
+  | Sharded_t { r; _ } -> (Remote.manifest r).Shard.selectivity
 
 let schema t = match t.b with In_mem m -> Some m.schema | On_disk _ | Sharded_t _ -> None
 

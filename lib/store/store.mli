@@ -3,8 +3,8 @@
     snapshot, behind the {!Bpq_core.Exec.source} seam.
 
     Everything downstream of planning ({!Bpq_core.Exec.run_with},
-    {!Bpq_core.Bounded_eval.run}, {!Bpq_core.Qcache}, {!Bpq_core.Batch},
-    {!Bpq_core.Distributed}) consumes the source, so backends are
+    {!Bpq_core.Bounded_eval.run}, {!Bpq_core.Qcache}, {!Bpq_core.Batch})
+    consumes the source, so backends are
     interchangeable: results are byte-identical for the same snapshot
     (pinned by the store test suite), only memory footprint and I/O
     behaviour differ. *)

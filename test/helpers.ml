@@ -52,3 +52,27 @@ let random_instance seed =
   in
   let constrs = Bpq_access.Discovery.discover ~max_bound:(4 + Prng.int r 16) g in
   (tbl, g, constrs, r)
+
+(* ------------------------------------------------------------------ *)
+(* The write path, driven by graph deltas                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The WAL ops that take an overlay to the graph [Digraph.apply_delta]
+   builds from the same delta: fresh nodes first (so edges may name
+   them), then removals, then additions, as there. *)
+let ops_of_delta tbl (d : Digraph.delta) =
+  let module Wal = Bpq_store.Wal in
+  List.map (fun (l, value) -> Wal.Add_node { label = Label.name tbl l; value }) d.added_nodes
+  @ List.map (fun (s, t) -> Wal.Remove_edge (s, t)) d.removed_edges
+  @ List.map (fun (s, t) -> Wal.Add_edge (s, t)) d.added_edges
+
+(* A writeless overlay over an in-memory schema, and its base source. *)
+let overlay_over schema =
+  let g = Bpq_access.Schema.graph schema in
+  ( Bpq_core.Exec.source_of_schema schema,
+    Bpq_store.Overlay.empty ~base_n:(Digraph.n_nodes g) ~base_size:(Digraph.size g) () )
+
+let write base ov delta =
+  match Bpq_store.Overlay.apply ~base ov (ops_of_delta base.Bpq_core.Exec.table delta) with
+  | Ok ov -> ov
+  | Error e -> Alcotest.failf "overlay write refused: %s" e

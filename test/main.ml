@@ -50,7 +50,6 @@ let () =
       ("workload", Test_workload.suite);
       ("extensions", Test_extensions.suite);
       ("robustness", Test_robustness.suite);
-      ("distributed", Test_distributed.suite);
       ("semantics", Test_semantics.suite);
       ("snapshot", Test_snapshot.suite);
       ("store", Test_store.suite);

@@ -1,5 +1,5 @@
 (* The cross-query cache's contract: answers byte-identical to uncached
-   evaluation at every capacity, under pools, and across deltas; hit
+   evaluation at every capacity, under pools, and across overlay writes; hit
    counters that account for every tier. *)
 
 open Bpq_graph
@@ -9,6 +9,7 @@ open Bpq_core
 module W = Bpq_workload.Workload
 module Pool = Bpq_util.Pool
 module Prng = Bpq_util.Prng
+module Overlay = Bpq_store.Overlay
 
 let world () =
   let ds = W.imdb ~scale:0.01 () in
@@ -83,36 +84,46 @@ let test_negative_plan_cached () =
   Helpers.check_int "negative entry planned once" 1 s.Qcache.plan_misses;
   Helpers.check_int "negative entry hit" 1 s.Qcache.plan_hits
 
+(* Result-tier validity comes from the source alone: writes through the
+   overlay carry per-label generations, and only entries whose pattern
+   uses a touched label go stale. *)
 let test_delta_invalidation () =
   let ds, schema = world () in
   let q0 = W.q0 ds.table in
+  let base, ov0 = Helpers.overlay_over schema in
   let c = Qcache.create () in
-  let first = Qcache.eval c Actualized.Subgraph schema q0 in
-  (* Irrelevant delta (genre-genre edge): bumps only the genre label, so
-     the q0 entry stays warm. *)
+  let eval ov = Qcache.eval_with c Actualized.Subgraph (Overlay.wrap ov base) q0 in
+  let first = eval ov0 in
+  (* A genre-genre edge bumps only the genre label, so the q0 entry
+     stays warm. *)
   let genres = Digraph.nodes_with_label ds.graph (Label.intern ds.table "genre") in
-  let d1 = { Digraph.empty_delta with added_edges = [ (genres.(0), genres.(1)) ] } in
-  Qcache.note_delta c (Schema.graph schema) d1;
-  let schema1 = Schema.apply_delta schema d1 in
+  let ov1 =
+    Helpers.write base ov0
+      { Digraph.empty_delta with added_edges = [ (genres.(0), genres.(1)) ] }
+  in
   let s0 = Qcache.stats c in
-  let second = Qcache.eval c Actualized.Subgraph schema1 q0 in
+  let second = eval ov1 in
   let s1 = Qcache.stats c in
-  Helpers.check_int "irrelevant delta keeps the entry warm" 1
+  Helpers.check_int "irrelevant write keeps the entry warm" 1
     (s1.Qcache.result_hits - s0.Qcache.result_hits);
   Helpers.check_true "warm answer unchanged" (second = first);
-  (* Relevant delta: destroy a match's actor->country edge.  The actor
+  (* Relevant write: destroy a match's actor->country edge.  The actor
      and country generations move, the entry goes stale, and the refresh
-     agrees with uncached evaluation. *)
+     agrees with uncached evaluation on the rebuilt graph. *)
   match first with
   | Some (Qcache.Matches (m :: _)) ->
     let d2 = { Digraph.empty_delta with removed_edges = [ (m.(3), m.(5)) ] } in
-    Qcache.note_delta c (Schema.graph schema1) d2;
-    let schema2 = Schema.apply_delta schema1 d2 in
-    let third = Qcache.eval c Actualized.Subgraph schema2 q0 in
+    let third = eval (Helpers.write base ov1 d2) in
     let s2 = Qcache.stats c in
-    Helpers.check_int "relevant delta stales the entry" 1 s2.Qcache.result_stale;
+    Helpers.check_int "relevant write stales the entry" 1 s2.Qcache.result_stale;
+    let g2 =
+      Digraph.apply_delta ds.graph
+        { Digraph.empty_delta with
+          added_edges = [ (genres.(0), genres.(1)) ];
+          removed_edges = [ (m.(3), m.(5)) ] }
+    in
     Helpers.check_true "refresh equals uncached"
-      (third = uncached Actualized.Subgraph schema2 q0);
+      (third = uncached Actualized.Subgraph (Schema.build g2 (W.a0 ds.table)) q0);
     Helpers.check_true "answer actually changed" (third <> first)
   | _ -> Alcotest.fail "expected q0 matches in the small world"
 
@@ -134,16 +145,18 @@ let test_pool_identity () =
   Helpers.check_true "pooled cached equals sequential uncached" (cold = baseline);
   Helpers.check_true "warm pooled equals baseline" (warm = baseline)
 
-(* Random workloads with interleaved deltas, three cache capacities, both
-   semantics, every query asked twice per round (the re-ask rides the
-   result tier).  Everything must equal uncached evaluation byte for
+(* Random workloads with interleaved overlay writes, three cache
+   capacities, both semantics, every query asked twice per round (the
+   re-ask rides the result tier).  Everything must equal uncached
+   evaluation on a schema rebuilt from the written graph, byte for
    byte. *)
 let cached_equals_uncached_across_deltas =
   Helpers.qcheck ~count:20 "cached = uncached across capacities and interleaved deltas"
     QCheck2.Gen.(int_range 1 100_000)
     (fun seed ->
       let _, g, constrs, r = Helpers.random_instance seed in
-      let schema = ref (Schema.build g constrs) in
+      let base, ov0 = Helpers.overlay_over (Schema.build g constrs) in
+      let ov = ref ov0 and graph = ref g in
       let queries = List.init 3 (fun _ -> Qgen.from_walk r g) in
       let caches =
         [ Qcache.create ();
@@ -152,23 +165,24 @@ let cached_equals_uncached_across_deltas =
       in
       let ok = ref true in
       for _round = 1 to 3 do
+        let rebuilt = Schema.build !graph constrs in
+        let src = Overlay.wrap !ov base in
         List.iter
           (fun q ->
             List.iter
               (fun semantics ->
-                let base = uncached semantics !schema q in
+                let expected = uncached semantics rebuilt q in
                 List.iter
                   (fun c ->
-                    if Qcache.eval c semantics !schema q <> base then ok := false;
-                    if Qcache.eval c semantics !schema q <> base then ok := false)
+                    if Qcache.eval_with c semantics src q <> expected then ok := false;
+                    if Qcache.eval_with c semantics src q <> expected then ok := false)
                   caches)
               [ Actualized.Subgraph; Actualized.Simulation ])
           queries;
-        let graph = Schema.graph !schema in
-        let n = Digraph.n_nodes graph in
+        let n = Digraph.n_nodes !graph in
         let existing =
           let acc = ref [] in
-          Digraph.iter_edges graph (fun s d -> acc := (s, d) :: !acc);
+          Digraph.iter_edges !graph (fun s d -> acc := (s, d) :: !acc);
           !acc
         in
         let delta =
@@ -179,8 +193,8 @@ let cached_equals_uncached_across_deltas =
                | [] -> []
                | es -> [ List.nth es (Prng.int r (List.length es)) ]) }
         in
-        List.iter (fun c -> Qcache.note_delta c graph delta) caches;
-        schema := Schema.apply_delta !schema delta
+        ov := Helpers.write base !ov delta;
+        graph := Digraph.apply_delta !graph delta
       done;
       !ok)
 

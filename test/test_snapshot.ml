@@ -212,6 +212,37 @@ let expect_corrupt what f =
     Alcotest.failf "%s: expected Binfile.Corrupt, got %s" what (Printexc.to_string e)
   | _ -> Alcotest.failf "%s: expected Binfile.Corrupt, got a value" what
 
+(* Lengths whose byte size wraps ([8 * n] overflows from n = 2^60) or
+   dwarfs the payload must be refused as corrupt before any allocation,
+   for arrays, strings and varint-prefixed arrays alike. *)
+let hostile_lengths =
+  (* Uniform draws almost never land where a product or sum wraps to a
+     small number, so those points are drawn on purpose: multiples of
+     2^60 (where [8 * n] wraps to [8 * d]) and the top of the range
+     (where [pos + n] wraps negative). *)
+  let wrapping =
+    QCheck2.Gen.(
+      oneof
+        [ map2 (fun k d -> (k lsl 60) + d) (int_range 1 3) (int_range 0 3);
+          map (fun d -> max_int - d) (int_range 0 16) ])
+  in
+  Helpers.qcheck ~count:200 "hostile lengths raise Corrupt, never allocate"
+    QCheck2.Gen.(pair (oneof [ int_range (1 lsl 59) max_int; wrapping ]) (int_range 0 2))
+    (fun (n, pad) ->
+      let payload prefix =
+        let b = Buffer.create 32 in
+        prefix b;
+        for _ = 0 to pad do
+          Binfile.add_i64 b 0
+        done;
+        Binfile.Cur.of_bytes (Buffer.to_bytes b)
+      in
+      let corrupt f = match f () with _ -> false | exception Binfile.Corrupt _ -> true in
+      corrupt (fun () -> Binfile.Cur.array (payload ignore) n)
+      && corrupt (fun () -> Binfile.Cur.str (payload (fun b -> Binfile.add_i64 b n)))
+      && corrupt (fun () -> Binfile.Cur.sorted_array (payload (fun b -> Binfile.add_uvarint b n)))
+      && corrupt (fun () -> Binfile.Cur.zigzag_array (payload (fun b -> Binfile.add_uvarint b n))))
+
 let test_rejects_truncation () =
   let _, g = random_graph 3 in
   with_temp_file (fun path ->
@@ -355,4 +386,5 @@ let suite =
     Alcotest.test_case "schema section required" `Quick test_schema_section_required;
     Alcotest.test_case "atomic writes leave no temp files" `Quick test_atomic_no_leftovers;
     Alcotest.test_case "failed write leaves target intact" `Quick test_failed_write_leaves_target;
-    Alcotest.test_case "snapshot sniffing" `Quick test_is_snapshot_sniff ]
+    Alcotest.test_case "snapshot sniffing" `Quick test_is_snapshot_sniff;
+    hostile_lengths ]

@@ -211,20 +211,6 @@ let test_qcache_across_backends () =
           Helpers.check_int "result tier hit across backends" 1 st.Qcache.result_hits;
           Helpers.check_int "one evaluation total" 1 st.Qcache.result_misses))
 
-let test_distributed_over_paged () =
-  let schema, plan = q0_setup () in
-  with_temp_file (fun path ->
-      Schema.save schema path;
-      with_paged path (fun p ->
-          let reference, _ = Distributed.run (Distributed.create ~shards:4 schema) plan in
-          let over_paged, stats =
-            Distributed.run (Distributed.create_with ~shards:4 (Paged.source p)) plan
-          in
-          Helpers.check_true "sharded paged run identical"
-            (canon over_paged = canon reference);
-          Helpers.check_true "traffic recorded"
-            (Array.fold_left ( + ) 0 stats.Distributed.lookups_per_shard > 0)))
-
 let test_batch_over_paged () =
   let ds = Bpq_workload.Workload.imdb ~scale:0.02 () in
   let a0 = Bpq_workload.Workload.a0 ds.table in
@@ -326,7 +312,6 @@ let suite =
     Alcotest.test_case "source metadata" `Quick test_source_metadata;
     Alcotest.test_case "unknown constraint raises" `Quick test_unknown_constraint_raises;
     Alcotest.test_case "qcache serves both backends" `Quick test_qcache_across_backends;
-    Alcotest.test_case "distributed over paged store" `Quick test_distributed_over_paged;
     Alcotest.test_case "batch over paged store" `Quick test_batch_over_paged;
     Alcotest.test_case "unified store handle" `Quick test_store_handle;
     Alcotest.test_case "paged close idempotent, use-after-close typed" `Quick test_paged_close ]
