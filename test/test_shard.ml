@@ -325,15 +325,33 @@ let workers_equal_single_qcheck =
             canon (Exec.run_with (Remote.source r) plan) = reference
             && canon (Exec.run_with (Remote.source ~pushdown:false r) plan) = reference))
 
-let test_remote_and_single_agree () =
+(* Remote and single-node runs agree at 1, 2 and 4 shards under both
+   semantics: the whole Exec result of the Q0 subgraph plan, and the
+   answers of graph-simulation plans for random walk patterns. *)
+let test_remote_simulation_and_single_agree () =
   let schema, plan = q0_setup () in
   let single = Exec.run schema plan in
+  let ds = Bpq_workload.Workload.imdb ~scale:0.02 () in
+  let rng = Bpq_util.Prng.create 11 in
+  let sims =
+    List.filter_map
+      (fun _ ->
+        Qplan.generate Actualized.Simulation (Bpq_pattern.Qgen.from_walk rng ds.graph)
+          ds.constrs)
+      (List.init 20 Fun.id)
+  in
+  Helpers.check_true "some simulation plan" (sims <> []);
+  let single_sims = List.map (Bounded_eval.run (Exec.source_of_schema ds.schema)) sims in
   List.iter
     (fun shards ->
       with_remote schema shards (fun _m r _workers ->
           Helpers.check_true
             (Printf.sprintf "remote = single at %d shards" shards)
-            (canon (Exec.run_with (Remote.source r) plan) = canon single)))
+            (canon (Exec.run_with (Remote.source r) plan) = canon single));
+      with_remote ds.schema shards (fun _m r _workers ->
+          Helpers.check_true
+            (Printf.sprintf "remote simulation = single at %d shards" shards)
+            (List.map (Bounded_eval.run (Remote.source r)) sims = single_sims)))
     [ 1; 2; 4 ]
 
 (* The coordinator plans from the MANIFEST; it must see the snapshot's
@@ -472,8 +490,8 @@ let suite =
     Alcotest.test_case "pushdown saves wire bytes" `Quick test_pushdown_saves_wire_bytes;
     Alcotest.test_case "unbatched equals batched" `Quick test_unbatched_equals_batched;
     workers_equal_single_qcheck;
-    Alcotest.test_case "remote and single agree at 1, 2 and 4 shards" `Quick
-      test_remote_and_single_agree;
+    Alcotest.test_case "remote, simulation and single agree" `Quick
+      test_remote_simulation_and_single_agree;
     Alcotest.test_case "sharded plans with the snapshot's statistics" `Quick
       test_sharded_plans_with_snapshot_stats;
     Alcotest.test_case "worker death is clean" `Quick test_worker_death_is_clean;
