@@ -18,7 +18,6 @@ open Bpq_pattern
 open Bpq_access
 open Bpq_core
 module Store = Bpq_store.Store
-module Paged = Bpq_store.Paged
 module Shard = Bpq_store.Shard
 module Remote = Bpq_store.Remote
 module Wal = Bpq_store.Wal
@@ -253,26 +252,96 @@ let open_sharded ?workers ?(pushdown = true) graph =
     in
     Store.of_remote ~path:graph ~pushdown (Remote.attach m (Array.of_list fds))
 
-let print_shard_traffic r =
-  let st : Remote.stats = Remote.stats r in
-  let t =
-    Bpq_util.Table.create
-      [ "shard"; "messages"; "sent"; "received"; "items"; "server-ms" ]
+(* Arguments shared by run, serve and apply. *)
+
+let constraints_opt =
+  Arg.(value & opt (some file) None
+       & info [ "a"; "constraints" ] ~docv:"FILE"
+           ~doc:"Access constraints (required for text graphs; snapshots embed theirs).")
+
+let backend_arg =
+  Arg.(value & opt backend_conv Store.Mem
+       & info [ "backend" ] ~docv:"B"
+           ~doc:"Storage backend: 'mem' loads a snapshot fully, 'paged' serves it \
+                 out-of-core through a page cache, 'sharded' runs worker processes \
+                 over a `bpq shard` directory.  Answers are identical in every case.")
+
+let page_cache_arg =
+  Arg.(value & opt int 16
+       & info [ "page-cache" ] ~docv:"MB"
+           ~doc:"Page-cache budget for --backend paged (default 16).")
+
+let readahead_arg =
+  Arg.(value & opt int 8
+       & info [ "readahead" ] ~docv:"N"
+           ~doc:"Pages to prefetch after a sequential miss with --backend paged \
+                 (default 8; 0 disables).")
+
+let no_pushdown_arg =
+  Arg.(value & flag
+       & info [ "no-pushdown" ]
+           ~doc:"With --backend sharded: disable worker-side plan pushdown and use \
+                 plain batched fetching (answers are identical either way; pushdown \
+                 is on by default and sends far fewer bytes).")
+
+let jobs_arg =
+  Arg.(value & opt int (Pool.default_jobs ())
+       & info [ "j"; "jobs" ] ~docv:"N"
+           ~doc:"Evaluate on N domains — batched queries and concurrent clients' \
+                 queries fan out across the pool, and each query's own plan execution \
+                 and match search parallelise on it too (default: \\$BPQ_JOBS or the \
+                 recommended domain count; 1 forces sequential evaluation).  Answers \
+                 are identical for every N.")
+
+let cache_arg =
+  Arg.(value & opt int 64
+       & info [ "cache" ] ~docv:"MB"
+           ~doc:"Cross-query cache budget in megabytes — plan, fetch and result tiers \
+                 (default 64; 0 disables caching).")
+
+let cache_of_mb mb = if mb <= 0 then None else Some (Qcache.of_megabytes mb)
+
+(* Resolve [-g] into a store and its cost model, for run, serve (initial
+   open, reload and post-compaction reopen) and apply: a shard directory
+   spawns (or connects to) worker processes; a snapshot opens directly
+   (its constraints, indexes and statistics are embedded); a text graph
+   builds the schema in memory from [-a]. *)
+let open_store ?pool ?workers ?(pushdown = true) ?constraints ?readahead ~backend ~page_cache
+    graph =
+  let embedded what =
+    if constraints <> None then
+      failwith (Printf.sprintf "%s: %s embed their constraints; drop -a" graph what)
   in
-  Array.iteri
-    (fun s m ->
-      Bpq_util.Table.add_row t
-        [ string_of_int s;
-          string_of_int m;
-          string_of_int st.bytes_sent.(s);
-          string_of_int st.bytes_received.(s);
-          string_of_int st.items.(s);
-          Printf.sprintf "%.2f" (float_of_int st.server_ns.(s) /. 1e6) ])
-    st.messages;
-  Bpq_util.Table.print t;
-  let messages, bytes = Remote.traffic st in
-  Printf.printf "# shard traffic: %d rounds, %d messages, %d bytes\n" st.rounds messages
-    bytes
+  let with_costs store = (store, Option.map Costs.make (Store.selectivity store)) in
+  if backend = Store.Sharded then begin
+    embedded "shard manifests";
+    with_costs (open_sharded ?workers ~pushdown graph)
+  end
+  else if Graph_io.is_snapshot graph then begin
+    embedded "snapshots";
+    with_costs
+      (with_file graph (fun () ->
+           Store.open_snapshot ~backend ~page_cache_mb:page_cache ?readahead graph))
+  end
+  else begin
+    if backend = Store.Paged then
+      failwith "--backend paged needs a snapshot (build one with `bpq freeze`)";
+    let cfile =
+      match constraints with
+      | Some c -> c
+      | None ->
+        failwith
+          (Printf.sprintf "%s: text graphs need -a CONSTRAINTS (or freeze a snapshot first)"
+             graph)
+    in
+    let tbl = Label.create_table () in
+    let g = with_file graph (fun () -> Graph_io.load tbl graph) in
+    let a = parse_constraints tbl cfile in
+    let selectivity = Gstats.selectivity g in
+    (Store.of_schema ~selectivity (Schema.build ?pool g a), Some (Costs.make selectivity))
+  end
+
+let print_samples samples = Bpq_util.Table.print (Bpq_util.Metrics.to_table samples)
 
 (* The write path, shared by run, serve, apply and compact: delta
    operations arrive as line-JSON ({!Wal.op_of_json} shape), land in a
@@ -316,43 +385,12 @@ let read_ops path =
   if path = "-" then read_ops_channel "<stdin>" stdin
   else In_channel.with_open_text path (fun ic -> read_ops_channel path ic)
 
-let print_overlay_counters store =
-  match (Store.overlay store, Store.overlay_counters store) with
-  | Some ov, Some c ->
-    let t =
-      Bpq_util.Table.create
-        [ "lookups"; "delegated"; "merged"; "base-hits"; "masked"; "added"; "edge-probes" ]
-    in
-    Bpq_util.Table.add_row t
-      [ string_of_int c.Overlay.c_lookups;
-        string_of_int c.Overlay.c_delegated;
-        string_of_int c.Overlay.c_merged;
-        string_of_int c.Overlay.c_base_hits;
-        string_of_int c.Overlay.c_masked;
-        string_of_int c.Overlay.c_added;
-        string_of_int c.Overlay.c_probes_overlay ];
-    Bpq_util.Table.print t;
-    Printf.printf "# overlay: version %d, %d ops (%+d nodes, %+d edges), %d labels touched\n"
-      (Overlay.version ov) (Overlay.n_ops ov) (Overlay.net_nodes ov) (Overlay.net_edges ov)
-      (List.length (Overlay.touched_labels ov))
-  | _ -> ()
-
 (* apply *)
 
 let apply_cmd =
   let wal_req =
     Arg.(required & opt (some string) None
          & info [ "wal" ] ~docv:"FILE" ~doc:"Delta log path (created if absent).")
-  in
-  let backend_arg =
-    Arg.(value & opt backend_conv Store.Mem
-         & info [ "backend" ] ~docv:"B"
-             ~doc:"Backend to validate the batch against: mem, paged or sharded (a \
-                   `bpq shard` directory).")
-  in
-  let page_cache_arg =
-    Arg.(value & opt int 16
-         & info [ "page-cache" ] ~docv:"MB" ~doc:"Page-cache budget for --backend paged.")
   in
   let ops_arg =
     Arg.(value & pos 0 string "-"
@@ -366,16 +404,11 @@ let apply_cmd =
   in
   let run graph wal backend page_cache ops_file =
     guard @@ fun () ->
-    let store =
-      if backend = Store.Sharded then open_sharded graph
-      else if Graph_io.is_snapshot graph then
-        with_file graph (fun () ->
-            Store.open_snapshot ~backend ~page_cache_mb:page_cache graph)
-      else
-        failwith
-          (Printf.sprintf "%s: delta logs pair with snapshots (build one with `bpq freeze`)"
-             graph)
-    in
+    if backend <> Store.Sharded && not (Graph_io.is_snapshot graph) then
+      failwith
+        (Printf.sprintf "%s: delta logs pair with snapshots (build one with `bpq freeze`)"
+           graph);
+    let store, _ = open_store ~backend ~page_cache graph in
     Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
     attach_wal_or_fail store wal;
     let ops = read_ops ops_file in
@@ -573,11 +606,6 @@ let run_cmd =
          & info [ "q"; "query" ] ~docv:"FILE"
              ~doc:"Pattern query file (repeatable; several queries evaluate as a batch).")
   in
-  let constraints_opt =
-    Arg.(value & opt (some file) None
-         & info [ "a"; "constraints" ] ~docv:"FILE"
-             ~doc:"Access constraints (required for text graphs; snapshots embed theirs).")
-  in
   let limit =
     Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc:"Stop after N matches.")
   in
@@ -591,30 +619,9 @@ let run_cmd =
          & info [ "explain" ]
              ~doc:"Print the EXPLAIN-ANALYZE report (per-operation estimate vs realised) instead of the matches.")
   in
-  let jobs =
-    Arg.(value & opt int (Pool.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Evaluate on N domains — batched queries fan out across the pool, and \
-                   each query's own plan execution and match search parallelise on it too \
-                   (default: \\$BPQ_JOBS or the recommended domain count; 1 forces \
-                   sequential evaluation).  Answers are identical for every N.")
-  in
-  let cache_mb =
-    Arg.(value & opt int 64
-         & info [ "cache" ] ~docv:"MB"
-             ~doc:"Cross-query cache budget in megabytes — plan, fetch and result tiers \
-                   (default 64; 0 disables caching).")
-  in
   let cache_stats =
     Arg.(value & flag
          & info [ "cache-stats" ] ~doc:"Print cache hit/miss/eviction counters after evaluation.")
-  in
-  let backend_arg =
-    Arg.(value & opt backend_conv Store.Mem
-         & info [ "backend" ] ~docv:"B"
-             ~doc:"Storage backend: 'mem' loads a snapshot fully, 'paged' serves it \
-                   out-of-core through a page cache, 'sharded' runs worker processes \
-                   over a `bpq shard` directory.  Answers are identical in every case.")
   in
   let workers_arg =
     Arg.(value & opt (some string) None
@@ -623,47 +630,12 @@ let run_cmd =
                    (unix:PATH or HOST:PORT, one per shard, any order) of externally \
                    started `bpq worker --listen` processes, instead of spawning them.")
   in
-  let page_cache_arg =
-    Arg.(value & opt int 16
-         & info [ "page-cache" ] ~docv:"MB"
-             ~doc:"Page-cache budget for --backend paged (default 16).")
-  in
   let io_stats_arg =
     Arg.(value & flag
          & info [ "io-stats" ]
-             ~doc:"Print pages faulted / bytes read / cache hits after evaluation (paged backend).")
-  in
-  let no_pushdown_arg =
-    Arg.(value & flag
-         & info [ "no-pushdown" ]
-             ~doc:"With --backend sharded: disable worker-side plan pushdown and use \
-                   plain batched fetching (answers are identical either way; pushdown \
-                   is on by default and sends far fewer bytes).")
-  in
-  let readahead_arg =
-    Arg.(value & opt int 8
-         & info [ "readahead" ] ~docv:"N"
-             ~doc:"Pages to prefetch after a sequential miss with --backend paged \
-                   (default 8; 0 disables).")
-  in
-  let print_cache_stats cache =
-    let s = Qcache.stats cache in
-    let t = Bpq_util.Table.create [ "tier"; "hits"; "misses"; "evictions"; "other" ] in
-    Bpq_util.Table.add_row t
-      [ "plan"; string_of_int s.Qcache.plan_hits; string_of_int s.Qcache.plan_misses; "-"; "" ];
-    Bpq_util.Table.add_row t
-      [ "fetch";
-        string_of_int s.Qcache.fetch_hits;
-        string_of_int s.Qcache.fetch_misses;
-        string_of_int s.Qcache.fetch_evictions;
-        Printf.sprintf "%d bypasses" s.Qcache.fetch_bypasses ];
-    Bpq_util.Table.add_row t
-      [ "result";
-        string_of_int s.Qcache.result_hits;
-        string_of_int s.Qcache.result_misses;
-        "-";
-        Printf.sprintf "%d stale" s.Qcache.result_stale ];
-    Bpq_util.Table.print t
+             ~doc:"Print the storage counters after evaluation: page-cache I/O (paged), \
+                   per-shard traffic (sharded), delta-log and overlay read-through \
+                   counters (--wal).")
   in
   let print_matches matches =
     List.iter
@@ -764,53 +736,12 @@ let run_cmd =
   let run semantics graph patterns constraints limit fallback explain jobs cache_mb cache_stats
       backend page_cache readahead io_stats workers no_pushdown wal =
     guard @@ fun () ->
-    let cache = if cache_mb <= 0 then None else Some (Qcache.of_megabytes cache_mb) in
+    let cache = cache_of_mb cache_mb in
     let pool = Pool.create jobs in
     Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-    (* Resolve the storage backend: a shard directory spawns (or
-       connects to) worker processes; a snapshot opens directly (its
-       constraints, indexes and statistics are embedded); a text graph
-       builds the schema in memory. *)
     let store, costs =
-      if backend = Store.Sharded then begin
-        (match constraints with
-         | Some _ ->
-           failwith (Printf.sprintf "%s: shard manifests embed their constraints; drop -a" graph)
-         | None -> ());
-        let store = open_sharded ?workers ~pushdown:(not no_pushdown) graph in
-        (store, Option.map Costs.make (Store.selectivity store))
-      end
-      else if Graph_io.is_snapshot graph then begin
-        (match constraints with
-         | Some _ ->
-           failwith (Printf.sprintf "%s: snapshots embed their constraints; drop -a" graph)
-         | None -> ());
-        let store =
-          with_file graph (fun () ->
-              Store.open_snapshot ~backend ~page_cache_mb:page_cache ~readahead graph)
-        in
-        (store, Option.map Costs.make (Store.selectivity store))
-      end
-      else begin
-        (match backend with
-         | Store.Paged ->
-           failwith "--backend paged needs a snapshot (build one with `bpq freeze`)"
-         | Store.Sharded -> assert false (* handled above *)
-         | Store.Mem -> ());
-        let cfile =
-          match constraints with
-          | Some c -> c
-          | None ->
-            failwith
-              (Printf.sprintf "%s: text graphs need -a CONSTRAINTS (or freeze a snapshot first)"
-                 graph)
-        in
-        let tbl = Label.create_table () in
-        let g = with_file graph (fun () -> Graph_io.load tbl graph) in
-        let a = parse_constraints tbl cfile in
-        let schema = Schema.build ~pool g a in
-        (Store.of_schema schema, Some (Costs.of_graph g))
-      end
+      open_store ~pool ?workers ~pushdown:(not no_pushdown) ?constraints ~readahead ~backend
+        ~page_cache graph
     in
     Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
     (* The delta log attaches before [source]: queries then read through
@@ -846,27 +777,20 @@ let run_cmd =
           0
         | _ -> run_batch pool semantics fb_graph src queries limit fallback cache
       in
-      if cache_stats then Option.iter print_cache_stats cache;
-      (* Shard traffic and overlay read-through counters ride along with
-         both diagnostics views; the default output stays byte-identical
-         to the other backends (and to a writeless run). *)
+      if cache_stats then Option.iter (fun c -> print_samples (Qcache.metrics c)) cache;
+      (* The store's counters ride along with both diagnostics views; the
+         default output stays byte-identical across backends (and to a
+         writeless run). *)
       if io_stats || explain then begin
-        Option.iter print_shard_traffic (Store.remote store);
-        print_overlay_counters store
-      end;
-      if io_stats && Option.is_none (Store.remote store) then begin
-        match Store.io_counters store with
-        | Some c ->
-          Printf.printf
-            "# io: %d pages faulted, %d bytes read, %d cache hits, %d prefetched\n"
-            c.Paged.faults c.Paged.bytes_read c.Paged.hits c.Paged.prefetched
-        | None -> print_endline "# io: in-memory backend, no paging"
+        match Store.metrics store with
+        | [] -> if io_stats then print_endline "# io: in-memory backend, no paging"
+        | samples -> print_samples samples
       end;
       status
   in
   Cmd.v (Cmd.info "run" ~doc:"Evaluate pattern queries through their bounded plans.")
     Term.(const run $ semantics_arg $ graph_arg $ patterns_arg $ constraints_opt $ limit
-          $ fallback $ explain $ jobs $ cache_mb $ cache_stats $ backend_arg $ page_cache_arg
+          $ fallback $ explain $ jobs_arg $ cache_arg $ cache_stats $ backend_arg $ page_cache_arg
           $ readahead_arg $ io_stats_arg $ workers_arg $ no_pushdown_arg $ wal_arg)
 
 (* serve *)
@@ -889,38 +813,6 @@ let serve_cmd =
          & info [ "listen" ] ~docv:"ADDR"
              ~doc:"Listen address: unix:PATH, a bare path containing '/', HOST:PORT, or \
                    :PORT (loopback).")
-  in
-  let constraints_opt =
-    Arg.(value & opt (some file) None
-         & info [ "a"; "constraints" ] ~docv:"FILE"
-             ~doc:"Access constraints (required for text graphs; snapshots embed theirs).")
-  in
-  let jobs =
-    Arg.(value & opt int (Pool.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Evaluate queries on N domains; concurrent clients' queries spread \
-                   across the pool.")
-  in
-  let cache_mb =
-    Arg.(value & opt int 64
-         & info [ "cache" ] ~docv:"MB"
-             ~doc:"Cross-query cache budget in megabytes (default 64; 0 disables).")
-  in
-  let backend_arg =
-    Arg.(value & opt backend_conv Store.Mem
-         & info [ "backend" ] ~docv:"B"
-             ~doc:"Storage backend: 'mem', 'paged' (out-of-core) or 'sharded' (worker \
-                   processes over a `bpq shard` directory).")
-  in
-  let page_cache_arg =
-    Arg.(value & opt int 16
-         & info [ "page-cache" ] ~docv:"MB" ~doc:"Page-cache budget for --backend paged.")
-  in
-  let readahead_arg =
-    Arg.(value & opt int 8
-         & info [ "readahead" ] ~docv:"N"
-             ~doc:"Pages to prefetch after a sequential miss with --backend paged \
-                   (default 8; 0 disables).")
   in
   let no_coalesce_arg =
     Arg.(value & flag
@@ -955,55 +847,6 @@ let serve_cmd =
              ~doc:"Per-query evaluation budget in seconds (0 disables); an expired query \
                    answers with a typed 'timeout' error.")
   in
-  let no_pushdown_arg =
-    Arg.(value & flag
-         & info [ "no-pushdown" ]
-             ~doc:"With --backend sharded: disable worker-side plan pushdown and use \
-                   plain batched fetching (answers are identical either way).")
-  in
-  (* One resolution path for the initial open and every live reload: a
-     snapshot reopens (picking up a refreshed file atomically renamed
-     into place); a text graph reloads and rebuilds its schema. *)
-  let open_store ~pool ~backend ~page_cache ~readahead ~pushdown graph constraints =
-    if backend = Store.Sharded then begin
-      (match constraints with
-       | Some _ ->
-         failwith (Printf.sprintf "%s: shard manifests embed their constraints; drop -a" graph)
-       | None -> ());
-      let store = open_sharded ~pushdown graph in
-      (store, Option.map Costs.make (Store.selectivity store))
-    end
-    else if Graph_io.is_snapshot graph then begin
-      (match constraints with
-       | Some _ -> failwith (Printf.sprintf "%s: snapshots embed their constraints; drop -a" graph)
-       | None -> ());
-      let store =
-        with_file graph (fun () ->
-            Store.open_snapshot ~backend ~page_cache_mb:page_cache ~readahead graph)
-      in
-      (store, Option.map Costs.make (Store.selectivity store))
-    end
-    else begin
-      (match backend with
-       | Store.Paged -> failwith "--backend paged needs a snapshot (build one with `bpq freeze`)"
-       | Store.Sharded -> assert false (* handled above *)
-       | Store.Mem -> ());
-      let cfile =
-        match constraints with
-        | Some c -> c
-        | None ->
-          failwith
-            (Printf.sprintf "%s: text graphs need -a CONSTRAINTS (or freeze a snapshot first)" graph)
-      in
-      let tbl = Label.create_table () in
-      let g = with_file graph (fun () -> Graph_io.load tbl graph) in
-      let a = parse_constraints tbl cfile in
-      let schema = Schema.build ~pool g a in
-      if not (Schema.satisfied schema) then
-        failwith (Printf.sprintf "%s: the graph does not satisfy the access constraints" graph);
-      (Store.of_schema ~selectivity:(Gstats.selectivity g) schema, Some (Costs.of_graph g))
-    end
-  in
   let run semantics graph constraints listen jobs cache_mb backend page_cache readahead
       no_coalesce max_inflight max_conns read_timeout write_timeout query_timeout
       no_pushdown wal =
@@ -1012,9 +855,21 @@ let serve_cmd =
     let addr =
       match Sock.parse listen with Ok a -> a | Error msg -> failwith ("--listen " ^ msg)
     in
-    let cache = if cache_mb <= 0 then None else Some (Qcache.of_megabytes cache_mb) in
+    let cache = cache_of_mb cache_mb in
     let pool = Pool.create jobs in
     Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+    (* One resolution path for the initial open, every live reload and
+       the post-compaction reopen; an unsatisfied text graph is refused. *)
+    let open_served () =
+      let store, costs =
+        open_store ~pool ~pushdown ?constraints ~readahead ~backend ~page_cache graph
+      in
+      (match Store.schema store with
+       | Some schema when (not (Graph_io.is_snapshot graph)) && not (Schema.satisfied schema) ->
+         failwith (Printf.sprintf "%s: the graph does not satisfy the access constraints" graph)
+       | _ -> ());
+      (store, costs)
+    in
     let serving store costs =
       { sv_store = store; sv_costs = costs; sv_refs = Atomic.make 0 }
     in
@@ -1026,17 +881,13 @@ let serve_cmd =
           (fun () ->
             if Atomic.fetch_and_add sv.sv_refs (-1) = 1 then Store.close sv.sv_store) }
     in
-    let store0, costs0 =
-      open_store ~pool ~backend ~page_cache ~readahead ~pushdown graph constraints
-    in
+    let store0, costs0 = open_served () in
     Option.iter (attach_wal_or_fail store0) wal;
     (* The stats hook follows reloads so `stats` always reports the live
        generation's I/O counters. *)
     let current = ref (serving store0 costs0) in
     let reload () =
-      let store, costs =
-        open_store ~pool ~backend ~page_cache ~readahead ~pushdown graph constraints
-      in
+      let store, costs = open_served () in
       let sv = serving store costs in
       current := sv;
       slot_of sv
@@ -1092,9 +943,7 @@ let serve_cmd =
            snapshot and re-attaches the (now empty) log, carrying the
            per-label write generations so pre-compaction result-cache
            entries stay valid. *)
-        let store, costs =
-          open_store ~pool ~backend ~page_cache ~readahead ~pushdown graph constraints
-        in
+        let store, costs = open_served () in
         Option.iter (fun w -> ignore (Store.attach_wal ~carry:ov store w)) wal;
         let sv' = serving store costs in
         incr generation;
@@ -1105,92 +954,14 @@ let serve_cmd =
               ("snapshot", Json.Str path);
               ("folded_ops", Json.Int folded) ] )
     in
-    let extra_stats () =
-      let io =
-        match Store.io_counters (!current).sv_store with
-        | Some c ->
-          [ ("io",
-             Bpq_util.Jsonx.Obj
-               [ ("faults", Bpq_util.Jsonx.Int c.Paged.faults);
-                 ("bytes_read", Bpq_util.Jsonx.Int c.Paged.bytes_read);
-                 ("hits", Bpq_util.Jsonx.Int c.Paged.hits);
-                 ("prefetched", Bpq_util.Jsonx.Int c.Paged.prefetched) ]) ]
-        | None -> []
-      in
-      let shards =
-        match Store.remote (!current).sv_store with
-        | Some r ->
-          let st : Remote.stats = Remote.stats r in
-          let ints a = Bpq_util.Jsonx.Arr (List.map (fun v -> Bpq_util.Jsonx.Int v) (Array.to_list a)) in
-          [ ("shards",
-             Bpq_util.Jsonx.Obj
-               [ ("count", Bpq_util.Jsonx.Int st.shards);
-                 ("rounds", Bpq_util.Jsonx.Int st.rounds);
-                 ("messages", ints st.messages);
-                 ("bytes_sent", ints st.bytes_sent);
-                 ("bytes_received", ints st.bytes_received);
-                 ("items", ints st.items);
-                 ("server_ns", ints st.server_ns) ]) ]
-        | None -> []
-      in
-      let write_path =
-        match Store.wal (!current).sv_store with
-        | None -> []
-        | Some w ->
-          let ov = Option.get (Store.overlay (!current).sv_store) in
-          [ ("write_path",
-             Bpq_util.Jsonx.Obj
-               [ ("generation", Bpq_util.Jsonx.Int !generation);
-                 ("data_version", Bpq_util.Jsonx.Int (Overlay.version ov));
-                 ("wal_bytes", Bpq_util.Jsonx.Int (Wal.bytes w));
-                 ("wal_records", Bpq_util.Jsonx.Int (Wal.records w));
-                 ("overlay_ops", Bpq_util.Jsonx.Int (Overlay.n_ops ov));
-                 ("overlay_nodes", Bpq_util.Jsonx.Int (Overlay.net_nodes ov));
-                 ("overlay_edges", Bpq_util.Jsonx.Int (Overlay.net_edges ov)) ]) ]
-      in
-      io @ shards @ write_path
+    let extra () =
+      Store.metrics (!current).sv_store
+      @
+      if wal = None then []
+      else
+        [ Bpq_util.Metrics.gauge "write_path.generation" "bpq_generation"
+            "Snapshot generation (compactions since start)." (Bpq_util.Metrics.Int !generation) ]
     in
-    let write_metrics () =
-      match Store.wal (!current).sv_store with
-      | None -> ""
-      | Some w ->
-        let ov = Option.get (Store.overlay (!current).sv_store) in
-        Printf.sprintf
-          "# HELP bpq_generation Snapshot generation (compactions since start).\n\
-           # TYPE bpq_generation gauge\nbpq_generation %d\n\
-           # HELP bpq_wal_bytes Delta log size on disk, header included.\n\
-           # TYPE bpq_wal_bytes gauge\nbpq_wal_bytes %d\n\
-           # HELP bpq_wal_records Replayable records in the delta log.\n\
-           # TYPE bpq_wal_records gauge\nbpq_wal_records %d\n\
-           # HELP bpq_overlay_ops Operations live in the read-through overlay.\n\
-           # TYPE bpq_overlay_ops gauge\nbpq_overlay_ops %d\n"
-          !generation (Wal.bytes w) (Wal.records w) (Overlay.n_ops ov)
-    in
-    let shard_metrics () =
-      match Store.remote (!current).sv_store with
-      | None -> ""
-      | Some r ->
-        let st : Remote.stats = Remote.stats r in
-        let b = Buffer.create 512 in
-        let per_shard name help values =
-          Printf.bprintf b "# HELP %s %s\n# TYPE %s counter\n" name help name;
-          Array.iteri (fun s v -> Printf.bprintf b "%s{shard=\"%d\"} %d\n" name s v) values
-        in
-        per_shard "bpq_shard_messages_total" "Request frames sent to each worker."
-          st.messages;
-        per_shard "bpq_shard_bytes_sent_total" "Request bytes sent to each worker."
-          st.bytes_sent;
-        per_shard "bpq_shard_bytes_received_total" "Reply bytes received from each worker."
-          st.bytes_received;
-        per_shard "bpq_shard_items_total" "Result items decoded from each worker." st.items;
-        per_shard "bpq_shard_server_ns_total"
-          "Worker-reported evaluation time (ns) for pushed operations." st.server_ns;
-        Printf.bprintf b
-          "# HELP bpq_shard_rounds_total Batched request rounds (supersteps).\n\
-           # TYPE bpq_shard_rounds_total counter\nbpq_shard_rounds_total %d\n" st.rounds;
-        Buffer.contents b
-    in
-    let extra_metrics () = shard_metrics () ^ write_metrics () in
     let opt_pos v = if v > 0.0 then Some v else None in
     (* With --wal, generations roll through write/compact; an operator
        [reload] racing live appends would replay a log another handle is
@@ -1201,7 +972,7 @@ let serve_cmd =
     let server =
       Server.create ?cache ~max_inflight ~max_connections:max_conns
         ?query_timeout:(opt_pos query_timeout) ~semantics ~coalesce:(not no_coalesce)
-        ?reload ?write:write_hook ?compact:compact_hook ~extra_stats ~extra_metrics ~pool
+        ?reload ?write:write_hook ?compact:compact_hook ~extra ~pool
         (slot_of !current)
     in
     let stop_on signal =
@@ -1222,8 +993,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serve pattern queries from a warm engine over a socket (line-delimited JSON).")
-    Term.(const run $ semantics_arg $ graph_arg $ constraints_opt $ listen_arg $ jobs
-          $ cache_mb $ backend_arg $ page_cache_arg $ readahead_arg $ no_coalesce_arg
+    Term.(const run $ semantics_arg $ graph_arg $ constraints_opt $ listen_arg $ jobs_arg
+          $ cache_arg $ backend_arg $ page_cache_arg $ readahead_arg $ no_coalesce_arg
           $ max_inflight_arg $ max_conns_arg $ read_timeout_arg $ write_timeout_arg
           $ query_timeout_arg $ no_pushdown_arg $ wal_arg)
 

@@ -344,3 +344,23 @@ let stats t =
       result_misses = 0;
       result_stale = 0 }
     shards
+
+let metrics t =
+  let s = stats t in
+  let tier tier path name help v =
+    Bpq_util.Metrics.counter ~labels:[ ("tier", tier) ] path name help v
+  in
+  let hits tr path = tier tr path "bpq_cache_hits_total" "Cache hits by tier."
+  and misses tr path = tier tr path "bpq_cache_misses_total" "Cache misses by tier." in
+  [ hits "plan" "cache.plan_hits" s.plan_hits;
+    misses "plan" "cache.plan_misses" s.plan_misses;
+    hits "fetch" "cache.fetch_hits" s.fetch_hits;
+    misses "fetch" "cache.fetch_misses" s.fetch_misses;
+    tier "fetch" "cache.fetch_evictions" "bpq_cache_evictions_total"
+      "Entries evicted by the LRU capacity bound." s.fetch_evictions;
+    tier "fetch" "cache.fetch_bypasses" "bpq_cache_bypasses_total"
+      "Lookups whose key does not pack and skip the cache." s.fetch_bypasses;
+    hits "result" "cache.result_hits" s.result_hits;
+    misses "result" "cache.result_misses" s.result_misses;
+    tier "result" "cache.result_stale" "bpq_cache_stale_total"
+      "Entries found but invalidated by a write." s.result_stale ]

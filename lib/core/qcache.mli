@@ -180,3 +180,7 @@ type stats = {
 
 val stats : t -> stats
 (** Counters summed over all domain shards. *)
+
+val metrics : t -> Bpq_util.Metrics.sample list
+(** Every {!stats} field as a registry sample: [cache.*] in the [stats]
+    JSON, [bpq_cache_*_total{tier=...}] in Prometheus. *)

@@ -81,8 +81,7 @@ type t = {
   compact_hook :
     (unit -> (slot_data option * (string * Json.t) list, string * string) result)
     option;
-  extra_stats : unit -> (string * Json.t) list;
-  extra_metrics : unit -> string;
+  extra : unit -> Metrics.sample list;
   started : float;
   latency : Histogram.t;  (* successful queries, seconds *)
   mu : Mutex.t;
@@ -110,7 +109,7 @@ type t = {
 
 let create ?cache ?(max_inflight = 64) ?(max_connections = 64) ?query_timeout
     ?(semantics = Actualized.Subgraph) ?(coalesce = true) ?reload ?write ?compact
-    ?(extra_stats = fun () -> []) ?(extra_metrics = fun () -> "") ~pool data =
+    ?(extra = fun () -> []) ~pool data =
   if max_inflight < 0 then invalid_arg "Server.create: negative max_inflight";
   if max_connections < 1 then invalid_arg "Server.create: max_connections must be positive";
   { pool;
@@ -123,8 +122,7 @@ let create ?cache ?(max_inflight = 64) ?(max_connections = 64) ?query_timeout
     reload_hook = reload;
     write_hook = write;
     compact_hook = compact;
-    extra_stats;
-    extra_metrics;
+    extra;
     started = Timer.now ();
     latency = Histogram.create ();
     mu = Mutex.create ();
@@ -495,158 +493,54 @@ let handle_explain t ?id req =
           let d = Ebchk.diagnose sem q s.data.src.Exec.constraints in
           error_response ?id "unbounded" (Ebchk.report q d)))
 
-let latency_json t =
-  let ms = Option.map (fun s -> s *. 1000.0) in
-  Json.Obj
-    [ ("count", Json.Int (Histogram.count t.latency));
-      ("mean_ms", Json.of_float_opt (ms (Histogram.mean t.latency)));
-      ("p50_ms", Json.of_float_opt (ms (Histogram.percentile t.latency 0.5)));
-      ("p90_ms", Json.of_float_opt (ms (Histogram.percentile t.latency 0.9)));
-      ("p99_ms", Json.of_float_opt (ms (Histogram.percentile t.latency 0.99)));
-      ("max_ms", Json.of_float_opt (ms (Histogram.maximum t.latency))) ]
-
-let cache_json c =
-  let s = Qcache.stats c in
-  Json.Obj
-    [ ("plan_hits", Json.Int s.Qcache.plan_hits);
-      ("plan_misses", Json.Int s.Qcache.plan_misses);
-      ("fetch_hits", Json.Int s.Qcache.fetch_hits);
-      ("fetch_misses", Json.Int s.Qcache.fetch_misses);
-      ("result_hits", Json.Int s.Qcache.result_hits);
-      ("result_misses", Json.Int s.Qcache.result_misses);
-      ("result_stale", Json.Int s.Qcache.result_stale) ]
-
-let coalescing_json t =
-  (* Caller holds no locks; the three counters are read under [t.mu]. *)
+(* The server's own counters, then the cache's and the caller's, as one
+   registry sample list: [stats], the [metrics] op and [GET /metrics]
+   all render it, so every counter shows in all three.  Server counters
+   are read under one [t.mu] acquisition and the latency summary from
+   one histogram snapshot. *)
+let samples t =
+  let open Metrics in
+  let gauge_i path name help v = gauge path name help (Int v) in
   Mutex.lock t.mu;
-  let leaders = t.sf_leaders
-  and followers = t.sf_followers
-  and redispatches = t.sf_redispatches in
-  Mutex.unlock t.mu;
-  Json.Obj
-    [ ("enabled", Json.Bool t.coalesce);
-      ("leaders", Json.Int leaders);
-      ("followers", Json.Int followers);
-      ("redispatches", Json.Int redispatches) ]
-
-let handle_stats t ?id () =
-  Mutex.lock t.mu;
-  let inflight = t.inflight
-  and served = t.served
-  and rejected = t.rejected
-  and errors = t.errors
-  and timeouts = t.timeouts
-  and reloads = t.reloads
-  and writes = t.writes
-  and compactions = t.compactions
-  and conns = t.live_conns
-  and stamp = t.slot.data.src.Exec.stamp
-  and graph_size = t.slot.data.src.Exec.graph_size in
-  Mutex.unlock t.mu;
-  ok_response ?id
-    ([ ("uptime_s", Json.Float (Timer.now () -. t.started));
-       ("stamp", Json.Int stamp);
-       ("graph_size", Json.Int graph_size);
-       ("connections", Json.Int conns);
-       ("inflight", Json.Int inflight);
-       ("served", Json.Int served);
-       ("rejected", Json.Int rejected);
-       ("errors", Json.Int errors);
-       ("timeouts", Json.Int timeouts);
-       ("reloads", Json.Int reloads);
-       ("writes", Json.Int writes);
-       ("compactions", Json.Int compactions);
-       ("jobs", Json.Int (Pool.size t.pool));
-       ("coalescing", coalescing_json t);
-       ("latency", latency_json t) ]
-     @ (match t.cache with Some c -> [ ("cache", cache_json c) ] | None -> [])
-     @ t.extra_stats ())
-
-(* Prometheus text exposition (version 0.0.4): one scrape-ready page of
-   counters, gauges and a latency summary.  Carried inside the JSON
-   protocol as the "text" field of the `metrics` op — a scraping bridge
-   peels it out; the daemon itself stays single-protocol. *)
-let metrics_text t =
-  Mutex.lock t.mu;
-  let inflight = t.inflight
-  and served = t.served
-  and rejected = t.rejected
-  and errors = t.errors
-  and timeouts = t.timeouts
-  and reloads = t.reloads
-  and writes = t.writes
-  and compactions = t.compactions
-  and conns = t.live_conns
-  and leaders = t.sf_leaders
-  and followers = t.sf_followers
-  and redispatches = t.sf_redispatches
-  and stamp = t.slot.data.src.Exec.stamp
-  and graph_size = t.slot.data.src.Exec.graph_size in
-  Mutex.unlock t.mu;
-  let b = Buffer.create 2048 in
-  let metric name typ help value =
-    Printf.bprintf b "# HELP %s %s\n# TYPE %s %s\n%s %s\n" name help name typ name value
+  let own =
+    [ gauge "uptime_s" "bpq_uptime_seconds" "Seconds since the server started."
+        (Float (Timer.now () -. t.started));
+      gauge_i "stamp" "bpq_stamp" "Schema stamp of the current slot." t.slot.data.src.Exec.stamp;
+      gauge_i "graph_size" "bpq_graph_size" "Nodes + edges of the served graph."
+        t.slot.data.src.Exec.graph_size;
+      gauge_i "connections" "bpq_connections" "Live client connections." t.live_conns;
+      gauge_i "inflight" "bpq_inflight" "Queries queued or running." t.inflight;
+      counter "served" "bpq_queries_served_total" "Queries answered successfully." t.served;
+      counter "rejected" "bpq_queries_rejected_total" "Requests refused by admission control."
+        t.rejected;
+      counter "errors" "bpq_errors_total" "Requests that raised an internal error." t.errors;
+      counter "timeouts" "bpq_timeouts_total" "Queries that exceeded the time budget." t.timeouts;
+      counter "reloads" "bpq_reloads_total" "Live snapshot reloads." t.reloads;
+      counter "writes" "bpq_writes_total" "Accepted write batches." t.writes;
+      counter "compactions" "bpq_compactions_total" "Completed generation rolls." t.compactions;
+      gauge_i "jobs" "bpq_jobs" "Pool worker count." (Pool.size t.pool);
+      gauge "coalescing.enabled" "bpq_coalesce_enabled" "Single-flight coalescing on (1) or off."
+        (Bool t.coalesce);
+      counter "coalescing.leaders" "bpq_coalesce_leaders_total"
+        "Evaluations that led a single-flight." t.sf_leaders;
+      counter "coalescing.followers" "bpq_coalesce_followers_total"
+        "Requests that joined an existing flight." t.sf_followers;
+      counter "coalescing.redispatches" "bpq_coalesce_redispatches_total"
+        "Followers re-dispatched after a mid-flight reload." t.sf_redispatches ]
   in
-  let counter name help v = metric name "counter" help (string_of_int v) in
-  let gauge name help v = metric name "gauge" help (string_of_int v) in
-  counter "bpq_queries_served_total" "Queries answered successfully." served;
-  counter "bpq_queries_rejected_total" "Requests refused by admission control." rejected;
-  counter "bpq_errors_total" "Requests that raised an internal error." errors;
-  counter "bpq_timeouts_total" "Queries that exceeded the time budget." timeouts;
-  counter "bpq_reloads_total" "Live snapshot reloads." reloads;
-  counter "bpq_writes_total" "Accepted write batches." writes;
-  counter "bpq_compactions_total" "Completed generation rolls." compactions;
-  counter "bpq_coalesce_leaders_total" "Evaluations that led a single-flight." leaders;
-  counter "bpq_coalesce_followers_total" "Requests that joined an existing flight." followers;
-  counter "bpq_coalesce_redispatches_total"
-    "Followers re-dispatched after a mid-flight reload." redispatches;
-  gauge "bpq_inflight" "Queries queued or running." inflight;
-  gauge "bpq_connections" "Live client connections." conns;
-  gauge "bpq_jobs" "Pool worker count." (Pool.size t.pool);
-  gauge "bpq_stamp" "Schema stamp of the current slot." stamp;
-  gauge "bpq_graph_size" "Nodes + edges of the served graph." graph_size;
-  metric "bpq_uptime_seconds" "gauge" "Seconds since the server started."
-    (Printf.sprintf "%.3f" (Timer.now () -. t.started));
-  (match t.cache with
-   | None -> ()
-   | Some c ->
-     let s = Qcache.stats c in
-     Printf.bprintf b
-       "# HELP bpq_cache_hits_total Cache hits by tier.\n\
-        # TYPE bpq_cache_hits_total counter\n";
-     Printf.bprintf b "bpq_cache_hits_total{tier=\"plan\"} %d\n" s.Qcache.plan_hits;
-     Printf.bprintf b "bpq_cache_hits_total{tier=\"fetch\"} %d\n" s.Qcache.fetch_hits;
-     Printf.bprintf b "bpq_cache_hits_total{tier=\"result\"} %d\n" s.Qcache.result_hits;
-     Printf.bprintf b
-       "# HELP bpq_cache_misses_total Cache misses by tier.\n\
-        # TYPE bpq_cache_misses_total counter\n";
-     Printf.bprintf b "bpq_cache_misses_total{tier=\"plan\"} %d\n" s.Qcache.plan_misses;
-     Printf.bprintf b "bpq_cache_misses_total{tier=\"fetch\"} %d\n" s.Qcache.fetch_misses;
-     Printf.bprintf b "bpq_cache_misses_total{tier=\"result\"} %d\n" s.Qcache.result_misses);
-  let n = Histogram.count t.latency in
-  let sum =
-    match Histogram.mean t.latency with
-    | Some m -> m *. float_of_int n
-    | None -> 0.0
-  in
-  Printf.bprintf b
-    "# HELP bpq_query_latency_seconds Latency of successful queries.\n\
-     # TYPE bpq_query_latency_seconds summary\n";
-  List.iter
-    (fun q ->
-      match Histogram.percentile t.latency q with
-      | Some v -> Printf.bprintf b "bpq_query_latency_seconds{quantile=\"%g\"} %.9g\n" q v
-      | None -> ())
-    [ 0.5; 0.9; 0.99 ];
-  Printf.bprintf b "bpq_query_latency_seconds_sum %.9g\n" sum;
-  Printf.bprintf b "bpq_query_latency_seconds_count %d\n" n;
-  Buffer.add_string b (t.extra_metrics ());
-  Buffer.contents b
+  Mutex.unlock t.mu;
+  own
+  @ [ summary "latency" "bpq_query_latency_seconds" "Latency of successful queries."
+        (Histogram.snapshot t.latency [ 0.5; 0.9; 0.99 ]) ]
+  @ (match t.cache with Some c -> Qcache.metrics c | None -> [])
+  @ t.extra ()
+
+let handle_stats t ?id () = ok_response ?id (Metrics.to_json (samples t))
 
 let handle_metrics t ?id () =
   ok_response ?id
     [ ("content_type", Json.Str "text/plain; version=0.0.4");
-      ("text", Json.Str (metrics_text t)) ]
+      ("text", Json.Str (Metrics.to_prometheus (samples t))) ]
 
 let handle_reload t ?id () =
   match t.reload_hook with
@@ -794,7 +688,7 @@ let handle_conn t ?read_timeout ?write_timeout fd =
           if
             path = "/metrics"
             || (String.length path >= 9 && String.sub path 0 9 = "/metrics?")
-          then ("200 OK", "text/plain; version=0.0.4", metrics_text t)
+          then ("200 OK", "text/plain; version=0.0.4", Metrics.to_prometheus (samples t))
           else if path = "/healthz" then
             (* Liveness only: the daemon is accepting connections and
                answering.  Readiness nuance (warm caches, worker health)

@@ -16,7 +16,7 @@
     [parse], [bad_request], [unbounded], [overloaded], [timeout],
     [shutting_down], [reload_failed], [write_failed], [compact_failed]
     and [internal].  [metrics] returns the counters as a Prometheus
-    text-format page in its ["text"] field (see {!metrics_text}).
+    text-format page in its ["text"] field; both render {!samples}.
 
     A plain [GET /metrics] HTTP request on the same socket is answered
     with the Prometheus page, and [GET /healthz] with a bare [200 ok] —
@@ -75,8 +75,7 @@ val create :
   ?reload:(unit -> slot_data) ->
   ?write:(Jsonx.t -> (slot_data option * (string * Jsonx.t) list, string * string) result) ->
   ?compact:(unit -> (slot_data option * (string * Jsonx.t) list, string * string) result) ->
-  ?extra_stats:(unit -> (string * Jsonx.t) list) ->
-  ?extra_metrics:(unit -> string) ->
+  ?extra:(unit -> Metrics.sample list) ->
   pool:Pool.t ->
   slot_data ->
   t
@@ -98,18 +97,21 @@ val create :
     finish on their pinned generation — but does not count as a reload
     in the stats.  [compact] serves the [compact] op the same way.
     Without the hooks both ops fail typed ([bad_request]).
-    [extra_stats] fields are appended to every [stats] response.
-    [extra_metrics] returns extra Prometheus exposition text (complete
-    lines, or [""]) appended to every [metrics] page — the hook backend
-    counters (e.g. sharded-store traffic) publish through.
+    [extra] returns the caller's counters — typically
+    {!Bpq_store.Store.metrics} of the live store — as registry samples;
+    it is called on every [stats], [metrics] and [GET /metrics] and its
+    samples are rendered after the server's and the cache's, so a
+    backend counter shows in the JSON and the Prometheus page at once.
     @raise Invalid_argument on negative [max_inflight] or
     non-positive [max_connections]. *)
 
-val metrics_text : t -> string
-(** The Prometheus text-exposition page (format 0.0.4) behind the
-    [metrics] op: request/error/reload counters, single-flight leaders /
-    followers / re-dispatches, inflight and connection gauges, cache
-    tier counters, and a latency summary with interpolated quantiles. *)
+val samples : t -> Metrics.sample list
+(** The counters behind [stats], [metrics] and [GET /metrics], in one
+    registry list ({!Bpq_util.Metrics}): request/error/reload counters,
+    single-flight leaders / followers / re-dispatches, inflight and
+    connection gauges, a latency summary read from one histogram
+    snapshot, the cache tiers ({!Qcache.metrics}) and the [extra]
+    samples. *)
 
 val handle_line : t -> string -> string
 (** [handle_line t line] routes one request line and returns the

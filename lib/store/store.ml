@@ -191,6 +191,78 @@ let wal t = Option.map (fun ws -> ws.wal) t.ws
 let overlay t = Option.map (fun ws -> ws.ov) t.ws
 let overlay_counters t = Option.map (fun ws -> Overlay.snapshot ws.counters) t.ws
 
+let metrics t =
+  let module M = Bpq_util.Metrics in
+  let io =
+    match io_counters t with
+    | None -> []
+    | Some c ->
+      [ M.counter "io.faults" "bpq_page_faults_total" "Pages read from disk on demand."
+          c.Paged.faults;
+        M.counter "io.bytes_read" "bpq_page_bytes_read_total"
+          "Bytes read from the snapshot, faults and prefetches." c.Paged.bytes_read;
+        M.counter "io.hits" "bpq_page_hits_total" "Page accesses served by the page cache."
+          c.Paged.hits;
+        M.counter "io.prefetched" "bpq_page_prefetched_total"
+          "Pages pulled in by sequential readahead." c.Paged.prefetched ]
+  in
+  let shards =
+    match remote t with
+    | None -> []
+    | Some r ->
+      let st = Remote.stats r in
+      let per = M.per_item ~label:"shard" in
+      M.gauge "shards.count" "bpq_shards" "Shard workers behind the coordinator."
+        (M.Int st.shards)
+      :: M.counter "shards.rounds" "bpq_shard_rounds_total"
+           "Batched request rounds (supersteps)." st.rounds
+      :: List.concat
+           [ per "shards.messages" "bpq_shard_messages_total"
+               "Request frames sent to each worker." st.messages;
+             per "shards.bytes_sent" "bpq_shard_bytes_sent_total"
+               "Request bytes sent to each worker." st.bytes_sent;
+             per "shards.bytes_received" "bpq_shard_bytes_received_total"
+               "Reply bytes received from each worker." st.bytes_received;
+             per "shards.items" "bpq_shard_items_total" "Result items decoded from each worker."
+               st.items;
+             per "shards.server_ns" "bpq_shard_server_ns_total"
+               "Worker-reported evaluation time (ns) for pushed operations." st.server_ns ]
+  in
+  let write_path =
+    match t.ws with
+    | None -> []
+    | Some ws ->
+      let ov = ws.ov and c = Overlay.snapshot ws.counters in
+      let g path name help v = M.gauge path name help (M.Int v) in
+      [ g "write_path.data_version" "bpq_data_version"
+          "Overlay data version (bumped by every write batch)." (Overlay.version ov);
+        g "write_path.wal_bytes" "bpq_wal_bytes" "Delta log size on disk, header included."
+          (Wal.bytes ws.wal);
+        g "write_path.wal_records" "bpq_wal_records" "Replayable records in the delta log."
+          (Wal.records ws.wal);
+        g "write_path.overlay_ops" "bpq_overlay_ops"
+          "Operations live in the read-through overlay." (Overlay.n_ops ov);
+        g "write_path.overlay_nodes" "bpq_overlay_nodes" "Net nodes added by the overlay."
+          (Overlay.net_nodes ov);
+        g "write_path.overlay_edges" "bpq_overlay_edges" "Net edges added by the overlay."
+          (Overlay.net_edges ov);
+        M.counter "overlay.lookups" "bpq_overlay_lookups_total"
+          "Index lookups through the read-through overlay." c.Overlay.c_lookups;
+        M.counter "overlay.delegated" "bpq_overlay_delegated_total"
+          "Lookups served verbatim by the base (untouched constraint)." c.Overlay.c_delegated;
+        M.counter "overlay.merged" "bpq_overlay_merged_total" "Overlay and base merges."
+          c.Overlay.c_merged;
+        M.counter "overlay.base_hits" "bpq_overlay_base_hits_total"
+          "Base bucket items considered by merges." c.Overlay.c_base_hits;
+        M.counter "overlay.masked" "bpq_overlay_masked_total"
+          "Base hits dropped by edge tombstones." c.Overlay.c_masked;
+        M.counter "overlay.added" "bpq_overlay_added_total"
+          "Overlay-born hits appended by merges." c.Overlay.c_added;
+        M.counter "overlay.edge_probes" "bpq_overlay_edge_probes_total"
+          "Edge probes answered by the overlay without the base." c.Overlay.c_probes_overlay ]
+  in
+  io @ shards @ write_path
+
 let with_write_lock ws f =
   Mutex.lock ws.wmu;
   Fun.protect ~finally:(fun () -> Mutex.unlock ws.wmu) f

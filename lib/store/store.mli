@@ -141,3 +141,13 @@ val overlay : t -> Overlay.t option
 val overlay_counters : t -> Overlay.counter_snapshot option
 (** Read-through observability: how lookups split between delegation,
     merges, masking and overlay-born additions. *)
+
+(** {1 Observability} *)
+
+val metrics : t -> Bpq_util.Metrics.sample list
+(** This store's counters as registry samples, read from the records
+    above: {!io_counters} ([io.*], [bpq_page_*_total]), the per-shard
+    {!Remote.stats} ([shards.*], [bpq_shard_*]), and with a delta log
+    attached the log and overlay gauges ([write_path.*]) and
+    {!overlay_counters} ([overlay.*], [bpq_overlay_*_total]).  Empty for
+    an in-memory store without a log. *)

@@ -60,45 +60,62 @@ let add t x =
       if x < t.minv then t.minv <- x;
       if x > t.maxv then t.maxv <- x)
 
-let count t = with_lock t (fun () -> t.n)
+(* Interpolated quantile on the bucketed distribution, caller holding
+   the lock and [t.n > 0].  The real-valued rank [r = p * (n - 1)] falls
+   inside some bucket; treating that bucket's [c] samples as spread at
+   positions [(i + 0.5) / c] of its geometric span gives a within-bucket
+   fraction, and the reported value is [lo * gamma^(b + frac)] — so
+   quantiles move smoothly with [p] instead of snapping to bucket
+   midpoints, which matters for p99 at low counts.  The result clamps to
+   the exact observed min/max so p0/p100 are never bucket-quantised. *)
+let quantile t p =
+  let p = Float.max 0.0 (Float.min 1.0 p) in
+  let r = p *. float_of_int (t.n - 1) in
+  let b = ref 0 and cum = ref 0 in
+  while
+    !b < buckets - 1
+    && float_of_int (!cum + t.counts.(!b)) <= r
+  do
+    cum := !cum + t.counts.(!b);
+    incr b
+  done;
+  let c = t.counts.(!b) in
+  let v =
+    if c = 0 then value_of !b
+    else begin
+      let frac = (r -. float_of_int !cum +. 0.5) /. float_of_int c in
+      let frac = Float.max 0.0 (Float.min 1.0 frac) in
+      lo *. (gamma ** (float_of_int !b +. frac))
+    end
+  in
+  Float.max t.minv (Float.min t.maxv v)
 
-let mean t = with_lock t (fun () -> if t.n = 0 then None else Some (t.sum /. float_of_int t.n))
-let minimum t = with_lock t (fun () -> if t.n = 0 then None else Some t.minv)
-let maximum t = with_lock t (fun () -> if t.n = 0 then None else Some t.maxv)
+type snapshot = {
+  count : int;
+  sum : float;
+  min : float option;
+  max : float option;
+  quantiles : (float * float option) list;
+}
 
-(* Interpolated quantile on the bucketed distribution.  The real-valued
-   rank [r = p * (n - 1)] falls inside some bucket; treating that
-   bucket's [c] samples as spread at positions [(i + 0.5) / c] of its
-   geometric span gives a within-bucket fraction, and the reported value
-   is [lo * gamma^(b + frac)] — so quantiles move smoothly with [p]
-   instead of snapping to bucket midpoints, which matters for p99 at low
-   counts.  The result clamps to the exact observed min/max so p0/p100
-   are never bucket-quantised. *)
-let percentile t p =
+let snapshot t ps =
   with_lock t (fun () ->
-      if t.n = 0 then None
-      else begin
-        let p = Float.max 0.0 (Float.min 1.0 p) in
-        let r = p *. float_of_int (t.n - 1) in
-        let b = ref 0 and cum = ref 0 in
-        while
-          !b < buckets - 1
-          && float_of_int (!cum + t.counts.(!b)) <= r
-        do
-          cum := !cum + t.counts.(!b);
-          incr b
-        done;
-        let c = t.counts.(!b) in
-        let v =
-          if c = 0 then value_of !b
-          else begin
-            let frac = (r -. float_of_int !cum +. 0.5) /. float_of_int c in
-            let frac = Float.max 0.0 (Float.min 1.0 frac) in
-            lo *. (gamma ** (float_of_int !b +. frac))
-          end
-        in
-        Some (Float.max t.minv (Float.min t.maxv v))
-      end)
+      let defined v = if t.n = 0 then None else Some v in
+      { count = t.n;
+        sum = t.sum;
+        min = defined t.minv;
+        max = defined t.maxv;
+        quantiles =
+          List.map (fun p -> (p, if t.n = 0 then None else Some (quantile t p))) ps })
+
+let count t = (snapshot t []).count
+let minimum t = (snapshot t []).min
+let maximum t = (snapshot t []).max
+let percentile t p = snd (List.hd (snapshot t [ p ]).quantiles)
+
+let mean t =
+  let s = snapshot t [] in
+  if s.count = 0 then None else Some (s.sum /. float_of_int s.count)
 
 (* Fold [src] into [dst].  The source is snapshotted under its own lock
    first and the copy folded in under the destination's lock, so the two

@@ -32,6 +32,22 @@ val percentile : t -> float -> float option
     to bucket midpoints (clamped to the exact observed min/max so p0 and
     p100 are exact); [None] when empty. *)
 
+type snapshot = {
+  count : int;
+  sum : float;  (** Exact sum of the observations. *)
+  min : float option;  (** [None] when empty, like [max]. *)
+  max : float option;
+  quantiles : (float * float option) list;
+      (** [(p, percentile p)] for each requested [p], in request order. *)
+}
+
+val snapshot : t -> float list -> snapshot
+(** [snapshot t ps] reads count, sum, min, max and the quantiles [ps]
+    under one lock acquisition, so the parts describe one state even
+    while other threads {!add}: count and sum are exact and every
+    quantile lies in [\[min, max\]].  Summaries rendered from separate
+    {!count}/{!mean}/{!percentile} calls could mix states. *)
+
 val merge : t -> from:t -> unit
 (** [merge dst ~from] folds every observation of [from] into [dst]
     (bucket counts, count, sum, min, max); [from] is left unchanged.

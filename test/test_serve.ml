@@ -591,6 +591,209 @@ let test_http_metrics () =
   let j = Server.Client.metrics conn in
   Helpers.check_true "json metrics still ok" (Json.member "ok" j = Some (Json.Bool true))
 
+(* ------------------------------------------------------------------ *)
+(* One counter registry behind stats and /metrics                      *)
+(* ------------------------------------------------------------------ *)
+
+module Metrics = Bpq_util.Metrics
+module Store = Bpq_store.Store
+module Wal = Bpq_store.Wal
+
+let json_leaves j =
+  let rec go path j acc =
+    match j with
+    | Json.Obj fs -> List.fold_left (fun acc (k, v) -> go (path @ [ k ]) v acc) acc fs
+    | Json.Arr vs ->
+      snd (List.fold_left (fun (i, acc) v -> (i + 1, go (path @ [ string_of_int i ]) v acc)) (0, acc) vs)
+    | v -> (String.concat "." path, v) :: acc
+  in
+  List.rev (go [] j [])
+
+let series_key name labels =
+  if labels = [] then name
+  else
+    name ^ "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k v) labels) ^ "}"
+
+let ends_with suffix s =
+  let n = String.length suffix and m = String.length s in
+  m >= n && String.sub s (m - n) n = suffix
+
+(* Parse a text-format 0.0.4 page, failing on malformed structure:
+   every family has exactly one HELP and one TYPE line and its samples
+   follow them as one block; names are valid; counters end in _total;
+   no name+labels pair repeats.  Returns the series and their values. *)
+let parse_page text =
+  let helps = Hashtbl.create 64 and types = Hashtbl.create 64 and series = Hashtbl.create 64 in
+  let current = ref "" in
+  let valid_name n =
+    n <> ""
+    && (match n.[0] with '0' .. '9' -> false | _ -> true)
+    && String.for_all
+         (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true | _ -> false)
+         n
+  in
+  let family name =
+    if Hashtbl.mem types name then name
+    else
+      match List.find_opt (fun sfx -> ends_with sfx name) [ "_sum"; "_count" ] with
+      | Some sfx ->
+        let base = String.sub name 0 (String.length name - String.length sfx) in
+        if Hashtbl.find_opt types base = Some "summary" then base else name
+      | None -> name
+  in
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ "" ] -> ()
+      | "#" :: "HELP" :: name :: _ ->
+        if Hashtbl.mem helps name then Alcotest.failf "second HELP for %s" name;
+        Hashtbl.replace helps name ();
+        current := name
+      | [ "#"; "TYPE"; name; typ ] ->
+        if Hashtbl.mem types name then Alcotest.failf "second TYPE for %s" name;
+        if name <> !current then Alcotest.failf "TYPE %s not right after its HELP" name;
+        if typ = "counter" && not (ends_with "_total" name) then
+          Alcotest.failf "counter %s does not end in _total" name;
+        Hashtbl.replace types name typ
+      | _ ->
+        let sp = String.rindex line ' ' in
+        let key = String.sub line 0 sp in
+        let name = match String.index_opt key '{' with Some i -> String.sub key 0 i | None -> key in
+        if not (valid_name name) then Alcotest.failf "invalid metric name %S" name;
+        if family name <> !current || not (Hashtbl.mem types !current) then
+          Alcotest.failf "sample %s outside its family's block" key;
+        if Hashtbl.mem series key then Alcotest.failf "series %s repeats" key;
+        Hashtbl.replace series key
+          (float_of_string (String.sub line (sp + 1) (String.length line - sp - 1))))
+    (String.split_on_char '\n' text);
+  Hashtbl.iter (fun n () -> if not (Hashtbl.mem types n) then Alcotest.failf "%s has no TYPE" n) helps;
+  series
+
+(* The stats JSON and the Prometheus page agree through the registry:
+   every counter or gauge leaf of stats is one sample whose series is on
+   the page (counters with equal values), every series is one sample
+   whose path is a stats leaf, and the latency object and the summary
+   family describe one histogram state. *)
+let check_renderings_agree name server =
+  let stats = response server "{\"op\":\"stats\"}" in
+  let page =
+    match Option.bind (Json.member "text" (response server "{\"op\":\"metrics\"}")) Json.to_string_opt with
+    | Some t -> t
+    | None -> Alcotest.failf "%s: metrics has no text" name
+  in
+  let series = parse_page page in
+  let registry = Server.samples server in
+  let key (s : Metrics.sample) = series_key s.name s.labels in
+  let leaves =
+    List.filter
+      (fun (p, _) -> p <> "ok" && not (String.starts_with ~prefix:"latency." p))
+      (json_leaves stats)
+  in
+  List.iter
+    (fun (path, v) ->
+      match List.filter (fun (s : Metrics.sample) -> s.path = path) registry with
+      | [ s ] ->
+        (match (Hashtbl.find_opt series (key s), s.kind) with
+         | None, _ -> Alcotest.failf "%s: stats leaf %s has no series %s" name path (key s)
+         | Some x, Metrics.Counter _ ->
+           Helpers.check_true
+             (Printf.sprintf "%s: %s equals %s" name path (key s))
+             (Json.to_int_opt v = Some (int_of_float x))
+         | Some _, Metrics.Gauge _ -> ()
+         | Some _, Metrics.Summary _ -> Alcotest.failf "%s: %s is a summary" name path)
+      | l -> Alcotest.failf "%s: stats leaf %s is %d registry samples" name path (List.length l))
+    leaves;
+  let latency = "bpq_query_latency_seconds" in
+  Hashtbl.iter
+    (fun k _ ->
+      if not (String.starts_with ~prefix:latency k) then
+        match List.filter (fun s -> key s = k) registry with
+        | [ s ] ->
+          Helpers.check_true
+            (Printf.sprintf "%s: series %s has stats leaf %s" name k s.path)
+            (List.mem_assoc s.path leaves)
+        | l -> Alcotest.failf "%s: series %s is %d registry samples" name k (List.length l))
+    series;
+  let lat k =
+    match Option.bind (Json.member "latency" stats) (Json.member k) with
+    | Some j -> Json.to_float_opt j
+    | None -> Alcotest.failf "%s: latency.%s missing" name k
+  in
+  let close a b = Float.abs (a -. b) <= 1e-6 *. (1.0 +. Float.abs b) in
+  let count = Option.get (lat "count") in
+  Helpers.check_true (name ^ ": one query timed") (count = 1.0);
+  Helpers.check_true (name ^ ": _count is latency.count")
+    (Hashtbl.find_opt series (latency ^ "_count") = Some count);
+  Helpers.check_true (name ^ ": _sum is mean x count")
+    (close (Hashtbl.find series (latency ^ "_sum")) (Option.get (lat "mean_ms") *. count /. 1000.0));
+  List.iter
+    (fun (q, field) ->
+      Helpers.check_true
+        (Printf.sprintf "%s: quantile %s is latency.%s" name q field)
+        (close
+           (Hashtbl.find series (series_key latency [ ("quantile", q) ]))
+           (Option.get (lat field) /. 1000.0)))
+    [ ("0.5", "p50_ms"); ("0.9", "p90_ms"); ("0.99", "p99_ms") ];
+  List.map fst leaves
+
+let test_registry_every_backend () =
+  let schema = (Lazy.force ds).W.schema in
+  Test_shard.with_remote_at schema 2 @@ fun snap _m remote _workers ->
+  let wal_path = Filename.temp_file "bpq_registry" ".wal" in
+  Sys.remove wal_path;
+  Fun.protect ~finally:(fun () -> try Sys.remove wal_path with Sys_error _ -> ()) @@ fun () ->
+  let wal_store = Store.open_snapshot snap in
+  ignore (Store.attach_wal wal_store wal_path);
+  let stores =
+    [ ("mem", Store.open_snapshot snap);
+      ("paged", Store.open_snapshot ~backend:Store.Paged snap);
+      ("sharded", Store.of_remote remote);
+      ("wal", wal_store) ]
+  in
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun (n, st) -> if n <> "sharded" then Store.close st) stores)
+  @@ fun () ->
+  let leaves =
+    List.map
+      (fun (name, store) ->
+        let slot () = { Server.src = Store.source store; costs = None; close = ignore } in
+        let write req =
+          match Json.member "ops" req with
+          | Some (Json.Arr l) ->
+            let ops = List.map (fun j -> Result.get_ok (Wal.op_of_json j)) l in
+            (match Store.apply_ops store ops with
+             | Ok n -> Ok (Some (slot ()), [ ("applied", Json.Int n) ])
+             | Error m -> Error ("bad_request", m))
+          | _ -> Error ("bad_request", "missing ops")
+        in
+        let server =
+          Server.create ~cache:(Qcache.create ()) ~write
+            ~extra:(fun () -> Store.metrics store) ~pool:Pool.sequential (slot ())
+        in
+        Helpers.check_true (name ^ ": query answered")
+          (Json.member "ok" (response server (query_req ())) = Some (Json.Bool true));
+        if name = "wal" then
+          Helpers.check_true "write accepted"
+            (Json.member "ok"
+               (response server
+                  "{\"op\":\"write\",\"ops\":[{\"op\":\"add_node\",\"label\":\"movie\"}]}")
+             = Some (Json.Bool true));
+        (name, check_renderings_agree name server))
+      stores
+  in
+  (* Each backend's own counters are among the rendered leaves. *)
+  List.iter
+    (fun (name, leaf) ->
+      Helpers.check_true (Printf.sprintf "%s renders %s" name leaf)
+        (List.mem leaf (List.assoc name leaves)))
+    [ ("mem", "cache.fetch_evictions");
+      ("paged", "io.faults");
+      ("paged", "io.prefetched");
+      ("sharded", "shards.messages.1");
+      ("sharded", "shards.rounds");
+      ("wal", "write_path.wal_bytes");
+      ("wal", "overlay.lookups") ]
+
 let suite =
   [ Alcotest.test_case "protocol routing" `Quick test_protocol;
     Alcotest.test_case "admission control" `Quick test_admission;
@@ -605,4 +808,6 @@ let suite =
     Alcotest.test_case "mid-flight reload: followers re-dispatch" `Quick
       test_coalescing_reload;
     Alcotest.test_case "prometheus metrics page" `Quick test_metrics;
-    Alcotest.test_case "http GET /metrics scrape" `Quick test_http_metrics ]
+    Alcotest.test_case "http GET /metrics scrape" `Quick test_http_metrics;
+    Alcotest.test_case "one registry renders stats and /metrics on every backend" `Quick
+      test_registry_every_backend ]

@@ -566,6 +566,41 @@ let histogram_merge_oracle =
       | Some x, Some y -> Float.abs (x -. y) <= 1e-9 *. (1.0 +. Float.abs y)
       | _ -> false)
 
+(* A snapshot describes one state even while another domain adds: with
+   a single adder the state after [count] adds is the [count]-prefix of
+   its input, so the sum must equal that prefix's sum exactly (same
+   addition order), min/max must be the prefix's, and every quantile
+   must lie between them. *)
+let histogram_snapshot_consistent =
+  let gen = QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 200) histogram_sample_gen in
+  Helpers.qcheck ~count:100 "histogram snapshot is one consistent state" gen (fun l ->
+      let h = Histogram.create () in
+      let samples = Array.of_list l in
+      let n = Array.length samples in
+      let adder = Domain.spawn (fun () -> Array.iter (Histogram.add h) samples) in
+      let ok = ref true and count = ref 0 in
+      while !count < n do
+        let s = Histogram.snapshot h [ 0.0; 0.5; 0.9; 0.99; 1.0 ] in
+        count := s.count;
+        let prefix = Array.sub samples 0 s.count in
+        let sum = Array.fold_left ( +. ) 0.0 prefix in
+        let lo = Array.fold_left Float.min Float.infinity prefix
+        and hi = Array.fold_left Float.max Float.neg_infinity prefix in
+        let consistent =
+          if s.count = 0 then
+            s.sum = 0.0 && s.min = None && s.max = None
+            && List.for_all (fun (_, q) -> q = None) s.quantiles
+          else
+            s.sum = sum && s.min = Some lo && s.max = Some hi
+            && List.for_all
+                 (function _, Some q -> lo <= q && q <= hi | _, None -> false)
+                 s.quantiles
+        in
+        if not consistent then ok := false
+      done;
+      Domain.join adder;
+      !ok)
+
 (* Atomic_file *)
 
 let test_atomic_file_write () =
@@ -647,5 +682,6 @@ let suite =
     Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
     histogram_quantile_oracle;
     histogram_merge_oracle;
+    histogram_snapshot_consistent;
     Alcotest.test_case "atomic file write" `Quick test_atomic_file_write;
     Alcotest.test_case "atomic file failure cleanup" `Quick test_atomic_file_failure_cleanup ]
