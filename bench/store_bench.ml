@@ -25,7 +25,9 @@
        byte-identical results at every scale;
      - flatness: worst max/min of cold-cache bytes-read-per-query over
        the point queries across the sweep (CI requires < 2);
-     - size_growth / snapshot_growth: the sweep really spans >= 10x. *)
+     - size_growth / snapshot_growth: the sweep really spans >= 10x;
+     - index_words_ratio: worst heap words of the loaded indexes per int
+       of the schema section (CI requires <= 1.5). *)
 
 open Bpq_graph
 open Bpq_pattern
@@ -67,9 +69,33 @@ type point = {
   scale : float;
   graph_size : int;
   snapshot_bytes : int;
+  index_words_ratio : float;
   identical : bool;
   queries : qpoint list;  (* point queries first, the join last *)
 }
+
+(* Heap words the loaded indexes hold per int of the snapshot's schema
+   section — a deterministic count (the section is the indexes' on-disk
+   form, so 1.0 means "no bigger in memory than on disk"). *)
+let index_words_ratio schema path =
+  let section_ints =
+    In_channel.with_open_bin path (fun ic ->
+        let file_len = Int64.to_int (In_channel.length ic) in
+        let pread ~pos ~len =
+          In_channel.seek ic (Int64.of_int pos);
+          let b = Bytes.create len in
+          really_input ic b 0 len;
+          b
+        in
+        let s =
+          List.find
+            (fun s -> s.Binfile.tag = Binfile.tag_schema)
+            (Binfile.read_directory ~pread ~file_len)
+        in
+        s.Binfile.len / 8)
+  in
+  let indexes = List.map (Schema.index_of schema) (Schema.constraints schema) in
+  float_of_int (Obj.reachable_words (Obj.repr indexes)) /. float_of_int section_ints
 
 let measure scale =
   let ds = W.imdb ~scale () in
@@ -88,6 +114,7 @@ let measure scale =
       (* Backend identity for every plan: reloaded snapshot, paged with a
          comfortable cache, paged with a starved one. *)
       let schema2, _ = Schema.load (Label.create_table ()) path in
+      let index_words_ratio = index_words_ratio schema2 path in
       (* Readahead off: this experiment charges each bounded query its
          demand I/O, and prefetch bytes would blur the flatness metric
          (a 1-page cache would also just churn prefetched pages). *)
@@ -126,6 +153,7 @@ let measure scale =
           { scale;
             graph_size = Digraph.size ds.W.graph;
             snapshot_bytes;
+            index_words_ratio;
             identical;
             queries }))
 
@@ -141,7 +169,7 @@ let run () =
   let qnames = List.map (fun q -> q.name) (List.hd points).queries in
   let table =
     Table.create
-      ([ "scale"; "|G|"; "snapshot B" ]
+      ([ "scale"; "|G|"; "snapshot B"; "index words/int" ]
       @ List.concat_map (fun n -> [ n ^ " B"; n ^ " items" ]) qnames
       @ [ "identical" ])
   in
@@ -150,7 +178,8 @@ let run () =
       Table.add_row table
         ([ Printf.sprintf "%.2f" pt.scale;
            string_of_int pt.graph_size;
-           string_of_int pt.snapshot_bytes ]
+           string_of_int pt.snapshot_bytes;
+           Printf.sprintf "%.2f" pt.index_words_ratio ]
         @ List.concat_map
             (fun q -> [ string_of_int q.bytes; string_of_int q.accessed ])
             pt.queries
@@ -167,10 +196,13 @@ let run () =
   let size_growth = ratio (List.map (fun p -> p.graph_size) points) in
   let snapshot_growth = ratio (List.map (fun p -> p.snapshot_bytes) points) in
   let identical = List.for_all (fun p -> p.identical) points in
+  let index_words_ratio =
+    List.fold_left (fun acc p -> Float.max acc p.index_words_ratio) 0.0 points
+  in
   Printf.printf
     "\npoint-query bytes spread %.2fx over a %.1fx graph sweep (snapshot grows %.1fx);\n\
-     q0 items spread %.2fx; backends identical: %b\n"
-    flatness size_growth snapshot_growth join_items_spread identical;
+     q0 items spread %.2fx; backends identical: %b; index words per section int <= %.2f\n"
+    flatness size_growth snapshot_growth join_items_spread identical index_words_ratio;
   push_json_field "store"
     (Json.Obj
        [ ("identical", Json.Bool identical);
@@ -178,6 +210,7 @@ let run () =
          ("join_items_spread", Json.Float join_items_spread);
          ("size_growth", Json.Float size_growth);
          ("snapshot_growth", Json.Float snapshot_growth);
+         ("index_words_ratio", Json.Float index_words_ratio);
          ( "points",
            Json.Arr
              (List.map
@@ -186,6 +219,7 @@ let run () =
                     [ ("scale", Json.Float p.scale);
                       ("graph_size", Json.Int p.graph_size);
                       ("snapshot_bytes", Json.Int p.snapshot_bytes);
+                      ("index_words_ratio", Json.Float p.index_words_ratio);
                       ( "queries",
                         Json.Arr
                           (List.map

@@ -1,13 +1,19 @@
 open Bpq_graph
 module Vec = Bpq_util.Vec
+module Int_sort = Bpq_util.Int_sort
 
 (* Bucket keys are S-labeled node sets.  The labels in S are distinct, so
    every key is a set of distinct node ids; almost all constraints in
    practice have |S| <= 2.  Keys of arity <= 2 pack into one immediate int
-   (sort-free: a 2-set is ordered with a single min/max), hashed with a
-   Fibonacci/avalanche mix instead of the polymorphic [Hashtbl.hash] that
-   boxed the old [int list] keys.  Arity >= 3 spills to a boxed table of
-   sorted id lists with an FNV-style rolling hash. *)
+   (sort-free: a 2-set is ordered with a single min/max); arity >= 3 keys
+   are their sorted ids, [arity] ints per record.
+
+   An index is frozen once built: three flat arrays — the sorted key
+   records, bucket offsets into a payload array, and the payload with
+   every bucket in ascending node order — plus an open-addressing slot
+   array over bucket ordinals for O(1) probes.  This is the snapshot's
+   on-disk layout (minus the interleaving), so a load de-interleaves
+   straight into it and a save writes it back without sorting. *)
 
 let half_width = 31
 let half_mask = (1 lsl half_width) - 1
@@ -17,132 +23,242 @@ let half_mask = (1 lsl half_width) - 1
 let pack2 a b = if a < b then (a lsl half_width) lor b else (b lsl half_width) lor a
 let unpack2 k = (k lsr half_width, k land half_mask)
 
-module Int_key = struct
-  type t = int
-
-  let equal (a : int) b = a = b
-
-  (* splitmix64-style avalanche; cheap and well-distributed for packed
-     pair keys whose low bits correlate. *)
-  let hash x =
-    let x = x * 0x9E3779B97F4A7C1 in
-    let x = x lxor (x lsr 29) in
-    let x = x * 0xBF58476D1CE4E5 in
-    x lxor (x lsr 32)
-end
-
-module Int_tbl = Hashtbl.Make (Int_key)
-
-module List_key = struct
-  type t = int list
-
-  let rec equal a b =
-    match (a, b) with
-    | [], [] -> true
-    | x :: a, y :: b -> x = y && equal a b
-    | _ -> false
-
-  (* FNV-1a over the elements (offset basis truncated to OCaml's 63-bit
-     int range). *)
-  let hash l =
-    List.fold_left (fun h v -> (h lxor v) * 0x100000001B3) 0x3BF29CE484222325 l
-    land max_int
-end
-
-module List_tbl = Hashtbl.Make (List_key)
-
-type buckets =
-  | Packed of Vec.t Int_tbl.t  (* arity <= 2: int-packed keys *)
-  | Spill of Vec.t List_tbl.t  (* arity >= 3: sorted id lists *)
+let key_width_of_arity arity = if arity <= 2 then 1 else arity
 
 type t = {
   constr : Constr.t;
   arity : int;
-  buckets : buckets;
+  width : int;  (* ints per key record *)
+  keys : int array;  (* n_keys records of [width] ints, strictly increasing *)
+  offs : int array;  (* n_keys + 1: bucket o is payload.(offs.(o)) .. offs.(o+1) - 1 *)
+  payload : int array;
+  slots : int array;  (* 0 = empty, else hash tag (high bits) | ordinal + 1 *)
 }
 
 let constr t = t.constr
+let n_keys t = Array.length t.offs - 1
+let key_width t = t.width
 
-let create_shell (c : Constr.t) =
-  let arity = Constr.arity c in
-  { constr = c;
-    arity;
-    buckets = (if arity <= 2 then Packed (Int_tbl.create 256) else Spill (List_tbl.create 256)) }
+(* ---------------- hashing and probing ---------------- *)
+
+(* splitmix64-style avalanche; cheap and well-distributed for packed
+   pair keys whose low bits correlate.  Non-negative, so the tag bits
+   shifted out of a slot compare exactly. *)
+let mix x =
+  let x = x * 0x9E3779B97F4A7C1 in
+  let x = x lxor (x lsr 29) in
+  let x = x * 0xBF58476D1CE4E5 in
+  (x lxor (x lsr 32)) land max_int
+
+(* Wide records fold FNV-1a over their ids before the avalanche. *)
+let hash_at src pos width =
+  if width = 1 then mix src.(pos)
+  else begin
+    let h = ref 0x3BF29CE484222325 in
+    for j = pos to pos + width - 1 do
+      h := (!h lxor src.(j)) * 0x100000001B3
+    done;
+    mix !h
+  end
+
+(* A slot keeps the hash's bits above [ord_bits] as a tag, so a probe
+   rejects most foreign slots without touching the key array. *)
+let ord_bits = 32
+let ord_mask = (1 lsl ord_bits) - 1
+
+(* Load factor <= 2/3, and always one empty slot to stop a miss. *)
+let slot_capacity n =
+  let want = n + (n lsr 1) + 1 in
+  let rec go c = if c >= want then c else go (2 * c) in
+  go 1
+
+let build_slots keys width n =
+  let slots = Array.make (slot_capacity n) 0 in
+  let mask = Array.length slots - 1 in
+  for o = 0 to n - 1 do
+    let h = hash_at keys (o * width) width in
+    let i = ref (h land mask) in
+    while slots.(!i) <> 0 do
+      i := (!i + 1) land mask
+    done;
+    slots.(!i) <- (h land lnot ord_mask) lor (o + 1)
+  done;
+  slots
+
+(* Lexicographic order of two [width]-int records. *)
+let compare_at a pa b pb width =
+  let rec go j =
+    if j = width then 0
+    else
+      let c = Int.compare a.(pa + j) b.(pb + j) in
+      if c <> 0 then c else go (j + 1)
+  in
+  go 0
+
+(* The bucket ordinal of a packed (width-1) key, or -1. *)
+let find_packed t key =
+  let h = mix key in
+  let slots = t.slots in
+  let mask = Array.length slots - 1 in
+  let rec go i =
+    let s = Array.unsafe_get slots i in
+    if s = 0 then -1
+    else
+      let o = (s land ord_mask) - 1 in
+      if (s lxor h) lsr ord_bits = 0 && Array.unsafe_get t.keys o = key then o
+      else go ((i + 1) land mask)
+  in
+  go (h land mask)
+
+(* The bucket ordinal of the record [src.(pos) .. src.(pos + width - 1)],
+   or -1. *)
+let find_at t src pos =
+  if t.width = 1 then find_packed t src.(pos)
+  else begin
+    let w = t.width in
+    let h = hash_at src pos w in
+    let mask = Array.length t.slots - 1 in
+    let rec go i =
+      let s = t.slots.(i) in
+      if s = 0 then -1
+      else
+        let o = (s land ord_mask) - 1 in
+        if (s lxor h) lsr ord_bits = 0 && compare_at t.keys (o * w) src pos w = 0 then o
+        else go ((i + 1) land mask)
+    in
+    go (h land mask)
+  end
 
 (* ---------------- key normalisation ---------------- *)
 
-let sorted_spill_key vs = List.sort Int.compare vs
-
-(* The packed key for a caller-supplied list, sort-free for the hot
-   arities.  Returns [None] when the key shape cannot possibly be indexed
-   (wrong arity for this constraint) — such lookups find nothing, matching
-   the old behaviour of probing with an arbitrary list. *)
-let packed_of_list t vs =
+(* Caller-supplied keys of the wrong arity cannot be indexed and find
+   nothing, like probing with an arbitrary list. *)
+let ordinal_of_list t vs =
   match (t.arity, vs) with
-  | 0, [] -> Some 0
-  | 1, [ v ] -> Some v
-  | 2, [ a; b ] -> Some (pack2 a b)
-  | _ -> None
+  | 0, [] -> find_packed t 0
+  | 1, [ v ] -> find_packed t v
+  | 2, [ a; b ] -> find_packed t (pack2 a b)
+  | arity, _ when arity >= 3 && List.length vs = arity ->
+    find_at t (Array.of_list (List.sort Int.compare vs)) 0
+  | _ -> -1
 
-let packed_of_tuple t (vs : int array) =
-  if Array.length vs <> t.arity then None
+let ordinal_of_tuple t (vs : int array) =
+  if Array.length vs <> t.arity then -1
   else
     match t.arity with
-    | 0 -> Some 0
-    | 1 -> Some vs.(0)
-    | 2 -> Some (pack2 vs.(0) vs.(1))
-    | _ -> None
+    | 0 -> find_packed t 0
+    | 1 -> find_packed t vs.(0)
+    | 2 -> find_packed t (pack2 vs.(0) vs.(1))
+    | _ ->
+      let sorted = Array.copy vs in
+      Int_sort.sort sorted;
+      find_at t sorted 0
 
-let find_list t vs =
-  match t.buckets with
-  | Packed tbl ->
-    (match packed_of_list t vs with
-     | Some key -> Int_tbl.find_opt tbl key
-     | None -> None)
-  | Spill tbl ->
-    if List.length vs = t.arity then List_tbl.find_opt tbl (sorted_spill_key vs)
-    else None
+(* ---------------- freezing ---------------- *)
 
-let find_tuple t (vs : int array) =
-  match t.buckets with
-  | Packed tbl ->
-    (match packed_of_tuple t vs with
-     | Some key -> Int_tbl.find_opt tbl key
-     | None -> None)
-  | Spill tbl ->
-    if Array.length vs = t.arity then begin
-      let copy = Array.copy vs in
-      Bpq_util.Int_sort.sort copy;
-      List_tbl.find_opt tbl (Array.to_list copy)
-    end
-    else None
+(* (key record, node) pairs in push order.  Every builder pushes a
+   bucket's nodes in ascending id order, so a stable ordering by key
+   leaves each bucket ascending. *)
+type acc = {
+  a_keys : Vec.t;  (* [width] ints per pair *)
+  a_nodes : Vec.t;
+}
 
-(* ---------------- bucket access ---------------- *)
+let new_acc () = { a_keys = Vec.create ~capacity:64 (); a_nodes = Vec.create ~capacity:64 () }
 
-let packed_bucket tbl key =
-  match Int_tbl.find_opt tbl key with
-  | Some vec -> vec
-  | None ->
-    let vec = Vec.create ~capacity:2 () in
-    Int_tbl.replace tbl key vec;
-    vec
+let push_packed acc key w =
+  Vec.push acc.a_keys key;
+  Vec.push acc.a_nodes w
 
-let spill_bucket tbl key =
-  match List_tbl.find_opt tbl key with
-  | Some vec -> vec
-  | None ->
-    let vec = Vec.create ~capacity:2 () in
-    List_tbl.replace tbl key vec;
-    vec
+(* Stable LSD radix sort of [0, p) by the non-negative ints [keys.(i)],
+   [radix_bits] per pass and only as many passes as the largest key
+   needs (two for node-id keys of a 4M-node graph, none when every key
+   is 0). *)
+let radix_bits = 11
+
+let radix_order keys p =
+  let maxk = ref 0 in
+  for i = 0 to p - 1 do
+    if keys.(i) > !maxk then maxk := keys.(i)
+  done;
+  let mask = (1 lsl radix_bits) - 1 in
+  let count = Array.make (mask + 2) 0 in
+  let order = ref (Array.init p Fun.id) and spare = ref (Array.make p 0) in
+  let shift = ref 0 in
+  while !shift < Sys.int_size && !maxk lsr !shift > 0 do
+    Array.fill count 0 (mask + 2) 0;
+    let src = !order and dst = !spare in
+    for i = 0 to p - 1 do
+      let d = (keys.(src.(i)) lsr !shift) land mask in
+      count.(d + 1) <- count.(d + 1) + 1
+    done;
+    for d = 1 to mask + 1 do
+      count.(d) <- count.(d) + count.(d - 1)
+    done;
+    for i = 0 to p - 1 do
+      let e = src.(i) in
+      let d = (keys.(e) lsr !shift) land mask in
+      dst.(count.(d)) <- e;
+      count.(d) <- count.(d) + 1
+    done;
+    order := dst;
+    spare := src;
+    shift := !shift + radix_bits
+  done;
+  !order
+
+(* Pair indices ordered by key record, equal keys in push order. *)
+let pair_order width acc =
+  let p = Vec.length acc.a_nodes and data = Vec.unsafe_data acc.a_keys in
+  if width = 1 then radix_order data p
+  else begin
+    let order = Array.init p Fun.id in
+    Array.stable_sort (fun a b -> compare_at data (a * width) data (b * width) width) order;
+    order
+  end
+
+(* One pass over the ordered pairs emits the key records, the bucket
+   offsets and the payload. *)
+let freeze c acc =
+  let arity = Constr.arity c in
+  let width = key_width_of_arity arity in
+  let data = Vec.unsafe_data acc.a_keys and nodes = Vec.unsafe_data acc.a_nodes in
+  let order = pair_order width acc in
+  let p = Array.length order in
+  let keys = Vec.create () and offs = Vec.create () in
+  let payload = Array.make p 0 in
+  Vec.push offs 0;
+  Array.iteri
+    (fun i e ->
+      let fresh =
+        i = 0
+        ||
+        let prev = order.(i - 1) in
+        if width = 1 then data.(prev) <> data.(e)
+        else compare_at data (prev * width) data (e * width) width <> 0
+      in
+      if fresh then begin
+        if i > 0 then Vec.push offs i;
+        for j = e * width to ((e + 1) * width) - 1 do
+          Vec.push keys data.(j)
+        done
+      end;
+      payload.(i) <- nodes.(e))
+    order;
+  if p > 0 then Vec.push offs p;
+  let keys = Vec.to_array keys in
+  let n = Array.length keys / width in
+  { constr = c; arity; width; keys; offs = Vec.to_array offs; payload;
+    slots = build_slots keys width n }
 
 (* ---------------- contributions ---------------- *)
 
 (* All S-labeled sets drawn from the distinct neighbours of [w]: one node
-   per source label (labels in S are distinct, so the sets are).  [f]
-   receives each key in this index's native representation via [push]. *)
-let iter_contribution_keys t g w ~packed ~spilled =
-  let c = t.constr in
-  match (t.arity, c.source) with
+   per source label (labels in S are distinct, so the sets are).  Keys of
+   arity <= 2 go to [packed], wider ones to [spilled] as sorted id
+   lists. *)
+let iter_contribution_keys (c : Constr.t) g w ~packed ~spilled =
+  match (Constr.arity c, c.source) with
   | 0, _ -> packed 0
   | 1, [ s ] ->
     Digraph.iter_neighbours g w (fun v -> if Digraph.label g v = s then packed v)
@@ -166,275 +282,322 @@ let iter_contribution_keys t g w ~packed ~spilled =
     in
     if not (List.exists Vec.is_empty groups) then begin
       let rec product acc = function
-        | [] -> spilled (sorted_spill_key acc)
+        | [] -> spilled (List.sort Int.compare acc)
         | grp :: rest -> Vec.iter (fun v -> product (v :: acc) rest) grp
       in
       product [] groups
     end
 
-let add_contributions t g w =
-  match t.buckets with
-  | Packed tbl ->
-    iter_contribution_keys t g w
-      ~packed:(fun key -> Vec.push (packed_bucket tbl key) w)
-      ~spilled:(fun _ -> assert false)
-  | Spill tbl ->
-    iter_contribution_keys t g w
-      ~packed:(fun _ -> assert false)
-      ~spilled:(fun key -> Vec.push (spill_bucket tbl key) w)
-
-let swap_remove vec w =
-  (* Swap-remove the first occurrence; buckets are small (<= N). *)
-  let len = Vec.length vec in
-  let rec find i = if i >= len then -1 else if Vec.get vec i = w then i else find (i + 1) in
-  let i = find 0 in
-  if i >= 0 then begin
-    Vec.set vec i (Vec.get vec (len - 1));
-    ignore (Vec.pop vec)
-  end
-
-let remove_contributions t g w =
-  match t.buckets with
-  | Packed tbl ->
-    iter_contribution_keys t g w
-      ~packed:(fun key ->
-        match Int_tbl.find_opt tbl key with
-        | None -> ()
-        | Some vec ->
-          swap_remove vec w;
-          if Vec.is_empty vec then Int_tbl.remove tbl key)
-      ~spilled:(fun _ -> assert false)
-  | Spill tbl ->
-    iter_contribution_keys t g w
-      ~packed:(fun _ -> assert false)
-      ~spilled:(fun key ->
-        match List_tbl.find_opt tbl key with
-        | None -> ()
-        | Some vec ->
-          swap_remove vec w;
-          if Vec.is_empty vec then List_tbl.remove tbl key)
+let fill (c : Constr.t) g acc =
+  Digraph.iter_label g c.target (fun w ->
+      iter_contribution_keys c g w
+        ~packed:(fun key -> push_packed acc key w)
+        ~spilled:(fun key ->
+          List.iter (Vec.push acc.a_keys) key;
+          Vec.push acc.a_nodes w))
 
 (* ---------------- build ---------------- *)
 
-let fill t g =
-  let c = t.constr in
-  if Constr.is_type1 c then begin
-    let vec = Vec.of_array (Digraph.nodes_with_label g c.target) in
-    if not (Vec.is_empty vec) then
-      match t.buckets with
-      | Packed tbl -> Int_tbl.replace tbl 0 vec
-      | Spill _ -> assert false
-  end
-  else Digraph.iter_label g c.target (fun w -> add_contributions t g w)
-
-let build g (c : Constr.t) =
-  let t = create_shell c in
-  fill t g;
-  t
+let build g c =
+  let acc = new_acc () in
+  fill c g acc;
+  freeze c acc
 
 let build_many ?(pool = Bpq_util.Pool.sequential) g constrs =
-  (* One empty shell per constraint up front; the filling work is then a
-     set of tasks each of which writes only its own shells' buckets, so
-     the tasks run on the pool with no shared mutation and the result is
-     identical for every pool size. *)
-  let shells = List.map (fun c -> (c, create_shell c)) constrs in
+  (* One accumulator and one result cell per constraint up front; each
+     task fills and freezes only its own constraints, so the tasks run on
+     the pool with no shared mutation and the result is identical for
+     every pool size. *)
+  let shells = List.map (fun c -> (c, new_acc (), ref None)) constrs in
   (* Single-source type-(2) constraints with the same target label share
      one scan over that label's nodes; everything else fills solo. *)
-  let type2_by_target : (Bpq_graph.Label.t, (Bpq_graph.Label.t * t) list ref) Hashtbl.t =
+  let type2_by_target : (Label.t, (Label.t * acc * t option ref * Constr.t) list ref) Hashtbl.t =
     Hashtbl.create 16
   in
   let solo = ref [] in
   List.iter
-    (fun ((c : Constr.t), shell) ->
+    (fun (((c : Constr.t), acc, cell) as shell) ->
       match c.source with
       | [ s ] ->
+        let member = (s, acc, cell, c) in
         (match Hashtbl.find_opt type2_by_target c.target with
-         | Some group -> group := (s, shell) :: !group
-         | None -> Hashtbl.replace type2_by_target c.target (ref [ (s, shell) ]))
+         | Some group -> group := member :: !group
+         | None -> Hashtbl.replace type2_by_target c.target (ref [ member ]))
       | [] | _ :: _ :: _ -> solo := shell :: !solo)
     shells;
   let scan_group target group () =
-    let by_source : (Bpq_graph.Label.t, Vec.t Int_tbl.t list) Hashtbl.t = Hashtbl.create 8 in
+    let by_source : (Label.t, acc list) Hashtbl.t = Hashtbl.create 8 in
     List.iter
-      (fun (s, shell) ->
-        let tbl = match shell.buckets with Packed tbl -> tbl | Spill _ -> assert false in
+      (fun (s, acc, _, _) ->
         let prev = Option.value ~default:[] (Hashtbl.find_opt by_source s) in
-        Hashtbl.replace by_source s (tbl :: prev))
+        Hashtbl.replace by_source s (acc :: prev))
       !group;
     Digraph.iter_label g target (fun w ->
         (* The merged-neighbour CSR row, not a per-node allocate+sort. *)
         Digraph.iter_neighbours g w (fun v ->
             match Hashtbl.find_opt by_source (Digraph.label g v) with
             | None -> ()
-            | Some tables ->
-              List.iter (fun tbl -> Vec.push (packed_bucket tbl v) w) tables))
+            | Some accs -> List.iter (fun acc -> push_packed acc v w) accs));
+    List.iter (fun (_, acc, cell, c) -> cell := Some (freeze c acc)) !group
+  in
+  let solo_task (c, acc, cell) () =
+    fill c g acc;
+    cell := Some (freeze c acc)
   in
   let tasks =
     Array.of_list
       (Hashtbl.fold
          (fun target group acc -> scan_group target group :: acc)
          type2_by_target
-         (List.rev_map (fun shell () -> fill shell g) !solo))
+         (List.rev_map solo_task !solo))
   in
   Bpq_util.Pool.run_all pool tasks;
-  shells
+  List.map (fun (c, _, cell) -> (c, Option.get !cell)) shells
 
 (* ---------------- lookups ---------------- *)
 
-let lookup t vs =
-  match find_list t vs with
-  | Some vec -> Vec.to_array vec
-  | None -> [||]
+let bucket t o = if o < 0 then [||] else Array.sub t.payload t.offs.(o) (t.offs.(o + 1) - t.offs.(o))
+
+let iter_bucket t o f =
+  if o >= 0 then
+    for i = t.offs.(o) to t.offs.(o + 1) - 1 do
+      f (Array.unsafe_get t.payload i)
+    done
+
+let lookup t vs = bucket t (ordinal_of_list t vs)
 
 let lookup_count t vs =
-  match find_list t vs with
-  | Some vec -> Vec.length vec
-  | None -> 0
+  let o = ordinal_of_list t vs in
+  if o < 0 then 0 else t.offs.(o + 1) - t.offs.(o)
 
-let lookup_iter t vs f =
-  match find_list t vs with
-  | Some vec -> Vec.iter f vec
-  | None -> ()
+let lookup_iter t vs f = iter_bucket t (ordinal_of_list t vs) f
 
 let fold t vs f init =
-  match find_list t vs with
-  | Some vec ->
-    let acc = ref init in
-    Vec.iter (fun v -> acc := f !acc v) vec;
-    !acc
-  | None -> init
+  let acc = ref init in
+  iter_bucket t (ordinal_of_list t vs) (fun v -> acc := f !acc v);
+  !acc
 
-let lookup_tuple_iter t vs f =
-  match find_tuple t vs with
-  | Some vec -> Vec.iter f vec
-  | None -> ()
-
-let lookup_tuple t vs =
-  match find_tuple t vs with
-  | Some vec -> Vec.to_array vec
-  | None -> [||]
+let lookup_tuple_iter t vs f = iter_bucket t (ordinal_of_tuple t vs) f
+let lookup_tuple t vs = bucket t (ordinal_of_tuple t vs)
 
 (* ---------------- whole-index traversal ---------------- *)
 
-let fold_buckets t f init =
-  match t.buckets with
-  | Packed tbl ->
-    Int_tbl.fold
-      (fun key vec acc ->
-        let key_list =
-          match t.arity with
-          | 0 -> []
-          | 1 -> [ key ]
-          | _ ->
-            let a, b = unpack2 key in
-            [ a; b ]
-        in
-        f key_list vec acc)
-      tbl init
-  | Spill tbl -> List_tbl.fold f tbl init
+let max_bucket t =
+  let m = ref 0 in
+  for o = 0 to n_keys t - 1 do
+    m := max !m (t.offs.(o + 1) - t.offs.(o))
+  done;
+  !m
 
-let max_bucket t = fold_buckets t (fun _ vec acc -> max acc (Vec.length vec)) 0
 let satisfied t = max_bucket t <= t.constr.bound
+let size t = n_keys t + Array.length t.payload
 
-let n_keys t =
-  match t.buckets with
-  | Packed tbl -> Int_tbl.length tbl
-  | Spill tbl -> List_tbl.length tbl
+let key_record t o = Array.sub t.keys (o * t.width) t.width
 
-let size t = fold_buckets t (fun _ vec acc -> acc + 1 + Vec.length vec) 0
+let key_list t o =
+  match t.arity with
+  | 0 -> []
+  | 1 -> [ t.keys.(o) ]
+  | 2 ->
+    let a, b = unpack2 t.keys.(o) in
+    [ a; b ]
+  | _ -> Array.to_list (key_record t o)
 
-let copy t =
-  let buckets =
-    match t.buckets with
-    | Packed tbl ->
-      let fresh = Int_tbl.create (max 16 (Int_tbl.length tbl)) in
-      Int_tbl.iter (fun key vec -> Int_tbl.replace fresh key (Vec.of_array (Vec.to_array vec))) tbl;
-      Packed fresh
-    | Spill tbl ->
-      let fresh = List_tbl.create (max 16 (List_tbl.length tbl)) in
-      List_tbl.iter (fun key vec -> List_tbl.replace fresh key (Vec.of_array (Vec.to_array vec))) tbl;
-      Spill fresh
-  in
-  { t with buckets }
+let iter t f =
+  for o = 0 to n_keys t - 1 do
+    f (key_list t o) (bucket t o)
+  done
 
-let iter t f = fold_buckets t (fun key vec () -> f key (Vec.to_array vec)) ()
+(* ---------------- functional maintenance ---------------- *)
 
-(* ---------------- incremental maintenance ---------------- *)
+(* Sorted distinct key records (each an array) of [w]'s contributions. *)
+let contribution_records c g w =
+  let out = ref [] in
+  iter_contribution_keys c g w
+    ~packed:(fun k -> out := [| k |] :: !out)
+    ~spilled:(fun l -> out := Array.of_list l :: !out);
+  List.sort_uniq (fun a b -> compare_at a 0 b 0 (Array.length a)) !out
+
+(* Elements of sorted [a] missing from sorted [b]. *)
+let rec sorted_diff cmp a b =
+  match (a, b) with
+  | [], _ -> []
+  | _, [] -> a
+  | x :: a', y :: b' ->
+    let c = cmp x y in
+    if c < 0 then x :: sorted_diff cmp a' b
+    else if c > 0 then sorted_diff cmp a b'
+    else sorted_diff cmp a' b'
+
+(* First ordinal whose key record is >= [r]. *)
+let lower_bound t r =
+  let lo = ref 0 and hi = ref (n_keys t) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if compare_at t.keys (mid * t.width) r 0 t.width < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let apply_delta t ~old_graph ~new_graph (delta : Digraph.delta) =
-  let target = t.constr.target in
+  let c = t.constr and w = t.width in
   let n_old = Digraph.n_nodes old_graph in
   (* Contributions of a target-labeled node depend only on its own
-     neighbourhood, so only target-labeled endpoints of changed edges (and
-     fresh target-labeled nodes) need repair. *)
-  let affected = Hashtbl.create 16 in
-  let note v = if Digraph.label new_graph v = target then Hashtbl.replace affected v () in
-  List.iter
-    (fun (s, d) ->
-      note s;
-      note d)
-    delta.added_edges;
-  List.iter
-    (fun (s, d) ->
-      note s;
-      note d)
-    delta.removed_edges;
-  List.iteri
-    (fun i (l, _) -> if l = target then Hashtbl.replace affected (n_old + i) ())
-    delta.added_nodes;
-  if Constr.is_type1 t.constr then
-    let tbl = match t.buckets with Packed tbl -> tbl | Spill _ -> assert false in
-    Hashtbl.iter
-      (fun v () -> if v >= n_old then Vec.push (packed_bucket tbl 0) v)
-      affected
-  else
-    Hashtbl.iter
-      (fun v () ->
-        if v < n_old then remove_contributions t old_graph v;
-        add_contributions t new_graph v)
-      affected
+     neighbourhood, so only target-labeled endpoints of changed edges
+     (and fresh target-labeled nodes) can move between buckets. *)
+  let affected = Vec.create () in
+  let note v = if Digraph.label new_graph v = c.target then Vec.push affected v in
+  List.iter (fun (s, d) -> note s; note d) delta.added_edges;
+  List.iter (fun (s, d) -> note s; note d) delta.removed_edges;
+  List.iteri (fun i (l, _) -> if l = c.target then Vec.push affected (n_old + i)) delta.added_nodes;
+  Vec.sort_uniq affected;
+  let cmp a b = compare_at a 0 b 0 w in
+  (* (key record, node, is_add) for every bucket membership that flips. *)
+  let changes = ref [] in
+  Vec.iter
+    (fun v ->
+      let before = if v < n_old then contribution_records c old_graph v else [] in
+      let after = contribution_records c new_graph v in
+      List.iter (fun k -> changes := (k, v, false) :: !changes) (sorted_diff cmp before after);
+      List.iter (fun k -> changes := (k, v, true) :: !changes) (sorted_diff cmp after before))
+    affected;
+  if !changes = [] then t
+  else begin
+    let changes = Array.of_list !changes in
+    Array.sort
+      (fun (ka, va, _) (kb, vb, _) ->
+        let d = cmp ka kb in
+        if d <> 0 then d else Int.compare va vb)
+      changes;
+    (* One group per changed key, in key order: the key, its ordinal in
+       [t] (or where it would go), whether [t] has it, and the bucket it
+       gets — sorted, empty when the key drops out. *)
+    let n = n_keys t in
+    let groups = ref [] and i = ref 0 in
+    while !i < Array.length changes do
+      let key, _, _ = changes.(!i) in
+      let j = ref !i in
+      while !j < Array.length changes && (let k, _, _ = changes.(!j) in cmp k key = 0) do
+        incr j
+      done;
+      let group = Array.to_list (Array.sub changes !i (!j - !i)) in
+      let o = lower_bound t key in
+      let existed = o < n && compare_at t.keys (o * w) key 0 w = 0 in
+      let kept =
+        if existed then
+          List.filter
+            (fun v -> not (List.exists (fun (_, u, add) -> (not add) && u = v) group))
+            (Array.to_list (bucket t o))
+        else []
+      in
+      let members =
+        Array.of_list (kept @ List.filter_map (fun (_, u, add) -> if add then Some u else None) group)
+      in
+      Int_sort.sort members;
+      groups := (key, o, existed, members) :: !groups;
+      i := !j
+    done;
+    let groups = List.rev !groups in
+    (* Exact output sizes, so each array is allocated once. *)
+    let n' = ref n and p' = ref (Array.length t.payload) in
+    List.iter
+      (fun (_, o, existed, members) ->
+        if existed then begin
+          decr n';
+          p' := !p' - (t.offs.(o + 1) - t.offs.(o))
+        end;
+        if members <> [||] then begin
+          incr n';
+          p' := !p' + Array.length members
+        end)
+      groups;
+    (* Only bucket contents moved: the key records and the probe table
+       are shared with [t]. *)
+    let same_keys = List.for_all (fun (_, _, existed, m) -> existed = (m <> [||])) groups in
+    let keys = if same_keys then t.keys else Array.make (!n' * w) 0 in
+    let offs = Array.make (!n' + 1) 0 and payload = Array.make !p' 0 in
+    let nk = ref 0 and np = ref 0 in
+    (* Unchanged buckets [o1, o2) move across as blits. *)
+    let copy_span o1 o2 =
+      if o2 > o1 then begin
+        if not same_keys then Array.blit t.keys (o1 * w) keys (!nk * w) ((o2 - o1) * w);
+        let p1 = t.offs.(o1) and p2 = t.offs.(o2) in
+        Array.blit t.payload p1 payload !np (p2 - p1);
+        for o = o1 + 1 to o2 do
+          offs.(!nk + o - o1) <- t.offs.(o) - p1 + !np
+        done;
+        nk := !nk + (o2 - o1);
+        np := !np + (p2 - p1)
+      end
+    in
+    let next = ref 0 (* first ordinal of [t] not yet emitted *) in
+    List.iter
+      (fun (key, o, existed, members) ->
+        copy_span !next o;
+        next := if existed then o + 1 else o;
+        if members <> [||] then begin
+          if not same_keys then Array.blit key 0 keys (!nk * w) w;
+          Array.blit members 0 payload !np (Array.length members);
+          np := !np + Array.length members;
+          incr nk;
+          offs.(!nk) <- !np
+        end)
+      groups;
+    copy_span !next n;
+    if same_keys then { t with offs; payload }
+    else { t with keys; offs; payload; slots = build_slots keys w !nk }
+  end
 
 (* ---------------- serialisation ---------------- *)
 
-let key_width t = if t.arity <= 2 then 1 else t.arity
+let key_records t = t.keys
+let bucket_offsets t = t.offs
+let payload t = t.payload
 
-(* Lexicographic over equal-width records — the comparator the paged
-   store's on-disk binary search replays. *)
-let compare_key_records (a : int array) b =
-  let rec go i =
-    if i = Array.length a then 0
-    else
-      let c = Int.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+let export_buckets t = Array.init (n_keys t) (fun o -> (key_record t o, bucket t o))
 
-let export_buckets t =
-  let out =
-    match t.buckets with
-    | Packed tbl ->
-      Int_tbl.fold (fun key vec acc -> ([| key |], Vec.to_array vec) :: acc) tbl []
-    | Spill tbl ->
-      List_tbl.fold (fun key vec acc -> (Array.of_list key, Vec.to_array vec) :: acc) tbl []
-  in
-  let arr = Array.of_list out in
-  Array.sort (fun (a, _) (b, _) -> compare_key_records a b) arr;
-  arr
-
-let of_buckets c buckets =
-  let t = create_shell c in
-  let width = key_width t in
-  Array.iter
-    (fun (key, payload) ->
-      if Array.length key <> width then
-        invalid_arg
-          (Printf.sprintf "Index.of_buckets: key record of width %d, expected %d"
-             (Array.length key) width);
-      match t.buckets with
-      | Packed tbl -> Int_tbl.replace tbl key.(0) (Vec.of_array payload)
-      | Spill tbl ->
-        (* Spill keys are stored sorted; re-normalise defensively so a
-           hand-built record still lands on the key lookups probe. *)
-        List_tbl.replace tbl (sorted_spill_key (Array.to_list key)) (Vec.of_array payload))
-    buckets;
-  t
+(* The invariants a frozen index relies on, checked on arrays that came
+   from outside this module (a snapshot).  Plain loops: a load checks
+   every key and payload id of the snapshot. *)
+let of_arrays ~n_nodes c ~keys ~offs ~payload =
+  let arity = Constr.arity c in
+  let width = key_width_of_arity arity in
+  let n = Array.length offs - 1 in
+  let err = ref None in
+  let fail msg = if !err = None then err := Some msg in
+  let node_ok v = v >= 0 && v < n_nodes in
+  if n < 0 || Array.length keys <> n * width then fail "key records disagree with bucket count"
+  else if offs.(0) <> 0 || offs.(n) <> Array.length payload then
+    fail "buckets do not span the payload"
+  else begin
+    for o = 0 to n - 1 do
+      if offs.(o + 1) <= offs.(o) then fail "empty or misordered bucket"
+    done;
+    for i = 0 to Array.length payload - 1 do
+      let v = payload.(i) in
+      if v < 0 || v >= n_nodes then fail "payload node id out of range"
+    done;
+    let increasing o = o = 0 || compare_at keys ((o - 1) * width) keys (o * width) width < 0 in
+    for o = 0 to n - 1 do
+      let k = keys.(o * width) in
+      let ok =
+        match arity with
+        | 0 -> k = 0
+        | 1 -> k >= 0 && k < n_nodes
+        | 2 ->
+          let a, b = unpack2 k in
+          k >= 0 && a < b && b < n_nodes
+        | _ ->
+          let ok = ref (node_ok k) in
+          for j = (o * width) + 1 to ((o + 1) * width) - 1 do
+            if not (keys.(j - 1) < keys.(j) && node_ok keys.(j)) then ok := false
+          done;
+          !ok
+      in
+      if not ok then fail "key node id out of range"
+      else if width = 1 then (if o > 0 && keys.(o - 1) >= k then fail "key records not strictly increasing")
+      else if not (increasing o) then fail "key records not strictly increasing"
+    done
+  end;
+  match !err with
+  | Some msg -> Error msg
+  | None -> Ok { constr = c; arity; width; keys; offs; payload; slots = build_slots keys width n }

@@ -9,15 +9,18 @@
     For a type-(1) constraint ([S = ∅]) the single key [\[\]] maps to all
     [l]-labeled nodes.
 
-    Indexes are mutable so they can be maintained incrementally under graph
-    deltas (paper §II, "Maintaining access constraints"): only target-labeled
-    endpoints of changed edges need their contributions recomputed.
+    An index is immutable once built: sorted key records, bucket offsets
+    and a payload array holding every bucket in ascending node order,
+    probed through an open-addressing slot array over bucket ordinals.
+    Maintenance under graph deltas (paper §II, "Maintaining access
+    constraints") is functional: {!apply_delta} returns a fresh index,
+    or the same one when the delta moves no node between buckets.
 
     Keys of arity <= 2 — the overwhelming majority — are packed into a
-    single immediate int (a 2-set normalises with one min/max, no sort)
-    and hashed with an avalanche mix; only keys of three or more nodes
-    spill to a boxed sorted-list table.  Lookups therefore allocate
-    nothing on the fast path until the caller asks for an array copy. *)
+    single immediate int (a 2-set normalises with one min/max, no sort);
+    keys of three or more nodes are records of their sorted ids.  Lookups
+    allocate nothing on the fast path until the caller asks for an array
+    copy. *)
 
 open Bpq_graph
 
@@ -77,13 +80,16 @@ val size : t -> int
 (** Keys plus total payload entries — the [|index|] measure reported by the
     paper's Fig. 5(d/h/l). *)
 
-val copy : t -> t
-
 val apply_delta :
-  t -> old_graph:Digraph.t -> new_graph:Digraph.t -> Digraph.delta -> unit
-(** Repair the index in place (compaction's fold).  Cost is proportional to the
-    changed nodes' neighbourhood products, never to [|G|].  [new_graph] must
-    be [Digraph.apply_delta old_graph delta]. *)
+  t -> old_graph:Digraph.t -> new_graph:Digraph.t -> Digraph.delta -> t
+(** The index over [new_graph] (compaction's fold), which must be
+    [Digraph.apply_delta old_graph delta].  Returns [t] itself, physically,
+    when no bucket membership changes — in particular for every constraint
+    whose target label no changed edge or fresh node carries.  Otherwise
+    the changed buckets are recomputed from the changed nodes'
+    neighbourhoods and the rest copied across, so the result equals
+    {!build} on [new_graph] exactly, bucket order included (given [t]
+    equals {!build} on [old_graph]).  [t] is never modified. *)
 
 val iter : t -> (int list -> int array -> unit) -> unit
 (** Iterate over all (key, bucket) pairs — used by satisfaction reports. *)
@@ -102,14 +108,36 @@ val pack2 : int -> int -> int
 
 val key_width : t -> int
 (** Ints per native key record: [1] for arity <= 2 (packed int), the
-    arity itself for spill keys (sorted id list). *)
+    arity itself for wider keys (sorted ids). *)
+
+val key_records : t -> int array
+(** The {!n_keys} key records, {!key_width} ints each, sorted
+    lexicographically (strictly increasing) — the index's own array, not
+    a copy; callers must not mutate it. *)
+
+val bucket_offsets : t -> int array
+(** [n_keys t + 1] offsets: bucket [o] is [payload.(offs.(o))] up to
+    [offs.(o+1) - 1].  Shared, like {!key_records}. *)
+
+val payload : t -> int array
+(** Every bucket's nodes, concatenated in key-record order.  Shared, like
+    {!key_records}. *)
 
 val export_buckets : t -> (int array * int array) array
-(** Every bucket as [(native key record, payload)], payload in bucket
-    (insertion) order, records sorted lexicographically by key — a
-    deterministic dump whose order the loader and the paged store both
+(** Every bucket as [(native key record, payload)] in key-record order —
+    a deterministic dump whose order the loader and the paged store both
     preserve, so lookups stream identically on every backend. *)
 
-val of_buckets : Constr.t -> (int array * int array) array -> t
-(** Rebuild an index from {!export_buckets} output.
-    @raise Invalid_argument on key records of the wrong width. *)
+val of_arrays :
+  n_nodes:int ->
+  Constr.t ->
+  keys:int array ->
+  offs:int array ->
+  payload:int array ->
+  (t, string) result
+(** An index over the three arrays (taken, not copied) of
+    {!key_records}/{!bucket_offsets}/{!payload} form.  Checks that the
+    records are strictly increasing and well formed for the constraint's
+    arity, that the offsets start at 0, strictly increase and end at the
+    payload's length, and that every key and payload node id lies in
+    [\[0, n_nodes)]; [Error] names the first violation. *)

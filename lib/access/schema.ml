@@ -97,10 +97,7 @@ let apply_delta t delta =
   let new_graph = Digraph.apply_delta t.graph delta in
   let entries =
     List.map
-      (fun (c, idx) ->
-        let idx = Index.copy idx in
-        Index.apply_delta idx ~old_graph:t.graph ~new_graph delta;
-        (c, idx))
+      (fun (c, idx) -> (c, Index.apply_delta idx ~old_graph:t.graph ~new_graph delta))
       t.entries
   in
   (* The constraint set is unchanged, so the stamp carries over: plans
@@ -124,65 +121,65 @@ let apply_delta t delta =
                     payload region — node ids, buckets concatenated in
                       key-record order, each in original bucket order
    v}
-   Key records are sorted ([Index.export_buckets]), so the paged store
-   binary-searches them in place; payload order is preserved so lookups
-   stream byte-identically on every backend. *)
+   This is the frozen index layout ([Index.key_records],
+   [Index.bucket_offsets], [Index.payload]) with each record's bucket
+   start and length interleaved after its key.  Key records are strictly
+   increasing, so the paged store binary-searches them in place; payload
+   order is preserved so lookups stream byte-identically on every
+   backend. *)
 
 let add_schema_section w t =
-  let exports =
-    List.map (fun (c, idx) -> (c, Index.key_width idx, Index.export_buckets idx)) t.entries
+  let meta_bytes =
+    List.fold_left (fun acc (c, _) -> acc + (8 * (Constr.arity c + 8))) 16 t.entries
   in
-  Binfile.section w ~tag:Binfile.tag_schema (fun b ->
-      let meta_bytes =
-        List.fold_left (fun acc (c, _, _) -> acc + (8 * (Constr.arity c + 8))) 16 exports
-      in
-      let off = ref meta_bytes in
-      let located =
-        List.map
-          (fun (c, kw, buckets) ->
-            let n_keys = Array.length buckets in
-            let payload_ints =
-              Array.fold_left (fun acc (_, p) -> acc + Array.length p) 0 buckets
-            in
-            let keys_off = !off in
-            let payloads_off = keys_off + (8 * n_keys * (kw + 2)) in
-            off := payloads_off + (8 * payload_ints);
-            (c, kw, buckets, n_keys, payload_ints, keys_off, payloads_off))
-          exports
-      in
+  let off = ref meta_bytes in
+  let located =
+    List.map
+      (fun (c, idx) ->
+        let kw = Index.key_width idx in
+        let keys_off = !off in
+        let payloads_off = keys_off + (8 * Index.n_keys idx * (kw + 2)) in
+        off := payloads_off + (8 * Array.length (Index.payload idx));
+        (c, idx, keys_off, payloads_off))
+      t.entries
+  in
+  Binfile.section ~size:!off w ~tag:Binfile.tag_schema (fun b ->
       Binfile.add_i64 b t.stamp;
       Binfile.add_i64 b (List.length located);
       List.iter
-        (fun ((c : Constr.t), kw, _, n_keys, payload_ints, keys_off, payloads_off) ->
+        (fun ((c : Constr.t), idx, keys_off, payloads_off) ->
           Binfile.add_i64 b (Constr.arity c);
           List.iter (Binfile.add_i64 b) c.source;
           Binfile.add_i64 b c.target;
           Binfile.add_i64 b c.bound;
-          Binfile.add_i64 b kw;
-          Binfile.add_i64 b n_keys;
+          Binfile.add_i64 b (Index.key_width idx);
+          Binfile.add_i64 b (Index.n_keys idx);
           Binfile.add_i64 b keys_off;
           Binfile.add_i64 b payloads_off;
-          Binfile.add_i64 b payload_ints)
+          Binfile.add_i64 b (Array.length (Index.payload idx)))
         located;
       List.iter
-        (fun (_, _, buckets, _, _, _, _) ->
-          let cursor = ref 0 in
-          Array.iter
-            (fun (key, payload) ->
-              Binfile.add_array b key;
-              Binfile.add_i64 b !cursor;
-              Binfile.add_i64 b (Array.length payload);
-              cursor := !cursor + Array.length payload)
-            buckets;
-          Array.iter (fun (_, payload) -> Binfile.add_array b payload) buckets)
+        (fun (_, idx, _, _) ->
+          let kw = Index.key_width idx in
+          let keys = Index.key_records idx and offs = Index.bucket_offsets idx in
+          for o = 0 to Index.n_keys idx - 1 do
+            for j = o * kw to ((o + 1) * kw) - 1 do
+              Binfile.add_i64 b keys.(j)
+            done;
+            Binfile.add_i64 b offs.(o);
+            Binfile.add_i64 b (offs.(o + 1) - offs.(o))
+          done;
+          Binfile.add_array b (Index.payload idx))
         located)
 
-let save ?selectivity t path =
+let write ?selectivity t path =
   let w = Binfile.writer () in
   Graph_io.add_graph_sections w t.graph;
   Option.iter (fun sel -> Gstats.add_selectivity_section w sel) selectivity;
   add_schema_section w t;
   Binfile.write w path
+
+let save ?selectivity t path = ignore (write ?selectivity t path : int)
 
 (* A loaded stamp re-enters this process's stamp space: push the supply
    past it so a later [build] cannot mint the same stamp for a different
@@ -191,15 +188,15 @@ let rec register_stamp s =
   let cur = Atomic.get next_stamp in
   if cur <= s && not (Atomic.compare_and_set next_stamp cur (s + 1)) then register_stamp s
 
-let load tbl path =
+let of_reader tbl r =
   let corrupt msg = raise (Binfile.Corrupt ("schema section: " ^ msg)) in
-  let r = Binfile.read_file path in
   let g, map = Graph_io.graph_of_reader tbl r in
   let sel = Graph_io.selectivity_of_reader tbl ~map r in
-  let bytes = Binfile.require_section r Binfile.tag_schema in
-  let mc = Binfile.Cur.of_bytes bytes in
+  let mc = Binfile.require_section r Binfile.tag_schema in
   let remap l = if l >= 0 && l < Array.length map then map.(l) else corrupt "label id out of range" in
   let stamp = Binfile.Cur.i64 mc in
+  (* [register_stamp] pushes the supply to [stamp + 1]. *)
+  if stamp < 0 || stamp = max_int then corrupt "stamp out of range";
   let ncons = Binfile.Cur.i64 mc in
   if ncons < 0 || ncons > 1_000_000 then corrupt "implausible constraint count";
   let metas =
@@ -223,24 +220,44 @@ let load tbl path =
           corrupt "key width disagrees with arity";
         (c, kw, n_keys, keys_off, payloads_off, payload_ints))
   in
+  let n_nodes = Digraph.n_nodes g in
+  (* Key records are de-interleaved straight out of the reader's buffer
+     into the index's key and offset arrays; the payload region becomes
+     the index's payload array.  Each region is bounds-checked once. *)
+  let data, base = Binfile.Cur.buffer mc and len = Binfile.Cur.length mc in
+  let region what off record_ints count =
+    if off < 0 || off > len || count > (len - off) / 8 / record_ints then
+      corrupt (what ^ " out of range");
+    base + off
+  in
   let entries =
     List.map
       (fun (c, kw, n_keys, keys_off, payloads_off, payload_ints) ->
-        let kc = Binfile.Cur.of_bytes bytes in
-        Binfile.Cur.seek kc keys_off;
-        let pc = Binfile.Cur.of_bytes bytes in
-        let buckets =
-          Array.init n_keys (fun _ ->
-              let key = Binfile.Cur.array kc kw in
-              let start = Binfile.Cur.i64 kc in
-              let len = Binfile.Cur.i64 kc in
-              if start < 0 || len < 0 || start + len > payload_ints then
-                corrupt "bucket payload out of range";
-              Binfile.Cur.seek pc (payloads_off + (8 * start));
-              (key, Binfile.Cur.array pc len))
-        in
-        (c, Index.of_buckets c buckets))
+        let at = region "key records" keys_off (kw + 2) n_keys in
+        let keys = Array.make (n_keys * kw) 0 and offs = Array.make (n_keys + 1) 0 in
+        for o = 0 to n_keys - 1 do
+          let r = at + (8 * o * (kw + 2)) in
+          for j = 0 to kw - 1 do
+            keys.((o * kw) + j) <- Binfile.get_i64 data (r + (8 * j))
+          done;
+          let start = Binfile.get_i64 data (r + (8 * kw)) in
+          let blen = Binfile.get_i64 data (r + (8 * (kw + 1))) in
+          if start <> offs.(o) then corrupt "bucket starts not contiguous";
+          if blen <= 0 || blen > payload_ints - start then corrupt "bucket payload out of range";
+          offs.(o + 1) <- start + blen
+        done;
+        if offs.(n_keys) <> payload_ints then corrupt "buckets do not cover the payload region";
+        let at = region "payload region" payloads_off 1 payload_ints in
+        let payload = Array.make payload_ints 0 in
+        for i = 0 to payload_ints - 1 do
+          payload.(i) <- Binfile.get_i64 data (at + (8 * i))
+        done;
+        match Index.of_arrays ~n_nodes c ~keys ~offs ~payload with
+        | Ok idx -> (c, idx)
+        | Error msg -> corrupt msg)
       metas
   in
   register_stamp stamp;
   (make ~stamp g entries, sel)
+
+let load tbl path = of_reader tbl (Binfile.read_file path)

@@ -72,8 +72,10 @@ val patch_values : t -> (int * Value.t) list -> t
     @raise Invalid_argument on an out-of-range node id. *)
 
 val apply_delta : t -> Digraph.delta -> t
-(** New schema over the updated graph; every index is copied and repaired
-    incrementally via {!Index.apply_delta}. *)
+(** New schema over the updated graph, stamp preserved.  Each index goes
+    through {!Index.apply_delta}: a constraint the delta does not touch
+    keeps its very index value (shared, not copied), a touched one gets
+    fresh arrays equal to a rebuild over the new graph. *)
 
 (** {1 Snapshots}
 
@@ -91,7 +93,12 @@ val register_stamp : int -> unit
 
 val save : ?selectivity:Gstats.selectivity -> t -> string -> unit
 (** Write graph, optional selectivity stats, constraints and indexes to
-    a checksummed snapshot, atomically (temp + rename). *)
+    a checksummed snapshot, atomically (temp + rename).  Indexes are
+    written from their frozen arrays as they are, without sorting. *)
+
+val write : ?selectivity:Gstats.selectivity -> t -> string -> int
+(** {!save}, returning the written file's {!Binfile.file_fnv} (hashed
+    while writing, not by re-reading the file). *)
 
 val load : Label.table -> string -> t * Gstats.selectivity option
 (** Inverse of {!save}.  Label names intern into [tbl]; node ids and
@@ -100,4 +107,10 @@ val load : Label.table -> string -> t * Gstats.selectivity option
     preserved too — plans and cache entries keyed by the saved schema's
     stamp remain valid for the loaded one — and the process-wide stamp
     supply is advanced past it so later {!build}s never alias it.
+    Index key records must be strictly increasing with contiguous
+    buckets, and every key and payload node id must lie in [\[0, n)].
     @raise Binfile.Corrupt on malformed or damaged snapshots. *)
+
+val of_reader : Label.table -> Binfile.reader -> t * Gstats.selectivity option
+(** {!load} from a snapshot already read (and checksummed) — callers that
+    also want {!Binfile.reader_fnv}. *)

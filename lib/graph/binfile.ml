@@ -19,10 +19,27 @@ let fnv_prime = 0x100000001B3
 let fnv_basis = 0x3BF29CE484222325
 let fnv_byte h b = ((h lxor b) * fnv_prime) land max_int
 
+(* The same hash in unboxed 64-bit arithmetic, eight bytes per load,
+   truncated once at the end: xor and multiplication only carry upward,
+   so the low 62 bits agree with [fnv_byte] applied byte by byte. *)
 let fnv_string h s lo hi =
-  let h = ref h in
-  for i = lo to hi - 1 do
-    h := fnv_byte !h (Char.code (String.unsafe_get s i))
+  let p = 0x100000001B3L in
+  let h = ref (Int64.of_int h) and i = ref lo in
+  while !i + 8 <= hi do
+    let w = String.get_int64_le s !i in
+    h := Int64.mul (Int64.logxor !h (Int64.logand w 0xFFL)) p;
+    h := Int64.mul (Int64.logxor !h (Int64.logand (Int64.shift_right_logical w 8) 0xFFL)) p;
+    h := Int64.mul (Int64.logxor !h (Int64.logand (Int64.shift_right_logical w 16) 0xFFL)) p;
+    h := Int64.mul (Int64.logxor !h (Int64.logand (Int64.shift_right_logical w 24) 0xFFL)) p;
+    h := Int64.mul (Int64.logxor !h (Int64.logand (Int64.shift_right_logical w 32) 0xFFL)) p;
+    h := Int64.mul (Int64.logxor !h (Int64.logand (Int64.shift_right_logical w 40) 0xFFL)) p;
+    h := Int64.mul (Int64.logxor !h (Int64.logand (Int64.shift_right_logical w 48) 0xFFL)) p;
+    h := Int64.mul (Int64.logxor !h (Int64.shift_right_logical w 56)) p;
+    i := !i + 8
+  done;
+  let h = ref (Int64.to_int !h land max_int) in
+  for j = !i to hi - 1 do
+    h := fnv_byte !h (Char.code (String.unsafe_get s j))
   done;
   !h
 
@@ -39,19 +56,16 @@ let file_fnv path =
       while !remaining > 0 do
         let n = min !remaining (Bytes.length chunk) in
         really_input ic chunk 0 n;
-        for i = 0 to n - 1 do
-          sum := fnv_byte !sum (Char.code (Bytes.unsafe_get chunk i))
-        done;
+        sum := fnv_string !sum (Bytes.unsafe_to_string chunk) 0 n;
         remaining := !remaining - n
       done;
       !sum)
 
 (* ---------------- encoding helpers ---------------- *)
 
-let add_i64 b v =
-  for shift = 0 to 7 do
-    Buffer.add_char b (Char.chr ((v lsr (8 * shift)) land 0xFF))
-  done
+(* The 63-bit int zero-extended to 64 bits: bit 63 is always clear, as
+   [get_i64] drops it. *)
+let add_i64 b v = Buffer.add_int64_le b (Int64.logand (Int64.of_int v) Int64.max_int)
 
 let add_array b arr = Array.iter (add_i64 b) arr
 
@@ -65,12 +79,7 @@ let add_string b s =
   Buffer.add_string b s;
   pad8 b
 
-let get_i64 bytes pos =
-  let v = ref 0 in
-  for shift = 7 downto 0 do
-    v := (!v lsl 8) lor Char.code (Bytes.unsafe_get bytes (pos + shift))
-  done;
-  !v
+let get_i64 bytes pos = Int64.to_int (Bytes.get_int64_le bytes pos)
 
 (* ---------------- writing ---------------- *)
 
@@ -78,36 +87,50 @@ type writer = { mutable sections : (int * Buffer.t) list (* reversed *) }
 
 let writer () = { sections = [] }
 
-let section w ~tag f =
-  let b = Buffer.create 4096 in
+let section ?(size = 4096) w ~tag f =
+  let b = Buffer.create size in
   f b;
   pad8 b;
   w.sections <- (tag, b) :: w.sections
 
+(* Header and sections go to the temp file in 64 KiB pieces, hashed on
+   the way: no whole-file string is ever assembled. *)
 let write w path =
   let sections = List.rev w.sections in
   let n = List.length sections in
   let header_len = 8 + 8 + 8 + (24 * n) in
-  let out = Buffer.create (header_len + 64) in
-  Buffer.add_string out magic;
-  add_i64 out version;
-  add_i64 out n;
+  let header = Buffer.create header_len in
+  Buffer.add_string header magic;
+  add_i64 header version;
+  add_i64 header n;
   let off = ref header_len in
   List.iter
     (fun (tag, b) ->
-      add_i64 out tag;
-      add_i64 out !off;
-      add_i64 out (Buffer.length b);
+      add_i64 header tag;
+      add_i64 header !off;
+      add_i64 header (Buffer.length b);
       off := !off + Buffer.length b)
     sections;
-  List.iter (fun (_, b) -> Buffer.add_buffer out b) sections;
-  let body = Buffer.contents out in
-  let sum = fnv_string fnv_basis body 0 (String.length body) in
+  let sum = ref fnv_basis in
+  let chunk = Bytes.create 65536 in
+  let emit oc b =
+    let len = Buffer.length b in
+    let pos = ref 0 in
+    while !pos < len do
+      let k = min (Bytes.length chunk) (len - !pos) in
+      Buffer.blit b !pos chunk 0 k;
+      sum := fnv_string !sum (Bytes.unsafe_to_string chunk) 0 k;
+      output oc chunk 0 k;
+      pos := !pos + k
+    done
+  in
   Atomic_file.write path (fun oc ->
-      output_string oc body;
+      emit oc header;
+      List.iter (fun (_, b) -> emit oc b) sections;
       let trailer = Buffer.create 8 in
-      add_i64 trailer sum;
-      Buffer.output_buffer oc trailer)
+      add_i64 trailer !sum;
+      emit oc trailer);
+  !sum
 
 (* ---------------- directory parsing ---------------- *)
 
@@ -142,6 +165,7 @@ let read_directory ~pread ~file_len =
 type reader = {
   data : Bytes.t;
   sects : sect list;
+  whole_fnv : int;
 }
 
 let read_file path =
@@ -166,16 +190,9 @@ let read_file path =
   let stored = get_i64 data (file_len - 8) in
   if sum <> stored then
     corrupt "checksum mismatch (stored %016x, computed %016x) — snapshot is damaged" stored sum;
-  { data; sects }
+  { data; sects; whole_fnv = fnv_string sum body (file_len - 8) file_len }
 
-let section_bytes r tag =
-  List.find_opt (fun s -> s.tag = tag) r.sects
-  |> Option.map (fun s -> Bytes.sub r.data s.off s.len)
-
-let require_section r tag =
-  match section_bytes r tag with
-  | Some b -> b
-  | None -> corrupt "snapshot has no section with tag %d" tag
+let reader_fnv r = r.whole_fnv
 
 (* ---------------- varint wire helpers ----------------
 
@@ -223,13 +240,19 @@ let add_zigzag_array b arr =
     arr
 
 module Cur = struct
+  (* A window [base, base + limit) of [data]; positions are relative to
+     [base]. *)
   type t = {
     data : Bytes.t;
+    base : int;
     mutable pos : int;
     limit : int;
   }
 
-  let of_bytes data = { data; pos = 0; limit = Bytes.length data }
+  let of_bytes data = { data; base = 0; pos = 0; limit = Bytes.length data }
+  let window data ~off ~len = { data; base = off; pos = 0; limit = len }
+  let buffer c = (c.data, c.base)
+  let length c = c.limit
   let pos c = c.pos
   let seek c p = c.pos <- p
 
@@ -244,7 +267,7 @@ module Cur = struct
 
   let i64 c =
     need c 8;
-    let v = get_i64 c.data c.pos in
+    let v = get_i64 c.data (c.base + c.pos) in
     c.pos <- c.pos + 8;
     v
 
@@ -253,7 +276,8 @@ module Cur = struct
     need c 0;
     if n > remaining c / 8 then
       corrupt "array of %d elements exceeds the payload (%d bytes left)" n (remaining c);
-    let arr = Array.init n (fun i -> get_i64 c.data (c.pos + (8 * i))) in
+    let at = c.base + c.pos in
+    let arr = Array.init n (fun i -> get_i64 c.data (at + (8 * i))) in
     c.pos <- c.pos + (8 * n);
     arr
 
@@ -261,7 +285,7 @@ module Cur = struct
     let len = i64 c in
     if len < 0 then corrupt "negative string length %d" len;
     need c len;
-    let s = Bytes.sub_string c.data c.pos len in
+    let s = Bytes.sub_string c.data (c.base + c.pos) len in
     c.pos <- c.pos + ((len + 7) land lnot 7);
     s
 
@@ -271,7 +295,7 @@ module Cur = struct
     while not !fin do
       if !shift > 62 then corrupt "varint too long";
       need c 1;
-      let byte = Char.code (Bytes.get c.data c.pos) in
+      let byte = Char.code (Bytes.get c.data (c.base + c.pos)) in
       c.pos <- c.pos + 1;
       v := !v lor ((byte land 0x7f) lsl !shift);
       shift := !shift + 7;
@@ -353,3 +377,14 @@ let is_snapshot path =
           really_input ic b 0 (String.length magic);
           Bytes.to_string b = magic
         end)
+
+(* ---------------- sections of an in-memory reader ---------------- *)
+
+let find_section r tag =
+  List.find_opt (fun s -> s.tag = tag) r.sects
+  |> Option.map (fun s -> Cur.window r.data ~off:s.off ~len:s.len)
+
+let require_section r tag =
+  match find_section r tag with
+  | Some c -> c
+  | None -> corrupt "snapshot has no section with tag %d" tag

@@ -79,11 +79,15 @@ type writer
 
 val writer : unit -> writer
 
-val section : writer -> tag:int -> (Buffer.t -> unit) -> unit
-(** Append one section; sections are written in call order. *)
+val section : ?size:int -> writer -> tag:int -> (Buffer.t -> unit) -> unit
+(** Append one section; sections are written in call order.  [size] is
+    the initial buffer capacity (a writer that knows its byte count
+    spares the buffer's doublings). *)
 
-val write : writer -> string -> unit
-(** Serialise to [path] atomically ({!Bpq_util.Atomic_file}). *)
+val write : writer -> string -> int
+(** Serialise to [path] atomically ({!Bpq_util.Atomic_file}), streaming
+    the header and section buffers to the file while hashing them.
+    Returns the written file's {!file_fnv}. *)
 
 (** {1 In-memory reading} *)
 
@@ -95,17 +99,23 @@ val read_file : string -> reader
     @raise Corrupt on any malformed input.
     @raise Sys_error if the file cannot be opened. *)
 
-val section_bytes : reader -> int -> Bytes.t option
-(** Payload copy of the first section with the given tag. *)
-
-val require_section : reader -> int -> Bytes.t
-(** @raise Corrupt naming the missing section. *)
+val reader_fnv : reader -> int
+(** {!file_fnv} of the file {!read_file} read, computed during its
+    checksum pass. *)
 
 (** Sequential decoding of a section payload. *)
 module Cur : sig
   type t
 
   val of_bytes : Bytes.t -> t
+
+  val buffer : t -> Bytes.t * int
+  (** The underlying buffer and the absolute offset of position 0 — for
+      decoders that address the payload directly (read-only). *)
+
+  val length : t -> int
+  (** Payload bytes in the window. *)
+
   val i64 : t -> int
   val array : t -> int -> int array
   val str : t -> string  (** Inverse of {!add_string}. *)
@@ -126,6 +136,14 @@ module Cur : sig
   (** All raise [Corrupt] on reads past the end of the payload, and on
       lengths the rest of the payload cannot hold, before allocating. *)
 end
+
+val find_section : reader -> int -> Cur.t option
+(** A cursor over the first section with the given tag: a window onto
+    the reader's buffer, not a copy; its positions ({!Cur.pos},
+    {!Cur.seek}) are relative to the section start. *)
+
+val require_section : reader -> int -> Cur.t
+(** @raise Corrupt naming the missing section. *)
 
 (** {1 Out-of-core reading} *)
 

@@ -127,7 +127,7 @@ let save_bin ?selectivity g path =
   let w = Binfile.writer () in
   add_graph_sections w g;
   Option.iter (fun sel -> Gstats.add_selectivity_section w sel) selectivity;
-  Binfile.write w path
+  ignore (Binfile.write w path : int)
 
 (* CSR offset array sanity: starts at 0, non-decreasing, ends at the adj
    length, every adjacency entry a valid node id.  Cheap (one linear
@@ -167,31 +167,31 @@ let build_by_label nlabels labels =
 let graph_of_reader tbl r =
   let corrupt msg = raise (Binfile.Corrupt msg) in
   (* Labels: intern the stored names in id order. *)
-  let lc = Binfile.Cur.of_bytes (Binfile.require_section r Binfile.tag_labels) in
+  let lc = Binfile.require_section r Binfile.tag_labels in
   let nlabels_stored = Binfile.Cur.i64 lc in
   if nlabels_stored < 0 then corrupt "labels section: negative count";
   let map = Array.init nlabels_stored (fun _ -> Label.intern tbl (Binfile.Cur.str lc)) in
   let identity = Array.for_all2 (fun i j -> i = j) map (Array.init nlabels_stored Fun.id) in
   (* Nodes. *)
-  let nc = Binfile.Cur.of_bytes (Binfile.require_section r Binfile.tag_nodes) in
+  let nc = Binfile.require_section r Binfile.tag_nodes in
   let n = Binfile.Cur.i64 nc in
   if n < 0 then corrupt "nodes section: negative node count";
   let labels = Binfile.Cur.array nc n in
   let voff = Binfile.Cur.array nc (n + 1) in
   let blob_base = Binfile.Cur.pos nc in
-  let nodes_bytes = Binfile.require_section r Binfile.tag_nodes in
+  let nodes_bytes, base = Binfile.Cur.buffer nc in
   let values =
     Array.init n (fun v ->
         let lo = voff.(v) and hi = voff.(v + 1) in
-        if lo < 0 || hi < lo || blob_base + hi > Bytes.length nodes_bytes then
+        if lo < 0 || hi < lo || hi > Binfile.Cur.length nc - blob_base then
           corrupt "nodes section: value offsets out of range";
-        decode_value nodes_bytes ~pos:(blob_base + lo) ~len:(hi - lo))
+        decode_value nodes_bytes ~pos:(base + blob_base + lo) ~len:(hi - lo))
   in
   Array.iter
     (fun l -> if l < 0 || l >= nlabels_stored then corrupt "nodes section: label id out of range")
     labels;
   (* CSR. *)
-  let cc = Binfile.Cur.of_bytes (Binfile.require_section r Binfile.tag_csr) in
+  let cc = Binfile.require_section r Binfile.tag_csr in
   let n' = Binfile.Cur.i64 cc in
   if n' <> n then corrupt "csr section: node count disagrees with nodes section";
   let m = Binfile.Cur.i64 cc in
@@ -243,8 +243,8 @@ let graph_of_reader tbl r =
   (g, map)
 
 let selectivity_of_reader tbl ~map r =
-  Binfile.section_bytes r Binfile.tag_stats
-  |> Option.map (fun bytes -> Gstats.selectivity_of_bytes bytes ~map ~nlabels:(Label.count tbl))
+  Binfile.find_section r Binfile.tag_stats
+  |> Option.map (fun c -> Gstats.selectivity_of_section c ~map ~nlabels:(Label.count tbl))
 
 let load_bin tbl path =
   let r = Binfile.read_file path in

@@ -180,8 +180,7 @@ let add_selectivity_section w sel =
           Binfile.add_i64 b freq)
         pairs)
 
-let selectivity_of_bytes bytes ~map ~nlabels =
-  let c = Binfile.Cur.of_bytes bytes in
+let selectivity_of_section c ~map ~nlabels =
   let stored = Binfile.Cur.i64 c in
   if stored < 1 then raise (Binfile.Corrupt "stats section: label count must be positive");
   let node_counts = Binfile.Cur.array c stored in

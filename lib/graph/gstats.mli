@@ -63,7 +63,8 @@ val add_selectivity_section : Binfile.writer -> selectivity -> unit
     construction.  Label ids are the compute-time table's; the snapshot's
     label section carries the names that make them portable. *)
 
-val selectivity_of_bytes : Bytes.t -> map:int array -> nlabels:int -> selectivity
+val selectivity_of_section :
+  Binfile.Cur.t -> map:int array -> nlabels:int -> selectivity
 (** Decode a [tag_stats] payload, remapping stored label id [l] to
     [map.(l)] (identity when loading into a fresh table); [nlabels] is
     the destination table's label count.

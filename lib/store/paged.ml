@@ -195,7 +195,7 @@ let open_ ?(page_cache_mb = 16) ?cache_pages ?(page_size = page_size) ?(readahea
     let selectivity =
       sect_of sects Binfile.tag_stats
       |> Option.map (fun s ->
-             Gstats.selectivity_of_bytes (read_sect s)
+             Gstats.selectivity_of_section (Binfile.Cur.of_bytes (read_sect s))
                ~map:(Array.init nlabels Fun.id)
                ~nlabels:(Label.count table))
     in

@@ -210,7 +210,7 @@ let write_shard ~dir ~shards ~stamp ~s tbl (r : Digraph.Repr.t) n_edges_global e
       Binfile.add_i64 b shards;
       Binfile.add_i64 b n_edges_global);
   let path = Filename.concat dir (shard_file_name s) in
-  Binfile.write w path;
+  ignore (Binfile.write w path : int);
   let n_keys = List.fold_left (fun acc (_, _, b) -> acc + Array.length b) 0 entries in
   let payload_ints =
     List.fold_left
@@ -271,7 +271,7 @@ let partition ~shards ~snapshot ~dir =
   (* The snapshot's statistics ride along, so a coordinator plans with
      the same cost model as the single-node backends. *)
   Option.iter (Gstats.add_selectivity_section w) selectivity;
-  Binfile.write w (manifest_path dir);
+  ignore (Binfile.write w (manifest_path dir) : int);
   { dir;
     shards;
     stamp;
@@ -288,15 +288,15 @@ let load_manifest path =
   let path = manifest_path path in
   let r = Binfile.read_file path in
   let table = Label.create_table () in
-  let lc = Binfile.Cur.of_bytes (Binfile.require_section r Binfile.tag_labels) in
+  let lc = Binfile.require_section r Binfile.tag_labels in
   let nlabels = Binfile.Cur.i64 lc in
   if nlabels < 0 then corrupt "manifest: negative label count";
   for _ = 1 to nlabels do
     ignore (Label.intern table (Binfile.Cur.str lc))
   done;
   let mc =
-    match Binfile.section_bytes r tag_manifest with
-    | Some b -> Binfile.Cur.of_bytes b
+    match Binfile.find_section r tag_manifest with
+    | Some c -> c
     | None -> corrupt "manifest: missing manifest section"
   in
   let fv = Binfile.Cur.i64 mc in

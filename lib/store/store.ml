@@ -8,6 +8,7 @@ type mem = {
   schema : Schema.t;
   sel : Gstats.selectivity option;
   src : Exec.source;
+  file_fnv : int option;  (* whole-file FNV of the snapshot it was loaded from *)
 }
 
 type base =
@@ -36,7 +37,7 @@ type t = {
 }
 
 let of_schema ?selectivity schema =
-  { b = In_mem { schema; sel = selectivity; src = Exec.source_of_schema schema };
+  { b = In_mem { schema; sel = selectivity; src = Exec.source_of_schema schema; file_fnv = None };
     path = None;
     ws = None }
 
@@ -48,9 +49,13 @@ let open_snapshot ?(backend = Mem) ?page_cache_mb ?cache_pages ?readahead ?(veri
   let b =
     match backend with
     | Mem ->
-      (* Schema.load reads and checksums the whole file already. *)
-      let schema, sel = Schema.load (Label.create_table ()) path in
-      In_mem { schema; sel; src = Exec.source_of_schema schema }
+      (* Reading the snapshot checksums the whole file already; keep its
+         FNV so a delta log pairs with it without a second pass. *)
+      let r = Binfile.read_file path in
+      let schema, sel = Schema.of_reader (Label.create_table ()) r in
+      In_mem
+        { schema; sel; src = Exec.source_of_schema schema;
+          file_fnv = Some (Binfile.reader_fnv r) }
     | Paged ->
       if verify then Binfile.verify path;
       On_disk (Paged.open_ ?page_cache_mb ?cache_pages ?readahead path)
@@ -150,19 +155,17 @@ let close t =
 (* ------------------------------------------------------------------ *)
 
 (* Content identity of the generation behind this store: the snapshot
-   file's FNV, or the shard manifest's (any shard edit rewrites the
-   manifest checksums, so the manifest stands for the whole directory). *)
+   file's FNV (computed when an in-memory store read it), or the shard
+   manifest's (any shard edit rewrites the manifest checksums, so the
+   manifest stands for the whole directory). *)
 let base_checksum t =
-  match t.path with
-  | None -> failwith "delta logs attach to snapshot-backed stores, not in-memory ones"
-  | Some path ->
-    let file =
-      match t.b with
-      | Sharded_t _ ->
-        if Sys.is_directory path then Filename.concat path "MANIFEST" else path
-      | In_mem _ | On_disk _ -> path
-    in
-    Binfile.file_fnv file
+  match (t.path, t.b) with
+  | None, _ -> failwith "delta logs attach to snapshot-backed stores, not in-memory ones"
+  | Some _, In_mem { file_fnv = Some sum; _ } -> sum
+  | Some path, Sharded_t _ ->
+    Binfile.file_fnv
+      (if Sys.is_directory path then Filename.concat path "MANIFEST" else path)
+  | Some path, (In_mem _ | On_disk _) -> Binfile.file_fnv path
 
 let attach_wal ?carry t wal_path =
   if t.ws <> None then failwith "store already has a delta log attached";
@@ -343,7 +346,9 @@ let compact ?out t =
             | Sharded_t _ -> assert false
           in
           let folded = fold_ops schema ops in
-          Schema.save ~selectivity:(Gstats.selectivity (Schema.graph folded)) folded out;
+          let sum =
+            Schema.write ~selectivity:(Gstats.selectivity (Schema.graph folded)) folded out
+          in
           if out = path then begin
             (* In-place generation roll: the folded-in records leave the
                log, and its header now names the new snapshot.  This
@@ -351,7 +356,7 @@ let compact ?out t =
                overlay value is untouched) but refuses further writes;
                callers that want the new generation reopen the snapshot
                and [attach_wal ~carry:(overlay t)]. *)
-            Wal.truncate ws.wal ~base_sum:(Binfile.file_fnv out)
+            Wal.truncate ws.wal ~base_sum:sum
               ~base_stamp:(Schema.stamp folded);
             ws.retired <- true
           end);

@@ -136,6 +136,12 @@ val compact : ?out:string -> t -> string
     [attach_wal ~carry:(Option.get (overlay t))] to continue.
     @raise Failure (one line) for sharded and in-memory stores. *)
 
+val fold_ops : Schema.t -> Wal.op list -> Schema.t
+(** The fold {!compact} writes out: net edge flips become one
+    [Digraph.delta] through {!Schema.apply_delta} (constraints the ops do
+    not touch keep their index values), value upserts patch the value
+    blob.  The stamp is preserved. *)
+
 val wal : t -> Wal.t option
 val overlay : t -> Overlay.t option
 val overlay_counters : t -> Overlay.counter_snapshot option

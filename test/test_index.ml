@@ -127,19 +127,9 @@ let incremental_matches_rebuild =
             removed_edges = List.filteri (fun i _ -> i < 4) existing }
         in
         let g' = Digraph.apply_delta g delta in
-        Index.apply_delta idx ~old_graph:g ~new_graph:g' delta;
-        let fresh = Index.build g' c in
-        (* Compare every key of both indexes. *)
-        let agree = ref true in
-        let check_keys a b =
-          Index.iter a (fun key bucket ->
-              let other = Index.lookup b key in
-              let sort arr = List.sort compare (Array.to_list arr) in
-              if sort bucket <> sort other then agree := false)
-        in
-        check_keys idx fresh;
-        check_keys fresh idx;
-        !agree
+        let idx = Index.apply_delta idx ~old_graph:g ~new_graph:g' delta in
+        (* Every key, bucket and bucket order of both indexes. *)
+        Index.export_buckets idx = Index.export_buckets (Index.build g' c)
       end)
 
 let build_many_matches_build =
@@ -153,12 +143,7 @@ let build_many_matches_build =
         (fun c (c', idx) ->
           Constr.equal c c'
           &&
-          let reference = Index.build g c in
-          let agree = ref (Index.n_keys reference = Index.n_keys idx) in
-          Index.iter reference (fun key bucket ->
-              let sort arr = List.sort compare (Array.to_list arr) in
-              if sort bucket <> sort (Index.lookup idx key) then agree := false);
-          !agree)
+          Index.export_buckets (Index.build g c) = Index.export_buckets idx)
         constrs batch)
 
 (* A deliberately messy world: duplicate (parallel) edges, bidirectional
@@ -198,16 +183,16 @@ let random_constr r labels =
   in
   Constr.make ~source ~target ~bound:1000
 
+(* Same keys, same buckets, same order within every bucket — and every
+   bucket ascending, the order [build] produces. *)
 let same_buckets a b =
-  let agree = ref (Index.n_keys a = Index.n_keys b) in
-  let check x y =
-    Index.iter x (fun key bucket ->
-        let sort arr = List.sort compare (Array.to_list arr) in
-        if sort bucket <> sort (Index.lookup y key) then agree := false)
+  let ascending bucket =
+    let ok = ref true in
+    Array.iteri (fun i v -> if i > 0 && bucket.(i - 1) >= v then ok := false) bucket;
+    !ok
   in
-  check a b;
-  check b a;
-  !agree
+  let ea = Index.export_buckets a in
+  ea = Index.export_buckets b && Array.for_all (fun (_, bucket) -> ascending bucket) ea
 
 let build_many_matches_build_messy =
   Helpers.qcheck ~count:60 "build_many equals build on multi-edge/self-loop graphs"
@@ -271,10 +256,9 @@ let delta_matches_rebuild_edge_cases =
             :: List.filteri (fun i _ -> i < 5) existing }
       in
       let g' = Digraph.apply_delta g delta in
-      Index.apply_delta idx ~old_graph:g ~new_graph:g' delta;
-      same_buckets idx (Index.build g' c))
+      same_buckets (Index.apply_delta idx ~old_graph:g ~new_graph:g' delta) (Index.build g' c))
 
-(* Keys of >= 2 nodes pack into one int; >= 3 spill to boxed list keys.
+(* Keys of <= 2 nodes pack into one int; >= 3 are sorted id records.
    Both paths must behave identically to the definition. *)
 let test_spill_arity3 () =
   let tbl = Label.create_table () in
@@ -354,16 +338,37 @@ let iter_forms_match_lookup =
           if List.rev !got_tuple_iter <> want then ok := false);
       !ok)
 
-let test_copy_is_independent () =
+let test_delta_leaves_input_intact () =
   let tbl, g = movie_world () in
   let c = Constr.make ~source:[ Label.intern tbl "movie" ] ~target:(Label.intern tbl "actor") ~bound:5 in
   let idx = Index.build g c in
-  let snapshot = Index.copy idx in
   let delta = { Digraph.empty_delta with removed_edges = [ (3, 5) ] } in
   let g' = Digraph.apply_delta g delta in
-  Index.apply_delta idx ~old_graph:g ~new_graph:g' delta;
-  Helpers.check_int "mutated lost the edge" 0 (Index.lookup_count idx [ 3 ]);
-  Helpers.check_int "copy kept it" 1 (Index.lookup_count snapshot [ 3 ])
+  let idx' = Index.apply_delta idx ~old_graph:g ~new_graph:g' delta in
+  Helpers.check_int "result lost the edge" 0 (Index.lookup_count idx' [ 3 ]);
+  Helpers.check_int "input kept it" 1 (Index.lookup_count idx [ 3 ])
+
+let test_untouched_delta_shares () =
+  let tbl, g = movie_world () in
+  let l = Label.intern tbl in
+  let by_year = Constr.make ~source:[ l "year" ] ~target:(l "movie") ~bound:5 in
+  let actors = Constr.make ~source:[ l "movie" ] ~target:(l "actor") ~bound:5 in
+  (* A fresh award edge reaches a movie but no actor, and adds no year. *)
+  let delta =
+    { Digraph.empty_delta with added_nodes = [ (l "award", Value.Null) ]; added_edges = [ (4, 6) ] }
+  in
+  let g' = Digraph.apply_delta g delta in
+  List.iter
+    (fun c ->
+      let idx = Index.build g c in
+      Helpers.check_true "no bucket moved: same value"
+        (Index.apply_delta idx ~old_graph:g ~new_graph:g' delta == idx))
+    [ by_year; actors ];
+  let pair = Constr.make ~source:[ l "year"; l "award" ] ~target:(l "movie") ~bound:5 in
+  let idx = Index.build g pair in
+  let idx' = Index.apply_delta idx ~old_graph:g ~new_graph:g' delta in
+  Helpers.check_false "a moved bucket: fresh value" (idx' == idx);
+  Helpers.check_true "fresh value equals a rebuild" (same_buckets idx' (Index.build g' pair))
 
 let test_type1_delta_adds_new_nodes () =
   let tbl, g = movie_world () in
@@ -372,8 +377,9 @@ let test_type1_delta_adds_new_nodes () =
   let idx = Index.build g c in
   let delta = { Digraph.empty_delta with added_nodes = [ (movie, Value.Null) ] } in
   let g' = Digraph.apply_delta g delta in
-  Index.apply_delta idx ~old_graph:g ~new_graph:g' delta;
-  Helpers.check_int "three movies now" 3 (Index.lookup_count idx [])
+  let idx' = Index.apply_delta idx ~old_graph:g ~new_graph:g' delta in
+  Helpers.check_int "three movies now" 3 (Index.lookup_count idx' []);
+  Helpers.check_true "in node order" (Index.lookup idx' [] = [| 3; 4; 6 |])
 
 let suite =
   [ Alcotest.test_case "type-1 lookup" `Quick test_type1_lookup;
@@ -388,5 +394,6 @@ let suite =
     Alcotest.test_case "spill path (arity 3)" `Quick test_spill_arity3;
     spill_lookup_matches_naive;
     iter_forms_match_lookup;
-    Alcotest.test_case "copy is independent" `Quick test_copy_is_independent;
+    Alcotest.test_case "apply_delta leaves input intact" `Quick test_delta_leaves_input_intact;
+    Alcotest.test_case "untouched constraint keeps its index" `Quick test_untouched_delta_shares;
     Alcotest.test_case "type-1 delta adds new nodes" `Quick test_type1_delta_adds_new_nodes ]

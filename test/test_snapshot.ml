@@ -243,6 +243,115 @@ let hostile_lengths =
       && corrupt (fun () -> Binfile.Cur.sorted_array (payload (fun b -> Binfile.add_uvarint b n)))
       && corrupt (fun () -> Binfile.Cur.zigzag_array (payload (fun b -> Binfile.add_uvarint b n))))
 
+(* The FNV a write returns and the one a read computes are the file's
+   own: what pairs a delta log with the generation it was written
+   against. *)
+let test_fnv_of_write_and_read () =
+  let _, g, constrs, _ = Helpers.random_instance 21 in
+  with_temp_file (fun path ->
+      let written = Schema.write (Schema.build g constrs) path in
+      Helpers.check_int "write" (Binfile.file_fnv path) written;
+      Helpers.check_int "read" written (Binfile.reader_fnv (Binfile.read_file path)))
+
+(* ---------------- hostile index bytes ---------------- *)
+
+(* Snapshot surgery: overwrite one i64 and re-seal the trailing checksum,
+   so the damage reaches the decoders instead of the checksum. *)
+let set_i64 data pos v =
+  let b = Buffer.create 8 in
+  Binfile.add_i64 b v;
+  Bytes.blit_string (Buffer.contents b) 0 data pos 8
+
+let reseal data =
+  let len = Bytes.length data in
+  set_i64 data (len - 8) (Binfile.fnv64 (Bytes.sub_string data 0 (len - 8)))
+
+let schema_sect data =
+  let pread ~pos ~len = Bytes.sub data pos len in
+  List.find
+    (fun s -> s.Binfile.tag = Binfile.tag_schema)
+    (Binfile.read_directory ~pread ~file_len:(Bytes.length data))
+
+(* Either the load refuses with [Corrupt], or every key and bucket node
+   it hands out is a real node and every key finds its own bucket. *)
+let loads_in_range path =
+  match Schema.load (Label.create_table ()) path with
+  | exception Binfile.Corrupt _ -> true
+  | schema, _ ->
+    let g = Schema.graph schema in
+    let n = Digraph.n_nodes g in
+    let node_ok v = v >= 0 && v < n && (ignore (Digraph.label g v); true) in
+    List.for_all
+      (fun c ->
+        let idx = Schema.index_of schema c in
+        let ok = ref true in
+        Index.iter idx (fun key bucket ->
+            if not (List.for_all node_ok key && Array.for_all node_ok bucket) then ok := false;
+            if Index.lookup idx key <> bucket then ok := false);
+        !ok)
+      (Schema.constraints schema)
+
+let hostile_index_bytes =
+  Helpers.qcheck ~count:200 "hostile schema-section i64 raises Corrupt or loads in range"
+    QCheck2.Gen.(triple (int_range 1 100_000) (int_range 0 1_000_000) (int_range 0 7))
+    (fun (seed, at, kind) ->
+      let _, g, constrs, _ = Helpers.random_instance seed in
+      let n = Digraph.n_nodes g in
+      with_temp_file (fun path ->
+          Schema.save (Schema.build g constrs) path;
+          let data = read_all path in
+          let sect = schema_sect data in
+          let pos = sect.Binfile.off + (8 * (at mod (sect.Binfile.len / 8))) in
+          let old = Binfile.get_i64 data pos in
+          let v =
+            match kind with
+            | 0 -> n
+            | 1 -> n + (at mod 7)
+            | 2 -> -1
+            | 3 -> old + 1
+            | 4 -> old - 1
+            | 5 -> max_int
+            | 6 -> at mod (2 * n)
+            | _ -> min_int
+          in
+          set_i64 data pos v;
+          reseal data;
+          write_all path data;
+          loads_in_range path))
+
+(* The three shapes the index decoder must name, one per constraint
+   region: a payload id past the last node, a key record that does not
+   increase, a bucket that starts somewhere else than the last one
+   ended. *)
+let test_hostile_index_shapes () =
+  let tbl = Label.create_table () in
+  let g =
+    Helpers.graph tbl
+      [ ("m", Value.Null); ("m", Value.Null); ("a", Value.Null); ("a", Value.Null) ]
+      [ (0, 2); (1, 2); (1, 3) ]
+  in
+  let c = Constr.make ~source:[ Label.intern tbl "m" ] ~target:(Label.intern tbl "a") ~bound:5 in
+  let schema = Schema.build g [ c ] in
+  Helpers.check_int "two keys" 2 (Index.n_keys (Schema.index_of schema c));
+  with_temp_file (fun path ->
+      Schema.save schema path;
+      let clean = read_all path in
+      let base = (schema_sect clean).Binfile.off in
+      (* Meta: stamp, count, then arity, source x1, target, bound, kw,
+         n_keys, keys_off, payloads_off, payload_ints. *)
+      let meta i = Binfile.get_i64 clean (base + (8 * i)) in
+      let keys_off = base + meta 8 and payloads_off = base + meta 9 in
+      List.iter
+        (fun (what, pos, v) ->
+          let data = Bytes.copy clean in
+          set_i64 data pos v;
+          reseal data;
+          write_all path data;
+          expect_corrupt what (fun () -> Schema.load (Label.create_table ()) path))
+        [ ("payload id = n", payloads_off, Digraph.n_nodes g);
+          ("key records not increasing", keys_off + 24, Binfile.get_i64 clean keys_off);
+          ("bucket starts not contiguous", keys_off + 32, Binfile.get_i64 clean (keys_off + 32) + 1) ])
+
 let test_rejects_truncation () =
   let _, g = random_graph 3 in
   with_temp_file (fun path ->
@@ -387,4 +496,7 @@ let suite =
     Alcotest.test_case "atomic writes leave no temp files" `Quick test_atomic_no_leftovers;
     Alcotest.test_case "failed write leaves target intact" `Quick test_failed_write_leaves_target;
     Alcotest.test_case "snapshot sniffing" `Quick test_is_snapshot_sniff;
-    hostile_lengths ]
+    hostile_lengths;
+    Alcotest.test_case "write and read report the file's FNV" `Quick test_fnv_of_write_and_read;
+    hostile_index_bytes;
+    Alcotest.test_case "hostile index shapes raise Corrupt" `Quick test_hostile_index_shapes ]

@@ -314,6 +314,82 @@ let overlay_identity =
         via_mem = via_pool && paged_ok && via_mem = via_compacted
         && via_mem = via_scratch)
 
+(* Random ops that never touch a node labeled [avoid]: no edge with
+   such an endpoint, no fresh node with that label. *)
+let ops_avoiding r g tbl avoid count =
+  let module Prng = Bpq_util.Prng in
+  let base_n = Digraph.n_nodes g in
+  let fresh_labels = ref [||] in
+  let label_of v = if v < base_n then Digraph.label g v else !fresh_labels.(v - base_n) in
+  let others = Array.of_list (List.filter (fun l -> l <> avoid) (Label.all tbl)) in
+  let pick () =
+    let n = base_n + Array.length !fresh_labels in
+    let rec go tries =
+      let v = Prng.int r n in
+      if label_of v <> avoid || tries = 0 then v else go (tries - 1)
+    in
+    go 20
+  in
+  let ok v = label_of v <> avoid in
+  let ops = ref [] in
+  for _ = 1 to count do
+    match Prng.int r 10 with
+    | 0 | 1 ->
+      let l = Prng.pick r others in
+      ops := Wal.Add_node { label = Label.name tbl l; value = Value.Null } :: !ops;
+      fresh_labels := Array.append !fresh_labels [| l |]
+    | 2 -> ops := Wal.Set_value (pick (), Value.Str "patched") :: !ops
+    | 3 | 4 ->
+      let u = Prng.int r base_n in
+      let out = Digraph.out_neighbours g u in
+      if Array.length out > 0 then begin
+        let v = out.(Prng.int r (Array.length out)) in
+        if ok u && ok v then ops := Wal.Remove_edge (u, v) :: !ops
+      end
+    | _ ->
+      let u = pick () and v = pick () in
+      if ok u && ok v then ops := Wal.Add_edge (u, v) :: !ops
+  done;
+  List.rev !ops
+
+(* Compaction folds through [Schema.apply_delta]: the written generation
+   must hold exactly the indexes a from-scratch build over the folded
+   graph produces, bucket order included, and a constraint the ops never
+   touch must keep its very index value through the fold. *)
+let compaction_equals_rebuild =
+  Helpers.qcheck ~count:15 "compaction equals a rebuild, shares untouched indexes"
+    QCheck2.Gen.(int_range 1 100_000) (fun seed ->
+      let tbl, g, constrs, r = Helpers.random_instance seed in
+      match constrs with
+      | [] -> true
+      | first :: _ ->
+        let avoid = first.Constr.target in
+        with_temp ".snap" @@ fun snap ->
+        with_temp ".wal" @@ fun walp ->
+        Schema.save (Schema.build g constrs) snap;
+        let ops = ops_avoiding r g tbl avoid (5 + Bpq_util.Prng.int r 40) in
+        let st = Store.open_snapshot snap in
+        ignore (Store.attach_wal st walp);
+        (match Store.apply_ops st ops with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "apply: %s" e);
+        let out = snap ^ ".gen2" in
+        ignore (Store.compact ~out st);
+        let before = Option.get (Store.schema st) in
+        Store.close st;
+        let folded = Store.fold_ops before ops in
+        let reopened, _ = Schema.load (Label.create_table ()) out in
+        (try Sys.remove out with Sys_error _ -> ());
+        let rebuilt = Schema.build (Schema.graph reopened) (Schema.constraints reopened) in
+        let exact s c = Index.export_buckets (Schema.index_of s c) in
+        List.for_all
+          (fun c ->
+            exact reopened c = exact rebuilt c
+            && exact folded c = exact rebuilt c
+            && ((c.Constr.target <> avoid)
+               || Schema.index_of folded c == Schema.index_of before c))
+          (Schema.constraints before))
+
 (* ------------------------------------------------------------------ *)
 (* Store-level typed errors                                            *)
 (* ------------------------------------------------------------------ *)
@@ -609,6 +685,7 @@ let suite =
     Alcotest.test_case "mid-file corruption stops replay" `Quick test_checksum_corruption;
     Alcotest.test_case "SIGKILL mid-append replays a prefix" `Quick test_sigkill_mid_append;
     overlay_identity;
+    compaction_equals_rebuild;
     Alcotest.test_case "typed write-path errors" `Quick test_store_errors;
     Alcotest.test_case "caches across writes and generation swaps" `Quick
       test_cache_generations;
