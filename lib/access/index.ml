@@ -1,6 +1,7 @@
 open Bpq_graph
 module Vec = Bpq_util.Vec
 module Int_sort = Bpq_util.Int_sort
+module A1 = Bigarray.Array1
 
 (* Bucket keys are S-labeled node sets.  The labels in S are distinct, so
    every key is a set of distinct node ids; almost all constraints in
@@ -8,12 +9,13 @@ module Int_sort = Bpq_util.Int_sort
    (sort-free: a 2-set is ordered with a single min/max); arity >= 3 keys
    are their sorted ids, [arity] ints per record.
 
-   An index is frozen once built: three flat arrays — the sorted key
-   records, bucket offsets into a payload array, and the payload with
-   every bucket in ascending node order — plus an open-addressing slot
-   array over bucket ordinals for O(1) probes.  This is the snapshot's
-   on-disk layout (minus the interleaving), so a load de-interleaves
-   straight into it and a save writes it back without sorting. *)
+   An index is frozen once built, in the snapshot's own layout: a window
+   of sorted key records, each [width] key ints then its bucket's start
+   and length in a payload window that holds every bucket in ascending
+   node order.  A loaded index's two windows are the mapped file itself;
+   a built one's are off-heap arrays of the same layout.  The only heap
+   structure is an open-addressing slot array over bucket ordinals for
+   O(1) probes. *)
 
 let half_width = 31
 let half_mask = (1 lsl half_width) - 1
@@ -28,16 +30,30 @@ let key_width_of_arity arity = if arity <= 2 then 1 else arity
 type t = {
   constr : Constr.t;
   arity : int;
-  width : int;  (* ints per key record *)
-  keys : int array;  (* n_keys records of [width] ints, strictly increasing *)
-  offs : int array;  (* n_keys + 1: bucket o is payload.(offs.(o)) .. offs.(o+1) - 1 *)
-  payload : int array;
+  width : int;  (* key ints per record *)
+  n : int;  (* key records *)
+  recs : Binfile.i64s;  (* n records of [width + 2] ints, keys strictly increasing *)
+  payload : Binfile.i64s;
   slots : int array;  (* 0 = empty, else hash tag (high bits) | ordinal + 1 *)
+  home : (Binfile.mapped * int) option;
+      (* the mapped snapshot and byte offset the records (then the
+         payload) were loaded from *)
 }
 
 let constr t = t.constr
-let n_keys t = Array.length t.offs - 1
+let n_keys t = t.n
 let key_width t = t.width
+let payload_ints t = A1.dim t.payload
+
+(* A typed read: the element comes out unboxed, no allocation. *)
+let[@inline] get (a : Binfile.i64s) i = Int64.to_int (A1.unsafe_get a i)
+let[@inline] set (a : Binfile.i64s) i v = A1.unsafe_set a i (Int64.of_int v)
+let create_i64s n : Binfile.i64s = A1.create Bigarray.int64 Bigarray.c_layout n
+
+(* Where record [o] starts; its bucket's start and length. *)
+let[@inline] key_at t o = o * (t.width + 2)
+let[@inline] start_of t o = get t.recs (key_at t o + t.width)
+let[@inline] len_of t o = get t.recs (key_at t o + t.width + 1)
 
 (* ---------------- hashing and probing ---------------- *)
 
@@ -51,7 +67,7 @@ let mix x =
   (x lxor (x lsr 32)) land max_int
 
 (* Wide records fold FNV-1a over their ids before the avalanche. *)
-let hash_at src pos width =
+let hash_ints src pos width =
   if width = 1 then mix src.(pos)
   else begin
     let h = ref 0x3BF29CE484222325 in
@@ -62,7 +78,7 @@ let hash_at src pos width =
   end
 
 (* A slot keeps the hash's bits above [ord_bits] as a tag, so a probe
-   rejects most foreign slots without touching the key array. *)
+   rejects most foreign slots without touching the key records. *)
 let ord_bits = 32
 let ord_mask = (1 lsl ord_bits) - 1
 
@@ -72,16 +88,22 @@ let slot_capacity n =
   let rec go c = if c >= want then c else go (2 * c) in
   go 1
 
-let build_slots keys width n =
-  let slots = Array.make (slot_capacity n) 0 in
+let insert_slot slots h o =
   let mask = Array.length slots - 1 in
-  for o = 0 to n - 1 do
-    let h = hash_at keys (o * width) width in
-    let i = ref (h land mask) in
-    while slots.(!i) <> 0 do
-      i := (!i + 1) land mask
+  let i = ref (h land mask) in
+  while slots.(!i) <> 0 do
+    i := (!i + 1) land mask
+  done;
+  slots.(!i) <- (h land lnot ord_mask) lor (o + 1)
+
+let build_slots t =
+  let slots = Array.make (slot_capacity t.n) 0 in
+  let key = Array.make t.width 0 in
+  for o = 0 to t.n - 1 do
+    for j = 0 to t.width - 1 do
+      key.(j) <- get t.recs (key_at t o + j)
     done;
-    slots.(!i) <- (h land lnot ord_mask) lor (o + 1)
+    insert_slot slots (hash_ints key 0 t.width) o
   done;
   slots
 
@@ -95,17 +117,29 @@ let compare_at a pa b pb width =
   in
   go 0
 
-(* The bucket ordinal of a packed (width-1) key, or -1. *)
+(* Record [o]'s key against [src.(pos) .. src.(pos + width - 1)]. *)
+let compare_record t o src pos =
+  let base = key_at t o in
+  let rec go j =
+    if j = t.width then 0
+    else
+      let c = Int.compare (get t.recs (base + j)) src.(pos + j) in
+      if c <> 0 then c else go (j + 1)
+  in
+  go 0
+
+(* The bucket ordinal of a packed (width-1, so 3-int record) key, or
+   -1. *)
 let find_packed t key =
   let h = mix key in
-  let slots = t.slots in
+  let slots = t.slots and recs = t.recs in
   let mask = Array.length slots - 1 in
   let rec go i =
     let s = Array.unsafe_get slots i in
     if s = 0 then -1
     else
       let o = (s land ord_mask) - 1 in
-      if (s lxor h) lsr ord_bits = 0 && Array.unsafe_get t.keys o = key then o
+      if (s lxor h) lsr ord_bits = 0 && get recs (o * 3) = key then o
       else go ((i + 1) land mask)
   in
   go (h land mask)
@@ -115,15 +149,14 @@ let find_packed t key =
 let find_at t src pos =
   if t.width = 1 then find_packed t src.(pos)
   else begin
-    let w = t.width in
-    let h = hash_at src pos w in
+    let h = hash_ints src pos t.width in
     let mask = Array.length t.slots - 1 in
     let rec go i =
       let s = t.slots.(i) in
       if s = 0 then -1
       else
         let o = (s land ord_mask) - 1 in
-        if (s lxor h) lsr ord_bits = 0 && compare_at t.keys (o * w) src pos w = 0 then o
+        if (s lxor h) lsr ord_bits = 0 && compare_record t o src pos = 0 then o
         else go ((i + 1) land mask)
     in
     go (h land mask)
@@ -217,39 +250,45 @@ let pair_order width acc =
     order
   end
 
-(* One pass over the ordered pairs emits the key records, the bucket
-   offsets and the payload. *)
+(* Two passes over the ordered pairs: one counts the distinct keys, one
+   emits the key records with their bucket extents, and the payload. *)
 let freeze c acc =
   let arity = Constr.arity c in
   let width = key_width_of_arity arity in
+  let stride = width + 2 in
   let data = Vec.unsafe_data acc.a_keys and nodes = Vec.unsafe_data acc.a_nodes in
   let order = pair_order width acc in
   let p = Array.length order in
-  let keys = Vec.create () and offs = Vec.create () in
-  let payload = Array.make p 0 in
-  Vec.push offs 0;
+  let fresh i =
+    i = 0
+    ||
+    let prev = order.(i - 1) and e = order.(i) in
+    if width = 1 then data.(prev) <> data.(e)
+    else compare_at data (prev * width) data (e * width) width <> 0
+  in
+  let n = ref 0 in
+  for i = 0 to p - 1 do
+    if fresh i then incr n
+  done;
+  let recs = create_i64s (!n * stride) and payload = create_i64s p in
+  let o = ref (-1) in
   Array.iteri
     (fun i e ->
-      let fresh =
-        i = 0
-        ||
-        let prev = order.(i - 1) in
-        if width = 1 then data.(prev) <> data.(e)
-        else compare_at data (prev * width) data (e * width) width <> 0
-      in
-      if fresh then begin
-        if i > 0 then Vec.push offs i;
-        for j = e * width to ((e + 1) * width) - 1 do
-          Vec.push keys data.(j)
-        done
+      if fresh i then begin
+        incr o;
+        let base = !o * stride in
+        for j = 0 to width - 1 do
+          set recs (base + j) data.((e * width) + j)
+        done;
+        set recs (base + width) i;
+        set recs (base + width + 1) 0
       end;
-      payload.(i) <- nodes.(e))
+      let len_at = (!o * stride) + width + 1 in
+      set recs len_at (get recs len_at + 1);
+      set payload i nodes.(e))
     order;
-  if p > 0 then Vec.push offs p;
-  let keys = Vec.to_array keys in
-  let n = Array.length keys / width in
-  { constr = c; arity; width; keys; offs = Vec.to_array offs; payload;
-    slots = build_slots keys width n }
+  let t = { constr = c; arity; width; n = !n; recs; payload; slots = [||]; home = None } in
+  { t with slots = build_slots t }
 
 (* ---------------- contributions ---------------- *)
 
@@ -356,19 +395,26 @@ let build_many ?(pool = Bpq_util.Pool.sequential) g constrs =
 
 (* ---------------- lookups ---------------- *)
 
-let bucket t o = if o < 0 then [||] else Array.sub t.payload t.offs.(o) (t.offs.(o + 1) - t.offs.(o))
+let bucket t o =
+  if o < 0 then [||]
+  else
+    let start = start_of t o in
+    Array.init (len_of t o) (fun i -> get t.payload (start + i))
 
 let iter_bucket t o f =
-  if o >= 0 then
-    for i = t.offs.(o) to t.offs.(o + 1) - 1 do
-      f (Array.unsafe_get t.payload i)
+  if o >= 0 then begin
+    let start = start_of t o in
+    let payload = t.payload in
+    for i = start to start + len_of t o - 1 do
+      f (get payload i)
     done
+  end
 
 let lookup t vs = bucket t (ordinal_of_list t vs)
 
 let lookup_count t vs =
   let o = ordinal_of_list t vs in
-  if o < 0 then 0 else t.offs.(o + 1) - t.offs.(o)
+  if o < 0 then 0 else len_of t o
 
 let lookup_iter t vs f = iter_bucket t (ordinal_of_list t vs) f
 
@@ -384,27 +430,27 @@ let lookup_tuple t vs = bucket t (ordinal_of_tuple t vs)
 
 let max_bucket t =
   let m = ref 0 in
-  for o = 0 to n_keys t - 1 do
-    m := max !m (t.offs.(o + 1) - t.offs.(o))
+  for o = 0 to t.n - 1 do
+    m := max !m (len_of t o)
   done;
   !m
 
 let satisfied t = max_bucket t <= t.constr.bound
-let size t = n_keys t + Array.length t.payload
+let size t = t.n + payload_ints t
 
-let key_record t o = Array.sub t.keys (o * t.width) t.width
+let key_record t o = Array.init t.width (fun j -> get t.recs (key_at t o + j))
 
 let key_list t o =
   match t.arity with
   | 0 -> []
-  | 1 -> [ t.keys.(o) ]
+  | 1 -> [ get t.recs (key_at t o) ]
   | 2 ->
-    let a, b = unpack2 t.keys.(o) in
+    let a, b = unpack2 (get t.recs (key_at t o)) in
     [ a; b ]
   | _ -> Array.to_list (key_record t o)
 
 let iter t f =
-  for o = 0 to n_keys t - 1 do
+  for o = 0 to t.n - 1 do
     f (key_list t o) (bucket t o)
   done
 
@@ -431,15 +477,16 @@ let rec sorted_diff cmp a b =
 
 (* First ordinal whose key record is >= [r]. *)
 let lower_bound t r =
-  let lo = ref 0 and hi = ref (n_keys t) in
+  let lo = ref 0 and hi = ref t.n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if compare_at t.keys (mid * t.width) r 0 t.width < 0 then lo := mid + 1 else hi := mid
+    if compare_record t mid r 0 < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
 let apply_delta t ~old_graph ~new_graph (delta : Digraph.delta) =
   let c = t.constr and w = t.width in
+  let stride = w + 2 in
   let n_old = Digraph.n_nodes old_graph in
   (* Contributions of a target-labeled node depend only on its own
      neighbourhood, so only target-labeled endpoints of changed edges
@@ -471,7 +518,7 @@ let apply_delta t ~old_graph ~new_graph (delta : Digraph.delta) =
     (* One group per changed key, in key order: the key, its ordinal in
        [t] (or where it would go), whether [t] has it, and the bucket it
        gets — sorted, empty when the key drops out. *)
-    let n = n_keys t in
+    let n = t.n in
     let groups = ref [] and i = ref 0 in
     while !i < Array.length changes do
       let key, _, _ = changes.(!i) in
@@ -481,7 +528,7 @@ let apply_delta t ~old_graph ~new_graph (delta : Digraph.delta) =
       done;
       let group = Array.to_list (Array.sub changes !i (!j - !i)) in
       let o = lower_bound t key in
-      let existed = o < n && compare_at t.keys (o * w) key 0 w = 0 in
+      let existed = o < n && compare_record t o key 0 = 0 in
       let kept =
         if existed then
           List.filter
@@ -497,33 +544,33 @@ let apply_delta t ~old_graph ~new_graph (delta : Digraph.delta) =
       i := !j
     done;
     let groups = List.rev !groups in
-    (* Exact output sizes, so each array is allocated once. *)
-    let n' = ref n and p' = ref (Array.length t.payload) in
+    (* Exact output sizes, so each window is allocated once. *)
+    let n' = ref n and p' = ref (payload_ints t) in
     List.iter
       (fun (_, o, existed, members) ->
         if existed then begin
           decr n';
-          p' := !p' - (t.offs.(o + 1) - t.offs.(o))
+          p' := !p' - len_of t o
         end;
         if members <> [||] then begin
           incr n';
           p' := !p' + Array.length members
         end)
       groups;
-    (* Only bucket contents moved: the key records and the probe table
-       are shared with [t]. *)
-    let same_keys = List.for_all (fun (_, _, existed, m) -> existed = (m <> [||])) groups in
-    let keys = if same_keys then t.keys else Array.make (!n' * w) 0 in
-    let offs = Array.make (!n' + 1) 0 and payload = Array.make !p' 0 in
+    let recs = create_i64s (!n' * stride) and payload = create_i64s !p' in
     let nk = ref 0 and np = ref 0 in
-    (* Unchanged buckets [o1, o2) move across as blits. *)
+    (* Unchanged buckets [o1, o2) move across as blits; only their bucket
+       starts shift. *)
     let copy_span o1 o2 =
       if o2 > o1 then begin
-        if not same_keys then Array.blit t.keys (o1 * w) keys (!nk * w) ((o2 - o1) * w);
-        let p1 = t.offs.(o1) and p2 = t.offs.(o2) in
-        Array.blit t.payload p1 payload !np (p2 - p1);
-        for o = o1 + 1 to o2 do
-          offs.(!nk + o - o1) <- t.offs.(o) - p1 + !np
+        let p1 = start_of t o1 in
+        let p2 = if o2 = n then payload_ints t else start_of t o2 in
+        A1.blit (A1.sub t.recs (o1 * stride) ((o2 - o1) * stride))
+          (A1.sub recs (!nk * stride) ((o2 - o1) * stride));
+        A1.blit (A1.sub t.payload p1 (p2 - p1)) (A1.sub payload !np (p2 - p1));
+        for o = !nk to !nk + (o2 - o1) - 1 do
+          let at = (o * stride) + w in
+          set recs at (get recs at - p1 + !np)
         done;
         nk := !nk + (o2 - o1);
         np := !np + (p2 - p1)
@@ -535,69 +582,111 @@ let apply_delta t ~old_graph ~new_graph (delta : Digraph.delta) =
         copy_span !next o;
         next := if existed then o + 1 else o;
         if members <> [||] then begin
-          if not same_keys then Array.blit key 0 keys (!nk * w) w;
-          Array.blit members 0 payload !np (Array.length members);
+          let base = !nk * stride in
+          for j = 0 to w - 1 do
+            set recs (base + j) key.(j)
+          done;
+          set recs (base + w) !np;
+          set recs (base + w + 1) (Array.length members);
+          Array.iteri (fun k v -> set payload (!np + k) v) members;
           np := !np + Array.length members;
-          incr nk;
-          offs.(!nk) <- !np
+          incr nk
         end)
       groups;
     copy_span !next n;
-    if same_keys then { t with offs; payload }
-    else { t with keys; offs; payload; slots = build_slots keys w !nk }
+    let t' = { t with n = !n'; recs; payload; home = None } in
+    (* Only bucket contents moved: the probe table still maps every key
+       to its ordinal. *)
+    let same_keys = List.for_all (fun (_, _, existed, m) -> existed = (m <> [||])) groups in
+    if same_keys then t' else { t' with slots = build_slots t' }
   end
 
 (* ---------------- serialisation ---------------- *)
 
-let key_records t = t.keys
-let bucket_offsets t = t.offs
-let payload t = t.payload
+let emit s t =
+  match t.home with
+  | Some (file, pos) ->
+    Binfile.put_mapped s file ~pos ~len:(8 * (A1.dim t.recs + A1.dim t.payload))
+  | None ->
+    Binfile.put_i64s s t.recs;
+    Binfile.put_i64s s t.payload
 
-let export_buckets t = Array.init (n_keys t) (fun o -> (key_record t o, bucket t o))
+let export_buckets t = Array.init t.n (fun o -> (key_record t o, bucket t o))
 
-(* The invariants a frozen index relies on, checked on arrays that came
-   from outside this module (a snapshot).  Plain loops: a load checks
-   every key and payload id of the snapshot. *)
-let of_arrays ~n_nodes c ~keys ~offs ~payload =
+(* The invariants lookups rely on — strictly increasing, well-formed key
+   records over contiguous non-empty buckets that cover the payload, and
+   every key and payload id a node — checked on the bytes as they stream
+   past, while the probe table fills from the same reads.  Lookups then
+   read the windows unchecked. *)
+let load scan file ~n_nodes c ~n_keys ~payload_ints =
+  let module S = Binfile.Scan in
+  let corrupt msg = raise (Binfile.Corrupt ("schema section: " ^ msg)) in
   let arity = Constr.arity c in
   let width = key_width_of_arity arity in
-  let n = Array.length offs - 1 in
-  let err = ref None in
-  let fail msg = if !err = None then err := Some msg in
+  let stride = width + 2 in
+  if n_keys < 0 || payload_ints < 0 then corrupt "negative region size";
+  if n_keys >= ord_mask || n_keys > S.remaining scan / 8 / stride then
+    corrupt "key records out of range";
+  if payload_ints > (S.remaining scan - (8 * n_keys * stride)) / 8 then
+    corrupt "payload region out of range";
+  let pos = S.file_pos scan in
+  let slots = Array.make (slot_capacity n_keys) 0 in
   let node_ok v = v >= 0 && v < n_nodes in
-  if n < 0 || Array.length keys <> n * width then fail "key records disagree with bucket count"
-  else if offs.(0) <> 0 || offs.(n) <> Array.length payload then
-    fail "buckets do not span the payload"
-  else begin
-    for o = 0 to n - 1 do
-      if offs.(o + 1) <= offs.(o) then fail "empty or misordered bucket"
-    done;
-    for i = 0 to Array.length payload - 1 do
-      let v = payload.(i) in
-      if v < 0 || v >= n_nodes then fail "payload node id out of range"
-    done;
-    let increasing o = o = 0 || compare_at keys ((o - 1) * width) keys (o * width) width < 0 in
-    for o = 0 to n - 1 do
-      let k = keys.(o * width) in
-      let ok =
-        match arity with
-        | 0 -> k = 0
-        | 1 -> k >= 0 && k < n_nodes
-        | 2 ->
-          let a, b = unpack2 k in
-          k >= 0 && a < b && b < n_nodes
-        | _ ->
-          let ok = ref (node_ok k) in
-          for j = (o * width) + 1 to ((o + 1) * width) - 1 do
-            if not (keys.(j - 1) < keys.(j) && node_ok keys.(j)) then ok := false
-          done;
-          !ok
+  let key_ok buf base =
+    let k = buf.(base) in
+    match arity with
+    | 0 -> k = 0
+    | 1 -> node_ok k
+    | 2 ->
+      let a, b = unpack2 k in
+      k >= 0 && a < b && b < n_nodes
+    | _ ->
+      let ok = ref (node_ok k) in
+      for j = base + 1 to base + width - 1 do
+        if not (buf.(j - 1) < buf.(j) && node_ok buf.(j)) then ok := false
+      done;
+      !ok
+  in
+  (* Records stream through [buf] in batches; [prev] keeps the last key
+     of the previous batch for the ordering check. *)
+  let batch = 1024 in
+  let buf = Array.make (batch * stride) 0 and prev = Array.make width 0 in
+  let next = ref 0 and o = ref 0 in
+  while !o < n_keys do
+    let k = min batch (n_keys - !o) in
+    S.read_ints scan buf 0 (k * stride);
+    for r = 0 to k - 1 do
+      let base = r * stride in
+      let start = buf.(base + width) and len = buf.(base + width + 1) in
+      if start <> !next then corrupt "bucket starts not contiguous";
+      if len <= 0 || len > payload_ints - start then corrupt "bucket payload out of range";
+      next := start + len;
+      if not (key_ok buf base) then corrupt "key node id out of range";
+      let increasing =
+        if r > 0 then compare_at buf (base - stride) buf base width < 0
+        else !o = 0 || compare_at prev 0 buf base width < 0
       in
-      if not ok then fail "key node id out of range"
-      else if width = 1 then (if o > 0 && keys.(o - 1) >= k then fail "key records not strictly increasing")
-      else if not (increasing o) then fail "key records not strictly increasing"
-    done
-  end;
-  match !err with
-  | Some msg -> Error msg
-  | None -> Ok { constr = c; arity; width; keys; offs; payload; slots = build_slots keys width n }
+      if not increasing then corrupt "key records not strictly increasing";
+      insert_slot slots (hash_ints buf base width) (!o + r)
+    done;
+    Array.blit buf ((k - 1) * stride) prev 0 width;
+    o := !o + k
+  done;
+  if !next <> payload_ints then corrupt "buckets do not cover the payload region";
+  let left = ref payload_ints in
+  while !left > 0 do
+    let k = min !left (Array.length buf) in
+    S.read_ints scan buf 0 k;
+    for i = 0 to k - 1 do
+      if not (node_ok buf.(i)) then corrupt "payload node id out of range"
+    done;
+    left := !left - k
+  done;
+  { constr = c;
+    arity;
+    width;
+    n = n_keys;
+    recs = Binfile.map_sub file ~pos ~len:(n_keys * stride);
+    payload = Binfile.map_sub file ~pos:(pos + (8 * n_keys * stride)) ~len:payload_ints;
+    slots;
+    home = Some (file, pos) }

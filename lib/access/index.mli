@@ -9,9 +9,13 @@
     For a type-(1) constraint ([S = ∅]) the single key [\[\]] maps to all
     [l]-labeled nodes.
 
-    An index is immutable once built: sorted key records, bucket offsets
-    and a payload array holding every bucket in ascending node order,
-    probed through an open-addressing slot array over bucket ordinals.
+    An index is immutable once built, in the snapshot file's own layout:
+    sorted key records, each followed by its bucket's start and length in
+    a payload window holding every bucket in ascending node order, probed
+    through an open-addressing slot array over bucket ordinals.  A loaded
+    index's windows are the mapped snapshot itself ({!load}); a built
+    one's are off-heap arrays of the same layout.  The slot array is its
+    only heap structure.
     Maintenance under graph deltas (paper §II, "Maintaining access
     constraints") is functional: {!apply_delta} returns a fresh index,
     or the same one when the delta moves no node between buckets.
@@ -110,34 +114,34 @@ val key_width : t -> int
 (** Ints per native key record: [1] for arity <= 2 (packed int), the
     arity itself for wider keys (sorted ids). *)
 
-val key_records : t -> int array
-(** The {!n_keys} key records, {!key_width} ints each, sorted
-    lexicographically (strictly increasing) — the index's own array, not
-    a copy; callers must not mutate it. *)
+val payload_ints : t -> int
+(** Total payload entries: the sum of all bucket sizes. *)
 
-val bucket_offsets : t -> int array
-(** [n_keys t + 1] offsets: bucket [o] is [payload.(offs.(o))] up to
-    [offs.(o+1) - 1].  Shared, like {!key_records}. *)
-
-val payload : t -> int array
-(** Every bucket's nodes, concatenated in key-record order.  Shared, like
-    {!key_records}. *)
+val emit : Binfile.sink -> t -> unit
+(** The index's region of a snapshot's schema section: {!n_keys} records
+    of {!key_width} key ints, bucket start and bucket length, then the
+    {!payload_ints} payload ids.  A loaded index copies its bytes from
+    the file it was loaded from, without reading them through the
+    mapping. *)
 
 val export_buckets : t -> (int array * int array) array
 (** Every bucket as [(native key record, payload)] in key-record order —
     a deterministic dump whose order the loader and the paged store both
     preserve, so lookups stream identically on every backend. *)
 
-val of_arrays :
+val load :
+  Binfile.Scan.t ->
+  Binfile.mapped ->
   n_nodes:int ->
   Constr.t ->
-  keys:int array ->
-  offs:int array ->
-  payload:int array ->
-  (t, string) result
-(** An index over the three arrays (taken, not copied) of
-    {!key_records}/{!bucket_offsets}/{!payload} form.  Checks that the
-    records are strictly increasing and well formed for the constraint's
-    arity, that the offsets start at 0, strictly increase and end at the
-    payload's length, and that every key and payload node id lies in
-    [\[0, n_nodes)]; [Error] names the first violation. *)
+  n_keys:int ->
+  payload_ints:int ->
+  t
+(** The index whose {!emit} region starts at the scan's position, served
+    from windows of the mapping of the same file.  The region is read
+    once, through the scan: that read checks that the records are
+    strictly increasing and well formed for the constraint's arity, that
+    the buckets are non-empty, contiguous and cover the payload, and that
+    every key and payload node id lies in [\[0, n_nodes)] — and fills
+    the probe table.  No byte is read through the mapping.
+    @raise Binfile.Corrupt naming the first violation. *)

@@ -121,12 +121,11 @@ let apply_delta t delta =
                     payload region — node ids, buckets concatenated in
                       key-record order, each in original bucket order
    v}
-   This is the frozen index layout ([Index.key_records],
-   [Index.bucket_offsets], [Index.payload]) with each record's bucket
-   start and length interleaved after its key.  Key records are strictly
+   This is the frozen index layout ([Index.emit]): key records strictly
    increasing, so the paged store binary-searches them in place; payload
    order is preserved so lookups stream byte-identically on every
-   backend. *)
+   backend.  Regions follow each other in constraint order with no gaps,
+   which is what lets a loader read them in one pass. *)
 
 let add_schema_section w t =
   let meta_bytes =
@@ -136,41 +135,28 @@ let add_schema_section w t =
   let located =
     List.map
       (fun (c, idx) ->
-        let kw = Index.key_width idx in
         let keys_off = !off in
-        let payloads_off = keys_off + (8 * Index.n_keys idx * (kw + 2)) in
-        off := payloads_off + (8 * Array.length (Index.payload idx));
+        let payloads_off = keys_off + (8 * Index.n_keys idx * (Index.key_width idx + 2)) in
+        off := payloads_off + (8 * Index.payload_ints idx);
         (c, idx, keys_off, payloads_off))
       t.entries
   in
-  Binfile.section ~size:!off w ~tag:Binfile.tag_schema (fun b ->
-      Binfile.add_i64 b t.stamp;
-      Binfile.add_i64 b (List.length located);
+  Binfile.stream_section w ~tag:Binfile.tag_schema ~len:!off (fun s ->
+      Binfile.put_i64 s t.stamp;
+      Binfile.put_i64 s (List.length located);
       List.iter
         (fun ((c : Constr.t), idx, keys_off, payloads_off) ->
-          Binfile.add_i64 b (Constr.arity c);
-          List.iter (Binfile.add_i64 b) c.source;
-          Binfile.add_i64 b c.target;
-          Binfile.add_i64 b c.bound;
-          Binfile.add_i64 b (Index.key_width idx);
-          Binfile.add_i64 b (Index.n_keys idx);
-          Binfile.add_i64 b keys_off;
-          Binfile.add_i64 b payloads_off;
-          Binfile.add_i64 b (Array.length (Index.payload idx)))
+          Binfile.put_i64 s (Constr.arity c);
+          List.iter (Binfile.put_i64 s) c.source;
+          Binfile.put_i64 s c.target;
+          Binfile.put_i64 s c.bound;
+          Binfile.put_i64 s (Index.key_width idx);
+          Binfile.put_i64 s (Index.n_keys idx);
+          Binfile.put_i64 s keys_off;
+          Binfile.put_i64 s payloads_off;
+          Binfile.put_i64 s (Index.payload_ints idx))
         located;
-      List.iter
-        (fun (_, idx, _, _) ->
-          let kw = Index.key_width idx in
-          let keys = Index.key_records idx and offs = Index.bucket_offsets idx in
-          for o = 0 to Index.n_keys idx - 1 do
-            for j = o * kw to ((o + 1) * kw) - 1 do
-              Binfile.add_i64 b keys.(j)
-            done;
-            Binfile.add_i64 b offs.(o);
-            Binfile.add_i64 b (offs.(o + 1) - offs.(o))
-          done;
-          Binfile.add_array b (Index.payload idx))
-        located)
+      List.iter (fun (_, idx, _, _) -> Index.emit s idx) located)
 
 let write ?selectivity t path =
   let w = Binfile.writer () in
@@ -188,30 +174,34 @@ let rec register_stamp s =
   let cur = Atomic.get next_stamp in
   if cur <= s && not (Atomic.compare_and_set next_stamp cur (s + 1)) then register_stamp s
 
-let of_reader tbl r =
+(* One pass over the file: graph sections, stats, then the schema
+   section's metadata and each constraint's region in order.  The
+   indexes serve from the file's mapping, which nothing reads until the
+   whole file has been checked. *)
+let of_scan tbl s =
+  let module S = Binfile.Scan in
   let corrupt msg = raise (Binfile.Corrupt ("schema section: " ^ msg)) in
-  let g, map = Graph_io.graph_of_reader tbl r in
-  let sel = Graph_io.selectivity_of_reader tbl ~map r in
-  let mc = Binfile.require_section r Binfile.tag_schema in
+  let g, map = Graph_io.graph_of_scan tbl s in
+  let sel = Graph_io.selectivity_of_scan tbl ~map s in
+  S.require s Binfile.tag_schema;
   let remap l = if l >= 0 && l < Array.length map then map.(l) else corrupt "label id out of range" in
-  let stamp = Binfile.Cur.i64 mc in
+  let stamp = S.i64 s in
   (* [register_stamp] pushes the supply to [stamp + 1]. *)
   if stamp < 0 || stamp = max_int then corrupt "stamp out of range";
-  let ncons = Binfile.Cur.i64 mc in
+  let ncons = S.i64 s in
   if ncons < 0 || ncons > 1_000_000 then corrupt "implausible constraint count";
   let metas =
     List.init ncons (fun _ ->
-        let arity = Binfile.Cur.i64 mc in
+        let arity = S.i64 s in
         if arity < 0 || arity > 64 then corrupt "implausible constraint arity";
-        let source = Array.to_list (Array.map remap (Binfile.Cur.array mc arity)) in
-        let target = remap (Binfile.Cur.i64 mc) in
-        let bound = Binfile.Cur.i64 mc in
-        let kw = Binfile.Cur.i64 mc in
-        let n_keys = Binfile.Cur.i64 mc in
-        let keys_off = Binfile.Cur.i64 mc in
-        let payloads_off = Binfile.Cur.i64 mc in
-        let payload_ints = Binfile.Cur.i64 mc in
-        if n_keys < 0 || payload_ints < 0 then corrupt "negative region size";
+        let source = Array.to_list (Array.map remap (S.array s arity)) in
+        let target = remap (S.i64 s) in
+        let bound = S.i64 s in
+        let kw = S.i64 s in
+        let n_keys = S.i64 s in
+        let keys_off = S.i64 s in
+        let payloads_off = S.i64 s in
+        let payload_ints = S.i64 s in
         let c =
           try Constr.make ~source ~target ~bound
           with Invalid_argument _ -> corrupt "invalid constraint"
@@ -221,43 +211,18 @@ let of_reader tbl r =
         (c, kw, n_keys, keys_off, payloads_off, payload_ints))
   in
   let n_nodes = Digraph.n_nodes g in
-  (* Key records are de-interleaved straight out of the reader's buffer
-     into the index's key and offset arrays; the payload region becomes
-     the index's payload array.  Each region is bounds-checked once. *)
-  let data, base = Binfile.Cur.buffer mc and len = Binfile.Cur.length mc in
-  let region what off record_ints count =
-    if off < 0 || off > len || count > (len - off) / 8 / record_ints then
-      corrupt (what ^ " out of range");
-    base + off
-  in
+  let file = S.mapping s in
   let entries =
     List.map
       (fun (c, kw, n_keys, keys_off, payloads_off, payload_ints) ->
-        let at = region "key records" keys_off (kw + 2) n_keys in
-        let keys = Array.make (n_keys * kw) 0 and offs = Array.make (n_keys + 1) 0 in
-        for o = 0 to n_keys - 1 do
-          let r = at + (8 * o * (kw + 2)) in
-          for j = 0 to kw - 1 do
-            keys.((o * kw) + j) <- Binfile.get_i64 data (r + (8 * j))
-          done;
-          let start = Binfile.get_i64 data (r + (8 * kw)) in
-          let blen = Binfile.get_i64 data (r + (8 * (kw + 1))) in
-          if start <> offs.(o) then corrupt "bucket starts not contiguous";
-          if blen <= 0 || blen > payload_ints - start then corrupt "bucket payload out of range";
-          offs.(o + 1) <- start + blen
-        done;
-        if offs.(n_keys) <> payload_ints then corrupt "buckets do not cover the payload region";
-        let at = region "payload region" payloads_off 1 payload_ints in
-        let payload = Array.make payload_ints 0 in
-        for i = 0 to payload_ints - 1 do
-          payload.(i) <- Binfile.get_i64 data (at + (8 * i))
-        done;
-        match Index.of_arrays ~n_nodes c ~keys ~offs ~payload with
-        | Ok idx -> (c, idx)
-        | Error msg -> corrupt msg)
+        if keys_off <> S.pos s then corrupt "key records not at their canonical offset";
+        if payloads_off <> keys_off + (8 * n_keys * (kw + 2)) then
+          corrupt "payload region not at its canonical offset";
+        (c, Index.load s file ~n_nodes c ~n_keys ~payload_ints))
       metas
   in
   register_stamp stamp;
   (make ~stamp g entries, sel)
 
-let load tbl path = of_reader tbl (Binfile.read_file path)
+let load_fnv tbl path = Binfile.Scan.run path (of_scan tbl)
+let load tbl path = fst (load_fnv tbl path)

@@ -93,8 +93,10 @@ val register_stamp : int -> unit
 
 val save : ?selectivity:Gstats.selectivity -> t -> string -> unit
 (** Write graph, optional selectivity stats, constraints and indexes to
-    a checksummed snapshot, atomically (temp + rename).  Indexes are
-    written from their frozen arrays as they are, without sorting. *)
+    a checksummed snapshot, atomically (temp + rename).  Every section
+    streams through one bounded buffer; indexes are written in their
+    frozen layout as they are, without sorting, and an index loaded
+    from a snapshot copies its bytes from that file. *)
 
 val write : ?selectivity:Gstats.selectivity -> t -> string -> int
 (** {!save}, returning the written file's {!Binfile.file_fnv} (hashed
@@ -108,9 +110,17 @@ val load : Label.table -> string -> t * Gstats.selectivity option
     stamp remain valid for the loaded one — and the process-wide stamp
     supply is advanced past it so later {!build}s never alias it.
     Index key records must be strictly increasing with contiguous
-    buckets, and every key and payload node id must lie in [\[0, n)].
+    buckets, every key and payload node id must lie in [\[0, n)], and
+    each constraint's region must sit where {!save} puts it.
+
+    The file is read once, through a fixed buffer ({!Binfile.Scan}):
+    graph sections decode into the heap, while each index is checked as
+    its bytes stream past and then served from windows of a read-only
+    mapping of the file ({!Index.load}).  The schema keeps the mapping
+    alive; the file must only ever be replaced by rename, never
+    truncated in place.
     @raise Binfile.Corrupt on malformed or damaged snapshots. *)
 
-val of_reader : Label.table -> Binfile.reader -> t * Gstats.selectivity option
-(** {!load} from a snapshot already read (and checksummed) — callers that
-    also want {!Binfile.reader_fnv}. *)
+val load_fnv : Label.table -> string -> (t * Gstats.selectivity option) * int
+(** {!load}, also returning the file's {!Binfile.file_fnv}, computed by
+    the same pass that checks the checksum. *)

@@ -13,10 +13,16 @@
     v}
     Offsets are absolute file positions, so an out-of-core reader can
     serve any section slice without touching the rest of the file.  The
-    in-memory reader ({!read_file}) always verifies the trailing
-    checksum; {!read_directory} only validates the header and directory,
-    which is what lets a paged store open a multi-gigabyte snapshot
-    without scanning it. *)
+    one-pass reader ({!Scan}) always verifies the trailing checksum;
+    {!read_directory} only validates the header and directory, which is
+    what lets a paged store open a multi-gigabyte snapshot without
+    scanning it.
+
+    Snapshots are immutable once written: they are replaced only by
+    renaming a new file over the old one ({!Bpq_util.Atomic_file}), never
+    rewritten or truncated in place.  A reader that maps a file
+    ({!Scan.mapping}) relies on this: truncating a mapped file under a
+    live mapping would kill the reading process with SIGBUS. *)
 
 exception Corrupt of string
 (** Malformed snapshot: wrong magic, unsupported version, truncation,
@@ -73,48 +79,68 @@ val add_zigzag_array : Buffer.t -> int array -> unit
 (** Length + zigzag-delta uvarints: any int stream, compact when
     consecutive elements are close. *)
 
+(** {1 Mapped files} *)
+
+type i64s = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** A window of 64-bit little-endian integers: part of a mapped
+    snapshot, or off-heap memory of the same layout. *)
+
+type mapped
+(** A read-only mapping of one whole snapshot file ({!Scan.mapping}). *)
+
+val map_sub : mapped -> pos:int -> len:int -> i64s
+(** The [len] integers starting at byte offset [pos] (8-aligned) of the
+    mapped file: a window onto the mapping, not a copy.  Reading it
+    faults the touched pages in; nothing else does. *)
+
 (** {1 Writing} *)
 
 type writer
 
+type sink
+(** A bounded (64 KiB) output buffer that hashes and writes as it fills:
+    what a {!stream_section} emits into. *)
+
 val writer : unit -> writer
 
 val section : ?size:int -> writer -> tag:int -> (Buffer.t -> unit) -> unit
-(** Append one section; sections are written in call order.  [size] is
-    the initial buffer capacity (a writer that knows its byte count
-    spares the buffer's doublings). *)
+(** Append one section built in a buffer; sections are written in call
+    order.  [size] is the initial buffer capacity.  Meant for small
+    sections; large ones use {!stream_section}. *)
+
+val stream_section : writer -> tag:int -> len:int -> (sink -> unit) -> unit
+(** Append one section of exactly [len] bytes (zero-padded to a multiple
+    of 8 on disk), emitted into the file's sink when {!write} reaches it,
+    so the section never exists whole in memory.  {!write} raises
+    [Invalid_argument] if the callback emits a different byte count. *)
+
+val put_i64 : sink -> int -> unit  (** {!add_i64}'s bytes. *)
+
+val put_array : sink -> int array -> unit
+val put_char : sink -> char -> unit
+
+val put_i64s : sink -> i64s -> unit
+(** The window's integers, verbatim. *)
+
+val put_mapped : sink -> mapped -> pos:int -> len:int -> unit
+(** Bytes [\[pos, pos + len)] of a mapped snapshot, copied with
+    positional reads from the file rather than through the mapping, so
+    they do not become resident in this process.  If the path names
+    another file by now (renamed over), the bytes come from the mapping,
+    which still holds the original. *)
 
 val write : writer -> string -> int
 (** Serialise to [path] atomically ({!Bpq_util.Atomic_file}), streaming
-    the header and section buffers to the file while hashing them.
+    the header and sections through one bounded sink while hashing them.
     Returns the written file's {!file_fnv}. *)
 
-(** {1 In-memory reading} *)
-
-type reader
-
-val read_file : string -> reader
-(** Reads the whole file, verifying magic, version, directory sanity and
-    the trailing checksum.
-    @raise Corrupt on any malformed input.
-    @raise Sys_error if the file cannot be opened. *)
-
-val reader_fnv : reader -> int
-(** {!file_fnv} of the file {!read_file} read, computed during its
-    checksum pass. *)
+(** {1 Decoding byte buffers} *)
 
 (** Sequential decoding of a section payload. *)
 module Cur : sig
   type t
 
   val of_bytes : Bytes.t -> t
-
-  val buffer : t -> Bytes.t * int
-  (** The underlying buffer and the absolute offset of position 0 — for
-      decoders that address the payload directly (read-only). *)
-
-  val length : t -> int
-  (** Payload bytes in the window. *)
 
   val i64 : t -> int
   val array : t -> int -> int array
@@ -137,14 +163,6 @@ module Cur : sig
       lengths the rest of the payload cannot hold, before allocating. *)
 end
 
-val find_section : reader -> int -> Cur.t option
-(** A cursor over the first section with the given tag: a window onto
-    the reader's buffer, not a copy; its positions ({!Cur.pos},
-    {!Cur.seek}) are relative to the section start. *)
-
-val require_section : reader -> int -> Cur.t
-(** @raise Corrupt naming the missing section. *)
-
 (** {1 Out-of-core reading} *)
 
 type sect = {
@@ -156,15 +174,70 @@ type sect = {
 val read_directory : pread:(pos:int -> len:int -> Bytes.t) -> file_len:int -> sect list
 (** Parse and validate the header and directory through an arbitrary
     positional reader (a page cache, in practice).  Checks magic,
-    version, and that every section lies inside the checksummed region;
-    does {e not} verify the checksum.
+    version, and that every section is 8-aligned and lies inside the
+    checksummed region; does {e not} verify the checksum.
     @raise Corrupt on any malformed header. *)
-
-val verify : string -> unit
-(** Stream the file once and check the trailing checksum (plus the
-    header, via {!read_directory}).
-    @raise Corrupt on mismatch. *)
 
 val is_snapshot : string -> bool
 (** Cheap sniff: does the file start with {!magic}?  [false] for
     unreadable or short files. *)
+
+(** {1 One-pass reading} *)
+
+(** A snapshot read once, front to back, through one fixed 64 KiB
+    buffer: each byte is hashed as it enters the buffer and decoded from
+    it, so a load never holds a whole-file copy.  Sections are visited in
+    file order ({!enter}); {!run} hashes whatever the decoder skipped and
+    checks the trailer.  Reads raise [Corrupt] past the end of the
+    current section, and on lengths the rest of the section cannot hold,
+    before allocating. *)
+module Scan : sig
+  type t
+
+  val run : string -> (t -> 'a) -> 'a * int
+  (** Open the file (header and directory validated), apply the decoder,
+      then verify the checksum.  Returns the decoder's result and the
+      file's {!file_fnv}.  When the file is damaged, the checksum
+      mismatch is raised in place of whatever a decoder raised.
+      @raise Corrupt on any malformed or damaged input.
+      @raise Sys_error if the file cannot be read. *)
+
+  val enter : t -> int -> bool
+  (** Move to the start of the first section with this tag ([false] if
+      there is none), hashing the bytes skipped on the way.
+      @raise Corrupt if that section starts before the current
+      position. *)
+
+  val require : t -> int -> unit
+  (** {!enter}, raising [Corrupt] naming a missing section. *)
+
+  val pos : t -> int  (** Bytes consumed since the section start. *)
+
+  val remaining : t -> int  (** Bytes left in the section. *)
+
+  val file_pos : t -> int  (** Absolute file offset of the next byte. *)
+
+  val i64 : t -> int
+  val array : t -> int -> int array
+
+  val read_ints : t -> int array -> int -> int -> unit
+  (** [read_ints t arr at k] reads the next [k] integers into
+      [arr.(at) .. arr.(at + k - 1)]: {!array} into a caller's buffer, for
+      decoders that stream a region in batches. *)
+
+  val bytes : t -> int -> Bytes.t
+  val str : t -> string  (** Inverse of {!add_string}. *)
+
+  val cur : t -> Cur.t
+  (** The rest of the section as a cursor over a copy (small sections). *)
+
+  val mapping : t -> mapped
+  (** A private read-only mapping of the file being read, made on the
+      first call.  Mapping reads no byte; a region of it may be read only
+      after {!run} has checked the whole file. *)
+end
+
+val verify : string -> unit
+(** {!Scan.run} with a decoder that reads nothing: the header, the
+    directory and the trailing checksum.
+    @raise Corrupt on mismatch. *)

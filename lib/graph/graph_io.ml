@@ -88,40 +88,57 @@ let decode_value bytes ~pos ~len =
     | '\002' -> Value.Str (Bytes.sub_string bytes (pos + 1) (len - 1))
     | _ -> raise (Binfile.Corrupt "malformed node value entry")
 
+(* Bytes [add_value_blob] writes for a value. *)
+let value_blob_len = function
+  | Value.Null -> 0
+  | Value.Int _ -> 9
+  | Value.Str s -> 1 + String.length s
+
+let put_value_blob s = function
+  | Value.Null -> ()
+  | Value.Int i ->
+    Binfile.put_char s '\001';
+    for shift = 0 to 7 do
+      Binfile.put_char s (Char.chr ((i lsr (8 * shift)) land 0xFF))
+    done
+  | Value.Str str ->
+    Binfile.put_char s '\002';
+    String.iter (Binfile.put_char s) str
+
+(* Labels are small and buffered; nodes and CSR stream through the
+   writer's sink, their lengths computed up front. *)
 let add_graph_sections w g =
   let tbl = Digraph.label_table g in
   let r = Digraph.Repr.of_graph g in
+  let n = Array.length r.labels in
   Binfile.section w ~tag:Binfile.tag_labels (fun b ->
       Binfile.add_i64 b (Label.count tbl);
       List.iter (fun l -> Binfile.add_string b (Label.name tbl l)) (Label.all tbl));
-  Binfile.section w ~tag:Binfile.tag_nodes (fun b ->
-      let n = Array.length r.labels in
-      Binfile.add_i64 b n;
-      Binfile.add_array b r.labels;
-      let blob = Buffer.create 1024 in
-      let voff = Array.make (n + 1) 0 in
-      Array.iteri
-        (fun v value ->
-          voff.(v) <- Buffer.length blob;
-          add_value_blob blob value;
-          voff.(v + 1) <- Buffer.length blob)
+  let blob_len = Array.fold_left (fun acc v -> acc + value_blob_len v) 0 r.values in
+  Binfile.stream_section w ~tag:Binfile.tag_nodes
+    ~len:(8 + (8 * n) + (8 * (n + 1)) + blob_len)
+    (fun s ->
+      Binfile.put_i64 s n;
+      Binfile.put_array s r.labels;
+      let off = ref 0 in
+      Binfile.put_i64 s 0;
+      Array.iter
+        (fun v ->
+          off := !off + value_blob_len v;
+          Binfile.put_i64 s !off)
         r.values;
-      Binfile.add_array b voff;
-      Buffer.add_buffer b blob);
-  Binfile.section w ~tag:Binfile.tag_csr (fun b ->
-      let n = Array.length r.labels in
-      Binfile.add_i64 b n;
-      Binfile.add_i64 b r.n_edges;
-      Binfile.add_i64 b (Array.length r.nbr_adj);
-      Binfile.add_i64 b (Array.length r.by_label_off - 1);
-      Binfile.add_array b r.out_off;
-      Binfile.add_array b r.out_adj;
-      Binfile.add_array b r.in_off;
-      Binfile.add_array b r.in_adj;
-      Binfile.add_array b r.nbr_off;
-      Binfile.add_array b r.nbr_adj;
-      Binfile.add_array b r.by_label_off;
-      Binfile.add_array b r.by_label)
+      Array.iter (put_value_blob s) r.values);
+  let arrays =
+    [ r.out_off; r.out_adj; r.in_off; r.in_adj; r.nbr_off; r.nbr_adj; r.by_label_off; r.by_label ]
+  in
+  Binfile.stream_section w ~tag:Binfile.tag_csr
+    ~len:(32 + List.fold_left (fun acc a -> acc + (8 * Array.length a)) 0 arrays)
+    (fun s ->
+      Binfile.put_i64 s n;
+      Binfile.put_i64 s r.n_edges;
+      Binfile.put_i64 s (Array.length r.nbr_adj);
+      Binfile.put_i64 s (Array.length r.by_label_off - 1);
+      List.iter (Binfile.put_array s) arrays)
 
 let save_bin ?selectivity g path =
   let w = Binfile.writer () in
@@ -161,51 +178,53 @@ let build_by_label nlabels labels =
     labels;
   (off, adj)
 
-(* Decode the graph sections of [r] into [tbl], returning the graph and
-   the stored-label-id -> [tbl]-id map (used by schema and stats loaders
-   downstream). *)
-let graph_of_reader tbl r =
+(* Decode the graph sections of the file [s] streams into [tbl],
+   returning the graph and the stored-label-id -> [tbl]-id map (used by
+   schema and stats decoders downstream). *)
+let graph_of_scan tbl s =
+  let module S = Binfile.Scan in
   let corrupt msg = raise (Binfile.Corrupt msg) in
-  (* Labels: intern the stored names in id order. *)
-  let lc = Binfile.require_section r Binfile.tag_labels in
-  let nlabels_stored = Binfile.Cur.i64 lc in
-  if nlabels_stored < 0 then corrupt "labels section: negative count";
-  let map = Array.init nlabels_stored (fun _ -> Label.intern tbl (Binfile.Cur.str lc)) in
+  (* Labels: intern the stored names in id order.  Each name costs at
+     least its 8-byte length, which bounds the count. *)
+  S.require s Binfile.tag_labels;
+  let nlabels_stored = S.i64 s in
+  if nlabels_stored < 0 || nlabels_stored > S.remaining s / 8 then
+    corrupt "labels section: implausible label count";
+  let map = Array.init nlabels_stored (fun _ -> Label.intern tbl (S.str s)) in
   let identity = Array.for_all2 (fun i j -> i = j) map (Array.init nlabels_stored Fun.id) in
-  (* Nodes. *)
-  let nc = Binfile.require_section r Binfile.tag_nodes in
-  let n = Binfile.Cur.i64 nc in
+  (* Nodes.  Value entries follow each other in node order, so the blob
+     decodes as it streams past. *)
+  S.require s Binfile.tag_nodes;
+  let n = S.i64 s in
   if n < 0 then corrupt "nodes section: negative node count";
-  let labels = Binfile.Cur.array nc n in
-  let voff = Binfile.Cur.array nc (n + 1) in
-  let blob_base = Binfile.Cur.pos nc in
-  let nodes_bytes, base = Binfile.Cur.buffer nc in
+  let labels = S.array s n in
+  let voff = S.array s (n + 1) in
+  if voff.(0) <> 0 then corrupt "nodes section: value offsets out of range";
   let values =
     Array.init n (fun v ->
-        let lo = voff.(v) and hi = voff.(v + 1) in
-        if lo < 0 || hi < lo || hi > Binfile.Cur.length nc - blob_base then
-          corrupt "nodes section: value offsets out of range";
-        decode_value nodes_bytes ~pos:(base + blob_base + lo) ~len:(hi - lo))
+        let len = voff.(v + 1) - voff.(v) in
+        if len < 0 then corrupt "nodes section: value offsets out of range";
+        if len = 0 then Value.Null else decode_value (S.bytes s len) ~pos:0 ~len)
   in
   Array.iter
     (fun l -> if l < 0 || l >= nlabels_stored then corrupt "nodes section: label id out of range")
     labels;
   (* CSR. *)
-  let cc = Binfile.require_section r Binfile.tag_csr in
-  let n' = Binfile.Cur.i64 cc in
+  S.require s Binfile.tag_csr;
+  let n' = S.i64 s in
   if n' <> n then corrupt "csr section: node count disagrees with nodes section";
-  let m = Binfile.Cur.i64 cc in
-  let nbr_len = Binfile.Cur.i64 cc in
-  let bl = Binfile.Cur.i64 cc in
+  let m = S.i64 s in
+  let nbr_len = S.i64 s in
+  let bl = S.i64 s in
   if m < 0 || nbr_len < 0 || bl < 0 then corrupt "csr section: negative array length";
-  let out_off = Binfile.Cur.array cc (n + 1) in
-  let out_adj = Binfile.Cur.array cc m in
-  let in_off = Binfile.Cur.array cc (n + 1) in
-  let in_adj = Binfile.Cur.array cc m in
-  let nbr_off = Binfile.Cur.array cc (n + 1) in
-  let nbr_adj = Binfile.Cur.array cc nbr_len in
-  let by_label_off = Binfile.Cur.array cc (bl + 1) in
-  let by_label = Binfile.Cur.array cc n in
+  let out_off = S.array s (n + 1) in
+  let out_adj = S.array s m in
+  let in_off = S.array s (n + 1) in
+  let in_adj = S.array s m in
+  let nbr_off = S.array s (n + 1) in
+  let nbr_adj = S.array s nbr_len in
+  let by_label_off = S.array s (bl + 1) in
+  let by_label = S.array s n in
   validate_csr ~what:"out CSR" n out_off out_adj;
   validate_csr ~what:"in CSR" n in_off in_adj;
   validate_csr ~what:"neighbour CSR" n nbr_off nbr_adj;
@@ -242,13 +261,16 @@ let graph_of_reader tbl r =
   in
   (g, map)
 
-let selectivity_of_reader tbl ~map r =
-  Binfile.find_section r Binfile.tag_stats
-  |> Option.map (fun c -> Gstats.selectivity_of_section c ~map ~nlabels:(Label.count tbl))
+let selectivity_of_scan tbl ~map s =
+  if Binfile.Scan.enter s Binfile.tag_stats then
+    Some
+      (Gstats.selectivity_of_section (Binfile.Scan.cur s) ~map ~nlabels:(Label.count tbl))
+  else None
 
 let load_bin tbl path =
-  let r = Binfile.read_file path in
-  let g, map = graph_of_reader tbl r in
-  (g, selectivity_of_reader tbl ~map r)
+  fst
+    (Binfile.Scan.run path (fun s ->
+         let g, map = graph_of_scan tbl s in
+         (g, selectivity_of_scan tbl ~map s)))
 
 let is_snapshot = Binfile.is_snapshot

@@ -48,11 +48,14 @@ val is_snapshot : string -> bool
 
 val add_graph_sections : Binfile.writer -> Digraph.t -> unit
 
-val graph_of_reader : Label.table -> Binfile.reader -> Digraph.t * int array
-(** Returns the graph and the stored-label-id → table-id map. *)
+val graph_of_scan : Label.table -> Binfile.Scan.t -> Digraph.t * int array
+(** Decodes the labels, nodes and CSR sections as they stream past.
+    Returns the graph and the stored-label-id → table-id map. *)
 
-val selectivity_of_reader :
-  Label.table -> map:int array -> Binfile.reader -> Gstats.selectivity option
+val selectivity_of_scan :
+  Label.table -> map:int array -> Binfile.Scan.t -> Gstats.selectivity option
+(** The stats section, if the file has one (it follows the graph
+    sections). *)
 
 val add_value_blob : Buffer.t -> Value.t -> unit
 

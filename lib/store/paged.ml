@@ -174,7 +174,7 @@ let open_ ?(page_cache_mb = 16) ?cache_pages ?(page_size = page_size) ?(readahea
     (* Nodes: header only; the arrays stay on disk. *)
     let nsect = require sects Binfile.tag_nodes "node" in
     let n = Binfile.get_i64 (pread ~pos:nsect.off ~len:8) 0 in
-    if n < 0 then corrupt "nodes section: negative node count";
+    if n < 0 || n > (nsect.len - 16) / 16 then corrupt "nodes section too short";
     let labels_off = nsect.off + 8 in
     let voff_off = labels_off + (8 * n) in
     let blob_off = voff_off + (8 * (n + 1)) in
@@ -190,7 +190,8 @@ let open_ ?(page_cache_mb = 16) ?cache_pages ?(page_size = page_size) ?(readahea
     if m < 0 then corrupt "csr section: negative edge count";
     let out_off_off = csect.off + 32 in
     let out_adj_off = out_off_off + (8 * (n + 1)) in
-    if out_adj_off + (8 * m) > csect.off + csect.len then corrupt "csr section too short";
+    if n + 1 > (csect.len - 32) / 8 || m > (csect.off + csect.len - out_adj_off) / 8 then
+      corrupt "csr section too short";
     (* Selectivity: O(labels²), kept in memory. *)
     let selectivity =
       sect_of sects Binfile.tag_stats
@@ -239,11 +240,14 @@ let open_ ?(page_cache_mb = 16) ?cache_pages ?(page_size = page_size) ?(readahea
           if kw <> (if arity <= 2 then 1 else arity) then
             scorrupt "key width disagrees with arity";
           if n_keys < 0 || payload_ints < 0 then scorrupt "negative region size";
-          let record_bytes = 8 * n_keys * (kw + 2) in
+          (* Division and subtraction forms throughout: hostile sizes
+             must not wrap a product or a sum into a passing check. *)
           if
             keys_off < 0
-            || payloads_off <> keys_off + record_bytes
-            || payloads_off + (8 * payload_ints) > ssect.len
+            || keys_off > ssect.len
+            || n_keys > (ssect.len - keys_off) / 8 / (kw + 2)
+            || payloads_off <> keys_off + (8 * n_keys * (kw + 2))
+            || payload_ints > (ssect.len - payloads_off) / 8
           then scorrupt "index region out of bounds";
           { constr;
             arity;
@@ -397,9 +401,12 @@ let search_bucket t m (key : int array) =
     let base = m.keys_off + (!found * stride) in
     let start = read_i64 t (base + (8 * m.kw)) in
     let len = read_i64 t (base + (8 * (m.kw + 1))) in
-    if start < 0 || len < 0 || start + len > m.payload_ints then
+    if start < 0 || start > m.payload_ints || len < 0 || len > m.payload_ints - start then
       corrupt "schema section: payload pointer out of range";
-    Array.init len (fun i -> read_i64 t (m.payloads_off + (8 * (start + i))))
+    Array.init len (fun i ->
+        let v = read_i64 t (m.payloads_off + (8 * (start + i))) in
+        if v < 0 || v >= t.n_nodes then corrupt "schema section: payload node id out of range";
+        v)
   end
 
 let meta_of t c =

@@ -286,19 +286,17 @@ let partition ~shards ~snapshot ~dir =
 
 let load_manifest path =
   let path = manifest_path path in
-  let r = Binfile.read_file path in
+  fst @@ Binfile.Scan.run path @@ fun s ->
   let table = Label.create_table () in
-  let lc = Binfile.require_section r Binfile.tag_labels in
+  Binfile.Scan.require s Binfile.tag_labels;
+  let lc = Binfile.Scan.cur s in
   let nlabels = Binfile.Cur.i64 lc in
   if nlabels < 0 then corrupt "manifest: negative label count";
   for _ = 1 to nlabels do
     ignore (Label.intern table (Binfile.Cur.str lc))
   done;
-  let mc =
-    match Binfile.find_section r tag_manifest with
-    | Some c -> c
-    | None -> corrupt "manifest: missing manifest section"
-  in
+  if not (Binfile.Scan.enter s tag_manifest) then corrupt "manifest: missing manifest section";
+  let mc = Binfile.Scan.cur s in
   let fv = Binfile.Cur.i64 mc in
   if fv <> format_version then corrupt "manifest: unsupported format version %d" fv;
   let pv = Binfile.Cur.i64 mc in
@@ -340,7 +338,7 @@ let load_manifest path =
   in
   let owned = Array.fold_left (fun acc (f : shard_file) -> acc + f.n_edges) 0 files in
   if owned <> n_edges then corrupt "manifest: shard edge counts do not sum to the total";
-  let selectivity = Graph_io.selectivity_of_reader table ~map:(Array.init nlabels Fun.id) r in
+  let selectivity = Graph_io.selectivity_of_scan table ~map:(Array.init nlabels Fun.id) s in
   Schema.register_stamp stamp;
   { dir = Filename.dirname path;
     shards;

@@ -49,13 +49,10 @@ let open_snapshot ?(backend = Mem) ?page_cache_mb ?cache_pages ?readahead ?(veri
   let b =
     match backend with
     | Mem ->
-      (* Reading the snapshot checksums the whole file already; keep its
+      (* Loading the snapshot checksums the whole file already; keep its
          FNV so a delta log pairs with it without a second pass. *)
-      let r = Binfile.read_file path in
-      let schema, sel = Schema.of_reader (Label.create_table ()) r in
-      In_mem
-        { schema; sel; src = Exec.source_of_schema schema;
-          file_fnv = Some (Binfile.reader_fnv r) }
+      let (schema, sel), fnv = Schema.load_fnv (Label.create_table ()) path in
+      In_mem { schema; sel; src = Exec.source_of_schema schema; file_fnv = Some fnv }
     | Paged ->
       if verify then Binfile.verify path;
       On_disk (Paged.open_ ?page_cache_mb ?cache_pages ?readahead path)

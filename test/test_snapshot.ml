@@ -251,7 +251,7 @@ let test_fnv_of_write_and_read () =
   with_temp_file (fun path ->
       let written = Schema.write (Schema.build g constrs) path in
       Helpers.check_int "write" (Binfile.file_fnv path) written;
-      Helpers.check_int "read" written (Binfile.reader_fnv (Binfile.read_file path)))
+      Helpers.check_int "read" written (snd (Schema.load_fnv (Label.create_table ()) path)))
 
 (* ---------------- hostile index bytes ---------------- *)
 
@@ -266,11 +266,18 @@ let reseal data =
   let len = Bytes.length data in
   set_i64 data (len - 8) (Binfile.fnv64 (Bytes.sub_string data 0 (len - 8)))
 
-let schema_sect data =
+let sect_of data tag =
   let pread ~pos ~len = Bytes.sub data pos len in
   List.find
-    (fun s -> s.Binfile.tag = Binfile.tag_schema)
+    (fun s -> s.Binfile.tag = tag)
     (Binfile.read_directory ~pread ~file_len:(Bytes.length data))
+
+let schema_sect data = sect_of data Binfile.tag_schema
+
+(* File offset of the directory entry (tag, offset, length) for [tag]. *)
+let dir_entry data tag =
+  let n = Binfile.get_i64 data 16 in
+  24 + (24 * List.find (fun i -> Binfile.get_i64 data (24 + (24 * i)) = tag) (List.init n Fun.id))
 
 (* Either the load refuses with [Corrupt], or every key and bucket node
    it hands out is a real node and every key finds its own bucket. *)
@@ -291,6 +298,19 @@ let loads_in_range path =
         !ok)
       (Schema.constraints schema)
 
+(* The overwriting value: just past the last node, a small or huge
+   out-of-range id, the old value nudged, or an arbitrary node id. *)
+let hostile_value n at old kind =
+  match kind with
+  | 0 -> n
+  | 1 -> n + (at mod 7)
+  | 2 -> -1
+  | 3 -> old + 1
+  | 4 -> old - 1
+  | 5 -> max_int
+  | 6 -> at mod (2 * n)
+  | _ -> min_int
+
 let hostile_index_bytes =
   Helpers.qcheck ~count:200 "hostile schema-section i64 raises Corrupt or loads in range"
     QCheck2.Gen.(triple (int_range 1 100_000) (int_range 0 1_000_000) (int_range 0 7))
@@ -302,19 +322,7 @@ let hostile_index_bytes =
           let data = read_all path in
           let sect = schema_sect data in
           let pos = sect.Binfile.off + (8 * (at mod (sect.Binfile.len / 8))) in
-          let old = Binfile.get_i64 data pos in
-          let v =
-            match kind with
-            | 0 -> n
-            | 1 -> n + (at mod 7)
-            | 2 -> -1
-            | 3 -> old + 1
-            | 4 -> old - 1
-            | 5 -> max_int
-            | 6 -> at mod (2 * n)
-            | _ -> min_int
-          in
-          set_i64 data pos v;
+          set_i64 data pos (hostile_value n at (Binfile.get_i64 data pos) kind);
           reseal data;
           write_all path data;
           loads_in_range path))
@@ -478,6 +486,179 @@ let test_is_snapshot_sniff () =
           Helpers.check_false "missing file sniffs false"
             (Graph_io.is_snapshot (text_path ^ ".does-not-exist"))))
 
+(* ---------------- mapped loads ---------------- *)
+
+let same_file_bytes a b = read_all a = read_all b
+
+(* A loaded schema serves its indexes from a mapping of the file; writing
+   it back copies those regions from the file and re-encodes the rest,
+   which must reproduce the input exactly — also once the path names a
+   different file, when the regions come from the mapping itself. *)
+let mapped_write_roundtrip =
+  Helpers.qcheck ~count:15 "a loaded schema writes back byte-identical"
+    QCheck2.Gen.(int_range 1 100_000) (fun seed ->
+      let _, g, constrs, _ = Helpers.random_instance seed in
+      with_temp_file (fun path ->
+          with_temp_file (fun out ->
+              Schema.save ~selectivity:(Gstats.selectivity g) (Schema.build g constrs) path;
+              let loaded, sel = Schema.load (Label.create_table ()) path in
+              Schema.save ?selectivity:sel loaded out;
+              let from_file = same_file_bytes path out in
+              let original = read_all path in
+              Graph_io.save_bin g path;
+              Schema.save ?selectivity:sel loaded out;
+              let from_mapping = read_all out = original in
+              from_file && from_mapping)))
+
+(* A directory entry whose offset sits near [max_int] wraps [off + len]
+   negative; both backends must still see it as out of range. *)
+let test_directory_offset_wrap () =
+  let _, g, constrs, _ = Helpers.random_instance 5 in
+  with_temp_file (fun path ->
+      Schema.save (Schema.build g constrs) path;
+      let data = read_all path in
+      let entry = dir_entry data Binfile.tag_schema in
+      set_i64 data (entry + 8) (max_int - 100);
+      set_i64 data (entry + 16) 200;
+      reseal data;
+      write_all path data;
+      expect_corrupt "mem open" (fun () -> Bpq_store.Store.open_snapshot path);
+      expect_corrupt "paged open" (fun () ->
+          Bpq_store.Store.open_snapshot ~backend:Bpq_store.Store.Paged path))
+
+(* Every index key of [schema], per constraint position. *)
+let keys_by_position schema =
+  List.map
+    (fun c ->
+      let keys = ref [] in
+      Index.iter (Schema.index_of schema c) (fun key _ -> keys := key :: !keys);
+      !keys)
+    (Schema.constraints schema)
+
+(* One i64 of the nodes, CSR or schema section overwritten, the checksum
+   re-sealed, then opened by the mem backend: either the open raises
+   [Corrupt], or every graph access and every index lookup stays in
+   range. *)
+let hostile_graph_bytes =
+  Helpers.qcheck ~count:200 "hostile graph-section i64: mem open raises Corrupt or stays in range"
+    QCheck2.Gen.(quad (int_range 1 100_000) (int_range 0 1_000_000) (int_range 0 7) (int_range 0 2))
+    (fun (seed, at, kind, which) ->
+      let _, g, constrs, _ = Helpers.random_instance seed in
+      let schema = Schema.build g constrs in
+      let n = Digraph.n_nodes g in
+      with_temp_file (fun path ->
+          Schema.save schema path;
+          let data = read_all path in
+          let sect =
+            sect_of data [| Binfile.tag_nodes; Binfile.tag_csr; Binfile.tag_schema |].(which)
+          in
+          let pos = sect.Binfile.off + (8 * (at mod (sect.Binfile.len / 8))) in
+          set_i64 data pos (hostile_value n at (Binfile.get_i64 data pos) kind);
+          reseal data;
+          write_all path data;
+          match Bpq_store.Store.open_snapshot path with
+          | exception Binfile.Corrupt _ -> true
+          | st ->
+            let schema' = Option.get (Bpq_store.Store.schema st) in
+            let g' = Schema.graph schema' in
+            let n' = Digraph.n_nodes g' in
+            let nlabels = Label.count (Digraph.label_table g') in
+            let ok = ref true in
+            let node v = if v < 0 || v >= n' then ok := false in
+            Digraph.iter_nodes g' (fun v ->
+                let l = Digraph.label g' v in
+                if l < 0 || l >= nlabels then ok := false;
+                ignore (Digraph.value g' v);
+                Digraph.iter_out g' v (fun w ->
+                    node w;
+                    ignore (Digraph.has_edge g' v w));
+                Digraph.iter_in g' v node;
+                Digraph.iter_neighbours g' v node);
+            List.iter (fun l -> Digraph.iter_label g' l node) (Label.all (Digraph.label_table g'));
+            let src = Bpq_store.Store.source st in
+            List.iter2
+              (fun c keys ->
+                List.iter
+                  (fun key -> src.Exec.lookup_iter c (Array.of_list key) node)
+                  keys)
+              (Schema.constraints schema')
+              (List.filteri
+                 (fun i _ -> i < List.length (Schema.constraints schema'))
+                 (keys_by_position schema));
+            Bpq_store.Store.close st;
+            !ok))
+
+(* The schema section with 8 spare bytes between its metadata and the
+   first index region, every region offset moved past them: a file a
+   random-access reader could serve, but not where [Schema.save] puts
+   regions — the one-pass reader refuses it. *)
+let test_noncanonical_regions () =
+  let _, g, constrs, _ = Helpers.random_instance 11 in
+  with_temp_file (fun path ->
+      Schema.save (Schema.build g constrs) path;
+      let data = read_all path in
+      let entry = dir_entry data Binfile.tag_schema in
+      let off = Binfile.get_i64 data (entry + 8) in
+      let len = Binfile.get_i64 data (entry + 16) in
+      Helpers.check_int "schema section is last" (Bytes.length data - 8) (off + len);
+      (* Walk the metadata, moving every keys_off / payloads_off by 8. *)
+      let ncons = Binfile.get_i64 data (off + 8) in
+      let p = ref (off + 16) in
+      for _ = 1 to ncons do
+        let arity = Binfile.get_i64 data !p in
+        let at = !p + (8 * (arity + 5)) in
+        set_i64 data at (Binfile.get_i64 data at + 8);
+        set_i64 data (at + 8) (Binfile.get_i64 data (at + 8) + 8);
+        p := !p + (8 * (arity + 8))
+      done;
+      set_i64 data (entry + 16) (len + 8);
+      let shifted =
+        Bytes.concat Bytes.empty
+          [ Bytes.sub data 0 !p; Bytes.make 8 '\000';
+            Bytes.sub data !p (Bytes.length data - !p) ]
+      in
+      reseal shifted;
+      write_all path shifted;
+      expect_corrupt "schema load" (fun () -> Schema.load (Label.create_table ()) path);
+      expect_corrupt "mem open" (fun () -> Bpq_store.Store.open_snapshot path))
+
+(* The paged reader's bucket pointers are range-checked in subtraction
+   form and its payload ids against [0, n): after one hostile i64 in
+   the schema section, every lookup raises [Corrupt] or returns nodes. *)
+let hostile_paged_lookups =
+  Helpers.qcheck ~count:200 "hostile schema-section i64: paged lookups raise Corrupt or stay in range"
+    QCheck2.Gen.(triple (int_range 1 100_000) (int_range 0 1_000_000) (int_range 0 7))
+    (fun (seed, at, kind) ->
+      let _, g, constrs, _ = Helpers.random_instance seed in
+      let schema = Schema.build g constrs in
+      let n = Digraph.n_nodes g in
+      with_temp_file (fun path ->
+          Schema.save schema path;
+          let data = read_all path in
+          let sect = schema_sect data in
+          let pos = sect.Binfile.off + (8 * (at mod (sect.Binfile.len / 8))) in
+          set_i64 data pos (hostile_value n at (Binfile.get_i64 data pos) kind);
+          reseal data;
+          write_all path data;
+          match Bpq_store.Paged.open_ ~cache_pages:4 path with
+          | exception Binfile.Corrupt _ -> true
+          | p ->
+            Fun.protect
+              ~finally:(fun () -> Bpq_store.Paged.close p)
+              (fun () ->
+                let cs = Bpq_store.Paged.constraints p in
+                let keys = keys_by_position schema in
+                List.for_all
+                  (fun (i, c) ->
+                    let keys = if i < List.length keys then List.nth keys i else [] in
+                    List.for_all
+                      (fun key ->
+                        match (Bpq_store.Paged.source p).Exec.lookup c key with
+                        | exception Binfile.Corrupt _ -> true
+                        | hits -> Array.for_all (fun v -> v >= 0 && v < n) hits)
+                      ([] :: [ 0 ] :: [ n; 0 ] :: keys))
+                  (List.mapi (fun i c -> (i, c)) cs))))
+
 let suite =
   [ bin_roundtrip_exact;
     text_binary_agree;
@@ -499,4 +680,11 @@ let suite =
     hostile_lengths;
     Alcotest.test_case "write and read report the file's FNV" `Quick test_fnv_of_write_and_read;
     hostile_index_bytes;
-    Alcotest.test_case "hostile index shapes raise Corrupt" `Quick test_hostile_index_shapes ]
+    Alcotest.test_case "hostile index shapes raise Corrupt" `Quick test_hostile_index_shapes;
+    mapped_write_roundtrip;
+    Alcotest.test_case "directory offset near max_int raises Corrupt" `Quick
+      test_directory_offset_wrap;
+    hostile_graph_bytes;
+    Alcotest.test_case "index regions off their canonical offsets are rejected" `Quick
+      test_noncanonical_regions;
+    hostile_paged_lookups ]
