@@ -80,9 +80,12 @@ type point = {
   queries : qpoint list;  (* point queries first, the join last *)
 }
 
-(* Heap words the loaded indexes hold per int of the snapshot's schema
-   section — a deterministic count (the section is the indexes' on-disk
-   form, so 1.0 means "no bigger in memory than on disk"). *)
+(* Words the loaded indexes hold in memory of their own per int of the
+   snapshot's schema section — a deterministic count (the section is the
+   indexes' on-disk form, so 1.0 means "no bigger in memory than on
+   disk").  The heap words are counted with the off-heap probe tables,
+   which the heap walk cannot see; the windows onto the mapped file are
+   the section itself and count nothing. *)
 let index_words_ratio schema path =
   let section_ints =
     In_channel.with_open_bin path (fun ic ->
@@ -101,7 +104,8 @@ let index_words_ratio schema path =
         s.Binfile.len / 8)
   in
   let indexes = List.map (Schema.index_of schema) (Schema.constraints schema) in
-  float_of_int (Obj.reachable_words (Obj.repr indexes)) /. float_of_int section_ints
+  let probe_words = List.fold_left (fun acc idx -> acc + (Index.probe_bytes idx / 8)) 0 indexes in
+  float_of_int (Obj.reachable_words (Obj.repr indexes) + probe_words) /. float_of_int section_ints
 
 (* Live heap words a mem-backend open of [path] adds, per i64 of the
    file: deterministic, unlike a timing or the RSS. *)

@@ -13,9 +13,10 @@ module A1 = Bigarray.Array1
    of sorted key records, each [width] key ints then its bucket's start
    and length in a payload window that holds every bucket in ascending
    node order.  A loaded index's two windows are the mapped file itself;
-   a built one's are off-heap arrays of the same layout.  The only heap
-   structure is an open-addressing slot array over bucket ordinals for
-   O(1) probes. *)
+   a built one's are off-heap arrays of the same layout.  O(1) probes go
+   through an open-addressing table of 32-bit slots over bucket
+   ordinals, off-heap too: the record is the index's only heap
+   structure. *)
 
 let half_width = 31
 let half_mask = (1 lsl half_width) - 1
@@ -27,6 +28,8 @@ let unpack2 k = (k lsr half_width, k land half_mask)
 
 let key_width_of_arity arity = if arity <= 2 then 1 else arity
 
+type slots = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
+
 type t = {
   constr : Constr.t;
   arity : int;
@@ -34,7 +37,9 @@ type t = {
   n : int;  (* key records *)
   recs : Binfile.i64s;  (* n records of [width + 2] ints, keys strictly increasing *)
   payload : Binfile.i64s;
-  slots : int array;  (* 0 = empty, else hash tag (high bits) | ordinal + 1 *)
+  slots : slots;  (* 0 = empty, else hash tag (high bits) | ordinal + 1 *)
+  smask : int;  (* slot count - 1 *)
+  omask : int;  (* the low slot bits that hold ordinal + 1 *)
   home : (Binfile.mapped * int) option;
       (* the mapped snapshot and byte offset the records (then the
          payload) were loaded from *)
@@ -77,10 +82,20 @@ let hash_ints src pos width =
     mix !h
   end
 
-(* A slot keeps the hash's bits above [ord_bits] as a tag, so a probe
-   rejects most foreign slots without touching the key records. *)
-let ord_bits = 32
-let ord_mask = (1 lsl ord_bits) - 1
+(* A slot is 31 bits: ordinal + 1 in the low [ob] bits, where [ob] is
+   the fewest bits that hold [n_keys] (so [omask = 2^ob - 1]), and the
+   hash's top [31 - ob] bits above them as a tag, so a probe rejects most
+   foreign slots without touching the key records.  The tag bits sit
+   above every bit that picks a slot.  At least one tag bit is left
+   while [n_keys < 2^30]. *)
+let max_keys = 1 lsl 30
+
+let ordinal_mask n =
+  let rec go m = if m >= n then m else go ((2 * m) + 1) in
+  go 1
+
+(* The hash's bits [31 + ob, 62) shifted down into slot bits [ob, 31). *)
+let[@inline] tag_of h omask = (h lsr 31) land lnot omask
 
 (* Load factor <= 2/3, and always one empty slot to stop a miss. *)
 let slot_capacity n =
@@ -88,61 +103,73 @@ let slot_capacity n =
   let rec go c = if c >= want then c else go (2 * c) in
   go 1
 
-let insert_slot slots h o =
-  let mask = Array.length slots - 1 in
-  let i = ref (h land mask) in
-  while slots.(!i) <> 0 do
-    i := (!i + 1) land mask
-  done;
-  slots.(!i) <- (h land lnot ord_mask) lor (o + 1)
+(* An empty table for [n] keys: the slots, the slot mask, the ordinal
+   mask. *)
+let new_slots n =
+  if n < 0 || n >= max_keys then invalid_arg "Index: key count outside [0, 2^30)";
+  let cap = slot_capacity n in
+  let slots = A1.create Bigarray.int32 Bigarray.c_layout cap in
+  A1.fill slots 0l;
+  (slots, cap - 1, ordinal_mask n)
 
-let build_slots t =
-  let slots = Array.make (slot_capacity t.n) 0 in
-  let key = Array.make t.width 0 in
-  for o = 0 to t.n - 1 do
-    for j = 0 to t.width - 1 do
-      key.(j) <- get t.recs (key_at t o + j)
+let insert_slot (slots : slots) smask omask h o =
+  let i = ref (h land smask) in
+  while A1.unsafe_get slots !i <> 0l do
+    i := (!i + 1) land smask
+  done;
+  A1.unsafe_set slots !i (Int32.of_int (tag_of h omask lor (o + 1)))
+
+(* The table over [n] records of [width] key ints (stride [width + 2]). *)
+let probe_table recs ~n ~width =
+  let ((slots, smask, omask) as table) = new_slots n in
+  let key = Array.make width 0 in
+  for o = 0 to n - 1 do
+    for j = 0 to width - 1 do
+      key.(j) <- get recs ((o * (width + 2)) + j)
     done;
-    insert_slot slots (hash_ints key 0 t.width) o
+    insert_slot slots smask omask (hash_ints key 0 width) o
   done;
-  slots
+  table
 
-(* Lexicographic order of two [width]-int records. *)
+let probe_bytes t = 4 * A1.dim t.slots
+
+(* Lexicographic order of two [width]-int records.  Loops over refs, not
+   a local recursive function, so a call allocates no closure: the load
+   compares every key record with its predecessor. *)
 let compare_at a pa b pb width =
-  let rec go j =
-    if j = width then 0
-    else
-      let c = Int.compare a.(pa + j) b.(pb + j) in
-      if c <> 0 then c else go (j + 1)
-  in
-  go 0
+  let j = ref 0 and c = ref 0 in
+  while !c = 0 && !j < width do
+    c := Int.compare a.(pa + !j) b.(pb + !j);
+    incr j
+  done;
+  !c
 
 (* Record [o]'s key against [src.(pos) .. src.(pos + width - 1)]. *)
 let compare_record t o src pos =
   let base = key_at t o in
-  let rec go j =
-    if j = t.width then 0
-    else
-      let c = Int.compare (get t.recs (base + j)) src.(pos + j) in
-      if c <> 0 then c else go (j + 1)
-  in
-  go 0
+  let j = ref 0 and c = ref 0 in
+  while !c = 0 && !j < t.width do
+    c := Int.compare (get t.recs (base + !j)) src.(pos + !j);
+    incr j
+  done;
+  !c
 
 (* The bucket ordinal of a packed (width-1, so 3-int record) key, or
-   -1. *)
+   -1.  A slot matches when its tag equals the key's, i.e. when it
+   differs from [want] only in its ordinal bits. *)
 let find_packed t key =
   let h = mix key in
-  let slots = t.slots and recs = t.recs in
-  let mask = Array.length slots - 1 in
-  let rec go i =
-    let s = Array.unsafe_get slots i in
-    if s = 0 then -1
-    else
-      let o = (s land ord_mask) - 1 in
-      if (s lxor h) lsr ord_bits = 0 && get recs (o * 3) = key then o
-      else go ((i + 1) land mask)
-  in
-  go (h land mask)
+  let slots = t.slots and recs = t.recs and smask = t.smask and omask = t.omask in
+  let want = tag_of h omask in
+  let i = ref (h land smask) and found = ref (-2) in
+  while !found = -2 do
+    let s = Int32.to_int (A1.unsafe_get slots !i) in
+    if s = 0 then found := -1
+    else if s lxor want <= omask && get recs (((s land omask) - 1) * 3) = key then
+      found := (s land omask) - 1
+    else i := (!i + 1) land smask
+  done;
+  !found
 
 (* The bucket ordinal of the record [src.(pos) .. src.(pos + width - 1)],
    or -1. *)
@@ -150,16 +177,16 @@ let find_at t src pos =
   if t.width = 1 then find_packed t src.(pos)
   else begin
     let h = hash_ints src pos t.width in
-    let mask = Array.length t.slots - 1 in
-    let rec go i =
-      let s = t.slots.(i) in
-      if s = 0 then -1
-      else
-        let o = (s land ord_mask) - 1 in
-        if (s lxor h) lsr ord_bits = 0 && compare_record t o src pos = 0 then o
-        else go ((i + 1) land mask)
-    in
-    go (h land mask)
+    let want = tag_of h t.omask in
+    let i = ref (h land t.smask) and found = ref (-2) in
+    while !found = -2 do
+      let s = Int32.to_int (A1.unsafe_get t.slots !i) in
+      if s = 0 then found := -1
+      else if s lxor want <= t.omask && compare_record t ((s land t.omask) - 1) src pos = 0 then
+        found := (s land t.omask) - 1
+      else i := (!i + 1) land t.smask
+    done;
+    !found
   end
 
 (* ---------------- key normalisation ---------------- *)
@@ -287,8 +314,8 @@ let freeze c acc =
       set recs len_at (get recs len_at + 1);
       set payload i nodes.(e))
     order;
-  let t = { constr = c; arity; width; n = !n; recs; payload; slots = [||]; home = None } in
-  { t with slots = build_slots t }
+  let slots, smask, omask = probe_table recs ~n:!n ~width in
+  { constr = c; arity; width; n = !n; recs; payload; slots; smask; omask; home = None }
 
 (* ---------------- contributions ---------------- *)
 
@@ -598,7 +625,10 @@ let apply_delta t ~old_graph ~new_graph (delta : Digraph.delta) =
     (* Only bucket contents moved: the probe table still maps every key
        to its ordinal. *)
     let same_keys = List.for_all (fun (_, _, existed, m) -> existed = (m <> [||])) groups in
-    if same_keys then t' else { t' with slots = build_slots t' }
+    if same_keys then t'
+    else
+      let slots, smask, omask = probe_table recs ~n:!n' ~width:w in
+      { t' with slots; smask; omask }
   end
 
 (* ---------------- serialisation ---------------- *)
@@ -625,21 +655,19 @@ let load scan file ~n_nodes c ~n_keys ~payload_ints =
   let width = key_width_of_arity arity in
   let stride = width + 2 in
   if n_keys < 0 || payload_ints < 0 then corrupt "negative region size";
-  if n_keys >= ord_mask || n_keys > S.remaining scan / 8 / stride then
+  if n_keys >= max_keys || n_keys > S.remaining scan / 8 / stride then
     corrupt "key records out of range";
   if payload_ints > (S.remaining scan - (8 * n_keys * stride)) / 8 then
     corrupt "payload region out of range";
   let pos = S.file_pos scan in
-  let slots = Array.make (slot_capacity n_keys) 0 in
+  let slots, smask, omask = new_slots n_keys in
   let node_ok v = v >= 0 && v < n_nodes in
   let key_ok buf base =
     let k = buf.(base) in
     match arity with
     | 0 -> k = 0
     | 1 -> node_ok k
-    | 2 ->
-      let a, b = unpack2 k in
-      k >= 0 && a < b && b < n_nodes
+    | 2 -> k >= 0 && k lsr half_width < k land half_mask && k land half_mask < n_nodes
     | _ ->
       let ok = ref (node_ok k) in
       for j = base + 1 to base + width - 1 do
@@ -667,7 +695,7 @@ let load scan file ~n_nodes c ~n_keys ~payload_ints =
         else !o = 0 || compare_at prev 0 buf base width < 0
       in
       if not increasing then corrupt "key records not strictly increasing";
-      insert_slot slots (hash_ints buf base width) (!o + r)
+      insert_slot slots smask omask (hash_ints buf base width) (!o + r)
     done;
     Array.blit buf ((k - 1) * stride) prev 0 width;
     o := !o + k
@@ -689,4 +717,6 @@ let load scan file ~n_nodes c ~n_keys ~payload_ints =
     recs = Binfile.map_sub file ~pos ~len:(n_keys * stride);
     payload = Binfile.map_sub file ~pos:(pos + (8 * n_keys * stride)) ~len:payload_ints;
     slots;
+    smask;
+    omask;
     home = Some (file, pos) }

@@ -12,10 +12,11 @@
     An index is immutable once built, in the snapshot file's own layout:
     sorted key records, each followed by its bucket's start and length in
     a payload window holding every bucket in ascending node order, probed
-    through an open-addressing slot array over bucket ordinals.  A loaded
-    index's windows are the mapped snapshot itself ({!load}); a built
-    one's are off-heap arrays of the same layout.  The slot array is its
-    only heap structure.
+    through an open-addressing table of 32-bit slots over bucket
+    ordinals.  A loaded index's windows are the mapped snapshot itself
+    ({!load}); a built one's are off-heap arrays of the same layout.  The
+    probe table is off-heap too, so an index holds no heap memory beyond
+    its record.
     Maintenance under graph deltas (paper §II, "Maintaining access
     constraints") is functional: {!apply_delta} returns a fresh index,
     or the same one when the delta moves no node between buckets.
@@ -84,6 +85,10 @@ val size : t -> int
 (** Keys plus total payload entries — the [|index|] measure reported by the
     paper's Fig. 5(d/h/l). *)
 
+val probe_bytes : t -> int
+(** Bytes of the off-heap probe table: 4 per slot, at least 1.5 slots
+    per key.  The heap's own counters do not see them. *)
+
 val apply_delta :
   t -> old_graph:Digraph.t -> new_graph:Digraph.t -> Digraph.delta -> t
 (** The index over [new_graph] (compaction's fold), which must be
@@ -144,4 +149,6 @@ val load :
     the buckets are non-empty, contiguous and cover the payload, and that
     every key and payload node id lies in [\[0, n_nodes)] — and fills
     the probe table.  No byte is read through the mapping.
-    @raise Binfile.Corrupt naming the first violation. *)
+    @raise Binfile.Corrupt naming the first violation, and on an
+    [n_keys] of 2{^30} or more, which a 32-bit probe slot cannot
+    address. *)

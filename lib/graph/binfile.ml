@@ -429,20 +429,45 @@ let is_snapshot path =
 (* ---------------- one-pass reading ---------------- *)
 
 module Scan = struct
-  (* The file streams through one fixed buffer, front to back, and every
-     byte is hashed as it enters the buffer: hashing and decoding share
-     one read.  [at] is the file offset just past the buffered bytes
-     [lo, hi). *)
-  type t = {
+  (* Reading and hashing run on a helper domain while the calling domain
+     decodes.  The helper reads the body front to back into a ring of
+     64 KiB chunks and hashes each one before handing it over, so every
+     byte a decoder sees has been hashed, and the file is read once.
+     Each ring buffer keeps [headroom] bytes in front of its chunk: the
+     decoder moves the few unread bytes of the chunk it leaves there, so a
+     value that straddles two chunks is still contiguous.  For a file the
+     ring holds whole, or when no domain can be spawned, the decoder runs
+     the helper's step itself, one chunk at a time. *)
+  let ring_size = 4
+  let headroom = 8
+
+  type feed = {
+    fd : Unix.file_descr;
     path : string;
+    body_end : int;
+    ring : Bytes.t array;  (* [headroom] bytes, then a chunk *)
+    lens : int array;  (* chunk length per ring buffer *)
+    lock : Mutex.t;
+    changed : Condition.t;
+    mutable produced : int;  (* chunks read, hashed and handed over *)
+    mutable released : int;  (* chunks the decoder has left *)
+    mutable failed : exn option;  (* the read error that stopped the helper *)
+    mutable stop : bool;
+    mutable read_at : int;  (* helper-owned: file offset of the next read *)
+    mutable sum : int;  (* helper-owned: FNV of bytes [0, read_at) *)
+  }
+
+  type t = {
     ic : in_channel;  (* only its descriptor is read, never the channel *)
     file_len : int;
+    feed : feed;
+    mutable helper : unit Domain.t option;  (* [None]: steps run inline *)
     mutable sects : sect list;
-    buf : Bytes.t;
+    mutable buf : Bytes.t;  (* the ring buffer being decoded *)
     mutable lo : int;
     mutable hi : int;
-    mutable at : int;
-    mutable sum : int;  (* FNV of bytes [0, at) *)
+    mutable at : int;  (* file offset just past [buf]'s bytes [lo, hi) *)
+    mutable taken : int;  (* chunks taken from the ring *)
     mutable sect_off : int;
     mutable sect_end : int;
     mutable mapping : mapped option;
@@ -451,30 +476,101 @@ module Scan = struct
   let body_end t = t.file_len - 8
   let file_pos t = t.at - (t.hi - t.lo)
 
-  let rec read_fd t b off len =
-    match Unix.read (Unix.descr_of_in_channel t.ic) b off len with
+  let rec read_fd fd path b off len =
+    match Unix.read fd b off len with
     | n -> n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_fd t b off len
-    | exception Unix.Unix_error (e, _, _) ->
-      raise (Sys_error (t.path ^ ": " ^ Unix.error_message e))
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_fd fd path b off len
+    | exception Unix.Unix_error (e, _, _) -> raise (Sys_error (path ^ ": " ^ Unix.error_message e))
 
-  (* Keep the unread bytes, top the buffer up (never past the body: the
-     trailer is read by [finish]) and hash what came in. *)
-  let refill t =
-    let keep = t.hi - t.lo in
-    Bytes.blit t.buf t.lo t.buf 0 keep;
-    t.lo <- 0;
-    t.hi <- keep;
-    let want = min (Bytes.length t.buf - keep) (body_end t - t.at) in
+  let locked f lock =
+    Mutex.lock lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+
+  (* The helper's step: read the next chunk into a free ring buffer, hash
+     it, hand it over.  Called with a buffer free and body left. *)
+  let produce f =
+    let slot = f.produced mod ring_size in
+    let b = f.ring.(slot) in
+    let want = min chunk_size (f.body_end - f.read_at) in
     let got = ref 0 in
     while !got < want do
-      let n = read_fd t t.buf (keep + !got) (want - !got) in
+      let n = read_fd f.fd f.path b (headroom + !got) (want - !got) in
       if n = 0 then corrupt "snapshot shrank while being read";
       got := !got + n
     done;
-    t.sum <- fnv_string t.sum (Bytes.unsafe_to_string t.buf) keep (keep + want);
-    t.hi <- keep + want;
-    t.at <- t.at + want
+    f.sum <- fnv_string f.sum (Bytes.unsafe_to_string b) headroom (headroom + want);
+    f.read_at <- f.read_at + want;
+    f.lens.(slot) <- want;
+    locked (fun () -> f.produced <- f.produced + 1; Condition.broadcast f.changed) f.lock
+
+  (* Produce until the body is read, the decoder stops the scan, or a
+     read fails; a failure is kept for the decoder to raise. *)
+  let helper_loop f () =
+    let rec go () =
+      let more =
+        locked
+          (fun () ->
+            while (not f.stop) && f.produced - f.released = ring_size do
+              Condition.wait f.changed f.lock
+            done;
+            (not f.stop) && f.read_at < f.body_end)
+          f.lock
+      in
+      if more then
+        match produce f with
+        | () -> go ()
+        | exception e ->
+          locked (fun () -> f.failed <- Some e; Condition.broadcast f.changed) f.lock
+    in
+    go ()
+
+  (* Chunk number [t.taken]: waited for, produced inline without a
+     helper, or the helper's error re-raised. *)
+  let next_chunk t =
+    let f = t.feed in
+    if t.helper = None then produce f
+    else
+      locked
+        (fun () ->
+          while f.produced = t.taken && f.failed = None do
+            Condition.wait f.changed f.lock
+          done;
+          if f.produced = t.taken then raise (Option.get f.failed))
+        f.lock;
+    f.ring.(t.taken mod ring_size)
+
+  (* Move to the next chunk, carrying the unread bytes (fewer than
+     [headroom]: callers refill only when short of one integer) into its
+     headroom, then hand the chunk left behind back to the helper.  At
+     the end of the body nothing changes. *)
+  let refill t =
+    if t.at < body_end t then begin
+      let keep = t.hi - t.lo in
+      let b = next_chunk t in
+      let len = t.feed.lens.(t.taken mod ring_size) in
+      Bytes.blit t.buf t.lo b (headroom - keep) keep;
+      if t.taken > 0 then
+        locked
+          (fun () ->
+            t.feed.released <- t.feed.released + 1;
+            Condition.broadcast t.feed.changed)
+          t.feed.lock;
+      t.taken <- t.taken + 1;
+      t.buf <- b;
+      t.lo <- headroom - keep;
+      t.hi <- headroom + len;
+      t.at <- t.at + len
+    end
+
+  (* Stop the helper and wait for it; the descriptor stays open. *)
+  let join t =
+    locked (fun () -> t.feed.stop <- true; Condition.broadcast t.feed.changed) t.feed.lock;
+    Option.iter Domain.join t.helper;
+    t.helper <- None
+
+  let close t =
+    join t;
+    close_in_noerr t.ic
 
   (* [n] bytes at the current position into a fresh buffer; the caller
      has bounded [n] by the file. *)
@@ -503,22 +599,44 @@ module Scan = struct
 
   let open_ path =
     let ic = open_in_bin path in
+    let file_len =
+      try in_channel_length ic
+      with e ->
+        close_in_noerr ic;
+        raise e
+    in
+    let feed =
+      { fd = Unix.descr_of_in_channel ic; path; body_end = max 0 (file_len - 8);
+        ring = Array.init ring_size (fun _ -> Bytes.create (headroom + chunk_size));
+        lens = Array.make ring_size 0; lock = Mutex.create (); changed = Condition.create ();
+        produced = 0; released = 0; failed = None; stop = false; read_at = 0; sum = fnv_basis }
+    in
+    (* Spawning and joining a domain costs about as much as hashing the
+       ring's worth of bytes, so a file the ring holds whole is read
+       inline. *)
+    let helper =
+      if feed.body_end <= ring_size * chunk_size then None
+      else
+        match Domain.spawn (helper_loop feed) with
+        | d -> Some d
+        | exception Failure _ -> None (* the runtime's domain limit *)
+    in
+    let t =
+      { ic; file_len; feed; helper; sects = []; buf = Bytes.empty; lo = 0; hi = 0; at = 0;
+        taken = 0; sect_off = 0; sect_end = 0; mapping = None }
+    in
     match
-      let file_len = in_channel_length ic in
-      let t =
-        { path; ic; file_len; sects = []; buf = Bytes.create chunk_size; lo = 0; hi = 0; at = 0;
-          sum = fnv_basis; sect_off = 0; sect_end = 0; mapping = None }
-      in
       let pread ~pos ~len =
         if pos <> file_pos t then corrupt "snapshot header out of order";
         take t len
       in
-      t.sects <- read_directory ~pread ~file_len;
-      t
+      read_directory ~pread ~file_len
     with
-    | t -> t
+    | sects ->
+      t.sects <- sects;
+      t
     | exception e ->
-      close_in_noerr ic;
+      close t;
       raise e
 
   let enter t tag =
@@ -549,7 +667,7 @@ module Scan = struct
     t.lo <- t.lo + 8;
     v
 
-  (* [k] ints into [arr.(at) ..], straight out of the buffer. *)
+  (* [k] ints into [arr.(at) ..], straight out of the ring. *)
   let read_ints t arr at k =
     if k < 0 || k > remaining t / 8 then
       corrupt "array of %d elements exceeds the payload (%d bytes left)" k (remaining t);
@@ -598,32 +716,34 @@ module Scan = struct
           (Unix.map_file fd Bigarray.int64 Bigarray.c_layout false [| t.file_len / 8 |])
       in
       let m =
-        { m_path = t.path; m_dev = st.Unix.st_dev; m_ino = st.Unix.st_ino; m_len = t.file_len;
+        { m_path = t.feed.path; m_dev = st.Unix.st_dev; m_ino = st.Unix.st_ino; m_len = t.file_len;
           m_data = data }
       in
       t.mapping <- Some m;
       m
 
-  (* Hash the rest of the body, then check it against the trailer. *)
+  (* Consume the rest of the body, so the helper has hashed all of it,
+     join the helper, then read the trailer from where it stopped and
+     check it. *)
   let finish t =
     skip t (body_end t - file_pos t);
+    join t;
     let trailer = Bytes.create 8 in
     let got = ref 0 in
     while !got < 8 do
-      let n = read_fd t trailer !got (8 - !got) in
+      let n = read_fd t.feed.fd t.feed.path trailer !got (8 - !got) in
       if n = 0 then corrupt "snapshot shrank while being read";
       got := !got + n
     done;
-    let stored = get_i64 trailer 0 in
-    if t.sum <> stored then
-      corrupt "checksum mismatch (stored %016x, computed %016x) — snapshot is damaged" stored
-        t.sum;
-    fnv_string t.sum (Bytes.unsafe_to_string trailer) 0 8
+    let stored = get_i64 trailer 0 and sum = t.feed.sum in
+    if sum <> stored then
+      corrupt "checksum mismatch (stored %016x, computed %016x) — snapshot is damaged" stored sum;
+    fnv_string sum (Bytes.unsafe_to_string trailer) 0 8
 
   let run path f =
     let t = open_ path in
     Fun.protect
-      ~finally:(fun () -> close_in_noerr t.ic)
+      ~finally:(fun () -> close t)
       (fun () ->
         match f t with
         | v -> (v, finish t)

@@ -184,13 +184,18 @@ val is_snapshot : string -> bool
 
 (** {1 One-pass reading} *)
 
-(** A snapshot read once, front to back, through one fixed 64 KiB
-    buffer: each byte is hashed as it enters the buffer and decoded from
-    it, so a load never holds a whole-file copy.  Sections are visited in
-    file order ({!enter}); {!run} hashes whatever the decoder skipped and
-    checks the trailer.  Reads raise [Corrupt] past the end of the
-    current section, and on lengths the rest of the section cannot hold,
-    before allocating. *)
+(** A snapshot read once, front to back, in 64 KiB chunks: a helper
+    domain reads each chunk and hashes it before handing it over, and the
+    calling domain decodes from a ring of four such chunks while the next
+    ones are read.  Every decoded byte is a hashed byte, and a load never
+    holds a whole-file copy.  Sections are visited in file order
+    ({!enter}); {!run} hashes whatever the decoder skipped and checks the
+    trailer.  The helper is joined on every exit from {!run}.  For a
+    file of at most four chunks, and when no domain can be spawned (the
+    runtime's domain limit), the calling domain reads and hashes each
+    chunk itself before decoding it.  Reads
+    raise [Corrupt] past the end of the current section, and on lengths
+    the rest of the section cannot hold, before allocating. *)
 module Scan : sig
   type t
 
@@ -198,7 +203,9 @@ module Scan : sig
   (** Open the file (header and directory validated), apply the decoder,
       then verify the checksum.  Returns the decoder's result and the
       file's {!file_fnv}.  When the file is damaged, the checksum
-      mismatch is raised in place of whatever a decoder raised.
+      mismatch is raised in place of whatever [Corrupt] a decoder
+      raised.  The helper domain has been joined when this returns or
+      raises.
       @raise Corrupt on any malformed or damaged input.
       @raise Sys_error if the file cannot be read. *)
 

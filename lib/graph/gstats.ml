@@ -185,6 +185,10 @@ let selectivity_of_section c ~map ~nlabels =
   if stored < 1 then raise (Binfile.Corrupt "stats section: label count must be positive");
   let node_counts = Binfile.Cur.array c stored in
   let out_deg_sum = Binfile.Cur.array c stored in
+  if Array.exists (fun v -> v < 0) node_counts then
+    raise (Binfile.Corrupt "stats section: negative node count");
+  if Array.exists (fun v -> v < 0) out_deg_sum then
+    raise (Binfile.Corrupt "stats section: negative degree sum");
   let remap l =
     if l < 0 || l >= stored then raise (Binfile.Corrupt "stats section: label id out of range")
     else if l < Array.length map then map.(l)
@@ -210,6 +214,7 @@ let selectivity_of_section c ~map ~nlabels =
     let src = remap (Binfile.Cur.i64 c) in
     let dst = remap (Binfile.Cur.i64 c) in
     let freq = Binfile.Cur.i64 c in
+    if freq < 0 then raise (Binfile.Corrupt "stats section: negative pair frequency");
     if src >= 0 && src < labels && dst >= 0 && dst < labels then
       Hashtbl.replace sel.pair_freqs (pack_pair sel src dst) freq
   done;

@@ -68,7 +68,8 @@ val selectivity_of_section :
 (** Decode a [tag_stats] payload, remapping stored label id [l] to
     [map.(l)] (identity when loading into a fresh table); [nlabels] is
     the destination table's label count.
-    @raise Binfile.Corrupt on malformed payloads. *)
+    @raise Binfile.Corrupt on malformed payloads, including a negative
+    node count, degree sum or pair frequency. *)
 
 val degree_histogram : Digraph.t -> (int * int) list
 (** [(degree, node count)] pairs, ascending by degree, over total degree. *)

@@ -381,6 +381,97 @@ let test_type1_delta_adds_new_nodes () =
   Helpers.check_int "three movies now" 3 (Index.lookup_count idx' []);
   Helpers.check_true "in node order" (Index.lookup idx' [] = [| 3; 4; 6 |])
 
+(* ---------------- probe-table edge cases ---------------- *)
+
+(* A world with exactly [n] keys of arity [r]: key [i] is [r] source
+   nodes (one per label [s0 .. s(r-1)]) whose common [t]-neighbour is
+   node [i * (r + 1) + r]; one stray, edgeless source node per label
+   follows.  Returns the graph, the constraint, the naive association
+   list from key to bucket, and keys that must miss. *)
+let keyed_world ~arity:r n =
+  let tbl = Label.create_table () in
+  let b = Digraph.Builder.create tbl in
+  let src = Array.init r (fun j -> Label.intern tbl (Printf.sprintf "s%d" j)) in
+  let t = Label.intern tbl "t" in
+  let assoc =
+    List.init n (fun _ ->
+        let key = Array.to_list (Array.map (fun l -> Digraph.Builder.add_node b l Value.Null) src) in
+        let w = Digraph.Builder.add_node b t Value.Null in
+        List.iter (fun v -> Digraph.Builder.add_edge b w v) key;
+        (key, [| w |]))
+  in
+  let stray = Array.to_list (Array.map (fun l -> Digraph.Builder.add_node b l Value.Null) src) in
+  let g = Digraph.Builder.freeze b in
+  (* Misses: the stray key, and (from two keys up) key 0's first node
+     with key 1's others. *)
+  let absent =
+    (if r > 0 then [ stray ] else [])
+    @
+    match assoc with
+    | (k0, _) :: (k1, _) :: _ when r >= 2 -> [ List.hd k0 :: List.tl k1 ]
+    | _ -> []
+  in
+  let assoc = if r = 0 && n > 0 then [ ([], Digraph.nodes_with_label g t) ] else assoc in
+  (g, Constr.make ~source:(Array.to_list src) ~target:t ~bound:max_int, assoc, absent)
+
+(* Every key of [assoc] finds its bucket, by list and by tuple, and
+   every [absent] key misses. *)
+let probes_agree what idx assoc absent =
+  Helpers.check_int (what ^ ": key count") (List.length assoc) (Index.n_keys idx);
+  List.iter
+    (fun (key, bucket) ->
+      Helpers.check_true (what ^ ": key found") (Index.lookup idx key = bucket);
+      Helpers.check_true (what ^ ": reversed tuple found")
+        (Index.lookup_tuple idx (Array.of_list (List.rev key)) = bucket))
+    assoc;
+  List.iter
+    (fun key -> Helpers.check_int (what ^ ": absent key misses") 0 (Index.lookup_count idx key))
+    absent
+
+(* Key counts on both sides of each table-size boundary: the ordinal
+   bits grow at 2^k and the slot count doubles near 2^k * 2/3. *)
+let test_probe_table_sizes () =
+  List.iter
+    (fun r ->
+      List.iter
+        (fun n ->
+          let n = if r = 0 then min n 1 else n in
+          let what = Printf.sprintf "arity %d, %d keys" r n in
+          let g, c, assoc, absent = keyed_world ~arity:r n in
+          let idx = Index.build g c in
+          probes_agree what idx assoc absent;
+          Helpers.check_true (what ^ ": <= 2/3 load")
+            (3 * List.length assoc < 2 * (Index.probe_bytes idx / 4));
+          if r > 0 then begin
+            (* Drop key 0 (when there is one) and add a fresh key n. *)
+            let base = Digraph.n_nodes g in
+            let delta =
+              { Digraph.added_nodes =
+                  List.map (fun l -> (l, Value.Null)) c.Constr.source @ [ (c.Constr.target, Value.Null) ];
+                added_edges = List.init r (fun j -> (base + r, base + j));
+                removed_edges =
+                  (match assoc with
+                   | (v :: _, [| w |]) :: _ -> [ (w, v) ]
+                   | _ -> []) }
+            in
+            let g' = Digraph.apply_delta g delta in
+            let idx' = Index.apply_delta idx ~old_graph:g ~new_graph:g' delta in
+            let rebuilt = Index.build g' c in
+            let assoc' =
+              (match assoc with _ :: rest -> rest | [] -> [])
+              @ [ (List.init r (fun j -> base + j), [| base + r |]) ]
+            in
+            let absent' = absent @ (match assoc with (k, _) :: _ -> [ k ] | [] -> []) in
+            probes_agree (what ^ ", after the delta") idx' assoc' absent';
+            probes_agree (what ^ ", rebuilt") rebuilt assoc' absent';
+            Helpers.check_true (what ^ ": delta buckets equal a rebuild's")
+              (Index.export_buckets idx' = Index.export_buckets rebuilt);
+            Helpers.check_int (what ^ ": delta table sized as a rebuild's")
+              (Index.probe_bytes rebuilt) (Index.probe_bytes idx')
+          end)
+        [ 0; 1; 3; 4; 5; 31; 32; 33; 2047; 2048; 2049 ])
+    [ 0; 1; 2; 3; 4 ]
+
 let suite =
   [ Alcotest.test_case "type-1 lookup" `Quick test_type1_lookup;
     Alcotest.test_case "pair lookup" `Quick test_pair_lookup;
@@ -396,4 +487,5 @@ let suite =
     iter_forms_match_lookup;
     Alcotest.test_case "apply_delta leaves input intact" `Quick test_delta_leaves_input_intact;
     Alcotest.test_case "untouched constraint keeps its index" `Quick test_untouched_delta_shares;
-    Alcotest.test_case "type-1 delta adds new nodes" `Quick test_type1_delta_adds_new_nodes ]
+    Alcotest.test_case "type-1 delta adds new nodes" `Quick test_type1_delta_adds_new_nodes;
+    Alcotest.test_case "probe tables at key-count boundaries" `Quick test_probe_table_sizes ]

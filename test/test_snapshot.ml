@@ -327,10 +327,10 @@ let hostile_index_bytes =
           write_all path data;
           loads_in_range path))
 
-(* The three shapes the index decoder must name, one per constraint
-   region: a payload id past the last node, a key record that does not
-   increase, a bucket that starts somewhere else than the last one
-   ended. *)
+(* The shapes the index decoder must name: a payload id past the last
+   node, a key count no 32-bit probe slot can address, a key record that
+   does not increase, a bucket that starts somewhere else than the last
+   one ended. *)
 let test_hostile_index_shapes () =
   let tbl = Label.create_table () in
   let g =
@@ -357,6 +357,8 @@ let test_hostile_index_shapes () =
           write_all path data;
           expect_corrupt what (fun () -> Schema.load (Label.create_table ()) path))
         [ ("payload id = n", payloads_off, Digraph.n_nodes g);
+          ("key count 2^30", base + (8 * 7), 1 lsl 30);
+          ("key count max_int", base + (8 * 7), max_int);
           ("key records not increasing", keys_off + 24, Binfile.get_i64 clean keys_off);
           ("bucket starts not contiguous", keys_off + 32, Binfile.get_i64 clean (keys_off + 32) + 1) ])
 
@@ -659,6 +661,178 @@ let hostile_paged_lookups =
                       ([] :: [ 0 ] :: [ n; 0 ] :: keys))
                   (List.mapi (fun i c -> (i, c)) cs))))
 
+(* ---------------- hostile statistics ---------------- *)
+
+(* Every figure the cost model reads from [sel], over the stored labels
+   and one past them on each side, is non-negative. *)
+let selectivity_non_negative sel nlabels =
+  let labels = List.init (nlabels + 2) (fun l -> l - 1) in
+  List.for_all
+    (fun l ->
+      Gstats.node_count sel l >= 0
+      && Gstats.avg_out_degree sel l >= 0.
+      && List.for_all (fun l' -> Gstats.pair_freq sel ~src:l ~dst:l' >= 0) labels)
+    labels
+
+(* One i64 of the stats section overwritten, the checksum re-sealed:
+   the mem and paged opens each raise [Corrupt] or load statistics with
+   no negative figure — never another exception. *)
+let hostile_stats_bytes =
+  Helpers.qcheck ~count:200 "hostile stats-section i64: opens raise Corrupt or load non-negative stats"
+    QCheck2.Gen.(triple (int_range 1 100_000) (int_range 0 1_000_000) (int_range 0 7))
+    (fun (seed, at, kind) ->
+      let _, g, constrs, _ = Helpers.random_instance seed in
+      let n = Digraph.n_nodes g in
+      with_temp_file (fun path ->
+          Schema.save ~selectivity:(Gstats.selectivity g) (Schema.build g constrs) path;
+          let data = read_all path in
+          let sect = sect_of data Binfile.tag_stats in
+          let pos = sect.Binfile.off + (8 * (at mod (sect.Binfile.len / 8))) in
+          set_i64 data pos (hostile_value n at (Binfile.get_i64 data pos) kind);
+          reseal data;
+          write_all path data;
+          List.for_all
+            (fun backend ->
+              match Bpq_store.Store.open_snapshot ~backend path with
+              | exception Binfile.Corrupt _ -> true
+              | st ->
+                let nlabels = Label.count (Bpq_store.Store.table st) in
+                let ok =
+                  match Bpq_store.Store.selectivity st with
+                  | None -> true
+                  | Some sel -> selectivity_non_negative sel nlabels
+                in
+                Bpq_store.Store.close st;
+                ok)
+            [ Bpq_store.Store.Mem; Bpq_store.Store.Paged ]))
+
+(* ---------------- the two-domain reader ---------------- *)
+
+let expect_checksum_mismatch what f =
+  let verdict = "checksum mismatch" in
+  match f () with
+  | exception Binfile.Corrupt msg ->
+    Helpers.check_true
+      (Printf.sprintf "%s: checksum verdict (%s)" what msg)
+      (String.length msg >= String.length verdict
+      && String.sub msg 0 (String.length verdict) = verdict)
+  | exception e -> Alcotest.failf "%s: expected Binfile.Corrupt, got %s" what (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: expected Binfile.Corrupt, got a value" what
+
+(* A clean snapshot several times the reader's ring of chunks, so an
+   open that fails early leaves the helper domain waiting for room, and
+   four damaged copies: a flipped byte, a truncation, a directory entry
+   out of range (re-sealed), and a payload id the index decoder rejects
+   (re-sealed, so the checksum passes). *)
+let damaged_variants () =
+  let g = Generators.random ~seed:17 ~nodes:4000 ~edges:16000 ~labels:6 (Label.create_table ()) in
+  let schema = Schema.build g (Bpq_access.Discovery.discover ~max_bound:64 g) in
+  with_temp_file (fun path ->
+      Schema.save schema path;
+      let clean = read_all path in
+      Helpers.check_true "spans many chunks" (Bytes.length clean > 8 * 65536);
+      let flipped = Bytes.copy clean in
+      let mid = Bytes.length clean / 2 in
+      Bytes.set flipped mid (Char.chr (Char.code (Bytes.get flipped mid) lxor 0x10));
+      let dir = Bytes.copy clean in
+      set_i64 dir (dir_entry dir Binfile.tag_schema + 8) (max_int - 100);
+      reseal dir;
+      let decoder = Bytes.copy clean in
+      let base = (schema_sect clean).Binfile.off in
+      let ncons = Binfile.get_i64 clean (base + 8) in
+      let arity = Binfile.get_i64 clean (base + 16) in
+      Helpers.check_true "a constraint to damage" (ncons > 0);
+      (* The first constraint's payload region: its offset is the
+         metadata's [arity + 6]th field. *)
+      let payloads_off = base + Binfile.get_i64 clean (base + 16 + (8 * (arity + 6))) in
+      set_i64 decoder payloads_off (Digraph.n_nodes g);
+      reseal decoder;
+      ( clean,
+        [ ("flipped byte", flipped, true);
+          ("truncated", Bytes.sub clean 0 (Bytes.length clean / 2), true);
+          ("hostile directory", dir, true);
+          ("re-sealed decoder Corrupt", decoder, false) ] ))
+
+(* Runs [f] while every further domain the runtime allows is running
+   (blocked until [f] returns), passing it their count. *)
+let with_domains_exhausted f =
+  let m = Mutex.create () in
+  Mutex.lock m;
+  let rec spawn acc =
+    match Domain.spawn (fun () -> Mutex.lock m; Mutex.unlock m) with
+    | d -> spawn (d :: acc)
+    | exception Failure _ -> acc
+  in
+  let held = spawn [] in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.unlock m;
+      List.iter Domain.join held)
+    (fun () -> f (List.length held))
+
+(* More failing opens than the runtime has domains (128), through the
+   mem open, [Binfile.verify] and [Shard.load_manifest]: each must have
+   stopped and joined its helper domain, so as many domains can be
+   spawned afterwards as before, and a good open still succeeds. *)
+let test_helper_domains_joined () =
+  let clean, variants = damaged_variants () in
+  let variants = Array.of_list variants in
+  let before = with_domains_exhausted Fun.id in
+  in_fresh_dir (fun dir ->
+      let path = Filename.concat dir "MANIFEST" in
+      for i = 0 to 329 do
+        let what, bytes, damaged = variants.(i mod Array.length variants) in
+        write_all path bytes;
+        match i / Array.length variants mod 3 with
+        | 0 -> expect_corrupt ("mem open, " ^ what) (fun () -> Bpq_store.Store.open_snapshot path)
+        | 1 ->
+          if damaged then expect_corrupt ("verify, " ^ what) (fun () -> Binfile.verify path)
+          else Binfile.verify path
+        | _ -> expect_corrupt ("manifest, " ^ what) (fun () -> Bpq_store.Shard.load_manifest path)
+      done;
+      Helpers.check_int "no helper domain left behind" before (with_domains_exhausted Fun.id);
+      write_all path clean;
+      Bpq_store.Store.close (Bpq_store.Store.open_snapshot path))
+
+(* A decoder that trips over damage reports the checksum's verdict, not
+   its own: a flipped byte in an index's payload, left unsealed. *)
+let test_checksum_verdict_wins () =
+  let clean, variants = damaged_variants () in
+  let _, decoder, _ = List.nth variants 3 in
+  let len = Bytes.length clean in
+  let unsealed = Bytes.cat (Bytes.sub decoder 0 (len - 8)) (Bytes.sub clean (len - 8) 8) in
+  with_temp_file (fun path ->
+      write_all path unsealed;
+      expect_checksum_mismatch "schema load" (fun () -> Schema.load (Label.create_table ()) path);
+      expect_checksum_mismatch "mem open" (fun () -> Bpq_store.Store.open_snapshot path);
+      expect_checksum_mismatch "verify" (fun () -> Binfile.verify path))
+
+(* With every domain the runtime allows already running, an open reads
+   and hashes on its own domain, one chunk at a time: it loads exactly
+   what a two-domain open loads, with the same FNV, and gives the same
+   verdicts. *)
+let test_inline_reader () =
+  let clean, variants = damaged_variants () in
+  with_temp_file (fun path ->
+      write_all path clean;
+      let load () =
+        let (schema, _), fnv = Schema.load_fnv (Label.create_table ()) path in
+        ( Digraph.Repr.of_graph (Schema.graph schema),
+          List.map
+            (fun c -> Index.export_buckets (Schema.index_of schema c))
+            (Schema.constraints schema),
+          fnv )
+      in
+      let two_domains = load () in
+      with_domains_exhausted (fun _ ->
+          Helpers.check_true "inline load equals the two-domain load" (load () = two_domains);
+          Binfile.verify path;
+          List.iter
+            (fun (what, bytes, _) ->
+              write_all path bytes;
+              expect_corrupt what (fun () -> Schema.load (Label.create_table ()) path))
+            variants))
+
 let suite =
   [ bin_roundtrip_exact;
     text_binary_agree;
@@ -687,4 +861,9 @@ let suite =
     hostile_graph_bytes;
     Alcotest.test_case "index regions off their canonical offsets are rejected" `Quick
       test_noncanonical_regions;
-    hostile_paged_lookups ]
+    hostile_paged_lookups;
+    hostile_stats_bytes;
+    Alcotest.test_case "every open joins its helper domain" `Quick test_helper_domains_joined;
+    Alcotest.test_case "the checksum's verdict wins over a decoder's" `Quick
+      test_checksum_verdict_wins;
+    Alcotest.test_case "opens read inline at the domain limit" `Quick test_inline_reader ]
