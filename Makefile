@@ -25,11 +25,14 @@ bench-micro:
 
 # Cross-query caching experiment: cold vs warm serving of a template
 # workload.  jq gates on the invariants, not the timings: answers must be
-# byte-identical with caching on/off/at capacity 1/pooled, and the warm
-# pass must actually hit the result tier (rate 0 means the cache is dead).
+# byte-identical with caching on/off/at capacity 1/pooled, the warm
+# pass must actually hit the result tier (rate 0 means the cache is dead),
+# cached buckets must sit off the heap (at most 2 heap words each) and
+# the off-heap bytes within the budget.
 bench-cache:
 	BENCH_FAST=1 dune exec bench/main.exe -- cache --json _bench
 	jq -e '.cache.identical and .cache.warm_hit_rate > 0' _bench/BENCH_cache.json >/dev/null
+	jq -e '.cache.cache_heap_words_per_bucket <= 2 and .cache.cache_resident_bytes <= .cache.cache_budget_bytes' _bench/BENCH_cache.json >/dev/null
 	@echo "bench-cache: _bench/BENCH_cache.json OK"
 
 # Intra-query parallelism experiment: one heavy query on pools of

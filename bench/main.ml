@@ -493,9 +493,18 @@ let exp_cache () =
   let timed_pass f = Timer.time (fun () -> List.map f queries) in
   let baseline = List.map eval_uncached queries in
   let _, uncached_s = timed_pass eval_uncached in
-  let cache = Qcache.create () in
+  (* The CLI's default budget: the gates below check that the cached
+     buckets and answers sit off the heap and within it. *)
+  let budget_mb = 64 in
+  let cache = Qcache.of_megabytes budget_mb in
   let cold_answers, cold_s = timed_pass (eval_cached cache) in
   let warmed = Qcache.stats cache in
+  let buckets = Fetch_cache.buckets (Qcache.fetch_tier cache) in
+  let heap_words_per_bucket =
+    float_of_int (Obj.reachable_words (Obj.repr cache)) /. float_of_int (max 1 buckets)
+  in
+  let resident_bytes = Qcache.resident_bytes cache in
+  let budget_bytes = budget_mb * 1024 * 1024 in
   let warm_answers, warm_s = timed_pass (eval_cached cache) in
   let final = Qcache.stats cache in
   (* Byte-identity: cold, warm, a capacity-1 cache, and a pooled batch
@@ -536,6 +545,9 @@ let exp_cache () =
       Printf.sprintf "%.1fx over cold" speedup ];
   print_table table;
   Printf.printf "  identical answers (uncached/cold/warm/capacity-1/pooled): %b\n%!" identical;
+  Printf.printf
+    "  after the cold pass: %d buckets, %.2f heap words per bucket, %d resident bytes (budget %d)\n%!"
+    buckets heap_words_per_bucket resident_bytes budget_bytes;
   push_json_field "cache"
     (Json.Obj
        [ ("uncached_s", Json.Float uncached_s);
@@ -547,6 +559,10 @@ let exp_cache () =
          ("plan_hits", Json.Int final.Qcache.plan_hits);
          ("plan_misses", Json.Int final.Qcache.plan_misses);
          ("result_hits", Json.Int final.Qcache.result_hits);
+         ("cache_buckets", Json.Int buckets);
+         ("cache_heap_words_per_bucket", Json.Float heap_words_per_bucket);
+         ("cache_resident_bytes", Json.Int resident_bytes);
+         ("cache_budget_bytes", Json.Int budget_bytes);
          ("identical", Json.Bool identical) ])
 
 (* ------------------------------------------------------------------ *)

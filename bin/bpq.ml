@@ -296,7 +296,8 @@ let jobs_arg =
 let cache_arg =
   Arg.(value & opt int 64
        & info [ "cache" ] ~docv:"MB"
-           ~doc:"Cross-query cache budget in megabytes — plan, fetch and result tiers \
+           ~doc:"Cross-query cache budget in megabytes per domain: three quarters for \
+                 the fetch tier's off-heap buckets, one quarter for cached answers \
                  (default 64; 0 disables caching).")
 
 let cache_of_mb mb = if mb <= 0 then None else Some (Qcache.of_megabytes mb)

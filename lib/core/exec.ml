@@ -272,36 +272,11 @@ let total_tuples (arrays : int array array) =
 
 let run_with ?pool ?cache (src : source) (plan : Plan.t) =
   let slots = match pool with None -> 1 | Some p -> Pool.size p in
-  (* The caller's cache wraps the source as always.  Worker domains get
-     private shards of the same capacity, created on first use under a
-     mutex (Fetch_cache is single-domain state, mirroring Qcache's
-     per-domain discipline).  The cache is stats-transparent — it replays
-     exact index buckets — so results are byte-identical whichever shard,
-     or none, answers a lookup. *)
-  let owner = (Domain.self () :> int) in
-  let shards = ref [] in
-  let shards_mu = Mutex.create () in
-  let seq_src = match cache with None -> src | Some c -> cached_source c src in
-  let task_src () =
-    match cache with
-    | None -> src
-    | Some c ->
-      let id = (Domain.self () :> int) in
-      if id = owner then seq_src
-      else begin
-        Mutex.lock shards_mu;
-        let shard =
-          match List.assoc_opt id !shards with
-          | Some s -> s
-          | None ->
-            let s = Fetch_cache.create ~capacity:(Fetch_cache.capacity c) () in
-            shards := (id, s) :: !shards;
-            s
-        in
-        Mutex.unlock shards_mu;
-        cached_source shard src
-      end
-  in
+  (* The cache dispatches each lookup to the arena of the domain it runs
+     on, so fanned-out ranges share it without locks.  It is
+     stats-transparent — it replays exact index buckets — so results are
+     byte-identical whichever arena, or none, answers a lookup. *)
+  let csrc = match cache with None -> src | Some c -> cached_source c src in
   (* Fan an operation's anchor-tuple odometer out across the pool as
      contiguous linear-index ranges; [task lo hi] must be independent of
      every other range.  Returns [None] when the operation stays
@@ -356,29 +331,28 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
              multiset reaching sort_uniq — hence the resulting set — is the
              sequential one. *)
           let hits = Vec.create ~capacity:64 () in
-          let streamed_of (s : source) hits tuple =
+          let streamed_of hits tuple =
             let streamed = ref 0 in
-            s.lookup_iter f.constr tuple (fun w ->
+            csrc.lookup_iter f.constr tuple (fun w ->
                 incr streamed;
-                if Predicate.eval pred (s.node_value w) then Vec.push hits w);
+                if Predicate.eval pred (csrc.node_value w) then Vec.push hits w);
             !streamed
           in
           if f.anchors = [] then begin
             maybe_prefetch f.constr [||];
             incr fetch_lookups;
-            fetched := !fetched + streamed_of seq_src hits [||]
+            fetched := !fetched + streamed_of hits [||]
           end
           else begin
             let total = total_tuples arrays in
             maybe_prefetch f.constr arrays;
             match
               fan_out total (fun lo hi ->
-                  let s = task_src () in
                   let local = Vec.create ~capacity:64 () in
                   let lookups = ref 0 and streamed = ref 0 in
                   iter_tuples_slice arrays ~lo ~hi (fun tuple ->
                       incr lookups;
-                      streamed := !streamed + streamed_of s local tuple);
+                      streamed := !streamed + streamed_of local tuple);
                   (local, !lookups, !streamed))
             with
             | Some parts ->
@@ -391,7 +365,7 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
             | None ->
               iter_tuples_slice arrays ~lo:0 ~hi:total (fun tuple ->
                   incr fetch_lookups;
-                  fetched := !fetched + streamed_of seq_src hits tuple)
+                  fetched := !fetched + streamed_of hits tuple)
           end;
           Vec.sort_uniq hits;
           Vec.to_array hits
@@ -473,10 +447,10 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
            and since probes are pure, the certified set (hence the dedup
            table, the realized count and every counter) is the same as the
            old probe-as-you-go loop. *)
-        let collect (s : source) push tuple =
+        let collect push tuple =
           let v_other = tuple.(other_slot) in
           let cands = ref 0 in
-          s.lookup_iter ec.via tuple (fun w ->
+          csrc.lookup_iter ec.via tuple (fun w ->
               if mem_sorted row w then begin
                 incr cands;
                 let e_src, e_dst =
@@ -488,12 +462,11 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
         in
         match
           fan_out total (fun lo hi ->
-              let s = task_src () in
               let pairs = Vec.create ~capacity:64 () in
               let lookups = ref 0 and cands = ref 0 in
               iter_tuples_slice arrays ~lo ~hi (fun tuple ->
                   incr lookups;
-                  cands := !cands + collect s (Vec.push pairs) tuple);
+                  cands := !cands + collect (Vec.push pairs) tuple);
               (pairs, !lookups, !cands))
         with
         | Some parts ->
@@ -508,7 +481,7 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
         | None ->
           iter_tuples_slice arrays ~lo:0 ~hi:total (fun tuple ->
               incr edge_lookups;
-              edge_candidates := !edge_candidates + collect seq_src note tuple)
+              edge_candidates := !edge_candidates + collect note tuple)
       end;
       let pairs = Vec.to_array distinct in
       let verdicts =
@@ -518,7 +491,7 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
           Array.map
             (fun packed ->
               let e_src, e_dst = unpack_edge packed in
-              seq_src.probe_edge e_src e_dst)
+              csrc.probe_edge e_src e_dst)
             pairs
       in
       Array.iteri

@@ -61,10 +61,10 @@ val run : ?pool:Bpq_util.Pool.t -> ?cache:Fetch_cache.t -> Schema.t -> Plan.t ->
     [pool] enables intra-query parallelism: each fetch or edge-check
     operation whose anchor-tuple odometer is large enough is partitioned
     into contiguous tuple-index ranges across the pool's domains, each
-    range accumulating hits (or certified edges) locally with its own
-    fetch-cache shard; fragments merge deterministically in range order
-    (fetch hits through one [sort_uniq], edges through one dedup set), so
-    the result — candidate sets, [G_Q], stats, trace — is byte-identical
+    range accumulating hits (or certified edges) locally through the
+    fetch cache's arena for the domain it runs on; fragments merge
+    deterministically in range order (fetch hits through one
+    [sort_uniq], edges through one dedup set), so the result — candidate sets, [G_Q], stats, trace — is byte-identical
     to the sequential run at every pool size.
 
     [cache] memoises index lookups across calls (see {!Fetch_cache}); the

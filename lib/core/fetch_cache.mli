@@ -1,4 +1,5 @@
-(** Fetch-level LRU cache over access-index lookup results.
+(** Fetch-level cache over access-index lookup results, off the OCaml
+    heap.
 
     Overlapping queries fetch overlapping fragments of [G_Q]: every
     instantiation of a template keys the same indexes with largely the
@@ -13,18 +14,40 @@
     bypass the cache and are answered by the underlying index directly, so
     a cached lookup always streams exactly the bucket the index would.
 
-    A value is {e single-domain} state: under the domain pool each worker
-    owns its own cache ({!Qcache} hands them out per domain). *)
+    {b Layout.}  Buckets live in off-heap [int] Bigarrays: an
+    open-addressing probe table (power of two, load ≤ 1/2, slot = entry +
+    1, backward-shift deletion), a ring of entries (packed key, payload
+    start, length) and a ring of node ids.  Eviction is FIFO: the oldest
+    entries are dropped until a new bucket fits.  Each array starts small
+    and doubles up to its share of the byte budget, so a short-lived cache
+    costs only what it holds.  A hit replays the bucket without
+    allocating; a miss streams into a reusable scratch buffer and is then
+    copied into the arena.
+
+    {b Domains.}  One value may be used from every domain: each domain
+    gets its own arena (buckets, constraint ids, counters), created on its
+    first use under a mutex and touched only by that domain afterwards.
+    The callback passed to {!lookup_iter} must not re-enter the same cache
+    on the same domain (the scratch buffer is in use while it runs). *)
 
 open Bpq_access
 
 type t
 
-val create : capacity:int -> unit -> t
-(** [capacity] is the maximum number of cached buckets; [0] disables
-    storage (everything misses).  @raise Invalid_argument if negative. *)
+val create : ?bytes:int -> capacity:int -> unit -> t
+(** [capacity] is the maximum number of cached buckets per domain; [0]
+    disables storage (everything misses).  [bytes] (default unbounded) is
+    each domain's budget for its arrays, split in thirds between the
+    payload ring, the scratch buffer and the entry side (entry ring plus
+    probe table); a bucket larger than the payload ring's share streams
+    uncached and counts as a miss.
+    @raise Invalid_argument if either is negative. *)
 
-val capacity : t -> int
+val bounds : t -> int * int
+(** [(entries, ids)]: the most buckets, and the most node ids, one
+    domain's arena holds — the capacity capped by the entry side's share
+    of the budget, and the payload ring's share.  A bucket of more than
+    [ids] ids is never stored. *)
 
 val lookup_iter :
   t -> Constr.t -> int array -> ((int -> unit) -> unit) -> (int -> unit) -> unit
@@ -39,11 +62,16 @@ val lookup_iter :
 type stats = {
   hits : int;
   misses : int;
-  evictions : int;
+  evictions : int;  (** Entries dropped to make room. *)
   bypasses : int;  (** Lookups whose key did not fit the packed layout. *)
 }
 
 val stats : t -> stats
+(** Summed over every domain's arena. *)
 
-val clear : t -> unit
-(** Drop all cached buckets (counters are kept, constraint ids survive). *)
+val resident_bytes : t -> int
+(** Bytes of off-heap arrays currently allocated, over every domain's
+    arena; each arena stays within its [bytes] budget. *)
+
+val buckets : t -> int
+(** Buckets currently cached, over every domain's arena. *)

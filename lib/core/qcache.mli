@@ -13,10 +13,11 @@
       so renumbered isomorphic shapes share one planning run (the
       canonical plan is renumbered through the canonical permutation on
       reuse).  Negative results (not effectively bounded) are cached too.
-    + {b fetch cache} — a bounded LRU over raw index lookups
-      ({!Fetch_cache}), shared by every evaluation through this value, so
-      overlapping [G_Q] fragments are fetched once.
-    + {b result cache} — full answers keyed by schema stamp, the exact
+    + {b fetch cache} — raw index lookups in off-heap arenas with FIFO
+      eviction ({!Fetch_cache}), shared by every evaluation through this
+      value, so overlapping [G_Q] fragments are fetched once.
+    + {b result cache} — full answers, each stored flat in one off-heap
+      array and rebuilt on a hit, keyed by schema stamp, the exact
       pattern {e including} predicates, and the match limit; validated
       against the per-label write generations the source carries
       ({!Exec.source.label_gen}), so a write only stales answers whose
@@ -35,11 +36,11 @@
     different order than a cold run would produce.
 
     {b Domain safety.}  One [Qcache.t] may be used from every worker of a
-    {!Bpq_util.Pool}: internally it keeps one shard (plan map, fetch LRU,
-    result map, counters) {e per domain}, created on first use under a
-    mutex and touched only by its owning domain afterwards — no locks on
-    the hot path, no cross-domain mutation.  {!stats} merges the shards'
-    counters.
+    {!Bpq_util.Pool}: internally it keeps one shard (plan maps, result
+    map, counters) {e per domain}, created on first use under a mutex and
+    touched only by its owning domain afterwards — no locks on the hot
+    path, no cross-domain mutation.  The fetch tier keeps its per-domain
+    arenas inside {!Fetch_cache}.  {!stats} merges the counters.
 
     {b Changing data.}  The only supported way to change the data under
     a cache is the write path: a write-through source
@@ -55,13 +56,16 @@ type t
 
 val create :
   ?plan_capacity:int -> ?fetch_capacity:int -> ?result_capacity:int -> unit -> t
-(** Capacities are entry counts {e per domain shard} (defaults 4096 /
-    65536 / 1024).  Capacity 0 disables the corresponding tier. *)
+(** Capacities are entry counts {e per domain} (defaults 4096 / 65536 /
+    1024), with no byte bound.  Capacity 0 disables the corresponding
+    tier. *)
 
 val of_megabytes : int -> t
-(** Size the tiers from a memory budget, the CLI's [--cache MB] knob: the
-    bulk goes to the fetch tier (≈ 384 bytes per cached bucket assumed),
-    a slice to results.  @raise Invalid_argument when [mb <= 0] (the CLI
+(** Size the tiers from a per-domain byte budget, the CLI's [--cache MB]
+    knob: three quarters of [mb] MiB go to each domain's fetch-tier arena
+    (its entry count follows from the bytes), one quarter to its result
+    tier's flat answers, which also keep an entry cap of
+    [max 64 (16 * mb)].  @raise Invalid_argument when [mb <= 0] (the CLI
     maps 0 to "no cache"). *)
 
 type answer = Bounded_eval.answer =
@@ -142,17 +146,16 @@ val eval_with :
   answer option
 
 val fetch_tier : t -> Fetch_cache.t
-(** The calling domain's fetch-cache shard — for passing to
-    {!Bounded_eval} / {!Exec} directly. *)
+(** The fetch tier for static sources — for passing to {!Bounded_eval} /
+    {!Exec} directly. *)
 
 val fetch_tier_for : t -> Exec.source -> Fetch_cache.t
-(** The calling domain's fetch-cache shard {e for the source's data
-    version}: sources with [data_version = 0] (static snapshots) share
-    the domain's main tier; write-through sources get one tier per
-    version, created lazily on the owning domain, so buckets read
-    through two different overlay states can never be confused — the
-    race-free replacement for clearing on writes.  The two most recent
-    versions stay live per shard (in-flight evaluations against the
+(** The fetch tier {e for the source's data version}: sources with
+    [data_version = 0] (static snapshots) share the main tier;
+    write-through sources get one tier per version, created lazily, so
+    buckets read through two different overlay states can never be
+    confused — the race-free replacement for clearing on writes.  The two
+    most recent versions stay live (in-flight evaluations against the
     previous serving slot finish warm across a write swap); older ones
     are recreated cold if referenced again. *)
 
@@ -179,7 +182,12 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Counters summed over all domain shards. *)
+(** Counters summed over all domains and live fetch tiers. *)
+
+val resident_bytes : t -> int
+(** Off-heap bytes held: every live fetch tier's arenas plus every
+    domain's flat cached answers.  Per domain, each tier stays within its
+    {!of_megabytes} share. *)
 
 val metrics : t -> Bpq_util.Metrics.sample list
 (** Every {!stats} field as a registry sample: [cache.*] in the [stats]

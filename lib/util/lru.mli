@@ -1,7 +1,6 @@
 (** Bounded LRU cache over packed integer keys.
 
-    The cross-query fetch cache keys index lookups by a single packed
-    integer (constraint id + key tuple, see [Bpq_core.Fetch_cache]); this
+    The paged store's page cache keys pages by a single integer; this
     module supplies the replacement policy: a hashtable from key to slot
     plus an intrusive doubly linked recency list threaded through plain
     [int] arrays — no per-entry boxing, no dependencies, O(1) find/add.

@@ -43,6 +43,7 @@ let () =
       ("exec", Test_exec.suite);
       ("instance", Test_instance.suite);
       ("incremental", Test_incremental.suite);
+      ("fetch-cache", Test_fetch_cache.suite);
       ("qcache", Test_qcache.suite);
       ("costs", Test_costs.suite);
       ("parallel", Test_parallel.suite);

@@ -1,6 +1,6 @@
 (* Intra-query parallelism: the determinism contract.  Everything the
    pool touches — Exec's tuple-range partitioning, Vf2's root-candidate
-   splitting, the per-domain fetch-cache shards — must produce answers
+   splitting, the per-domain fetch-cache arenas — must produce answers
    byte-identical to the sequential run at every pool size, with the
    caches on or off, warm or cold. *)
 

@@ -71,6 +71,69 @@ let test_capacity_extremes () =
       Qcache.create ~plan_capacity:1 ~fetch_capacity:1 ~result_capacity:1 ();
       Qcache.create ~plan_capacity:0 ~fetch_capacity:0 ~result_capacity:0 () ]
 
+(* Plan entries are stored without the query that missed; every hit
+   hands back a plan for the asking query, pattern included.  An
+   exact-key hit is Qplan's plan for it; a renumbered-isomorph hit is
+   Qplan's plan for the query that missed, renumbered — the same
+   operations, possibly in another tie-break order. *)
+let renumber q perm =
+  let n = Pattern.n_nodes q in
+  let nodes = Array.make n (0, Predicate.true_) in
+  for u = 0 to n - 1 do
+    nodes.(perm.(u)) <- (Pattern.label q u, Pattern.pred q u)
+  done;
+  Pattern.create (Pattern.label_table q) nodes
+    (List.map (fun (s, t) -> (perm.(s), perm.(t))) (Pattern.edges q))
+
+let renumber_plan perm q (p : Plan.t) =
+  let anchors = List.map (fun (l, a) -> (l, perm.(a))) in
+  let node_estimates = Array.make (Array.length perm) 0 in
+  Array.iteri (fun v e -> node_estimates.(perm.(v)) <- e) p.node_estimates;
+  { p with
+    pattern = q;
+    fetches =
+      List.map
+        (fun (f : Plan.fetch) -> { f with unode = perm.(f.unode); anchors = anchors f.anchors })
+        p.fetches;
+    edge_checks =
+      List.map
+        (fun (ec : Plan.edge_check) ->
+          { ec with
+            edge = (perm.(fst ec.edge), perm.(snd ec.edge));
+            target_side = perm.(ec.target_side);
+            anchors = anchors ec.anchors })
+        p.edge_checks;
+    node_estimates }
+
+let test_plan_hits_equal_generated () =
+  let ds, schema = world () in
+  let a0 = W.a0 ds.table in
+  let c = Qcache.create () in
+  let plan q = Qcache.plan_for c Actualized.Subgraph schema q in
+  let generated q = Qplan.generate_exn Actualized.Subgraph q a0 in
+  let q0 = W.q0 ds.table in
+  Helpers.check_true "miss returns the generated plan" (plan q0 = Some (generated q0));
+  List.iter
+    (fun q -> Helpers.check_true "exact-key hit equals generated" (plan q = Some (generated q)))
+    (windows ds 3);
+  let n = Pattern.n_nodes q0 in
+  List.iter
+    (fun perm ->
+      let q = renumber q0 perm in
+      let before = (Qcache.stats c).Qcache.plan_hits in
+      match plan q with
+      | None -> Alcotest.fail "isomorph lost its plan"
+      | Some p ->
+        Helpers.check_int "served from the plan tier" (before + 1) (Qcache.stats c).Qcache.plan_hits;
+        Helpers.check_true "isomorph hit = generated plan, renumbered"
+          (p = renumber_plan perm q (generated q0));
+        let g = generated q in
+        Helpers.check_true "same operations as generating directly"
+          (List.sort compare p.fetches = List.sort compare g.fetches
+           && List.sort compare p.edge_checks = List.sort compare g.edge_checks
+           && p.node_estimates = g.node_estimates))
+    [ Array.init n (fun u -> n - 1 - u); Array.init n (fun u -> (u + 2) mod n) ]
+
 let test_negative_plan_cached () =
   let tbl = Label.create_table () in
   let g = W.g1 tbl ~n:3 in
@@ -139,11 +202,30 @@ let test_pool_identity () =
   let baseline = answers (Batch.eval_patterns Actualized.Subgraph schema qs) in
   let pool = Pool.create 3 in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let cache = Qcache.create () in
-  let cold = answers (Batch.eval_patterns ~pool ~cache Actualized.Subgraph schema qs) in
-  let warm = answers (Batch.eval_patterns ~pool ~cache Actualized.Subgraph schema qs) in
-  Helpers.check_true "pooled cached equals sequential uncached" (cold = baseline);
-  Helpers.check_true "warm pooled equals baseline" (warm = baseline)
+  List.iter
+    (fun cache ->
+      let cold = answers (Batch.eval_patterns ~pool ~cache Actualized.Subgraph schema qs) in
+      let warm = answers (Batch.eval_patterns ~pool ~cache Actualized.Subgraph schema qs) in
+      Helpers.check_true "pooled cached equals sequential uncached" (cold = baseline);
+      Helpers.check_true "warm pooled equals baseline" (warm = baseline))
+    [ Qcache.create ();
+      Qcache.create ~plan_capacity:1 ~fetch_capacity:1 ~result_capacity:1 ();
+      Qcache.create ~plan_capacity:0 ~fetch_capacity:0 ~result_capacity:0 () ]
+
+(* A byte-budgeted cache keeps its off-heap arrays within the budget of
+   every domain that used it, and still answers exactly. *)
+let test_byte_budget () =
+  let ds, schema = world () in
+  let qs = windows ds 6 in
+  let c = Qcache.of_megabytes 1 in
+  List.iter
+    (fun q ->
+      Helpers.check_true "budgeted answer equals uncached"
+        (Qcache.eval c Actualized.Subgraph schema q = uncached Actualized.Subgraph schema q))
+    (qs @ qs);
+  let bytes = Qcache.resident_bytes c in
+  Helpers.check_true "something resident" (bytes > 0);
+  Helpers.check_true "within one domain's budget" (bytes <= 1024 * 1024)
 
 (* Random workloads with interleaved overlay writes, three cache
    capacities, both semantics, every query asked twice per round (the
@@ -201,7 +283,9 @@ let cached_equals_uncached_across_deltas =
 let suite =
   [ Alcotest.test_case "template plan sharing" `Quick test_template_plan_sharing;
     Alcotest.test_case "capacity extremes" `Quick test_capacity_extremes;
+    Alcotest.test_case "plan hits equal generated plans" `Quick test_plan_hits_equal_generated;
     Alcotest.test_case "negative plan cached" `Quick test_negative_plan_cached;
     Alcotest.test_case "delta invalidation" `Quick test_delta_invalidation;
     Alcotest.test_case "pool identity" `Quick test_pool_identity;
+    Alcotest.test_case "byte budget bounds resident bytes" `Quick test_byte_budget;
     cached_equals_uncached_across_deltas ]

@@ -243,6 +243,59 @@ let test_timer_adaptive_stride () =
   Helpers.check_true "tripped" !tripped;
   Helpers.check_true "overshoot bounded" (elapsed < 8.0 *. budget)
 
+(* Fifo_map *)
+
+(* A removed and re-added key is the newest entry, not a stale slot in
+   the order: with cap 2, add a / remove a / add a / add b keeps both. *)
+let test_fifo_map_readd () =
+  let m = Fifo_map.create 2 in
+  Fifo_map.add m "a" 1;
+  Fifo_map.remove m "a";
+  Fifo_map.add m "a" 2;
+  Fifo_map.add m "b" 3;
+  Helpers.check_true "a kept" (Fifo_map.find m "a" = Some 2);
+  Helpers.check_true "b kept" (Fifo_map.find m "b" = Some 3);
+  Fifo_map.add m "c" 4;
+  Helpers.check_true "oldest live entry evicted" (Fifo_map.find m "a" = None);
+  Helpers.check_int "at capacity" 2 (Fifo_map.length m)
+
+let test_fifo_map_budget () =
+  let m = Fifo_map.create ~budget:10 ~weight:String.length 8 in
+  Fifo_map.add m "x" "aaaa";
+  Fifo_map.add m "y" "bbbb";
+  Fifo_map.add m "z" "cccc";
+  Helpers.check_true "oldest dropped for weight" (Fifo_map.find m "x" = None);
+  Helpers.check_int "weight within budget" 8 (Fifo_map.weight m);
+  Fifo_map.add m "w" (String.make 11 'd');
+  Helpers.check_true "heavier than the budget: not stored" (Fifo_map.find m "w" = None);
+  Helpers.check_int "others kept" 2 (Fifo_map.length m)
+
+(* Random add/remove/find against an assoc-list model: the map holds the
+   newest [cap] distinct live keys. *)
+let fifo_map_model =
+  Helpers.qcheck "fifo map = newest live keys model"
+    QCheck2.Gen.(
+      pair (int_range 0 5)
+        (list_size (int_range 0 200) (pair (int_range 0 2) (int_range 0 7))))
+    (fun (cap, ops) ->
+      let m = Fifo_map.create cap in
+      let model = ref [] (* newest first *) in
+      List.for_all
+        (fun (op, k) ->
+          let key = string_of_int k in
+          (match op with
+           | 0 ->
+             Fifo_map.add m key k;
+             if cap > 0 then
+               model := List.filteri (fun i _ -> i < cap) ((key, k) :: List.remove_assoc key !model)
+           | 1 ->
+             Fifo_map.remove m key;
+             model := List.remove_assoc key !model
+           | _ -> ());
+          Fifo_map.find m key = List.assoc_opt key !model
+          && Fifo_map.length m = List.length !model)
+        ops)
+
 (* Lru *)
 
 let test_lru_basics () =
@@ -654,6 +707,9 @@ let suite =
     vec_sort_uniq_model;
     int_sort_model;
     int_sort_range_model;
+    Alcotest.test_case "fifo map re-add" `Quick test_fifo_map_readd;
+    Alcotest.test_case "fifo map budget" `Quick test_fifo_map_budget;
+    fifo_map_model;
     Alcotest.test_case "lru basics" `Quick test_lru_basics;
     Alcotest.test_case "lru eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "lru capacity zero" `Quick test_lru_capacity_zero;
