@@ -26,9 +26,10 @@
 
     {b Domains.}  One value may be used from every domain: each domain
     gets its own arena (buckets, constraint ids, counters), created on its
-    first use under a mutex and touched only by that domain afterwards.
-    The callback passed to {!lookup_iter} must not re-enter the same cache
-    on the same domain (the scratch buffer is in use while it runs). *)
+    first use under a mutex and touched only by that domain afterwards,
+    so two systhreads of one domain must not use it at once.  The callback
+    passed to {!lookup_iter} must not re-enter the same cache on the same
+    domain (the scratch buffer is in use while it runs). *)
 
 open Bpq_access
 
