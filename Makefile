@@ -1,6 +1,6 @@
 # Development entry points.  `make ci` is what the CI workflow runs.
 
-.PHONY: all build test bench-fast bench-micro bench-cache bench-intra bench-store bench-write bench-distributed bench-serve bench-serve-open clean check-tree ci
+.PHONY: all build test bench-fast bench-micro bench-cache bench-intra bench-store bench-write bench-distributed clean check-tree ci
 
 all: build
 
@@ -81,28 +81,6 @@ bench-distributed:
 	BENCH_FAST=1 dune exec bench/main.exe -- distributed --json _bench
 	jq -e '.distributed.identical and (.distributed.flatness < 1.5) and (.distributed.size_growth >= 10) and (.distributed.pushdown_ratio <= 0.5) and .distributed.rounds_bounded' _bench/BENCH_distributed.json >/dev/null
 	@echo "bench-distributed: _bench/BENCH_distributed.json OK"
-
-# Serving experiment: closed-loop clients against the serve daemon over
-# a unix socket.  jq gates the invariants: every response byte-identical
-# to one-shot in-process evaluation, positive throughput, and a present
-# (non-null) p99 — the latter doubles as the NaN-in-JSON regression
-# guard, since a NaN percentile would either break parsing or surface
-# as null and fail the gate.
-bench-serve:
-	BENCH_FAST=1 dune exec bench/main.exe -- serve --json _bench
-	jq -e '.serve.identical and .serve.throughput_qps > 0 and (.serve.p99_ms != null)' _bench/BENCH_serve.json >/dev/null
-	@echo "bench-serve: _bench/BENCH_serve.json OK"
-
-# Open-loop serving experiment: Poisson arrivals at a sweep of target
-# rates against the daemon, duplicate-heavy and duplicate-free mixes.
-# jq gates the invariants, not the timings: answers byte-identical to
-# the coalescing-off control, the duplicate-heavy mix must actually
-# coalesce (follower count > 0 — a dead single-flight path would fail
-# this), and the lowest swept rate must report a real p99.
-bench-serve-open:
-	BENCH_FAST=1 dune exec bench/main.exe -- serve --open-loop --json _bench
-	jq -e '.serve_open.identical and .serve_open.dupheavy.followers_total > 0 and (.serve_open.dupfree.rates[0].p99_ms != null)' _bench/BENCH_serve_open.json >/dev/null
-	@echo "bench-serve-open: _bench/BENCH_serve_open.json OK"
 
 clean:
 	dune clean

@@ -54,7 +54,7 @@ let subsection title = Printf.printf "\n--- %s ---\n%!" title
    the tables, the run parameters, and any extra fields the section
    pushed (e.g. the micro section's per-kernel numbers). *)
 
-module Json = Json_out
+module Json = Bpq_util.Jsonx
 
 let json_dir : string option ref = ref None
 let json_tables : Json.t list ref = ref []

@@ -47,7 +47,7 @@ open Bench_common
 module W = Bpq_workload.Workload
 module Shard = Bpq_store.Shard
 module Remote = Bpq_store.Remote
-module Json = Json_out
+module Json = Bpq_util.Jsonx
 
 let scales = if fast then [ 0.02; 0.05; 0.12; 0.3 ] else [ 0.05; 0.12; 0.3; 0.6 ]
 let sweep_shards = 4

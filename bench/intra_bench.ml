@@ -13,7 +13,7 @@ open Bpq_access
 open Bpq_core
 open Bench_common
 module W = Bpq_workload.Workload
-module Json = Json_out
+module Json = Bpq_util.Jsonx
 
 let time_best f =
   ignore (f ());

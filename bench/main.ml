@@ -630,7 +630,6 @@ let bechamel () =
    text tables. *)
 let () =
   let sections_cli = ref [] in
-  let open_loop = ref false in
   let argv = Sys.argv in
   let i = ref 1 in
   while !i < Array.length argv do
@@ -642,24 +641,12 @@ let () =
        end;
        incr i;
        Bench_common.json_dir := Some argv.(!i)
-     | "--open-loop" -> open_loop := true
      | s when String.length s > 0 && s.[0] = '-' ->
-       Printf.eprintf
-         "bench: unknown option %S (usage: bench [SECTION...] [--open-loop] [--json DIR])\n" s;
+       Printf.eprintf "bench: unknown option %S (usage: bench [SECTION...] [--json DIR])\n" s;
        exit 2
      | s -> sections_cli := s :: !sections_cli);
     incr i
   done;
-  (* `bench serve --open-loop` runs the open-loop arrival sweep instead
-     of the closed-loop serve experiment.  The sweep calibrates its rate
-     axis against the host, so its tables are never run-to-run
-     deterministic — it only runs when asked for (the flag, or the
-     serve_open section by name), never as part of the default sweep. *)
-  if !open_loop then
-    sections_cli :=
-      (match !sections_cli with
-       | [] -> [ "serve_open" ]
-       | l -> List.map (fun s -> if s = "serve" then "serve_open" else s) l);
   Printf.printf "bpq benchmark harness (BENCH_SCALE=%.2f%s, timeout %.0fs, jobs %d)\n"
     base_scale
     (if fast then ", FAST" else "")
@@ -681,8 +668,6 @@ let () =
       ("store", Store_bench.run);
       ("write", Write_bench.run);
       ("distributed", Distributed_bench.run);
-      ("serve", Serve_bench.run);
-      ("serve_open", Serve_bench.run_open);
       ("bechamel", bechamel) ]
   in
   let wanted =
@@ -692,7 +677,7 @@ let () =
     | cli, _ -> cli
   in
   let selected =
-    if wanted = [] then List.filter (fun (n, _) -> n <> "serve_open") steps
+    if wanted = [] then steps
     else begin
       List.iter
         (fun w ->

@@ -16,7 +16,7 @@ open Bpq_core
 open Bench_common
 module W = Bpq_workload.Workload
 module Vec = Bpq_util.Vec
-module Json = Json_out
+module Json = Bpq_util.Jsonx
 
 (* Adaptive per-batch timer: doubles the repetition count until the batch
    runs long enough to trust the clock, then reports seconds per call. *)

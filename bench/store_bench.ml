@@ -41,7 +41,7 @@ open Bpq_core
 open Bench_common
 module W = Bpq_workload.Workload
 module Paged = Bpq_store.Paged
-module Json = Json_out
+module Json = Bpq_util.Jsonx
 
 let scales = if fast then [ 0.02; 0.05; 0.12; 0.3 ] else [ 0.05; 0.12; 0.3; 0.6 ]
 

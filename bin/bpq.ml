@@ -815,13 +815,6 @@ let serve_cmd =
              ~doc:"Listen address: unix:PATH, a bare path containing '/', HOST:PORT, or \
                    :PORT (loopback).")
   in
-  let no_coalesce_arg =
-    Arg.(value & flag
-         & info [ "no-coalesce" ]
-             ~doc:"Disable single-flight coalescing of concurrent identical queries \
-                   (each request then evaluates independently; answers are identical \
-                   either way).")
-  in
   let max_inflight_arg =
     Arg.(value & opt int 64
          & info [ "max-inflight" ] ~docv:"N"
@@ -849,7 +842,7 @@ let serve_cmd =
                    answers with a typed 'timeout' error.")
   in
   let run semantics graph constraints listen jobs cache_mb backend page_cache readahead
-      no_coalesce max_inflight max_conns read_timeout write_timeout query_timeout
+      max_inflight max_conns read_timeout write_timeout query_timeout
       no_pushdown wal =
     guard @@ fun () ->
     let pushdown = not no_pushdown in
@@ -972,7 +965,7 @@ let serve_cmd =
     let compact_hook = if wal = None then None else Some compact in
     let server =
       Server.create ?cache ~max_inflight ~max_connections:max_conns
-        ?query_timeout:(opt_pos query_timeout) ~semantics ~coalesce:(not no_coalesce)
+        ?query_timeout:(opt_pos query_timeout) ~semantics
         ?reload ?write:write_hook ?compact:compact_hook ~extra ~pool
         (slot_of !current)
     in
@@ -995,7 +988,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Serve pattern queries from a warm engine over a socket (line-delimited JSON).")
     Term.(const run $ semantics_arg $ graph_arg $ constraints_opt $ listen_arg $ jobs_arg
-          $ cache_arg $ backend_arg $ page_cache_arg $ readahead_arg $ no_coalesce_arg
+          $ cache_arg $ backend_arg $ page_cache_arg $ readahead_arg
           $ max_inflight_arg $ max_conns_arg $ read_timeout_arg $ write_timeout_arg
           $ query_timeout_arg $ no_pushdown_arg $ wal_arg)
 

@@ -73,7 +73,6 @@ type t = {
   max_connections : int;
   query_timeout : float option;
   default_semantics : Actualized.semantics;
-  coalesce : bool;
   reload_hook : (unit -> slot_data) option;
   write_hook :
     (Json.t -> (slot_data option * (string * Json.t) list, string * string) result)
@@ -108,7 +107,7 @@ type t = {
 }
 
 let create ?cache ?(max_inflight = 64) ?(max_connections = 64) ?query_timeout
-    ?(semantics = Actualized.Subgraph) ?(coalesce = true) ?reload ?write ?compact
+    ?(semantics = Actualized.Subgraph) ?reload ?write ?compact
     ?(extra = fun () -> []) ~pool data =
   if max_inflight < 0 then invalid_arg "Server.create: negative max_inflight";
   if max_connections < 1 then invalid_arg "Server.create: max_connections must be positive";
@@ -118,7 +117,6 @@ let create ?cache ?(max_inflight = 64) ?(max_connections = 64) ?query_timeout
     max_connections;
     query_timeout;
     default_semantics = semantics;
-    coalesce;
     reload_hook = reload;
     write_hook = write;
     compact_hook = compact;
@@ -429,10 +427,7 @@ let handle_query t ?id req =
        error_response ?id "bad_request" msg
      | Ok q, Ok sem, Ok limit ->
        let start = Timer.now () in
-       let result =
-         if t.coalesce then coalesced_eval t held sem q limit
-         else Ok (s0, evaluate_in_slot t sem s0 q)
-       in
+       let result = coalesced_eval t held sem q limit in
        (* Latency from the request's own start: a coalesced follower's
           elapsed time includes its wait on the leader — the honest
           client-observed figure. *)
@@ -519,8 +514,6 @@ let samples t =
       counter "writes" "bpq_writes_total" "Accepted write batches." t.writes;
       counter "compactions" "bpq_compactions_total" "Completed generation rolls." t.compactions;
       gauge_i "jobs" "bpq_jobs" "Pool worker count." (Pool.size t.pool);
-      gauge "coalescing.enabled" "bpq_coalesce_enabled" "Single-flight coalescing on (1) or off."
-        (Bool t.coalesce);
       counter "coalescing.leaders" "bpq_coalesce_leaders_total"
         "Evaluations that led a single-flight." t.sf_leaders;
       counter "coalescing.followers" "bpq_coalesce_followers_total"

@@ -32,9 +32,8 @@
     revalidates the slot generation: followers of a flight that a
     [reload] overtook are re-dispatched against the current slot rather
     than handed the pre-swap result, and the leader keeps its own result
-    (valid for its pinned generation).  Answers are byte-identical with
-    coalescing on or off; [stats] reports leaders / followers /
-    re-dispatches.  Disable with [~coalesce:false] to measure.
+    (valid for its pinned generation).  [stats] reports leaders /
+    followers / re-dispatches.
 
     {1 Concurrency}
 
@@ -71,7 +70,6 @@ val create :
   ?max_connections:int ->
   ?query_timeout:float ->
   ?semantics:Actualized.semantics ->
-  ?coalesce:bool ->
   ?reload:(unit -> slot_data) ->
   ?write:(Jsonx.t -> (slot_data option * (string * Jsonx.t) list, string * string) result) ->
   ?compact:(unit -> (slot_data option * (string * Jsonx.t) list, string * string) result) ->
@@ -86,8 +84,6 @@ val create :
     clients.  [query_timeout] bounds each query with
     {!Bpq_util.Timer.deadline_after}.  [semantics] (default
     {!Actualized.Subgraph}) applies when a request names none.
-    [coalesce] (default [true]) enables single-flight coalescing of
-    concurrent identical queries.
     [reload] serves the [reload] op; without it the op fails typed.
     [write] serves the [write] op: it receives the whole request object,
     applies the batch, and returns either a fresh slot to swap in (or

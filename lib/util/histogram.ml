@@ -117,22 +117,6 @@ let mean t =
   let s = snapshot t [] in
   if s.count = 0 then None else Some (s.sum /. float_of_int s.count)
 
-(* Fold [src] into [dst].  The source is snapshotted under its own lock
-   first and the copy folded in under the destination's lock, so the two
-   mutexes are never held together (no ordering to get wrong, merging in
-   both directions concurrently cannot deadlock). *)
-let merge dst ~from =
-  let counts, n, sum, minv, maxv =
-    with_lock from (fun () ->
-        (Array.copy from.counts, from.n, from.sum, from.minv, from.maxv))
-  in
-  with_lock dst (fun () ->
-      Array.iteri (fun b c -> dst.counts.(b) <- dst.counts.(b) + c) counts;
-      dst.n <- dst.n + n;
-      dst.sum <- dst.sum +. sum;
-      if minv < dst.minv then dst.minv <- minv;
-      if maxv > dst.maxv then dst.maxv <- maxv)
-
 let reset t =
   with_lock t (fun () ->
       Array.fill t.counts 0 buckets 0;

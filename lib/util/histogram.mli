@@ -48,13 +48,4 @@ val snapshot : t -> float list -> snapshot
     quantile lies in [\[min, max\]].  Summaries rendered from separate
     {!count}/{!mean}/{!percentile} calls could mix states. *)
 
-val merge : t -> from:t -> unit
-(** [merge dst ~from] folds every observation of [from] into [dst]
-    (bucket counts, count, sum, min, max); [from] is left unchanged.
-    Safe against concurrent [add]s on either side: the source is
-    snapshotted under its own lock, then folded in under the
-    destination's — the two locks are never held together.  Per-client
-    histograms merged into one report equal a single histogram fed the
-    concatenated stream. *)
-
 val reset : t -> unit

@@ -1,7 +1,7 @@
 (* One sample list, three renderings: nested JSON for the `stats` op,
    Prometheus text for `/metrics`, and an aligned table for the CLI. *)
 
-type value = Int of int | Float of float | Bool of bool
+type value = Int of int | Float of float
 
 type kind = Counter of int | Gauge of value | Summary of Histogram.snapshot
 
@@ -29,7 +29,6 @@ let per_item ~label path name help values =
 let json_of_value = function
   | Int i -> Jsonx.Int i
   | Float f -> Jsonx.Float f
-  | Bool b -> Jsonx.Bool b
 
 (* The (path, value) leaves one sample contributes to the JSON object. *)
 let leaves s =
@@ -94,7 +93,6 @@ let add_lines b s =
   | Counter v -> line s.labels (string_of_int v)
   | Gauge (Int i) -> line s.labels (string_of_int i)
   | Gauge (Float f) -> line s.labels (num f)
-  | Gauge (Bool v) -> line s.labels (if v then "1" else "0")
   | Summary h ->
     List.iter
       (fun (p, v) ->

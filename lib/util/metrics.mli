@@ -14,10 +14,7 @@
     grouped under one [# HELP]/[# TYPE] header, in first-appearance
     order. *)
 
-type value =
-  | Int of int
-  | Float of float
-  | Bool of bool  (** JSON [true]/[false]; Prometheus [1]/[0]. *)
+type value = Int of int | Float of float
 
 type kind =
   | Counter of int  (** Monotone; the family name should end in [_total]. *)

@@ -1,45 +1,31 @@
-(* Undefined-on-empty statistics come in two forms: the [_opt] functions
-   return [None] (what serialization paths must use — [Float.nan] prints
-   as the invalid JSON token [nan] under %g), and the plain functions
-   keep their historical nan-on-empty convention for quick interactive
-   use. *)
+(* Statistics undefined on the empty list return [Float.nan]; Jsonx
+   prints a non-finite float as null, so serialized artefacts stay
+   valid JSON. *)
 
-let mean_opt = function
-  | [] -> None
-  | xs -> Some (List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs))
+let mean = function
+  | [] -> Float.nan
+  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let mean xs = Option.value (mean_opt xs) ~default:Float.nan
-
-let sorted xs = List.sort Float.compare xs
-
-let percentile_opt p = function
-  | [] -> None
+let percentile p = function
+  | [] -> Float.nan
   | xs ->
-    let arr = Array.of_list (sorted xs) in
+    let arr = Array.of_list (List.sort Float.compare xs) in
     let n = Array.length arr in
     let rank = int_of_float (Float.round (p *. float_of_int (n - 1))) in
-    Some arr.(max 0 (min (n - 1) rank))
+    arr.(max 0 (min (n - 1) rank))
 
-let percentile p xs = Option.value (percentile_opt p xs) ~default:Float.nan
-
-let median_opt xs = percentile_opt 0.5 xs
 let median xs = percentile 0.5 xs
 
-let minimum_opt = function
-  | [] -> None
-  | xs -> Some (List.fold_left Float.min Float.infinity xs)
+let minimum = function
+  | [] -> Float.nan
+  | xs -> List.fold_left Float.min Float.infinity xs
 
-let maximum_opt = function
-  | [] -> None
-  | xs -> Some (List.fold_left Float.max Float.neg_infinity xs)
+let maximum = function
+  | [] -> Float.nan
+  | xs -> List.fold_left Float.max Float.neg_infinity xs
 
-let minimum xs = Option.value (minimum_opt xs) ~default:Float.nan
-let maximum xs = Option.value (maximum_opt xs) ~default:Float.nan
-
-let geometric_mean_opt = function
-  | [] -> None
+let geometric_mean = function
+  | [] -> Float.nan
   | xs ->
     let log_sum = List.fold_left (fun acc x -> acc +. Float.log x) 0.0 xs in
-    Some (Float.exp (log_sum /. float_of_int (List.length xs)))
-
-let geometric_mean xs = Option.value (geometric_mean_opt xs) ~default:Float.nan
+    Float.exp (log_sum /. float_of_int (List.length xs))

@@ -1,34 +1,21 @@
 (** Small descriptive-statistics helpers used when reporting experiment
     series (the paper reports averages over three runs; we do the same).
 
-    Each statistic comes in two forms.  The [_opt] form returns [None]
-    on the empty list and is what every serialization path must use: an
-    undefined statistic then degrades to JSON [null] (via
-    {!Jsonx.of_float_opt}) instead of the invalid token [nan].  The
-    plain form keeps the historical nan-on-empty convention for
-    interactive use. *)
+    Every statistic is [nan] on the empty list, so float arithmetic over
+    an empty series degrades instead of raising.  {!Jsonx} prints a
+    non-finite float as JSON [null], so an undefined statistic never
+    leaks the invalid token [nan] into a serialized artefact. *)
 
 val mean : float list -> float
 (** Mean of a non-empty list; [nan] on the empty list. *)
 
-val mean_opt : float list -> float option
-
 val median : float list -> float
-val median_opt : float list -> float option
-
 val minimum : float list -> float
-val minimum_opt : float list -> float option
-
 val maximum : float list -> float
-val maximum_opt : float list -> float option
 
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [\[0,1\]], nearest-rank on the sorted
     values; [nan] on the empty list. *)
 
-val percentile_opt : float -> float list -> float option
-
 val geometric_mean : float list -> float
 (** Used for averaging speed-up factors across queries. *)
-
-val geometric_mean_opt : float list -> float option

@@ -61,6 +61,16 @@ let check_error server line code =
 (* Protocol routing through handle_line, no socket involved. *)
 let test_protocol () =
   let server = Server.create ~pool:Pool.sequential (fresh_slot ()) in
+  (* Before any query the latency percentiles are undefined: they must
+     print as JSON null, never as a bare nan that breaks the stats
+     line. *)
+  let fresh = Server.handle_line server "{\"op\":\"stats\"}" in
+  let latency_field st k = Option.bind (Json.member "latency" st) (Json.member k) in
+  (match Json.parse fresh with
+   | Ok st ->
+     Helpers.check_true "fresh p50 is null" (latency_field st "p50_ms" = Some Json.Null);
+     Helpers.check_true "fresh p99 is null" (latency_field st "p99_ms" = Some Json.Null)
+   | Error msg -> Alcotest.failf "fresh stats line does not parse: %s" msg);
   check_error server "not json at all" "parse";
   check_error server "{\"op\":\"query\",}" "parse";
   check_error server "[1,2,3]" "bad_request";
@@ -116,10 +126,11 @@ let test_protocol () =
   Helpers.check_true "stats ok" (Json.member "ok" st = Some (Json.Bool true));
   Helpers.check_int "served" 2
     (Option.value ~default:(-1) (Option.bind (Json.member "served" st) Json.to_int_opt));
-  Helpers.check_true "latency percentiles present"
-    (match Json.member "latency" st with
-     | Some lat -> Option.bind (Json.member "p50_ms" lat) Json.to_float_opt <> None
-     | None -> false);
+  List.iter
+    (fun k ->
+      Helpers.check_true (k ^ " is a number")
+        (Option.bind (latency_field st k) Json.to_float_opt <> None))
+    [ "p50_ms"; "p99_ms" ];
   (* explain describes the plan for a bounded pattern. *)
   let ex =
     response server
@@ -179,34 +190,54 @@ let with_server ?cache ?max_inflight ?query_timeout ?reload ?(pool = Pool.sequen
       Sock.close_listener addr lfd)
     (fun () -> f server addr)
 
-(* Eight concurrent clients, each asking the same workload repeatedly
-   over its own connection; every response must be byte-identical to
-   the direct answer.  The pool has real worker domains, so this also
-   drives queries through Pool.async scheduling. *)
+(* Eight concurrent clients, each cycling over Q0 and the T0 year-window
+   mix (four instantiations of one template, the paper's frequent query
+   load) on its own connection; every response must be byte-identical
+   to the direct answer.  A cold pass asks each pattern once, so the
+   concurrent pass that follows must hit the result tier.  The pool has
+   real worker domains, so this also drives queries through Pool.async
+   scheduling. *)
 let test_concurrent_clients () =
-  let schema = (Lazy.force ds).W.schema in
-  let expected = direct_matches schema (q0_text ()) in
+  let d = Lazy.force ds in
+  let windows =
+    List.init 4 (fun i ->
+        Pattern_parser.to_source
+          (Template.instantiate (W.t0 d.W.table)
+             [ ("lo", Value.Int (2003 + i)); ("hi", Value.Int (2005 + i)) ]))
+  in
+  let texts = Array.of_list (q0_text () :: windows) in
+  let expected = Array.map (direct_matches d.W.schema) texts in
   let pool = Pool.create 2 in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  with_server ~cache:(Qcache.create ()) ~pool (fresh_slot ()) @@ fun server addr ->
-  let clients = 8 and rounds = 5 in
+  let cache = Qcache.create () in
+  with_server ~cache ~pool (fresh_slot ()) @@ fun server addr ->
   let failures = Atomic.make 0 in
+  let ask conn k =
+    if decode_matches (Server.Client.query conn texts.(k)) <> Some expected.(k) then
+      Atomic.incr failures
+  in
+  let cold = Server.Client.connect addr in
+  Array.iteri (fun k _ -> ask cold k) texts;
+  Server.Client.close cold;
+  let cold_hits = (Qcache.stats cache).Qcache.result_hits in
+  let clients = 8 and rounds = 5 in
   let threads =
-    List.init clients (fun _ ->
+    List.init clients (fun c ->
         Thread.create
           (fun () ->
             let conn = Server.Client.connect addr in
             Fun.protect ~finally:(fun () -> Server.Client.close conn) @@ fun () ->
-            for _ = 1 to rounds do
-              let j = Server.Client.query conn (q0_text ()) in
-              if decode_matches j <> Some expected then Atomic.incr failures
+            for r = 1 to rounds do
+              ask conn ((c + r) mod Array.length texts)
             done)
           ())
   in
   List.iter Thread.join threads;
   Helpers.check_int "all responses identical to direct evaluation" 0 (Atomic.get failures);
+  Helpers.check_true "the warm pass hits the result tier"
+    ((Qcache.stats cache).Qcache.result_hits > cold_hits);
   let st = response server "{\"op\":\"stats\"}" in
-  Helpers.check_int "every request served" (clients * rounds)
+  Helpers.check_int "every request served" (Array.length texts + (clients * rounds))
     (Option.value ~default:(-1) (Option.bind (Json.member "served" st) Json.to_int_opt))
 
 (* A client that vanishes — mid-request, or before reading its answer —
@@ -406,7 +437,7 @@ let test_coalescing_dedup () =
     (Option.value ~default:(-1) (Option.bind (Json.member "served" st) Json.to_int_opt));
   Helpers.check_int "exactly one evaluation" 1 (Qcache.stats cache).Qcache.result_misses
 
-(* Byte-identity with coalescing on and off, across pool shapes, under
+(* Byte-identity with direct evaluation across pool shapes, under
    concurrent clients mixing limits (the limit is part of the flight
    key, so a limited and an unlimited request must never share). *)
 let test_coalescing_identity () =
@@ -418,40 +449,35 @@ let test_coalescing_identity () =
       let pool = if jobs = 0 then Pool.sequential else Pool.create jobs in
       Fun.protect ~finally:(fun () -> if jobs > 0 then Pool.shutdown pool)
       @@ fun () ->
-      List.iter
-        (fun coalesce ->
-          let server =
-            Server.create ~cache:(Qcache.create ()) ~coalesce ~pool (fresh_slot ())
-          in
-          let failures = Atomic.make 0 in
-          let threads =
-            List.init 6 (fun i ->
-                Thread.create
-                  (fun () ->
-                    for r = 1 to 4 do
-                      let limit = if (i + r) mod 2 = 0 then None else Some 2 in
-                      let fields =
-                        [ ("op", Json.Str "query"); ("pattern", Json.Str text) ]
-                        @
-                        match limit with
-                        | None -> []
-                        | Some l -> [ ("limit", Json.Int l) ]
-                      in
-                      let j = response server (Json.to_string (Json.Obj fields)) in
-                      let want =
-                        match limit with
-                        | None -> expected
-                        | Some l -> List.filteri (fun k _ -> k < l) expected
-                      in
-                      if decode_matches j <> Some want then Atomic.incr failures
-                    done)
-                  ())
-          in
-          List.iter Thread.join threads;
-          Helpers.check_int
-            (Printf.sprintf "identical answers (jobs=%d coalesce=%b)" jobs coalesce)
-            0 (Atomic.get failures))
-        [ true; false ])
+      let server = Server.create ~cache:(Qcache.create ()) ~pool (fresh_slot ()) in
+      let failures = Atomic.make 0 in
+      let threads =
+        List.init 6 (fun i ->
+            Thread.create
+              (fun () ->
+                for r = 1 to 4 do
+                  let limit = if (i + r) mod 2 = 0 then None else Some 2 in
+                  let fields =
+                    [ ("op", Json.Str "query"); ("pattern", Json.Str text) ]
+                    @
+                    match limit with
+                    | None -> []
+                    | Some l -> [ ("limit", Json.Int l) ]
+                  in
+                  let j = response server (Json.to_string (Json.Obj fields)) in
+                  let want =
+                    match limit with
+                    | None -> expected
+                    | Some l -> List.filteri (fun k _ -> k < l) expected
+                  in
+                  if decode_matches j <> Some want then Atomic.incr failures
+                done)
+              ())
+      in
+      List.iter Thread.join threads;
+      Helpers.check_int
+        (Printf.sprintf "identical answers (jobs=%d)" jobs)
+        0 (Atomic.get failures))
     [ 0; 2 ]
 
 (* Reload mid-flight: followers that coalesced behind a leader before a
