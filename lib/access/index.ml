@@ -26,7 +26,7 @@ let half_mask = (1 lsl half_width) - 1
 let pack2 a b = if a < b then (a lsl half_width) lor b else (b lsl half_width) lor a
 let unpack2 k = (k lsr half_width, k land half_mask)
 
-let key_width_of_arity arity = if arity <= 2 then 1 else arity
+let width_of_arity arity = if arity <= 2 then 1 else arity
 
 type slots = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
 
@@ -202,17 +202,44 @@ let ordinal_of_list t vs =
     find_at t (Array.of_list (List.sort Int.compare vs)) 0
   | _ -> -1
 
+(* The packed key of a tuple of at most two nodes: an immediate int, so
+   the mem lookup path allocates nothing. *)
+let[@inline] packed_of_tuple (vs : int array) =
+  match Array.length vs with 0 -> 0 | 1 -> vs.(0) | _ -> pack2 vs.(0) vs.(1)
+
+let sorted_copy (vs : int array) =
+  let sorted = Array.copy vs in
+  Int_sort.sort sorted;
+  sorted
+
+let native_record ~arity (vs : int array) =
+  if Array.length vs <> arity then None
+  else if arity <= 2 then Some [| packed_of_tuple vs |]
+  else Some (sorted_copy vs)
+
 let ordinal_of_tuple t (vs : int array) =
   if Array.length vs <> t.arity then -1
-  else
-    match t.arity with
-    | 0 -> find_packed t 0
-    | 1 -> find_packed t vs.(0)
-    | 2 -> find_packed t (pack2 vs.(0) vs.(1))
-    | _ ->
-      let sorted = Array.copy vs in
-      Int_sort.sort sorted;
-      find_at t sorted 0
+  else if t.width = 1 then find_packed t (packed_of_tuple vs)
+  else find_at t (sorted_copy vs) 0
+
+(* ---------------- binary search ---------------- *)
+
+(* Records of [width] key ints at stride [width + 2], read through
+   [get]: loops over refs, so a search allocates nothing beyond what
+   [get] does. *)
+let search ~get ~width ~n (key : int array) =
+  let lo = ref 0 and hi = ref n and found = ref (-1) in
+  while !found < 0 && !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let base = mid * (width + 2) in
+    let j = ref 0 and c = ref 0 in
+    while !c = 0 && !j < width do
+      c := Int.compare (get (base + !j)) key.(!j);
+      incr j
+    done;
+    if !c = 0 then found := mid else if !c < 0 then lo := mid + 1 else hi := mid
+  done;
+  if !found >= 0 then !found else -(!lo + 1)
 
 (* ---------------- freezing ---------------- *)
 
@@ -281,7 +308,7 @@ let pair_order width acc =
    emits the key records with their bucket extents, and the payload. *)
 let freeze c acc =
   let arity = Constr.arity c in
-  let width = key_width_of_arity arity in
+  let width = width_of_arity arity in
   let stride = width + 2 in
   let data = Vec.unsafe_data acc.a_keys and nodes = Vec.unsafe_data acc.a_nodes in
   let order = pair_order width acc in
@@ -502,15 +529,6 @@ let rec sorted_diff cmp a b =
     else if c > 0 then sorted_diff cmp a b'
     else sorted_diff cmp a' b'
 
-(* First ordinal whose key record is >= [r]. *)
-let lower_bound t r =
-  let lo = ref 0 and hi = ref t.n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if compare_record t mid r 0 < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
 let apply_delta t ~old_graph ~new_graph (delta : Digraph.delta) =
   let c = t.constr and w = t.width in
   let stride = w + 2 in
@@ -554,8 +572,9 @@ let apply_delta t ~old_graph ~new_graph (delta : Digraph.delta) =
         incr j
       done;
       let group = Array.to_list (Array.sub changes !i (!j - !i)) in
-      let o = lower_bound t key in
-      let existed = o < n && compare_record t o key 0 = 0 in
+      let found = search ~get:(get t.recs) ~width:w ~n key in
+      let existed = found >= 0 in
+      let o = if existed then found else -found - 1 in
       let kept =
         if existed then
           List.filter
@@ -631,6 +650,43 @@ let apply_delta t ~old_graph ~new_graph (delta : Digraph.delta) =
       { t' with slots; smask; omask }
   end
 
+(* ---------------- filtering ---------------- *)
+
+(* Kept records in their order, each bucket re-based onto the new
+   payload window: the layout a build over the kept buckets would give. *)
+let filter t keep =
+  let stride = t.width + 2 in
+  let kept = Array.init t.n (fun o -> keep (key_record t o)) in
+  let n = ref 0 and p = ref 0 in
+  Array.iteri
+    (fun o k ->
+      if k then begin
+        incr n;
+        p := !p + len_of t o
+      end)
+    kept;
+  let recs = create_i64s (!n * stride) and payload = create_i64s !p in
+  let nk = ref 0 and np = ref 0 in
+  Array.iteri
+    (fun o k ->
+      if k then begin
+        let src = key_at t o and dst = !nk * stride in
+        for j = 0 to t.width - 1 do
+          set recs (dst + j) (get t.recs (src + j))
+        done;
+        let start = start_of t o and len = len_of t o in
+        set recs (dst + t.width) !np;
+        set recs (dst + t.width + 1) len;
+        for i = 0 to len - 1 do
+          set payload (!np + i) (get t.payload (start + i))
+        done;
+        np := !np + len;
+        incr nk
+      end)
+    kept;
+  let slots, smask, omask = probe_table recs ~n:!n ~width:t.width in
+  { t with n = !n; recs; payload; slots; smask; omask; home = None }
+
 (* ---------------- serialisation ---------------- *)
 
 let emit s t =
@@ -647,18 +703,15 @@ let export_buckets t = Array.init t.n (fun o -> (key_record t o, bucket t o))
    records over contiguous non-empty buckets that cover the payload, and
    every key and payload id a node — checked on the bytes as they stream
    past, while the probe table fills from the same reads.  Lookups then
-   read the windows unchecked. *)
+   read the windows unchecked.  The region's sizes were checked against
+   the section by the metadata decoder ([Schema.read_meta]). *)
 let load scan file ~n_nodes c ~n_keys ~payload_ints =
   let module S = Binfile.Scan in
   let corrupt msg = raise (Binfile.Corrupt ("schema section: " ^ msg)) in
   let arity = Constr.arity c in
-  let width = key_width_of_arity arity in
+  let width = width_of_arity arity in
   let stride = width + 2 in
-  if n_keys < 0 || payload_ints < 0 then corrupt "negative region size";
-  if n_keys >= max_keys || n_keys > S.remaining scan / 8 / stride then
-    corrupt "key records out of range";
-  if payload_ints > (S.remaining scan - (8 * n_keys * stride)) / 8 then
-    corrupt "payload region out of range";
+  if n_keys >= max_keys then corrupt "key records out of range";
   let pos = S.file_pos scan in
   let slots, smask, omask = new_slots n_keys in
   let node_ok v = v >= 0 && v < n_nodes in

@@ -103,24 +103,50 @@ val apply_delta :
 val iter : t -> (int list -> int array -> unit) -> unit
 (** Iterate over all (key, bucket) pairs — used by satisfaction reports. *)
 
-(** {1 Serialisation}
+(** {1 Native key records}
 
     The snapshot format ([Schema.save]) stores each index as sorted
-    fixed-width key records pointing into a payload region; the paged
-    store binary-searches those records on disk.  Both sides must agree
-    on the native key representation, which these expose. *)
+    fixed-width key records pointing into a payload region.  Every
+    backend reads them through the functions below: the mem backend
+    probes them in place, the paged store and the shard workers
+    binary-search them on disk ({!search}), and the sharded coordinator
+    routes keys by them ([Bpq_store.Shard.owner_of_key]). *)
 
-val pack2 : int -> int -> int
-(** The packed form of a 2-node key (order-free min/max packing) — the
-    single int a 2-ary key record stores and a paged lookup searches
-    for. *)
+val width_of_arity : int -> int
+(** Ints per native key record for a constraint of this arity: [1] for
+    arity <= 2 (one packed int, with a 2-node key ordered by a single
+    min/max), the arity itself for wider keys (sorted ids). *)
+
+val native_record : arity:int -> int array -> int array option
+(** The native key record of a caller's tuple, in any node order:
+    [\[|0|\]] for arity 0, [\[|v|\]] for arity 1, the packed pair for
+    arity 2, the sorted ids for arity 3 or more.  [None] when the tuple's
+    length is not [arity] — a key that finds nothing.  The tuple is read,
+    never retained. *)
+
+val search : get:(int -> int) -> width:int -> n:int -> int array -> int
+(** Binary search over [n] strictly increasing key records of [width]
+    key ints each, laid out at stride [width + 2] (key ints, bucket
+    start, bucket length) and read through [get]: [get i] is the [i]th
+    int of the records.  Returns the ordinal of the record equal to the
+    key's first [width] ints, or [-(o + 1)] where [o] is the first
+    ordinal whose record is greater.  [get] may raise; the search
+    allocates nothing of its own. *)
 
 val key_width : t -> int
-(** Ints per native key record: [1] for arity <= 2 (packed int), the
-    arity itself for wider keys (sorted ids). *)
+(** {!width_of_arity} of the index's constraint. *)
 
 val payload_ints : t -> int
 (** Total payload entries: the sum of all bucket sizes. *)
+
+val filter : t -> (int array -> bool) -> t
+(** The index holding only the buckets whose native key record the
+    predicate accepts, in their order, each bucket unchanged: what a shard file
+    stores for the buckets its shard owns.  An ordinary index (off-heap
+    windows and probe table of its own), whatever [t] was loaded
+    from. *)
+
+(** {1 Serialisation} *)
 
 val emit : Binfile.sink -> t -> unit
 (** The index's region of a snapshot's schema section: {!n_keys} records
@@ -148,7 +174,9 @@ val load :
     strictly increasing and well formed for the constraint's arity, that
     the buckets are non-empty, contiguous and cover the payload, and that
     every key and payload node id lies in [\[0, n_nodes)] — and fills
-    the probe table.  No byte is read through the mapping.
+    the probe table.  No byte is read through the mapping.  The sizes
+    must describe a region inside the section, as the schema-section
+    metadata decoder ([Schema.read_meta]) checks before calling this.
     @raise Binfile.Corrupt naming the first violation, and on an
     [n_keys] of 2{^30} or more, which a 32-bit probe slot cannot
     address. *)

@@ -127,9 +127,15 @@ let apply_delta t delta =
    backend.  Regions follow each other in constraint order with no gaps,
    which is what lets a loader read them in one pass. *)
 
-let add_schema_section w t =
+let put_constr put (c : Constr.t) =
+  put (Constr.arity c);
+  List.iter put c.source;
+  put c.target;
+  put c.bound
+
+let add_section w ~stamp entries =
   let meta_bytes =
-    List.fold_left (fun acc (c, _) -> acc + (8 * (Constr.arity c + 8))) 16 t.entries
+    List.fold_left (fun acc (c, _) -> acc + (8 * (Constr.arity c + 8))) 16 entries
   in
   let off = ref meta_bytes in
   let located =
@@ -139,17 +145,14 @@ let add_schema_section w t =
         let payloads_off = keys_off + (8 * Index.n_keys idx * (Index.key_width idx + 2)) in
         off := payloads_off + (8 * Index.payload_ints idx);
         (c, idx, keys_off, payloads_off))
-      t.entries
+      entries
   in
   Binfile.stream_section w ~tag:Binfile.tag_schema ~len:!off (fun s ->
-      Binfile.put_i64 s t.stamp;
+      Binfile.put_i64 s stamp;
       Binfile.put_i64 s (List.length located);
       List.iter
-        (fun ((c : Constr.t), idx, keys_off, payloads_off) ->
-          Binfile.put_i64 s (Constr.arity c);
-          List.iter (Binfile.put_i64 s) c.source;
-          Binfile.put_i64 s c.target;
-          Binfile.put_i64 s c.bound;
+        (fun (c, idx, keys_off, payloads_off) ->
+          put_constr (Binfile.put_i64 s) c;
           Binfile.put_i64 s (Index.key_width idx);
           Binfile.put_i64 s (Index.n_keys idx);
           Binfile.put_i64 s keys_off;
@@ -162,7 +165,7 @@ let write ?selectivity t path =
   let w = Binfile.writer () in
   Graph_io.add_graph_sections w t.graph;
   Option.iter (fun sel -> Gstats.add_selectivity_section w sel) selectivity;
-  add_schema_section w t;
+  add_section w ~stamp:t.stamp t.entries;
   Binfile.write w path
 
 let save ?selectivity t path = ignore (write ?selectivity t path : int)
@@ -174,52 +177,88 @@ let rec register_stamp s =
   let cur = Atomic.get next_stamp in
   if cur <= s && not (Atomic.compare_and_set next_stamp cur (s + 1)) then register_stamp s
 
+type region = {
+  constr : Constr.t;
+  n_keys : int;
+  payload_ints : int;
+  keys_at : int;
+  payload_at : int;
+}
+
+let corrupt msg = raise (Binfile.Corrupt ("schema section: " ^ msg))
+
+let read_constr ~i64 ~map =
+  let bad msg = raise (Binfile.Corrupt ("constraint list: " ^ msg)) in
+  let label () =
+    let l = i64 () in
+    if l >= 0 && l < Array.length map then map.(l) else bad "label id out of range"
+  in
+  let arity = i64 () in
+  if arity < 0 || arity > 64 then bad "implausible constraint arity";
+  let source = List.init arity (fun _ -> label ()) in
+  let target = label () in
+  let bound = i64 () in
+  try Constr.make ~source ~target ~bound with Invalid_argument _ -> bad "invalid constraint"
+
+(* Every size is checked before it is used, and every region against
+   the section in division and subtraction form, so hostile sizes cannot
+   wrap a product or a sum into a passing check.  A constraint's
+   metadata is at least 8 i64s, which bounds the count. *)
+let read_meta ~i64 ~map ~len =
+  let stamp = i64 () in
+  (* [register_stamp] pushes the supply to [stamp + 1]. *)
+  if stamp < 0 || stamp = max_int then corrupt "stamp out of range";
+  let ncons = i64 () in
+  if ncons < 0 || ncons > len / 64 then corrupt "implausible constraint count";
+  let meta_end = ref 16 in
+  let metas =
+    List.init ncons (fun _ ->
+        let c = read_constr ~i64 ~map in
+        let kw = i64 () in
+        let n_keys = i64 () in
+        let keys_off = i64 () in
+        let payloads_off = i64 () in
+        let payload_ints = i64 () in
+        meta_end := !meta_end + (8 * (Constr.arity c + 8));
+        if kw <> Index.width_of_arity (Constr.arity c) then
+          corrupt "key width disagrees with arity";
+        if n_keys < 0 || payload_ints < 0 then corrupt "negative region size";
+        (c, n_keys, keys_off, payloads_off, payload_ints))
+  in
+  (* Regions follow the metadata back to back, in constraint order. *)
+  let off = ref !meta_end in
+  let regions =
+    List.map
+      (fun (c, n_keys, keys_off, payloads_off, payload_ints) ->
+        let stride = 8 * (Index.width_of_arity (Constr.arity c) + 2) in
+        if keys_off <> !off then corrupt "key records not at their canonical offset";
+        if n_keys > (len - keys_off) / stride then corrupt "key records out of range";
+        let payload_at = keys_off + (n_keys * stride) in
+        if payloads_off <> payload_at then corrupt "payload region not at its canonical offset";
+        if payload_ints > (len - payload_at) / 8 then corrupt "payload region out of range";
+        off := payload_at + (8 * payload_ints);
+        { constr = c; n_keys; payload_ints; keys_at = keys_off; payload_at })
+      metas
+  in
+  (stamp, regions)
+
 (* One pass over the file: graph sections, stats, then the schema
    section's metadata and each constraint's region in order.  The
    indexes serve from the file's mapping, which nothing reads until the
    whole file has been checked. *)
 let of_scan tbl s =
   let module S = Binfile.Scan in
-  let corrupt msg = raise (Binfile.Corrupt ("schema section: " ^ msg)) in
   let g, map = Graph_io.graph_of_scan tbl s in
   let sel = Graph_io.selectivity_of_scan tbl ~map s in
   S.require s Binfile.tag_schema;
-  let remap l = if l >= 0 && l < Array.length map then map.(l) else corrupt "label id out of range" in
-  let stamp = S.i64 s in
-  (* [register_stamp] pushes the supply to [stamp + 1]. *)
-  if stamp < 0 || stamp = max_int then corrupt "stamp out of range";
-  let ncons = S.i64 s in
-  if ncons < 0 || ncons > 1_000_000 then corrupt "implausible constraint count";
-  let metas =
-    List.init ncons (fun _ ->
-        let arity = S.i64 s in
-        if arity < 0 || arity > 64 then corrupt "implausible constraint arity";
-        let source = Array.to_list (Array.map remap (S.array s arity)) in
-        let target = remap (S.i64 s) in
-        let bound = S.i64 s in
-        let kw = S.i64 s in
-        let n_keys = S.i64 s in
-        let keys_off = S.i64 s in
-        let payloads_off = S.i64 s in
-        let payload_ints = S.i64 s in
-        let c =
-          try Constr.make ~source ~target ~bound
-          with Invalid_argument _ -> corrupt "invalid constraint"
-        in
-        if kw <> (if Constr.arity c <= 2 then 1 else Constr.arity c) then
-          corrupt "key width disagrees with arity";
-        (c, kw, n_keys, keys_off, payloads_off, payload_ints))
-  in
+  let stamp, regions = read_meta ~i64:(fun () -> S.i64 s) ~map ~len:(S.remaining s) in
   let n_nodes = Digraph.n_nodes g in
   let file = S.mapping s in
   let entries =
     List.map
-      (fun (c, kw, n_keys, keys_off, payloads_off, payload_ints) ->
-        if keys_off <> S.pos s then corrupt "key records not at their canonical offset";
-        if payloads_off <> keys_off + (8 * n_keys * (kw + 2)) then
-          corrupt "payload region not at its canonical offset";
-        (c, Index.load s file ~n_nodes c ~n_keys ~payload_ints))
-      metas
+      (fun r ->
+        (r.constr, Index.load s file ~n_nodes r.constr ~n_keys:r.n_keys ~payload_ints:r.payload_ints))
+      regions
   in
   register_stamp stamp;
   (make ~stamp g entries, sel)

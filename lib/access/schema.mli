@@ -89,7 +89,8 @@ val register_stamp : int -> unit
 (** Push the process-wide stamp supply past a stamp read from a snapshot,
     so a later {!build} can never mint it for a different constraint set
     (which would alias plan-cache keys).  {!load} calls this itself; it
-    is exposed for other snapshot loaders ([Bpq_store.Paged]). *)
+    is exposed for other snapshot loaders ([Bpq_store.Paged],
+    [Bpq_store.Shard.load_manifest]). *)
 
 val save : ?selectivity:Gstats.selectivity -> t -> string -> unit
 (** Write graph, optional selectivity stats, constraints and indexes to
@@ -124,3 +125,48 @@ val load : Label.table -> string -> t * Gstats.selectivity option
 val load_fnv : Label.table -> string -> (t * Gstats.selectivity option) * int
 (** {!load}, also returning the file's {!Binfile.file_fnv}, computed by
     the same pass that checks the checksum. *)
+
+(** {2 The schema section}
+
+    This module owns the section's layout: the one writer below serves
+    snapshots ({!save}) and shard files ([Bpq_store.Shard.partition]),
+    and the one metadata decoder serves {!load} and the paged store's
+    open ([Bpq_store.Paged.open_]).  Each index region is {!Index.emit}'s
+    layout. *)
+
+val add_section : Binfile.writer -> stamp:int -> (Constr.t * Index.t) list -> unit
+(** The schema section for these constraints and indexes, in this order,
+    streamed ({!Binfile.stream_section}): the stamp, each constraint's
+    metadata, then each index's region, back to back. *)
+
+val put_constr : (int -> unit) -> Constr.t -> unit
+(** A constraint as the i64s [arity, source labels, target, bound],
+    through the given writer of one i64 — the form the schema section
+    and a shard manifest both store. *)
+
+val read_constr : i64:(unit -> int) -> map:int array -> Constr.t
+(** Inverse of {!put_constr}, reading one i64 per [i64] call.  Stored
+    label ids go through [map] (stored id → table id, as
+    {!Graph_io.labels_of_cur} returns).
+    @raise Binfile.Corrupt on an arity over 64, a label id outside
+    [map], or an invalid constraint. *)
+
+(** One constraint's index region, as the metadata places it. *)
+type region = {
+  constr : Constr.t;
+  n_keys : int;
+  payload_ints : int;
+  keys_at : int;  (** Byte offset of the key records in the section. *)
+  payload_at : int;  (** Byte offset of the payload ids in the section. *)
+}
+
+val read_meta :
+  i64:(unit -> int) -> map:int array -> len:int -> int * region list
+(** The section's metadata — stamp, then each constraint's — read one
+    i64 per [i64] call from the start of a section of [len] bytes.
+    Returns the stamp and the regions in constraint order.  Checks, each
+    once: the stamp's range, {!read_constr}'s, the key width against the
+    arity, non-negative sizes, and every region at its canonical offset
+    (right after the metadata or the previous region) and inside the
+    section, in subtraction form.  The region contents are not read.
+    @raise Binfile.Corrupt naming the first violation. *)

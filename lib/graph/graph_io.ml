@@ -105,15 +105,26 @@ let put_value_blob s = function
     Binfile.put_char s '\002';
     String.iter (Binfile.put_char s) str
 
+(* The label names in id order, behind their count. *)
+let add_labels_section w tbl =
+  Binfile.section w ~tag:Binfile.tag_labels (fun b ->
+      Binfile.add_i64 b (Label.count tbl);
+      List.iter (fun l -> Binfile.add_string b (Label.name tbl l)) (Label.all tbl))
+
+(* Each name costs at least its 8-byte length, which bounds the count. *)
+let labels_of_cur tbl c =
+  let n = Binfile.Cur.i64 c in
+  if n < 0 || n > Binfile.Cur.remaining c / 8 then
+    raise (Binfile.Corrupt "labels section: implausible label count");
+  Array.init n (fun _ -> Label.intern tbl (Binfile.Cur.str c))
+
 (* Labels are small and buffered; nodes and CSR stream through the
    writer's sink, their lengths computed up front. *)
 let add_graph_sections w g =
   let tbl = Digraph.label_table g in
   let r = Digraph.Repr.of_graph g in
   let n = Array.length r.labels in
-  Binfile.section w ~tag:Binfile.tag_labels (fun b ->
-      Binfile.add_i64 b (Label.count tbl);
-      List.iter (fun l -> Binfile.add_string b (Label.name tbl l)) (Label.all tbl));
+  add_labels_section w tbl;
   let blob_len = Array.fold_left (fun acc v -> acc + value_blob_len v) 0 r.values in
   Binfile.stream_section w ~tag:Binfile.tag_nodes
     ~len:(8 + (8 * n) + (8 * (n + 1)) + blob_len)
@@ -184,13 +195,9 @@ let build_by_label nlabels labels =
 let graph_of_scan tbl s =
   let module S = Binfile.Scan in
   let corrupt msg = raise (Binfile.Corrupt msg) in
-  (* Labels: intern the stored names in id order.  Each name costs at
-     least its 8-byte length, which bounds the count. *)
   S.require s Binfile.tag_labels;
-  let nlabels_stored = S.i64 s in
-  if nlabels_stored < 0 || nlabels_stored > S.remaining s / 8 then
-    corrupt "labels section: implausible label count";
-  let map = Array.init nlabels_stored (fun _ -> Label.intern tbl (S.str s)) in
+  let map = labels_of_cur tbl (S.cur s) in
+  let nlabels_stored = Array.length map in
   let identity = Array.for_all2 (fun i j -> i = j) map (Array.init nlabels_stored Fun.id) in
   (* Nodes.  Value entries follow each other in node order, so the blob
      decodes as it streams past. *)

@@ -43,10 +43,20 @@ val is_snapshot : string -> bool
 
 (** {2 Snapshot building blocks}
 
-    Shared with [Schema.save]/[load] and the paged store; not meant for
-    general use. *)
+    Shared with [Schema.save]/[load], the paged store and shard files;
+    not meant for general use. *)
 
 val add_graph_sections : Binfile.writer -> Digraph.t -> unit
+
+val add_labels_section : Binfile.writer -> Label.table -> unit
+(** The labels section alone: the table's names in id order.  Snapshots,
+    shard files and shard manifests all carry it. *)
+
+val labels_of_cur : Label.table -> Binfile.Cur.t -> int array
+(** Decodes a labels section, interning the stored names in id order.
+    Returns the stored-label-id → table-id map (the identity when [tbl]
+    starts empty and the names are distinct).
+    @raise Binfile.Corrupt on a count the section cannot hold. *)
 
 val graph_of_scan : Label.table -> Binfile.Scan.t -> Digraph.t * int array
 (** Decodes the labels, nodes and CSR sections as they stream past.

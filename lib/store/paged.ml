@@ -14,16 +14,14 @@ type io_counters = {
   prefetched : int;  (* pages pulled in by sequential readahead *)
 }
 
-(* Per-constraint index metadata, decoded once at open; [keys_off] and
-   [payloads_off] are absolute file offsets. *)
+(* Per-constraint index geometry, decoded once at open
+   ([Schema.read_meta]), with the region's absolute file offsets. *)
 type cmeta = {
-  constr : Constr.t;
+  r : Schema.region;
   arity : int;
-  kw : int;  (* ints per key record, excluding the (start, len) trailer *)
-  n_keys : int;
-  keys_off : int;
-  payloads_off : int;
-  payload_ints : int;
+  width : int;  (* [Index.width_of_arity arity] *)
+  records_at : int;
+  payload_at : int;
 }
 
 type t = {
@@ -41,6 +39,7 @@ type t = {
   readahead : int;  (* pages to prefetch past a sequential miss; 0 = off *)
   mutable next_seq : int;  (* page after the most recent access *)
   table : Label.table;
+  map : int array;  (* stored label id -> [table] id *)
   n_nodes : int;
   n_edges : int;
   labels_off : int;  (* node label array *)
@@ -161,16 +160,10 @@ let open_ ?(page_cache_mb = 16) ?cache_pages ?(page_size = page_size) ?(readahea
       b
     in
     let sects = Binfile.read_directory ~pread ~file_len in
-    let read_sect (s : Binfile.sect) = pread ~pos:s.off ~len:s.len in
+    let read_sect (s : Binfile.sect) = Binfile.Cur.of_bytes (pread ~pos:s.off ~len:s.len) in
     (* Labels: small, read whole. *)
-    let lsect = require sects Binfile.tag_labels "label" in
     let table = Label.create_table () in
-    let lc = Binfile.Cur.of_bytes (read_sect lsect) in
-    let nlabels = Binfile.Cur.i64 lc in
-    if nlabels < 0 then corrupt "labels section: negative count";
-    for _ = 1 to nlabels do
-      ignore (Label.intern table (Binfile.Cur.str lc))
-    done;
+    let map = Graph_io.labels_of_cur table (read_sect (require sects Binfile.tag_labels "label")) in
     (* Nodes: header only; the arrays stay on disk. *)
     let nsect = require sects Binfile.tag_nodes "node" in
     let n = Binfile.get_i64 (pread ~pos:nsect.off ~len:8) 0 in
@@ -196,9 +189,7 @@ let open_ ?(page_cache_mb = 16) ?cache_pages ?(page_size = page_size) ?(readahea
     let selectivity =
       sect_of sects Binfile.tag_stats
       |> Option.map (fun s ->
-             Gstats.selectivity_of_section (Binfile.Cur.of_bytes (read_sect s))
-               ~map:(Array.init nlabels Fun.id)
-               ~nlabels:(Label.count table))
+             Gstats.selectivity_of_section (read_sect s) ~map ~nlabels:(Label.count table))
     in
     (* Schema metadata: stamp, constraints and each index's on-disk
        geometry.  The meta region is tiny; key records and payloads — the
@@ -207,59 +198,28 @@ let open_ ?(page_cache_mb = 16) ?cache_pages ?(page_size = page_size) ?(readahea
       require sects Binfile.tag_schema
         "schema (the paged store serves index lookups, so a graph-only snapshot cannot back it)"
     in
-    let scorrupt msg = corrupt "schema section: %s" msg in
-    let mpos = ref ssect.off in
-    let meta_i64 () =
-      if !mpos + 8 > ssect.off + ssect.len then scorrupt "metadata ends early";
-      let v = Binfile.get_i64 (pread ~pos:!mpos ~len:8) 0 in
-      mpos := !mpos + 8;
+    let pos = ref ssect.off in
+    let i64 () =
+      if !pos > ssect.off + ssect.len - 8 then corrupt "schema section: metadata ends early";
+      let v = Binfile.get_i64 (pread ~pos:!pos ~len:8) 0 in
+      pos := !pos + 8;
       v
     in
-    let stamp = meta_i64 () in
-    let ncons = meta_i64 () in
-    if ncons < 0 || ncons > 1_000_000 then scorrupt "implausible constraint count";
+    let stamp, regions = Schema.read_meta ~i64 ~map ~len:ssect.len in
     let metas =
-      List.init ncons (fun _ ->
-          let arity = meta_i64 () in
-          if arity < 0 || arity > 64 then scorrupt "implausible constraint arity";
-          let source = List.init arity (fun _ -> meta_i64 ()) in
-          let target = meta_i64 () in
-          let bound = meta_i64 () in
-          let kw = meta_i64 () in
-          let n_keys = meta_i64 () in
-          let keys_off = meta_i64 () in
-          let payloads_off = meta_i64 () in
-          let payload_ints = meta_i64 () in
-          List.iter
-            (fun l -> if l < 0 || l >= nlabels then scorrupt "label id out of range")
-            (target :: source);
-          let constr =
-            try Constr.make ~source ~target ~bound
-            with Invalid_argument _ -> scorrupt "invalid constraint"
-          in
-          if kw <> (if arity <= 2 then 1 else arity) then
-            scorrupt "key width disagrees with arity";
-          if n_keys < 0 || payload_ints < 0 then scorrupt "negative region size";
-          (* Division and subtraction forms throughout: hostile sizes
-             must not wrap a product or a sum into a passing check. *)
-          if
-            keys_off < 0
-            || keys_off > ssect.len
-            || n_keys > (ssect.len - keys_off) / 8 / (kw + 2)
-            || payloads_off <> keys_off + (8 * n_keys * (kw + 2))
-            || payload_ints > (ssect.len - payloads_off) / 8
-          then scorrupt "index region out of bounds";
-          { constr;
+      List.map
+        (fun (r : Schema.region) ->
+          let arity = Constr.arity r.constr in
+          { r;
             arity;
-            kw;
-            n_keys;
-            keys_off = ssect.off + keys_off;
-            payloads_off = ssect.off + payloads_off;
-            payload_ints })
+            width = Index.width_of_arity arity;
+            records_at = ssect.off + r.keys_at;
+            payload_at = ssect.off + r.payload_at })
+        regions
     in
     Schema.register_stamp stamp;
-    let by_constr = Hashtbl.create (max 16 ncons) in
-    List.iter (fun m -> Hashtbl.replace by_constr m.constr m) metas;
+    let by_constr = Hashtbl.create (max 16 (List.length metas)) in
+    List.iter (fun m -> Hashtbl.replace by_constr m.r.constr m) metas;
     let capacity =
       match cache_pages with
       | Some p ->
@@ -283,6 +243,7 @@ let open_ ?(page_cache_mb = 16) ?cache_pages ?(page_size = page_size) ?(readahea
       readahead;
       next_seq = -1;
       table;
+      map;
       n_nodes = n;
       n_edges = m;
       labels_off;
@@ -319,7 +280,9 @@ let close t =
 let node_label t v =
   with_lock t (fun () ->
       if v < 0 || v >= t.n_nodes then corrupt "node id out of range";
-      read_i64 t (t.labels_off + (8 * v)))
+      let l = read_i64 t (t.labels_off + (8 * v)) in
+      if l < 0 || l >= Array.length t.map then corrupt "nodes section: label id out of range";
+      t.map.(l))
 
 let node_value t v =
   with_lock t (fun () ->
@@ -348,63 +311,21 @@ let probe_edge t src dst =
         !found
       end)
 
-(* The native key record for a caller-supplied key, mirroring the
-   in-memory normalisation ([Index.packed_of_list] / sorted spill keys).
-   [None] = wrong shape for this constraint = finds nothing. *)
-let record_of_list m vs =
-  match (m.arity, vs) with
-  | 0, [] -> Some [| 0 |]
-  | 1, [ v ] -> Some [| v |]
-  | 2, [ a; b ] -> Some [| Index.pack2 a b |]
-  | arity, vs when List.length vs = arity && arity > 2 ->
-    Some (Array.of_list (List.sort Int.compare vs))
-  | _ -> None
-
-let record_of_tuple m (vs : int array) =
-  if Array.length vs <> m.arity then None
-  else
-    match m.arity with
-    | 0 -> Some [| 0 |]
-    | 1 -> Some [| vs.(0) |]
-    | 2 -> Some [| Index.pack2 vs.(0) vs.(1) |]
-    | _ ->
-      let copy = Array.copy vs in
-      Bpq_util.Int_sort.sort copy;
-      Some copy
-
-(* Binary search over the constraint's sorted fixed-width key records;
-   returns the bucket materialised in stored (insertion) order, so the
-   stream matches the in-memory index exactly. *)
-let search_bucket t m (key : int array) =
-  let stride = 8 * (m.kw + 2) in
-  let compare_at rec_i =
-    let base = m.keys_off + (rec_i * stride) in
-    let rec cmp i =
-      if i = m.kw then 0
-      else
-        let stored = read_i64 t (base + (8 * i)) in
-        if stored < key.(i) then -1 else if stored > key.(i) then 1 else cmp (i + 1)
-    in
-    cmp 0
-  in
-  let lo = ref 0 and hi = ref m.n_keys in
-  let found = ref (-1) in
-  while !found < 0 && !hi - !lo > 0 do
-    let mid = (!lo + !hi) / 2 in
-    match compare_at mid with
-    | 0 -> found := mid
-    | c when c < 0 -> lo := mid + 1
-    | _ -> hi := mid
-  done;
-  if !found < 0 then [||]
+(* The bucket of a native key record, in stored order, so the stream
+   matches the in-memory index exactly.  The open read no region, so
+   the bucket pointer and every payload id are checked here. *)
+let search_bucket t m record =
+  let get i = read_i64 t (m.records_at + (8 * i)) in
+  let o = Index.search ~get ~width:m.width ~n:m.r.n_keys record in
+  if o < 0 then [||]
   else begin
-    let base = m.keys_off + (!found * stride) in
-    let start = read_i64 t (base + (8 * m.kw)) in
-    let len = read_i64 t (base + (8 * (m.kw + 1))) in
-    if start < 0 || start > m.payload_ints || len < 0 || len > m.payload_ints - start then
+    let at = (o * (m.width + 2)) + m.width in
+    let start = get at and len = get (at + 1) in
+    let ints = m.r.payload_ints in
+    if start < 0 || start > ints || len < 0 || len > ints - start then
       corrupt "schema section: payload pointer out of range";
     Array.init len (fun i ->
-        let v = read_i64 t (m.payloads_off + (8 * (start + i))) in
+        let v = read_i64 t (m.payload_at + (8 * (start + i))) in
         if v < 0 || v >= t.n_nodes then corrupt "schema section: payload node id out of range";
         v)
   end
@@ -414,20 +335,14 @@ let meta_of t c =
   | Some m -> m
   | None -> raise Not_found
 
-let lookup t c key =
-  let m = meta_of t c in
-  match record_of_list m key with
-  | None -> [||]
-  | Some record -> with_lock t (fun () -> search_bucket t m record)
-
 let lookup_tuple t c tuple =
   let m = meta_of t c in
-  match record_of_tuple m tuple with
+  match Index.native_record ~arity:m.arity tuple with
   | None -> [||]
   | Some record -> with_lock t (fun () -> search_bucket t m record)
 
 let source t =
-  { Exec.lookup = (fun c key -> lookup t c key);
+  { Exec.lookup = (fun c key -> lookup_tuple t c (Array.of_list key));
     lookup_iter =
       (* Materialise under the lock, then stream: executor callbacks read
          node values and probe edges mid-iteration, which must not
@@ -442,14 +357,14 @@ let source t =
     node_label = (fun v -> node_label t v);
     node_value = (fun v -> node_value t v);
     table = t.table;
-    constraints = List.map (fun m -> m.constr) t.metas;
+    constraints = List.map (fun m -> m.r.constr) t.metas;
     stamp = t.stamp;
     graph_size = t.n_nodes + t.n_edges;
     data_version = 0;
     label_gen = None }
 
 let table t = t.table
-let constraints t = List.map (fun m -> m.constr) t.metas
+let constraints t = List.map (fun m -> m.r.constr) t.metas
 let stamp t = t.stamp
 let n_nodes t = t.n_nodes
 let n_edges t = t.n_edges

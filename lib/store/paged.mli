@@ -7,11 +7,19 @@
     selectivity stats and the per-constraint metadata — O(labels +
     constraints), not O(|G|); node attributes, adjacency and index
     buckets stay on disk and fault in page by page, with an LRU
-    ({!Bpq_util.Lru}) bounding resident memory.  Index lookups
-    binary-search the sorted on-disk key records ({!Bpq_access.Index.export_buckets}
-    order) and stream payload buckets in stored order, so answers are
-    byte-identical to the in-memory backend at every cache capacity —
-    including a capacity of zero, where every access faults.
+    ({!Bpq_util.Lru}) bounding resident memory.  The snapshot layout is
+    decoded by the modules that own it: the labels section by
+    {!Bpq_graph.Graph_io.labels_of_cur}, the schema section's metadata by
+    {!Bpq_access.Schema.read_meta}, a caller's key into its native record
+    by {!Bpq_access.Index.native_record}, and the on-disk key records
+    are binary-searched by {!Bpq_access.Index.search}, reading each int
+    through the page cache.  Payload buckets stream in stored order, so
+    answers are byte-identical to the in-memory backend at every cache
+    capacity — including a capacity of zero, where every access faults.
+    What this module does on its own: the page-by-page reads under one
+    mutex, and the checks on what it reads lazily — each bucket pointer
+    and payload id per lookup, each node's label, value offsets and CSR
+    row on access — since the open never reads those regions.
 
     A [t] may serve several pool domains concurrently: the file handle
     and the page cache sit behind one mutex, and every source operation
@@ -31,7 +39,11 @@ val open_ :
   ?page_cache_mb:int -> ?cache_pages:int -> ?page_size:int -> ?readahead:int -> string -> t
 (** [open_ path] validates the header and directory (not the checksum —
     run {!Bpq_graph.Binfile.verify} first for a full integrity pass) and
-    loads the small metadata.  The page-cache budget is [page_cache_mb]
+    loads the small metadata, with the checks {!Bpq_access.Schema.load}
+    makes on it: every index region at its canonical offset and inside
+    the schema section.  A value read later that the open did not check
+    raises [Binfile.Corrupt] when it is out of range — a node label
+    outside the label table among them.  The page-cache budget is [page_cache_mb]
     megabytes (default 16); [cache_pages] overrides it with an exact page
     count — 0 is legal and makes every access a fault.  [page_size]
     (default {!page_size}) sets the fault granularity and must be a

@@ -410,24 +410,6 @@ let frame fill =
   fill b;
   Buffer.contents b
 
-(* The native key record for a raw anchor-order tuple — must match what
-   [Shard.partition] hashed ({!Index.export_buckets} form), which is
-   also what the worker's paged lookup searches for. *)
-let native_record ~arity (tuple : int array) =
-  if Array.length tuple <> arity then None
-  else
-    match arity with
-    | 0 -> Some [| 0 |]
-    | 1 -> Some [| tuple.(0) |]
-    | 2 -> Some [| Index.pack2 tuple.(0) tuple.(1) |]
-    | _ ->
-      let copy = Array.copy tuple in
-      Array.sort Int.compare copy;
-      Some copy
-
-let record_of_list ~arity vs =
-  if List.length vs <> arity then None else Some (Array.of_list vs)
-
 (* Retention is an optimisation only — correctness never depends on a
    cache hit — so a hard cap with wholesale reset is enough. *)
 let max_cached_attrs = 2_000_000
@@ -563,7 +545,7 @@ let do_prefetch t con arrays =
             let seen = Hashtbl.create 64 in
             let anchors = List.init arity (fun i -> ((), i)) in
             Exec.iter_tuples arrays anchors (fun tuple ->
-                match native_record ~arity tuple with
+                match Index.native_record ~arity tuple with
                 | None -> ()
                 | Some record ->
                   if not (Hashtbl.mem seen record) then begin
@@ -697,7 +679,7 @@ let partition_tuples t ~cid arrays =
       let shards = t.m.Shard.shards in
       let pending = Array.make shards [] in
       Exec.iter_tuples_slice arrays ~lo:0 ~hi:total (fun tuple ->
-          match native_record ~arity tuple with
+          match Index.native_record ~arity tuple with
           | None -> ()
           | Some record ->
             let s = Shard.owner_of_key ~shards ~cid record in
@@ -894,21 +876,15 @@ let probe_plan_stamp t stamp =
       | _ -> assert false)
 
 let source ?(pushdown = true) t =
+  (* A key routes by its native record: the form [Shard.partition]
+     placed its bucket by, and the one the worker's lookup searches. *)
   let lookup_tuple con tuple =
     let cid = cid_of t con in
-    match native_record ~arity:t.arity.(cid) tuple with
+    match Index.native_record ~arity:t.arity.(cid) tuple with
     | None -> [||]
     | Some record -> lookup_record t cid record tuple
   in
-  { Exec.lookup =
-      (fun con key ->
-        let cid = cid_of t con in
-        match record_of_list ~arity:t.arity.(cid) key with
-        | None -> [||]
-        | Some tuple -> (
-          match native_record ~arity:t.arity.(cid) tuple with
-          | None -> [||]
-          | Some record -> lookup_record t cid record tuple));
+  { Exec.lookup = (fun con key -> lookup_tuple con (Array.of_list key));
     lookup_iter =
       (* Materialise under the lock, then stream: executor callbacks
          read node attributes mid-iteration, which must not deadlock on

@@ -49,93 +49,12 @@ let owner_of_key ~shards ~cid record =
   let h = Array.fold_left mix (mix 0x51ED270B cid) record in
   (h land max_int) mod shards
 
-(* ---------------- file-level checksums ---------------- *)
-
-(* Same FNV-1a-in-62-bits as the container's trailing checksum, but over
-   the whole file including that trailer — a shard file altered in any
-   byte (even its own checksum) mismatches the manifest. *)
-let fnv_prime = 0x100000001B3
-let fnv_basis = 0x3BF29CE484222325
-
-let fnv_bytes h buf n =
-  let h = ref h in
-  for i = 0 to n - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get buf i)) * fnv_prime land max_int
-  done;
-  !h
-
-let checksum_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let buf = Bytes.create 65536 in
-      let rec loop h =
-        match input ic buf 0 (Bytes.length buf) with 0 -> h | n -> loop (fnv_bytes h buf n)
-      in
-      loop fnv_basis)
-
 let shard_file_name s = Printf.sprintf "shard-%04d.snap" s
 
 let manifest_path path =
   if Filename.basename path = "MANIFEST" then path else Filename.concat path "MANIFEST"
 
 (* ---------------- writing ---------------- *)
-
-(* The schema section of a shard file: identical layout to
-   [Schema.save]'s ([Paged.open_] decodes both without knowing which it
-   got), with the full constraint list but only this shard's buckets.
-   [entries] carries (constraint, key width, owned buckets). *)
-let add_schema_section w ~stamp entries =
-  Binfile.section w ~tag:Binfile.tag_schema (fun b ->
-      let meta_bytes =
-        List.fold_left (fun acc (c, _, _) -> acc + (8 * (Constr.arity c + 8))) 16 entries
-      in
-      let off = ref meta_bytes in
-      let located =
-        List.map
-          (fun (c, kw, buckets) ->
-            let n_keys = Array.length buckets in
-            let payload_ints =
-              Array.fold_left (fun acc (_, p) -> acc + Array.length p) 0 buckets
-            in
-            let keys_off = !off in
-            let payloads_off = keys_off + (8 * n_keys * (kw + 2)) in
-            off := payloads_off + (8 * payload_ints);
-            (c, kw, buckets, n_keys, payload_ints, keys_off, payloads_off))
-          entries
-      in
-      Binfile.add_i64 b stamp;
-      Binfile.add_i64 b (List.length located);
-      List.iter
-        (fun ((c : Constr.t), kw, _, n_keys, payload_ints, keys_off, payloads_off) ->
-          Binfile.add_i64 b (Constr.arity c);
-          List.iter (Binfile.add_i64 b) c.source;
-          Binfile.add_i64 b c.target;
-          Binfile.add_i64 b c.bound;
-          Binfile.add_i64 b kw;
-          Binfile.add_i64 b n_keys;
-          Binfile.add_i64 b keys_off;
-          Binfile.add_i64 b payloads_off;
-          Binfile.add_i64 b payload_ints)
-        located;
-      List.iter
-        (fun (_, _, buckets, _, _, _, _) ->
-          let cursor = ref 0 in
-          Array.iter
-            (fun (key, payload) ->
-              Binfile.add_array b key;
-              Binfile.add_i64 b !cursor;
-              Binfile.add_i64 b (Array.length payload);
-              cursor := !cursor + Array.length payload)
-            buckets;
-          Array.iter (fun (_, payload) -> Binfile.add_array b payload) buckets)
-        located)
-
-let add_labels_section w tbl =
-  Binfile.section w ~tag:Binfile.tag_labels (fun b ->
-      Binfile.add_i64 b (Label.count tbl);
-      List.iter (fun l -> Binfile.add_string b (Label.name tbl l)) (Label.all tbl))
 
 let ensure_dir dir =
   if Sys.file_exists dir then begin
@@ -144,10 +63,10 @@ let ensure_dir dir =
   end
   else Unix.mkdir dir 0o777
 
-let write_shard ~dir ~shards ~stamp ~s tbl (r : Digraph.Repr.t) n_edges_global exports =
+let write_shard ~dir ~shards ~stamp ~s tbl (r : Digraph.Repr.t) n_edges_global indexes =
   let n = Array.length r.labels in
   let w = Binfile.writer () in
-  add_labels_section w tbl;
+  Graph_io.add_labels_section w tbl;
   (* Nodes: the label array in full (8n bytes — cheap next to adjacency
      and values), attribute values for the owned nodes only.  Unowned
      entries are zero-length; a worker is only ever asked about the
@@ -187,41 +106,28 @@ let write_shard ~dir ~shards ~stamp ~s tbl (r : Digraph.Repr.t) n_edges_global e
       Binfile.add_i64 b 0;
       Binfile.add_array b out_off;
       Binfile.add_array b out_adj);
-  (* Indexes: same section layout, owned buckets only.  Filtering keeps
-     the lexicographic record order, so the on-disk binary search is
+  (* Indexes: the snapshot's schema section, owned buckets only.
+     Filtering keeps the record order, so the on-disk binary search is
      untouched. *)
-  let entries =
+  let owned =
     List.map
-      (fun (cid, c, kw, buckets) ->
-        let owned =
-          Array.of_list
-            (List.filter
-               (fun (key, _) -> owner_of_key ~shards ~cid key = s)
-               (Array.to_list buckets))
-        in
-        (c, kw, owned))
-      exports
+      (fun (cid, c, idx) -> (c, Index.filter idx (fun key -> owner_of_key ~shards ~cid key = s)))
+      indexes
   in
-  add_schema_section w ~stamp entries;
+  Schema.add_section w ~stamp owned;
   Binfile.section w ~tag:tag_shard_meta (fun b ->
       Binfile.add_i64 b format_version;
       Binfile.add_i64 b partition_version;
       Binfile.add_i64 b s;
       Binfile.add_i64 b shards;
       Binfile.add_i64 b n_edges_global);
-  let path = Filename.concat dir (shard_file_name s) in
-  ignore (Binfile.write w path : int);
-  let n_keys = List.fold_left (fun acc (_, _, b) -> acc + Array.length b) 0 entries in
-  let payload_ints =
-    List.fold_left
-      (fun acc (_, _, b) -> Array.fold_left (fun acc (_, p) -> acc + Array.length p) acc b)
-      0 entries
-  in
+  let checksum = Binfile.write w (Filename.concat dir (shard_file_name s)) in
+  let total f = List.fold_left (fun acc (_, idx) -> acc + f idx) 0 owned in
   { file = shard_file_name s;
-    checksum = checksum_file path;
+    checksum;
     n_edges = m_s;
-    n_keys;
-    payload_ints }
+    n_keys = total Index.n_keys;
+    payload_ints = total Index.payload_ints }
 
 let partition ~shards ~snapshot ~dir =
   if shards <= 0 then invalid_arg "Shard.partition: shards must be positive";
@@ -231,20 +137,14 @@ let partition ~shards ~snapshot ~dir =
   let r = Digraph.Repr.of_graph g in
   let cons = Schema.constraints schema in
   let stamp = Schema.stamp schema in
-  let exports =
-    List.mapi
-      (fun cid c ->
-        let idx = Schema.index_of schema c in
-        (cid, c, Index.key_width idx, Index.export_buckets idx))
-      cons
-  in
+  let indexes = List.mapi (fun cid c -> (cid, c, Schema.index_of schema c)) cons in
   ensure_dir dir;
   let files =
     Array.init shards (fun s ->
-        write_shard ~dir ~shards ~stamp ~s tbl r r.n_edges exports)
+        write_shard ~dir ~shards ~stamp ~s tbl r r.n_edges indexes)
   in
   let w = Binfile.writer () in
-  add_labels_section w tbl;
+  Graph_io.add_labels_section w tbl;
   Binfile.section w ~tag:tag_manifest (fun b ->
       Binfile.add_i64 b format_version;
       Binfile.add_i64 b partition_version;
@@ -253,13 +153,7 @@ let partition ~shards ~snapshot ~dir =
       Binfile.add_i64 b (Array.length r.labels);
       Binfile.add_i64 b r.n_edges;
       Binfile.add_i64 b (List.length cons);
-      List.iter
-        (fun (c : Constr.t) ->
-          Binfile.add_i64 b (Constr.arity c);
-          List.iter (Binfile.add_i64 b) c.source;
-          Binfile.add_i64 b c.target;
-          Binfile.add_i64 b c.bound)
-        cons;
+      List.iter (Schema.put_constr (Binfile.add_i64 b)) cons;
       Array.iter
         (fun f ->
           Binfile.add_string b f.file;
@@ -289,12 +183,7 @@ let load_manifest path =
   fst @@ Binfile.Scan.run path @@ fun s ->
   let table = Label.create_table () in
   Binfile.Scan.require s Binfile.tag_labels;
-  let lc = Binfile.Scan.cur s in
-  let nlabels = Binfile.Cur.i64 lc in
-  if nlabels < 0 then corrupt "manifest: negative label count";
-  for _ = 1 to nlabels do
-    ignore (Label.intern table (Binfile.Cur.str lc))
-  done;
+  let map = Graph_io.labels_of_cur table (Binfile.Scan.cur s) in
   if not (Binfile.Scan.enter s tag_manifest) then corrupt "manifest: missing manifest section";
   let mc = Binfile.Scan.cur s in
   let fv = Binfile.Cur.i64 mc in
@@ -312,17 +201,7 @@ let load_manifest path =
   let ncons = Binfile.Cur.i64 mc in
   if ncons < 0 || ncons > 1_000_000 then corrupt "manifest: implausible constraint count";
   let constraints =
-    List.init ncons (fun _ ->
-        let arity = Binfile.Cur.i64 mc in
-        if arity < 0 || arity > 64 then corrupt "manifest: implausible constraint arity";
-        let source = List.init arity (fun _ -> Binfile.Cur.i64 mc) in
-        let target = Binfile.Cur.i64 mc in
-        let bound = Binfile.Cur.i64 mc in
-        List.iter
-          (fun l -> if l < 0 || l >= nlabels then corrupt "manifest: label id out of range")
-          (target :: source);
-        try Constr.make ~source ~target ~bound
-        with Invalid_argument _ -> corrupt "manifest: invalid constraint")
+    List.init ncons (fun _ -> Schema.read_constr ~i64:(fun () -> Binfile.Cur.i64 mc) ~map)
   in
   let files =
     Array.init shards (fun _ ->
@@ -338,7 +217,7 @@ let load_manifest path =
   in
   let owned = Array.fold_left (fun acc (f : shard_file) -> acc + f.n_edges) 0 files in
   if owned <> n_edges then corrupt "manifest: shard edge counts do not sum to the total";
-  let selectivity = Graph_io.selectivity_of_scan table ~map:(Array.init nlabels Fun.id) s in
+  let selectivity = Graph_io.selectivity_of_scan table ~map s in
   Schema.register_stamp stamp;
   { dir = Filename.dirname path;
     shards;
@@ -354,7 +233,7 @@ let verify_files m =
   Array.iter
     (fun f ->
       let path = Filename.concat m.dir f.file in
-      let sum = try checksum_file path with Sys_error e -> corrupt "%s: %s" f.file e in
+      let sum = try Binfile.file_fnv path with Sys_error e -> corrupt "%s: %s" f.file e in
       if sum <> f.checksum then
         corrupt "%s: checksum mismatch (stored %016x, computed %016x) — shard is damaged"
           f.file f.checksum sum)

@@ -18,6 +18,11 @@
     owned nodes' values, the owned out-rows, and the schema section with
     the full constraint list but only the owned buckets (record order is
     preserved by filtering, so the on-disk binary search still works).
+    The labels and schema sections are written by the same code as a
+    snapshot's ({!Bpq_graph.Graph_io.add_labels_section},
+    {!Bpq_access.Schema.add_section} over each index's
+    {!Bpq_access.Index.filter}), and {!Bpq_graph.Binfile.write}'s FNV is the
+    manifest's checksum, so no file is re-read.
     Shard files carry only the sections a worker serves — they are not
     loadable by the in-memory backend, which validates the full CSR.
 
@@ -90,12 +95,10 @@ val load_manifest : string -> manifest
     @raise Binfile.Corrupt on damage or an unsupported version. *)
 
 val verify_files : manifest -> unit
-(** Recompute every shard file's checksum against the manifest.
+(** Recompute every shard file's checksum ({!Bpq_graph.Binfile.file_fnv})
+    against the manifest.
     @raise Binfile.Corrupt naming the first mismatched or unreadable
     file. *)
-
-val checksum_file : string -> int
-(** FNV-1a over a file's bytes (streamed). *)
 
 val read_shard_meta : string -> shard_meta
 (** Read one shard file's identity section (directory walk only — no

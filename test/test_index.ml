@@ -338,6 +338,54 @@ let iter_forms_match_lookup =
           if List.rev !got_tuple_iter <> want then ok := false);
       !ok)
 
+(* [filter] keeps exactly the buckets whose native record it accepts,
+   in order: the kept index finds them through its own probe table and
+   misses the dropped ones, and [search] over the kept records finds
+   every kept key and places every dropped one between its neighbours. *)
+let filter_keeps_accepted_buckets =
+  Helpers.qcheck ~count:60 "filter keeps the accepted buckets; search finds them in order"
+    QCheck2.Gen.(pair (int_range 1 500) (int_range 2 4))
+    (fun (seed, modulus) ->
+      let _, g, labels, r = messy_world seed in
+      let c = random_constr r labels in
+      let idx = Index.build g c in
+      let keep record = Hashtbl.hash record mod modulus = 0 in
+      let kept = Index.filter idx keep in
+      let filtered = Index.export_buckets kept in
+      let width = Index.key_width kept and n = Index.n_keys kept in
+      let recs =
+        let cursor = ref 0 in
+        Array.concat
+          (Array.to_list
+             (Array.map
+                (fun (key, bucket) ->
+                  let start = !cursor in
+                  cursor := start + Array.length bucket;
+                  Array.append key [| start; Array.length bucket |])
+                filtered))
+      in
+      let all = Array.to_list (Index.export_buckets idx) in
+      let ok = ref (Array.to_list filtered = List.filter (fun (k, _) -> keep k) all) in
+      Index.iter idx (fun key bucket ->
+          let record =
+            Option.get (Index.native_record ~arity:(Constr.arity c) (Array.of_list key))
+          in
+          let found = Index.search ~get:(Array.get recs) ~width ~n record in
+          if keep record then begin
+            if Index.lookup kept key <> bucket then ok := false;
+            if found < 0 || fst filtered.(found) <> record then ok := false
+          end
+          else begin
+            if Index.lookup kept key <> [||] then ok := false;
+            let o = -found - 1 in
+            if
+              found >= 0
+              || (o > 0 && compare (fst filtered.(o - 1)) record >= 0)
+              || (o < n && compare (fst filtered.(o)) record <= 0)
+            then ok := false
+          end);
+      !ok)
+
 let test_delta_leaves_input_intact () =
   let tbl, g = movie_world () in
   let c = Constr.make ~source:[ Label.intern tbl "movie" ] ~target:(Label.intern tbl "actor") ~bound:5 in
@@ -488,4 +536,5 @@ let suite =
     Alcotest.test_case "apply_delta leaves input intact" `Quick test_delta_leaves_input_intact;
     Alcotest.test_case "untouched constraint keeps its index" `Quick test_untouched_delta_shares;
     Alcotest.test_case "type-1 delta adds new nodes" `Quick test_type1_delta_adds_new_nodes;
-    Alcotest.test_case "probe tables at key-count boundaries" `Quick test_probe_table_sizes ]
+    Alcotest.test_case "probe tables at key-count boundaries" `Quick test_probe_table_sizes;
+    filter_keeps_accepted_buckets ]

@@ -591,9 +591,9 @@ let hostile_graph_bytes =
             !ok))
 
 (* The schema section with 8 spare bytes between its metadata and the
-   first index region, every region offset moved past them: a file a
-   random-access reader could serve, but not where [Schema.save] puts
-   regions — the one-pass reader refuses it. *)
+   first index region, every region offset moved past them: not where
+   [Schema.save] puts regions, so the metadata decoder both readers
+   share refuses it. *)
 let test_noncanonical_regions () =
   let _, g, constrs, _ = Helpers.random_instance 11 in
   with_temp_file (fun path ->
@@ -622,22 +622,27 @@ let test_noncanonical_regions () =
       reseal shifted;
       write_all path shifted;
       expect_corrupt "schema load" (fun () -> Schema.load (Label.create_table ()) path);
-      expect_corrupt "mem open" (fun () -> Bpq_store.Store.open_snapshot path))
+      expect_corrupt "mem open" (fun () -> Bpq_store.Store.open_snapshot path);
+      expect_corrupt "paged open" (fun () -> Bpq_store.Paged.open_ path))
 
-(* The paged reader's bucket pointers are range-checked in subtraction
-   form and its payload ids against [0, n): after one hostile i64 in
-   the schema section, every lookup raises [Corrupt] or returns nodes. *)
+(* One i64 of the nodes, CSR or schema section overwritten, the checksum
+   re-sealed, then opened by the paged reader, which reads no section
+   whole: either the open raises [Corrupt], or every node's label, value
+   and edge probes and every index lookup raise [Corrupt] or stay in
+   range. *)
 let hostile_paged_lookups =
   Helpers.qcheck ~count:200 "hostile schema-section i64: paged lookups raise Corrupt or stay in range"
-    QCheck2.Gen.(triple (int_range 1 100_000) (int_range 0 1_000_000) (int_range 0 7))
-    (fun (seed, at, kind) ->
+    QCheck2.Gen.(quad (int_range 1 100_000) (int_range 0 1_000_000) (int_range 0 7) (int_range 0 2))
+    (fun (seed, at, kind, which) ->
       let _, g, constrs, _ = Helpers.random_instance seed in
       let schema = Schema.build g constrs in
       let n = Digraph.n_nodes g in
       with_temp_file (fun path ->
           Schema.save schema path;
           let data = read_all path in
-          let sect = schema_sect data in
+          let sect =
+            sect_of data [| Binfile.tag_nodes; Binfile.tag_csr; Binfile.tag_schema |].(which)
+          in
           let pos = sect.Binfile.off + (8 * (at mod (sect.Binfile.len / 8))) in
           set_i64 data pos (hostile_value n at (Binfile.get_i64 data pos) kind);
           reseal data;
@@ -648,18 +653,36 @@ let hostile_paged_lookups =
             Fun.protect
               ~finally:(fun () -> Bpq_store.Paged.close p)
               (fun () ->
-                let cs = Bpq_store.Paged.constraints p in
+                let src = Bpq_store.Paged.source p in
+                let nlabels = Label.count (Bpq_store.Paged.table p) in
+                let ok f = match f () with exception Binfile.Corrupt _ -> true | b -> b in
+                let nodes_ok =
+                  List.for_all
+                    (fun v ->
+                      ok (fun () ->
+                          let l = src.Exec.node_label v in
+                          l >= 0 && l < nlabels)
+                      && ok (fun () ->
+                             ignore (src.Exec.node_value v);
+                             true)
+                      && List.for_all
+                           (fun w ->
+                             ok (fun () ->
+                                 ignore (src.Exec.probe_edge v w);
+                                 true))
+                           (0 :: Array.to_list (Digraph.out_neighbours g v)))
+                    (List.init n Fun.id)
+                in
                 let keys = keys_by_position schema in
-                List.for_all
-                  (fun (i, c) ->
-                    let keys = if i < List.length keys then List.nth keys i else [] in
-                    List.for_all
-                      (fun key ->
-                        match (Bpq_store.Paged.source p).Exec.lookup c key with
-                        | exception Binfile.Corrupt _ -> true
-                        | hits -> Array.for_all (fun v -> v >= 0 && v < n) hits)
-                      ([] :: [ 0 ] :: [ n; 0 ] :: keys))
-                  (List.mapi (fun i c -> (i, c)) cs))))
+                nodes_ok
+                && List.for_all
+                     (fun (i, c) ->
+                       let keys = if i < List.length keys then List.nth keys i else [] in
+                       List.for_all
+                         (fun key ->
+                           ok (fun () -> Array.for_all (fun v -> v >= 0 && v < n) (src.Exec.lookup c key)))
+                         ([] :: [ 0 ] :: [ n; 0 ] :: keys))
+                     (List.mapi (fun i c -> (i, c)) (Bpq_store.Paged.constraints p)))))
 
 (* ---------------- hostile statistics ---------------- *)
 
