@@ -1,4 +1,7 @@
-# Development entry points.  `make ci` is what the CI workflow runs.
+# Development entry points.  `make ci` runs the CI workflow's gated
+# make/dune steps: the tree check, build, tests and the six jq-gated
+# bench-* experiments (the workflow's example and daemon smoke scripts
+# live only in .github/workflows/ci.yml).
 
 .PHONY: all build test bench-fast bench-micro bench-cache bench-intra bench-store bench-write bench-distributed clean check-tree ci
 
@@ -94,4 +97,4 @@ check-tree:
 	fi
 	@echo "tree clean: no build artifacts tracked"
 
-ci: check-tree build test
+ci: check-tree build test bench-micro bench-cache bench-intra bench-store bench-write bench-distributed

@@ -189,7 +189,7 @@ let prepared name scale =
 (* Evaluation wrappers returning (answer size, accessed items). *)
 
 let run_bvf2 ds plan deadline =
-  let r = Exec.run ds.W.schema plan in
+  let r = Exec.run_with (Exec.source_of_schema ds.W.schema) plan in
   let n =
     Bpq_matcher.Vf2.count_matches ~deadline ~limit:match_cap ~candidates:r.candidates_gq
       r.gq plan.Plan.pattern
@@ -197,7 +197,7 @@ let run_bvf2 ds plan deadline =
   (n, Exec.accessed r.stats)
 
 let run_bsim ds plan deadline =
-  let r = Exec.run ds.W.schema plan in
+  let r = Exec.run_with (Exec.source_of_schema ds.W.schema) plan in
   let sim =
     Bpq_matcher.Gsim.run ~deadline ~candidates:r.candidates_gq r.gq plan.Plan.pattern
   in

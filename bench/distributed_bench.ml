@@ -181,7 +181,8 @@ let measure scale =
             in
             let identical =
               List.for_all2
-                (fun (_, plan) (_, res, _, _, _) -> canon res = canon (Exec.run schema plan))
+                (fun (_, plan) (_, res, _, _, _) ->
+                  canon res = canon (Exec.run_with (Exec.source_of_schema schema) plan))
                 plans rows
             in
             (rows, identical))
@@ -219,7 +220,8 @@ let shard_scale = if fast then 0.05 else 0.12
 
 let shard_sweep () =
   let _, schema, plans = prepare shard_scale in
-  let reference = List.map (fun (_, plan) -> canon (Exec.run schema plan)) plans in
+  let local = Exec.source_of_schema schema in
+  let reference = List.map (fun (_, plan) -> canon (Exec.run_with local plan)) plans in
   with_temp_snapshot (fun path ->
       Schema.save schema path;
       List.map

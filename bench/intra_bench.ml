@@ -37,7 +37,8 @@ let run () =
       [ ("lo", Value.Int 1900); ("hi", Value.Int 2100) ]
   in
   let plan = Qplan.generate_exn ~costs Actualized.Subgraph wide a0 in
-  let eval ?pool ?cache () = Bounded_eval.bvf2_matches ?pool ?cache schema plan in
+  let src = Exec.source_of_schema schema in
+  let eval ?pool ?cache () = fst (Bounded_eval.matches_with ?pool ?cache src plan) in
   let baseline = eval () in
   Printf.printf "  query: Q0 template, window 1900-2100; %d matches\n%!"
     (List.length baseline);

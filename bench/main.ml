@@ -255,7 +255,7 @@ let fig5_data_size () =
               Pool.map_list pool
                 (fun q ->
                   let plan = Qplan.generate_exn semantics q ds.W.constrs in
-                  let r = Exec.run ds.W.schema plan in
+                  let r = Exec.run_with (Exec.source_of_schema ds.W.schema) plan in
                   ( float_of_int (Exec.accessed r.stats) /. gsize,
                     float_of_int (plan_index_size ds plan) /. gsize ))
                 qs
@@ -374,7 +374,7 @@ let abl_candidate_restriction () =
         List.iter
           (fun q ->
             let plan = Qplan.generate_exn Actualized.Subgraph q ds.W.constrs in
-            let r = Exec.run ds.W.schema plan in
+            let r = Exec.run_with (Exec.source_of_schema ds.W.schema) plan in
             let _, t1 =
               Timer.time (fun () ->
                   Bpq_matcher.Vf2.count_matches ~limit:match_cap ~candidates:r.candidates_gq
@@ -478,14 +478,14 @@ let exp_cache () =
         [ ("lo", Value.Int (2003 + i)); ("hi", Value.Int (2003 + i + 2)) ])
   in
   let queries = List.map (Template.instantiate t0) bindings in
-  let schema = ds.W.schema in
+  let src = Exec.source_of_schema ds.W.schema in
   let eval_uncached q =
-    match Bounded_eval.plan_for Actualized.Subgraph schema q with
+    match Qplan.generate Actualized.Subgraph q src.Exec.constraints with
     | None -> None
-    | Some plan -> Some (Bounded_eval.bvf2_matches schema plan)
+    | Some plan -> Some (fst (Bounded_eval.matches_with src plan))
   in
   let eval_cached c q =
-    match Qcache.eval c Actualized.Subgraph schema q with
+    match Qcache.eval_with c Actualized.Subgraph src q with
     | Some (Qcache.Matches ms) -> Some ms
     | Some (Qcache.Relation _) -> None
     | None -> None
@@ -513,7 +513,7 @@ let exp_cache () =
   let tiny_answers = List.map (eval_cached tiny) queries in
   let pooled_cache = Qcache.create () in
   let pooled =
-    Batch.eval_patterns ~pool ~cache:pooled_cache Actualized.Subgraph schema queries
+    Batch.run_patterns ~pool ~cache:pooled_cache Actualized.Subgraph src queries
     |> List.map (function
          | _, Some (Batch.Answer (Batch.Matches ms, _)) -> Some ms
          | _ -> None)
@@ -577,6 +577,7 @@ let bechamel () =
   let a0 = W.a0 ds.W.table in
   let schema = Schema.build ds.W.graph a0 in
   let plan = Qplan.generate_exn Actualized.Subgraph q0 a0 in
+  let src = Exec.source_of_schema schema in
   let movie_idx =
     Schema.index_of schema
       (Constr.make
@@ -593,9 +594,9 @@ let bechamel () =
           (Staged.stage (fun () -> Ebchk.check Actualized.Simulation q0 a0));
         Test.make ~name:"QPlan(Q0,A0)"
           (Staged.stage (fun () -> Qplan.generate Actualized.Subgraph q0 a0));
-        Test.make ~name:"Exec.run(Q0 plan)" (Staged.stage (fun () -> Exec.run schema plan));
-        Test.make ~name:"bVF2(Q0)"
-          (Staged.stage (fun () -> Bounded_eval.bvf2_count schema plan));
+        Test.make ~name:"Exec.run_with(Q0 plan)"
+          (Staged.stage (fun () -> Exec.run_with src plan));
+        Test.make ~name:"bVF2(Q0)" (Staged.stage (fun () -> Bounded_eval.count_with src plan));
         Test.make ~name:"Index.lookup (year,award)->movie"
           (Staged.stage (fun () -> Index.lookup movie_idx [ years.(0); awards.(0) ])) ]
   in

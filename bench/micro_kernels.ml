@@ -182,7 +182,8 @@ let bench_tuple_enum () =
   let tuples = 40 * 40 * 40 in
   let sink = ref 0 in
   let fresh () =
-    Exec.iter_tuples cmat anchors (fun t -> sink := !sink + t.(0) + t.(1) + t.(2))
+    Exec.iter_tuples_slice cmat ~lo:0 ~hi:tuples (fun t ->
+        sink := !sink + t.(0) + t.(1) + t.(2))
   in
   let seed () =
     seed_iter_tuples cmat anchors (fun t -> sink := !sink + List.fold_left ( + ) 0 t)
@@ -197,7 +198,7 @@ let bench_tuple_enum () =
    naive pre-rewrite matcher above; both arms must agree on the count
    (checked), so the speedup column is apples-to-apples. *)
 let bench_match_verify schema plan =
-  let r = Exec.run schema plan in
+  let r = Exec.run_with (Exec.source_of_schema schema) plan in
   let expected =
     Bpq_matcher.Vf2.count_matches ~candidates:r.candidates_gq r.gq plan.Plan.pattern
   in
@@ -223,7 +224,7 @@ let bench_match_verify schema plan =
    as the intra-query scaling factor.  Counts must be identical at both
    pool sizes (the Vf2 determinism contract). *)
 let bench_match_verify_par schema plan =
-  let r = Exec.run schema plan in
+  let r = Exec.run_with (Exec.source_of_schema schema) plan in
   let pool = Pool.create 4 in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let seq () =

@@ -151,8 +151,8 @@ let measure scale =
           let identical =
             List.for_all
               (fun (_, plan) ->
-                let reference = canon (Exec.run schema plan) in
-                canon (Exec.run schema2 plan) = reference
+                let reference = canon (Exec.run_with (Exec.source_of_schema schema) plan) in
+                canon (Exec.run_with (Exec.source_of_schema schema2) plan) = reference
                 && canon (Exec.run_with src plan) = reference
                 && canon (Exec.run_with (Paged.source starved) plan) = reference)
               plans

@@ -170,13 +170,13 @@ let run () =
   (* Compaction: folded-generation reads must reproduce the overlay's
      answers exactly, and return to snapshot-speed serving. *)
   ignore (Store.compact ~out:folded_path st);
-  let folded, _ = Schema.load (Label.create_table ()) folded_path in
+  let folded = Exec.source_of_schema (fst (Schema.load (Label.create_table ()) folded_path)) in
   let compact_identical =
     List.for_all2
-      (fun (_, plan) reference -> canon (Exec.run folded plan) = reference)
+      (fun (_, plan) reference -> canon (Exec.run_with folded plan) = reference)
       plans overlay_answers
   in
-  let compact_p50, reads, read_wall_s = read_pass (Exec.source_of_schema folded) in
+  let compact_p50, reads, read_wall_s = read_pass folded in
   Store.close st;
   print_table table;
   let last = List.nth points (List.length points - 1) in

@@ -75,7 +75,7 @@ let () =
        let constrs = constrs @ added in
        let schema = Schema.build g constrs in
        let plan = Qplan.generate_exn Actualized.Subgraph q constrs in
-       let matches, stats = Bounded_eval.bvf2_with_stats schema plan in
+       let matches, stats = Bounded_eval.matches_with (Exec.source_of_schema schema) plan in
        Printf.printf "co-rating follower pairs: %d (accessed %d of %d items)\n"
          (List.length matches) (Exec.accessed stats) (Digraph.size g);
        (match matches with
@@ -85,7 +85,7 @@ let () =
         | [] -> ()))
   | Some plan ->
     let schema = Schema.build g constrs in
-    let matches, stats = Bounded_eval.bvf2_with_stats schema plan in
+    let matches, stats = Bounded_eval.matches_with (Exec.source_of_schema schema) plan in
     Printf.printf "effectively bounded; co-rating follower pairs: %d (accessed %d of %d items)\n"
       (List.length matches) (Exec.accessed stats) (Digraph.size g);
     (match matches with

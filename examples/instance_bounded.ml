@@ -41,7 +41,7 @@ let () =
      let constrs = base @ added in
      let schema = Schema.build ds.graph constrs in
      let plan = Qplan.generate_exn Actualized.Subgraph q0 constrs in
-     let matches, stats = Bounded_eval.bvf2_with_stats schema plan in
+     let matches, stats = Bounded_eval.matches_with (Exec.source_of_schema schema) plan in
      let reference = Bpq_matcher.Vf2.matches ds.graph q0 in
      Printf.printf "answers: %d matches (reference %d), accessed %d items of %d\n"
        (List.length matches) (List.length reference) (Exec.accessed stats)

@@ -37,6 +37,7 @@ let () =
   Printf.printf "discovered %d access constraints\n" (List.length constrs);
   let schema = Schema.build g constrs in
   assert (Schema.satisfied schema);
+  let src = Exec.source_of_schema schema in
 
   let q = role_pattern tbl in
   print_endline "role pattern:";
@@ -50,13 +51,13 @@ let () =
       | None -> print_endline "  no M-bounded extension up to M = 2000"
       | Some added ->
         Printf.printf "  instance-bounded with %d extra constraints\n" (List.length added);
-        let schema' = Schema.build g (constrs @ added) in
+        let src' = Exec.source_of_schema (Schema.build g (constrs @ added)) in
         let plan = Qplan.generate_exn Actualized.Simulation q (constrs @ added) in
-        let (sim, stats), ms = Timer.time_ms (fun () -> Bounded_eval.bsim_with_stats schema' plan) in
+        let (sim, stats), ms = Timer.time_ms (fun () -> Bounded_eval.sim_with src' plan) in
         Printf.printf "  bSim: relation size %d in %.1fms, accessed %d items\n"
           (Gsim.relation_size sim) ms (Exec.accessed stats))
    | Some plan ->
-     let (sim, stats), ms = Timer.time_ms (fun () -> Bounded_eval.bsim_with_stats schema plan) in
+     let (sim, stats), ms = Timer.time_ms (fun () -> Bounded_eval.sim_with src plan) in
      Printf.printf "bSim: relation size %d in %.1fms, accessed %d items (graph size %d)\n"
        (Gsim.relation_size sim) ms (Exec.accessed stats) (Digraph.size g);
      let full, full_ms = Timer.time_ms (fun () -> Gsim.run g q) in
@@ -68,7 +69,7 @@ let () =
   (match Qplan.generate Actualized.Subgraph q constrs with
    | None -> print_endline "subgraph semantics: not effectively bounded"
    | Some plan ->
-     let n, ms = Timer.time_ms (fun () -> Bounded_eval.bvf2_count schema plan) in
+     let n, ms = Timer.time_ms (fun () -> Bounded_eval.count_with src plan) in
      Printf.printf "bVF2: %d exact embeddings in %.1fms\n" n ms);
 
   (* Data-access independence: evaluate the same bounded query at three
@@ -83,8 +84,8 @@ let () =
       match Qplan.generate Actualized.Simulation q' constrs' with
       | None -> Printf.printf "  scale %.1f: unbounded under mined constraints\n" scale
       | Some plan ->
-        let schema' = Schema.build g' constrs' in
-        let _, stats = Bounded_eval.bsim_with_stats schema' plan in
+        let src' = Exec.source_of_schema (Schema.build g' constrs') in
+        let _, stats = Bounded_eval.sim_with src' plan in
         Printf.printf "  scale %.1f: |G| = %7d, accessed %d\n" scale (Digraph.size g')
           (Exec.accessed stats))
     [ 0.1; 0.2; 0.4 ]

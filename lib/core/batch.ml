@@ -43,9 +43,6 @@ let run ?(pool = Pool.sequential) ?intra ?cache ?timeout ?limit (src : Exec.sour
       | exception Timer.Timeout -> Timeout (Timer.now () -. start))
     items
 
-let eval ?pool ?intra ?cache ?timeout ?limit schema items =
-  run ?pool ?intra ?cache ?timeout ?limit (Exec.source_of_schema schema) items
-
 let run_patterns ?pool ?intra ?cache ?timeout ?limit semantics (src : Exec.source) patterns =
   let planned =
     match cache with
@@ -71,7 +68,3 @@ let run_patterns ?pool ?intra ?cache ?timeout ?limit semantics (src : Exec.sourc
            (q, Some o)
          | [] -> assert false))
     planned
-
-let eval_patterns ?pool ?intra ?cache ?timeout ?limit semantics schema patterns =
-  run_patterns ?pool ?intra ?cache ?timeout ?limit semantics (Exec.source_of_schema schema)
-    patterns

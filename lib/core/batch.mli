@@ -1,12 +1,15 @@
 (** Batch (multi-query) bounded evaluation on a domain pool.
 
     A frozen {!Bpq_access.Schema} — its graph and every index — is
-    read-only after build, and each {!Exec.run} / {!Bounded_eval} call
-    allocates only private state, so independent queries evaluate safely
-    in parallel on OCaml 5 domains.  This module fans a list of planned
-    queries out across a {!Bpq_util.Pool}; answers come back in input
-    order and are identical to a sequential run for every pool size
-    (nothing mutable, PRNGs included, is shared between items).
+    read-only after build, and each {!Exec.run_with} / {!Bounded_eval}
+    call allocates only private state, so independent queries evaluate
+    safely in parallel on OCaml 5 domains.  This module fans a list of
+    planned queries out across a {!Bpq_util.Pool}, every one against the
+    same {!Exec.source} (in-memory schema through
+    {!Exec.source_of_schema}, paged snapshot, sharded store); answers
+    come back in input order and are identical to a sequential run for
+    every pool size (nothing mutable, PRNGs included, is shared between
+    items).
 
     Used by the benchmark sweeps ([bench/main.ml]) and by
     [bpq run --jobs N]. *)
@@ -27,7 +30,7 @@ type answer = Bounded_eval.answer =
       (** Subgraph-isomorphism matches, pattern-indexed, in original
           graph node identifiers. *)
   | Relation of int array array
-      (** The maximum simulation relation, as {!Bounded_eval.bsim}. *)
+      (** The maximum simulation relation, as {!Bounded_eval.sim_with}. *)
 
 type outcome =
   | Answer of answer * float  (** Result and elapsed wall-clock seconds. *)
@@ -54,10 +57,16 @@ val run :
   Exec.source ->
   item list ->
   outcome list
-(** The source-first core: evaluate every item against any
-    {!Exec.source} — in-memory schema, paged snapshot, sharded store.
-    {!eval} and {!eval_patterns} are shims over {!run} and
-    {!run_patterns} through {!Exec.source_of_schema}. *)
+(** Evaluate every item through its bounded plan against the source
+    ([timeout] is a per-item cut-off in seconds; [limit] caps subgraph
+    match counts).  [cache] routes evaluation through
+    {!Qcache.eval_plan_with} — result and fetch tiers — and is safe to
+    share across the pool's workers (it shards itself per domain);
+    answers stay identical to the uncached, sequential run.  [intra]
+    additionally parallelises each item's own plan execution and match
+    search ({!Exec} / {!Bpq_matcher.Vf2}); passing the same pool for both
+    levels is safe — nested submissions drain through it without
+    deadlock. *)
 
 val run_patterns :
   ?pool:Pool.t ->
@@ -69,40 +78,7 @@ val run_patterns :
   Exec.source ->
   Pattern.t list ->
   (Pattern.t * outcome option) list
-(** Plan (via the cache's plan tier when [cache] is given, else
-    [src.constraints]) then {!run}; [None] marks patterns that are not
-    effectively bounded. *)
-
-val eval :
-  ?pool:Pool.t ->
-  ?intra:Pool.t ->
-  ?cache:Qcache.t ->
-  ?timeout:float ->
-  ?limit:int ->
-  Schema.t ->
-  item list ->
-  outcome list
-(** Evaluate every item through its bounded plan ([timeout] is a
-    per-item cut-off in seconds; [limit] caps subgraph match counts).
-    [cache] routes evaluation through {!Qcache.eval_plan} — result and
-    fetch tiers — and is safe to share across the pool's workers (it
-    shards itself per domain); answers stay identical to the uncached,
-    sequential run.  [intra] additionally parallelises each item's own
-    plan execution and match search ({!Exec} / {!Bpq_matcher.Vf2});
-    passing the same pool for both levels is safe — nested submissions
-    drain through it without deadlock. *)
-
-val eval_patterns :
-  ?pool:Pool.t ->
-  ?intra:Pool.t ->
-  ?cache:Qcache.t ->
-  ?timeout:float ->
-  ?limit:int ->
-  Actualized.semantics ->
-  Schema.t ->
-  Pattern.t list ->
-  (Pattern.t * outcome option) list
-(** {!plan_all} + {!eval} in one call; [None] marks patterns that are
-    not effectively bounded under the schema.  With [cache], planning
-    goes through the plan tier ({!Qcache.plan_for}), so repeated shapes
-    are planned once. *)
+(** {!plan_all} + {!run} in one call; [None] marks patterns that are not
+    effectively bounded under [src.constraints].  With [cache], planning
+    goes through the plan tier ({!Qcache.plan_for_with}), so repeated
+    shapes are planned once. *)

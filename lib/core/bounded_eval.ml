@@ -1,11 +1,8 @@
-open Bpq_access
 open Bpq_matcher
 
 type answer =
   | Matches of int array list
   | Relation of int array array
-
-let plan_for semantics schema q = Qplan.generate semantics q (Schema.constraints schema)
 
 (* Every evaluator funnels through the source seam: one [Exec.run_with]
    building G_Q, then the conventional matcher on it. *)
@@ -27,19 +24,7 @@ let run ?pool ?deadline ?limit ?cache src (plan : Plan.t) =
   | Actualized.Subgraph -> Matches (fst (matches_with ?pool ?deadline ?limit ?cache src plan))
   | Actualized.Simulation -> Relation (fst (sim_with ?pool ?deadline ?cache src plan))
 
-let bvf2_matches ?pool ?deadline ?limit ?cache schema plan =
-  fst (matches_with ?pool ?deadline ?limit ?cache (Exec.source_of_schema schema) plan)
-
-let bvf2_with_stats ?pool ?deadline ?cache schema plan =
-  matches_with ?pool ?deadline ?cache (Exec.source_of_schema schema) plan
-
-let bvf2_count ?pool ?deadline ?limit ?cache schema plan =
-  let r = Exec.run_with ?pool ?cache (Exec.source_of_schema schema) plan in
+let count_with ?pool ?deadline ?limit ?cache src (plan : Plan.t) =
+  let r = Exec.run_with ?pool ?cache src plan in
   Vf2.count_matches ?pool ?deadline ?limit ~candidates:r.candidates_gq r.gq
     plan.Plan.pattern
-
-let bsim_with_stats ?pool ?deadline ?cache schema plan =
-  sim_with ?pool ?deadline ?cache (Exec.source_of_schema schema) plan
-
-let bsim ?pool ?deadline ?cache schema plan =
-  fst (bsim_with_stats ?pool ?deadline ?cache schema plan)

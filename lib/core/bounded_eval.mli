@@ -8,26 +8,15 @@
     tests). *)
 
 open Bpq_util
-open Bpq_access
-open Bpq_pattern
 
-val plan_for : Actualized.semantics -> Schema.t -> Pattern.t -> Plan.t option
-(** Convenience: {!Ebchk.check} + {!Qplan.generate} against the schema's
-    constraint list. *)
-
-(** Every evaluator below accepts [?cache], a fetch-level lookup cache
-    (see {!Fetch_cache}), and [?pool], which parallelises the plan
-    execution ({!Exec.run}) and — for bVF2 — the match search
-    ({!Vf2.matches}) within the single query; answers are byte-identical
-    with the cache absent, present, or at any capacity, and at every pool
-    size. *)
-
-(** {1 Source-first evaluation}
-
-    The primary entry point: evaluation against any {!Exec.source} —
-    in-memory schema, paged snapshot, sharded store — dispatching on the
-    plan's semantics.  The schema-taking functions below are shims over
-    this through {!Exec.source_of_schema}. *)
+(** Every evaluator runs against an {!Exec.source} — in-memory schema
+    ({!Exec.source_of_schema}), paged snapshot, sharded store — and reads
+    the data only through its bounded lookups, edge probes and attribute
+    reads.  Each accepts [?cache], a fetch-level lookup cache (see
+    {!Fetch_cache}), and [?pool], which parallelises the plan execution
+    ({!Exec.run_with}) and — for bVF2 — the match search ({!Vf2.matches})
+    within the single query; answers are byte-identical with the cache
+    absent, present, or at any capacity, and at every pool size. *)
 
 type answer =
   | Matches of int array list  (** Subgraph semantics. *)
@@ -41,11 +30,14 @@ val run :
   Exec.source ->
   Plan.t ->
   answer
-(** [limit] caps subgraph match counts and is ignored under simulation
-    semantics.  The answer is identical for every backend serving the
-    same data: everything flows through the source's bounded lookups, so
-    byte-identity across backends follows from the lookups streaming the
-    same buckets (pinned by the store test suite). *)
+(** Dispatch on the plan's semantics.  [limit] caps subgraph match
+    counts and is ignored under simulation semantics.  The answer is
+    identical for every backend serving the same data: everything flows
+    through the source's bounded lookups, so byte-identity across
+    backends follows from the lookups streaming the same buckets (pinned
+    by the store test suite). *)
+
+(** {1 Subgraph queries (bVF2)} *)
 
 val matches_with :
   ?pool:Pool.t ->
@@ -55,8 +47,21 @@ val matches_with :
   Exec.source ->
   Plan.t ->
   int array list * Exec.stats
-(** {!bvf2_with_stats} against a source (the per-semantics form of
-    {!run}, with the execution stats the CLI reports). *)
+(** All isomorphism matches, each as a pattern-indexed array of original
+    node ids, with the execution stats the CLI reports. *)
+
+val count_with :
+  ?pool:Pool.t ->
+  ?deadline:Timer.deadline ->
+  ?limit:int ->
+  ?cache:Fetch_cache.t ->
+  Exec.source ->
+  Plan.t ->
+  int
+(** The number of matches {!matches_with} would return, counted by
+    {!Vf2.count_matches} without materialising them. *)
+
+(** {1 Simulation queries (bSim)} *)
 
 val sim_with :
   ?pool:Pool.t ->
@@ -65,54 +70,6 @@ val sim_with :
   Exec.source ->
   Plan.t ->
   int array array * Exec.stats
-(** {!bsim_with_stats} against a source. *)
-
-(** {1 Subgraph queries (bVF2)} *)
-
-val bvf2_matches :
-  ?pool:Pool.t ->
-  ?deadline:Timer.deadline ->
-  ?limit:int ->
-  ?cache:Fetch_cache.t ->
-  Schema.t ->
-  Plan.t ->
-  int array list
-(** All isomorphism matches, each as a pattern-indexed array of original
-    node ids. *)
-
-val bvf2_count :
-  ?pool:Pool.t ->
-  ?deadline:Timer.deadline ->
-  ?limit:int ->
-  ?cache:Fetch_cache.t ->
-  Schema.t ->
-  Plan.t ->
-  int
-
-val bvf2_with_stats :
-  ?pool:Pool.t ->
-  ?deadline:Timer.deadline ->
-  ?cache:Fetch_cache.t ->
-  Schema.t ->
-  Plan.t ->
-  int array list * Exec.stats
-
-(** {1 Simulation queries (bSim)} *)
-
-val bsim :
-  ?pool:Pool.t ->
-  ?deadline:Timer.deadline ->
-  ?cache:Fetch_cache.t ->
-  Schema.t ->
-  Plan.t ->
-  int array array
 (** The maximum match relation as per-pattern-node sorted arrays of
-    original node ids; all-empty when no simulation exists. *)
-
-val bsim_with_stats :
-  ?pool:Pool.t ->
-  ?deadline:Timer.deadline ->
-  ?cache:Fetch_cache.t ->
-  Schema.t ->
-  Plan.t ->
-  int array array * Exec.stats
+    original node ids (all-empty when no simulation exists), with the
+    execution stats. *)

@@ -30,60 +30,15 @@ type result = {
   trace : op_trace list;
 }
 
-(* Enumerate the cartesian product of the anchors' candidate arrays as an
-   index-array odometer: the yielded tuple (one concrete node per source
-   label, in anchor order) is a single reused buffer — callers must read
-   it, not retain it.  Lexicographic order, last position fastest, exactly
-   like the list-building recursion it replaces. *)
-let iter_tuples (cmat : int array array) anchors yield =
-  let k = List.length anchors in
-  let arrays = Array.make k [||] in
-  List.iteri (fun i (_, u) -> arrays.(i) <- cmat.(u)) anchors;
-  if not (Array.exists (fun arr -> Array.length arr = 0) arrays) then begin
-    let tuple = Array.make k 0 in
-    if k = 0 then yield tuple
-    else begin
-      let idx = Array.make k 0 in
-      for i = 0 to k - 1 do
-        tuple.(i) <- arrays.(i).(0)
-      done;
-      let rec loop () =
-        yield tuple;
-        (* Advance the odometer; digit [k-1] spins fastest. *)
-        let i = ref (k - 1) in
-        let rolled = ref false in
-        let continue_ = ref true in
-        while !continue_ do
-          if !i < 0 then begin
-            rolled := true;
-            continue_ := false
-          end
-          else begin
-            let p = idx.(!i) + 1 in
-            if p < Array.length arrays.(!i) then begin
-              idx.(!i) <- p;
-              tuple.(!i) <- arrays.(!i).(p);
-              continue_ := false
-            end
-            else begin
-              idx.(!i) <- 0;
-              tuple.(!i) <- arrays.(!i).(0);
-              decr i
-            end
-          end
-        done;
-        if not !rolled then loop ()
-      in
-      loop ()
-    end
-  end
-
-(* Slice of the same enumeration by linear tuple index: tuple positions
+(* Enumerate the cartesian product of the anchor rows as an index-array
+   odometer, restricted to the linear tuple indices [lo, hi).  The yielded
+   tuple (one concrete node per anchor, in anchor order) is a single
+   reused buffer — callers must read it, not retain it.  Tuple positions
    form a mixed-radix number (digit [i] has base [length arrays.(i)], last
-   digit fastest), so the concatenation of [iter_tuples_slice ~lo ~hi] over
-   a partition of [0, total) reproduces [iter_tuples]'s order exactly.
-   This is the unit of intra-query parallelism: contiguous index ranges
-   are handed to pool domains. *)
+   digit fastest), so the concatenation of the slices over a partition of
+   [0, total) reproduces the full lexicographic order exactly.  This is
+   the unit of intra-query parallelism: contiguous index ranges are handed
+   to pool domains. *)
 let iter_tuples_slice (arrays : int array array) ~lo ~hi yield =
   let k = Array.length arrays in
   if k = 0 then begin
@@ -544,5 +499,3 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
         edge_candidates = !edge_candidates;
         edges_added = Int_tbl.length gq_edges };
     trace = List.rev !trace }
-
-let run ?pool ?cache schema plan = run_with ?pool ?cache (source_of_schema schema) plan

@@ -1,8 +1,8 @@
 (** Plan execution: fetching the bounded subgraph [G_Q] (paper §IV,
     "Building G_Q").
 
-    The executor runs a plan's fetch operations in order against the
-    schema's indexes, materialising candidate sets [cmat(u)]; repeated
+    The executor runs a plan's fetch operations in order against a
+    {!source}'s indexes, materialising candidate sets [cmat(u)]; repeated
     fetches of the same pattern node intersect (each fetch yields a
     superset of the true matches, so intersection is sound and at least as
     tight as the paper's replace-by-last).  Edge directives then verify
@@ -53,32 +53,14 @@ type result = {
           material of {!Explain}. *)
 }
 
-val run : ?pool:Bpq_util.Pool.t -> ?cache:Fetch_cache.t -> Schema.t -> Plan.t -> result
-(** @raise Not_found if the plan references a constraint outside the
-    schema (plans must be executed under the schema they were generated
-    for).
-
-    [pool] enables intra-query parallelism: each fetch or edge-check
-    operation whose anchor-tuple odometer is large enough is partitioned
-    into contiguous tuple-index ranges across the pool's domains, each
-    range accumulating hits (or certified edges) locally through the
-    fetch cache's arena for the domain it runs on; fragments merge
-    deterministically in range order (fetch hits through one
-    [sort_uniq], edges through one dedup set), so the result — candidate sets, [G_Q], stats, trace — is byte-identical
-    to the sequential run at every pool size.
-
-    [cache] memoises index lookups across calls (see {!Fetch_cache}); the
-    result — candidate sets, [G_Q], stats, trace — is byte-identical with
-    the cache absent, present, or at any capacity, because the cache
-    replays exactly the index buckets. *)
-
 (** {1 Abstract data sources}
 
     The executor only ever touches the data through index lookups, edge
-    probes and node attribute reads; {!run_with} makes that interface
-    explicit so alternative backends (the out-of-core store of
-    [Bpq_store.Paged], the sharded workers of [Bpq_store.Remote]) can
-    serve the same plans.
+    probes and node attribute reads; a [source] makes that interface
+    explicit, and {!run_with} is the only way to execute a plan, so every
+    backend — the in-memory schema ({!source_of_schema}), the out-of-core
+    store of [Bpq_store.Paged], the sharded workers of
+    [Bpq_store.Remote] — serves the same plans.
     Plan generation and cache keying need three facts about the data
     besides the lookups — the constraint set, the schema-lineage stamp and
     [|G|] — so a source carries those too, making it the complete
@@ -191,27 +173,44 @@ type source = {
 }
 
 val source_of_schema : Schema.t -> source
+(** The in-memory backend: the schema's graph and indexes as a source. *)
 
 val run_with :
   ?pool:Bpq_util.Pool.t -> ?cache:Fetch_cache.t -> source -> Plan.t -> result
-(** A [source] driven in parallel must tolerate concurrent read-only use
-    from several domains, as the frozen graph and indexes do. *)
+(** Execute the plan against the source.
+    @raise Not_found if the plan references a constraint outside
+    [src.constraints] (plans must be executed against the source they
+    were generated for).
+
+    [pool] enables intra-query parallelism: each fetch or edge-check
+    operation whose anchor-tuple odometer is large enough is partitioned
+    into contiguous tuple-index ranges across the pool's domains, each
+    range accumulating hits (or certified edges) locally through the
+    fetch cache's arena for the domain it runs on; fragments merge
+    deterministically in range order (fetch hits through one
+    [sort_uniq], edges through one dedup set), so the result — candidate
+    sets, [G_Q], stats, trace — is byte-identical to the sequential run
+    at every pool size.  A [source] driven in parallel must tolerate
+    concurrent read-only use from several domains, as the frozen graph
+    and indexes do.
+
+    [cache] memoises index lookups across calls (see {!Fetch_cache}); the
+    result — candidate sets, [G_Q], stats, trace — is byte-identical with
+    the cache absent, present, or at any capacity, because the cache
+    replays exactly the index buckets. *)
 
 (**/**)
 
-val iter_tuples : int array array -> ('a * int) list -> (int array -> unit) -> unit
-(** Exposed for the microbench harness and property tests: enumerate the
-    cartesian product of [cmat] rows selected by the anchors' second
-    components, lexicographically, yielding one {e reused} tuple buffer.
-    Yields nothing if any selected row is empty; yields a single empty
-    tuple for an empty anchor list. *)
-
 val iter_tuples_slice :
   int array array -> lo:int -> hi:int -> (int array -> unit) -> unit
-(** The sub-range of the same enumeration with linear tuple indices in
-    [\[lo, hi)] (mixed-radix, last digit fastest): concatenating the
-    slices of any partition of [\[0, total)] reproduces the full
-    enumeration order.  Exposed for property tests. *)
+(** Enumerate the cartesian product of [arrays] lexicographically (last
+    position fastest), yielding one {e reused} tuple buffer, restricted
+    to the linear tuple indices in [\[lo, hi)] (mixed-radix, last digit
+    fastest): concatenating the slices of any partition of
+    [\[0, total_tuples arrays)] reproduces the full enumeration.  Yields
+    nothing if any row is empty and a single empty tuple for [[||]] when
+    the range covers index 0.  Exposed for backends, the microbench
+    harness and property tests. *)
 
 val mem_sorted : int array -> int -> bool
 (** Membership in a sorted distinct row by binary search.  Exposed for

@@ -99,6 +99,3 @@ let analyze_with ?pool ?costs (src : Exec.source) (plan : Plan.t) =
       gsize
   in
   { report; result }
-
-let analyze ?pool ?costs schema plan =
-  analyze_with ?pool ?costs (Exec.source_of_schema schema) plan

@@ -3,16 +3,14 @@
 
     {!describe} renders the static plan — the fetch operations, the edge
     directives, the covering constraints and the worst-case arithmetic (the
-    form of the paper's Example 1 walkthrough).  {!analyze} additionally
-    executes the plan against a schema and reports, per operation, the
-    realised cardinality next to its static bound, together with the total
-    data accessed relative to [|G|].
+    form of the paper's Example 1 walkthrough).  {!analyze_with}
+    additionally executes the plan against an {!Exec.source} and reports,
+    per operation, the realised cardinality next to its static bound,
+    together with the total data accessed relative to [|G|].
 
     With [costs] (a {!Costs} model), both add an "estimated" column — the
     cost model's predicted realized cardinality per operation — so
     misestimates are visible next to what actually happened. *)
-
-open Bpq_access
 
 val describe : ?costs:Costs.t -> Plan.t -> string
 (** Static report; never touches a graph. *)
@@ -22,15 +20,11 @@ type analysis = {
   result : Exec.result;  (** The execution behind it, for further use. *)
 }
 
-val analyze : ?pool:Bpq_util.Pool.t -> ?costs:Costs.t -> Schema.t -> Plan.t -> analysis
-(** Executes the plan ([pool] parallelises the execution, see {!Exec.run})
-    and renders estimate-vs-realised per operation.  The realised numbers
-    are always within the static estimates (a property the test suite pins
-    down); the cost model's estimates carry no such guarantee — that is
-    the point of printing them. *)
-
 val analyze_with :
   ?pool:Bpq_util.Pool.t -> ?costs:Costs.t -> Exec.source -> Plan.t -> analysis
-(** {!analyze} against any {!Exec.source} (the accessed fraction uses the
-    source's [graph_size]); {!analyze} shims through
-    {!Exec.source_of_schema}. *)
+(** Executes the plan against the source ([pool] parallelises the
+    execution, see {!Exec.run_with}) and renders estimate-vs-realised per
+    operation; the accessed fraction uses the source's [graph_size].  The
+    realised numbers are always within the static estimates (a property
+    the test suite pins down); the cost model's estimates carry no such
+    guarantee — that is the point of printing them. *)

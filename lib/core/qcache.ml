@@ -278,9 +278,6 @@ let plan_for_with t ?costs semantics (src : Exec.source) q =
        Fifo_map.add s.plans_canon ck (Option.map (remap_plan perm no_pattern) plan);
        plan)
 
-let plan_for t ?costs semantics schema q =
-  plan_for_with t ?costs semantics (Exec.source_of_schema schema) q
-
 (* ------------------------------------------------------------------ *)
 (* Result tier                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -346,16 +343,10 @@ let eval_plan_with t ?pool ?deadline ?limit (src : Exec.source) (plan : Plan.t) 
     s.result_misses <- s.result_misses + 1;
     evaluate ()
 
-let eval_plan t ?pool ?deadline ?limit schema plan =
-  eval_plan_with t ?pool ?deadline ?limit (Exec.source_of_schema schema) plan
-
 let eval_with t ?pool ?costs ?deadline ?limit semantics src q =
   match plan_for_with t ?costs semantics src q with
   | None -> None
   | Some plan -> Some (eval_plan_with t ?pool ?deadline ?limit src plan)
-
-let eval t ?pool ?costs ?deadline ?limit semantics schema q =
-  eval_with t ?pool ?costs ?deadline ?limit semantics (Exec.source_of_schema schema) q
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)

@@ -50,7 +50,6 @@
 
 open Bpq_util
 open Bpq_pattern
-open Bpq_access
 
 type t
 
@@ -72,50 +71,11 @@ type answer = Bounded_eval.answer =
   | Matches of int array list  (** Subgraph semantics. *)
   | Relation of int array array  (** Simulation semantics. *)
 
-val plan_for :
-  t -> ?costs:Costs.t -> Actualized.semantics -> Schema.t -> Pattern.t -> Plan.t option
-(** Plan-tier [Bounded_eval.plan_for]: one [Ebchk] + [Qplan] run per
-    (stamp, shape, semantics), then cache hits.  [None] (not effectively
-    bounded) is cached as well.  [costs] orders a freshly generated plan
-    ({!Qplan.generate}); cached plans are served as stored — all
-    orderings carry identical operations and bounds, so mixing callers
-    with and without a cost model stays sound. *)
-
-val eval_plan :
-  t ->
-  ?pool:Pool.t ->
-  ?deadline:Timer.deadline ->
-  ?limit:int ->
-  Schema.t ->
-  Plan.t ->
-  answer
-(** Result-tier + fetch-tier evaluation of an already-generated plan.
-    Raises [Timer.Timeout] like {!Bounded_eval} (nothing is stored then);
-    a result-cache hit returns without touching graph or indexes.
-    [pool] parallelises a miss's evaluation within the query
-    ({!Bounded_eval}); answers — and hence cached entries — are
-    byte-identical at every pool size, so warm hits serve runs with any
-    [BPQ_JOBS] setting. *)
-
-val eval :
-  t ->
-  ?pool:Pool.t ->
-  ?costs:Costs.t ->
-  ?deadline:Timer.deadline ->
-  ?limit:int ->
-  Actualized.semantics ->
-  Schema.t ->
-  Pattern.t ->
-  answer option
-(** {!plan_for} + {!eval_plan}; [None] when not effectively bounded. *)
-
-(** {1 Source-first variants}
-
-    The same three tiers against any {!Exec.source} — plans are generated
-    from [src.constraints], keys carry [src.stamp].  Because snapshots
-    preserve the stamp, one cache serves a schema and the paged store
-    opened from its snapshot interchangeably; the schema-taking functions
-    above shim through {!Exec.source_of_schema}. *)
+(** All three tiers serve any {!Exec.source} — plans are generated from
+    [src.constraints], keys carry [src.stamp].  Because snapshots
+    preserve the stamp, one cache serves a schema (through
+    {!Exec.source_of_schema}) and the paged store opened from its
+    snapshot interchangeably. *)
 
 val plan_for_with :
   t ->
@@ -124,6 +84,12 @@ val plan_for_with :
   Exec.source ->
   Pattern.t ->
   Plan.t option
+(** Plan tier: one [Ebchk] + [Qplan] run per (stamp, shape, semantics),
+    then cache hits.  [None] (not effectively bounded) is cached as well.
+    [costs] orders a freshly generated plan ({!Qplan.generate}); cached
+    plans are served as stored — all orderings carry identical operations
+    and bounds, so mixing callers with and without a cost model stays
+    sound. *)
 
 val eval_plan_with :
   t ->
@@ -133,6 +99,13 @@ val eval_plan_with :
   Exec.source ->
   Plan.t ->
   answer
+(** Result-tier + fetch-tier evaluation of an already-generated plan.
+    Raises [Timer.Timeout] like {!Bounded_eval} (nothing is stored then);
+    a result-cache hit returns without touching graph or indexes.
+    [pool] parallelises a miss's evaluation within the query
+    ({!Bounded_eval}); answers — and hence cached entries — are
+    byte-identical at every pool size, so warm hits serve runs with any
+    [BPQ_JOBS] setting. *)
 
 val eval_with :
   t ->
@@ -144,6 +117,8 @@ val eval_with :
   Exec.source ->
   Pattern.t ->
   answer option
+(** {!plan_for_with} + {!eval_plan_with}; [None] when not effectively
+    bounded. *)
 
 val fetch_tier : t -> Fetch_cache.t
 (** The fetch tier for static sources — for passing to {!Bounded_eval} /

@@ -379,6 +379,9 @@ module Cur = struct
       shift := !shift + 7;
       if byte land 0x80 = 0 then fin := true
     done;
+    (* A ninth byte reaches bit 62, the sign bit: the writer never emits
+       one there, and a negative here would pass every length check. *)
+    if !v < 0 then corrupt "varint overflows into the sign bit";
     !v
 
   (* Every element costs at least one byte, so a length beyond the
@@ -394,6 +397,7 @@ module Cur = struct
     let prev = ref 0 in
     for i = 0 to n - 1 do
       prev := !prev + uvarint c;
+      if !prev < 0 then corrupt "sorted varint array overflows max_int";
       arr.(i) <- !prev
     done;
     arr

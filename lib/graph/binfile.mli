@@ -159,8 +159,9 @@ module Cur : sig
   (** Bytes left after the position — what a decoder compares a wire
       count against (divided by the item size) before allocating. *)
 
-  (** All raise [Corrupt] on reads past the end of the payload, and on
-      lengths the rest of the payload cannot hold, before allocating. *)
+  (** All raise [Corrupt] on reads past the end of the payload, on
+      lengths the rest of the payload cannot hold, before allocating, and
+      on varints (or sorted-array sums) outside [\[0, max_int\]]. *)
 end
 
 (** {1 Out-of-core reading} *)

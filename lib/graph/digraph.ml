@@ -222,11 +222,6 @@ let fold_out g v f init =
   iter_out g v (fun w -> acc := f !acc w);
   !acc
 
-let fold_in g v f init =
-  let acc = ref init in
-  iter_in g v (fun w -> acc := f !acc w);
-  !acc
-
 let out_neighbours g v = Array.sub g.out_adj g.out_off.(v) (out_degree g v)
 let in_neighbours g v = Array.sub g.in_adj g.in_off.(v) (in_degree g v)
 

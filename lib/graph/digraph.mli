@@ -63,7 +63,6 @@ val iter_out : t -> int -> (int -> unit) -> unit
 val iter_in : t -> int -> (int -> unit) -> unit
 
 val fold_out : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-val fold_in : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 
 val out_neighbours : t -> int -> int array
 (** Fresh array, sorted ascending; prefer the iterators in hot paths. *)

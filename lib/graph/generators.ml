@@ -1,10 +1,6 @@
 module Prng = Bpq_util.Prng
 module Vec = Bpq_util.Vec
 
-let imdb_labels =
-  [ "year"; "award"; "country"; "genre"; "language"; "certificate"; "movie";
-    "actor"; "actress"; "director"; "writer"; "company" ]
-
 let scaled ~scale base floor_n = max floor_n (int_of_float (float_of_int base *. scale))
 
 let imdb_like ?(seed = 42) ~scale tbl =

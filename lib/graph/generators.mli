@@ -48,9 +48,3 @@ val subsample : ?seed:int -> fraction:float -> Digraph.t -> Digraph.t * int arra
     [g] stays satisfied by every subsample, since cardinalities can only
     shrink — which is what lets a single access schema serve all scale
     factors, as in the paper's setup. *)
-
-(** {1 Label-name helpers shared with workloads} *)
-
-val imdb_labels : string list
-(** The label names {!imdb_like} uses, in a fixed order:
-    [year; award; country; genre; movie; actor; actress; director]. *)

@@ -56,4 +56,3 @@ let encode_pattern tbl spec =
   Pattern.create tbl nodes edges
 
 let project_match spec m = Array.sub m 0 (original_count spec)
-let project_relation spec rel = Array.sub rel 0 (original_count spec)

@@ -50,5 +50,3 @@ val original_count : spec -> int
 val project_match : spec -> int array -> int array
 (** Restrict a match of the encoded pattern to the original nodes. *)
 
-val project_relation : spec -> int array array -> int array array
-(** Same for a simulation relation. *)

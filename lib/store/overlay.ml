@@ -85,12 +85,7 @@ let version t = t.version
 let n_ops t = t.n_ops
 let net_nodes t = n_new t
 let net_edges t = t.net_edges
-let edge_overrides t = Imap.cardinal t.edges
-let value_overrides t = Imap.cardinal t.vals
 let label_gen t l = match Imap.find_opt l t.label_gens with Some g -> g | None -> 0
-
-let touched_labels t =
-  List.map (fun l -> (l, label_gen t l)) (Iset.elements t.touched)
 
 (* Packed directed-edge key.  31 bits per endpoint bounds the writable
    graph at 2^31 nodes — beyond any snapshot this engine pages. *)

@@ -41,11 +41,7 @@ val version : t -> int
 val n_ops : t -> int
 val net_nodes : t -> int
 val net_edges : t -> int
-val edge_overrides : t -> int
-val value_overrides : t -> int
 val label_gen : t -> Label.t -> int
-val touched_labels : t -> (Label.t * int) list
-(** Labels written this generation, with their current generation. *)
 
 (** {1 Read-through observability} *)
 

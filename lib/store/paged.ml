@@ -370,7 +370,6 @@ let n_nodes t = t.n_nodes
 let n_edges t = t.n_edges
 let graph_size t = t.n_nodes + t.n_edges
 let selectivity t = t.selectivity
-let page_size_of t = t.page_size
 
 let io_counters t =
   with_lock t (fun () ->

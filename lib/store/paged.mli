@@ -92,9 +92,6 @@ val selectivity : t -> Gstats.selectivity option
 (** Stored selectivity statistics, if the snapshot carries them (loaded
     in memory at open — they are O(labels²)). *)
 
-val page_size_of : t -> int
-(** The page granularity this store was opened with. *)
-
 (** {1 I/O accounting} *)
 
 type io_counters = {

@@ -543,8 +543,7 @@ let do_prefetch t con arrays =
             let shards = t.m.Shard.shards in
             let pending = Array.make shards [] in
             let seen = Hashtbl.create 64 in
-            let anchors = List.init arity (fun i -> ((), i)) in
-            Exec.iter_tuples arrays anchors (fun tuple ->
+            Exec.iter_tuples_slice arrays ~lo:0 ~hi:total (fun tuple ->
                 match Index.native_record ~arity tuple with
                 | None -> ()
                 | Some record ->

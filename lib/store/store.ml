@@ -83,12 +83,6 @@ let table t =
   | On_disk p -> Paged.table p
   | Sharded_t { r; _ } -> (Remote.manifest r).Shard.table
 
-let constraints t =
-  match t.b with
-  | In_mem m -> Schema.constraints m.schema
-  | On_disk p -> Paged.constraints p
-  | Sharded_t { r; _ } -> (Remote.manifest r).Shard.constraints
-
 let stamp t =
   match t.b with
   | In_mem m -> Schema.stamp m.schema
@@ -132,9 +126,6 @@ let reset_io t =
   | On_disk p -> Paged.reset_io p
   | In_mem _ -> ()
   | Sharded_t { r; _ } -> Remote.reset_stats r
-
-let drop_cache t =
-  match t.b with On_disk p -> Paged.drop_cache p | In_mem _ | Sharded_t _ -> ()
 
 let close t =
   (match t.ws with

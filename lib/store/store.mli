@@ -62,7 +62,6 @@ val source : t -> Exec.source
 (** The query-serving interface; identical answers whichever backend. *)
 
 val table : t -> Label.table
-val constraints : t -> Constr.t list
 val stamp : t -> int
 val graph_size : t -> int
 
@@ -84,9 +83,6 @@ val remote : t -> Remote.t option
 val reset_io : t -> unit
 (** Zero the paged backend's I/O counters or the sharded backend's
     traffic counters; no-op in memory. *)
-
-val drop_cache : t -> unit
-(** No-ops for in-memory and sharded backends. *)
 
 val close : t -> unit
 (** Release the file handle (paged) or shut the workers down (sharded),

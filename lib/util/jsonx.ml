@@ -299,7 +299,6 @@ let member k = function
 let to_string_opt = function Str s -> Some s | _ -> None
 let to_int_opt = function Int i -> Some i | Float f when Float.is_integer f -> Some (int_of_float f) | _ -> None
 let to_float_opt = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
-let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_list_opt = function Arr l -> Some l | _ -> None
 
 let of_float_opt = function Some f -> Float f | None -> Null

@@ -37,7 +37,6 @@ val to_int_opt : t -> int option
 val to_float_opt : t -> float option
 (** [Float] or [Int]. *)
 
-val to_bool_opt : t -> bool option
 val to_list_opt : t -> t list option
 
 val of_float_opt : float option -> t

@@ -32,6 +32,16 @@ let norm_sim sim =
          Array.to_list c)
        sim)
 
+(* The cartesian product of [rows] in lexicographic order (last row
+   fastest), built by plain list recursion — the oracle for the
+   executor's tuple odometer. *)
+let tuples_oracle rows =
+  let rec go acc = function
+    | [] -> [ List.rev acc ]
+    | row :: rest -> List.concat_map (fun v -> go (v :: acc) rest) (Array.to_list row)
+  in
+  go [] (Array.to_list rows)
+
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 

@@ -162,13 +162,13 @@ let cost_ordering_is_advisory =
       | None, None -> true
       | Some _, None | None, Some _ -> false (* boundedness must not move *)
       | Some plain, Some costed ->
-        let schema = Schema.build g constrs in
+        let src = Exec.source_of_schema (Schema.build g constrs) in
         plans_equivalent plain costed
         && fetch_order_valid costed
-        && Helpers.sort_matches (Bounded_eval.bvf2_matches schema plain)
-           = Helpers.sort_matches (Bounded_eval.bvf2_matches schema costed)
+        && Helpers.sort_matches (fst (Bounded_eval.matches_with src plain))
+           = Helpers.sort_matches (fst (Bounded_eval.matches_with src costed))
         (* and the answer equals the sequential, cost-free truth *)
-        && Helpers.sort_matches (Bounded_eval.bvf2_matches schema costed)
+        && Helpers.sort_matches (fst (Bounded_eval.matches_with src costed))
            = Helpers.sort_matches (Bpq_matcher.Vf2.matches g q))
 
 let test_q0_cost_plan_bounds_unchanged () =
@@ -221,8 +221,8 @@ let test_explain_estimated_column () =
     (contains static_plain "est. realized");
   Helpers.check_true "estimate column with costs"
     (contains static_costed "est. realized");
-  let plain = (Explain.analyze schema plan).Explain.report in
-  let costed = (Explain.analyze ~costs schema plan).Explain.report in
+  let plain = (Explain.analyze_with (Exec.source_of_schema schema) plan).Explain.report in
+  let costed = (Explain.analyze_with ~costs (Exec.source_of_schema schema) plan).Explain.report in
   Helpers.check_false "analyze: no estimated column without costs"
     (contains plain "estimated");
   Helpers.check_true "analyze: estimated column with costs" (contains costed "estimated");

@@ -13,13 +13,13 @@ let q0_setup () =
   let ds = Lazy.force imdb in
   let q0 = W.q0 ds.table in
   let a0 = W.a0 ds.table in
-  let schema = Schema.build ds.graph a0 in
+  let src = Exec.source_of_schema (Schema.build ds.graph a0) in
   let plan = Qplan.generate_exn Actualized.Subgraph q0 a0 in
-  (ds, q0, schema, plan)
+  (ds, q0, src, plan)
 
 let test_gq_is_subgraph () =
-  let ds, _, schema, plan = q0_setup () in
-  let r = Exec.run schema plan in
+  let ds, _, src, plan = q0_setup () in
+  let r = Exec.run_with src plan in
   (* Every G_Q node corresponds to a G node with the same label/value, and
      every G_Q edge exists in G. *)
   Digraph.iter_nodes r.gq (fun v ->
@@ -32,16 +32,16 @@ let test_gq_is_subgraph () =
         (Digraph.has_edge ds.graph r.from_gq.(s) r.from_gq.(t)))
 
 let test_gq_within_bounds () =
-  let _, _, schema, plan = q0_setup () in
-  let r = Exec.run schema plan in
+  let _, _, src, plan = q0_setup () in
+  let r = Exec.run_with src plan in
   Helpers.check_true "nodes within bound" (Digraph.n_nodes r.gq <= Plan.node_bound plan);
   Helpers.check_true "edges within bound" (Digraph.n_edges r.gq <= Plan.edge_bound plan);
   Helpers.check_true "accessed within bounds"
     (Exec.accessed r.stats <= Plan.node_bound plan + Plan.edge_bound plan)
 
 let test_candidates_satisfy_predicates () =
-  let ds, q0, schema, plan = q0_setup () in
-  let r = Exec.run schema plan in
+  let ds, q0, src, plan = q0_setup () in
+  let r = Exec.run_with src plan in
   Array.iteri
     (fun u cands ->
       Array.iter
@@ -53,17 +53,17 @@ let test_candidates_satisfy_predicates () =
     r.candidates_g
 
 let test_bvf2_equals_vf2_on_q0 () =
-  let ds, q0, schema, plan = q0_setup () in
-  let got = Helpers.sort_matches (Bounded_eval.bvf2_matches schema plan) in
+  let ds, q0, src, plan = q0_setup () in
+  let got = Helpers.sort_matches (fst (Bounded_eval.matches_with src plan)) in
   let want = Helpers.sort_matches (Bpq_matcher.Vf2.matches ds.graph q0) in
   Helpers.check_true "nonempty answer" (want <> []);
   Helpers.check_true "answers agree" (got = want)
 
 let test_bvf2_count_and_limit () =
-  let _, _, schema, plan = q0_setup () in
-  let n = Bounded_eval.bvf2_count schema plan in
+  let _, _, src, plan = q0_setup () in
+  let n = Bounded_eval.count_with src plan in
   Helpers.check_true "positive" (n > 0);
-  Helpers.check_int "limit respected" (min n 3) (Bounded_eval.bvf2_count ~limit:3 schema plan)
+  Helpers.check_int "limit respected" (min n 3) (Bounded_eval.count_with ~limit:3 src plan)
 
 let test_empty_answer_when_predicate_unsatisfiable () =
   let ds = Lazy.force imdb in
@@ -76,10 +76,10 @@ let test_empty_answer_when_predicate_unsatisfiable () =
          (l "movie", Predicate.true_) |]
       [ (2, 0); (2, 1) ]
   in
-  let schema = Schema.build ds.graph a0 in
+  let src = Exec.source_of_schema (Schema.build ds.graph a0) in
   let plan = Qplan.generate_exn Actualized.Subgraph q a0 in
-  Helpers.check_int "no matches" 0 (Bounded_eval.bvf2_count schema plan);
-  let r = Exec.run schema plan in
+  Helpers.check_int "no matches" 0 (Bounded_eval.count_with src plan);
+  let r = Exec.run_with src plan in
   Helpers.check_int "no year candidates" 0 (Array.length r.candidates_g.(1))
 
 let test_bsim_on_g1 () =
@@ -87,9 +87,9 @@ let test_bsim_on_g1 () =
   let tbl = Label.create_table () in
   let g1 = W.g1 tbl ~n:8 in
   let a1 = W.a1 tbl in
-  let schema = Schema.build g1 a1 in
+  let src = Exec.source_of_schema (Schema.build g1 a1) in
   let plan = Qplan.generate_exn Actualized.Simulation (W.q2 tbl) a1 in
-  let got = Bounded_eval.bsim schema plan in
+  let got = fst (Bounded_eval.sim_with src plan) in
   let want = Bpq_matcher.Gsim.run g1 (W.q2 tbl) in
   Helpers.check_true "Q2(G1) = empty (Example 9)" (Bpq_matcher.Gsim.is_empty got);
   Helpers.check_true "agrees with gsim" (Helpers.norm_sim got = Helpers.norm_sim want)
@@ -109,11 +109,11 @@ let test_bsim_nonempty_case () =
       Constr.make ~source:[ l "A" ] ~target:(l "B") ~bound:2 ]
   in
   let q = Helpers.pattern tbl [ ("B", Predicate.true_); ("A", Predicate.true_) ] [ (0, 1) ] in
-  let schema = Schema.build g a in
+  let src = Exec.source_of_schema (Schema.build g a) in
   match Qplan.generate Actualized.Simulation q a with
   | None -> Alcotest.fail "expected a simulation plan"
   | Some plan ->
-    let got = Bounded_eval.bsim schema plan in
+    let got = fst (Bounded_eval.sim_with src plan) in
     let want = Bpq_matcher.Gsim.run g q in
     Helpers.check_true "non-empty" (not (Bpq_matcher.Gsim.is_empty want));
     Helpers.check_true "agrees" (Helpers.norm_sim got = Helpers.norm_sim want)
@@ -126,7 +126,7 @@ let pipeline_soundness_subgraph =
     QCheck2.Gen.(int_range 1 100_000)
     (fun seed ->
       let _, g, constrs, r = Helpers.random_instance seed in
-      let schema = Schema.build g constrs in
+      let src = Exec.source_of_schema (Schema.build g constrs) in
       let q =
         if Bpq_util.Prng.bool r then Bpq_pattern.Qgen.from_walk r g
         else Bpq_pattern.Qgen.random r g
@@ -134,7 +134,7 @@ let pipeline_soundness_subgraph =
       match Qplan.generate Actualized.Subgraph q constrs with
       | None -> true
       | Some plan ->
-        Helpers.sort_matches (Bounded_eval.bvf2_matches schema plan)
+        Helpers.sort_matches (fst (Bounded_eval.matches_with src plan))
         = Helpers.sort_matches (Bpq_matcher.Vf2.matches g q))
 
 let pipeline_soundness_simulation =
@@ -142,7 +142,7 @@ let pipeline_soundness_simulation =
     QCheck2.Gen.(int_range 1 100_000)
     (fun seed ->
       let _, g, constrs, r = Helpers.random_instance seed in
-      let schema = Schema.build g constrs in
+      let src = Exec.source_of_schema (Schema.build g constrs) in
       let q =
         if Bpq_util.Prng.bool r then Bpq_pattern.Qgen.from_walk r g
         else Bpq_pattern.Qgen.random r g
@@ -150,7 +150,7 @@ let pipeline_soundness_simulation =
       match Qplan.generate Actualized.Simulation q constrs with
       | None -> true
       | Some plan ->
-        Helpers.norm_sim (Bounded_eval.bsim schema plan)
+        Helpers.norm_sim (fst (Bounded_eval.sim_with src plan))
         = Helpers.norm_sim (Bpq_matcher.Gsim.run g q))
 
 let gq_bounds_hold =
@@ -158,12 +158,12 @@ let gq_bounds_hold =
     QCheck2.Gen.(int_range 1 100_000)
     (fun seed ->
       let _, g, constrs, r = Helpers.random_instance seed in
-      let schema = Schema.build g constrs in
+      let src = Exec.source_of_schema (Schema.build g constrs) in
       let q = Bpq_pattern.Qgen.random r g in
       match Qplan.generate Actualized.Subgraph q constrs with
       | None -> true
       | Some plan ->
-        let res = Exec.run schema plan in
+        let res = Exec.run_with src plan in
         Digraph.n_nodes res.gq <= Plan.node_bound plan
         && Digraph.n_edges res.gq <= Plan.edge_bound plan)
 
@@ -197,17 +197,10 @@ let iter_tuples_matches_recursion =
         Array.of_list
           (List.map (fun len -> Array.init len (fun _ -> Prng.int r 100)) row_sizes)
       in
-      let anchors = List.mapi (fun i _ -> ((), i)) row_sizes in
       let got = ref [] in
-      Exec.iter_tuples cmat anchors (fun tuple -> got := Array.to_list tuple :: !got);
-      let want = ref [] in
-      let arrays = List.map (fun (_, u) -> cmat.(u)) anchors in
-      let rec go acc = function
-        | [] -> want := List.rev acc :: !want
-        | arr :: rest -> Array.iter (fun v -> go (v :: acc) rest) arr
-      in
-      if List.for_all (fun arr -> Array.length arr > 0) arrays then go [] arrays;
-      List.rev !got = List.rev !want)
+      Exec.iter_tuples_slice cmat ~lo:0 ~hi:(Exec.total_tuples cmat) (fun tuple ->
+          got := Array.to_list tuple :: !got);
+      List.rev !got = Helpers.tuples_oracle cmat)
 
 let suite =
   [ Alcotest.test_case "G_Q is a subgraph" `Quick test_gq_is_subgraph;

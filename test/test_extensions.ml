@@ -109,7 +109,7 @@ let test_edge_label_boundedness () =
   | None -> Alcotest.fail "expected the encoded query to be bounded"
   | Some plan ->
     let schema = Schema.build g constrs in
-    let matches = Bounded_eval.bvf2_matches schema plan in
+    let matches = fst (Bounded_eval.matches_with (Exec.source_of_schema schema) plan) in
     Helpers.check_int "two ratings" 2 (List.length matches);
     let projections =
       List.map (fun m -> Array.to_list (Edge_labeled.project_match spec m)) matches
@@ -213,7 +213,7 @@ let test_explain_describe_and_analyze () =
   let described = Explain.describe plan in
   Helpers.check_true "describe mentions totals" (String.length described > 100);
   let schema = Schema.build ds.graph a0 in
-  let analysis = Explain.analyze schema plan in
+  let analysis = Explain.analyze_with (Exec.source_of_schema schema) plan in
   Helpers.check_true "analyze renders" (String.length analysis.report > 100);
   (* Realised never exceeds the estimate. *)
   List.iter
@@ -234,7 +234,7 @@ let realized_within_estimates =
       match Qplan.generate Actualized.Subgraph q constrs with
       | None -> true
       | Some plan ->
-        let res = Exec.run schema plan in
+        let res = Exec.run_with (Exec.source_of_schema schema) plan in
         List.for_all (fun (tr : Exec.op_trace) -> tr.realized <= tr.estimate) res.trace)
 
 (* Exact minimum extension vs greedy *)

@@ -165,12 +165,12 @@ let test_fanned_out_lookups_counted () =
   let pool = Pool.create 2 in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let cache = Fetch_cache.create ~capacity:65536 () in
-  let r = Exec.run ~pool ~cache schema plan in
+  let r = Exec.run_with ~pool ~cache (Exec.source_of_schema schema) plan in
   let lookups = r.stats.fetch_lookups + r.stats.edge_lookups in
   Helpers.check_true "an operation fans out (>= 256 tuples)" (lookups >= 256);
   let s = Fetch_cache.stats cache in
   Helpers.check_int "every lookup reaches the cache" lookups (s.hits + s.misses + s.bypasses);
-  let warm = Exec.run ~pool ~cache schema plan in
+  let warm = Exec.run_with ~pool ~cache (Exec.source_of_schema schema) plan in
   Helpers.check_true "warm run is identical"
     (warm.stats = r.stats && warm.candidates_g = r.candidates_g);
   Helpers.check_true "warm run hits" ((Fetch_cache.stats cache).hits > s.hits)

@@ -39,7 +39,7 @@ let test_eechk_recovers_boundedness () =
     let full = Schema.build ds.graph (base @ added) in
     let plan = Qplan.generate_exn Actualized.Subgraph q0 (base @ added) in
     Helpers.check_true "answers agree"
-      (Helpers.sort_matches (Bounded_eval.bvf2_matches full plan)
+      (Helpers.sort_matches (fst (Bounded_eval.matches_with (Exec.source_of_schema full) plan))
       = Helpers.sort_matches (Bpq_matcher.Vf2.matches ds.graph q0))
 
 let test_eechk_fails_when_m_too_small () =
@@ -95,11 +95,11 @@ let eechk_sound =
       | None -> true
       | Some added ->
         let constrs = base @ added in
-        let schema = Schema.build g constrs in
+        let src = Exec.source_of_schema (Schema.build g constrs) in
         (match Qplan.generate Actualized.Subgraph q constrs with
          | None -> false (* eechk said bounded: a plan must exist *)
          | Some plan ->
-           Helpers.sort_matches (Bounded_eval.bvf2_matches schema plan)
+           Helpers.sort_matches (fst (Bounded_eval.matches_with src plan))
            = Helpers.sort_matches (Bpq_matcher.Vf2.matches g q)))
 
 let eechk_simulation_sound =
@@ -115,7 +115,7 @@ let eechk_simulation_sound =
         (match Qplan.generate Actualized.Simulation q added with
          | None -> false
          | Some plan ->
-           Helpers.norm_sim (Bounded_eval.bsim schema plan)
+           Helpers.norm_sim (fst (Bounded_eval.sim_with (Exec.source_of_schema schema) plan))
            = Helpers.norm_sim (Bpq_matcher.Gsim.run g q)))
 
 let test_greedy_extension () =
@@ -152,9 +152,9 @@ let test_min_m_zero_for_absent_labels () =
   match Instance.eechk Actualized.Subgraph g [] ~m:0 [ q ] with
   | None -> Alcotest.fail "eechk at M = 0"
   | Some added ->
-    let schema = Schema.build g added in
+    let src = Exec.source_of_schema (Schema.build g added) in
     let plan = Qplan.generate_exn Actualized.Subgraph q added in
-    Helpers.check_int "empty answer" 0 (Bounded_eval.bvf2_count schema plan)
+    Helpers.check_int "empty answer" 0 (Bounded_eval.count_with src plan)
 
 let suite =
   [ Alcotest.test_case "base is not bounded" `Quick test_base_is_not_bounded;

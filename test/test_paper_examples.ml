@@ -91,9 +91,11 @@ let test_example8_9 () =
   let schema = Schema.build g1 a1 in
   Helpers.check_true "G1 satisfies A1" (Schema.satisfied schema);
   let plan = Qplan.generate_exn Actualized.Simulation (W.q2 tbl) a1 in
-  Helpers.check_true "Q2(G1) = empty" (Bpq_matcher.Gsim.is_empty (Bounded_eval.bsim schema plan));
+  let src = Exec.source_of_schema schema in
+  Helpers.check_true "Q2(G1) = empty"
+    (Bpq_matcher.Gsim.is_empty (fst (Bounded_eval.sim_with src plan)));
   (* The plan touched a bounded region, far below the cycle size. *)
-  let res = Exec.run schema plan in
+  let res = Exec.run_with src plan in
   Helpers.check_true "accessed independent of cycle"
     (Exec.accessed res.stats <= Plan.node_bound plan + Plan.edge_bound plan)
 
@@ -122,7 +124,7 @@ let test_cycle_size_independence () =
     let g1 = W.g1 tbl ~n in
     let schema = Schema.build g1 (W.a1 tbl) in
     let plan = Qplan.generate_exn Actualized.Simulation (W.q2 tbl) (W.a1 tbl) in
-    let res = Exec.run schema plan in
+    let res = Exec.run_with (Exec.source_of_schema schema) plan in
     Exec.accessed res.stats
   in
   Helpers.check_int "same accesses at both scales" (accessed 5) (accessed 500)

@@ -30,12 +30,12 @@ let wide_setup =
   lazy
     (let ds = Lazy.force imdb in
      let a0 = W.a0 ds.W.table in
-     let schema = Schema.build ds.W.graph a0 in
+     let src = Exec.source_of_schema (Schema.build ds.W.graph a0) in
      let wide =
        Bpq_pattern.Template.instantiate (W.t0 ds.W.table)
          [ ("lo", Value.Int 1900); ("hi", Value.Int 2100) ]
      in
-     (ds, schema, Qplan.generate_exn Actualized.Subgraph wide a0))
+     (ds, src, Qplan.generate_exn Actualized.Subgraph wide a0))
 
 (* ------------------------------------------------------------------ *)
 (* iter_tuples_slice: slices partition the odometer enumeration        *)
@@ -60,12 +60,7 @@ let slices_partition_enumeration =
           (List.map (fun len -> Array.init len (fun _ -> Prng.int r 50)) row_sizes)
       in
       let total = Array.fold_left (fun acc a -> acc * Array.length a) 1 arrays in
-      let full =
-        let anchors = List.mapi (fun i _ -> ((), i)) row_sizes in
-        let acc = ref [] in
-        Exec.iter_tuples arrays anchors (fun t -> acc := Array.to_list t :: !acc);
-        List.rev !acc
-      in
+      let full = Helpers.tuples_oracle arrays in
       (* Split [0, total) at two pseudo-random cut points. *)
       let rc = Prng.create cuts_seed in
       let a = if total = 0 then 0 else Prng.int rc (total + 1) in
@@ -99,17 +94,17 @@ let result_fingerprint (r : Exec.result) =
     List.map (fun (t : Exec.op_trace) -> (t.op, t.estimate, t.realized)) r.trace )
 
 let test_exec_parallel_identical () =
-  let _, schema, plan = Lazy.force wide_setup in
-  let base = result_fingerprint (Exec.run schema plan) in
+  let _, src, plan = Lazy.force wide_setup in
+  let base = result_fingerprint (Exec.run_with src plan) in
   each_pool (fun j pool ->
       let name = Printf.sprintf "jobs=%d" j in
       Helpers.check_true (name ^ " no cache")
-        (result_fingerprint (Exec.run ~pool schema plan) = base);
+        (result_fingerprint (Exec.run_with ~pool src plan) = base);
       let cache = Fetch_cache.create ~capacity:4096 () in
       Helpers.check_true (name ^ " cold cache")
-        (result_fingerprint (Exec.run ~pool ~cache schema plan) = base);
+        (result_fingerprint (Exec.run_with ~pool ~cache src plan) = base);
       Helpers.check_true (name ^ " warm cache")
-        (result_fingerprint (Exec.run ~pool ~cache schema plan) = base))
+        (result_fingerprint (Exec.run_with ~pool ~cache src plan) = base))
 
 let exec_parallel_identical_random =
   Helpers.qcheck ~count:25 "Exec parallel = sequential on random instances"
@@ -120,10 +115,10 @@ let exec_parallel_identical_random =
       match Qplan.generate Actualized.Subgraph q constrs with
       | None -> true
       | Some plan ->
-        let schema = Schema.build g constrs in
-        let base = result_fingerprint (Exec.run schema plan) in
+        let src = Exec.source_of_schema (Schema.build g constrs) in
+        let base = result_fingerprint (Exec.run_with src plan) in
         List.for_all
-          (fun (_, pool) -> result_fingerprint (Exec.run ~pool schema plan) = base)
+          (fun (_, pool) -> result_fingerprint (Exec.run_with ~pool src plan) = base)
           (Lazy.force pools))
 
 (* ------------------------------------------------------------------ *)
@@ -131,8 +126,8 @@ let exec_parallel_identical_random =
 (* ------------------------------------------------------------------ *)
 
 let test_vf2_parallel_identical () =
-  let _, schema, plan = Lazy.force wide_setup in
-  let r = Exec.run schema plan in
+  let _, src, plan = Lazy.force wide_setup in
+  let r = Exec.run_with src plan in
   let q = plan.Plan.pattern in
   let seq_matches = Vf2.matches ~candidates:r.candidates_gq r.gq q in
   let seq_count = Vf2.count_matches ~candidates:r.candidates_gq r.gq q in
@@ -173,24 +168,24 @@ let vf2_parallel_identical_random =
 (* ------------------------------------------------------------------ *)
 
 let test_bounded_eval_parallel_identical () =
-  let _, schema, plan = Lazy.force wide_setup in
-  let seq = Bounded_eval.bvf2_matches schema plan in
-  let seq_sim = Helpers.norm_sim (Bounded_eval.bsim schema plan) in
+  let _, src, plan = Lazy.force wide_setup in
+  let seq = fst (Bounded_eval.matches_with src plan) in
+  let seq_sim = Helpers.norm_sim (fst (Bounded_eval.sim_with src plan)) in
   each_pool (fun j pool ->
       let name = Printf.sprintf "jobs=%d" j in
-      Helpers.check_true (name ^ " bvf2") (Bounded_eval.bvf2_matches ~pool schema plan = seq);
+      Helpers.check_true (name ^ " bvf2") (fst (Bounded_eval.matches_with ~pool src plan) = seq);
       Helpers.check_true (name ^ " bsim")
-        (Helpers.norm_sim (Bounded_eval.bsim ~pool schema plan) = seq_sim))
+        (Helpers.norm_sim (fst (Bounded_eval.sim_with ~pool src plan)) = seq_sim))
 
 (* A result cached under one pool size must serve — unchanged — under
    every other pool size: the cache key is the query, not the execution
    strategy. *)
 let test_qcache_warm_across_pool_sizes () =
-  let _, schema, plan = Lazy.force wide_setup in
-  let seq = Bounded_eval.bvf2_matches schema plan in
+  let _, src, plan = Lazy.force wide_setup in
+  let seq = fst (Bounded_eval.matches_with src plan) in
   let cache = Qcache.create () in
   let eval pool =
-    match Qcache.eval_plan cache ?pool schema plan with
+    match Qcache.eval_plan_with cache ?pool src plan with
     | Qcache.Matches ms -> ms
     | Qcache.Relation _ -> assert false
   in
@@ -208,12 +203,12 @@ let test_qcache_warm_across_pool_sizes () =
 
 (* And the converse: populate under a parallel pool, serve sequentially. *)
 let test_qcache_warm_from_parallel () =
-  let _, schema, plan = Lazy.force wide_setup in
-  let seq = Bounded_eval.bvf2_matches schema plan in
+  let _, src, plan = Lazy.force wide_setup in
+  let seq = fst (Bounded_eval.matches_with src plan) in
   let cache = Qcache.create () in
   let pool = List.assoc 4 (Lazy.force pools) in
   let eval pool' =
-    match Qcache.eval_plan cache ?pool:pool' schema plan with
+    match Qcache.eval_plan_with cache ?pool:pool' src plan with
     | Qcache.Matches ms -> ms
     | Qcache.Relation _ -> assert false
   in
@@ -227,7 +222,7 @@ let test_qcache_warm_from_parallel () =
 let test_batch_intra_identical () =
   let ds = Lazy.force imdb in
   let a0 = W.a0 ds.W.table in
-  let schema = Schema.build ds.W.graph a0 in
+  let src = Exec.source_of_schema (Schema.build ds.W.graph a0) in
   let queries =
     List.map
       (fun (lo, hi) ->
@@ -242,12 +237,12 @@ let test_batch_intra_identical () =
         | Some (Batch.Answer (Batch.Relation _, _)) | Some (Batch.Timeout _) | None ->
           None)
   in
-  let base = strip (Batch.eval_patterns Actualized.Subgraph schema queries) in
+  let base = strip (Batch.run_patterns Actualized.Subgraph src queries) in
   Helpers.check_true "answers exist" (List.exists Option.is_some base);
   each_pool (fun j pool ->
       Helpers.check_true
         (Printf.sprintf "batch intra jobs=%d" j)
-        (strip (Batch.eval_patterns ~pool ~intra:pool Actualized.Subgraph schema queries)
+        (strip (Batch.run_patterns ~pool ~intra:pool Actualized.Subgraph src queries)
          = base))
 
 let suite =

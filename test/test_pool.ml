@@ -108,7 +108,7 @@ let sweep_table pool =
   let queries = Qgen.workload rng ds.W.graph 12 in
   let ds = W.align ~pool ds queries in
   let row semantics =
-    Batch.eval_patterns ~pool semantics ds.W.schema queries
+    Batch.run_patterns ~pool semantics (Exec.source_of_schema ds.W.schema) queries
     |> List.map (fun (_, o) ->
            match o with
            | None -> "unbounded"

@@ -17,13 +17,8 @@ let world () =
   (ds, Schema.build ds.graph a0)
 
 let uncached semantics schema q =
-  match Bounded_eval.plan_for semantics schema q with
-  | None -> None
-  | Some plan ->
-    Some
-      (match semantics with
-       | Actualized.Subgraph -> Qcache.Matches (Bounded_eval.bvf2_matches schema plan)
-       | Actualized.Simulation -> Qcache.Relation (Bounded_eval.bsim schema plan))
+  let src = Exec.source_of_schema schema in
+  Option.map (Bounded_eval.run src) (Qplan.generate semantics q src.Exec.constraints)
 
 let windows ds n =
   let t0 = W.t0 ds.W.table in
@@ -33,9 +28,10 @@ let windows ds n =
 
 let test_template_plan_sharing () =
   let ds, schema = world () in
+  let src = Exec.source_of_schema schema in
   let qs = windows ds 4 in
   let c = Qcache.create () in
-  let first = List.map (fun q -> Qcache.eval c Actualized.Subgraph schema q) qs in
+  let first = List.map (Qcache.eval_with c Actualized.Subgraph src) qs in
   List.iter2
     (fun q a ->
       Helpers.check_true "matches uncached" (a = uncached Actualized.Subgraph schema q))
@@ -47,7 +43,7 @@ let test_template_plan_sharing () =
   Helpers.check_int "no result hits yet" 0 s.Qcache.result_hits;
   Helpers.check_true "fetch buckets shared across instantiations"
     (s.Qcache.fetch_hits > 0);
-  let second = List.map (fun q -> Qcache.eval c Actualized.Subgraph schema q) qs in
+  let second = List.map (Qcache.eval_with c Actualized.Subgraph src) qs in
   Helpers.check_true "warm answers byte-identical" (first = second);
   let s' = Qcache.stats c in
   Helpers.check_int "warm pass served by the result tier" 4
@@ -64,7 +60,7 @@ let test_capacity_extremes () =
         List.iter2
           (fun q b ->
             Helpers.check_true "capacity never changes answers"
-              (Qcache.eval c Actualized.Subgraph schema q = b))
+              (Qcache.eval_with c Actualized.Subgraph (Exec.source_of_schema schema) q = b))
           qs baseline
       done)
     [ Qcache.create ();
@@ -109,7 +105,7 @@ let test_plan_hits_equal_generated () =
   let ds, schema = world () in
   let a0 = W.a0 ds.table in
   let c = Qcache.create () in
-  let plan q = Qcache.plan_for c Actualized.Subgraph schema q in
+  let plan = Qcache.plan_for_with c Actualized.Subgraph (Exec.source_of_schema schema) in
   let generated q = Qplan.generate_exn Actualized.Subgraph q a0 in
   let q0 = W.q0 ds.table in
   Helpers.check_true "miss returns the generated plan" (plan q0 = Some (generated q0));
@@ -137,12 +133,12 @@ let test_plan_hits_equal_generated () =
 let test_negative_plan_cached () =
   let tbl = Label.create_table () in
   let g = W.g1 tbl ~n:3 in
-  let schema = Schema.build g (W.a1 tbl) in
+  let src = Exec.source_of_schema (Schema.build g (W.a1 tbl)) in
   let c = Qcache.create () in
   Helpers.check_true "unbounded query yields None"
-    (Qcache.eval c Actualized.Simulation schema (W.q1 tbl) = None);
+    (Qcache.eval_with c Actualized.Simulation src (W.q1 tbl) = None);
   Helpers.check_true "still None on re-ask"
-    (Qcache.eval c Actualized.Simulation schema (W.q1 tbl) = None);
+    (Qcache.eval_with c Actualized.Simulation src (W.q1 tbl) = None);
   let s = Qcache.stats c in
   Helpers.check_int "negative entry planned once" 1 s.Qcache.plan_misses;
   Helpers.check_int "negative entry hit" 1 s.Qcache.plan_hits
@@ -192,6 +188,7 @@ let test_delta_invalidation () =
 
 let test_pool_identity () =
   let ds, schema = world () in
+  let src = Exec.source_of_schema schema in
   let qs = windows ds 6 in
   let answers l =
     List.map
@@ -199,13 +196,13 @@ let test_pool_identity () =
         match o with Some (Batch.Answer (a, _)) -> Some a | Some (Batch.Timeout _) | None -> None)
       l
   in
-  let baseline = answers (Batch.eval_patterns Actualized.Subgraph schema qs) in
+  let baseline = answers (Batch.run_patterns Actualized.Subgraph src qs) in
   let pool = Pool.create 3 in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   List.iter
     (fun cache ->
-      let cold = answers (Batch.eval_patterns ~pool ~cache Actualized.Subgraph schema qs) in
-      let warm = answers (Batch.eval_patterns ~pool ~cache Actualized.Subgraph schema qs) in
+      let cold = answers (Batch.run_patterns ~pool ~cache Actualized.Subgraph src qs) in
+      let warm = answers (Batch.run_patterns ~pool ~cache Actualized.Subgraph src qs) in
       Helpers.check_true "pooled cached equals sequential uncached" (cold = baseline);
       Helpers.check_true "warm pooled equals baseline" (warm = baseline))
     [ Qcache.create ();
@@ -221,7 +218,8 @@ let test_byte_budget () =
   List.iter
     (fun q ->
       Helpers.check_true "budgeted answer equals uncached"
-        (Qcache.eval c Actualized.Subgraph schema q = uncached Actualized.Subgraph schema q))
+        (Qcache.eval_with c Actualized.Subgraph (Exec.source_of_schema schema) q
+         = uncached Actualized.Subgraph schema q))
     (qs @ qs);
   let bytes = Qcache.resident_bytes c in
   Helpers.check_true "something resident" (bytes > 0);

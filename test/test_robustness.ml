@@ -16,7 +16,7 @@ let test_exec_rejects_foreign_schema () =
   let plan = Qplan.generate_exn Actualized.Subgraph (W.q0 ds.table) a0 in
   let poor_schema = Schema.build ds.graph [ List.hd a0 ] in
   Alcotest.check_raises "foreign schema" Not_found (fun () ->
-      ignore (Exec.run poor_schema plan))
+      ignore (Exec.run_with (Exec.source_of_schema poor_schema) plan))
 
 let test_zero_bound_rule () =
   let tbl = Label.create_table () in
@@ -34,7 +34,7 @@ let test_zero_bound_rule () =
   let g = Helpers.graph tbl [ ("A", Value.Null); ("B", Value.Null) ] [] in
   let schema = Schema.build g a in
   Helpers.check_true "constraints hold" (Schema.satisfied schema);
-  Helpers.check_int "no matches" 0 (Bounded_eval.bvf2_count schema plan)
+  Helpers.check_int "no matches" 0 (Bounded_eval.count_with (Exec.source_of_schema schema) plan)
 
 let test_zero_bound_violated_graph_detected () =
   (* If the graph does have such an edge, the schema is violated and the
@@ -55,7 +55,7 @@ let test_pattern_with_unknown_label () =
   let schema = Schema.build ds.graph a in
   Helpers.check_true "vacuously satisfied" (Schema.satisfied schema);
   let plan = Qplan.generate_exn Actualized.Subgraph q a in
-  Helpers.check_int "no matches" 0 (Bounded_eval.bvf2_count schema plan)
+  Helpers.check_int "no matches" 0 (Bounded_eval.count_with (Exec.source_of_schema schema) plan)
 
 let test_single_node_queries () =
   let ds = W.imdb ~scale:0.01 () in
@@ -64,9 +64,9 @@ let test_single_node_queries () =
   let a = W.a0 ds.table in
   let schema = Schema.build ds.graph a in
   let plan = Qplan.generate_exn Actualized.Subgraph q a in
-  Helpers.check_int "24 awards" 24 (Bounded_eval.bvf2_count schema plan);
+  Helpers.check_int "24 awards" 24 (Bounded_eval.count_with (Exec.source_of_schema schema) plan);
   let sim_plan = Qplan.generate_exn Actualized.Simulation q a in
-  let sim = Bounded_eval.bsim schema sim_plan in
+  let sim = fst (Bounded_eval.sim_with (Exec.source_of_schema schema) sim_plan) in
   Helpers.check_int "24 simulation partners" 24 (Array.length sim.(0))
 
 let test_self_loop_pattern () =
@@ -85,7 +85,8 @@ let test_self_loop_pattern () =
   match Qplan.generate Actualized.Subgraph q a with
   | None -> Alcotest.fail "self-loop query should be bounded"
   | Some plan ->
-    Helpers.check_int "one self-loop match" 1 (Bounded_eval.bvf2_count schema plan)
+    Helpers.check_int "one self-loop match" 1
+      (Bounded_eval.count_with (Exec.source_of_schema schema) plan)
 
 let test_duplicate_labels_in_pattern () =
   (* Two pattern nodes with the same label must get distinct, injective
@@ -101,7 +102,7 @@ let test_duplicate_labels_in_pattern () =
   let schema = Schema.build ds.graph a in
   let plan = Qplan.generate_exn Actualized.Subgraph q a in
   Helpers.check_int "ordered pairs of distinct awards" (24 * 23)
-    (Bounded_eval.bvf2_count schema plan)
+    (Bounded_eval.count_with (Exec.source_of_schema schema) plan)
 
 let test_disconnected_pattern () =
   let ds = W.imdb ~scale:0.01 () in
@@ -114,7 +115,8 @@ let test_disconnected_pattern () =
   let a = W.a0 ds.table in
   let schema = Schema.build ds.graph a in
   let plan = Qplan.generate_exn Actualized.Subgraph q a in
-  Helpers.check_int "cross product" (24 * 196) (Bounded_eval.bvf2_count schema plan)
+  Helpers.check_int "cross product" (24 * 196)
+    (Bounded_eval.count_with (Exec.source_of_schema schema) plan)
 
 let test_intersecting_refetch () =
   (* A node fetched through two different constraints keeps only the
@@ -139,10 +141,10 @@ let test_intersecting_refetch () =
   let schema = Schema.build g a in
   Helpers.check_true "satisfied" (Schema.satisfied schema);
   let plan = Qplan.generate_exn Actualized.Subgraph q a in
-  let res = Exec.run schema plan in
+  let res = Exec.run_with (Exec.source_of_schema schema) plan in
   (* Only B1 (node 2) survives whichever fetch order QPlan chose. *)
   Helpers.check_true "B candidates" (res.candidates_g.(1) = [| 2 |]);
-  Helpers.check_int "single match" 1 (Bounded_eval.bvf2_count schema plan)
+  Helpers.check_int "single match" 1 (Bounded_eval.count_with (Exec.source_of_schema schema) plan)
 
 let suite =
   [ Alcotest.test_case "exec rejects foreign schema" `Quick test_exec_rejects_foreign_schema;

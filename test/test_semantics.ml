@@ -72,12 +72,12 @@ let predicates_shrink_answers =
     QCheck2.Gen.(int_range 1 100_000)
     (fun seed ->
       let _, g, constrs, r = Helpers.random_instance seed in
-      let schema = Bpq_access.Schema.build g constrs in
+      let src = Exec.source_of_schema (Bpq_access.Schema.build g constrs) in
       let q = Bpq_pattern.Qgen.from_walk r g in
       match Qplan.generate Actualized.Subgraph q constrs with
       | None -> true
       | Some plan ->
-        let base_count = Bounded_eval.bvf2_count schema plan in
+        let base_count = Bounded_eval.count_with src plan in
         (* Restrict node 0 to values >= 5 (values are 0..9 in the random
            generator). *)
         let tightened =
@@ -92,7 +92,7 @@ let predicates_shrink_answers =
         in
         (match Qplan.generate Actualized.Subgraph tightened constrs with
          | None -> false (* predicates cannot affect boundedness *)
-         | Some plan' -> Bounded_eval.bvf2_count schema plan' <= base_count))
+         | Some plan' -> Bounded_eval.count_with src plan' <= base_count))
 
 (* The simulation relation only shrinks when edges are added to the
    pattern (more obligations). *)

@@ -258,7 +258,7 @@ let q0_setup () =
 
 let test_workers_equal_single_node () =
   let schema, plan = q0_setup () in
-  let reference = canon (Exec.run schema plan) in
+  let reference = canon (Exec.run_with (Exec.source_of_schema schema) plan) in
   with_remote schema 4 (fun _m r _workers ->
       let res = Exec.run_with (Remote.source r) plan in
       Helpers.check_true "pushdown byte-identical to single node" (canon res = reference);
@@ -301,7 +301,7 @@ let test_pushdown_saves_wire_bytes () =
 
 let test_unbatched_equals_batched () =
   let schema, plan = q0_setup () in
-  let reference = canon (Exec.run schema plan) in
+  let reference = canon (Exec.run_with (Exec.source_of_schema schema) plan) in
   with_remote schema 2 (fun _m r _workers ->
       let pushed = Exec.run_with (Remote.source r) plan in
       let plain = Remote.source ~pushdown:false r in
@@ -320,7 +320,7 @@ let workers_equal_single_qcheck =
       match instance_plan seed with
       | _, None -> true
       | schema, Some plan ->
-        let reference = canon (Exec.run schema plan) in
+        let reference = canon (Exec.run_with (Exec.source_of_schema schema) plan) in
         with_remote schema shards (fun _m r _workers ->
             canon (Exec.run_with (Remote.source r) plan) = reference
             && canon (Exec.run_with (Remote.source ~pushdown:false r) plan) = reference))
@@ -330,7 +330,7 @@ let workers_equal_single_qcheck =
    answers of graph-simulation plans for random walk patterns. *)
 let test_remote_simulation_and_single_agree () =
   let schema, plan = q0_setup () in
-  let single = Exec.run schema plan in
+  let single = Exec.run_with (Exec.source_of_schema schema) plan in
   let ds = Bpq_workload.Workload.imdb ~scale:0.02 () in
   let rng = Bpq_util.Prng.create 11 in
   let sims =

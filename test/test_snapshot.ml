@@ -153,7 +153,8 @@ let loaded_schema_executes_identically =
                 r.trace,
                 Digraph.Repr.of_graph r.gq )
             in
-            canon (Exec.run schema plan) = canon (Exec.run schema2 plan)))
+            let run s = canon (Exec.run_with (Exec.source_of_schema s) plan) in
+            run schema = run schema2))
 
 let test_stamp_lineage () =
   let _, g, constrs, _ = Helpers.random_instance 42 in
@@ -181,8 +182,8 @@ let test_qcache_survives_roundtrip () =
          must be served for the loaded one (same stamp, same ids). *)
       let schema2, _ = Schema.load ds.table path in
       let cache = Qcache.create () in
-      let p1 = Qcache.plan_for cache Actualized.Subgraph schema q in
-      let p2 = Qcache.plan_for cache Actualized.Subgraph schema2 q in
+      let p1 = Qcache.plan_for_with cache Actualized.Subgraph (Exec.source_of_schema schema) q in
+      let p2 = Qcache.plan_for_with cache Actualized.Subgraph (Exec.source_of_schema schema2) q in
       Helpers.check_true "plan cached" (p1 <> None);
       Helpers.check_true "plan identical" (p1 = p2);
       let st = Qcache.stats cache in
@@ -242,6 +243,30 @@ let hostile_lengths =
       && corrupt (fun () -> Binfile.Cur.str (payload (fun b -> Binfile.add_i64 b n)))
       && corrupt (fun () -> Binfile.Cur.sorted_array (payload (fun b -> Binfile.add_uvarint b n)))
       && corrupt (fun () -> Binfile.Cur.zigzag_array (payload (fun b -> Binfile.add_uvarint b n))))
+
+(* A nine-byte varint can set bit 62, OCaml's sign bit: the readers must
+   refuse it as corrupt rather than return a negative value or hand a
+   negative length to an allocation. *)
+let test_varint_sign_bit () =
+  let cur s = Binfile.Cur.of_bytes (Bytes.of_string s) in
+  let minus_one = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f" in
+  let top_bit = "\x80\x80\x80\x80\x80\x80\x80\x80\x40" in
+  expect_corrupt "uvarint -1" (fun () -> Binfile.Cur.uvarint (cur minus_one));
+  expect_corrupt "uvarint min_int" (fun () -> Binfile.Cur.uvarint (cur top_bit));
+  expect_corrupt "sorted_array length" (fun () -> Binfile.Cur.sorted_array (cur minus_one));
+  expect_corrupt "zigzag_array length" (fun () -> Binfile.Cur.zigzag_array (cur minus_one));
+  (* Two in-range deltas whose running sum passes max_int. *)
+  let b = Buffer.create 32 in
+  Binfile.add_uvarint b 2;
+  Binfile.add_uvarint b max_int;
+  Binfile.add_uvarint b 1;
+  expect_corrupt "sorted_array sum"
+    (fun () -> Binfile.Cur.sorted_array (Binfile.Cur.of_bytes (Buffer.to_bytes b)));
+  (* The largest value the writer emits still round-trips. *)
+  let b = Buffer.create 16 in
+  Binfile.add_uvarint b max_int;
+  Helpers.check_int "max_int round-trips" max_int
+    (Binfile.Cur.uvarint (Binfile.Cur.of_bytes (Buffer.to_bytes b)))
 
 (* The FNV a write returns and the one a read computes are the file's
    own: what pairs a delta log with the generation it was written
@@ -875,6 +900,7 @@ let suite =
     Alcotest.test_case "failed write leaves target intact" `Quick test_failed_write_leaves_target;
     Alcotest.test_case "snapshot sniffing" `Quick test_is_snapshot_sniff;
     hostile_lengths;
+    Alcotest.test_case "varints past max_int raise Corrupt" `Quick test_varint_sign_bit;
     Alcotest.test_case "write and read report the file's FNV" `Quick test_fnv_of_write_and_read;
     hostile_index_bytes;
     Alcotest.test_case "hostile index shapes raise Corrupt" `Quick test_hostile_index_shapes;

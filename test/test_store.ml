@@ -36,10 +36,10 @@ let backends_identical =
       | schema, Some plan ->
         with_temp_file (fun path ->
             Schema.save schema path;
-            let reference = canon (Exec.run schema plan) in
+            let reference = canon (Exec.run_with (Exec.source_of_schema schema) plan) in
             let via_load =
               let schema2, _ = Schema.load (Label.create_table ()) path in
-              canon (Exec.run schema2 plan)
+              canon (Exec.run_with (Exec.source_of_schema schema2) plan)
             in
             let via_paged cache_pages =
               with_paged ~cache_pages path (fun p ->
@@ -77,7 +77,7 @@ let test_q0_parity_and_pools () =
   let schema, plan = q0_setup () in
   with_temp_file (fun path ->
       Schema.save schema path;
-      let reference = canon (Exec.run schema plan) in
+      let reference = canon (Exec.run_with (Exec.source_of_schema schema) plan) in
       with_paged ~page_cache_mb:1 path (fun p ->
           let src = Paged.source p in
           Helpers.check_true "sequential paged run identical"
@@ -135,7 +135,7 @@ let test_readahead () =
   let schema, plan = q0_setup () in
   with_temp_file (fun path ->
       Schema.save schema path;
-      let reference = canon (Exec.run schema plan) in
+      let reference = canon (Exec.run_with (Exec.source_of_schema schema) plan) in
       let demand =
         with_paged ~page_cache_mb:64 ~readahead:0 path (fun p ->
             Helpers.check_true "readahead 0 identical"

@@ -306,10 +306,10 @@ let overlay_identity =
         ignore (Store.compact ~out st);
         Store.close st;
         let folded, _ = Schema.load (Label.create_table ()) out in
-        let via_compacted = canon (Exec.run folded plan) in
+        let via_compacted = canon (Exec.run_with (Exec.source_of_schema folded) plan) in
         (* From-scratch rebuild: same graph, indexes built anew. *)
         let rebuilt = Schema.build (Schema.graph folded) (Schema.constraints folded) in
-        let via_scratch = canon (Exec.run rebuilt plan) in
+        let via_scratch = canon (Exec.run_with (Exec.source_of_schema rebuilt) plan) in
         (try Sys.remove out with Sys_error _ -> ());
         via_mem = via_pool && paged_ok && via_mem = via_compacted
         && via_mem = via_scratch)
@@ -411,12 +411,12 @@ let in_place_compaction_keeps_mapping =
         (match Store.apply_ops st (random_ops r g tbl (5 + Bpq_util.Prng.int r 40)) with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "apply: %s" e);
-        let base = Option.get (Store.schema st) in
+        let base = Exec.source_of_schema (Option.get (Store.schema st)) in
         let served () = canon (Exec.run_with (Store.source st) plan) in
-        let before = served () and base_before = canon (Exec.run base plan) in
+        let before = served () and base_before = canon (Exec.run_with base plan) in
         ignore (Store.compact st);
         Gc.full_major ();
-        let after = served () and base_after = canon (Exec.run base plan) in
+        let after = served () and base_after = canon (Exec.run_with base plan) in
         Store.close st;
         let st2 = Store.open_snapshot snap in
         Fun.protect
