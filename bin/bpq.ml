@@ -30,7 +30,7 @@ module Json = Bpq_util.Jsonx
    backtrace. *)
 let guard f =
   try f () with
-  | Failure msg | Binfile.Corrupt msg | Sys_error msg ->
+  | Failure msg | Binfile.Corrupt msg | Sys_error msg | Store.Shard_file msg ->
     Printf.eprintf "bpq: %s\n" msg;
     3
   | Remote.Worker_died { shard; detail } ->
@@ -53,7 +53,7 @@ let with_file path f =
 (* [-g] accepts either the text format or a binary snapshot. *)
 let load_graph tbl path =
   with_file path (fun () ->
-      if Graph_io.is_snapshot path then fst (Graph_io.load_bin tbl path)
+      if Binfile.is_snapshot path then fst (Graph_io.load_bin tbl path)
       else Graph_io.load tbl path)
 
 let load_pattern tbl path = with_file path (fun () -> Pattern_parser.load tbl path)
@@ -318,7 +318,7 @@ let open_store ?pool ?workers ?(pushdown = true) ?constraints ?readahead ~backen
     embedded "shard manifests";
     with_costs (open_sharded ?workers ~pushdown graph)
   end
-  else if Graph_io.is_snapshot graph then begin
+  else if Binfile.is_snapshot graph then begin
     embedded "snapshots";
     with_costs
       (with_file graph (fun () ->
@@ -405,7 +405,7 @@ let apply_cmd =
   in
   let run graph wal backend page_cache ops_file =
     guard @@ fun () ->
-    if backend <> Store.Sharded && not (Graph_io.is_snapshot graph) then
+    if backend <> Store.Sharded && not (Binfile.is_snapshot graph) then
       failwith
         (Printf.sprintf "%s: delta logs pair with snapshots (build one with `bpq freeze`)"
            graph);
@@ -447,7 +447,7 @@ let compact_cmd =
       failwith
         "sharded stores cannot be compacted through the coordinator; compact the \
          unsharded snapshot, then re-shard";
-    if not (Graph_io.is_snapshot graph) then
+    if not (Binfile.is_snapshot graph) then
       failwith (Printf.sprintf "%s: not a snapshot (build one with `bpq freeze`)" graph);
     let store = with_file graph (fun () -> Store.open_snapshot ~backend:Store.Mem graph) in
     Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
@@ -686,8 +686,7 @@ let run_cmd =
     | Some plan ->
       (match semantics with
        | Actualized.Subgraph ->
-         let matches, stats = Bounded_eval.matches_with ~pool ?cache:fetch src plan in
-         let matches = match limit with Some l -> List.filteri (fun i _ -> i < l) matches | None -> matches in
+         let matches, stats = Bounded_eval.matches_with ~pool ?limit ?cache:fetch src plan in
          print_matches matches;
          Printf.printf "# %d matches, accessed %d data items (graph size %d)\n"
            (List.length matches) (Exec.accessed stats) src.Exec.graph_size
@@ -717,7 +716,6 @@ let run_cmd =
         Printf.printf "== %s ==\n" path;
         match outcome with
         | Some (Batch.Answer (Batch.Matches matches, elapsed)) ->
-          let matches = match limit with Some l -> List.filteri (fun i _ -> i < l) matches | None -> matches in
           print_matches matches;
           Printf.printf "# %d matches (%.2fms)\n" (List.length matches) (elapsed *. 1000.0)
         | Some (Batch.Answer (Batch.Relation sim, elapsed)) ->
@@ -859,7 +857,7 @@ let serve_cmd =
         open_store ~pool ~pushdown ?constraints ~readahead ~backend ~page_cache graph
       in
       (match Store.schema store with
-       | Some schema when (not (Graph_io.is_snapshot graph)) && not (Schema.satisfied schema) ->
+       | Some schema when (not (Binfile.is_snapshot graph)) && not (Schema.satisfied schema) ->
          failwith (Printf.sprintf "%s: the graph does not satisfy the access constraints" graph)
        | _ -> ());
       (store, costs)

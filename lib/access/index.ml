@@ -241,6 +241,28 @@ let search ~get ~width ~n (key : int array) =
   done;
   if !found >= 0 then !found else -(!lo + 1)
 
+(* The region is read through [get] only, so the open checked none of
+   it: the bucket pointer and every payload id are checked here. *)
+let read_bucket ~get ~arity ~n_keys ~payload_ints ~n_nodes tuple =
+  let corrupt msg = raise (Binfile.Corrupt ("schema section: " ^ msg)) in
+  let width = width_of_arity arity in
+  match native_record ~arity tuple with
+  | None -> [||]
+  | Some key ->
+    let o = search ~get ~width ~n:n_keys key in
+    if o < 0 then [||]
+    else begin
+      let at = (o * (width + 2)) + width in
+      let start = get at and len = get (at + 1) in
+      if start < 0 || start > payload_ints || len < 0 || len > payload_ints - start then
+        corrupt "payload pointer out of range";
+      let payload = (n_keys * (width + 2)) + start in
+      Array.init len (fun i ->
+          let v = get (payload + i) in
+          if v < 0 || v >= n_nodes then corrupt "payload node id out of range";
+          v)
+    end
+
 (* ---------------- freezing ---------------- *)
 
 (* (key record, node) pairs in push order.  Every builder pushes a

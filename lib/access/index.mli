@@ -109,8 +109,8 @@ val iter : t -> (int list -> int array -> unit) -> unit
     fixed-width key records pointing into a payload region.  Every
     backend reads them through the functions below: the mem backend
     probes them in place, the paged store and the shard workers
-    binary-search them on disk ({!search}), and the sharded coordinator
-    routes keys by them ([Bpq_store.Shard.owner_of_key]). *)
+    binary-search them on disk ({!read_bucket}), and the sharded
+    coordinator routes keys by them ([Bpq_store.Shard.owner_of_key]). *)
 
 val width_of_arity : int -> int
 (** Ints per native key record for a constraint of this arity: [1] for
@@ -132,6 +132,21 @@ val search : get:(int -> int) -> width:int -> n:int -> int array -> int
     key's first [width] ints, or [-(o + 1)] where [o] is the first
     ordinal whose record is greater.  [get] may raise; the search
     allocates nothing of its own. *)
+
+val read_bucket :
+  get:(int -> int) ->
+  arity:int ->
+  n_keys:int ->
+  payload_ints:int ->
+  n_nodes:int ->
+  int array ->
+  int array
+(** The bucket of a caller's tuple, in stored order, from an {!emit}
+    region read through [get] ([get i] is its [i]th int: the key
+    records, then the payload): {!native_record}, {!search}, then the
+    bucket pointer and every payload id checked, since nothing of the
+    region was read in advance.
+    @raise Bpq_graph.Binfile.Corrupt on an out-of-range pointer or id. *)
 
 val key_width : t -> int
 (** {!width_of_arity} of the index's constraint. *)

@@ -182,7 +182,6 @@ type region = {
   n_keys : int;
   payload_ints : int;
   keys_at : int;
-  payload_at : int;
 }
 
 let corrupt msg = raise (Binfile.Corrupt ("schema section: " ^ msg))
@@ -237,7 +236,7 @@ let read_meta ~i64 ~map ~len =
         if payloads_off <> payload_at then corrupt "payload region not at its canonical offset";
         if payload_ints > (len - payload_at) / 8 then corrupt "payload region out of range";
         off := payload_at + (8 * payload_ints);
-        { constr = c; n_keys; payload_ints; keys_at = keys_off; payload_at })
+        { constr = c; n_keys; payload_ints; keys_at = keys_off })
       metas
   in
   (stamp, regions)

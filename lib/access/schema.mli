@@ -156,8 +156,7 @@ type region = {
   constr : Constr.t;
   n_keys : int;
   payload_ints : int;
-  keys_at : int;  (** Byte offset of the key records in the section. *)
-  payload_at : int;  (** Byte offset of the payload ids in the section. *)
+  keys_at : int;  (** Byte offset of the key records (then the payload) in the section. *)
 }
 
 val read_meta :

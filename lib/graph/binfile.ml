@@ -278,6 +278,22 @@ let read_directory ~pread ~file_len =
         corrupt "section %d (tag %d) out of range" i tag;
       { tag; off; len })
 
+let find_sect sects tag = List.find_opt (fun s -> s.tag = tag) sects
+
+let pread ic ~pos ~len =
+  let b = Bytes.create len in
+  seek_in ic pos;
+  really_input ic b 0 len;
+  b
+
+let sect_reader ~pread s =
+  let pos = ref s.off in
+  fun () ->
+    if !pos > s.off + s.len - 8 then corrupt "section (tag %d) ends early" s.tag;
+    let v = get_i64 (pread ~pos:!pos ~len:8) 0 in
+    pos := !pos + 8;
+    v
+
 (* ---------------- varint wire helpers ----------------
 
    Snapshot sections stay 8-aligned i64 arrays; the LEB128 varints below
@@ -423,12 +439,8 @@ let is_snapshot path =
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () ->
-        if in_channel_length ic < String.length magic then false
-        else begin
-          let b = Bytes.create (String.length magic) in
-          really_input ic b 0 (String.length magic);
-          Bytes.to_string b = magic
-        end)
+        let n = String.length magic in
+        in_channel_length ic >= n && Bytes.to_string (pread ic ~pos:0 ~len:n) = magic)
 
 (* ---------------- one-pass reading ---------------- *)
 

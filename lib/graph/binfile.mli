@@ -179,6 +179,14 @@ val read_directory : pread:(pos:int -> len:int -> Bytes.t) -> file_len:int -> se
     checksummed region; does {e not} verify the checksum.
     @raise Corrupt on any malformed header. *)
 
+val find_sect : sect list -> int -> sect option
+val pread : in_channel -> pos:int -> len:int -> Bytes.t
+
+val sect_reader : pread:(pos:int -> len:int -> Bytes.t) -> sect -> unit -> int
+(** Successive i64s of the section, one positional read each: the
+    [~i64] a header decoder takes when a file is read in place.
+    @raise Corrupt on a read past the section's end. *)
+
 val is_snapshot : string -> bool
 (** Cheap sniff: does the file start with {!magic}?  [false] for
     unreadable or short files. *)

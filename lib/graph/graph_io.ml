@@ -69,41 +69,34 @@ let load tbl path =
    tag byte + raw bytes (length implied by the next offset).  The paged
    store reads single entries straight out of the blob. *)
 
-let add_value_blob b = function
+let emit_value put = function
   | Value.Null -> ()
   | Value.Int i ->
-    Buffer.add_char b '\001';
+    put '\001';
     for shift = 0 to 7 do
-      Buffer.add_char b (Char.chr ((i lsr (8 * shift)) land 0xFF))
+      put (Char.chr ((i lsr (8 * shift)) land 0xFF))
     done
   | Value.Str s ->
-    Buffer.add_char b '\002';
-    Buffer.add_string b s
+    put '\002';
+    String.iter put s
 
-let decode_value bytes ~pos ~len =
+let add_value_blob b = emit_value (Buffer.add_char b)
+let put_value_blob s = emit_value (Binfile.put_char s)
+
+let decode_value bytes =
+  let len = Bytes.length bytes in
   if len = 0 then Value.Null
   else
-    match Bytes.get bytes pos with
-    | '\001' when len = 9 -> Value.Int (Binfile.get_i64 bytes (pos + 1))
-    | '\002' -> Value.Str (Bytes.sub_string bytes (pos + 1) (len - 1))
+    match Bytes.get bytes 0 with
+    | '\001' when len = 9 -> Value.Int (Binfile.get_i64 bytes 1)
+    | '\002' -> Value.Str (Bytes.sub_string bytes 1 (len - 1))
     | _ -> raise (Binfile.Corrupt "malformed node value entry")
 
-(* Bytes [add_value_blob] writes for a value. *)
+(* Bytes [emit_value] writes for a value. *)
 let value_blob_len = function
   | Value.Null -> 0
   | Value.Int _ -> 9
   | Value.Str s -> 1 + String.length s
-
-let put_value_blob s = function
-  | Value.Null -> ()
-  | Value.Int i ->
-    Binfile.put_char s '\001';
-    for shift = 0 to 7 do
-      Binfile.put_char s (Char.chr ((i lsr (8 * shift)) land 0xFF))
-    done
-  | Value.Str str ->
-    Binfile.put_char s '\002';
-    String.iter (Binfile.put_char s) str
 
 (* The label names in id order, behind their count. *)
 let add_labels_section w tbl =
@@ -119,13 +112,20 @@ let labels_of_cur tbl c =
   Array.init n (fun _ -> Label.intern tbl (Binfile.Cur.str c))
 
 (* Labels are small and buffered; nodes and CSR stream through the
-   writer's sink, their lengths computed up front. *)
-let add_graph_sections w g =
+   writer's sink, their lengths computed up front.  Under [owns], the
+   unowned nodes' values are zero-length and the CSR is the out-rows
+   alone, behind a header whose neighbour and by-label lengths are 0. *)
+let add_graph_sections ?owns w g =
   let tbl = Digraph.label_table g in
   let r = Digraph.Repr.of_graph g in
   let n = Array.length r.labels in
+  let values =
+    match owns with
+    | None -> r.values
+    | Some owns -> Array.mapi (fun v x -> if owns v then x else Value.Null) r.values
+  in
   add_labels_section w tbl;
-  let blob_len = Array.fold_left (fun acc v -> acc + value_blob_len v) 0 r.values in
+  let blob_len = Array.fold_left (fun acc v -> acc + value_blob_len v) 0 values in
   Binfile.stream_section w ~tag:Binfile.tag_nodes
     ~len:(8 + (8 * n) + (8 * (n + 1)) + blob_len)
     (fun s ->
@@ -137,18 +137,24 @@ let add_graph_sections w g =
         (fun v ->
           off := !off + value_blob_len v;
           Binfile.put_i64 s !off)
-        r.values;
-      Array.iter (put_value_blob s) r.values);
-  let arrays =
-    [ r.out_off; r.out_adj; r.in_off; r.in_adj; r.nbr_off; r.nbr_adj; r.by_label_off; r.by_label ]
+        values;
+      Array.iter (put_value_blob s) values);
+  let header, arrays =
+    match owns with
+    | None ->
+      ( [ n; r.n_edges; Array.length r.nbr_adj; Array.length r.by_label_off - 1 ],
+        [ r.out_off; r.out_adj; r.in_off; r.in_adj; r.nbr_off; r.nbr_adj; r.by_label_off;
+          r.by_label ] )
+    | Some owns ->
+      let rows = Array.init n (fun v -> if owns v then Digraph.out_neighbours g v else [||]) in
+      let off = Array.make (n + 1) 0 in
+      Array.iteri (fun v row -> off.(v + 1) <- off.(v) + Array.length row) rows;
+      ([ n; off.(n); 0; 0 ], [ off; Array.concat (Array.to_list rows) ])
   in
   Binfile.stream_section w ~tag:Binfile.tag_csr
     ~len:(32 + List.fold_left (fun acc a -> acc + (8 * Array.length a)) 0 arrays)
     (fun s ->
-      Binfile.put_i64 s n;
-      Binfile.put_i64 s r.n_edges;
-      Binfile.put_i64 s (Array.length r.nbr_adj);
-      Binfile.put_i64 s (Array.length r.by_label_off - 1);
+      List.iter (Binfile.put_i64 s) header;
       List.iter (Binfile.put_array s) arrays)
 
 let save_bin ?selectivity g path =
@@ -158,17 +164,17 @@ let save_bin ?selectivity g path =
   ignore (Binfile.write w path : int)
 
 (* CSR offset array sanity: starts at 0, non-decreasing, ends at the adj
-   length, every adjacency entry a valid node id.  Cheap (one linear
+   length, every adjacency entry in [0, bound) — a valid node id.  Cheap (one linear
    pass) and turns a corrupted-but-checksummed file into a clear error
    instead of a later out-of-bounds surprise. *)
-let validate_csr ~what n off adj =
+let validate_csr ~what n off adj ~bound =
   let bad msg = raise (Binfile.Corrupt (Printf.sprintf "%s: %s" what msg)) in
   if Array.length off <> n + 1 then bad "offset array has wrong length";
   if n >= 0 && (off.(0) <> 0 || off.(n) <> Array.length adj) then bad "offsets do not span adjacency";
   for v = 0 to n - 1 do
     if off.(v) > off.(v + 1) then bad "offsets decrease"
   done;
-  Array.iter (fun w -> if w < 0 then bad "negative adjacency entry") adj
+  Array.iter (fun w -> if w < 0 || w >= bound then bad "entry out of range") adj
 
 (* Counting sort of node ids into per-label CSR buckets — the freeze-time
    layout, rebuilt here when loading into a table whose label ids differ
@@ -189,12 +195,36 @@ let build_by_label nlabels labels =
     labels;
   (off, adj)
 
+(* ---------------- section headers, shared by both readers ---------------- *)
+
+let corrupt msg = raise (Binfile.Corrupt msg)
+
+(* The node count, checked against the section's length: a header i64,
+   then [n] labels and [n + 1] value offsets. *)
+let nodes_header ~i64 ~len =
+  let n = i64 () in
+  if n < 0 || n > (len - 16) / 16 then corrupt "nodes section too short";
+  n
+
+(* The edge count and the neighbour and by-label lengths, with the
+   out-CSR (the part every file carries) checked against the section's
+   length. *)
+let csr_header ~i64 ~len ~n =
+  let n' = i64 () in
+  let m = i64 () in
+  let nbr_len = i64 () in
+  let bl = i64 () in
+  if n' <> n then corrupt "csr section: node count disagrees with nodes section";
+  if m < 0 || nbr_len < 0 || bl < 0 then corrupt "csr section: negative array length";
+  if n + 1 > (len - 32) / 8 || m > (len - 32 - (8 * (n + 1))) / 8 then
+    corrupt "csr section too short";
+  (m, nbr_len, bl)
+
 (* Decode the graph sections of the file [s] streams into [tbl],
    returning the graph and the stored-label-id -> [tbl]-id map (used by
    schema and stats decoders downstream). *)
 let graph_of_scan tbl s =
   let module S = Binfile.Scan in
-  let corrupt msg = raise (Binfile.Corrupt msg) in
   S.require s Binfile.tag_labels;
   let map = labels_of_cur tbl (S.cur s) in
   let nlabels_stored = Array.length map in
@@ -202,8 +232,7 @@ let graph_of_scan tbl s =
   (* Nodes.  Value entries follow each other in node order, so the blob
      decodes as it streams past. *)
   S.require s Binfile.tag_nodes;
-  let n = S.i64 s in
-  if n < 0 then corrupt "nodes section: negative node count";
+  let n = nodes_header ~i64:(fun () -> S.i64 s) ~len:(S.remaining s) in
   let labels = S.array s n in
   let voff = S.array s (n + 1) in
   if voff.(0) <> 0 then corrupt "nodes section: value offsets out of range";
@@ -211,19 +240,14 @@ let graph_of_scan tbl s =
     Array.init n (fun v ->
         let len = voff.(v + 1) - voff.(v) in
         if len < 0 then corrupt "nodes section: value offsets out of range";
-        if len = 0 then Value.Null else decode_value (S.bytes s len) ~pos:0 ~len)
+        if len = 0 then Value.Null else decode_value (S.bytes s len))
   in
   Array.iter
     (fun l -> if l < 0 || l >= nlabels_stored then corrupt "nodes section: label id out of range")
     labels;
   (* CSR. *)
   S.require s Binfile.tag_csr;
-  let n' = S.i64 s in
-  if n' <> n then corrupt "csr section: node count disagrees with nodes section";
-  let m = S.i64 s in
-  let nbr_len = S.i64 s in
-  let bl = S.i64 s in
-  if m < 0 || nbr_len < 0 || bl < 0 then corrupt "csr section: negative array length";
+  let m, nbr_len, bl = csr_header ~i64:(fun () -> S.i64 s) ~len:(S.remaining s) ~n in
   let out_off = S.array s (n + 1) in
   let out_adj = S.array s m in
   let in_off = S.array s (n + 1) in
@@ -232,14 +256,10 @@ let graph_of_scan tbl s =
   let nbr_adj = S.array s nbr_len in
   let by_label_off = S.array s (bl + 1) in
   let by_label = S.array s n in
-  validate_csr ~what:"out CSR" n out_off out_adj;
-  validate_csr ~what:"in CSR" n in_off in_adj;
-  validate_csr ~what:"neighbour CSR" n nbr_off nbr_adj;
-  validate_csr ~what:"label CSR" bl by_label_off by_label;
-  Array.iter (fun w -> if w >= n then corrupt "adjacency entry out of range") out_adj;
-  Array.iter (fun w -> if w >= n then corrupt "adjacency entry out of range") in_adj;
-  Array.iter (fun w -> if w >= n then corrupt "adjacency entry out of range") nbr_adj;
-  Array.iter (fun w -> if w >= n then corrupt "label CSR entry out of range") by_label;
+  validate_csr ~what:"out CSR" n out_off out_adj ~bound:n;
+  validate_csr ~what:"in CSR" n in_off in_adj ~bound:n;
+  validate_csr ~what:"neighbour CSR" n nbr_off nbr_adj ~bound:n;
+  validate_csr ~what:"label CSR" bl by_label_off by_label ~bound:n;
   let remap l = map.(l) in
   let labels, by_label_off, by_label =
     if identity then (labels, by_label_off, by_label)
@@ -280,4 +300,63 @@ let load_bin tbl path =
          let g, map = graph_of_scan tbl s in
          (g, selectivity_of_scan tbl ~map s)))
 
-let is_snapshot = Binfile.is_snapshot
+(* ---------------- reading in place ---------------- *)
+
+type layout = {
+  map : int array;
+  n_nodes : int;
+  n_edges : int;
+  nodes_at : int;
+  blob_len : int;
+  csr_at : int;
+}
+
+let layout tbl ~pread sects =
+  let require tag what =
+    match Binfile.find_sect sects tag with
+    | Some s -> s
+    | None -> corrupt ("snapshot has no " ^ what ^ " section")
+  in
+  let ls = require Binfile.tag_labels "label" in
+  let map = labels_of_cur tbl (Binfile.Cur.of_bytes (pread ~pos:ls.off ~len:ls.len)) in
+  let ns = require Binfile.tag_nodes "node" in
+  let n = nodes_header ~i64:(Binfile.sect_reader ~pread ns) ~len:ns.len in
+  let cs = require Binfile.tag_csr "adjacency" in
+  let m, _, _ = csr_header ~i64:(Binfile.sect_reader ~pread cs) ~len:cs.len ~n in
+  { map; n_nodes = n; n_edges = m; nodes_at = ns.off; blob_len = ns.len - 16 - (16 * n);
+    csr_at = cs.off }
+
+(* Reads past the open's checks: the node id, the stored label id, the
+   value offsets and the CSR row are each checked here, on access. *)
+let check_node l v = if v < 0 || v >= l.n_nodes then corrupt "node id out of range"
+
+let label_at l ~get v =
+  check_node l v;
+  let s = get (l.nodes_at + 8 + (8 * v)) in
+  if s < 0 || s >= Array.length l.map then corrupt "nodes section: label id out of range";
+  l.map.(s)
+
+let value_at l ~get ~bytes v =
+  check_node l v;
+  let voff = l.nodes_at + 8 + (8 * l.n_nodes) in
+  let lo = get (voff + (8 * v)) and hi = get (voff + (8 * (v + 1))) in
+  if lo < 0 || hi < lo || hi > l.blob_len then corrupt "value offsets out of range";
+  decode_value (bytes (voff + (8 * (l.n_nodes + 1)) + lo) (hi - lo))
+
+(* Out-rows are sorted and deduplicated at freeze, so membership is a
+   binary search over the stored row. *)
+let has_out_edge l ~get src dst =
+  src >= 0 && src < l.n_nodes
+  && begin
+    let out_off = l.csr_at + 32 in
+    let out_adj = out_off + (8 * (l.n_nodes + 1)) in
+    let lo = ref (get (out_off + (8 * src))) and hi = ref (get (out_off + (8 * (src + 1)))) in
+    if !lo < 0 || !hi < !lo || !hi > l.n_edges then corrupt "csr offsets out of range";
+    let found = ref false in
+    while (not !found) && !hi > !lo do
+      let mid = (!lo + !hi) / 2 in
+      let w = get (out_adj + (8 * mid)) in
+      if w = dst then found := true else if w < dst then lo := mid + 1 else hi := mid
+    done;
+    !found
+  end

@@ -25,7 +25,12 @@ val parse : Label.table -> in_channel -> Digraph.t
     loading re-wraps arrays instead of re-parsing and re-freezing, and
     the paged store ([Bpq_store.Paged]) serves reads straight from the
     file.  [Schema.save] embeds the same graph sections, so a schema
-    snapshot is also a graph snapshot. *)
+    snapshot is also a graph snapshot.
+
+    This module is the one writer of the labels, nodes and CSR sections,
+    for snapshots and shard files alike, and their one decoder, whole
+    ({!graph_of_scan}) or in place ({!layout}); both readers check the
+    section headers with the same code. *)
 
 val save_bin : ?selectivity:Gstats.selectivity -> Digraph.t -> string -> unit
 (** Write graph (and optionally selectivity stats) to a snapshot,
@@ -38,15 +43,15 @@ val load_bin : Label.table -> string -> Digraph.t * Gstats.selectivity option
     ids, so a snapshot loads correctly into a non-empty table.
     @raise Binfile.Corrupt on malformed or damaged snapshots. *)
 
-val is_snapshot : string -> bool
-(** Alias of {!Binfile.is_snapshot}: sniff the magic bytes. *)
-
 (** {2 Snapshot building blocks}
 
     Shared with [Schema.save]/[load], the paged store and shard files;
     not meant for general use. *)
 
-val add_graph_sections : Binfile.writer -> Digraph.t -> unit
+val add_graph_sections : ?owns:(int -> bool) -> Binfile.writer -> Digraph.t -> unit
+(** The labels, nodes and CSR sections.  Under [owns] (a shard file)
+    only the owned nodes keep their values, and the CSR is their
+    out-rows alone, behind the header [n, owned edges, 0, 0]. *)
 
 val add_labels_section : Binfile.writer -> Label.table -> unit
 (** The labels section alone: the table's names in id order.  Snapshots,
@@ -67,7 +72,34 @@ val selectivity_of_scan :
 (** The stats section, if the file has one (it follows the graph
     sections). *)
 
+(** {2 Reading in place}
+
+    For the paged store and the shard workers: [get off] is the i64 at
+    file offset [off], [bytes off len] the bytes there.  Each read checks
+    what the open did not (node id, stored label id, value offsets, row
+    bounds) and raises [Binfile.Corrupt] when one is out of range. *)
+
+type layout = private {
+  map : int array;  (** Stored label id -> table id. *)
+  n_nodes : int;
+  n_edges : int;  (** Out-CSR entries. *)
+  nodes_at : int;
+  blob_len : int;
+  csr_at : int;
+}
+
+val layout :
+  Label.table -> pread:(pos:int -> len:int -> Bytes.t) -> Binfile.sect list -> layout
+(** Decodes the labels section into the table and checks the nodes and
+    CSR headers, as {!graph_of_scan} does. *)
+
+val label_at : layout -> get:(int -> int) -> int -> int
+val value_at : layout -> get:(int -> int) -> bytes:(int -> int -> Bytes.t) -> int -> Value.t
+
+val has_out_edge : layout -> get:(int -> int) -> int -> int -> bool
+(** [false] for a source outside the graph. *)
+
 val add_value_blob : Buffer.t -> Value.t -> unit
 
-val decode_value : Bytes.t -> pos:int -> len:int -> Value.t
-(** Decode one value-blob entry spanning [\[pos, pos + len)]. *)
+val decode_value : Bytes.t -> Value.t
+(** Decode one value-blob entry, the whole of the bytes. *)

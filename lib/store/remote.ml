@@ -35,8 +35,7 @@ let op_semijoin = 8
 let op_probe2 = 9
 let op_nodes2 = 10
 
-let decode_value_str s =
-  Graph_io.decode_value (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
+let decode_value_str s = Graph_io.decode_value (Bytes.unsafe_of_string s)
 
 (* Predicate wire codec: atom count, then per atom a comparison tag and
    the constant as a value blob.  Only the five comparison ops exist, so
@@ -85,7 +84,7 @@ let serve ?page_cache_mb ~input ~output shard_file =
     ~finally:(fun () -> Paged.close p)
     (fun () ->
       let src = Paged.source p in
-      let cons = Array.of_list (Paged.constraints p) in
+      let cons = Array.of_list src.Exec.constraints in
       let buf = Buffer.create 4096 in
       let reply fill =
         Buffer.clear buf;
@@ -101,7 +100,7 @@ let serve ?page_cache_mb ~input ~output shard_file =
       let stale plan_stamp =
         reply (fun b ->
             Binfile.add_i64 b 2;
-            Binfile.add_i64 b (Paged.stamp p);
+            Binfile.add_i64 b src.Exec.stamp;
             Binfile.add_i64 b plan_stamp)
       in
       let owns v = Shard.owner_of_node ~shards:meta.Shard.shards v = meta.Shard.shard in
@@ -122,7 +121,7 @@ let serve ?page_cache_mb ~input ~output shard_file =
               ok (fun b ->
                   Binfile.add_i64 b meta.Shard.shard;
                   Binfile.add_i64 b meta.Shard.shards;
-                  Binfile.add_i64 b (Paged.stamp p);
+                  Binfile.add_i64 b src.Exec.stamp;
                   Binfile.add_i64 b (Paged.n_nodes p);
                   Binfile.add_i64 b meta.Shard.n_edges_global)
             | op when op = op_fetch ->
@@ -180,7 +179,7 @@ let serve ?page_cache_mb ~input ~output shard_file =
                  sequential executor loop: one lookup per tuple, every
                  bucket entry streamed (duplicates included). *)
               let plan_stamp = Binfile.Cur.i64 c in
-              if plan_stamp <> Paged.stamp p then stale plan_stamp
+              if plan_stamp <> src.Exec.stamp then stale plan_stamp
               else begin
                 let con = constraint_of (Binfile.Cur.i64 c) in
                 let arity = Constr.arity con in
@@ -220,7 +219,7 @@ let serve ?page_cache_mb ~input ~output shard_file =
               (* Predicate verdicts for nodes this shard owns the values
                  of — the second phase of a pushed fetch. *)
               let plan_stamp = Binfile.Cur.i64 c in
-              if plan_stamp <> Paged.stamp p then stale plan_stamp
+              if plan_stamp <> src.Exec.stamp then stale plan_stamp
               else begin
                 let pred = read_pred c in
                 let ids = Binfile.Cur.sorted_array c in
@@ -246,7 +245,7 @@ let serve ?page_cache_mb ~input ~output shard_file =
                  (other-endpoint, hit) pairs.  Direction is oriented and
                  probed coordinator-side. *)
               let plan_stamp = Binfile.Cur.i64 c in
-              if plan_stamp <> Paged.stamp p then stale plan_stamp
+              if plan_stamp <> src.Exec.stamp then stale plan_stamp
               else begin
                 let con = constraint_of (Binfile.Cur.i64 c) in
                 let arity = Constr.arity con in

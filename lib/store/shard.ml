@@ -63,49 +63,16 @@ let ensure_dir dir =
   end
   else Unix.mkdir dir 0o777
 
-let write_shard ~dir ~shards ~stamp ~s tbl (r : Digraph.Repr.t) n_edges_global indexes =
-  let n = Array.length r.labels in
+let write_shard ~dir ~shards ~stamp ~s g indexes =
   let w = Binfile.writer () in
-  Graph_io.add_labels_section w tbl;
-  (* Nodes: the label array in full (8n bytes — cheap next to adjacency
-     and values), attribute values for the owned nodes only.  Unowned
-     entries are zero-length; a worker is only ever asked about the
-     nodes it owns. *)
-  Binfile.section w ~tag:Binfile.tag_nodes (fun b ->
-      Binfile.add_i64 b n;
-      Binfile.add_array b r.labels;
-      let blob = Buffer.create 1024 in
-      let voff = Array.make (n + 1) 0 in
-      Array.iteri
-        (fun v value ->
-          voff.(v) <- Buffer.length blob;
-          if owner_of_node ~shards v = s then Graph_io.add_value_blob blob value;
-          voff.(v + 1) <- Buffer.length blob)
-        r.values;
-      Binfile.add_array b voff;
-      Buffer.add_buffer b blob);
-  (* Adjacency: out-rows of the owned source nodes; everyone else's row
-     is empty.  Only the header and out_off/out_adj are written — the
-     paged reader never touches the reverse/merged/by-label arrays, and
-     a worker's probes only ever hit owned rows. *)
-  let out_off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    let len = if owner_of_node ~shards v = s then r.out_off.(v + 1) - r.out_off.(v) else 0 in
-    out_off.(v + 1) <- out_off.(v) + len
-  done;
-  let m_s = out_off.(n) in
-  let out_adj = Array.make m_s 0 in
-  for v = 0 to n - 1 do
-    if owner_of_node ~shards v = s then
-      Array.blit r.out_adj r.out_off.(v) out_adj out_off.(v) (r.out_off.(v + 1) - r.out_off.(v))
-  done;
-  Binfile.section w ~tag:Binfile.tag_csr (fun b ->
-      Binfile.add_i64 b n;
-      Binfile.add_i64 b m_s;
-      Binfile.add_i64 b 0;
-      Binfile.add_i64 b 0;
-      Binfile.add_array b out_off;
-      Binfile.add_array b out_adj);
+  (* Graph: the label array in full (8n bytes — cheap next to adjacency
+     and values), values and out-rows of the owned nodes only.  A worker
+     is only ever asked about the nodes it owns, and only probes their
+     out-rows. *)
+  let owns v = owner_of_node ~shards v = s in
+  Graph_io.add_graph_sections ~owns w g;
+  let m_s = ref 0 in
+  Digraph.iter_nodes g (fun v -> if owns v then m_s := !m_s + Digraph.out_degree g v);
   (* Indexes: the snapshot's schema section, owned buckets only.
      Filtering keeps the record order, so the on-disk binary search is
      untouched. *)
@@ -120,12 +87,12 @@ let write_shard ~dir ~shards ~stamp ~s tbl (r : Digraph.Repr.t) n_edges_global i
       Binfile.add_i64 b partition_version;
       Binfile.add_i64 b s;
       Binfile.add_i64 b shards;
-      Binfile.add_i64 b n_edges_global);
+      Binfile.add_i64 b (Digraph.n_edges g));
   let checksum = Binfile.write w (Filename.concat dir (shard_file_name s)) in
   let total f = List.fold_left (fun acc (_, idx) -> acc + f idx) 0 owned in
   { file = shard_file_name s;
     checksum;
-    n_edges = m_s;
+    n_edges = !m_s;
     n_keys = total Index.n_keys;
     payload_ints = total Index.payload_ints }
 
@@ -134,15 +101,11 @@ let partition ~shards ~snapshot ~dir =
   let schema, selectivity = Schema.load (Label.create_table ()) snapshot in
   let g = Schema.graph schema in
   let tbl = Digraph.label_table g in
-  let r = Digraph.Repr.of_graph g in
   let cons = Schema.constraints schema in
   let stamp = Schema.stamp schema in
   let indexes = List.mapi (fun cid c -> (cid, c, Schema.index_of schema c)) cons in
   ensure_dir dir;
-  let files =
-    Array.init shards (fun s ->
-        write_shard ~dir ~shards ~stamp ~s tbl r r.n_edges indexes)
-  in
+  let files = Array.init shards (fun s -> write_shard ~dir ~shards ~stamp ~s g indexes) in
   let w = Binfile.writer () in
   Graph_io.add_labels_section w tbl;
   Binfile.section w ~tag:tag_manifest (fun b ->
@@ -150,8 +113,8 @@ let partition ~shards ~snapshot ~dir =
       Binfile.add_i64 b partition_version;
       Binfile.add_i64 b shards;
       Binfile.add_i64 b stamp;
-      Binfile.add_i64 b (Array.length r.labels);
-      Binfile.add_i64 b r.n_edges;
+      Binfile.add_i64 b (Digraph.n_nodes g);
+      Binfile.add_i64 b (Digraph.n_edges g);
       Binfile.add_i64 b (List.length cons);
       List.iter (Schema.put_constr (Binfile.add_i64 b)) cons;
       Array.iter
@@ -169,8 +132,8 @@ let partition ~shards ~snapshot ~dir =
   { dir;
     shards;
     stamp;
-    n_nodes = Array.length r.labels;
-    n_edges = r.n_edges;
+    n_nodes = Digraph.n_nodes g;
+    n_edges = Digraph.n_edges g;
     table = tbl;
     constraints = cons;
     selectivity;
@@ -239,32 +202,30 @@ let verify_files m =
           f.file f.checksum sum)
     m.files
 
-let read_shard_meta path =
+let find_shard_meta path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      let file_len = in_channel_length ic in
-      let pread ~pos ~len =
-        let b = Bytes.create len in
-        seek_in ic pos;
-        really_input ic b 0 len;
-        b
-      in
-      let sects = Binfile.read_directory ~pread ~file_len in
-      match List.find_opt (fun (s : Binfile.sect) -> s.tag = tag_shard_meta) sects with
-      | None -> corrupt "%s: not a shard file (no shard-meta section)" path
-      | Some s ->
-        let c = Binfile.Cur.of_bytes (pread ~pos:s.off ~len:s.len) in
-        let fv = Binfile.Cur.i64 c in
-        if fv <> format_version then corrupt "%s: unsupported shard format version %d" path fv;
-        let pv = Binfile.Cur.i64 c in
-        if pv <> partition_version then
-          corrupt "%s: partition function version %d (this build speaks %d)" path pv
-            partition_version;
-        let shard = Binfile.Cur.i64 c in
-        let shards = Binfile.Cur.i64 c in
-        let n_edges_global = Binfile.Cur.i64 c in
-        if shard < 0 || shards <= 0 || shard >= shards || n_edges_global < 0 then
-          corrupt "%s: malformed shard-meta section" path;
-        { shard; shards; n_edges_global })
+      let pread = Binfile.pread ic in
+      let sects = Binfile.read_directory ~pread ~file_len:(in_channel_length ic) in
+      Binfile.find_sect sects tag_shard_meta
+      |> Option.map (fun (s : Binfile.sect) ->
+             let c = Binfile.Cur.of_bytes (pread ~pos:s.off ~len:s.len) in
+             let fv = Binfile.Cur.i64 c in
+             if fv <> format_version then corrupt "%s: unsupported shard format version %d" path fv;
+             let pv = Binfile.Cur.i64 c in
+             if pv <> partition_version then
+               corrupt "%s: partition function version %d (this build speaks %d)" path pv
+                 partition_version;
+             let shard = Binfile.Cur.i64 c in
+             let shards = Binfile.Cur.i64 c in
+             let n_edges_global = Binfile.Cur.i64 c in
+             if shard < 0 || shards <= 0 || shard >= shards || n_edges_global < 0 then
+               corrupt "%s: malformed shard-meta section" path;
+             { shard; shards; n_edges_global }))
+
+let read_shard_meta path =
+  match find_shard_meta path with
+  | Some m -> m
+  | None -> corrupt "%s: not a shard file (no shard-meta section)" path

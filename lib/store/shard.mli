@@ -13,18 +13,15 @@
       {!owner_of_node} names for its source node, which is also where
       the node's label and value attributes live.
 
-    Each shard file is a valid snapshot container that {!Paged.open_}
-    accepts unchanged: full label table, full node-label array, the
-    owned nodes' values, the owned out-rows, and the schema section with
-    the full constraint list but only the owned buckets (record order is
-    preserved by filtering, so the on-disk binary search still works).
-    The labels and schema sections are written by the same code as a
-    snapshot's ({!Bpq_graph.Graph_io.add_labels_section},
-    {!Bpq_access.Schema.add_section} over each index's
-    {!Bpq_access.Index.filter}), and {!Bpq_graph.Binfile.write}'s FNV is the
-    manifest's checksum, so no file is re-read.
-    Shard files carry only the sections a worker serves — they are not
-    loadable by the in-memory backend, which validates the full CSR.
+    Each shard file is a snapshot container that {!Paged.open_} accepts,
+    written by the same code as a snapshot:
+    {!Bpq_graph.Graph_io.add_graph_sections} under the shard's ownership
+    filter (the full label table and node-label array, the owned nodes'
+    values and out-rows) and {!Bpq_access.Schema.add_section} over each
+    index's {!Bpq_access.Index.filter} (every constraint, the owned
+    buckets in record order).  {!Bpq_graph.Binfile.write}'s FNV is the
+    manifest's checksum, so no file is re-read.  A shard file is not a
+    snapshot: [Store.open_snapshot] refuses it.
 
     The manifest ([MANIFEST] in the output directory) records the
     partition-function version, shard count, schema stamp, global sizes,
@@ -35,7 +32,6 @@
 open Bpq_graph
 open Bpq_access
 
-val format_version : int
 val partition_version : int
 (** Bumped if {!owner_of_key} / {!owner_of_node} ever change; a
     coordinator refuses a manifest whose version it does not speak
@@ -76,9 +72,6 @@ val owner_of_key : shards:int -> cid:int -> int array -> int
     key record ({!Bpq_access.Index.export_buckets} form), so placement
     is independent of the caller's key ordering. *)
 
-val shard_file_name : int -> string
-(** ["shard-%04d.snap"]. *)
-
 val manifest_path : string -> string
 (** [dir/MANIFEST]; accepts a path that already names the file. *)
 
@@ -100,8 +93,12 @@ val verify_files : manifest -> unit
     @raise Binfile.Corrupt naming the first mismatched or unreadable
     file. *)
 
+val find_shard_meta : string -> shard_meta option
+(** One file's identity section, or [None] for a file without one (a
+    snapshot).  Directory walk only — no checksum pass.
+    @raise Binfile.Corrupt on a malformed directory or shard-meta
+    section, or a partition/format version that is not this build's. *)
+
 val read_shard_meta : string -> shard_meta
-(** Read one shard file's identity section (directory walk only — no
-    checksum pass).
-    @raise Binfile.Corrupt if the file is not a shard file or its
-    partition/format version is not this build's. *)
+(** {!find_shard_meta}, for a file that must be a shard file.
+    @raise Binfile.Corrupt if it is not one, as there. *)

@@ -44,8 +44,19 @@ let of_schema ?selectivity schema =
 let of_remote ?path ?(pushdown = true) r =
   { b = Sharded_t { r; pushdown }; path; ws = None }
 
+exception Shard_file of string
+
 let open_snapshot ?(backend = Mem) ?page_cache_mb ?cache_pages ?readahead ?(verify = false)
     ?(pushdown = true) path =
+  (* A shard file passes the paged open but holds a fraction of G. *)
+  if backend <> Sharded then
+    Option.iter
+      (fun (m : Shard.shard_meta) ->
+        Printf.ksprintf
+          (fun msg -> raise (Shard_file msg))
+          "%s is shard %d of %d, not a snapshot: serve its directory %s with --backend sharded"
+          path m.shard m.shards (Filename.dirname path))
+      (Shard.find_shard_meta path);
   let b =
     match backend with
     | Mem ->
@@ -77,17 +88,8 @@ let source t =
   | None -> base_source t
   | Some ws -> Overlay.wrap ~counters:ws.counters ws.ov (base_source t)
 
-let table t =
-  match t.b with
-  | In_mem m -> Digraph.label_table (Schema.graph m.schema)
-  | On_disk p -> Paged.table p
-  | Sharded_t { r; _ } -> (Remote.manifest r).Shard.table
-
-let stamp t =
-  match t.b with
-  | In_mem m -> Schema.stamp m.schema
-  | On_disk p -> Paged.stamp p
-  | Sharded_t { r; _ } -> (Remote.manifest r).Shard.stamp
+let table t = (base_source t).Exec.table
+let stamp t = (base_source t).Exec.stamp
 
 let base_nodes t =
   match t.b with
@@ -95,18 +97,10 @@ let base_nodes t =
   | On_disk p -> Paged.n_nodes p
   | Sharded_t { r; _ } -> (Remote.manifest r).Shard.n_nodes
 
-let base_graph_size t =
-  match t.b with
-  | In_mem m -> Digraph.size (Schema.graph m.schema)
-  | On_disk p -> Paged.graph_size p
-  | Sharded_t { r; _ } ->
-    let m = Remote.manifest r in
-    m.Shard.n_nodes + m.Shard.n_edges
-
 let graph_size t =
   match t.ws with
-  | None -> base_graph_size t
-  | Some ws -> base_graph_size t + Overlay.net_nodes ws.ov + Overlay.net_edges ws.ov
+  | None -> (base_source t).Exec.graph_size
+  | Some ws -> (base_source t).Exec.graph_size + Overlay.net_nodes ws.ov + Overlay.net_edges ws.ov
 
 let selectivity t =
   match t.b with
@@ -161,7 +155,7 @@ let attach_wal ?carry t wal_path =
   let wal, ops, dropped = Wal.open_ ~base_sum ~base_stamp:(stamp t) wal_path in
   let base = base_source t in
   let ov0 =
-    Overlay.empty ?carry ~base_n:(base_nodes t) ~base_size:(base_graph_size t) ()
+    Overlay.empty ?carry ~base_n:(base_nodes t) ~base_size:(base_source t).Exec.graph_size ()
   in
   match Overlay.apply ~base ov0 ops with
   | Error e ->

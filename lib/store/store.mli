@@ -33,6 +33,11 @@ val of_remote : ?path:string -> ?pushdown:bool -> Remote.t -> t
     MANIFEST checksum.  [pushdown] (default [true]) selects worker-side
     plan evaluation ({!Remote.source}). *)
 
+exception Shard_file of string
+(** {!open_snapshot} was given a shard file ({!Shard.partition}) for the
+    [Mem] or [Paged] backend.  The message names the shard directory to
+    serve with [--backend sharded] instead. *)
+
 val open_snapshot :
   ?backend:backend ->
   ?page_cache_mb:int ->
@@ -54,7 +59,8 @@ val open_snapshot :
     {!Remote.spawn}, [verify] checks every shard file's checksum against
     the manifest first, and [pushdown] (default [true]) selects
     worker-side plan evaluation over plain batched fetching.
-    @raise Binfile.Corrupt on malformed or damaged snapshots. *)
+    @raise Binfile.Corrupt on malformed or damaged snapshots.
+    @raise Shard_file on a shard file, under [Mem] or [Paged]. *)
 
 val backend : t -> backend
 

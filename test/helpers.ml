@@ -7,6 +7,32 @@ let check_true msg b = Alcotest.(check bool) msg true b
 let check_false msg b = Alcotest.(check bool) msg false b
 let check_int msg a b = Alcotest.(check int) msg a b
 
+(* A fresh temporary file, removed after [f] if it still exists. *)
+let with_temp_file f =
+  let path = Filename.temp_file "bpq_test" "" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+(* A fresh temporary directory, removed with its contents after [f]. *)
+let with_temp_dir f =
+  let path = Filename.temp_file "bpq_test" ".d" in
+  Sys.remove path;
+  Unix.mkdir path 0o700;
+  Fun.protect ~finally:(fun () -> try rm_rf path with Sys_error _ | Unix.Unix_error _ -> ())
+    (fun () -> f path)
+
+(* Does [hay] contain [sub]? *)
+let contains hay sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length hay && (String.sub hay i n = sub || go (i + 1)) in
+  go 0
+
 (* Build a graph from compact descriptions: nodes as (label, value) and
    edges as index pairs. *)
 let graph tbl nodes edges =
@@ -62,6 +88,19 @@ let random_instance seed =
   in
   let constrs = Bpq_access.Discovery.discover ~max_bound:(4 + Prng.int r 16) g in
   (tbl, g, constrs, r)
+
+(* A random instance's schema, and the plan of a query walked from its
+   graph (if the query is bounded). *)
+let instance_plan seed =
+  let _, g, constrs, r = random_instance seed in
+  let schema = Bpq_access.Schema.build g constrs in
+  let q = Qgen.from_walk r g in
+  (schema, Bpq_core.Qplan.generate Bpq_core.Actualized.Subgraph q constrs)
+
+(* Strict result identity: arrays verbatim, stats, trace and the exact
+   G_Q representation. *)
+let canon (r : Bpq_core.Exec.result) =
+  (r.from_gq, r.candidates_g, r.stats, r.trace, Digraph.Repr.of_graph r.gq)
 
 (* ------------------------------------------------------------------ *)
 (* The write path, driven by graph deltas                              *)

@@ -210,11 +210,7 @@ let test_explain_estimated_column () =
   let schema = Schema.build ds.W.graph a0 in
   let costs = Costs.of_graph ds.W.graph in
   let plan = Qplan.generate_exn ~costs Actualized.Subgraph q0 a0 in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    m = 0 || go 0
-  in
+  let contains = Helpers.contains in
   let static_plain = Explain.describe plan in
   let static_costed = Explain.describe ~costs plan in
   Helpers.check_false "no estimate column without costs"

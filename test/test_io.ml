@@ -1,9 +1,5 @@
 open Bpq_graph
 
-let with_temp_file f =
-  let path = Filename.temp_file "bpq_test" ".graph" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
-
 let test_graph_roundtrip () =
   let tbl = Label.create_table () in
   let g =
@@ -13,7 +9,7 @@ let test_graph_roundtrip () =
         ("country", Value.Str "fr with space") ]
       [ (0, 1); (1, 2) ]
   in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Graph_io.save g path;
       let tbl2 = Label.create_table () in
       let g2 = Graph_io.load tbl2 path in
@@ -28,7 +24,7 @@ let test_graph_roundtrip () =
       Helpers.check_true "edge preserved" (Digraph.has_edge g2 1 2))
 
 let test_load_rejects_garbage () =
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       let oc = open_out path in
       output_string oc "n movie 2011\nz nonsense\n";
       close_out oc;
@@ -39,7 +35,7 @@ let test_load_rejects_garbage () =
       | _ -> Alcotest.fail "expected failure")
 
 let test_load_rejects_bad_edge () =
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       let oc = open_out path in
       output_string oc "n a A\ne 0 zero\n";
       close_out oc;
@@ -53,7 +49,7 @@ let roundtrip_random =
     (fun seed ->
       let tbl = Label.create_table () in
       let g = Generators.random ~seed ~nodes:25 ~edges:60 ~labels:4 tbl in
-      with_temp_file (fun path ->
+      Helpers.with_temp_file (fun path ->
           Graph_io.save g path;
           let tbl2 = Label.create_table () in
           let g2 = Graph_io.load tbl2 path in

@@ -552,13 +552,7 @@ let test_metrics () =
     | Some s -> s
     | None -> Alcotest.fail "metrics has no text"
   in
-  let contains sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length text && (String.sub text i n = sub || go (i + 1))
-    in
-    go 0
-  in
+  let contains = Helpers.contains text in
   List.iter
     (fun needle -> Helpers.check_true ("page contains " ^ needle) (contains needle))
     [ "# TYPE bpq_queries_served_total counter";
@@ -599,11 +593,7 @@ let test_http_metrics () =
     drain ();
     Buffer.contents b
   in
-  let contains hay sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length hay && (String.sub hay i n = sub || go (i + 1)) in
-    go 0
-  in
+  let contains = Helpers.contains in
   let page = scrape "/metrics" in
   Helpers.check_true "http 200" (contains page "HTTP/1.0 200 OK");
   Helpers.check_true "prometheus content type"

@@ -10,30 +10,6 @@ module Remote = Bpq_store.Remote
 module Paged = Bpq_store.Paged
 module Sock = Bpq_util.Sock
 
-let with_temp_file f =
-  let path = Filename.temp_file "bpq_shard" ".snap" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
-let with_temp_dir f =
-  let path = Filename.temp_file "bpq_shard" ".d" in
-  Sys.remove path;
-  Unix.mkdir path 0o700;
-  Fun.protect ~finally:(fun () -> try rm_rf path with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f path)
-
-let instance_plan seed =
-  let _, g, constrs, r = Helpers.random_instance seed in
-  let schema = Schema.build g constrs in
-  let q = Bpq_pattern.Qgen.from_walk r g in
-  (schema, Qplan.generate Actualized.Subgraph q constrs)
-
 (* Strict result identity, as in the store suite.  The trace's [pushed]
    flag records where an operation ran, not what it produced, so it is
    stripped before comparing across backends; everything else —
@@ -83,9 +59,9 @@ let reap workers =
     workers
 
 let with_remote_at ?selectivity schema shards f =
-  with_temp_file (fun snap ->
+  Helpers.with_temp_file (fun snap ->
       Schema.save ?selectivity schema snap;
-      with_temp_dir (fun dir ->
+      Helpers.with_temp_dir (fun dir ->
           let m = Shard.partition ~shards ~snapshot:snap ~dir in
           let workers = fork_workers m in
           let r =
@@ -164,9 +140,9 @@ let partition_total =
     (fun (seed, shards) ->
       let _, g, constrs, _ = Helpers.random_instance seed in
       let schema = Schema.build g constrs in
-      with_temp_file (fun snap ->
+      Helpers.with_temp_file (fun snap ->
           Schema.save schema snap;
-          with_temp_dir (fun dir ->
+          Helpers.with_temp_dir (fun dir ->
               let m = Shard.partition ~shards ~snapshot:snap ~dir in
               let stores =
                 Array.map
@@ -220,9 +196,9 @@ let partition_total =
 let test_manifest_roundtrip () =
   let _, g, constrs, _ = Helpers.random_instance 42 in
   let schema = Schema.build g constrs in
-  with_temp_file (fun snap ->
+  Helpers.with_temp_file (fun snap ->
       Schema.save schema snap;
-      with_temp_dir (fun dir ->
+      Helpers.with_temp_dir (fun dir ->
           let m = Shard.partition ~shards:3 ~snapshot:snap ~dir in
           let m' = Shard.load_manifest dir in
           Helpers.check_int "shards" m.shards m'.shards;
@@ -246,6 +222,62 @@ let test_manifest_roundtrip () =
             (match Shard.verify_files m' with
             | () -> false
             | exception Binfile.Corrupt _ -> true)))
+
+(* FNV-1a of the nodes and CSR section payloads of a snapshot and of
+   every file of a 2- and a 3-shard partition, against the values the
+   layout had when [Graph_io] became the one writer of both sections.
+   The schema section is left out: its stamp depends on test order. *)
+let test_graph_sections_pinned () =
+  let _, g, constrs, _ = Helpers.random_instance 7 in
+  let sums path =
+    let data = In_channel.with_open_bin path In_channel.input_all in
+    let pread ~pos ~len = Bytes.of_string (String.sub data pos len) in
+    List.filter_map
+      (fun (s : Binfile.sect) ->
+        if s.tag = Binfile.tag_nodes || s.tag = Binfile.tag_csr then
+          Some (Binfile.fnv64 (String.sub data s.off s.len))
+        else None)
+      (Binfile.read_directory ~pread ~file_len:(String.length data))
+  in
+  Helpers.with_temp_file (fun snap ->
+      Schema.save (Schema.build g constrs) snap;
+      let shard_sums shards =
+        Helpers.with_temp_dir (fun dir ->
+            let m = Shard.partition ~shards ~snapshot:snap ~dir in
+            Array.to_list (Array.map (fun (f : Shard.shard_file) -> sums (Filename.concat dir f.file)) m.files))
+      in
+      let got = sums snap :: (shard_sums 2 @ shard_sums 3) in
+      Alcotest.(check (list (list int)))
+        "nodes and CSR section sums"
+        [ [ 4426537868191900418; 3323699328478749782 ];
+          [ 395389287008079681; 1552151506343024379 ];
+          [ 4095381282078960977; 4513547943414484847 ];
+          [ 3656973494839982936; 1475314612744979264 ];
+          [ 3489257757179356487; 3176435927062631425 ];
+          [ 230337546975394741; 3192053755839800852 ] ]
+        got)
+
+(* A shard file passes the paged open but holds a fraction of G: both
+   single-node backends refuse it, naming the directory to serve with
+   the sharded backend. *)
+let test_shard_file_is_not_a_snapshot () =
+  let _, g, constrs, _ = Helpers.random_instance 42 in
+  Helpers.with_temp_file (fun snap ->
+      Schema.save (Schema.build g constrs) snap;
+      Helpers.with_temp_dir (fun dir ->
+          let m = Shard.partition ~shards:2 ~snapshot:snap ~dir in
+          let file = Filename.concat dir m.files.(0).file in
+          List.iter
+            (fun backend ->
+              match Bpq_store.Store.open_snapshot ~backend file with
+              | st ->
+                Bpq_store.Store.close st;
+                Alcotest.fail "a shard file opened as a snapshot"
+              | exception Bpq_store.Store.Shard_file msg ->
+                Helpers.check_true "names the sharded backend"
+                  (Helpers.contains msg "--backend sharded");
+                Helpers.check_true "names the shard directory" (Helpers.contains msg dir))
+            [ Bpq_store.Store.Mem; Bpq_store.Store.Paged ]))
 
 (* ---------------- multi-process execution ---------------- *)
 
@@ -317,7 +349,7 @@ let workers_equal_single_qcheck =
   Helpers.qcheck ~count:8 "forked workers reproduce the single-node result exactly"
     QCheck2.Gen.(pair (int_range 1 100_000) (int_range 1 4))
     (fun (seed, shards) ->
-      match instance_plan seed with
+      match Helpers.instance_plan seed with
       | _, None -> true
       | schema, Some plan ->
         let reference = canon (Exec.run_with (Exec.source_of_schema schema) plan) in
@@ -436,9 +468,9 @@ let test_stale_plan_rejected () =
 let test_worker_rejects_hostile_counts () =
   let _, g, constrs, _ = Helpers.random_instance 5 in
   let schema = Schema.build g constrs in
-  with_temp_file (fun snap ->
+  Helpers.with_temp_file (fun snap ->
       Schema.save schema snap;
-      with_temp_dir (fun dir ->
+      Helpers.with_temp_dir (fun dir ->
           let m = Shard.partition ~shards:2 ~snapshot:snap ~dir in
           let w = fork_worker (Filename.concat m.dir m.files.(0).file) in
           Fun.protect ~finally:(fun () -> reap [| w |]) @@ fun () ->
@@ -462,11 +494,11 @@ let test_worker_rejects_hostile_counts () =
 let test_attach_rejects_wrong_worker_set () =
   let _, g, constrs, _ = Helpers.random_instance 7 in
   let schema = Schema.build g constrs in
-  with_temp_file (fun snap ->
+  Helpers.with_temp_file (fun snap ->
       Schema.save schema snap;
-      with_temp_dir (fun dir ->
+      Helpers.with_temp_dir (fun dir ->
           let m2 = Shard.partition ~shards:2 ~snapshot:snap ~dir in
-          with_temp_dir (fun dir3 ->
+          Helpers.with_temp_dir (fun dir3 ->
               let m3 = Shard.partition ~shards:3 ~snapshot:snap ~dir:dir3 in
               (* Workers of the 3-way partition offered to a 2-way
                  manifest: refused at the hello exchange. *)
@@ -486,6 +518,8 @@ let suite =
     Alcotest.test_case "frame death mid-frame" `Quick test_frame_death_mid_frame;
     partition_total;
     Alcotest.test_case "manifest roundtrip" `Quick test_manifest_roundtrip;
+    Alcotest.test_case "graph sections pinned" `Quick test_graph_sections_pinned;
+    Alcotest.test_case "a shard file is not a snapshot" `Quick test_shard_file_is_not_a_snapshot;
     Alcotest.test_case "workers equal single node" `Quick test_workers_equal_single_node;
     Alcotest.test_case "pushdown saves wire bytes" `Quick test_pushdown_saves_wire_bytes;
     Alcotest.test_case "unbatched equals batched" `Quick test_unbatched_equals_batched;

@@ -5,10 +5,6 @@ open Bpq_graph
 open Bpq_access
 open Bpq_core
 
-let with_temp_file f =
-  let path = Filename.temp_file "bpq_snap" ".snap" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
 (* Structural graph equality by label NAME (ids may differ between
    tables), values, and full edge relation. *)
 let same_graph tbl1 g1 tbl2 g2 =
@@ -32,7 +28,7 @@ let bin_roundtrip_exact =
   Helpers.qcheck ~count:25 "binary graph round trip is bit-exact" QCheck2.Gen.(int_range 1 1000)
     (fun seed ->
       let tbl, g = random_graph seed in
-      with_temp_file (fun path ->
+      Helpers.with_temp_file (fun path ->
           Graph_io.save_bin g path;
           let tbl2 = Label.create_table () in
           let g2, sel = Graph_io.load_bin tbl2 path in
@@ -46,8 +42,8 @@ let text_binary_agree =
   Helpers.qcheck ~count:25 "text and binary loads agree" QCheck2.Gen.(int_range 1 1000)
     (fun seed ->
       let _, g = random_graph seed in
-      with_temp_file (fun bin_path ->
-          with_temp_file (fun text_path ->
+      Helpers.with_temp_file (fun bin_path ->
+          Helpers.with_temp_file (fun text_path ->
               Graph_io.save_bin g bin_path;
               Graph_io.save g text_path;
               let tb = Label.create_table () and tt = Label.create_table () in
@@ -57,7 +53,7 @@ let text_binary_agree =
 
 let test_label_remap () =
   let tbl, g = random_graph 7 in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Graph_io.save_bin ~selectivity:(Gstats.selectivity g) g path;
       (* Pre-populate the destination table so stored label ids shift. *)
       let tbl2 = Label.create_table () in
@@ -88,7 +84,7 @@ let test_label_remap () =
 let test_selectivity_roundtrip () =
   let tbl, g = random_graph 11 in
   let sel = Gstats.selectivity g in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Graph_io.save_bin ~selectivity:sel g path;
       let tbl2 = Label.create_table () in
       let _, sel2 = Graph_io.load_bin tbl2 path in
@@ -113,7 +109,7 @@ let schema_roundtrip =
     (fun seed ->
       let _, g, constrs, _ = Helpers.random_instance seed in
       let schema = Schema.build g constrs in
-      with_temp_file (fun path ->
+      Helpers.with_temp_file (fun path ->
           Schema.save schema path;
           let tbl2 = Label.create_table () in
           let schema2, _ = Schema.load tbl2 path in
@@ -143,23 +139,17 @@ let loaded_schema_executes_identically =
       match Qplan.generate Actualized.Subgraph q constrs with
       | None -> true
       | Some plan ->
-        with_temp_file (fun path ->
+        Helpers.with_temp_file (fun path ->
             Schema.save schema path;
             let schema2, _ = Schema.load (Label.create_table ()) path in
-            let canon (r : Exec.result) =
-              ( r.from_gq,
-                r.candidates_g,
-                r.stats,
-                r.trace,
-                Digraph.Repr.of_graph r.gq )
-            in
+            let canon = Helpers.canon in
             let run s = canon (Exec.run_with (Exec.source_of_schema s) plan) in
             run schema = run schema2))
 
 let test_stamp_lineage () =
   let _, g, constrs, _ = Helpers.random_instance 42 in
   let schema = Schema.build g constrs in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save schema path;
       let s1, _ = Schema.load (Label.create_table ()) path in
       let s2, _ = Schema.load (Label.create_table ()) path in
@@ -176,7 +166,7 @@ let test_qcache_survives_roundtrip () =
   let a0 = Bpq_workload.Workload.a0 ds.table in
   let schema = Schema.build ds.graph a0 in
   let q = Bpq_workload.Workload.q0 ds.table in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save schema path;
       (* Load into the SAME table: plans cached under the original schema
          must be served for the loaded one (same stamp, same ids). *)
@@ -192,19 +182,8 @@ let test_qcache_survives_roundtrip () =
 
 (* ---------------- corruption rejection ---------------- *)
 
-let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let b = Bytes.create len in
-      really_input ic b 0 len;
-      b)
-
-let write_all path bytes =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc bytes)
+let read_all path = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+let write_all path bytes = Out_channel.with_open_bin path (fun oc -> output_bytes oc bytes)
 
 let expect_corrupt what f =
   match f () with
@@ -273,7 +252,7 @@ let test_varint_sign_bit () =
    against. *)
 let test_fnv_of_write_and_read () =
   let _, g, constrs, _ = Helpers.random_instance 21 in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       let written = Schema.write (Schema.build g constrs) path in
       Helpers.check_int "write" (Binfile.file_fnv path) written;
       Helpers.check_int "read" written (snd (Schema.load_fnv (Label.create_table ()) path)))
@@ -336,20 +315,25 @@ let hostile_value n at old kind =
   | 6 -> at mod (2 * n)
   | _ -> min_int
 
+(* One i64 of [data]'s section [tag] (the [at]th, modulo its length)
+   overwritten with a {!hostile_value}, the checksum re-sealed, and the
+   result written to [path]. *)
+let write_hostile path data tag ~n ~at ~kind =
+  let sect = sect_of data tag in
+  let pos = sect.Binfile.off + (8 * (at mod (sect.Binfile.len / 8))) in
+  set_i64 data pos (hostile_value n at (Binfile.get_i64 data pos) kind);
+  reseal data;
+  write_all path data
+
 let hostile_index_bytes =
   Helpers.qcheck ~count:200 "hostile schema-section i64 raises Corrupt or loads in range"
     QCheck2.Gen.(triple (int_range 1 100_000) (int_range 0 1_000_000) (int_range 0 7))
     (fun (seed, at, kind) ->
       let _, g, constrs, _ = Helpers.random_instance seed in
       let n = Digraph.n_nodes g in
-      with_temp_file (fun path ->
+      Helpers.with_temp_file (fun path ->
           Schema.save (Schema.build g constrs) path;
-          let data = read_all path in
-          let sect = schema_sect data in
-          let pos = sect.Binfile.off + (8 * (at mod (sect.Binfile.len / 8))) in
-          set_i64 data pos (hostile_value n at (Binfile.get_i64 data pos) kind);
-          reseal data;
-          write_all path data;
+          write_hostile path (read_all path) Binfile.tag_schema ~n ~at ~kind;
           loads_in_range path))
 
 (* The shapes the index decoder must name: a payload id past the last
@@ -366,7 +350,7 @@ let test_hostile_index_shapes () =
   let c = Constr.make ~source:[ Label.intern tbl "m" ] ~target:(Label.intern tbl "a") ~bound:5 in
   let schema = Schema.build g [ c ] in
   Helpers.check_int "two keys" 2 (Index.n_keys (Schema.index_of schema c));
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save schema path;
       let clean = read_all path in
       let base = (schema_sect clean).Binfile.off in
@@ -389,12 +373,12 @@ let test_hostile_index_shapes () =
 
 let test_rejects_truncation () =
   let _, g = random_graph 3 in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Graph_io.save_bin g path;
       let data = read_all path in
       List.iter
         (fun keep ->
-          with_temp_file (fun cut ->
+          Helpers.with_temp_file (fun cut ->
               write_all cut (Bytes.sub data 0 keep);
               expect_corrupt
                 (Printf.sprintf "truncated to %d bytes" keep)
@@ -403,17 +387,17 @@ let test_rejects_truncation () =
 
 let test_rejects_bad_magic () =
   let _, g = random_graph 4 in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Graph_io.save_bin g path;
       let data = read_all path in
       Bytes.blit_string "NOTASNAP" 0 data 0 8;
       write_all path data;
-      Helpers.check_false "sniff rejects" (Graph_io.is_snapshot path);
+      Helpers.check_false "sniff rejects" (Binfile.is_snapshot path);
       expect_corrupt "bad magic" (fun () -> Graph_io.load_bin (Label.create_table ()) path))
 
 let test_rejects_bad_version () =
   let _, g = random_graph 5 in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Graph_io.save_bin g path;
       let data = read_all path in
       Bytes.set data 8 '\x63';
@@ -425,7 +409,7 @@ let flipped_byte_rejected =
     QCheck2.Gen.(pair (int_range 1 1000) (int_range 0 10_000_000))
     (fun (seed, at) ->
       let _, g = random_graph seed in
-      with_temp_file (fun path ->
+      Helpers.with_temp_file (fun path ->
           Graph_io.save_bin g path;
           let data = read_all path in
           let at = at mod Bytes.length data in
@@ -437,7 +421,7 @@ let flipped_byte_rejected =
 
 let test_verify () =
   let _, g = random_graph 6 in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Graph_io.save_bin g path;
       Binfile.verify path;
       let data = read_all path in
@@ -448,7 +432,7 @@ let test_verify () =
 
 let test_schema_section_required () =
   let _, g = random_graph 8 in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       (* A graph-only snapshot has no schema section: Schema.load must
          fail with a clear error, not crash. *)
       Graph_io.save_bin g path;
@@ -457,19 +441,9 @@ let test_schema_section_required () =
 
 (* ---------------- atomic writes ---------------- *)
 
-let in_fresh_dir f =
-  let dir = Filename.temp_file "bpq_snapdir" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () -> f dir)
-
 let test_atomic_no_leftovers () =
   let tbl, g = random_graph 9 in
-  in_fresh_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let p1 = Filename.concat dir "g.snap" in
       let p2 = Filename.concat dir "g.txt" in
       let p3 = Filename.concat dir "g.sel" in
@@ -485,7 +459,7 @@ let test_atomic_no_leftovers () =
 
 let test_failed_write_leaves_target () =
   let _, g = random_graph 10 in
-  in_fresh_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let p = Filename.concat dir "g.snap" in
       Graph_io.save_bin g p;
       let before = read_all p in
@@ -504,14 +478,14 @@ let test_failed_write_leaves_target () =
 
 let test_is_snapshot_sniff () =
   let _, g = random_graph 12 in
-  with_temp_file (fun bin_path ->
-      with_temp_file (fun text_path ->
+  Helpers.with_temp_file (fun bin_path ->
+      Helpers.with_temp_file (fun text_path ->
           Graph_io.save_bin g bin_path;
           Graph_io.save g text_path;
-          Helpers.check_true "snapshot sniffs true" (Graph_io.is_snapshot bin_path);
-          Helpers.check_false "text sniffs false" (Graph_io.is_snapshot text_path);
+          Helpers.check_true "snapshot sniffs true" (Binfile.is_snapshot bin_path);
+          Helpers.check_false "text sniffs false" (Binfile.is_snapshot text_path);
           Helpers.check_false "missing file sniffs false"
-            (Graph_io.is_snapshot (text_path ^ ".does-not-exist"))))
+            (Binfile.is_snapshot (text_path ^ ".does-not-exist"))))
 
 (* ---------------- mapped loads ---------------- *)
 
@@ -525,8 +499,8 @@ let mapped_write_roundtrip =
   Helpers.qcheck ~count:15 "a loaded schema writes back byte-identical"
     QCheck2.Gen.(int_range 1 100_000) (fun seed ->
       let _, g, constrs, _ = Helpers.random_instance seed in
-      with_temp_file (fun path ->
-          with_temp_file (fun out ->
+      Helpers.with_temp_file (fun path ->
+          Helpers.with_temp_file (fun out ->
               Schema.save ~selectivity:(Gstats.selectivity g) (Schema.build g constrs) path;
               let loaded, sel = Schema.load (Label.create_table ()) path in
               Schema.save ?selectivity:sel loaded out;
@@ -541,7 +515,7 @@ let mapped_write_roundtrip =
    negative; both backends must still see it as out of range. *)
 let test_directory_offset_wrap () =
   let _, g, constrs, _ = Helpers.random_instance 5 in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save (Schema.build g constrs) path;
       let data = read_all path in
       let entry = dir_entry data Binfile.tag_schema in
@@ -573,16 +547,11 @@ let hostile_graph_bytes =
       let _, g, constrs, _ = Helpers.random_instance seed in
       let schema = Schema.build g constrs in
       let n = Digraph.n_nodes g in
-      with_temp_file (fun path ->
+      Helpers.with_temp_file (fun path ->
           Schema.save schema path;
-          let data = read_all path in
-          let sect =
-            sect_of data [| Binfile.tag_nodes; Binfile.tag_csr; Binfile.tag_schema |].(which)
-          in
-          let pos = sect.Binfile.off + (8 * (at mod (sect.Binfile.len / 8))) in
-          set_i64 data pos (hostile_value n at (Binfile.get_i64 data pos) kind);
-          reseal data;
-          write_all path data;
+          write_hostile path (read_all path)
+            [| Binfile.tag_nodes; Binfile.tag_csr; Binfile.tag_schema |].(which)
+            ~n ~at ~kind;
           match Bpq_store.Store.open_snapshot path with
           | exception Binfile.Corrupt _ -> true
           | st ->
@@ -621,7 +590,7 @@ let hostile_graph_bytes =
    share refuses it. *)
 let test_noncanonical_regions () =
   let _, g, constrs, _ = Helpers.random_instance 11 in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save (Schema.build g constrs) path;
       let data = read_all path in
       let entry = dir_entry data Binfile.tag_schema in
@@ -654,24 +623,30 @@ let test_noncanonical_regions () =
    re-sealed, then opened by the paged reader, which reads no section
    whole: either the open raises [Corrupt], or every node's label, value
    and edge probes and every index lookup raise [Corrupt] or stay in
-   range. *)
+   range.  The file is the snapshot or, as a shard worker reads it, the
+   first file of its 2-shard partition. *)
 let hostile_paged_lookups =
   Helpers.qcheck ~count:200 "hostile schema-section i64: paged lookups raise Corrupt or stay in range"
-    QCheck2.Gen.(quad (int_range 1 100_000) (int_range 0 1_000_000) (int_range 0 7) (int_range 0 2))
-    (fun (seed, at, kind, which) ->
+    QCheck2.Gen.(
+      pair
+        (quad (int_range 1 100_000) (int_range 0 1_000_000) (int_range 0 7) (int_range 0 2))
+        bool)
+    (fun ((seed, at, kind, which), shard) ->
       let _, g, constrs, _ = Helpers.random_instance seed in
       let schema = Schema.build g constrs in
       let n = Digraph.n_nodes g in
-      with_temp_file (fun path ->
+      Helpers.with_temp_file (fun path ->
           Schema.save schema path;
-          let data = read_all path in
-          let sect =
-            sect_of data [| Binfile.tag_nodes; Binfile.tag_csr; Binfile.tag_schema |].(which)
+          let data =
+            if not shard then read_all path
+            else
+              Helpers.with_temp_dir (fun dir ->
+                  let m = Bpq_store.Shard.partition ~shards:2 ~snapshot:path ~dir in
+                  read_all (Filename.concat dir m.files.(0).file))
           in
-          let pos = sect.Binfile.off + (8 * (at mod (sect.Binfile.len / 8))) in
-          set_i64 data pos (hostile_value n at (Binfile.get_i64 data pos) kind);
-          reseal data;
-          write_all path data;
+          write_hostile path data
+            [| Binfile.tag_nodes; Binfile.tag_csr; Binfile.tag_schema |].(which)
+            ~n ~at ~kind;
           match Bpq_store.Paged.open_ ~cache_pages:4 path with
           | exception Binfile.Corrupt _ -> true
           | p ->
@@ -679,7 +654,7 @@ let hostile_paged_lookups =
               ~finally:(fun () -> Bpq_store.Paged.close p)
               (fun () ->
                 let src = Bpq_store.Paged.source p in
-                let nlabels = Label.count (Bpq_store.Paged.table p) in
+                let nlabels = Label.count src.Exec.table in
                 let ok f = match f () with exception Binfile.Corrupt _ -> true | b -> b in
                 let nodes_ok =
                   List.for_all
@@ -707,7 +682,7 @@ let hostile_paged_lookups =
                          (fun key ->
                            ok (fun () -> Array.for_all (fun v -> v >= 0 && v < n) (src.Exec.lookup c key)))
                          ([] :: [ 0 ] :: [ n; 0 ] :: keys))
-                     (List.mapi (fun i c -> (i, c)) (Bpq_store.Paged.constraints p)))))
+                     (List.mapi (fun i c -> (i, c)) src.Exec.constraints))))
 
 (* ---------------- hostile statistics ---------------- *)
 
@@ -731,14 +706,9 @@ let hostile_stats_bytes =
     (fun (seed, at, kind) ->
       let _, g, constrs, _ = Helpers.random_instance seed in
       let n = Digraph.n_nodes g in
-      with_temp_file (fun path ->
+      Helpers.with_temp_file (fun path ->
           Schema.save ~selectivity:(Gstats.selectivity g) (Schema.build g constrs) path;
-          let data = read_all path in
-          let sect = sect_of data Binfile.tag_stats in
-          let pos = sect.Binfile.off + (8 * (at mod (sect.Binfile.len / 8))) in
-          set_i64 data pos (hostile_value n at (Binfile.get_i64 data pos) kind);
-          reseal data;
-          write_all path data;
+          write_hostile path (read_all path) Binfile.tag_stats ~n ~at ~kind;
           List.for_all
             (fun backend ->
               match Bpq_store.Store.open_snapshot ~backend path with
@@ -775,7 +745,7 @@ let expect_checksum_mismatch what f =
 let damaged_variants () =
   let g = Generators.random ~seed:17 ~nodes:4000 ~edges:16000 ~labels:6 (Label.create_table ()) in
   let schema = Schema.build g (Bpq_access.Discovery.discover ~max_bound:64 g) in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save schema path;
       let clean = read_all path in
       Helpers.check_true "spans many chunks" (Bytes.length clean > 8 * 65536);
@@ -826,7 +796,7 @@ let test_helper_domains_joined () =
   let clean, variants = damaged_variants () in
   let variants = Array.of_list variants in
   let before = with_domains_exhausted Fun.id in
-  in_fresh_dir (fun dir ->
+  Helpers.with_temp_dir (fun dir ->
       let path = Filename.concat dir "MANIFEST" in
       for i = 0 to 329 do
         let what, bytes, damaged = variants.(i mod Array.length variants) in
@@ -849,7 +819,7 @@ let test_checksum_verdict_wins () =
   let _, decoder, _ = List.nth variants 3 in
   let len = Bytes.length clean in
   let unsealed = Bytes.cat (Bytes.sub decoder 0 (len - 8)) (Bytes.sub clean (len - 8) 8) in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       write_all path unsealed;
       expect_checksum_mismatch "schema load" (fun () -> Schema.load (Label.create_table ()) path);
       expect_checksum_mismatch "mem open" (fun () -> Bpq_store.Store.open_snapshot path);
@@ -861,7 +831,7 @@ let test_checksum_verdict_wins () =
    verdicts. *)
 let test_inline_reader () =
   let clean, variants = damaged_variants () in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       write_all path clean;
       let load () =
         let (schema, _), fnv = Schema.load_fnv (Label.create_table ()) path in

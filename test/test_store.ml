@@ -9,41 +9,26 @@ module Store = Bpq_store.Store
 module Paged = Bpq_store.Paged
 module Pool = Bpq_util.Pool
 
-let with_temp_file f =
-  let path = Filename.temp_file "bpq_store" ".snap" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
 let with_paged ?page_cache_mb ?cache_pages ?readahead path f =
   let p = Paged.open_ ?page_cache_mb ?cache_pages ?readahead path in
   Fun.protect ~finally:(fun () -> Paged.close p) (fun () -> f p)
 
-(* Strict result identity: arrays verbatim, stats, trace and the exact
-   G_Q representation. *)
-let canon (r : Exec.result) =
-  (r.from_gq, r.candidates_g, r.stats, r.trace, Digraph.Repr.of_graph r.gq)
-
-let instance_plan seed =
-  let _, g, constrs, r = Helpers.random_instance seed in
-  let schema = Schema.build g constrs in
-  let q = Bpq_pattern.Qgen.from_walk r g in
-  (schema, Qplan.generate Actualized.Subgraph q constrs)
-
 let backends_identical =
   Helpers.qcheck ~count:25 "paged results identical to memory at every capacity"
     QCheck2.Gen.(int_range 1 100_000) (fun seed ->
-      match instance_plan seed with
+      match Helpers.instance_plan seed with
       | _, None -> true
       | schema, Some plan ->
-        with_temp_file (fun path ->
+        Helpers.with_temp_file (fun path ->
             Schema.save schema path;
-            let reference = canon (Exec.run_with (Exec.source_of_schema schema) plan) in
+            let reference = Helpers.canon (Exec.run_with (Exec.source_of_schema schema) plan) in
             let via_load =
               let schema2, _ = Schema.load (Label.create_table ()) path in
-              canon (Exec.run_with (Exec.source_of_schema schema2) plan)
+              Helpers.canon (Exec.run_with (Exec.source_of_schema schema2) plan)
             in
             let via_paged cache_pages =
               with_paged ~cache_pages path (fun p ->
-                  canon (Exec.run_with (Paged.source p) plan))
+                  Helpers.canon (Exec.run_with (Paged.source p) plan))
             in
             (* Capacity 0: every access faults.  1: constant thrash.
                65536: everything resident after first touch. *)
@@ -60,7 +45,7 @@ let answers_identical =
       match Qplan.generate sem q constrs with
       | None -> true
       | Some plan ->
-        with_temp_file (fun path ->
+        Helpers.with_temp_file (fun path ->
             Schema.save schema path;
             with_paged ~cache_pages:3 path (fun p ->
                 Bounded_eval.run (Exec.source_of_schema schema) plan
@@ -75,13 +60,13 @@ let q0_setup () =
 
 let test_q0_parity_and_pools () =
   let schema, plan = q0_setup () in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save schema path;
-      let reference = canon (Exec.run_with (Exec.source_of_schema schema) plan) in
+      let reference = Helpers.canon (Exec.run_with (Exec.source_of_schema schema) plan) in
       with_paged ~page_cache_mb:1 path (fun p ->
           let src = Paged.source p in
           Helpers.check_true "sequential paged run identical"
-            (canon (Exec.run_with src plan) = reference);
+            (Helpers.canon (Exec.run_with src plan) = reference);
           let pools = List.map (fun j -> (j, Pool.create j)) [ 2; 4 ] in
           Fun.protect
             ~finally:(fun () -> List.iter (fun (_, p) -> Pool.shutdown p) pools)
@@ -90,12 +75,12 @@ let test_q0_parity_and_pools () =
                 (fun (j, pool) ->
                   Helpers.check_true
                     (Printf.sprintf "paged run identical on %d domains" j)
-                    (canon (Exec.run_with ~pool src plan) = reference))
+                    (Helpers.canon (Exec.run_with ~pool src plan) = reference))
                 pools)))
 
 let test_io_counters () =
   let schema, plan = q0_setup () in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save schema path;
       with_paged ~page_cache_mb:64 path (fun p ->
           let src = Paged.source p in
@@ -133,13 +118,13 @@ let test_io_counters () =
    and never more demand faults than the readahead-free run. *)
 let test_readahead () =
   let schema, plan = q0_setup () in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save schema path;
-      let reference = canon (Exec.run_with (Exec.source_of_schema schema) plan) in
+      let reference = Helpers.canon (Exec.run_with (Exec.source_of_schema schema) plan) in
       let demand =
         with_paged ~page_cache_mb:64 ~readahead:0 path (fun p ->
             Helpers.check_true "readahead 0 identical"
-              (canon (Exec.run_with (Paged.source p) plan) = reference);
+              (Helpers.canon (Exec.run_with (Paged.source p) plan) = reference);
             let c = Paged.io_counters p in
             Helpers.check_int "readahead 0 never prefetches" 0 c.Paged.prefetched;
             Helpers.check_true "demand bytes bounded by faults"
@@ -148,7 +133,7 @@ let test_readahead () =
       in
       with_paged ~page_cache_mb:64 ~readahead:8 path (fun p ->
           Helpers.check_true "readahead 8 identical"
-            (canon (Exec.run_with (Paged.source p) plan) = reference);
+            (Helpers.canon (Exec.run_with (Paged.source p) plan) = reference);
           let c = Paged.io_counters p in
           Helpers.check_true "sequential scans trigger prefetch" (c.Paged.prefetched > 0);
           Helpers.check_true "prefetch only converts faults, never adds them"
@@ -162,7 +147,7 @@ let test_readahead () =
 
 let test_source_metadata () =
   let schema, _ = q0_setup () in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save schema path;
       with_paged path (fun p ->
           let src = Paged.source p in
@@ -179,7 +164,7 @@ let test_source_metadata () =
 let test_unknown_constraint_raises () =
   let _, g, constrs, _ = Helpers.random_instance 5 in
   let schema = Schema.build g constrs in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save schema path;
       with_paged path (fun p ->
           let src = Paged.source p in
@@ -197,7 +182,7 @@ let test_unknown_constraint_raises () =
 
 let test_qcache_across_backends () =
   let schema, plan = q0_setup () in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save schema path;
       with_paged path (fun p ->
           let cache = Qcache.create () in
@@ -218,7 +203,7 @@ let test_batch_over_paged () =
   let patterns =
     [ Bpq_workload.Workload.q0 ds.table; Bpq_workload.Workload.q0 ds.table ]
   in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save schema path;
       with_paged path (fun p ->
           let on_mem =
@@ -236,7 +221,7 @@ let test_batch_over_paged () =
 
 let test_store_handle () =
   let schema, plan = q0_setup () in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save schema path;
       let mem = Store.open_snapshot ~backend:Store.Mem path in
       let paged =
@@ -260,8 +245,8 @@ let test_store_handle () =
           Helpers.check_true "selectivity round trips through of_schema"
             (Store.selectivity (Store.of_schema schema) = None);
           Helpers.check_true "handles serve identical results"
-            (canon (Exec.run_with (Store.source mem) plan)
-            = canon (Exec.run_with (Store.source paged) plan))))
+            (Helpers.canon (Exec.run_with (Store.source mem) plan)
+            = Helpers.canon (Exec.run_with (Store.source paged) plan))))
 
 (* close is idempotent — a snapshot-reload path racing shutdown may
    close twice — and a closed store fails deterministically instead of
@@ -269,7 +254,7 @@ let test_store_handle () =
 let test_paged_close () =
   let _, g, constrs, r = Helpers.random_instance 2015 in
   let schema = Schema.build g constrs in
-  with_temp_file (fun path ->
+  Helpers.with_temp_file (fun path ->
       Schema.save schema path;
       let p = Paged.open_ ~cache_pages:8 path in
       let src = Paged.source p in
@@ -292,7 +277,7 @@ let test_paged_close () =
          (match src2.Exec.graph_size with
           | _ -> ()  (* metadata stays readable: loaded at open *)
           | exception _ -> Alcotest.fail "metadata should not need the file");
-         (match List.nth_opt (Paged.constraints p) 0 with
+         (match List.nth_opt src2.Exec.constraints 0 with
           | Some c ->
             (match src2.Exec.lookup c [] with
              | _ -> Alcotest.fail "lookup after close should raise"
@@ -300,8 +285,33 @@ let test_paged_close () =
           | None -> ()));
       (* Reopening the same snapshot works fine after a close. *)
       let p2 = Paged.open_ ~cache_pages:8 path in
-      Helpers.check_int "reopen sees the same graph" (Paged.graph_size p2) (Paged.graph_size p);
+      Helpers.check_int "reopen sees the same graph" (Paged.source p2).graph_size src.graph_size;
       Paged.close p2)
+
+(* [bpq run --limit N] prints the first N matches the search finds,
+   whether the query runs alone or in a batch of [-q] files. *)
+let test_cli_limit_single_equals_batch () =
+  let bpq = Filename.concat (Filename.dirname Sys.executable_name) "../bin/bpq.exe" in
+  let ds = Bpq_workload.Workload.imdb ~scale:0.02 () in
+  let schema = Schema.build ds.graph (Discovery.discover ~max_bound:64 ds.graph) in
+  Helpers.with_temp_file (fun snap ->
+      Schema.save schema snap;
+      Helpers.with_temp_file (fun q ->
+          Out_channel.with_open_text q (fun oc ->
+              output_string oc "n m movie\nn y year\nn c certificate\ne m y\ne m c\n");
+          let matches args =
+            let argv = Array.of_list (bpq :: "run" :: "-g" :: snap :: "--limit" :: "3" :: args) in
+            let ic = Unix.open_process_args_in bpq argv in
+            let out = In_channel.input_all ic in
+            ignore (Unix.close_process_in ic);
+            List.filter (String.starts_with ~prefix:"u0=") (String.split_on_char '\n' out)
+          in
+          let single = matches [ "-q"; q ] in
+          let batch = matches [ "-q"; q; "-q"; q ] in
+          Helpers.check_int "three matches" 3 (List.length single);
+          Alcotest.(check (list string))
+            "single run prints the batch's first block" single
+            (List.filteri (fun i _ -> i < 3) batch)))
 
 let suite =
   [ backends_identical;
@@ -314,4 +324,6 @@ let suite =
     Alcotest.test_case "qcache serves both backends" `Quick test_qcache_across_backends;
     Alcotest.test_case "batch over paged store" `Quick test_batch_over_paged;
     Alcotest.test_case "unified store handle" `Quick test_store_handle;
-    Alcotest.test_case "paged close idempotent, use-after-close typed" `Quick test_paged_close ]
+    Alcotest.test_case "paged close idempotent, use-after-close typed" `Quick test_paged_close;
+    Alcotest.test_case "bpq run --limit: one -q prints the batch's first matches" `Quick
+      test_cli_limit_single_equals_batch ]

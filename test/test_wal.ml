@@ -19,8 +19,7 @@ let with_temp suffix f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
-let canon (r : Exec.result) =
-  (r.from_gq, r.candidates_g, r.stats, r.trace, Digraph.Repr.of_graph r.gq)
+let canon = Helpers.canon
 
 let sample_ops =
   [ Wal.Add_node { label = "movie"; value = Value.Null };
@@ -707,11 +706,7 @@ let test_healthz () =
     drain ();
     Buffer.contents b
   in
-  let contains hay sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length hay && (String.sub hay i n = sub || go (i + 1)) in
-    go 0
-  in
+  let contains = Helpers.contains in
   let page = scrape "/healthz" in
   Helpers.check_true "healthz 200" (contains page "HTTP/1.0 200 OK");
   Helpers.check_true "healthz body" (contains page "ok");
