@@ -32,7 +32,11 @@
      - open_heap_ratio: worst live heap words a mem-backend open adds
        (after a full major GC) per i64 of the snapshot — graph arrays
        plus probe tables, nothing copied from the index section (CI
-       requires <= 1.0: the heap never holds more than the file). *)
+       requires <= 1.0: the heap never holds more than the file).
+
+   Reported, not gated: the mem open's wall time on a pool of 1 and of
+   2 slots (median of 5 in-process opens), and the checksum pass alone
+   ([Binfile.file_sum]) in MB/s. *)
 
 open Bpq_graph
 open Bpq_pattern
@@ -76,6 +80,8 @@ type point = {
   snapshot_bytes : int;
   index_words_ratio : float;
   open_heap_ratio : float;
+  open_s : float * float;  (* pool of 1, pool of 2 *)
+  sum_mb_per_s : float;
   identical : bool;
   queries : qpoint list;  (* point queries first, the join last *)
 }
@@ -118,6 +124,22 @@ let open_heap_ratio path snapshot_bytes =
   Bpq_store.Store.close st;
   float_of_int live /. float_of_int (snapshot_bytes / 8)
 
+let median_of_5 f =
+  let a = Array.init 5 (fun _ -> let t = Unix.gettimeofday () in f (); Unix.gettimeofday () -. t) in
+  Array.sort compare a;
+  a.(2)
+
+let open_seconds path slots =
+  let pool = Bpq_util.Pool.create slots in
+  Fun.protect
+    ~finally:(fun () -> Bpq_util.Pool.shutdown pool)
+    (fun () ->
+      median_of_5 (fun () ->
+          Bpq_store.Store.close (Bpq_store.Store.open_snapshot ~pool path)))
+
+let sum_mb_per_s path snapshot_bytes =
+  float_of_int snapshot_bytes /. 1e6 /. median_of_5 (fun () -> ignore (Binfile.file_sum path : int))
+
 let measure scale =
   let ds = W.imdb ~scale () in
   let a0 = W.a0 ds.W.table in
@@ -137,6 +159,8 @@ let measure scale =
       let schema2, _ = Schema.load (Label.create_table ()) path in
       let index_words_ratio = index_words_ratio schema2 path in
       let open_heap_ratio = open_heap_ratio path snapshot_bytes in
+      let open_s = (open_seconds path 1, open_seconds path 2) in
+      let sum_mb_per_s = sum_mb_per_s path snapshot_bytes in
       (* Readahead off: this experiment charges each bounded query its
          demand I/O, and prefetch bytes would blur the flatness metric
          (a 1-page cache would also just churn prefetched pages). *)
@@ -177,6 +201,8 @@ let measure scale =
             snapshot_bytes;
             index_words_ratio;
             open_heap_ratio;
+            open_s;
+            sum_mb_per_s;
             identical;
             queries }))
 
@@ -192,7 +218,8 @@ let run () =
   let qnames = List.map (fun q -> q.name) (List.hd points).queries in
   let table =
     Table.create
-      ([ "scale"; "|G|"; "snapshot B"; "index words/int"; "open words/i64" ]
+      ([ "scale"; "|G|"; "snapshot B"; "index words/int"; "open words/i64"; "open 1 slot";
+         "open 2 slots"; "sum MB/s" ]
       @ List.concat_map (fun n -> [ n ^ " B"; n ^ " items" ]) qnames
       @ [ "identical" ])
   in
@@ -203,7 +230,10 @@ let run () =
            string_of_int pt.graph_size;
            string_of_int pt.snapshot_bytes;
            Printf.sprintf "%.2f" pt.index_words_ratio;
-           Printf.sprintf "%.2f" pt.open_heap_ratio ]
+           Printf.sprintf "%.2f" pt.open_heap_ratio;
+           Printf.sprintf "%.1fms" (1e3 *. fst pt.open_s);
+           Printf.sprintf "%.1fms" (1e3 *. snd pt.open_s);
+           Printf.sprintf "%.0f" pt.sum_mb_per_s ]
         @ List.concat_map
             (fun q -> [ string_of_int q.bytes; string_of_int q.accessed ])
             pt.queries
@@ -248,6 +278,9 @@ let run () =
                       ("snapshot_bytes", Json.Int p.snapshot_bytes);
                       ("index_words_ratio", Json.Float p.index_words_ratio);
                       ("open_heap_ratio", Json.Float p.open_heap_ratio);
+                      ("open_s_pool1", Json.Float (fst p.open_s));
+                      ("open_s_pool2", Json.Float (snd p.open_s));
+                      ("checksum_mb_per_s", Json.Float p.sum_mb_per_s);
                       ( "queries",
                         Json.Arr
                           (List.map

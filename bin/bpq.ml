@@ -322,7 +322,7 @@ let open_store ?pool ?workers ?(pushdown = true) ?constraints ?readahead ~backen
     embedded "snapshots";
     with_costs
       (with_file graph (fun () ->
-           Store.open_snapshot ~backend ~page_cache_mb:page_cache ?readahead graph))
+           Store.open_snapshot ~backend ?pool ~page_cache_mb:page_cache ?readahead graph))
   end
   else begin
     if backend = Store.Paged then

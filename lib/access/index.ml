@@ -727,14 +727,14 @@ let export_buckets t = Array.init t.n (fun o -> (key_record t o, bucket t o))
    past, while the probe table fills from the same reads.  Lookups then
    read the windows unchecked.  The region's sizes were checked against
    the section by the metadata decoder ([Schema.read_meta]). *)
-let load scan file ~n_nodes c ~n_keys ~payload_ints =
-  let module S = Binfile.Scan in
+let load r file ~n_nodes c ~n_keys ~payload_ints =
+  let module R = Binfile.Reader in
   let corrupt msg = raise (Binfile.Corrupt ("schema section: " ^ msg)) in
   let arity = Constr.arity c in
   let width = width_of_arity arity in
   let stride = width + 2 in
   if n_keys >= max_keys then corrupt "key records out of range";
-  let pos = S.file_pos scan in
+  let pos = R.file_pos r in
   let slots, smask, omask = new_slots n_keys in
   let node_ok v = v >= 0 && v < n_nodes in
   let key_ok buf base =
@@ -757,7 +757,7 @@ let load scan file ~n_nodes c ~n_keys ~payload_ints =
   let next = ref 0 and o = ref 0 in
   while !o < n_keys do
     let k = min batch (n_keys - !o) in
-    S.read_ints scan buf 0 (k * stride);
+    R.read_ints r buf 0 (k * stride);
     for r = 0 to k - 1 do
       let base = r * stride in
       let start = buf.(base + width) and len = buf.(base + width + 1) in
@@ -779,7 +779,7 @@ let load scan file ~n_nodes c ~n_keys ~payload_ints =
   let left = ref payload_ints in
   while !left > 0 do
     let k = min !left (Array.length buf) in
-    S.read_ints scan buf 0 k;
+    R.read_ints r buf 0 k;
     for i = 0 to k - 1 do
       if not (node_ok buf.(i)) then corrupt "payload node id out of range"
     done;

@@ -176,16 +176,16 @@ val export_buckets : t -> (int array * int array) array
     preserve, so lookups stream identically on every backend. *)
 
 val load :
-  Binfile.Scan.t ->
+  Binfile.Reader.t ->
   Binfile.mapped ->
   n_nodes:int ->
   Constr.t ->
   n_keys:int ->
   payload_ints:int ->
   t
-(** The index whose {!emit} region starts at the scan's position, served
-    from windows of the mapping of the same file.  The region is read
-    once, through the scan: that read checks that the records are
+(** The index whose {!emit} region starts at the reader's position,
+    served from windows of the mapping of the same file.  The region is
+    read once, through the reader: that read checks that the records are
     strictly increasing and well formed for the constraint's arity, that
     the buckets are non-empty, contiguous and cover the payload, and that
     every key and payload node id lies in [\[0, n_nodes)] — and fills

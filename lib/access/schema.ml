@@ -184,6 +184,9 @@ type region = {
   keys_at : int;
 }
 
+let region_bytes r =
+  8 * ((r.n_keys * (Index.width_of_arity (Constr.arity r.constr) + 2)) + r.payload_ints)
+
 let corrupt msg = raise (Binfile.Corrupt ("schema section: " ^ msg))
 
 let read_constr ~i64 ~map =
@@ -241,26 +244,49 @@ let read_meta ~i64 ~map ~len =
   in
   (stamp, regions)
 
-(* One pass over the file: graph sections, stats, then the schema
-   section's metadata and each constraint's region in order.  The
-   indexes serve from the file's mapping, which nothing reads until the
-   whole file has been checked. *)
-let of_scan tbl s =
-  let module S = Binfile.Scan in
-  let g, map = Graph_io.graph_of_scan tbl s in
-  let sel = Graph_io.selectivity_of_scan tbl ~map s in
-  S.require s Binfile.tag_schema;
-  let stamp, regions = read_meta ~i64:(fun () -> S.i64 s) ~map ~len:(S.remaining s) in
-  let n_nodes = Digraph.n_nodes g in
-  let file = S.mapping s in
-  let entries =
-    List.map
-      (fun r ->
-        (r.constr, Index.load s file ~n_nodes r.constr ~n_keys:r.n_keys ~payload_ints:r.payload_ints))
-      regions
-  in
-  register_stamp stamp;
-  (make ~stamp g entries, sel)
+(* Consecutive regions in groups of at least [target] bytes (the last
+   may be smaller), each with its byte length: a handful of tasks per
+   pool slot, each reading one contiguous range. *)
+let group_regions ~target regions =
+  List.fold_left
+    (fun groups r ->
+      match groups with
+      | (bytes, g) :: rest when bytes < target -> (bytes + region_bytes r, r :: g) :: rest
+      | _ -> (region_bytes r, [ r ]) :: groups)
+    [] regions
+  |> List.rev_map (fun (bytes, g) -> (bytes, List.rev g))
 
-let load_fnv tbl path = Binfile.Scan.run path (of_scan tbl)
-let load tbl path = fst (load_fnv tbl path)
+(* A mem open: labels, the graph headers, stats and the schema
+   section's metadata are read on the calling domain; the graph arrays
+   and the index regions, in groups, are decoded by tasks on [pool].
+   The indexes serve from the file's mapping, which nothing reads until
+   the whole file has been checked. *)
+let load_sum ?(pool = Bpq_util.Pool.sequential) tbl path =
+  let finish, sum =
+    Binfile.run ~pool path @@ fun f ->
+    let l, graph, sel = Graph_io.open_bin tbl f in
+    let ss = Binfile.require_sect (Binfile.sects f) Binfile.tag_schema in
+    let meta = Binfile.Reader.create f ss in
+    let stamp, regions = read_meta ~i64:(fun () -> Binfile.Reader.i64 meta) ~map:l.map ~len:ss.len in
+    let file = Binfile.mapping f in
+    let load_group (len, group) =
+      let off = ss.off + (List.hd group).keys_at in
+      Binfile.task f ~weight:len (fun () ->
+          let r = Binfile.Reader.create f { ss with off; len } in
+          List.map
+            (fun g ->
+              Index.load r file ~n_nodes:l.n_nodes g.constr ~n_keys:g.n_keys
+                ~payload_ints:g.payload_ints)
+            group)
+    in
+    let index_bytes = List.fold_left (fun acc r -> acc + region_bytes r) 0 regions in
+    let target = max 65536 (index_bytes / (4 * Bpq_util.Pool.size pool)) in
+    let indexes = List.map load_group (group_regions ~target regions) in
+    fun () ->
+      let indexes = List.concat_map (fun t -> t ()) indexes in
+      register_stamp stamp;
+      (make ~stamp (graph ()) (List.map2 (fun r idx -> (r.constr, idx)) regions indexes), sel)
+  in
+  (finish (), sum)
+
+let load ?pool tbl path = fst (load_sum ?pool tbl path)

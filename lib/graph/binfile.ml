@@ -5,7 +5,7 @@ exception Corrupt of string
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 let magic = "BPQSNAP1"
-let version = 1
+let version = 2
 let tag_labels = 1
 let tag_nodes = 2
 let tag_csr = 3
@@ -13,53 +13,123 @@ let tag_stats = 4
 let tag_schema = 5
 
 (* FNV-1a folded into OCaml's 63-bit int range (same truncated basis as
-   the spill-key hash in [Index]); not cryptographic — it guards against
-   truncation and bit rot, not an adversary. *)
+   the spill-key hash in [Index]): the WAL's per-record checksum. *)
 let fnv_prime = 0x100000001B3
 let fnv_basis = 0x3BF29CE484222325
-let fnv_byte h b = ((h lxor b) * fnv_prime) land max_int
+let fnv64 s =
+  String.fold_left (fun h c -> ((h lxor Char.code c) * fnv_prime) land max_int) fnv_basis s
 
-(* The same hash in unboxed 64-bit arithmetic, eight bytes per load,
-   truncated once at the end: xor and multiplication only carry upward,
-   so the low 62 bits agree with [fnv_byte] applied byte by byte. *)
-let fnv_string h s lo hi =
-  let p = 0x100000001B3L in
-  let h = ref (Int64.of_int h) and i = ref lo in
-  while !i + 8 <= hi do
-    let w = String.get_int64_le s !i in
-    h := Int64.mul (Int64.logxor !h (Int64.logand w 0xFFL)) p;
-    h := Int64.mul (Int64.logxor !h (Int64.logand (Int64.shift_right_logical w 8) 0xFFL)) p;
-    h := Int64.mul (Int64.logxor !h (Int64.logand (Int64.shift_right_logical w 16) 0xFFL)) p;
-    h := Int64.mul (Int64.logxor !h (Int64.logand (Int64.shift_right_logical w 24) 0xFFL)) p;
-    h := Int64.mul (Int64.logxor !h (Int64.logand (Int64.shift_right_logical w 32) 0xFFL)) p;
-    h := Int64.mul (Int64.logxor !h (Int64.logand (Int64.shift_right_logical w 40) 0xFFL)) p;
-    h := Int64.mul (Int64.logxor !h (Int64.logand (Int64.shift_right_logical w 48) 0xFFL)) p;
-    h := Int64.mul (Int64.logxor !h (Int64.shift_right_logical w 56)) p;
+(* ---------------- the snapshot checksum ----------------
+
+   xxHash64 with seed 0: four independent lanes over little-endian
+   8-byte words, 32 bytes a stripe, so consecutive words do not wait on
+   each other's multiply; then a fold of the lanes, the total length and
+   the 0-31 tail bytes, and an avalanche.  Truncated to the non-negative
+   int range like [fnv64].  Not cryptographic: it guards against
+   truncation and bit rot, not an adversary. *)
+let p1 = 0x9E3779B185EBCA87L
+let p2 = 0xC2B2AE3D27D4EB4FL
+let p3 = 0x165667B19E3779F9L
+let p4 = 0x85EBCA77C2B2AE63L
+let p5 = 0x27D4EB2F165667C5L
+
+let[@inline] rotl x r = Int64.logor (Int64.shift_left x r) (Int64.shift_right_logical x (64 - r))
+let[@inline] round acc w = Int64.mul (rotl (Int64.add acc (Int64.mul w p2)) 31) p1
+
+type sum = {
+  lanes : Bytes.t;  (* the four accumulators *)
+  pending : Bytes.t;  (* the bytes of an incomplete stripe *)
+  mutable held : int;
+  mutable total : int;
+}
+
+let sum () =
+  let lanes = Bytes.create 32 in
+  List.iteri (fun i v -> Bytes.set_int64_le lanes (8 * i) v) [ Int64.add p1 p2; p2; 0L; Int64.neg p1 ];
+  { lanes; pending = Bytes.create 32; held = 0; total = 0 }
+
+(* [n] whole stripes of [s] from [pos] into the lanes, held in locals
+   (unboxed) for the loop. *)
+let stripes st s pos n =
+  let l = st.lanes in
+  let a = ref (Bytes.get_int64_le l 0) and b = ref (Bytes.get_int64_le l 8) in
+  let c = ref (Bytes.get_int64_le l 16) and d = ref (Bytes.get_int64_le l 24) in
+  for i = 0 to n - 1 do
+    let p = pos + (32 * i) in
+    a := round !a (String.get_int64_le s p);
+    b := round !b (String.get_int64_le s (p + 8));
+    c := round !c (String.get_int64_le s (p + 16));
+    d := round !d (String.get_int64_le s (p + 24))
+  done;
+  Bytes.set_int64_le l 0 !a;
+  Bytes.set_int64_le l 8 !b;
+  Bytes.set_int64_le l 16 !c;
+  Bytes.set_int64_le l 24 !d
+
+let feed st s pos len =
+  st.total <- st.total + len;
+  let pos = ref pos and len = ref len in
+  if st.held > 0 then begin
+    let k = min !len (32 - st.held) in
+    Bytes.blit_string s !pos st.pending st.held k;
+    st.held <- st.held + k;
+    pos := !pos + k;
+    len := !len - k;
+    if st.held = 32 then begin
+      stripes st (Bytes.unsafe_to_string st.pending) 0 1;
+      st.held <- 0
+    end
+  end;
+  (* Bytes left over means the pending stripe was completed above. *)
+  if !len > 0 then begin
+    let n = !len / 32 in
+    stripes st s !pos n;
+    st.held <- !len - (32 * n);
+    Bytes.blit_string s (!pos + (32 * n)) st.pending 0 st.held
+  end
+
+let feed_bytes st b pos len = feed st (Bytes.unsafe_to_string b) pos len
+
+(* The sum of the bytes fed so far; the state is left as it is. *)
+let digest st =
+  let l = st.lanes and t = st.pending in
+  let h =
+    if st.total < 32 then p5
+    else begin
+      let v i = Bytes.get_int64_le l (8 * i) in
+      let h =
+        Int64.add
+          (Int64.add (rotl (v 0) 1) (rotl (v 1) 7))
+          (Int64.add (rotl (v 2) 12) (rotl (v 3) 18))
+      in
+      let merge h i = Int64.add (Int64.mul (Int64.logxor h (round 0L (v i))) p1) p4 in
+      merge (merge (merge (merge h 0) 1) 2) 3
+    end
+  in
+  let h = ref (Int64.add h (Int64.of_int st.total)) and i = ref 0 in
+  while !i + 8 <= st.held do
+    h := Int64.add (Int64.mul (rotl (Int64.logxor !h (round 0L (Bytes.get_int64_le t !i))) 27) p1) p4;
     i := !i + 8
   done;
-  let h = ref (Int64.to_int !h land max_int) in
-  for j = !i to hi - 1 do
-    h := fnv_byte !h (Char.code (String.unsafe_get s j))
+  if !i + 4 <= st.held then begin
+    let w = Int64.logand (Int64.of_int32 (Bytes.get_int32_le t !i)) 0xFFFFFFFFL in
+    h := Int64.add (Int64.mul (rotl (Int64.logxor !h (Int64.mul w p1)) 23) p2) p3;
+    i := !i + 4
+  end;
+  while !i < st.held do
+    let w = Int64.of_int (Bytes.get_uint8 t !i) in
+    h := Int64.mul (rotl (Int64.logxor !h (Int64.mul w p5)) 11) p1;
+    incr i
   done;
-  !h
+  let h = !h in
+  let h = Int64.mul (Int64.logxor h (Int64.shift_right_logical h 33)) p2 in
+  let h = Int64.mul (Int64.logxor h (Int64.shift_right_logical h 29)) p3 in
+  Int64.to_int (Int64.logxor h (Int64.shift_right_logical h 32)) land max_int
 
-let fnv64 s = fnv_string fnv_basis s 0 (String.length s)
-
-let file_fnv path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let chunk = Bytes.create 65536 in
-      let sum = ref fnv_basis in
-      let remaining = ref (in_channel_length ic) in
-      while !remaining > 0 do
-        let n = min !remaining (Bytes.length chunk) in
-        really_input ic chunk 0 n;
-        sum := fnv_string !sum (Bytes.unsafe_to_string chunk) 0 n;
-        remaining := !remaining - n
-      done;
-      !sum)
+let sum_string s =
+  let st = sum () in
+  feed st s 0 (String.length s);
+  digest st
 
 (* ---------------- encoding helpers ---------------- *)
 
@@ -113,14 +183,14 @@ type sink = {
   chunk : Bytes.t;
   mutable fill : int;
   mutable flushed : int;
-  mutable sum : int;
+  sum : sum;
 }
 
 let emitted s = s.flushed + s.fill
 
 let flush_sink s =
   if s.fill > 0 then begin
-    s.sum <- fnv_string s.sum (Bytes.unsafe_to_string s.chunk) 0 s.fill;
+    feed_bytes s.sum s.chunk 0 s.fill;
     output s.oc s.chunk 0 s.fill;
     s.flushed <- s.flushed + s.fill;
     s.fill <- 0
@@ -226,7 +296,7 @@ let write w path =
     sections;
   let whole = ref 0 in
   Atomic_file.write path (fun oc ->
-      let s = { oc; chunk = Bytes.create chunk_size; fill = 0; flushed = 0; sum = fnv_basis } in
+      let s = { oc; chunk = Bytes.create chunk_size; fill = 0; flushed = 0; sum = sum () } in
       put_buffer s header;
       List.iter
         (fun (tag, len, body) ->
@@ -243,9 +313,9 @@ let write w path =
           done)
         sections;
       flush_sink s;
-      put_i64 s s.sum;
+      put_i64 s (digest s.sum);
       flush_sink s;
-      whole := s.sum);
+      whole := digest s.sum);
   !whole
 
 (* ---------------- directory parsing ---------------- *)
@@ -262,6 +332,12 @@ let read_directory ~pread ~file_len =
   let m = Bytes.sub_string head 0 8 in
   if m <> magic then corrupt "not a bpq snapshot (bad magic %S)" m;
   let v = get_i64 head 8 in
+  if v = 1 then
+    corrupt
+      "snapshot format version 1 (FNV-1a checksum) is no longer read; this build reads \
+       version %d: re-freeze the snapshot with `bpq freeze`, or re-shard the directory with \
+       `bpq shard`"
+      version;
   if v <> version then corrupt "unsupported snapshot version %d (this build reads %d)" v version;
   let n = get_i64 head 16 in
   if n < 0 || n > 1_000_000 then corrupt "implausible section count %d" n;
@@ -279,6 +355,11 @@ let read_directory ~pread ~file_len =
       { tag; off; len })
 
 let find_sect sects tag = List.find_opt (fun s -> s.tag = tag) sects
+
+let require_sect sects tag =
+  match find_sect sects tag with
+  | Some s -> s
+  | None -> corrupt "snapshot has no section with tag %d" tag
 
 let pread ic ~pos ~len =
   let b = Bytes.create len in
@@ -442,239 +523,169 @@ let is_snapshot path =
         let n = String.length magic in
         in_channel_length ic >= n && Bytes.to_string (pread ic ~pos:0 ~len:n) = magic)
 
-(* ---------------- one-pass reading ---------------- *)
+(* ---------------- positional reading ---------------- *)
 
-module Scan = struct
-  (* Reading and hashing run on a helper domain while the calling domain
-     decodes.  The helper reads the body front to back into a ring of
-     64 KiB chunks and hashes each one before handing it over, so every
-     byte a decoder sees has been hashed, and the file is read once.
-     Each ring buffer keeps [headroom] bytes in front of its chunk: the
-     decoder moves the few unread bytes of the chunk it leaves there, so a
-     value that straddles two chunks is still contiguous.  For a file the
-     ring holds whole, or when no domain can be spawned, the decoder runs
-     the helper's step itself, one chunk at a time. *)
-  let ring_size = 4
-  let headroom = 8
+module Pool = Bpq_util.Pool
 
-  type feed = {
-    fd : Unix.file_descr;
-    path : string;
-    body_end : int;
-    ring : Bytes.t array;  (* [headroom] bytes, then a chunk *)
-    lens : int array;  (* chunk length per ring buffer *)
-    lock : Mutex.t;
-    changed : Condition.t;
-    mutable produced : int;  (* chunks read, hashed and handed over *)
-    mutable released : int;  (* chunks the decoder has left *)
-    mutable failed : exn option;  (* the read error that stopped the helper *)
-    mutable stop : bool;
-    mutable read_at : int;  (* helper-owned: file offset of the next read *)
-    mutable sum : int;  (* helper-owned: FNV of bytes [0, read_at) *)
-  }
+(* An open file.  Every read is a seek and reads on its one descriptor,
+   under [lock], into the reader's own buffer: readers on other domains
+   share the descriptor, nothing else, and a rename of the path during
+   the open cannot swap the file under them. *)
+type file = {
+  ic : in_channel;  (* only its descriptor is read, never the channel *)
+  path : string;
+  file_len : int;
+  lock : Mutex.t;
+  mutable sects : sect list;
+  mutable tasks : (int * (unit -> unit)) list;  (* weight and job, newest first *)
+  mutable mapping : mapped option;
+}
 
+let open_file path =
+  let ic = open_in_bin path in
+  let file_len = try in_channel_length ic with e -> close_in_noerr ic; raise e in
+  { ic; path; file_len; lock = Mutex.create (); sects = []; tasks = []; mapping = None }
+
+let rec unix f path =
+  match f () with
+  | v -> v
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> unix f path
+  | exception Unix.Unix_error (e, _, _) -> raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+
+(* Bytes [pos, pos + len) of the file into [b] from [at]. *)
+let read_into f b ~at ~pos ~len =
+  let fd = Unix.descr_of_in_channel f.ic in
+  Mutex.protect f.lock (fun () ->
+      ignore (unix (fun () -> Unix.lseek fd pos Unix.SEEK_SET) f.path : int);
+      let got = ref 0 in
+      while !got < len do
+        let n = unix (fun () -> Unix.read fd b (at + !got) (len - !got)) f.path in
+        if n = 0 then corrupt "snapshot shrank while being read";
+        got := !got + n
+      done)
+
+let read f ~pos ~len = let b = Bytes.create len in read_into f b ~at:0 ~pos ~len; b
+
+(* Bytes [0, len) of the file into [st], through a private buffer. *)
+let hash_prefix f st len =
+  let buf = Bytes.create chunk_size in
+  let pos = ref 0 in
+  while !pos < len do
+    let k = min chunk_size (len - !pos) in
+    read_into f buf ~at:0 ~pos:!pos ~len:k;
+    feed_bytes st buf 0 k;
+    pos := !pos + k
+  done
+
+let file_sum path =
+  let f = open_file path and st = sum () in
+  Fun.protect ~finally:(fun () -> close_in_noerr f.ic) (fun () -> hash_prefix f st f.file_len);
+  digest st
+
+(* The body's sum against the trailer (compared as stored, all 64
+   bits); returns the whole file's sum. *)
+let check_sum f =
+  let st = sum () in
+  hash_prefix f st (f.file_len - 8);
+  let trailer = read f ~pos:(f.file_len - 8) ~len:8 in
+  let stored = Bytes.get_int64_le trailer 0 and computed = digest st in
+  if stored <> Int64.of_int computed then
+    corrupt "checksum mismatch (stored %016Lx, computed %016x) — snapshot is damaged" stored
+      computed;
+  feed_bytes st trailer 0 8;
+  digest st
+
+let sects f = f.sects
+
+let task f ~weight job =
+  let result = ref None in
+  f.tasks <- (weight, fun () -> result := Some (job ())) :: f.tasks;
+  fun () ->
+    match !result with
+    | Some v -> v
+    | None -> invalid_arg "Binfile.task: result read before the open finished"
+
+let mapping f =
+  match f.mapping with
+  | Some m -> m
+  | None ->
+    if f.file_len land 7 <> 0 then corrupt "snapshot length %d is not 8-aligned" f.file_len;
+    let fd = Unix.descr_of_in_channel f.ic in
+    let st = Unix.fstat fd in
+    let data =
+      Bigarray.array1_of_genarray
+        (Unix.map_file fd Bigarray.int64 Bigarray.c_layout false [| f.file_len / 8 |])
+    in
+    let m =
+      { m_path = f.path; m_dev = st.Unix.st_dev; m_ino = st.Unix.st_ino; m_len = f.file_len;
+        m_data = data }
+    in
+    f.mapping <- Some m;
+    m
+
+(* The plan's tasks and the checksum, largest first, on the pool.  Each
+   task keeps its own outcome, so the checksum's verdict is raised ahead
+   of any task's, and a task's exception does not stop the others. *)
+let run ?(pool = Pool.sequential) path plan =
+  let f = open_file path in
+  Fun.protect ~finally:(fun () -> close_in_noerr f.ic) @@ fun () ->
+  f.sects <- read_directory ~pread:(read f) ~file_len:f.file_len;
+  match plan f with
+  | exception (Corrupt _ as e) ->
+    let bt = Printexc.get_raw_backtrace () in
+    (* Damage that broke a decoder is reported as damage. *)
+    ignore (check_sum f : int);
+    Printexc.raise_with_backtrace e bt
+  | v ->
+    let whole = ref 0 in
+    let tasks = Array.of_list ((f.file_len, fun () -> whole := check_sum f) :: List.rev f.tasks) in
+    let outcomes = Array.make (Array.length tasks) None in
+    let order = Array.init (Array.length tasks) Fun.id in
+    Array.stable_sort (fun i j -> compare (fst tasks.(j)) (fst tasks.(i))) order;
+    Pool.iter_array pool
+      (fun i -> try snd tasks.(i) () with e -> outcomes.(i) <- Some (e, Printexc.get_raw_backtrace ()))
+      order;
+    Array.iter (Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt)) outcomes;
+    (v, !whole)
+
+let verify path = ignore (run path ignore : unit * int)
+
+(* ---------------- sequential reading ---------------- *)
+
+module Reader = struct
+  (* A section read front to back through a private 64 KiB buffer;
+     [refill] moves the unread bytes (fewer than one integer, or a
+     partial byte string) to the front before reading on. *)
   type t = {
-    ic : in_channel;  (* only its descriptor is read, never the channel *)
-    file_len : int;
-    feed : feed;
-    mutable helper : unit Domain.t option;  (* [None]: steps run inline *)
-    mutable sects : sect list;
-    mutable buf : Bytes.t;  (* the ring buffer being decoded *)
+    file : file;
+    buf : Bytes.t;
     mutable lo : int;
     mutable hi : int;
     mutable at : int;  (* file offset just past [buf]'s bytes [lo, hi) *)
-    mutable taken : int;  (* chunks taken from the ring *)
-    mutable sect_off : int;
-    mutable sect_end : int;
-    mutable mapping : mapped option;
+    sect_off : int;
+    sect_end : int;
   }
 
-  let body_end t = t.file_len - 8
+  let create file (s : sect) =
+    { file; buf = Bytes.create chunk_size; lo = 0; hi = 0; at = s.off; sect_off = s.off;
+      sect_end = s.off + s.len }
+
   let file_pos t = t.at - (t.hi - t.lo)
-
-  let rec read_fd fd path b off len =
-    match Unix.read fd b off len with
-    | n -> n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_fd fd path b off len
-    | exception Unix.Unix_error (e, _, _) -> raise (Sys_error (path ^ ": " ^ Unix.error_message e))
-
-  let locked f lock =
-    Mutex.lock lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-  (* The helper's step: read the next chunk into a free ring buffer, hash
-     it, hand it over.  Called with a buffer free and body left. *)
-  let produce f =
-    let slot = f.produced mod ring_size in
-    let b = f.ring.(slot) in
-    let want = min chunk_size (f.body_end - f.read_at) in
-    let got = ref 0 in
-    while !got < want do
-      let n = read_fd f.fd f.path b (headroom + !got) (want - !got) in
-      if n = 0 then corrupt "snapshot shrank while being read";
-      got := !got + n
-    done;
-    f.sum <- fnv_string f.sum (Bytes.unsafe_to_string b) headroom (headroom + want);
-    f.read_at <- f.read_at + want;
-    f.lens.(slot) <- want;
-    locked (fun () -> f.produced <- f.produced + 1; Condition.broadcast f.changed) f.lock
-
-  (* Produce until the body is read, the decoder stops the scan, or a
-     read fails; a failure is kept for the decoder to raise. *)
-  let helper_loop f () =
-    let rec go () =
-      let more =
-        locked
-          (fun () ->
-            while (not f.stop) && f.produced - f.released = ring_size do
-              Condition.wait f.changed f.lock
-            done;
-            (not f.stop) && f.read_at < f.body_end)
-          f.lock
-      in
-      if more then
-        match produce f with
-        | () -> go ()
-        | exception e ->
-          locked (fun () -> f.failed <- Some e; Condition.broadcast f.changed) f.lock
-    in
-    go ()
-
-  (* Chunk number [t.taken]: waited for, produced inline without a
-     helper, or the helper's error re-raised. *)
-  let next_chunk t =
-    let f = t.feed in
-    if t.helper = None then produce f
-    else
-      locked
-        (fun () ->
-          while f.produced = t.taken && f.failed = None do
-            Condition.wait f.changed f.lock
-          done;
-          if f.produced = t.taken then raise (Option.get f.failed))
-        f.lock;
-    f.ring.(t.taken mod ring_size)
-
-  (* Move to the next chunk, carrying the unread bytes (fewer than
-     [headroom]: callers refill only when short of one integer) into its
-     headroom, then hand the chunk left behind back to the helper.  At
-     the end of the body nothing changes. *)
-  let refill t =
-    if t.at < body_end t then begin
-      let keep = t.hi - t.lo in
-      let b = next_chunk t in
-      let len = t.feed.lens.(t.taken mod ring_size) in
-      Bytes.blit t.buf t.lo b (headroom - keep) keep;
-      if t.taken > 0 then
-        locked
-          (fun () ->
-            t.feed.released <- t.feed.released + 1;
-            Condition.broadcast t.feed.changed)
-          t.feed.lock;
-      t.taken <- t.taken + 1;
-      t.buf <- b;
-      t.lo <- headroom - keep;
-      t.hi <- headroom + len;
-      t.at <- t.at + len
-    end
-
-  (* Stop the helper and wait for it; the descriptor stays open. *)
-  let join t =
-    locked (fun () -> t.feed.stop <- true; Condition.broadcast t.feed.changed) t.feed.lock;
-    Option.iter Domain.join t.helper;
-    t.helper <- None
-
-  let close t =
-    join t;
-    close_in_noerr t.ic
-
-  (* [n] bytes at the current position into a fresh buffer; the caller
-     has bounded [n] by the file. *)
-  let take t n =
-    let out = Bytes.create n in
-    let filled = ref 0 in
-    while !filled < n do
-      if t.lo = t.hi then refill t;
-      if t.lo = t.hi then corrupt "truncated snapshot";
-      let k = min (n - !filled) (t.hi - t.lo) in
-      Bytes.blit t.buf t.lo out !filled k;
-      t.lo <- t.lo + k;
-      filled := !filled + k
-    done;
-    out
-
-  let skip t n =
-    let left = ref n in
-    while !left > 0 do
-      if t.lo = t.hi then refill t;
-      if t.lo = t.hi then corrupt "truncated snapshot";
-      let k = min !left (t.hi - t.lo) in
-      t.lo <- t.lo + k;
-      left := !left - k
-    done
-
-  let open_ path =
-    let ic = open_in_bin path in
-    let file_len =
-      try in_channel_length ic
-      with e ->
-        close_in_noerr ic;
-        raise e
-    in
-    let feed =
-      { fd = Unix.descr_of_in_channel ic; path; body_end = max 0 (file_len - 8);
-        ring = Array.init ring_size (fun _ -> Bytes.create (headroom + chunk_size));
-        lens = Array.make ring_size 0; lock = Mutex.create (); changed = Condition.create ();
-        produced = 0; released = 0; failed = None; stop = false; read_at = 0; sum = fnv_basis }
-    in
-    (* Spawning and joining a domain costs about as much as hashing the
-       ring's worth of bytes, so a file the ring holds whole is read
-       inline. *)
-    let helper =
-      if feed.body_end <= ring_size * chunk_size then None
-      else
-        match Domain.spawn (helper_loop feed) with
-        | d -> Some d
-        | exception Failure _ -> None (* the runtime's domain limit *)
-    in
-    let t =
-      { ic; file_len; feed; helper; sects = []; buf = Bytes.empty; lo = 0; hi = 0; at = 0;
-        taken = 0; sect_off = 0; sect_end = 0; mapping = None }
-    in
-    match
-      let pread ~pos ~len =
-        if pos <> file_pos t then corrupt "snapshot header out of order";
-        take t len
-      in
-      read_directory ~pread ~file_len
-    with
-    | sects ->
-      t.sects <- sects;
-      t
-    | exception e ->
-      close t;
-      raise e
-
-  let enter t tag =
-    match List.find_opt (fun s -> s.tag = tag) t.sects with
-    | None -> false
-    | Some s ->
-      let here = file_pos t in
-      if s.off < here then corrupt "section with tag %d out of file order" tag;
-      skip t (s.off - here);
-      t.sect_off <- s.off;
-      t.sect_end <- s.off + s.len;
-      true
-
-  let require t tag = if not (enter t tag) then corrupt "snapshot has no section with tag %d" tag
-
-  let pos t = file_pos t - t.sect_off
   let remaining t = t.sect_end - file_pos t
+
+  let refill t =
+    let keep = t.hi - t.lo in
+    Bytes.blit t.buf t.lo t.buf 0 keep;
+    let n = min (chunk_size - keep) (t.sect_end - t.at) in
+    read_into t.file t.buf ~at:keep ~pos:t.at ~len:n;
+    t.lo <- 0;
+    t.hi <- keep + n;
+    t.at <- t.at + n
 
   let need t n =
     if n < 0 || n > remaining t then
-      corrupt "section payload ends early (want %d bytes at %d of %d)" n (pos t)
-        (t.sect_end - t.sect_off)
+      corrupt "section payload ends early (want %d bytes at %d of %d)" n
+        (file_pos t - t.sect_off) (t.sect_end - t.sect_off)
 
   let i64 t =
     need t 8;
@@ -683,7 +694,6 @@ module Scan = struct
     t.lo <- t.lo + 8;
     v
 
-  (* [k] ints into [arr.(at) ..], straight out of the ring. *)
   let read_ints t arr at k =
     if k < 0 || k > remaining t / 8 then
       corrupt "array of %d elements exceeds the payload (%d bytes left)" k (remaining t);
@@ -709,65 +719,14 @@ module Scan = struct
 
   let bytes t n =
     need t n;
-    take t n
-
-  let str t =
-    let len = i64 t in
-    if len < 0 then corrupt "negative string length %d" len;
-    let s = Bytes.unsafe_to_string (bytes t len) in
-    skip t (min (round8 len - len) (remaining t));
-    s
-
-  let cur t = Cur.of_bytes (bytes t (remaining t))
-
-  let mapping t =
-    match t.mapping with
-    | Some m -> m
-    | None ->
-      if t.file_len land 7 <> 0 then corrupt "snapshot length %d is not 8-aligned" t.file_len;
-      let fd = Unix.descr_of_in_channel t.ic in
-      let st = Unix.fstat fd in
-      let data =
-        Bigarray.array1_of_genarray
-          (Unix.map_file fd Bigarray.int64 Bigarray.c_layout false [| t.file_len / 8 |])
-      in
-      let m =
-        { m_path = t.feed.path; m_dev = st.Unix.st_dev; m_ino = st.Unix.st_ino; m_len = t.file_len;
-          m_data = data }
-      in
-      t.mapping <- Some m;
-      m
-
-  (* Consume the rest of the body, so the helper has hashed all of it,
-     join the helper, then read the trailer from where it stopped and
-     check it. *)
-  let finish t =
-    skip t (body_end t - file_pos t);
-    join t;
-    let trailer = Bytes.create 8 in
-    let got = ref 0 in
-    while !got < 8 do
-      let n = read_fd t.feed.fd t.feed.path trailer !got (8 - !got) in
-      if n = 0 then corrupt "snapshot shrank while being read";
-      got := !got + n
+    let out = Bytes.create n in
+    let filled = ref 0 in
+    while !filled < n do
+      if t.lo = t.hi then refill t;
+      let k = min (n - !filled) (t.hi - t.lo) in
+      Bytes.blit t.buf t.lo out !filled k;
+      t.lo <- t.lo + k;
+      filled := !filled + k
     done;
-    let stored = get_i64 trailer 0 and sum = t.feed.sum in
-    if sum <> stored then
-      corrupt "checksum mismatch (stored %016x, computed %016x) — snapshot is damaged" stored sum;
-    fnv_string sum (Bytes.unsafe_to_string trailer) 0 8
-
-  let run path f =
-    let t = open_ path in
-    Fun.protect
-      ~finally:(fun () -> close t)
-      (fun () ->
-        match f t with
-        | v -> (v, finish t)
-        | exception (Corrupt _ as e) ->
-          (* Damage that broke a decoder is reported as damage: the
-             checksum's verdict wins when it has one. *)
-          ignore (finish t : int);
-          raise e)
+    out
 end
-
-let verify path = ignore (Scan.run path ignore : unit * int)

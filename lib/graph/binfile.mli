@@ -9,19 +9,21 @@
     section count               i64
     directory                   (tag, offset, length) x count
     section payloads            back to back, 8-aligned
-    checksum                    i64, FNV-1a over everything above
+    checksum                    i64, {!sum_string} of everything above
     v}
     Offsets are absolute file positions, so an out-of-core reader can
     serve any section slice without touching the rest of the file.  The
-    one-pass reader ({!Scan}) always verifies the trailing checksum;
+    mem open ({!run}) always verifies the trailing checksum;
     {!read_directory} only validates the header and directory, which is
     what lets a paged store open a multi-gigabyte snapshot without
-    scanning it.
+    scanning it.  Format version 2 (this one) is the xxHash64 checksum;
+    a version 1 file (FNV-1a) is refused with [Corrupt], naming the
+    commands that rebuild it.
 
     Snapshots are immutable once written: they are replaced only by
     renaming a new file over the old one ({!Bpq_util.Atomic_file}), never
     rewritten or truncated in place.  A reader that maps a file
-    ({!Scan.mapping}) relies on this: truncating a mapped file under a
+    ({!mapping}) relies on this: truncating a mapped file under a
     live mapping would kill the reading process with SIGBUS. *)
 
 exception Corrupt of string
@@ -33,15 +35,31 @@ val magic : string
 val version : int
 
 val fnv64 : string -> int
-(** FNV-1a of a whole string, folded into the non-negative int range —
-    the same hash the trailing snapshot checksum uses.  The WAL uses it
-    for per-record checksums. *)
+(** FNV-1a of a whole string, folded into the non-negative int range:
+    the WAL's per-record checksum. *)
 
-val file_fnv : string -> int
-(** FNV-1a over an entire file's bytes (checksum trailer included): a
-    cheap content identity used to pair a delta log with the snapshot
-    generation it was written against.
-    @raise Sys_error if the file cannot be opened. *)
+(** {1 The checksum}
+
+    xxHash64 (seed 0), truncated to the non-negative int range: four
+    64-bit lanes over little-endian words, each mixed by
+    [acc = rotl (acc + w * P2) 31 * P1], then a fold of the lanes, the
+    length and the 0-31 tail bytes, and an avalanche.  The value does not
+    depend on how the bytes are split into {!feed} calls. *)
+
+type sum
+
+val sum : unit -> sum
+val feed : sum -> string -> int -> int -> unit  (** [feed st s pos len] *)
+
+val digest : sum -> int  (** Of the bytes fed so far; [st] is unchanged. *)
+
+val sum_string : string -> int
+
+val file_sum : string -> int
+(** Of an entire file (trailer included): the content identity that
+    pairs a delta log with its snapshot generation.
+    @raise Sys_error if the file cannot be opened.
+    @raise Corrupt if it shrinks while being read. *)
 
 (** Section tags, fixed across the format version. *)
 
@@ -86,7 +104,7 @@ type i64s = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
     snapshot, or off-heap memory of the same layout. *)
 
 type mapped
-(** A read-only mapping of one whole snapshot file ({!Scan.mapping}). *)
+(** A read-only mapping of one whole snapshot file ({!mapping}). *)
 
 val map_sub : mapped -> pos:int -> len:int -> i64s
 (** The [len] integers starting at byte offset [pos] (8-aligned) of the
@@ -132,7 +150,7 @@ val put_mapped : sink -> mapped -> pos:int -> len:int -> unit
 val write : writer -> string -> int
 (** Serialise to [path] atomically ({!Bpq_util.Atomic_file}), streaming
     the header and sections through one bounded sink while hashing them.
-    Returns the written file's {!file_fnv}. *)
+    Returns the written file's {!file_sum}. *)
 
 (** {1 Decoding byte buffers} *)
 
@@ -180,6 +198,10 @@ val read_directory : pread:(pos:int -> len:int -> Bytes.t) -> file_len:int -> se
     @raise Corrupt on any malformed header. *)
 
 val find_sect : sect list -> int -> sect option
+
+val require_sect : sect list -> int -> sect
+(** @raise Corrupt naming a missing section's tag. *)
+
 val pread : in_channel -> pos:int -> len:int -> Bytes.t
 
 val sect_reader : pread:(pos:int -> len:int -> Bytes.t) -> sect -> unit -> int
@@ -191,69 +213,60 @@ val is_snapshot : string -> bool
 (** Cheap sniff: does the file start with {!magic}?  [false] for
     unreadable or short files. *)
 
-(** {1 One-pass reading} *)
+(** {1 Reading}
 
-(** A snapshot read once, front to back, in 64 KiB chunks: a helper
-    domain reads each chunk and hashes it before handing it over, and the
-    calling domain decodes from a ring of four such chunks while the next
-    ones are read.  Every decoded byte is a hashed byte, and a load never
-    holds a whole-file copy.  Sections are visited in file order
-    ({!enter}); {!run} hashes whatever the decoder skipped and checks the
-    trailer.  The helper is joined on every exit from {!run}.  For a
-    file of at most four chunks, and when no domain can be spawned (the
-    runtime's domain limit), the calling domain reads and hashes each
-    chunk itself before decoding it.  Reads
-    raise [Corrupt] past the end of the current section, and on lengths
-    the rest of the section cannot hold, before allocating. *)
-module Scan : sig
+    Every read below is a seek and a read on the file's one descriptor
+    under one lock, into the reader's own buffer: tasks on different
+    domains share no mutable state, and nothing is read through a
+    mapping. *)
+
+type file
+
+val run : ?pool:Bpq_util.Pool.t -> string -> (file -> 'a) -> 'a * int
+(** [run ?pool path plan] validates the header and directory, applies
+    [plan] (which reads small parts and registers {!task}s), then runs
+    the tasks and a pass that checks the checksum on [pool] (default
+    sequential), largest first.  Returns the plan's result and the
+    {!file_sum}; the tasks' getters work from then on.  The checksum
+    mismatch is raised in place of any [Corrupt] from the plan or a
+    task; otherwise the first task's exception in registration order.
+    No domain is spawned; the descriptor is closed on every exit.
+    @raise Corrupt on any malformed or damaged input.
+    @raise Sys_error if the file cannot be read. *)
+
+val sects : file -> sect list
+
+val read : file -> pos:int -> len:int -> Bytes.t
+(** @raise Corrupt if the file ends before [pos + len]. *)
+
+val task : file -> weight:int -> (unit -> 'a) -> unit -> 'a
+(** Register a task, weighted by the bytes it reads; returns its
+    result's getter.  A task shares no mutable state with another. *)
+
+val mapping : file -> mapped
+(** A private read-only mapping, made from the descriptor on the first
+    call.  It may be read only once {!run} has returned. *)
+
+(** A byte range read front to back through a private 64 KiB buffer.
+    Reads raise [Corrupt] past its end, and on lengths the rest cannot
+    hold, before allocating. *)
+module Reader : sig
   type t
 
-  val run : string -> (t -> 'a) -> 'a * int
-  (** Open the file (header and directory validated), apply the decoder,
-      then verify the checksum.  Returns the decoder's result and the
-      file's {!file_fnv}.  When the file is damaged, the checksum
-      mismatch is raised in place of whatever [Corrupt] a decoder
-      raised.  The helper domain has been joined when this returns or
-      raises.
-      @raise Corrupt on any malformed or damaged input.
-      @raise Sys_error if the file cannot be read. *)
+  val create : file -> sect -> t  (** At the start of the range. *)
 
-  val enter : t -> int -> bool
-  (** Move to the start of the first section with this tag ([false] if
-      there is none), hashing the bytes skipped on the way.
-      @raise Corrupt if that section starts before the current
-      position. *)
-
-  val require : t -> int -> unit
-  (** {!enter}, raising [Corrupt] naming a missing section. *)
-
-  val pos : t -> int  (** Bytes consumed since the section start. *)
-
-  val remaining : t -> int  (** Bytes left in the section. *)
-
-  val file_pos : t -> int  (** Absolute file offset of the next byte. *)
+  val remaining : t -> int
+  val file_pos : t -> int  (** Of the next byte. *)
 
   val i64 : t -> int
   val array : t -> int -> int array
 
   val read_ints : t -> int array -> int -> int -> unit
-  (** [read_ints t arr at k] reads the next [k] integers into
-      [arr.(at) .. arr.(at + k - 1)]: {!array} into a caller's buffer, for
-      decoders that stream a region in batches. *)
+  (** [read_ints t arr at k]: {!array} into [arr.(at) .. arr.(at + k - 1)]. *)
 
   val bytes : t -> int -> Bytes.t
-  val str : t -> string  (** Inverse of {!add_string}. *)
-
-  val cur : t -> Cur.t
-  (** The rest of the section as a cursor over a copy (small sections). *)
-
-  val mapping : t -> mapped
-  (** A private read-only mapping of the file being read, made on the
-      first call.  Mapping reads no byte; a region of it may be read only
-      after {!run} has checked the whole file. *)
 end
 
 val verify : string -> unit
-(** {!Scan.run} with a decoder that reads nothing: the header, the
-    directory and the trailing checksum.
-    @raise Corrupt on mismatch. *)
+(** {!run} with a plan that reads nothing.
+    @raise Corrupt on a damaged file. *)

@@ -220,42 +220,40 @@ let csr_header ~i64 ~len ~n =
     corrupt "csr section too short";
   (m, nbr_len, bl)
 
-(* Decode the graph sections of the file [s] streams into [tbl],
-   returning the graph and the stored-label-id -> [tbl]-id map (used by
-   schema and stats decoders downstream). *)
-let graph_of_scan tbl s =
-  let module S = Binfile.Scan in
-  S.require s Binfile.tag_labels;
-  let map = labels_of_cur tbl (S.cur s) in
+(* Decode the nodes and CSR sections into [tbl], whose labels section
+   [layout] has read (a task of [Binfile.run]: its own readers, one per
+   section). *)
+let decode tbl ~map f =
+  let module R = Binfile.Reader in
   let nlabels_stored = Array.length map in
   let identity = Array.for_all2 (fun i j -> i = j) map (Array.init nlabels_stored Fun.id) in
   (* Nodes.  Value entries follow each other in node order, so the blob
      decodes as it streams past. *)
-  S.require s Binfile.tag_nodes;
-  let n = nodes_header ~i64:(fun () -> S.i64 s) ~len:(S.remaining s) in
-  let labels = S.array s n in
-  let voff = S.array s (n + 1) in
+  let s = R.create f (Binfile.require_sect (Binfile.sects f) Binfile.tag_nodes) in
+  let n = nodes_header ~i64:(fun () -> R.i64 s) ~len:(R.remaining s) in
+  let labels = R.array s n in
+  let voff = R.array s (n + 1) in
   if voff.(0) <> 0 then corrupt "nodes section: value offsets out of range";
   let values =
     Array.init n (fun v ->
         let len = voff.(v + 1) - voff.(v) in
         if len < 0 then corrupt "nodes section: value offsets out of range";
-        if len = 0 then Value.Null else decode_value (S.bytes s len))
+        if len = 0 then Value.Null else decode_value (R.bytes s len))
   in
   Array.iter
     (fun l -> if l < 0 || l >= nlabels_stored then corrupt "nodes section: label id out of range")
     labels;
   (* CSR. *)
-  S.require s Binfile.tag_csr;
-  let m, nbr_len, bl = csr_header ~i64:(fun () -> S.i64 s) ~len:(S.remaining s) ~n in
-  let out_off = S.array s (n + 1) in
-  let out_adj = S.array s m in
-  let in_off = S.array s (n + 1) in
-  let in_adj = S.array s m in
-  let nbr_off = S.array s (n + 1) in
-  let nbr_adj = S.array s nbr_len in
-  let by_label_off = S.array s (bl + 1) in
-  let by_label = S.array s n in
+  let s = R.create f (Binfile.require_sect (Binfile.sects f) Binfile.tag_csr) in
+  let m, nbr_len, bl = csr_header ~i64:(fun () -> R.i64 s) ~len:(R.remaining s) ~n in
+  let out_off = R.array s (n + 1) in
+  let out_adj = R.array s m in
+  let in_off = R.array s (n + 1) in
+  let in_adj = R.array s m in
+  let nbr_off = R.array s (n + 1) in
+  let nbr_adj = R.array s nbr_len in
+  let by_label_off = R.array s (bl + 1) in
+  let by_label = R.array s n in
   validate_csr ~what:"out CSR" n out_off out_adj ~bound:n;
   validate_csr ~what:"in CSR" n in_off in_adj ~bound:n;
   validate_csr ~what:"neighbour CSR" n nbr_off nbr_adj ~bound:n;
@@ -272,33 +270,25 @@ let graph_of_scan tbl s =
       (labels, off, adj)
     end
   in
-  let g =
-    Digraph.Repr.to_graph tbl
-      { labels;
-        values;
-        out_off;
-        out_adj;
-        in_off;
-        in_adj;
-        nbr_off;
-        nbr_adj;
-        by_label_off;
-        by_label;
-        n_edges = m }
-  in
-  (g, map)
+  Digraph.Repr.to_graph tbl
+    { labels;
+      values;
+      out_off;
+      out_adj;
+      in_off;
+      in_adj;
+      nbr_off;
+      nbr_adj;
+      by_label_off;
+      by_label;
+      n_edges = m }
 
-let selectivity_of_scan tbl ~map s =
-  if Binfile.Scan.enter s Binfile.tag_stats then
-    Some
-      (Gstats.selectivity_of_section (Binfile.Scan.cur s) ~map ~nlabels:(Label.count tbl))
-  else None
-
-let load_bin tbl path =
-  fst
-    (Binfile.Scan.run path (fun s ->
-         let g, map = graph_of_scan tbl s in
-         (g, selectivity_of_scan tbl ~map s)))
+let selectivity tbl ~map ~pread sects =
+  Binfile.find_sect sects Binfile.tag_stats
+  |> Option.map (fun (s : Binfile.sect) ->
+         Gstats.selectivity_of_section
+           (Binfile.Cur.of_bytes (pread ~pos:s.off ~len:s.len))
+           ~map ~nlabels:(Label.count tbl))
 
 (* ---------------- reading in place ---------------- *)
 
@@ -312,16 +302,12 @@ type layout = {
 }
 
 let layout tbl ~pread sects =
-  let require tag what =
-    match Binfile.find_sect sects tag with
-    | Some s -> s
-    | None -> corrupt ("snapshot has no " ^ what ^ " section")
-  in
-  let ls = require Binfile.tag_labels "label" in
+  let require = Binfile.require_sect sects in
+  let ls = require Binfile.tag_labels in
   let map = labels_of_cur tbl (Binfile.Cur.of_bytes (pread ~pos:ls.off ~len:ls.len)) in
-  let ns = require Binfile.tag_nodes "node" in
+  let ns = require Binfile.tag_nodes in
   let n = nodes_header ~i64:(Binfile.sect_reader ~pread ns) ~len:ns.len in
-  let cs = require Binfile.tag_csr "adjacency" in
+  let cs = require Binfile.tag_csr in
   let m, _, _ = csr_header ~i64:(Binfile.sect_reader ~pread cs) ~len:cs.len ~n in
   { map; n_nodes = n; n_edges = m; nodes_at = ns.off; blob_len = ns.len - 16 - (16 * n);
     csr_at = cs.off }
@@ -360,3 +346,17 @@ let has_out_edge l ~get src dst =
     done;
     !found
   end
+
+(* For [Binfile.run]'s plan: the labels section, the two headers and
+   the stats section are read now, the node and CSR arrays in one task. *)
+let open_bin tbl f =
+  let pread = Binfile.read f and sects = Binfile.sects f in
+  let l = layout tbl ~pread sects in
+  let bytes tag = (Binfile.require_sect sects tag).Binfile.len in
+  let weight = bytes Binfile.tag_nodes + bytes Binfile.tag_csr in
+  let graph = Binfile.task f ~weight (fun () -> decode tbl ~map:l.map f) in
+  (l, graph, selectivity tbl ~map:l.map ~pread sects)
+
+let load_bin tbl path =
+  let (_, graph, sel), _ = Binfile.run path (open_bin tbl) in
+  (graph (), sel)

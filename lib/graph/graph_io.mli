@@ -29,8 +29,7 @@ val parse : Label.table -> in_channel -> Digraph.t
 
     This module is the one writer of the labels, nodes and CSR sections,
     for snapshots and shard files alike, and their one decoder, whole
-    ({!graph_of_scan}) or in place ({!layout}); both readers check the
-    section headers with the same code. *)
+    ({!open_bin}) or in place ({!layout}); both start from {!layout}. *)
 
 val save_bin : ?selectivity:Gstats.selectivity -> Digraph.t -> string -> unit
 (** Write graph (and optionally selectivity stats) to a snapshot,
@@ -63,14 +62,10 @@ val labels_of_cur : Label.table -> Binfile.Cur.t -> int array
     starts empty and the names are distinct).
     @raise Binfile.Corrupt on a count the section cannot hold. *)
 
-val graph_of_scan : Label.table -> Binfile.Scan.t -> Digraph.t * int array
-(** Decodes the labels, nodes and CSR sections as they stream past.
-    Returns the graph and the stored-label-id → table-id map. *)
-
-val selectivity_of_scan :
-  Label.table -> map:int array -> Binfile.Scan.t -> Gstats.selectivity option
-(** The stats section, if the file has one (it follows the graph
-    sections). *)
+val selectivity :
+  Label.table -> map:int array -> pread:(pos:int -> len:int -> Bytes.t) -> Binfile.sect list ->
+  Gstats.selectivity option
+(** The stats section, if the file has one, read whole. *)
 
 (** {2 Reading in place}
 
@@ -91,7 +86,12 @@ type layout = private {
 val layout :
   Label.table -> pread:(pos:int -> len:int -> Bytes.t) -> Binfile.sect list -> layout
 (** Decodes the labels section into the table and checks the nodes and
-    CSR headers, as {!graph_of_scan} does. *)
+    CSR headers. *)
+
+val open_bin :
+  Label.table -> Binfile.file -> layout * (unit -> Digraph.t) * Gstats.selectivity option
+(** For a {!Binfile.run} plan: {!layout} and {!selectivity} now, and
+    the getter of a task that decodes the graph as {!load_bin} does. *)
 
 val label_at : layout -> get:(int -> int) -> int -> int
 val value_at : layout -> get:(int -> int) -> bytes:(int -> int -> Bytes.t) -> int -> Value.t

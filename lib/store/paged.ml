@@ -130,13 +130,7 @@ let open_ ?(page_cache_mb = 16) ?cache_pages ?(readahead = 8) path =
     let table = Label.create_table () in
     let g = Graph_io.layout table ~pread sects in
     (* Selectivity: O(labels²), kept in memory. *)
-    let selectivity =
-      Binfile.find_sect sects Binfile.tag_stats
-      |> Option.map (fun (s : Binfile.sect) ->
-             Gstats.selectivity_of_section
-               (Binfile.Cur.of_bytes (pread ~pos:s.off ~len:s.len))
-               ~map:g.map ~nlabels:(Label.count table))
-    in
+    let selectivity = Graph_io.selectivity table ~map:g.map ~pread sects in
     (* Schema metadata: stamp, constraints and each index's region.  Key
        records and payloads — the bulk — are only ever touched through
        the page cache. *)

@@ -143,12 +143,15 @@ let partition ~shards ~snapshot ~dir =
 
 let load_manifest path =
   let path = manifest_path path in
-  fst @@ Binfile.Scan.run path @@ fun s ->
+  fst @@ Binfile.run path @@ fun f ->
   let table = Label.create_table () in
-  Binfile.Scan.require s Binfile.tag_labels;
-  let map = Graph_io.labels_of_cur table (Binfile.Scan.cur s) in
-  if not (Binfile.Scan.enter s tag_manifest) then corrupt "manifest: missing manifest section";
-  let mc = Binfile.Scan.cur s in
+  let sects = Binfile.sects f and pread = Binfile.read f in
+  let section tag =
+    let s = Binfile.require_sect sects tag in
+    Binfile.Cur.of_bytes (pread ~pos:s.Binfile.off ~len:s.Binfile.len)
+  in
+  let map = Graph_io.labels_of_cur table (section Binfile.tag_labels) in
+  let mc = section tag_manifest in
   let fv = Binfile.Cur.i64 mc in
   if fv <> format_version then corrupt "manifest: unsupported format version %d" fv;
   let pv = Binfile.Cur.i64 mc in
@@ -180,7 +183,7 @@ let load_manifest path =
   in
   let owned = Array.fold_left (fun acc (f : shard_file) -> acc + f.n_edges) 0 files in
   if owned <> n_edges then corrupt "manifest: shard edge counts do not sum to the total";
-  let selectivity = Graph_io.selectivity_of_scan table ~map s in
+  let selectivity = Graph_io.selectivity table ~map ~pread sects in
   Schema.register_stamp stamp;
   { dir = Filename.dirname path;
     shards;
@@ -196,7 +199,9 @@ let verify_files m =
   Array.iter
     (fun f ->
       let path = Filename.concat m.dir f.file in
-      let sum = try Binfile.file_fnv path with Sys_error e -> corrupt "%s: %s" f.file e in
+      let sum =
+        try Binfile.file_sum path with Sys_error e | Binfile.Corrupt e -> corrupt "%s: %s" f.file e
+      in
       if sum <> f.checksum then
         corrupt "%s: checksum mismatch (stored %016x, computed %016x) — shard is damaged"
           f.file f.checksum sum)

@@ -19,14 +19,14 @@
     filter (the full label table and node-label array, the owned nodes'
     values and out-rows) and {!Bpq_access.Schema.add_section} over each
     index's {!Bpq_access.Index.filter} (every constraint, the owned
-    buckets in record order).  {!Bpq_graph.Binfile.write}'s FNV is the
+    buckets in record order).  {!Bpq_graph.Binfile.write}'s checksum is the
     manifest's checksum, so no file is re-read.  A shard file is not a
     snapshot: [Store.open_snapshot] refuses it.
 
     The manifest ([MANIFEST] in the output directory) records the
     partition-function version, shard count, schema stamp, global sizes,
     the full constraint list, the snapshot's selectivity statistics (if
-    it has them) and a per-shard file name + FNV-1a checksum; {!Remote}
+    it has them) and a per-shard file name + whole-file checksum; {!Remote}
     coordinators plan and route from it alone. *)
 
 open Bpq_graph
@@ -39,7 +39,7 @@ val partition_version : int
 
 type shard_file = {
   file : string;  (** Basename within the manifest's directory. *)
-  checksum : int;  (** FNV-1a over the shard file's bytes. *)
+  checksum : int;  (** {!Bpq_graph.Binfile.file_sum} of the shard file. *)
   n_edges : int;  (** Out-edges owned by this shard. *)
   n_keys : int;  (** Index key records owned by this shard. *)
   payload_ints : int;  (** Index payload entries owned by this shard. *)
@@ -88,7 +88,7 @@ val load_manifest : string -> manifest
     @raise Binfile.Corrupt on damage or an unsupported version. *)
 
 val verify_files : manifest -> unit
-(** Recompute every shard file's checksum ({!Bpq_graph.Binfile.file_fnv})
+(** Recompute every shard file's checksum ({!Bpq_graph.Binfile.file_sum})
     against the manifest.
     @raise Binfile.Corrupt naming the first mismatched or unreadable
     file. *)

@@ -8,7 +8,7 @@ type mem = {
   schema : Schema.t;
   sel : Gstats.selectivity option;
   src : Exec.source;
-  file_fnv : int option;  (* whole-file FNV of the snapshot it was loaded from *)
+  file_sum : int option;  (* whole-file checksum of the snapshot it was loaded from *)
 }
 
 type base =
@@ -37,7 +37,7 @@ type t = {
 }
 
 let of_schema ?selectivity schema =
-  { b = In_mem { schema; sel = selectivity; src = Exec.source_of_schema schema; file_fnv = None };
+  { b = In_mem { schema; sel = selectivity; src = Exec.source_of_schema schema; file_sum = None };
     path = None;
     ws = None }
 
@@ -46,8 +46,8 @@ let of_remote ?path ?(pushdown = true) r =
 
 exception Shard_file of string
 
-let open_snapshot ?(backend = Mem) ?page_cache_mb ?cache_pages ?readahead ?(verify = false)
-    ?(pushdown = true) path =
+let open_snapshot ?(backend = Mem) ?pool ?page_cache_mb ?cache_pages ?readahead
+    ?(verify = false) ?(pushdown = true) path =
   (* A shard file passes the paged open but holds a fraction of G. *)
   if backend <> Sharded then
     Option.iter
@@ -61,9 +61,9 @@ let open_snapshot ?(backend = Mem) ?page_cache_mb ?cache_pages ?readahead ?(veri
     match backend with
     | Mem ->
       (* Loading the snapshot checksums the whole file already; keep its
-         FNV so a delta log pairs with it without a second pass. *)
-      let (schema, sel), fnv = Schema.load_fnv (Label.create_table ()) path in
-      In_mem { schema; sel; src = Exec.source_of_schema schema; file_fnv = Some fnv }
+         sum so a delta log pairs with it without a second pass. *)
+      let (schema, sel), sum = Schema.load_sum ?pool (Label.create_table ()) path in
+      In_mem { schema; sel; src = Exec.source_of_schema schema; file_sum = Some sum }
     | Paged ->
       if verify then Binfile.verify path;
       On_disk (Paged.open_ ?page_cache_mb ?cache_pages ?readahead path)
@@ -137,17 +137,17 @@ let close t =
 (* ------------------------------------------------------------------ *)
 
 (* Content identity of the generation behind this store: the snapshot
-   file's FNV (computed when an in-memory store read it), or the shard
+   file's checksum (computed when an in-memory store read it), or the shard
    manifest's (any shard edit rewrites the manifest checksums, so the
    manifest stands for the whole directory). *)
 let base_checksum t =
   match (t.path, t.b) with
   | None, _ -> failwith "delta logs attach to snapshot-backed stores, not in-memory ones"
-  | Some _, In_mem { file_fnv = Some sum; _ } -> sum
+  | Some _, In_mem { file_sum = Some sum; _ } -> sum
   | Some path, Sharded_t _ ->
-    Binfile.file_fnv
+    Binfile.file_sum
       (if Sys.is_directory path then Filename.concat path "MANIFEST" else path)
-  | Some path, (In_mem _ | On_disk _) -> Binfile.file_fnv path
+  | Some path, (In_mem _ | On_disk _) -> Binfile.file_sum path
 
 let attach_wal ?carry t wal_path =
   if t.ws <> None then failwith "store already has a delta log attached";

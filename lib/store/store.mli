@@ -40,6 +40,7 @@ exception Shard_file of string
 
 val open_snapshot :
   ?backend:backend ->
+  ?pool:Bpq_util.Pool.t ->
   ?page_cache_mb:int ->
   ?cache_pages:int ->
   ?readahead:int ->
@@ -52,7 +53,8 @@ val open_snapshot :
     cache and [readahead] its sequential prefetch depth ({!Paged.open_};
     all ignored under [Mem]).  [verify] (default [false]) forces a full
     checksum pass even for the paged backend — [Mem] always verifies,
-    since it reads the whole file anyway.
+    since it reads the whole file anyway, on [pool]
+    ({!Bpq_access.Schema.load}).
 
     Under [Sharded] the path names a {!Shard.partition} output directory
     (or its [MANIFEST]); one worker process per shard is spawned via

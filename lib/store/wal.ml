@@ -1,7 +1,7 @@
 (* The write-ahead delta log: the durable half of the write path.
 
    One log pairs with one snapshot generation.  The header records the
-   base snapshot's whole-file FNV (and its schema stamp), so a log can
+   base snapshot's whole-file checksum (and its schema stamp), so a log can
    never be replayed against the wrong generation — in particular, a
    crash that lands between a compaction's snapshot rename and the log
    truncation leaves a log whose base checksum no longer matches the

@@ -4,7 +4,7 @@
     Layout:
     {v
     magic "BPQWAL01"     8 bytes
-    base checksum        i64   — Binfile.file_fnv of the paired snapshot
+    base checksum        i64   — Binfile.file_sum of the paired snapshot
     base schema stamp    i64
     records              [len | payload | fnv64(payload)] ...
     v}

@@ -4,6 +4,15 @@
 open Bpq_graph
 open Bpq_access
 open Bpq_core
+module Pool = Bpq_util.Pool
+
+(* A 2-slot pool for the opens that run their tasks in parallel, shared
+   by the tests below and shut down at exit. *)
+let pool2 =
+  lazy
+    (let p = Pool.create 2 in
+     at_exit (fun () -> Pool.shutdown p);
+     p)
 
 (* Structural graph equality by label NAME (ids may differ between
    tables), values, and full edge relation. *)
@@ -247,15 +256,62 @@ let test_varint_sign_bit () =
   Helpers.check_int "max_int round-trips" max_int
     (Binfile.Cur.uvarint (Binfile.Cur.of_bytes (Buffer.to_bytes b)))
 
-(* The FNV a write returns and the one a read computes are the file's
-   own: what pairs a delta log with the generation it was written
+(* The checksum a write returns and the one a read computes are the
+   file's own: what pairs a delta log with the generation it was written
    against. *)
-let test_fnv_of_write_and_read () =
+let test_sum_of_write_and_read () =
   let _, g, constrs, _ = Helpers.random_instance 21 in
   Helpers.with_temp_file (fun path ->
       let written = Schema.write (Schema.build g constrs) path in
-      Helpers.check_int "write" (Binfile.file_fnv path) written;
-      Helpers.check_int "read" written (snd (Schema.load_fnv (Label.create_table ()) path)))
+      Helpers.check_int "write" (Binfile.file_sum path) written;
+      Helpers.check_int "read" written (snd (Schema.load_sum (Label.create_table ()) path)))
+
+(* ---------------- the checksum ---------------- *)
+
+(* Fed in any pieces, the sum is the one-shot sum: splits on and off
+   the 8-byte words and the 32-byte stripes. *)
+let sum_split_invariant =
+  Helpers.qcheck ~count:300 "the checksum does not depend on how the bytes are split"
+    QCheck2.Gen.(pair (string_size (int_range 0 300)) (list_size (int_range 0 8) (int_range 0 300)))
+    (fun (s, cuts) ->
+      let n = String.length s in
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) in
+      let st = Binfile.sum () in
+      let last =
+        List.fold_left
+          (fun from cut ->
+            Binfile.feed st s from (cut - from);
+            cut)
+          0 cuts
+      in
+      Binfile.feed st s last (n - last);
+      Binfile.digest st = Binfile.sum_string s)
+
+(* The published xxHash64 values (seed 0), truncated to 62 bits, and a
+   bit flipped in two words, which a single-lane word FNV cancels for
+   bit 62: every pair of words, at a few bits, must change the sum. *)
+let test_sum_values () =
+  let xxh64 v = Int64.to_int v land max_int in
+  Helpers.check_int "empty" (xxh64 0xEF46DB3751D8E999L) (Binfile.sum_string "");
+  Helpers.check_int "abc" (xxh64 0x44BC2CF5AD770999L) (Binfile.sum_string "abc");
+  let words = 12 in
+  let base = String.init (8 * words) (fun i -> Char.chr ((i * 37) land 0xff)) in
+  let clean = Binfile.sum_string base in
+  List.iter
+    (fun bit ->
+      for i = 0 to words - 1 do
+        for j = i + 1 to words - 1 do
+          let b = Bytes.of_string base in
+          List.iter
+            (fun w ->
+              let at = (8 * w) + (bit / 8) in
+              Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl (bit mod 8)))))
+            [ i; j ];
+          if Binfile.sum_string (Bytes.to_string b) = clean then
+            Alcotest.failf "bit %d flipped in words %d and %d leaves the sum" bit i j
+        done
+      done)
+    [ 0; 7; 31; 62; 63 ]
 
 (* ---------------- hostile index bytes ---------------- *)
 
@@ -268,7 +324,7 @@ let set_i64 data pos v =
 
 let reseal data =
   let len = Bytes.length data in
-  set_i64 data (len - 8) (Binfile.fnv64 (Bytes.sub_string data 0 (len - 8)))
+  set_i64 data (len - 8) (Binfile.sum_string (Bytes.sub_string data 0 (len - 8)))
 
 let sect_of data tag =
   let pread ~pos ~len = Bytes.sub data pos len in
@@ -285,8 +341,8 @@ let dir_entry data tag =
 
 (* Either the load refuses with [Corrupt], or every key and bucket node
    it hands out is a real node and every key finds its own bucket. *)
-let loads_in_range path =
-  match Schema.load (Label.create_table ()) path with
+let loads_in_range ?pool path =
+  match Schema.load ?pool (Label.create_table ()) path with
   | exception Binfile.Corrupt _ -> true
   | schema, _ ->
     let g = Schema.graph schema in
@@ -403,6 +459,23 @@ let test_rejects_bad_version () =
       Bytes.set data 8 '\x63';
       write_all path data;
       expect_corrupt "bad version" (fun () -> Graph_io.load_bin (Label.create_table ()) path))
+
+(* A version 1 file (byte 8 patched back to 1) is refused with a message
+   naming the version and the commands that rebuild it. *)
+let test_rejects_version_1 () =
+  let _, g = random_graph 5 in
+  Helpers.with_temp_file (fun path ->
+      Graph_io.save_bin g path;
+      let data = read_all path in
+      Helpers.check_int "this build writes version 2" 2 (Binfile.get_i64 data 8);
+      Bytes.set data 8 '\x01';
+      write_all path data;
+      match Graph_io.load_bin (Label.create_table ()) path with
+      | exception Binfile.Corrupt msg ->
+        List.iter
+          (fun part -> Helpers.check_true (Printf.sprintf "%S names %S" msg part) (Helpers.contains msg part))
+          [ "version 1"; "bpq freeze"; "bpq shard" ]
+      | _ -> Alcotest.fail "a version 1 file loaded")
 
 let flipped_byte_rejected =
   Helpers.qcheck ~count:25 "any flipped byte fails the checksum"
@@ -537,9 +610,9 @@ let keys_by_position schema =
     (Schema.constraints schema)
 
 (* One i64 of the nodes, CSR or schema section overwritten, the checksum
-   re-sealed, then opened by the mem backend: either the open raises
-   [Corrupt], or every graph access and every index lookup stays in
-   range. *)
+   re-sealed, then opened by the mem backend, sequentially and on two
+   slots: either the open raises [Corrupt], or every graph access and
+   every index lookup stays in range. *)
 let hostile_graph_bytes =
   Helpers.qcheck ~count:200 "hostile graph-section i64: mem open raises Corrupt or stays in range"
     QCheck2.Gen.(quad (int_range 1 100_000) (int_range 0 1_000_000) (int_range 0 7) (int_range 0 2))
@@ -552,7 +625,9 @@ let hostile_graph_bytes =
           write_hostile path (read_all path)
             [| Binfile.tag_nodes; Binfile.tag_csr; Binfile.tag_schema |].(which)
             ~n ~at ~kind;
-          match Bpq_store.Store.open_snapshot path with
+          List.for_all
+            (fun pool ->
+          match Bpq_store.Store.open_snapshot ~pool path with
           | exception Binfile.Corrupt _ -> true
           | st ->
             let schema' = Option.get (Bpq_store.Store.schema st) in
@@ -582,7 +657,8 @@ let hostile_graph_bytes =
                  (fun i _ -> i < List.length (Schema.constraints schema'))
                  (keys_by_position schema));
             Bpq_store.Store.close st;
-            !ok))
+            !ok)
+            [ Pool.sequential; Lazy.force pool2 ]))
 
 (* The schema section with 8 spare bytes between its metadata and the
    first index region, every region offset moved past them: not where
@@ -624,7 +700,8 @@ let test_noncanonical_regions () =
    whole: either the open raises [Corrupt], or every node's label, value
    and edge probes and every index lookup raise [Corrupt] or stay in
    range.  The file is the snapshot or, as a shard worker reads it, the
-   first file of its 2-shard partition. *)
+   first file of its 2-shard partition.  The mem open on two slots must
+   also raise [Corrupt] or load in range. *)
 let hostile_paged_lookups =
   Helpers.qcheck ~count:200 "hostile schema-section i64: paged lookups raise Corrupt or stay in range"
     QCheck2.Gen.(
@@ -647,6 +724,8 @@ let hostile_paged_lookups =
           write_hostile path data
             [| Binfile.tag_nodes; Binfile.tag_csr; Binfile.tag_schema |].(which)
             ~n ~at ~kind;
+          loads_in_range ~pool:(Lazy.force pool2) path
+          &&
           match Bpq_store.Paged.open_ ~cache_pages:4 path with
           | exception Binfile.Corrupt _ -> true
           | p ->
@@ -698,8 +777,9 @@ let selectivity_non_negative sel nlabels =
     labels
 
 (* One i64 of the stats section overwritten, the checksum re-sealed:
-   the mem and paged opens each raise [Corrupt] or load statistics with
-   no negative figure — never another exception. *)
+   the mem (sequential and on two slots) and paged opens each raise
+   [Corrupt] or load statistics with no negative figure — never another
+   exception. *)
 let hostile_stats_bytes =
   Helpers.qcheck ~count:200 "hostile stats-section i64: opens raise Corrupt or load non-negative stats"
     QCheck2.Gen.(triple (int_range 1 100_000) (int_range 0 1_000_000) (int_range 0 7))
@@ -710,8 +790,8 @@ let hostile_stats_bytes =
           Schema.save ~selectivity:(Gstats.selectivity g) (Schema.build g constrs) path;
           write_hostile path (read_all path) Binfile.tag_stats ~n ~at ~kind;
           List.for_all
-            (fun backend ->
-              match Bpq_store.Store.open_snapshot ~backend path with
+            (fun (backend, pool) ->
+              match Bpq_store.Store.open_snapshot ~backend ~pool path with
               | exception Binfile.Corrupt _ -> true
               | st ->
                 let nlabels = Label.count (Bpq_store.Store.table st) in
@@ -722,9 +802,10 @@ let hostile_stats_bytes =
                 in
                 Bpq_store.Store.close st;
                 ok)
-            [ Bpq_store.Store.Mem; Bpq_store.Store.Paged ]))
+            [ (Bpq_store.Store.Mem, Pool.sequential); (Bpq_store.Store.Mem, Lazy.force pool2);
+              (Bpq_store.Store.Paged, Pool.sequential) ]))
 
-(* ---------------- the two-domain reader ---------------- *)
+(* ---------------- the parallel open ---------------- *)
 
 let expect_checksum_mismatch what f =
   let verdict = "checksum mismatch" in
@@ -737,14 +818,19 @@ let expect_checksum_mismatch what f =
   | exception e -> Alcotest.failf "%s: expected Binfile.Corrupt, got %s" what (Printexc.to_string e)
   | _ -> Alcotest.failf "%s: expected Binfile.Corrupt, got a value" what
 
-(* A clean snapshot several times the reader's ring of chunks, so an
-   open that fails early leaves the helper domain waiting for room, and
-   four damaged copies: a flipped byte, a truncation, a directory entry
-   out of range (re-sealed), and a payload id the index decoder rejects
-   (re-sealed, so the checksum passes). *)
-let damaged_variants () =
+(* A graph whose schema section spans many 64 KiB reads, so the open
+   splits its index regions into several tasks. *)
+let big_instance () =
   let g = Generators.random ~seed:17 ~nodes:4000 ~edges:16000 ~labels:6 (Label.create_table ()) in
-  let schema = Schema.build g (Bpq_access.Discovery.discover ~max_bound:64 g) in
+  (g, Bpq_access.Discovery.discover ~max_bound:64 g)
+
+(* A clean snapshot of [big_instance] and four damaged copies: a flipped
+   byte, a truncation, a directory entry out of range (re-sealed), and a
+   payload id the index decoder rejects (re-sealed, so the checksum
+   passes). *)
+let damaged_variants () =
+  let g, constrs = big_instance () in
+  let schema = Schema.build g constrs in
   Helpers.with_temp_file (fun path ->
       Schema.save schema path;
       let clean = read_all path in
@@ -788,32 +874,35 @@ let with_domains_exhausted f =
       List.iter Domain.join held)
     (fun () -> f (List.length held))
 
-(* More failing opens than the runtime has domains (128), through the
-   mem open, [Binfile.verify] and [Shard.load_manifest]: each must have
-   stopped and joined its helper domain, so as many domains can be
-   spawned afterwards as before, and a good open still succeeds. *)
-let test_helper_domains_joined () =
+(* With no domain left to spawn, opens on a 2-slot pool through the mem
+   open, [Binfile.verify] and [Shard.load_manifest] give their verdicts
+   (a spawn would fail with [Failure]): the open runs on the pool's
+   domains and spawns none of its own.  After the failing opens the pool
+   still maps, and a good open on it succeeds. *)
+let test_opens_spawn_no_domain () =
   let clean, variants = damaged_variants () in
-  let variants = Array.of_list variants in
-  let before = with_domains_exhausted Fun.id in
+  let pool = Pool.create 2 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   Helpers.with_temp_dir (fun dir ->
       let path = Filename.concat dir "MANIFEST" in
-      for i = 0 to 329 do
-        let what, bytes, damaged = variants.(i mod Array.length variants) in
-        write_all path bytes;
-        match i / Array.length variants mod 3 with
-        | 0 -> expect_corrupt ("mem open, " ^ what) (fun () -> Bpq_store.Store.open_snapshot path)
-        | 1 ->
-          if damaged then expect_corrupt ("verify, " ^ what) (fun () -> Binfile.verify path)
-          else Binfile.verify path
-        | _ -> expect_corrupt ("manifest, " ^ what) (fun () -> Bpq_store.Shard.load_manifest path)
-      done;
-      Helpers.check_int "no helper domain left behind" before (with_domains_exhausted Fun.id);
-      write_all path clean;
-      Bpq_store.Store.close (Bpq_store.Store.open_snapshot path))
+      with_domains_exhausted (fun _ ->
+          List.iter
+            (fun (what, bytes, damaged) ->
+              write_all path bytes;
+              expect_corrupt ("mem open, " ^ what) (fun () ->
+                  Bpq_store.Store.open_snapshot ~pool path);
+              if damaged then expect_corrupt ("verify, " ^ what) (fun () -> Binfile.verify path)
+              else Binfile.verify path;
+              expect_corrupt ("manifest, " ^ what) (fun () -> Bpq_store.Shard.load_manifest path))
+            variants;
+          Helpers.check_true "the pool still maps"
+            (Pool.map_array pool succ [| 1; 2; 3 |] = [| 2; 3; 4 |]);
+          write_all path clean;
+          Bpq_store.Store.close (Bpq_store.Store.open_snapshot ~pool path)))
 
 (* A decoder that trips over damage reports the checksum's verdict, not
-   its own: a flipped byte in an index's payload, left unsealed. *)
+   its own: a flipped byte in an index's payload, left unsealed; on the
+   sequential pool and on two slots. *)
 let test_checksum_verdict_wins () =
   let clean, variants = damaged_variants () in
   let _, decoder, _ = List.nth variants 3 in
@@ -821,35 +910,82 @@ let test_checksum_verdict_wins () =
   let unsealed = Bytes.cat (Bytes.sub decoder 0 (len - 8)) (Bytes.sub clean (len - 8) 8) in
   Helpers.with_temp_file (fun path ->
       write_all path unsealed;
-      expect_checksum_mismatch "schema load" (fun () -> Schema.load (Label.create_table ()) path);
-      expect_checksum_mismatch "mem open" (fun () -> Bpq_store.Store.open_snapshot path);
+      List.iter
+        (fun (slots, pool) ->
+          let what s = Printf.sprintf "%s, %d slots" s slots in
+          expect_checksum_mismatch (what "schema load") (fun () ->
+              Schema.load ~pool (Label.create_table ()) path);
+          expect_checksum_mismatch (what "mem open") (fun () ->
+              Bpq_store.Store.open_snapshot ~pool path))
+        [ (1, Pool.sequential); (2, Lazy.force pool2) ];
       expect_checksum_mismatch "verify" (fun () -> Binfile.verify path))
 
-(* With every domain the runtime allows already running, an open reads
-   and hashes on its own domain, one chunk at a time: it loads exactly
-   what a two-domain open loads, with the same FNV, and gives the same
-   verdicts. *)
+(* What an open yields that a pool could change: the graph arrays, every
+   index's buckets, the stamp, the checksum and the answers. *)
+let open_image ?pool plans path =
+  let (schema, _), sum = Schema.load_sum ?pool (Label.create_table ()) path in
+  let src = Exec.source_of_schema schema in
+  ( Digraph.Repr.of_graph (Schema.graph schema),
+    List.map (fun c -> Index.export_buckets (Schema.index_of schema c)) (Schema.constraints schema),
+    Schema.stamp schema,
+    sum,
+    List.map (fun p -> Helpers.canon (Exec.run_with src p)) plans )
+
+(* Opens on pools of 1, 2 and 4 slots give identical results, on an
+   IMDb-like snapshot whose index regions make several tasks. *)
+let test_open_pool_identity () =
+  let module W = Bpq_workload.Workload in
+  let ds = W.imdb ~scale:0.03 () in
+  let r = Bpq_util.Prng.create 5 in
+  let walks =
+    List.filter_map
+      (fun _ -> Qplan.generate Actualized.Subgraph (Bpq_pattern.Qgen.from_walk r ds.W.graph) ds.W.constrs)
+      (List.init 20 Fun.id)
+  in
+  let plans = Qplan.generate_exn Actualized.Subgraph (W.q0 ds.W.table) ds.W.constrs :: walks in
+  Helpers.check_true "bounded walk queries" (walks <> []);
+  Helpers.with_temp_file (fun path ->
+      Schema.save ds.W.schema path;
+      Helpers.check_true "spans many chunks" ((Unix.stat path).Unix.st_size > 8 * 65536);
+      let one = open_image plans path in
+      List.iter
+        (fun slots ->
+          let pool = Pool.create slots in
+          Fun.protect
+            ~finally:(fun () -> Pool.shutdown pool)
+            (fun () ->
+              Helpers.check_true
+                (Printf.sprintf "%d slots open as one" slots)
+                (open_image ~pool plans path = one)))
+        [ 2; 4 ])
+
+(* With every domain the runtime allows already running, a sequential
+   open loads exactly what a 2-slot open loads, with the same checksum,
+   and gives the same verdicts. *)
 let test_inline_reader () =
   let clean, variants = damaged_variants () in
   Helpers.with_temp_file (fun path ->
       write_all path clean;
-      let load () =
-        let (schema, _), fnv = Schema.load_fnv (Label.create_table ()) path in
-        ( Digraph.Repr.of_graph (Schema.graph schema),
-          List.map
-            (fun c -> Index.export_buckets (Schema.index_of schema c))
-            (Schema.constraints schema),
-          fnv )
-      in
-      let two_domains = load () in
+      let two_slots = open_image ~pool:(Lazy.force pool2) [] path in
       with_domains_exhausted (fun _ ->
-          Helpers.check_true "inline load equals the two-domain load" (load () = two_domains);
+          Helpers.check_true "inline load equals the 2-slot load" (open_image [] path = two_slots);
           Binfile.verify path;
           List.iter
             (fun (what, bytes, _) ->
               write_all path bytes;
               expect_corrupt what (fun () -> Schema.load (Label.create_table ()) path))
             variants))
+
+(* A read past the end of the file (what a file that shrank mid-open
+   gives) is a typed [Corrupt], not [End_of_file]: the one read loop
+   behind the open, [file_sum] and [verify]. *)
+let test_short_read () =
+  let _, g = random_graph 9 in
+  Helpers.with_temp_file (fun path ->
+      Graph_io.save_bin g path;
+      let len = (Unix.stat path).Unix.st_size in
+      expect_corrupt "read past the end" (fun () ->
+          Binfile.run path (fun f -> Binfile.read f ~pos:(len - 4) ~len:8)))
 
 let suite =
   [ bin_roundtrip_exact;
@@ -863,6 +999,7 @@ let suite =
     Alcotest.test_case "rejects truncation" `Quick test_rejects_truncation;
     Alcotest.test_case "rejects bad magic" `Quick test_rejects_bad_magic;
     Alcotest.test_case "rejects bad version" `Quick test_rejects_bad_version;
+    Alcotest.test_case "refuses version 1, naming the rebuild" `Quick test_rejects_version_1;
     flipped_byte_rejected;
     Alcotest.test_case "verify detects damage" `Quick test_verify;
     Alcotest.test_case "schema section required" `Quick test_schema_section_required;
@@ -871,7 +1008,10 @@ let suite =
     Alcotest.test_case "snapshot sniffing" `Quick test_is_snapshot_sniff;
     hostile_lengths;
     Alcotest.test_case "varints past max_int raise Corrupt" `Quick test_varint_sign_bit;
-    Alcotest.test_case "write and read report the file's FNV" `Quick test_fnv_of_write_and_read;
+    Alcotest.test_case "write and read report the file's checksum" `Quick
+      test_sum_of_write_and_read;
+    sum_split_invariant;
+    Alcotest.test_case "checksum values and two-word flips" `Quick test_sum_values;
     hostile_index_bytes;
     Alcotest.test_case "hostile index shapes raise Corrupt" `Quick test_hostile_index_shapes;
     mapped_write_roundtrip;
@@ -882,7 +1022,9 @@ let suite =
       test_noncanonical_regions;
     hostile_paged_lookups;
     hostile_stats_bytes;
-    Alcotest.test_case "every open joins its helper domain" `Quick test_helper_domains_joined;
+    Alcotest.test_case "opens spawn no domain of their own" `Quick test_opens_spawn_no_domain;
     Alcotest.test_case "the checksum's verdict wins over a decoder's" `Quick
       test_checksum_verdict_wins;
-    Alcotest.test_case "opens read inline at the domain limit" `Quick test_inline_reader ]
+    Alcotest.test_case "opens read inline at the domain limit" `Quick test_inline_reader;
+    Alcotest.test_case "opens on 1, 2 and 4 slots are identical" `Quick test_open_pool_identity;
+    Alcotest.test_case "a short read raises Corrupt" `Quick test_short_read ]
