@@ -244,9 +244,10 @@ let read_meta ~i64 ~map ~len =
   in
   (stamp, regions)
 
-(* Consecutive regions in groups of at least [target] bytes (the last
-   may be smaller), each with its byte length: a handful of tasks per
-   pool slot, each reading one contiguous range. *)
+(* Consecutive regions in groups of at least [target] bytes, with their
+   byte lengths.  Each task allocates its own reader buffer: one per
+   region left 3-4 MB more resident, and fewer than about four per
+   slot left largest-first too little to balance. *)
 let group_regions ~target regions =
   List.fold_left
     (fun groups r ->
@@ -280,7 +281,7 @@ let load_sum ?(pool = Bpq_util.Pool.sequential) tbl path =
             group)
     in
     let index_bytes = List.fold_left (fun acc r -> acc + region_bytes r) 0 regions in
-    let target = max 65536 (index_bytes / (4 * Bpq_util.Pool.size pool)) in
+    let target = index_bytes / (4 * Bpq_util.Pool.size pool) in
     let indexes = List.map load_group (group_regions ~target regions) in
     fun () ->
       let indexes = List.concat_map (fun t -> t ()) indexes in
@@ -289,4 +290,4 @@ let load_sum ?(pool = Bpq_util.Pool.sequential) tbl path =
   in
   (finish (), sum)
 
-let load ?pool tbl path = fst (load_sum ?pool tbl path)
+let load tbl path = fst (load_sum tbl path)

@@ -103,7 +103,7 @@ val write : ?selectivity:Gstats.selectivity -> t -> string -> int
 (** {!save}, returning the written file's {!Binfile.file_sum} (hashed
     while writing, not by re-reading the file). *)
 
-val load : ?pool:Bpq_util.Pool.t -> Label.table -> string -> t * Gstats.selectivity option
+val load : Label.table -> string -> t * Gstats.selectivity option
 (** Inverse of {!save}.  Label names intern into [tbl]; node ids and
     bucket order are preserved exactly, so lookups against the loaded
     schema stream identically to the original.  The {!stamp} is
@@ -114,17 +114,18 @@ val load : ?pool:Bpq_util.Pool.t -> Label.table -> string -> t * Gstats.selectiv
     buckets, every key and payload node id must lie in [\[0, n)], and
     each constraint's region must sit where {!save} puts it.
 
-    The open ({!Binfile.run}) runs tasks on [pool] (default sequential),
-    whose size does not change the result: the checksum, the graph
-    arrays, and groups of index regions, each checked by {!Index.load}
-    and then served from windows of a read-only mapping of the file.
-    The schema keeps the mapping alive; the file must only ever be
-    replaced by rename, never truncated in place.
+    Indexes are checked by {!Index.load} and then served from windows
+    of a read-only mapping of the file.  The schema keeps the mapping
+    alive; the file must only ever be replaced by rename, never
+    truncated in place.
     @raise Binfile.Corrupt on malformed or damaged snapshots. *)
 
 val load_sum :
   ?pool:Bpq_util.Pool.t -> Label.table -> string -> (t * Gstats.selectivity option) * int
-(** {!load}, also returning the file's {!Binfile.file_sum}. *)
+(** {!load}, also returning the file's {!Binfile.file_sum}, with the
+    open's tasks ({!Binfile.run}: the checksum, the graph, groups of
+    index regions) on [pool] (default sequential), which the result
+    does not depend on. *)
 
 (** {2 The schema section}
 

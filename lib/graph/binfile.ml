@@ -364,7 +364,7 @@ let require_sect sects tag =
 let pread ic ~pos ~len =
   let b = Bytes.create len in
   seek_in ic pos;
-  really_input ic b 0 len;
+  (try really_input ic b 0 len with End_of_file -> corrupt "snapshot shrank while being read");
   b
 
 let sect_reader ~pread s =
@@ -511,18 +511,6 @@ module Cur = struct
     arr
 end
 
-(* ---------------- sniffing ---------------- *)
-
-let is_snapshot path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let n = String.length magic in
-        in_channel_length ic >= n && Bytes.to_string (pread ic ~pos:0 ~len:n) = magic)
-
 (* ---------------- positional reading ---------------- *)
 
 module Pool = Bpq_util.Pool
@@ -541,10 +529,11 @@ type file = {
   mutable mapping : mapped option;
 }
 
-let open_file path =
+let with_file path k =
   let ic = open_in_bin path in
-  let file_len = try in_channel_length ic with e -> close_in_noerr ic; raise e in
-  { ic; path; file_len; lock = Mutex.create (); sects = []; tasks = []; mapping = None }
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+  k { ic; path; file_len = in_channel_length ic; lock = Mutex.create (); sects = []; tasks = [];
+      mapping = None }
 
 let rec unix f path =
   match f () with
@@ -566,6 +555,11 @@ let read_into f b ~at ~pos ~len =
 
 let read f ~pos ~len = let b = Bytes.create len in read_into f b ~at:0 ~pos ~len; b
 
+let is_snapshot path =
+  let n = String.length magic in
+  try with_file path (fun f -> f.file_len >= n && Bytes.to_string (read f ~pos:0 ~len:n) = magic)
+  with Sys_error _ -> false
+
 (* Bytes [0, len) of the file into [st], through a private buffer. *)
 let hash_prefix f st len =
   let buf = Bytes.create chunk_size in
@@ -578,8 +572,9 @@ let hash_prefix f st len =
   done
 
 let file_sum path =
-  let f = open_file path and st = sum () in
-  Fun.protect ~finally:(fun () -> close_in_noerr f.ic) (fun () -> hash_prefix f st f.file_len);
+  with_file path @@ fun f ->
+  let st = sum () in
+  hash_prefix f st f.file_len;
   digest st
 
 (* The body's sum against the trailer (compared as stored, all 64
@@ -623,13 +618,16 @@ let mapping f =
     f.mapping <- Some m;
     m
 
+let with_directory path k =
+  with_file path @@ fun f ->
+  f.sects <- read_directory ~pread:(read f) ~file_len:f.file_len;
+  k f
+
 (* The plan's tasks and the checksum, largest first, on the pool.  Each
    task keeps its own outcome, so the checksum's verdict is raised ahead
    of any task's, and a task's exception does not stop the others. *)
 let run ?(pool = Pool.sequential) path plan =
-  let f = open_file path in
-  Fun.protect ~finally:(fun () -> close_in_noerr f.ic) @@ fun () ->
-  f.sects <- read_directory ~pread:(read f) ~file_len:f.file_len;
+  with_directory path @@ fun f ->
   match plan f with
   | exception (Corrupt _ as e) ->
     let bt = Printexc.get_raw_backtrace () in

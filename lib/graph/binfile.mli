@@ -203,6 +203,8 @@ val require_sect : sect list -> int -> sect
 (** @raise Corrupt naming a missing section's tag. *)
 
 val pread : in_channel -> pos:int -> len:int -> Bytes.t
+(** For the paged store, whose readahead the channel's buffer serves;
+    others use {!read}.  @raise Corrupt if the file ends early. *)
 
 val sect_reader : pread:(pos:int -> len:int -> Bytes.t) -> sect -> unit -> int
 (** Successive i64s of the section, one positional read each: the
@@ -233,6 +235,10 @@ val run : ?pool:Bpq_util.Pool.t -> string -> (file -> 'a) -> 'a * int
     No domain is spawned; the descriptor is closed on every exit.
     @raise Corrupt on any malformed or damaged input.
     @raise Sys_error if the file cannot be read. *)
+
+val with_directory : string -> (file -> 'a) -> 'a
+(** [with_directory path k]: {!run} without the checksum pass or any
+    {!task}, for reading a header.  Raises as {!run}. *)
 
 val sects : file -> sect list
 

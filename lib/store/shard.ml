@@ -208,15 +208,10 @@ let verify_files m =
     m.files
 
 let find_shard_meta path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let pread = Binfile.pread ic in
-      let sects = Binfile.read_directory ~pread ~file_len:(in_channel_length ic) in
-      Binfile.find_sect sects tag_shard_meta
+  Binfile.with_directory path (fun f ->
+      Binfile.find_sect (Binfile.sects f) tag_shard_meta
       |> Option.map (fun (s : Binfile.sect) ->
-             let c = Binfile.Cur.of_bytes (pread ~pos:s.off ~len:s.len) in
+             let c = Binfile.Cur.of_bytes (Binfile.read f ~pos:s.off ~len:s.len) in
              let fv = Binfile.Cur.i64 c in
              if fv <> format_version then corrupt "%s: unsupported shard format version %d" path fv;
              let pv = Binfile.Cur.i64 c in

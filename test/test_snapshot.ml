@@ -287,15 +287,22 @@ let sum_split_invariant =
       Binfile.feed st s last (n - last);
       Binfile.digest st = Binfile.sum_string s)
 
-(* The published xxHash64 values (seed 0), truncated to 62 bits, and a
-   bit flipped in two words, which a single-lane word FNV cancels for
-   bit 62: every pair of words, at a few bits, must change the sum. *)
+(* xxHash64 values (seed 0), truncated to 62 bits, and a bit flipped in
+   two words, which a single-lane word FNV cancels for bit 62: every pair
+   of words, at a few bits, must change the sum.  "" and "abc" are the
+   published values; they take the short-input path, so the 100- and
+   111-byte inputs pin the four-lane stripes, the lane merge and every
+   tail step (8-, 4- and 1-byte) to values from an independent
+   implementation of the xxHash64 specification. *)
 let test_sum_values () =
   let xxh64 v = Int64.to_int v land max_int in
+  let bytes n = String.init n (fun i -> Char.chr ((i * 37) land 0xff)) in
   Helpers.check_int "empty" (xxh64 0xEF46DB3751D8E999L) (Binfile.sum_string "");
   Helpers.check_int "abc" (xxh64 0x44BC2CF5AD770999L) (Binfile.sum_string "abc");
+  Helpers.check_int "100 bytes" (xxh64 0x3F99FD1263B54F01L) (Binfile.sum_string (bytes 100));
+  Helpers.check_int "111 bytes" (xxh64 0x2B2853FAA05DF03EL) (Binfile.sum_string (bytes 111));
   let words = 12 in
-  let base = String.init (8 * words) (fun i -> Char.chr ((i * 37) land 0xff)) in
+  let base = bytes (8 * words) in
   let clean = Binfile.sum_string base in
   List.iter
     (fun bit ->
@@ -342,7 +349,7 @@ let dir_entry data tag =
 (* Either the load refuses with [Corrupt], or every key and bucket node
    it hands out is a real node and every key finds its own bucket. *)
 let loads_in_range ?pool path =
-  match Schema.load ?pool (Label.create_table ()) path with
+  match fst (Schema.load_sum ?pool (Label.create_table ()) path) with
   | exception Binfile.Corrupt _ -> true
   | schema, _ ->
     let g = Schema.graph schema in
@@ -914,7 +921,7 @@ let test_checksum_verdict_wins () =
         (fun (slots, pool) ->
           let what s = Printf.sprintf "%s, %d slots" s slots in
           expect_checksum_mismatch (what "schema load") (fun () ->
-              Schema.load ~pool (Label.create_table ()) path);
+              Schema.load_sum ~pool (Label.create_table ()) path);
           expect_checksum_mismatch (what "mem open") (fun () ->
               Bpq_store.Store.open_snapshot ~pool path))
         [ (1, Pool.sequential); (2, Lazy.force pool2) ];
@@ -978,14 +985,19 @@ let test_inline_reader () =
 
 (* A read past the end of the file (what a file that shrank mid-open
    gives) is a typed [Corrupt], not [End_of_file]: the one read loop
-   behind the open, [file_sum] and [verify]. *)
+   behind the open, [file_sum], [verify] and header reads, and the
+   paged store's channel reader. *)
 let test_short_read () =
   let _, g = random_graph 9 in
   Helpers.with_temp_file (fun path ->
       Graph_io.save_bin g path;
       let len = (Unix.stat path).Unix.st_size in
       expect_corrupt "read past the end" (fun () ->
-          Binfile.run path (fun f -> Binfile.read f ~pos:(len - 4) ~len:8)))
+          Binfile.run path (fun f -> Binfile.read f ~pos:(len - 4) ~len:8));
+      expect_corrupt "header read past the end" (fun () ->
+          Binfile.with_directory path (fun f -> Binfile.read f ~pos:(len - 4) ~len:8));
+      expect_corrupt "channel read past the end" (fun () ->
+          In_channel.with_open_bin path (fun ic -> Binfile.pread ic ~pos:(len - 4) ~len:8)))
 
 let suite =
   [ bin_roundtrip_exact;
