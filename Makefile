@@ -1,9 +1,9 @@
 # Development entry points.  `make ci` runs the CI workflow's gated
-# make/dune steps: the tree check, build, tests and the six jq-gated
-# bench-* experiments (the workflow's example and daemon smoke scripts
-# live only in .github/workflows/ci.yml).
+# make/dune steps: the tree check, build, tests, the six jq-gated
+# bench-* experiments and the CLI workflows script (the workflow's
+# example and daemon smoke steps live only in .github/workflows/ci.yml).
 
-.PHONY: all build test bench-fast bench-micro bench-cache bench-intra bench-store bench-write bench-distributed clean check-tree ci
+.PHONY: all build test bench-fast bench-micro bench-cache bench-intra bench-store bench-write bench-distributed clean check-tree ci workflows
 
 all: build
 
@@ -97,4 +97,9 @@ check-tree:
 	fi
 	@echo "tree clean: no build artifacts tracked"
 
-ci: check-tree build test bench-micro bench-cache bench-intra bench-store bench-write bench-distributed
+# The snapshot, sharded and write CLI workflows of CI, in a fresh
+# temporary directory.
+workflows:
+	scripts/ci_workflows.sh
+
+ci: check-tree build test bench-micro bench-cache bench-intra bench-store bench-write bench-distributed workflows

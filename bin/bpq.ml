@@ -578,7 +578,7 @@ let worker_cmd =
       let addr =
         match Sock.parse spec with Ok a -> a | Error msg -> failwith ("--listen " ^ msg)
       in
-      let meta = Shard.read_shard_meta shard_file in
+      let meta = Binfile.with_file shard_file Shard.read_shard_meta in
       let lfd = Sock.listen addr in
       Fun.protect ~finally:(fun () -> Sock.close_listener addr lfd) @@ fun () ->
       Printf.eprintf "bpq: worker for shard %d/%d serving %s on %s\n%!" meta.Shard.shard

@@ -206,7 +206,9 @@ let read_constr ~i64 ~map =
    the section in division and subtraction form, so hostile sizes cannot
    wrap a product or a sum into a passing check.  A constraint's
    metadata is at least 8 i64s, which bounds the count. *)
-let read_meta ~i64 ~map ~len =
+let read_meta f (ss : Binfile.sect) ~map =
+  let r = Binfile.Reader.create f ss in
+  let i64 () = Binfile.Reader.i64 r and len = ss.len in
   let stamp = i64 () in
   (* [register_stamp] pushes the supply to [stamp + 1]. *)
   if stamp < 0 || stamp = max_int then corrupt "stamp out of range";
@@ -262,13 +264,12 @@ let group_regions ~target regions =
    and the index regions, in groups, are decoded by tasks on [pool].
    The indexes serve from the file's mapping, which nothing reads until
    the whole file has been checked. *)
-let load_sum ?(pool = Bpq_util.Pool.sequential) tbl path =
+let load_sum ?(pool = Bpq_util.Pool.sequential) tbl f =
   let finish, sum =
-    Binfile.run ~pool path @@ fun f ->
+    Binfile.run ~pool f @@ fun f ->
     let l, graph, sel = Graph_io.open_bin tbl f in
     let ss = Binfile.require_sect (Binfile.sects f) Binfile.tag_schema in
-    let meta = Binfile.Reader.create f ss in
-    let stamp, regions = read_meta ~i64:(fun () -> Binfile.Reader.i64 meta) ~map:l.map ~len:ss.len in
+    let stamp, regions = read_meta f ss ~map:l.map in
     let file = Binfile.mapping f in
     let load_group (len, group) =
       let off = ss.off + (List.hd group).keys_at in
@@ -290,4 +291,4 @@ let load_sum ?(pool = Bpq_util.Pool.sequential) tbl path =
   in
   (finish (), sum)
 
-let load tbl path = fst (load_sum tbl path)
+let load tbl path = fst (Binfile.with_file path (load_sum tbl))

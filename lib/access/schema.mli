@@ -121,11 +121,11 @@ val load : Label.table -> string -> t * Gstats.selectivity option
     @raise Binfile.Corrupt on malformed or damaged snapshots. *)
 
 val load_sum :
-  ?pool:Bpq_util.Pool.t -> Label.table -> string -> (t * Gstats.selectivity option) * int
-(** {!load}, also returning the file's {!Binfile.file_sum}, with the
-    open's tasks ({!Binfile.run}: the checksum, the graph, groups of
-    index regions) on [pool] (default sequential), which the result
-    does not depend on. *)
+  ?pool:Bpq_util.Pool.t -> Label.table -> Binfile.file -> (t * Gstats.selectivity option) * int
+(** {!load} from an open file, also returning its {!Binfile.file_sum},
+    with the open's tasks ({!Binfile.run}: the checksum, the graph,
+    groups of index regions) on [pool] (default sequential), which the
+    result does not depend on.  The file stays open. *)
 
 (** {2 The schema section}
 
@@ -160,11 +160,9 @@ type region = {
   keys_at : int;  (** Byte offset of the key records (then the payload) in the section. *)
 }
 
-val read_meta :
-  i64:(unit -> int) -> map:int array -> len:int -> int * region list
-(** The section's metadata — stamp, then each constraint's — read one
-    i64 per [i64] call from the start of a section of [len] bytes.
-    Returns the stamp and the regions in constraint order.  Checks, each
+val read_meta : Binfile.file -> Binfile.sect -> map:int array -> int * region list
+(** The schema section's metadata — stamp, then each constraint's —
+    read from the section's start through a {!Binfile.Reader}.  Returns the stamp and the regions in constraint order.  Checks, each
     once: the stamp's range, {!read_constr}'s, the key width against the
     arity, non-negative sizes, and every region at its canonical offset
     (right after the metadata or the previous region) and inside the

@@ -361,20 +361,6 @@ let require_sect sects tag =
   | Some s -> s
   | None -> corrupt "snapshot has no section with tag %d" tag
 
-let pread ic ~pos ~len =
-  let b = Bytes.create len in
-  seek_in ic pos;
-  (try really_input ic b 0 len with End_of_file -> corrupt "snapshot shrank while being read");
-  b
-
-let sect_reader ~pread s =
-  let pos = ref s.off in
-  fun () ->
-    if !pos > s.off + s.len - 8 then corrupt "section (tag %d) ends early" s.tag;
-    let v = get_i64 (pread ~pos:!pos ~len:8) 0 in
-    pos := !pos + 8;
-    v
-
 (* ---------------- varint wire helpers ----------------
 
    Snapshot sections stay 8-aligned i64 arrays; the LEB128 varints below
@@ -517,23 +503,19 @@ module Pool = Bpq_util.Pool
 
 (* An open file.  Every read is a seek and reads on its one descriptor,
    under [lock], into the reader's own buffer: readers on other domains
-   share the descriptor, nothing else, and a rename of the path during
-   the open cannot swap the file under them. *)
+   share the descriptor, nothing else, and a rename of the path while it
+   is open cannot swap the file under them.  [closed] is read and set
+   under [lock], so no read reaches a descriptor number after [close]
+   has released it. *)
 type file = {
-  ic : in_channel;  (* only its descriptor is read, never the channel *)
+  fd : Unix.file_descr;
   path : string;
   file_len : int;
   lock : Mutex.t;
-  mutable sects : sect list;
+  mutable closed : bool;
+  sects : sect list;
   mutable tasks : (int * (unit -> unit)) list;  (* weight and job, newest first *)
-  mutable mapping : mapped option;
 }
-
-let with_file path k =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  k { ic; path; file_len = in_channel_length ic; lock = Mutex.create (); sects = []; tasks = [];
-      mapping = None }
 
 let rec unix f path =
   match f () with
@@ -541,23 +523,60 @@ let rec unix f path =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> unix f path
   | exception Unix.Unix_error (e, _, _) -> raise (Sys_error (path ^ ": " ^ Unix.error_message e))
 
+(* The descriptor alone, before its directory is read. *)
+let open_raw path =
+  let fd = unix (fun () -> Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0) path in
+  match (Unix.fstat fd).Unix.st_size with
+  | file_len ->
+    { fd; path; file_len; lock = Mutex.create (); closed = false; sects = []; tasks = [] }
+  | exception e ->
+    Unix.close fd;
+    raise e
+
+let close_file f =
+  Mutex.protect f.lock (fun () ->
+      if not f.closed then begin
+        f.closed <- true;
+        Unix.close f.fd
+      end)
+
 (* Bytes [pos, pos + len) of the file into [b] from [at]. *)
 let read_into f b ~at ~pos ~len =
-  let fd = Unix.descr_of_in_channel f.ic in
   Mutex.protect f.lock (fun () ->
-      ignore (unix (fun () -> Unix.lseek fd pos Unix.SEEK_SET) f.path : int);
+      if f.closed then raise (Sys_error (f.path ^ ": file is closed"));
+      ignore (unix (fun () -> Unix.lseek f.fd pos Unix.SEEK_SET) f.path : int);
       let got = ref 0 in
       while !got < len do
-        let n = unix (fun () -> Unix.read fd b (at + !got) (len - !got)) f.path in
+        let n = unix (fun () -> Unix.read f.fd b (at + !got) (len - !got)) f.path in
         if n = 0 then corrupt "snapshot shrank while being read";
         got := !got + n
       done)
 
 let read f ~pos ~len = let b = Bytes.create len in read_into f b ~at:0 ~pos ~len; b
 
+let with_raw path k =
+  let f = open_raw path in
+  Fun.protect ~finally:(fun () -> close_file f) (fun () -> k f)
+
+let open_file path =
+  let f = open_raw path in
+  match read_directory ~pread:(read f) ~file_len:f.file_len with
+  | sects -> { f with sects }
+  | exception e ->
+    close_file f;
+    raise e
+
+let with_file path k =
+  let f = open_file path in
+  Fun.protect ~finally:(fun () -> close_file f) (fun () -> k f)
+
+let path f = f.path
+let length f = f.file_len
+let sects f = f.sects
+
 let is_snapshot path =
   let n = String.length magic in
-  try with_file path (fun f -> f.file_len >= n && Bytes.to_string (read f ~pos:0 ~len:n) = magic)
+  try with_raw path (fun f -> f.file_len >= n && Bytes.to_string (read f ~pos:0 ~len:n) = magic)
   with Sys_error _ -> false
 
 (* Bytes [0, len) of the file into [st], through a private buffer. *)
@@ -572,7 +591,7 @@ let hash_prefix f st len =
   done
 
 let file_sum path =
-  with_file path @@ fun f ->
+  with_raw path @@ fun f ->
   let st = sum () in
   hash_prefix f st f.file_len;
   digest st
@@ -590,8 +609,6 @@ let check_sum f =
   feed_bytes st trailer 0 8;
   digest st
 
-let sects f = f.sects
-
 let task f ~weight job =
   let result = ref None in
   f.tasks <- (weight, fun () -> result := Some (job ())) :: f.tasks;
@@ -601,33 +618,22 @@ let task f ~weight job =
     | None -> invalid_arg "Binfile.task: result read before the open finished"
 
 let mapping f =
-  match f.mapping with
-  | Some m -> m
-  | None ->
-    if f.file_len land 7 <> 0 then corrupt "snapshot length %d is not 8-aligned" f.file_len;
-    let fd = Unix.descr_of_in_channel f.ic in
-    let st = Unix.fstat fd in
-    let data =
-      Bigarray.array1_of_genarray
-        (Unix.map_file fd Bigarray.int64 Bigarray.c_layout false [| f.file_len / 8 |])
-    in
-    let m =
-      { m_path = f.path; m_dev = st.Unix.st_dev; m_ino = st.Unix.st_ino; m_len = f.file_len;
-        m_data = data }
-    in
-    f.mapping <- Some m;
-    m
-
-let with_directory path k =
-  with_file path @@ fun f ->
-  f.sects <- read_directory ~pread:(read f) ~file_len:f.file_len;
-  k f
+  if f.file_len land 7 <> 0 then corrupt "snapshot length %d is not 8-aligned" f.file_len;
+  Mutex.protect f.lock @@ fun () ->
+  if f.closed then raise (Sys_error (f.path ^ ": file is closed"));
+  let st = Unix.fstat f.fd in
+  let data =
+    Bigarray.array1_of_genarray
+      (Unix.map_file f.fd Bigarray.int64 Bigarray.c_layout false [| f.file_len / 8 |])
+  in
+  { m_path = f.path; m_dev = st.Unix.st_dev; m_ino = st.Unix.st_ino; m_len = f.file_len;
+    m_data = data }
 
 (* The plan's tasks and the checksum, largest first, on the pool.  Each
    task keeps its own outcome, so the checksum's verdict is raised ahead
    of any task's, and a task's exception does not stop the others. *)
-let run ?(pool = Pool.sequential) path plan =
-  with_directory path @@ fun f ->
+let run ?(pool = Pool.sequential) f plan =
+  f.tasks <- [];
   match plan f with
   | exception (Corrupt _ as e) ->
     let bt = Printexc.get_raw_backtrace () in
@@ -637,6 +643,7 @@ let run ?(pool = Pool.sequential) path plan =
   | v ->
     let whole = ref 0 in
     let tasks = Array.of_list ((f.file_len, fun () -> whole := check_sum f) :: List.rev f.tasks) in
+    f.tasks <- [];
     let outcomes = Array.make (Array.length tasks) None in
     let order = Array.init (Array.length tasks) Fun.id in
     Array.stable_sort (fun i j -> compare (fst tasks.(j)) (fst tasks.(i))) order;
@@ -646,7 +653,7 @@ let run ?(pool = Pool.sequential) path plan =
     Array.iter (Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt)) outcomes;
     (v, !whole)
 
-let verify path = ignore (run path ignore : unit * int)
+let verify path = with_file path (fun f -> ignore (run f ignore : unit * int))
 
 (* ---------------- sequential reading ---------------- *)
 

@@ -14,7 +14,7 @@
     Offsets are absolute file positions, so an out-of-core reader can
     serve any section slice without touching the rest of the file.  The
     mem open ({!run}) always verifies the trailing checksum;
-    {!read_directory} only validates the header and directory, which is
+    {!open_file} only validates the header and directory, which is
     what lets a paged store open a multi-gigabyte snapshot without
     scanning it.  Format version 2 (this one) is the xxHash64 checksum;
     a version 1 file (FNV-1a) is refused with [Corrupt], naming the
@@ -192,7 +192,7 @@ type sect = {
 
 val read_directory : pread:(pos:int -> len:int -> Bytes.t) -> file_len:int -> sect list
 (** Parse and validate the header and directory through an arbitrary
-    positional reader (a page cache, in practice).  Checks magic,
+    positional reader ({!open_file}'s, or bytes in memory).  Checks magic,
     version, and that every section is 8-aligned and lies inside the
     checksummed region; does {e not} verify the checksum.
     @raise Corrupt on any malformed header. *)
@@ -202,56 +202,59 @@ val find_sect : sect list -> int -> sect option
 val require_sect : sect list -> int -> sect
 (** @raise Corrupt naming a missing section's tag. *)
 
-val pread : in_channel -> pos:int -> len:int -> Bytes.t
-(** For the paged store, whose readahead the channel's buffer serves;
-    others use {!read}.  @raise Corrupt if the file ends early. *)
-
-val sect_reader : pread:(pos:int -> len:int -> Bytes.t) -> sect -> unit -> int
-(** Successive i64s of the section, one positional read each: the
-    [~i64] a header decoder takes when a file is read in place.
-    @raise Corrupt on a read past the section's end. *)
-
 val is_snapshot : string -> bool
 (** Cheap sniff: does the file start with {!magic}?  [false] for
     unreadable or short files. *)
 
 (** {1 Reading}
 
-    Every read below is a seek and a read on the file's one descriptor
-    under one lock, into the reader's own buffer: tasks on different
-    domains share no mutable state, and nothing is read through a
-    mapping. *)
+    A {!file} is one descriptor, opened once, under one lock: every read
+    below is a seek and a read on it, into the reader's own buffer, so
+    tasks on different domains share no mutable state, nothing is read
+    through a mapping, and a rename of the path while the file is open
+    cannot change what it reads. *)
 
 type file
 
-val run : ?pool:Bpq_util.Pool.t -> string -> (file -> 'a) -> 'a * int
-(** [run ?pool path plan] validates the header and directory, applies
-    [plan] (which reads small parts and registers {!task}s), then runs
-    the tasks and a pass that checks the checksum on [pool] (default
-    sequential), largest first.  Returns the plan's result and the
-    {!file_sum}; the tasks' getters work from then on.  The checksum
-    mismatch is raised in place of any [Corrupt] from the plan or a
-    task; otherwise the first task's exception in registration order.
-    No domain is spawned; the descriptor is closed on every exit.
-    @raise Corrupt on any malformed or damaged input.
-    @raise Sys_error if the file cannot be read. *)
+val open_file : string -> file
+(** Open [path] and validate its header and directory ({!read_directory};
+    the checksum is not verified).
+    @raise Corrupt on a malformed header.
+    @raise Sys_error if the file cannot be opened. *)
 
-val with_directory : string -> (file -> 'a) -> 'a
-(** [with_directory path k]: {!run} without the checksum pass or any
-    {!task}, for reading a header.  Raises as {!run}. *)
+val close_file : file -> unit
+(** Idempotent.  Later reads raise [Sys_error] naming the path. *)
+
+val with_file : string -> (file -> 'a) -> 'a
+(** {!open_file}, then [k], then {!close_file} on every exit. *)
+
+val path : file -> string
+val length : file -> int  (** In bytes, as at the open. *)
 
 val sects : file -> sect list
 
 val read : file -> pos:int -> len:int -> Bytes.t
 (** @raise Corrupt if the file ends before [pos + len]. *)
 
+val run : ?pool:Bpq_util.Pool.t -> file -> (file -> 'a) -> 'a * int
+(** [run ?pool f plan] applies [plan] (which reads small parts and
+    registers {!task}s), then runs the tasks and a pass that checks the
+    checksum on [pool] (default sequential), largest first.  Returns the
+    plan's result and the {!file_sum}; the tasks' getters work from then
+    on.  The checksum mismatch is raised in place of any [Corrupt] from
+    the plan or a task; otherwise the first task's exception in
+    registration order.  No domain is spawned.  One [run] at a time per
+    file.
+    @raise Corrupt on any malformed or damaged input.
+    @raise Sys_error if the file cannot be read. *)
+
 val task : file -> weight:int -> (unit -> 'a) -> unit -> 'a
 (** Register a task, weighted by the bytes it reads; returns its
     result's getter.  A task shares no mutable state with another. *)
 
 val mapping : file -> mapped
-(** A private read-only mapping, made from the descriptor on the first
-    call.  It may be read only once {!run} has returned. *)
+(** A private read-only mapping, made from the descriptor.  It may be
+    read only once {!run} has returned, and outlives {!close_file}. *)
 
 (** A byte range read front to back through a private 64 KiB buffer.
     Reads raise [Corrupt] past its end, and on lengths the rest cannot
@@ -274,5 +277,5 @@ module Reader : sig
 end
 
 val verify : string -> unit
-(** {!run} with a plan that reads nothing.
+(** {!run} with a plan that reads nothing, on the file at a path.
     @raise Corrupt on a damaged file. *)

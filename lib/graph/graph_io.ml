@@ -283,11 +283,11 @@ let decode tbl ~map f =
       by_label;
       n_edges = m }
 
-let selectivity tbl ~map ~pread sects =
-  Binfile.find_sect sects Binfile.tag_stats
+let selectivity tbl ~map f =
+  Binfile.find_sect (Binfile.sects f) Binfile.tag_stats
   |> Option.map (fun (s : Binfile.sect) ->
          Gstats.selectivity_of_section
-           (Binfile.Cur.of_bytes (pread ~pos:s.off ~len:s.len))
+           (Binfile.Cur.of_bytes (Binfile.read f ~pos:s.off ~len:s.len))
            ~map ~nlabels:(Label.count tbl))
 
 (* ---------------- reading in place ---------------- *)
@@ -301,14 +301,20 @@ type layout = {
   csr_at : int;
 }
 
-let layout tbl ~pread sects =
-  let require = Binfile.require_sect sects in
+let layout tbl f =
+  let require = Binfile.require_sect (Binfile.sects f) in
+  (* The first [k] bytes of a section (fewer if it is shorter), read
+     once, for a header decoder. *)
+  let head (s : Binfile.sect) k =
+    let c = Binfile.Cur.of_bytes (Binfile.read f ~pos:s.off ~len:(min k s.len)) in
+    fun () -> Binfile.Cur.i64 c
+  in
   let ls = require Binfile.tag_labels in
-  let map = labels_of_cur tbl (Binfile.Cur.of_bytes (pread ~pos:ls.off ~len:ls.len)) in
+  let map = labels_of_cur tbl (Binfile.Cur.of_bytes (Binfile.read f ~pos:ls.off ~len:ls.len)) in
   let ns = require Binfile.tag_nodes in
-  let n = nodes_header ~i64:(Binfile.sect_reader ~pread ns) ~len:ns.len in
+  let n = nodes_header ~i64:(head ns 8) ~len:ns.len in
   let cs = require Binfile.tag_csr in
-  let m, _, _ = csr_header ~i64:(Binfile.sect_reader ~pread cs) ~len:cs.len ~n in
+  let m, _, _ = csr_header ~i64:(head cs 32) ~len:cs.len ~n in
   { map; n_nodes = n; n_edges = m; nodes_at = ns.off; blob_len = ns.len - 16 - (16 * n);
     csr_at = cs.off }
 
@@ -350,13 +356,12 @@ let has_out_edge l ~get src dst =
 (* For [Binfile.run]'s plan: the labels section, the two headers and
    the stats section are read now, the node and CSR arrays in one task. *)
 let open_bin tbl f =
-  let pread = Binfile.read f and sects = Binfile.sects f in
-  let l = layout tbl ~pread sects in
-  let bytes tag = (Binfile.require_sect sects tag).Binfile.len in
+  let l = layout tbl f in
+  let bytes tag = (Binfile.require_sect (Binfile.sects f) tag).Binfile.len in
   let weight = bytes Binfile.tag_nodes + bytes Binfile.tag_csr in
   let graph = Binfile.task f ~weight (fun () -> decode tbl ~map:l.map f) in
-  (l, graph, selectivity tbl ~map:l.map ~pread sects)
+  (l, graph, selectivity tbl ~map:l.map f)
 
 let load_bin tbl path =
-  let (_, graph, sel), _ = Binfile.run path (open_bin tbl) in
+  let (_, graph, sel), _ = Binfile.with_file path (fun f -> Binfile.run f (open_bin tbl)) in
   (graph (), sel)

@@ -16,9 +16,6 @@ val load : Label.table -> string -> Digraph.t
 (** [load tbl path] parses [path], interning labels into [tbl].
     @raise Failure with a line-numbered message on malformed input. *)
 
-val output : out_channel -> Digraph.t -> unit
-val parse : Label.table -> in_channel -> Digraph.t
-
 (** {1 Binary snapshots}
 
     The frozen CSR representation verbatim in a {!Binfile} container —
@@ -62,9 +59,7 @@ val labels_of_cur : Label.table -> Binfile.Cur.t -> int array
     starts empty and the names are distinct).
     @raise Binfile.Corrupt on a count the section cannot hold. *)
 
-val selectivity :
-  Label.table -> map:int array -> pread:(pos:int -> len:int -> Bytes.t) -> Binfile.sect list ->
-  Gstats.selectivity option
+val selectivity : Label.table -> map:int array -> Binfile.file -> Gstats.selectivity option
 (** The stats section, if the file has one, read whole. *)
 
 (** {2 Reading in place}
@@ -83,10 +78,9 @@ type layout = private {
   csr_at : int;
 }
 
-val layout :
-  Label.table -> pread:(pos:int -> len:int -> Bytes.t) -> Binfile.sect list -> layout
+val layout : Label.table -> Binfile.file -> layout
 (** Decodes the labels section into the table and checks the nodes and
-    CSR headers. *)
+    CSR headers, one read each. *)
 
 val open_bin :
   Label.table -> Binfile.file -> layout * (unit -> Digraph.t) * Gstats.selectivity option

@@ -99,65 +99,6 @@ let avg_out_degree sel l =
   let c = node_count sel l in
   if c = 0 then 0.0 else float_of_int sel.out_deg_sum.(l) /. float_of_int c
 
-(* Text serialization, in the spirit of [Graph_io]: a header line, one
-   [l <name> <count> <outdegsum>] line per label, one
-   [p <srcname> <dstname> <freq>] line per label pair with at least one
-   edge.  Names are written with [%S] so exotic label names round-trip. *)
-
-let output_selectivity oc tbl sel =
-  Printf.fprintf oc "# bpq selectivity v1\n";
-  for l = 0 to sel.labels - 1 do
-    if sel.node_counts.(l) > 0 || sel.out_deg_sum.(l) > 0 then
-      Printf.fprintf oc "l %S %d %d\n" (Label.name tbl l) sel.node_counts.(l)
-        sel.out_deg_sum.(l)
-  done;
-  let pairs =
-    Hashtbl.fold (fun key freq acc -> (key, freq) :: acc) sel.pair_freqs []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (key, freq) ->
-      Printf.fprintf oc "p %S %S %d\n"
-        (Label.name tbl (key / sel.labels))
-        (Label.name tbl (key mod sel.labels))
-        freq)
-    pairs
-
-let parse_selectivity tbl ic =
-  let rows = ref [] and pairs = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.length line = 0 || line.[0] = '#' then ()
-       else if line.[0] = 'l' then
-         Scanf.sscanf line "l %S %d %d" (fun name count dsum ->
-             rows := (Label.intern tbl name, count, dsum) :: !rows)
-       else if line.[0] = 'p' then
-         Scanf.sscanf line "p %S %S %d" (fun src dst freq ->
-             pairs := (Label.intern tbl src, Label.intern tbl dst, freq) :: !pairs)
-       else failwith ("Gstats.parse_selectivity: bad line: " ^ line)
-     done
-   with End_of_file -> ());
-  let labels = max 1 (Label.count tbl) in
-  let sel =
-    { labels;
-      node_counts = Array.make labels 0;
-      out_deg_sum = Array.make labels 0;
-      pair_freqs = Hashtbl.create 256 }
-  in
-  List.iter
-    (fun (l, count, dsum) ->
-      sel.node_counts.(l) <- count;
-      sel.out_deg_sum.(l) <- dsum)
-    !rows;
-  List.iter
-    (fun (src, dst, freq) -> Hashtbl.replace sel.pair_freqs (pack_pair sel src dst) freq)
-    !pairs;
-  sel
-
-let save_selectivity tbl sel path =
-  Bpq_util.Atomic_file.write path (fun oc -> output_selectivity oc tbl sel)
-
 (* Binary form, one snapshot section: label-indexed arrays verbatim plus
    the pair-frequency table as sorted (src, dst, freq) triples.  Sorting
    makes the payload independent of hashtable iteration order, so equal
@@ -219,10 +160,6 @@ let selectivity_of_section c ~map ~nlabels =
       Hashtbl.replace sel.pair_freqs (pack_pair sel src dst) freq
   done;
   sel
-
-let load_selectivity tbl path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> parse_selectivity tbl ic)
 
 let degree_histogram g =
   let counts = Hashtbl.create 64 in

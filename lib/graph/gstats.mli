@@ -47,17 +47,6 @@ val pair_freq : selectivity -> src:Label.t -> dst:Label.t -> int
 val avg_out_degree : selectivity -> Label.t -> float
 (** Average out-degree over the label's nodes; [0.] for an empty label. *)
 
-val output_selectivity : out_channel -> Label.table -> selectivity -> unit
-val parse_selectivity : Label.table -> in_channel -> selectivity
-
-val save_selectivity : Label.table -> selectivity -> string -> unit
-(** Write the text form to a file (one [l]/[p] line per label / label
-    pair; names quoted so they round-trip).  Atomic: temp file +
-    rename. *)
-
-val load_selectivity : Label.table -> string -> selectivity
-(** Inverse of {!save_selectivity}; interns label names into [table]. *)
-
 val add_selectivity_section : Binfile.writer -> selectivity -> unit
 (** Append the binary form ({!Binfile.tag_stats}) to a snapshot under
     construction.  Label ids are the compute-time table's; the snapshot's

@@ -15,9 +15,7 @@ type io_counters = {
 }
 
 type t = {
-  ic : in_channel;
-  path : string;
-  mutable closed : bool;  (* guarded by [mu]; see close *)
+  file : Binfile.file;
   mu : Mutex.t;
   pages : Bytes.t Lru.t;
   file_len : int;
@@ -40,37 +38,47 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Binfile.Corrupt s)) fmt
 
 (* ---------------- paged reads (call with [mu] held) ---------------- *)
 
-(* Call with [mu] held, before touching the channel or the page cache.
-   A closed store answers with a stable [Sys_error] instead of whatever
-   the runtime happens to raise on a closed channel — and never serves
-   stale cached pages after close. *)
-let ensure_open t =
-  if t.closed then raise (Sys_error (t.path ^ ": paged store is closed"))
-
-let read_page t pn =
-  let off = pn * page_size in
-  let b = Binfile.pread t.ic ~pos:off ~len:(min page_size (t.file_len - off)) in
-  t.bytes_read <- t.bytes_read + Bytes.length b;
+(* Bytes [pos, pos + len) of the file, counted in [bytes_read].  After
+   [close] the read raises [Sys_error] naming the file. *)
+let read t ~pos ~len =
+  let b = Binfile.read t.file ~pos ~len in
+  t.bytes_read <- t.bytes_read + len;
   b
 
 (* Sequential readahead: when a demand miss lands on the page right
    after the previously accessed one — an index-bucket payload stream or
-   a value-blob read crossing pages — the next [readahead] pages are
-   pulled into the cache in the same pass, while the channel is already
-   positioned there (its buffer makes them near-free).  Prefetched pages
+   a value-blob read crossing pages — the next [readahead] pages not in
+   the cache are pulled in, each run of consecutive ones in one read.
+   A run is added, in page order, before a cached page after it is
+   looked at, since adding it may evict that page.  Prefetched pages
    count in [prefetched] and [bytes_read], not [faults]; a later access
    to one is an ordinary hit. *)
 let prefetch_after t pn =
   let last = min (pn + t.readahead) ((t.file_len - 1) / page_size) in
+  let first = ref (pn + 1) in
+  (* Read and add the pending run [!first, p). *)
+  let flush p =
+    if p > !first then begin
+      let pos = !first * page_size in
+      let len = min (p * page_size) t.file_len - pos in
+      let run = read t ~pos ~len in
+      for q = !first to p - 1 do
+        let off = (q - !first) * page_size in
+        Lru.add t.pages q (Bytes.sub run off (min page_size (len - off)))
+      done;
+      t.prefetched <- t.prefetched + (p - !first)
+    end;
+    first := p
+  in
   for p = pn + 1 to last do
-    if not (Lru.mem t.pages p) then begin
-      t.prefetched <- t.prefetched + 1;
-      Lru.add t.pages p (read_page t p)
+    if Lru.mem t.pages p then begin
+      flush p;
+      if Lru.mem t.pages p then first := p + 1
     end
-  done
+  done;
+  flush (last + 1)
 
 let page t pn =
-  ensure_open t;
   let seq = t.readahead > 0 && pn = t.next_seq in
   t.next_seq <- pn + 1;
   match Lru.find t.pages pn with
@@ -80,7 +88,8 @@ let page t pn =
   | None ->
     if pn * page_size >= t.file_len then corrupt "read past end of snapshot";
     t.faults <- t.faults + 1;
-    let b = read_page t pn in
+    let pos = pn * page_size in
+    let b = read t ~pos ~len:(min page_size (t.file_len - pos)) in
     Lru.add t.pages pn b;
     if seq then prefetch_after t pn;
     b
@@ -121,36 +130,29 @@ let open_ ?(page_cache_mb = 16) ?cache_pages ?(readahead = 8) path =
       if page_cache_mb <= 0 then invalid_arg "Paged.open_: page_cache_mb must be positive";
       page_cache_mb * 1024 * 1024 / page_size
   in
-  let ic = open_in_bin path in
+  let file = Binfile.open_file path in
   match
-    let file_len = in_channel_length ic in
-    let pread = Binfile.pread ic in
-    let sects = Binfile.read_directory ~pread ~file_len in
     (* Labels whole, the nodes and CSR headers; the arrays stay on disk. *)
     let table = Label.create_table () in
-    let g = Graph_io.layout table ~pread sects in
+    let g = Graph_io.layout table file in
     (* Selectivity: O(labels²), kept in memory. *)
-    let selectivity = Graph_io.selectivity table ~map:g.map ~pread sects in
+    let selectivity = Graph_io.selectivity table ~map:g.map file in
     (* Schema metadata: stamp, constraints and each index's region.  Key
        records and payloads — the bulk — are only ever touched through
        the page cache. *)
     let ssect =
-      match Binfile.find_sect sects Binfile.tag_schema with
+      match Binfile.find_sect (Binfile.sects file) Binfile.tag_schema with
       | Some s -> s
       | None -> corrupt "snapshot has no schema section (the paged store serves index lookups)"
     in
-    let stamp, regions =
-      Schema.read_meta ~i64:(Binfile.sect_reader ~pread ssect) ~map:g.map ~len:ssect.len
-    in
+    let stamp, regions = Schema.read_meta file ssect ~map:g.map in
     Schema.register_stamp stamp;
     let by_constr = Hashtbl.create (max 16 (List.length regions)) in
     List.iter (fun (r : Schema.region) -> Hashtbl.replace by_constr r.constr r) regions;
-    { ic;
-      path;
-      closed = false;
+    { file;
       mu = Mutex.create ();
       pages = Lru.create capacity;
-      file_len;
+      file_len = Binfile.length file;
       faults = 0;
       bytes_read = 0;
       hits = 0;
@@ -167,21 +169,19 @@ let open_ ?(page_cache_mb = 16) ?cache_pages ?(readahead = 8) path =
   with
   | t -> t
   | exception e ->
-    close_in_noerr ic;
+    Binfile.close_file file;
     raise e
 
 (* Idempotent: the reload path can race shutdown into a double close
-   (both the retiring slot and the final cleanup call it), which must be
-   a no-op, not a [Sys_error] out of [close_in].  The page cache is
-   dropped too, so a use-after-close can never be satisfied from stale
-   cached pages. *)
+   (both the retiring slot and the final cleanup call it).  The page
+   cache is dropped too, so a use-after-close is never served from
+   stale cached pages: it faults, and the closed file's read raises. *)
 let close t =
   with_lock t (fun () ->
-      if not t.closed then begin
-        t.closed <- true;
-        Lru.clear t.pages;
-        close_in_noerr t.ic
-      end)
+      Lru.clear t.pages;
+      Binfile.close_file t.file)
+
+let file t = t.file
 
 (* ---------------- source operations ---------------- *)
 

@@ -18,6 +18,13 @@
     What is left here: page reads under one mutex, readahead, the I/O
     counters and the source record.
 
+    The store reads only through the one {!Bpq_graph.Binfile.file} it
+    opens, for its whole lifetime: the open's metadata, every page fault
+    (one {!Bpq_graph.Binfile.read}) and every readahead run (one read of
+    the consecutive uncached pages).  Checks on the served generation
+    read it through {!file}, so a snapshot renamed over the path does
+    not change what they see.
+
     A [t] may serve several pool domains concurrently: every source
     operation materialises what it needs under the mutex before yielding
     to caller callbacks, which may re-enter the store. *)
@@ -31,8 +38,9 @@ val page_size : int
 (** The page granularity, 4096 bytes. *)
 
 val open_ : ?page_cache_mb:int -> ?cache_pages:int -> ?readahead:int -> string -> t
-(** [open_ path] validates the header and directory (not the checksum —
-    run {!Bpq_graph.Binfile.verify} first) and loads the small metadata,
+(** [open_ path] opens the file once, validates the header and
+    directory (not the checksum: {!Bpq_graph.Binfile.run} on {!file}
+    checks it) and loads the small metadata,
     with the checks the mem open makes on it.  The page cache holds
     [page_cache_mb] megabytes (default 16), or exactly [cache_pages]
     pages — 0 makes every access a fault.  [readahead] (default 8, 0
@@ -47,9 +55,13 @@ val open_ : ?page_cache_mb:int -> ?cache_pages:int -> ?readahead:int -> string -
 val close : t -> unit
 (** Close the file handle and drop the page cache.  Idempotent: a second
     [close] — e.g. a snapshot-reload path racing shutdown — is a no-op.
-    Subsequent source operations raise [Sys_error "...: paged store is
-    closed"] deterministically (cached pages are never served after
+    Subsequent source operations that read the file raise [Sys_error]
+    naming it deterministically (cached pages are never served after
     close). *)
+
+val file : t -> Binfile.file
+(** The store's open file: the generation it serves, whatever the path
+    names now.  Closed by {!close}. *)
 
 val source : t -> Exec.source
 (** The query-serving interface.  Unknown constraints raise [Not_found]

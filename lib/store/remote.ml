@@ -76,13 +76,13 @@ let serve ?page_cache_mb ~input ~output shard_file =
   (* A vanished peer must surface as EPIPE (which [Sock.is_disconnect]
      classifies), not kill the process. *)
   Sock.ignore_sigpipe ();
-  (* Fails fast on a non-shard file (and pins the partition version)
-     before the paged open does anything expensive. *)
-  let meta = Shard.read_shard_meta shard_file in
   let p = Paged.open_ ?page_cache_mb shard_file in
   Fun.protect
     ~finally:(fun () -> Paged.close p)
     (fun () ->
+      (* Refuses a non-shard file (and pins the partition version) on
+         the file the store serves. *)
+      let meta = Shard.read_shard_meta (Paged.file p) in
       let src = Paged.source p in
       let cons = Array.of_list src.Exec.constraints in
       let buf = Buffer.create 4096 in

@@ -143,12 +143,12 @@ let partition ~shards ~snapshot ~dir =
 
 let load_manifest path =
   let path = manifest_path path in
-  fst @@ Binfile.run path @@ fun f ->
+  fst @@ Binfile.with_file path @@ fun f ->
+  Binfile.run f @@ fun f ->
   let table = Label.create_table () in
-  let sects = Binfile.sects f and pread = Binfile.read f in
   let section tag =
-    let s = Binfile.require_sect sects tag in
-    Binfile.Cur.of_bytes (pread ~pos:s.Binfile.off ~len:s.Binfile.len)
+    let s = Binfile.require_sect (Binfile.sects f) tag in
+    Binfile.Cur.of_bytes (Binfile.read f ~pos:s.Binfile.off ~len:s.Binfile.len)
   in
   let map = Graph_io.labels_of_cur table (section Binfile.tag_labels) in
   let mc = section tag_manifest in
@@ -183,7 +183,7 @@ let load_manifest path =
   in
   let owned = Array.fold_left (fun acc (f : shard_file) -> acc + f.n_edges) 0 files in
   if owned <> n_edges then corrupt "manifest: shard edge counts do not sum to the total";
-  let selectivity = Graph_io.selectivity table ~map ~pread sects in
+  let selectivity = Graph_io.selectivity table ~map f in
   Schema.register_stamp stamp;
   { dir = Filename.dirname path;
     shards;
@@ -207,25 +207,25 @@ let verify_files m =
           f.file f.checksum sum)
     m.files
 
-let find_shard_meta path =
-  Binfile.with_directory path (fun f ->
-      Binfile.find_sect (Binfile.sects f) tag_shard_meta
-      |> Option.map (fun (s : Binfile.sect) ->
-             let c = Binfile.Cur.of_bytes (Binfile.read f ~pos:s.off ~len:s.len) in
-             let fv = Binfile.Cur.i64 c in
-             if fv <> format_version then corrupt "%s: unsupported shard format version %d" path fv;
-             let pv = Binfile.Cur.i64 c in
-             if pv <> partition_version then
-               corrupt "%s: partition function version %d (this build speaks %d)" path pv
-                 partition_version;
-             let shard = Binfile.Cur.i64 c in
-             let shards = Binfile.Cur.i64 c in
-             let n_edges_global = Binfile.Cur.i64 c in
-             if shard < 0 || shards <= 0 || shard >= shards || n_edges_global < 0 then
-               corrupt "%s: malformed shard-meta section" path;
-             { shard; shards; n_edges_global }))
+let find_shard_meta f =
+  let path = Binfile.path f in
+  Binfile.find_sect (Binfile.sects f) tag_shard_meta
+  |> Option.map (fun (s : Binfile.sect) ->
+         let c = Binfile.Cur.of_bytes (Binfile.read f ~pos:s.off ~len:s.len) in
+         let fv = Binfile.Cur.i64 c in
+         if fv <> format_version then corrupt "%s: unsupported shard format version %d" path fv;
+         let pv = Binfile.Cur.i64 c in
+         if pv <> partition_version then
+           corrupt "%s: partition function version %d (this build speaks %d)" path pv
+             partition_version;
+         let shard = Binfile.Cur.i64 c in
+         let shards = Binfile.Cur.i64 c in
+         let n_edges_global = Binfile.Cur.i64 c in
+         if shard < 0 || shards <= 0 || shard >= shards || n_edges_global < 0 then
+           corrupt "%s: malformed shard-meta section" path;
+         { shard; shards; n_edges_global })
 
-let read_shard_meta path =
-  match find_shard_meta path with
+let read_shard_meta f =
+  match find_shard_meta f with
   | Some m -> m
-  | None -> corrupt "%s: not a shard file (no shard-meta section)" path
+  | None -> corrupt "%s: not a shard file (no shard-meta section)" (Binfile.path f)

@@ -93,12 +93,12 @@ val verify_files : manifest -> unit
     @raise Binfile.Corrupt naming the first mismatched or unreadable
     file. *)
 
-val find_shard_meta : string -> shard_meta option
-(** One file's identity section, or [None] for a file without one (a
-    snapshot).  Directory walk only — no checksum pass.
+val find_shard_meta : Binfile.file -> shard_meta option
+(** An open file's identity section, or [None] for a file without one
+    (a snapshot).  One read of that section — no checksum pass.
     @raise Binfile.Corrupt on a malformed directory or shard-meta
     section, or a partition/format version that is not this build's. *)
 
-val read_shard_meta : string -> shard_meta
+val read_shard_meta : Binfile.file -> shard_meta
 (** {!find_shard_meta}, for a file that must be a shard file.
     @raise Binfile.Corrupt if it is not one, as there. *)

@@ -46,32 +46,40 @@ let of_remote ?path ?(pushdown = true) r =
 
 exception Shard_file of string
 
-let open_snapshot ?(backend = Mem) ?pool ?page_cache_mb ?cache_pages ?readahead
-    ?(verify = false) ?(pushdown = true) path =
-  (* A shard file passes the paged open but holds a fraction of G. *)
-  if backend <> Sharded then
-    Option.iter
-      (fun (m : Shard.shard_meta) ->
-        Printf.ksprintf
-          (fun msg -> raise (Shard_file msg))
-          "%s is shard %d of %d, not a snapshot: serve its directory %s with --backend sharded"
-          path m.shard m.shards (Filename.dirname path))
-      (Shard.find_shard_meta path);
+(* A shard file passes the paged open but holds a fraction of G. *)
+let refuse_shard f =
+  Option.iter
+    (fun (m : Shard.shard_meta) ->
+      let path = Binfile.path f in
+      Printf.ksprintf
+        (fun msg -> raise (Shard_file msg))
+        "%s is shard %d of %d, not a snapshot: serve its directory %s with --backend sharded"
+        path m.shard m.shards (Filename.dirname path))
+    (Shard.find_shard_meta f)
+
+let open_snapshot ?(backend = Mem) ?pool ?page_cache_mb ?cache_pages ?readahead path =
   let b =
     match backend with
     | Mem ->
       (* Loading the snapshot checksums the whole file already; keep its
          sum so a delta log pairs with it without a second pass. *)
-      let (schema, sel), sum = Schema.load_sum ?pool (Label.create_table ()) path in
+      let (schema, sel), sum =
+        Binfile.with_file path (fun f ->
+            refuse_shard f;
+            Schema.load_sum ?pool (Label.create_table ()) f)
+      in
       In_mem { schema; sel; src = Exec.source_of_schema schema; file_sum = Some sum }
     | Paged ->
-      if verify then Binfile.verify path;
-      On_disk (Paged.open_ ?page_cache_mb ?cache_pages ?readahead path)
+      let p = Paged.open_ ?page_cache_mb ?cache_pages ?readahead path in
+      (try refuse_shard (Paged.file p)
+       with e ->
+         Paged.close p;
+         raise e);
+      On_disk p
     | Sharded ->
-      (* [path] names the shard directory (or its MANIFEST). *)
-      let m = Shard.load_manifest path in
-      if verify then Shard.verify_files m;
-      Sharded_t { r = Remote.spawn m; pushdown }
+      invalid_arg
+        "Store.open_snapshot: a sharded store is built with Store.of_remote over a connected \
+         coordinator"
   in
   { b; path = Some path; ws = None }
 
@@ -137,17 +145,19 @@ let close t =
 (* ------------------------------------------------------------------ *)
 
 (* Content identity of the generation behind this store: the snapshot
-   file's checksum (computed when an in-memory store read it), or the shard
-   manifest's (any shard edit rewrites the manifest checksums, so the
-   manifest stands for the whole directory). *)
+   file's checksum (computed when an in-memory store read it, checked on
+   the file a paged store serves), or the shard manifest's (any shard
+   edit rewrites the manifest checksums, so the manifest stands for the
+   whole directory). *)
 let base_checksum t =
   match (t.path, t.b) with
-  | None, _ -> failwith "delta logs attach to snapshot-backed stores, not in-memory ones"
+  | None, _ | _, In_mem { file_sum = None; _ } ->
+    failwith "delta logs attach to snapshot-backed stores, not in-memory ones"
   | Some _, In_mem { file_sum = Some sum; _ } -> sum
+  | Some _, On_disk p -> snd (Binfile.run (Paged.file p) ignore)
   | Some path, Sharded_t _ ->
     Binfile.file_sum
       (if Sys.is_directory path then Filename.concat path "MANIFEST" else path)
-  | Some path, (In_mem _ | On_disk _) -> Binfile.file_sum path
 
 let attach_wal ?carry t wal_path =
   if t.ws <> None then failwith "store already has a delta log attached";
@@ -324,7 +334,7 @@ let compact ?out t =
           let schema =
             match t.b with
             | In_mem m -> m.schema
-            | On_disk _ -> fst (Schema.load (Label.create_table ()) path)
+            | On_disk p -> fst (fst (Schema.load_sum (Label.create_table ()) (Paged.file p)))
             | Sharded_t _ -> assert false
           in
           let folded = fold_ops schema ops in

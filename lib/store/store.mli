@@ -17,8 +17,8 @@ type backend =
   | Mem  (** Load the snapshot fully: rebuilt graph + indexes. *)
   | Paged  (** Serve from the file through a page cache ({!Paged}). *)
   | Sharded
-      (** Serve from a {!Shard} directory through spawned worker
-          processes ({!Remote}). *)
+      (** Serve from a {!Shard} directory through worker processes
+          ({!Remote}); built with {!of_remote}. *)
 
 type t
 
@@ -34,9 +34,9 @@ val of_remote : ?path:string -> ?pushdown:bool -> Remote.t -> t
     plan evaluation ({!Remote.source}). *)
 
 exception Shard_file of string
-(** {!open_snapshot} was given a shard file ({!Shard.partition}) for the
-    [Mem] or [Paged] backend.  The message names the shard directory to
-    serve with [--backend sharded] instead. *)
+(** {!open_snapshot} was given a shard file ({!Shard.partition}).  The
+    message names the shard directory to serve with [--backend sharded]
+    instead. *)
 
 val open_snapshot :
   ?backend:backend ->
@@ -44,25 +44,19 @@ val open_snapshot :
   ?page_cache_mb:int ->
   ?cache_pages:int ->
   ?readahead:int ->
-  ?verify:bool ->
-  ?pushdown:bool ->
   string ->
   t
-(** Open a {!Bpq_access.Schema.save} snapshot.  [backend] defaults to
-    [Mem].  [page_cache_mb] / [cache_pages] size the paged backend's
-    cache and [readahead] its sequential prefetch depth ({!Paged.open_};
-    all ignored under [Mem]).  [verify] (default [false]) forces a full
-    checksum pass even for the paged backend — [Mem] always verifies,
-    since it reads the whole file anyway, on [pool]
-    ({!Bpq_access.Schema.load}).
-
-    Under [Sharded] the path names a {!Shard.partition} output directory
-    (or its [MANIFEST]); one worker process per shard is spawned via
-    {!Remote.spawn}, [verify] checks every shard file's checksum against
-    the manifest first, and [pushdown] (default [true]) selects
-    worker-side plan evaluation over plain batched fetching.
+(** Open a {!Bpq_access.Schema.save} snapshot, once: every check below
+    reads the descriptor the store then serves from.  [backend] defaults
+    to [Mem], which loads and verifies the whole file on [pool]
+    ({!Bpq_access.Schema.load_sum}).  [Paged] serves it through a page
+    cache sized by [page_cache_mb] / [cache_pages], with [readahead] its
+    sequential prefetch depth ({!Paged.open_}; all three ignored under
+    [Mem]).
     @raise Binfile.Corrupt on malformed or damaged snapshots.
-    @raise Shard_file on a shard file, under [Mem] or [Paged]. *)
+    @raise Shard_file on a shard file.
+    @raise Invalid_argument under [Sharded]: build that store with
+    {!of_remote}. *)
 
 val backend : t -> backend
 

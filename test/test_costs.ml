@@ -80,35 +80,6 @@ let test_selectivity_counts () =
   Helpers.check_int "unseen pair freq" 0 (Gstats.pair_freq sel ~src:late ~dst:(l "A"));
   Helpers.check_true "unseen avg degree" (Gstats.avg_out_degree sel late = 0.0)
 
-let test_selectivity_roundtrip () =
-  let tbl = Label.create_table () in
-  let g = Generators.random ~seed:7 ~nodes:120 ~edges:400 ~labels:6 tbl in
-  let sel = Gstats.selectivity g in
-  let path = Filename.temp_file "bpq_sel" ".txt" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Gstats.save_selectivity tbl sel path;
-  (* Reload into the same table: every accessor must agree label-for-label. *)
-  let sel' = Gstats.load_selectivity tbl path in
-  for a = 0 to Label.count tbl - 1 do
-    Helpers.check_int "node count survives" (Gstats.node_count sel a)
-      (Gstats.node_count sel' a);
-    Helpers.check_true "avg out-degree survives"
-      (Gstats.avg_out_degree sel a = Gstats.avg_out_degree sel' a);
-    for b = 0 to Label.count tbl - 1 do
-      Helpers.check_int "pair freq survives"
-        (Gstats.pair_freq sel ~src:a ~dst:b)
-        (Gstats.pair_freq sel' ~src:a ~dst:b)
-    done
-  done;
-  (* And into a fresh table, where label ids may permute: compare by name. *)
-  let tbl2 = Label.create_table () in
-  let sel2 = Gstats.load_selectivity tbl2 path in
-  for a = 0 to Label.count tbl - 1 do
-    let a2 = Label.intern tbl2 (Label.name tbl a) in
-    Helpers.check_int "count matches across tables" (Gstats.node_count sel a)
-      (Gstats.node_count sel2 a2)
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Advisory ordering: the op set, estimates, bounds and answers are    *)
 (* unchanged by the cost model.                                        *)
@@ -231,8 +202,6 @@ let suite =
     value_cap_never_wraps;
     Alcotest.test_case "selectivity counts on a hand graph" `Quick
       test_selectivity_counts;
-    Alcotest.test_case "selectivity serialization round-trips" `Quick
-      test_selectivity_roundtrip;
     cost_ordering_is_advisory;
     Alcotest.test_case "Q0 cost plan keeps ops and bounds" `Quick
       test_q0_cost_plan_bounds_unchanged;

@@ -256,6 +256,9 @@ let test_varint_sign_bit () =
   Helpers.check_int "max_int round-trips" max_int
     (Binfile.Cur.uvarint (Binfile.Cur.of_bytes (Buffer.to_bytes b)))
 
+(* [Schema.load_sum] on the file at [path]. *)
+let load_sum ?pool path = Binfile.with_file path (Schema.load_sum ?pool (Label.create_table ()))
+
 (* The checksum a write returns and the one a read computes are the
    file's own: what pairs a delta log with the generation it was written
    against. *)
@@ -264,7 +267,7 @@ let test_sum_of_write_and_read () =
   Helpers.with_temp_file (fun path ->
       let written = Schema.write (Schema.build g constrs) path in
       Helpers.check_int "write" (Binfile.file_sum path) written;
-      Helpers.check_int "read" written (snd (Schema.load_sum (Label.create_table ()) path)))
+      Helpers.check_int "read" written (snd (load_sum path)))
 
 (* ---------------- the checksum ---------------- *)
 
@@ -349,7 +352,7 @@ let dir_entry data tag =
 (* Either the load refuses with [Corrupt], or every key and bucket node
    it hands out is a real node and every key finds its own bucket. *)
 let loads_in_range ?pool path =
-  match fst (Schema.load_sum ?pool (Label.create_table ()) path) with
+  match fst (load_sum ?pool path) with
   | exception Binfile.Corrupt _ -> true
   | schema, _ ->
     let g = Schema.graph schema in
@@ -522,19 +525,17 @@ let test_schema_section_required () =
 (* ---------------- atomic writes ---------------- *)
 
 let test_atomic_no_leftovers () =
-  let tbl, g = random_graph 9 in
+  let _, g = random_graph 9 in
   Helpers.with_temp_dir (fun dir ->
       let p1 = Filename.concat dir "g.snap" in
       let p2 = Filename.concat dir "g.txt" in
-      let p3 = Filename.concat dir "g.sel" in
       Graph_io.save_bin g p1;
       Graph_io.save g p2;
-      Gstats.save_selectivity tbl (Gstats.selectivity g) p3;
       (* Overwrite each once more: rename over an existing file. *)
       Graph_io.save_bin g p1;
       Graph_io.save g p2;
       let entries = List.sort compare (Array.to_list (Sys.readdir dir)) in
-      Alcotest.(check (list string)) "only the targets remain" [ "g.sel"; "g.snap"; "g.txt" ]
+      Alcotest.(check (list string)) "only the targets remain" [ "g.snap"; "g.txt" ]
         entries)
 
 let test_failed_write_leaves_target () =
@@ -921,7 +922,7 @@ let test_checksum_verdict_wins () =
         (fun (slots, pool) ->
           let what s = Printf.sprintf "%s, %d slots" s slots in
           expect_checksum_mismatch (what "schema load") (fun () ->
-              Schema.load_sum ~pool (Label.create_table ()) path);
+              load_sum ~pool path);
           expect_checksum_mismatch (what "mem open") (fun () ->
               Bpq_store.Store.open_snapshot ~pool path))
         [ (1, Pool.sequential); (2, Lazy.force pool2) ];
@@ -930,7 +931,7 @@ let test_checksum_verdict_wins () =
 (* What an open yields that a pool could change: the graph arrays, every
    index's buckets, the stamp, the checksum and the answers. *)
 let open_image ?pool plans path =
-  let (schema, _), sum = Schema.load_sum ?pool (Label.create_table ()) path in
+  let (schema, _), sum = load_sum ?pool path in
   let src = Exec.source_of_schema schema in
   ( Digraph.Repr.of_graph (Schema.graph schema),
     List.map (fun c -> Index.export_buckets (Schema.index_of schema c)) (Schema.constraints schema),
@@ -985,19 +986,23 @@ let test_inline_reader () =
 
 (* A read past the end of the file (what a file that shrank mid-open
    gives) is a typed [Corrupt], not [End_of_file]: the one read loop
-   behind the open, [file_sum], [verify] and header reads, and the
-   paged store's channel reader. *)
+   behind the open, [file_sum], [verify], header reads and the paged
+   store's page faults. *)
 let test_short_read () =
   let _, g = random_graph 9 in
   Helpers.with_temp_file (fun path ->
-      Graph_io.save_bin g path;
+      Schema.save (Schema.build g []) path;
       let len = (Unix.stat path).Unix.st_size in
       expect_corrupt "read past the end" (fun () ->
-          Binfile.run path (fun f -> Binfile.read f ~pos:(len - 4) ~len:8));
+          Binfile.with_file path (fun f ->
+              Binfile.run f (fun f -> Binfile.read f ~pos:(len - 4) ~len:8)));
       expect_corrupt "header read past the end" (fun () ->
-          Binfile.with_directory path (fun f -> Binfile.read f ~pos:(len - 4) ~len:8));
-      expect_corrupt "channel read past the end" (fun () ->
-          In_channel.with_open_bin path (fun ic -> Binfile.pread ic ~pos:(len - 4) ~len:8)))
+          Binfile.with_file path (fun f -> Binfile.read f ~pos:(len - 4) ~len:8));
+      let p = Bpq_store.Paged.open_ ~cache_pages:0 path in
+      Fun.protect ~finally:(fun () -> Bpq_store.Paged.close p) @@ fun () ->
+      Unix.truncate path 0;
+      expect_corrupt "page fault past the end" (fun () ->
+          (Bpq_store.Paged.source p).Exec.node_label 0))
 
 let suite =
   [ bin_roundtrip_exact;

@@ -145,6 +145,51 @@ let test_readahead () =
         (Invalid_argument "Paged.open_: negative readahead")
         (fun () -> ignore (Paged.open_ ~readahead:(-1) path)))
 
+(* The exact page traffic of a fixed query sequence on a seeded
+   instance: Q0, a movie-year-certificate star, then Q0 again warm.  Any change to how pages fault, hit or prefetch moves these
+   numbers: (cache_pages, readahead) -> faults, hits, prefetched,
+   bytes_read. *)
+let test_pinned_io_counters () =
+  let ds = Bpq_workload.Workload.imdb ~scale:0.02 () in
+  let constrs = Bpq_workload.Workload.a0 ds.table @ Discovery.discover ~max_bound:64 ds.graph in
+  let schema = Schema.build ds.graph constrs in
+  let q0 = Bpq_workload.Workload.q0 ds.table in
+  let q =
+    Helpers.pattern ds.table [ ("movie", []); ("year", []); ("certificate", []) ] [ (0, 1); (0, 2) ]
+  in
+  let plans = List.map (fun q -> Qplan.generate_exn Actualized.Subgraph q constrs) [ q0; q; q0 ] in
+  Helpers.with_temp_file (fun path ->
+      Schema.save schema path;
+      let counts =
+        List.concat_map
+          (fun cache_pages ->
+            List.map
+              (fun readahead ->
+                with_paged ~cache_pages ~readahead path (fun p ->
+                    List.iter (fun plan -> ignore (Exec.run_with (Paged.source p) plan)) plans;
+                    let c = Paged.io_counters p in
+                    ( (cache_pages, readahead),
+                      (c.Paged.faults, c.Paged.hits, c.Paged.prefetched, c.Paged.bytes_read) )))
+              [ 0; 8 ])
+          [ 1; 8; 65536 ]
+      in
+      let pinned =
+        [ ((1, 0), (44141, 84761, 0, 180801536));
+          ((1, 8), (47981, 80921, 50976, 405327872));
+          ((8, 0), (1219, 127683, 0, 4993024));
+          ((8, 8), (3068, 125834, 4216, 29835264));
+          ((65536, 0), (96, 128806, 0, 393216));
+          ((65536, 8), (68, 128834, 46, 466944)) ]
+      in
+      List.iter2
+        (fun ((cap, ra), want) (_, got) ->
+          let name = Printf.sprintf "cache %d, readahead %d" cap ra in
+          Alcotest.(check (pair (pair int int) (pair int int)))
+            name
+            (let f, h, pf, b = want in ((f, h), (pf, b)))
+            (let f, h, pf, b = got in ((f, h), (pf, b))))
+        pinned counts)
+
 let test_source_metadata () =
   let schema, _ = q0_setup () in
   Helpers.with_temp_file (fun path ->
@@ -225,7 +270,7 @@ let test_store_handle () =
       Schema.save schema path;
       let mem = Store.open_snapshot ~backend:Store.Mem path in
       let paged =
-        Store.open_snapshot ~backend:Store.Paged ~page_cache_mb:4 ~verify:true path
+        Store.open_snapshot ~backend:Store.Paged ~page_cache_mb:4 path
       in
       Fun.protect
         ~finally:(fun () ->
@@ -244,6 +289,11 @@ let test_store_handle () =
             (Store.io_counters mem = None && Store.io_counters paged <> None);
           Helpers.check_true "selectivity round trips through of_schema"
             (Store.selectivity (Store.of_schema schema) = None);
+          (match Store.open_snapshot ~backend:Store.Sharded path with
+           | _ -> Alcotest.fail "a sharded open_snapshot should be refused"
+           | exception Invalid_argument msg ->
+             Helpers.check_true "the refusal names Store.of_remote"
+               (Helpers.contains msg "Store.of_remote"));
           Helpers.check_true "handles serve identical results"
             (Helpers.canon (Exec.run_with (Store.source mem) plan)
             = Helpers.canon (Exec.run_with (Store.source paged) plan))))
@@ -319,6 +369,7 @@ let suite =
     Alcotest.test_case "q0 parity across pools" `Quick test_q0_parity_and_pools;
     Alcotest.test_case "io counters" `Quick test_io_counters;
     Alcotest.test_case "sequential readahead" `Quick test_readahead;
+    Alcotest.test_case "paged page traffic pinned" `Quick test_pinned_io_counters;
     Alcotest.test_case "source metadata" `Quick test_source_metadata;
     Alcotest.test_case "unknown constraint raises" `Quick test_unknown_constraint_raises;
     Alcotest.test_case "qcache serves both backends" `Quick test_qcache_across_backends;

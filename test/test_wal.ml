@@ -313,6 +313,51 @@ let overlay_identity =
         via_mem = via_pool && paged_ok && via_mem = via_compacted
         && via_mem = via_scratch)
 
+(* A paged store serves the file it opened, and its write path pairs
+   with that file too: after another snapshot is renamed over the path,
+   the log still pairs with the opened generation A (not the renamed-in
+   B), and compaction folds the ops into A. *)
+let test_paged_rename_pairs_served_file () =
+  let rec bounded seed =
+    let tbl, g, constrs, r = Helpers.random_instance seed in
+    match Qplan.generate Actualized.Subgraph (Bpq_pattern.Qgen.from_walk r g) constrs with
+    | Some plan -> (tbl, g, constrs, r, plan)
+    | None -> bounded (seed + 1)
+  in
+  let tbl, g, constrs, r, plan = bounded 31 in
+  let a = Schema.build g constrs in
+  let _, g_b, constrs_b, _ = Helpers.random_instance 77 in
+  let b = Schema.build g_b constrs_b in
+  with_temp ".snap" @@ fun p ->
+  with_temp ".a.snap" @@ fun copy_a ->
+  with_temp ".b.snap" @@ fun p_b ->
+  with_temp ".wal" @@ fun walp ->
+  with_temp ".out" @@ fun out ->
+  Schema.save a p;
+  Schema.save a copy_a;
+  Schema.save b p_b;
+  let sum_a = Binfile.file_sum p and sum_b = Binfile.file_sum p_b in
+  let st = Store.open_snapshot ~backend:Store.Paged ~cache_pages:4 p in
+  Fun.protect ~finally:(fun () -> Store.close st) @@ fun () ->
+  Unix.rename p_b p;
+  ignore (Store.attach_wal st walp : int);
+  let ops = random_ops r g tbl 20 in
+  (match Store.apply_ops st ops with Ok _ -> () | Error e -> Alcotest.failf "apply: %s" e);
+  let stamp = Store.stamp st in
+  let reopen sum =
+    match Wal.open_ ~base_sum:sum ~base_stamp:stamp walp with
+    | w, _, _ -> Wal.close w; true
+    | exception Failure _ -> false
+  in
+  Helpers.check_true "log pairs with the served generation A" (reopen sum_a);
+  Helpers.check_false "log refuses the renamed-in generation B" (reopen sum_b);
+  ignore (Store.compact ~out st : string);
+  let folded, _ = Schema.load (Label.create_table ()) out in
+  let expected = Store.fold_ops (fst (Schema.load (Label.create_table ()) copy_a)) ops in
+  Helpers.check_true "compaction folds the ops into A"
+    (canon (Exec.run_with (Exec.source_of_schema folded) plan)
+    = canon (Exec.run_with (Exec.source_of_schema expected) plan))
+
 (* Random ops that never touch a node labeled [avoid]: no edge with
    such an endpoint, no fresh node with that label. *)
 let ops_avoiding r g tbl avoid count =
@@ -723,6 +768,8 @@ let suite =
     compaction_equals_rebuild;
     in_place_compaction_keeps_mapping;
     Alcotest.test_case "typed write-path errors" `Quick test_store_errors;
+    Alcotest.test_case "paged log and compaction pair with the served file" `Quick
+      test_paged_rename_pairs_served_file;
     Alcotest.test_case "caches across writes and generation swaps" `Quick
       test_cache_generations;
     Alcotest.test_case "per-version fetch tiers" `Quick test_fetch_tiers;
