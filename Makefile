@@ -58,7 +58,7 @@ bench-intra:
 # live heap word per i64 of the snapshot (counts, not timings).
 bench-store:
 	BENCH_FAST=1 dune exec bench/main.exe -- store --json _bench
-	jq -e '.store.identical and (.store.flatness < 2) and (.store.size_growth >= 10) and (.store.index_words_ratio <= 1.5) and (.store.open_heap_ratio <= 1.0)' _bench/BENCH_store.json >/dev/null
+	jq -e '.store.identical and (.store.flatness < 2) and (.store.size_growth >= 10) and (.store.index_words_ratio <= 1.5) and (.store.open_heap_ratio <= 1.0) and (.store.open_probe_bytes == 0)' _bench/BENCH_store.json >/dev/null
 	@echo "bench-store: _bench/BENCH_store.json OK"
 
 # Write-path experiment: a delta log growing to a fixed fraction of |G|

@@ -109,7 +109,9 @@ let with_cluster ~shards ~snapshot f =
             let file = Filename.concat m.Shard.dir sf.Shard.file in
             let th =
               Thread.create
-                (fun () -> try Remote.serve ~input:child ~output:child file with _ -> ())
+                (fun () ->
+                  try Remote.with_shard file (Remote.serve ~input:child ~output:child)
+                  with _ -> ())
                 ()
             in
             (parent, child, th))

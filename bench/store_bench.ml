@@ -27,12 +27,16 @@
        the point queries across the sweep (CI requires < 2);
      - size_growth / snapshot_growth: the sweep really spans >= 10x;
      - index_words_ratio: worst heap words of the loaded indexes per int
-       of the schema section (CI requires <= 1.5).  The loaded indexes
-       serve from the mapped file, so this counts their probe tables;
+       of the schema section, once the identity runs have probed them
+       (CI requires <= 1.5).  The loaded indexes serve from the mapped
+       file, so this counts the probe tables those plans built;
+     - open_probe_bytes: worst probe-table bytes a mem-backend open
+       holds before any query (CI requires 0: a table is built by the
+       first probe of its index, not by the open);
      - open_heap_ratio: worst live heap words a mem-backend open adds
-       (after a full major GC) per i64 of the snapshot — graph arrays
-       plus probe tables, nothing copied from the index section (CI
-       requires <= 1.0: the heap never holds more than the file).
+       (after a full major GC) per i64 of the snapshot — graph arrays,
+       nothing copied from the index section (CI requires <= 1.0: the
+       heap never holds more than the file).
 
    Reported, not gated: the mem open's wall time on a pool of 1 and of
    2 slots (median of 5 in-process opens), and the checksum pass alone
@@ -79,6 +83,7 @@ type point = {
   graph_size : int;
   snapshot_bytes : int;
   index_words_ratio : float;
+  open_probe_bytes : int;
   open_heap_ratio : float;
   open_s : float * float;  (* pool of 1, pool of 2 *)
   sum_mb_per_s : float;
@@ -89,9 +94,9 @@ type point = {
 (* Words the loaded indexes hold in memory of their own per int of the
    snapshot's schema section — a deterministic count (the section is the
    indexes' on-disk form, so 1.0 means "no bigger in memory than on
-   disk").  The heap words are counted with the off-heap probe tables,
-   which the heap walk cannot see; the windows onto the mapped file are
-   the section itself and count nothing. *)
+   disk").  The heap words are counted with the off-heap probe tables
+   built so far, which the heap walk cannot see; the windows onto the
+   mapped file are the section itself and count nothing. *)
 let index_words_ratio schema path =
   let section_ints =
     In_channel.with_open_bin path (fun ic ->
@@ -114,15 +119,22 @@ let index_words_ratio schema path =
   float_of_int (Obj.reachable_words (Obj.repr indexes) + probe_words) /. float_of_int section_ints
 
 (* Live heap words a mem-backend open of [path] adds, per i64 of the
-   file: deterministic, unlike a timing or the RSS. *)
-let open_heap_ratio path snapshot_bytes =
+   file (deterministic, unlike a timing or the RSS), and the probe-table
+   bytes the open holds. *)
+let open_footprint path snapshot_bytes =
   Gc.full_major ();
   let live0 = (Gc.stat ()).Gc.live_words in
   let st = Bpq_store.Store.open_snapshot path in
   Gc.full_major ();
   let live = (Gc.stat ()).Gc.live_words - live0 in
+  let schema = Option.get (Bpq_store.Store.schema st) in
+  let probe_bytes =
+    List.fold_left
+      (fun acc c -> acc + Index.probe_bytes (Schema.index_of schema c))
+      0 (Schema.constraints schema)
+  in
   Bpq_store.Store.close st;
-  float_of_int live /. float_of_int (snapshot_bytes / 8)
+  (float_of_int live /. float_of_int (snapshot_bytes / 8), probe_bytes)
 
 let median_of_5 f =
   let a = Array.init 5 (fun _ -> let t = Unix.gettimeofday () in f (); Unix.gettimeofday () -. t) in
@@ -157,8 +169,7 @@ let measure scale =
       (* Backend identity for every plan: reloaded snapshot, paged with a
          comfortable cache, paged with a starved one. *)
       let schema2, _ = Schema.load (Label.create_table ()) path in
-      let index_words_ratio = index_words_ratio schema2 path in
-      let open_heap_ratio = open_heap_ratio path snapshot_bytes in
+      let open_heap_ratio, open_probe_bytes = open_footprint path snapshot_bytes in
       let open_s = (open_seconds path 1, open_seconds path 2) in
       let sum_mb_per_s = sum_mb_per_s path snapshot_bytes in
       (* Readahead off: this experiment charges each bounded query its
@@ -181,6 +192,7 @@ let measure scale =
                 && canon (Exec.run_with (Paged.source starved) plan) = reference)
               plans
           in
+          let index_words_ratio = index_words_ratio schema2 path in
           (* Cold-cache I/O: forget everything the identity runs cached,
              then charge each query a fresh cold run. *)
           let queries =
@@ -200,6 +212,7 @@ let measure scale =
             graph_size = Digraph.size ds.W.graph;
             snapshot_bytes;
             index_words_ratio;
+            open_probe_bytes;
             open_heap_ratio;
             open_s;
             sum_mb_per_s;
@@ -218,7 +231,8 @@ let run () =
   let qnames = List.map (fun q -> q.name) (List.hd points).queries in
   let table =
     Table.create
-      ([ "scale"; "|G|"; "snapshot B"; "index words/int"; "open words/i64"; "open 1 slot";
+      ([ "scale"; "|G|"; "snapshot B"; "index words/int"; "open probe B"; "open words/i64";
+         "open 1 slot";
          "open 2 slots"; "sum MB/s" ]
       @ List.concat_map (fun n -> [ n ^ " B"; n ^ " items" ]) qnames
       @ [ "identical" ])
@@ -230,6 +244,7 @@ let run () =
            string_of_int pt.graph_size;
            string_of_int pt.snapshot_bytes;
            Printf.sprintf "%.2f" pt.index_words_ratio;
+           string_of_int pt.open_probe_bytes;
            Printf.sprintf "%.2f" pt.open_heap_ratio;
            Printf.sprintf "%.1fms" (1e3 *. fst pt.open_s);
            Printf.sprintf "%.1fms" (1e3 *. snd pt.open_s);
@@ -253,12 +268,13 @@ let run () =
   let worst f = List.fold_left (fun acc p -> Float.max acc (f p)) 0.0 points in
   let index_words_ratio = worst (fun p -> p.index_words_ratio) in
   let open_heap_ratio = worst (fun p -> p.open_heap_ratio) in
+  let open_probe_bytes = List.fold_left (fun acc p -> max acc p.open_probe_bytes) 0 points in
   Printf.printf
     "\npoint-query bytes spread %.2fx over a %.1fx graph sweep (snapshot grows %.1fx);\n\
      q0 items spread %.2fx; backends identical: %b; index words per section int <= %.2f;\n\
-     open heap words per snapshot i64 <= %.2f\n"
+     open heap words per snapshot i64 <= %.2f; probe-table bytes at open <= %d\n"
     flatness size_growth snapshot_growth join_items_spread identical index_words_ratio
-    open_heap_ratio;
+    open_heap_ratio open_probe_bytes;
   push_json_field "store"
     (Json.Obj
        [ ("identical", Json.Bool identical);
@@ -268,6 +284,7 @@ let run () =
          ("snapshot_growth", Json.Float snapshot_growth);
          ("index_words_ratio", Json.Float index_words_ratio);
          ("open_heap_ratio", Json.Float open_heap_ratio);
+         ("open_probe_bytes", Json.Int open_probe_bytes);
          ( "points",
            Json.Arr
              (List.map
@@ -278,6 +295,7 @@ let run () =
                       ("snapshot_bytes", Json.Int p.snapshot_bytes);
                       ("index_words_ratio", Json.Float p.index_words_ratio);
                       ("open_heap_ratio", Json.Float p.open_heap_ratio);
+                      ("open_probe_bytes", Json.Int p.open_probe_bytes);
                       ("open_s_pool1", Json.Float (fst p.open_s));
                       ("open_s_pool2", Json.Float (snd p.open_s));
                       ("checksum_mb_per_s", Json.Float p.sum_mb_per_s);

@@ -567,18 +567,21 @@ let worker_cmd =
   let run shard_file listen accept page_cache =
     guard @@ fun () ->
     Sock.ignore_sigpipe ();
-    match listen with
+    let addr =
+      Option.map
+        (fun spec ->
+          match Sock.parse spec with Ok a -> a | Error msg -> failwith ("--listen " ^ msg))
+        listen
+    in
+    (* One open of the shard file serves every connection. *)
+    Remote.with_shard ~page_cache_mb:page_cache shard_file @@ fun p meta ->
+    match addr with
     | None ->
       (* Stdout is the protocol channel: nothing else may print there. *)
-      (try Remote.serve ~page_cache_mb:page_cache ~input:Unix.stdin ~output:Unix.stdout
-             shard_file
+      (try Remote.serve ~input:Unix.stdin ~output:Unix.stdout p meta
        with e when Sock.is_disconnect e -> ());
       0
-    | Some spec ->
-      let addr =
-        match Sock.parse spec with Ok a -> a | Error msg -> failwith ("--listen " ^ msg)
-      in
-      let meta = Binfile.with_file shard_file Shard.read_shard_meta in
+    | Some addr ->
       let lfd = Sock.listen addr in
       Fun.protect ~finally:(fun () -> Sock.close_listener addr lfd) @@ fun () ->
       Printf.eprintf "bpq: worker for shard %d/%d serving %s on %s\n%!" meta.Shard.shard
@@ -586,7 +589,7 @@ let worker_cmd =
       let served = ref 0 in
       while accept = 0 || !served < accept do
         let conn, _ = Unix.accept lfd in
-        (try Remote.serve ~page_cache_mb:page_cache ~input:conn ~output:conn shard_file
+        (try Remote.serve ~input:conn ~output:conn p meta
          with e when Sock.is_disconnect e -> ());
         (try Unix.close conn with Unix.Unix_error _ -> ());
         incr served

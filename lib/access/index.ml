@@ -15,8 +15,9 @@ module A1 = Bigarray.Array1
    node order.  A loaded index's two windows are the mapped file itself;
    a built one's are off-heap arrays of the same layout.  O(1) probes go
    through an open-addressing table of 32-bit slots over bucket
-   ordinals, off-heap too: the record is the index's only heap
-   structure. *)
+   ordinals, off-heap too, built from the key records the first time
+   something probes the index: a plan reads only the indexes of the
+   constraints it names, so an index no plan names costs no table. *)
 
 let half_width = 31
 let half_mask = (1 lsl half_width) - 1
@@ -30,6 +31,12 @@ let width_of_arity arity = if arity <= 2 then 1 else arity
 
 type slots = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
 
+type table = {
+  slots : slots;  (* 0 = empty, else hash tag (high bits) | ordinal + 1 *)
+  smask : int;  (* slot count - 1 *)
+  omask : int;  (* the low slot bits that hold ordinal + 1 *)
+}
+
 type t = {
   constr : Constr.t;
   arity : int;
@@ -37,9 +44,8 @@ type t = {
   n : int;  (* key records *)
   recs : Binfile.i64s;  (* n records of [width + 2] ints, keys strictly increasing *)
   payload : Binfile.i64s;
-  slots : slots;  (* 0 = empty, else hash tag (high bits) | ordinal + 1 *)
-  smask : int;  (* slot count - 1 *)
-  omask : int;  (* the low slot bits that hold ordinal + 1 *)
+  table : table Atomic.t;  (* [unbuilt] until the first probe builds it *)
+  building : Mutex.t;  (* held while a first probe builds the table *)
   home : (Binfile.mapped * int) option;
       (* the mapped snapshot and byte offset the records (then the
          payload) were loaded from *)
@@ -103,35 +109,58 @@ let slot_capacity n =
   let rec go c = if c >= want then c else go (2 * c) in
   go 1
 
-(* An empty table for [n] keys: the slots, the slot mask, the ordinal
-   mask. *)
-let new_slots n =
+(* The table over [n] records of [width] key ints (stride [width + 2]). *)
+let probe_table recs ~n ~width =
   if n < 0 || n >= max_keys then invalid_arg "Index: key count outside [0, 2^30)";
   let cap = slot_capacity n in
   let slots = A1.create Bigarray.int32 Bigarray.c_layout cap in
   A1.fill slots 0l;
-  (slots, cap - 1, ordinal_mask n)
-
-let insert_slot (slots : slots) smask omask h o =
-  let i = ref (h land smask) in
-  while A1.unsafe_get slots !i <> 0l do
-    i := (!i + 1) land smask
-  done;
-  A1.unsafe_set slots !i (Int32.of_int (tag_of h omask lor (o + 1)))
-
-(* The table over [n] records of [width] key ints (stride [width + 2]). *)
-let probe_table recs ~n ~width =
-  let ((slots, smask, omask) as table) = new_slots n in
+  let smask = cap - 1 and omask = ordinal_mask n in
   let key = Array.make width 0 in
   for o = 0 to n - 1 do
     for j = 0 to width - 1 do
       key.(j) <- get recs ((o * (width + 2)) + j)
     done;
-    insert_slot slots smask omask (hash_ints key 0 width) o
+    let h = hash_ints key 0 width in
+    let i = ref (h land smask) in
+    while A1.unsafe_get slots !i <> 0l do
+      i := (!i + 1) land smask
+    done;
+    A1.unsafe_set slots !i (Int32.of_int (tag_of h omask lor (o + 1)))
   done;
-  table
+  { slots; smask; omask }
 
-let probe_bytes t = 4 * A1.dim t.slots
+(* The table of every index before its first probe: one empty slot, so
+   every probe misses, and only a miss checks whether it probed this
+   very table.  Shared, and never written. *)
+let unbuilt = probe_table (create_i64s 0) ~n:0 ~width:1
+
+(* The index over [n] records in [recs] and their [payload].  Its table
+   is built by its first probe, except over no keys: that table reads no
+   record and is one slot, so it is made up front. *)
+let make c ~n ~recs ~payload ~home =
+  let arity = Constr.arity c in
+  let width = width_of_arity arity in
+  { constr = c;
+    arity;
+    width;
+    n;
+    recs;
+    payload;
+    table = Atomic.make (if n = 0 then probe_table recs ~n ~width else unbuilt);
+    building = Mutex.create ();
+    home }
+
+(* Concurrent first probes queue on [building]: the first builds and
+   publishes the table, the rest find it published. *)
+let build_table t =
+  Mutex.protect t.building (fun () ->
+      if Atomic.get t.table == unbuilt then
+        Atomic.set t.table (probe_table t.recs ~n:t.n ~width:t.width))
+
+let probe_bytes t =
+  let tb = Atomic.get t.table in
+  if tb == unbuilt then 0 else 4 * A1.dim tb.slots
 
 (* Lexicographic order of two [width]-int records.  Loops over refs, not
    a local recursive function, so a call allocates no closure: the load
@@ -156,10 +185,12 @@ let compare_record t o src pos =
 
 (* The bucket ordinal of a packed (width-1, so 3-int record) key, or
    -1.  A slot matches when its tag equals the key's, i.e. when it
-   differs from [want] only in its ordinal bits. *)
-let find_packed t key =
+   differs from [want] only in its ordinal bits.  A hit is final; a miss
+   is, unless it probed [unbuilt]. *)
+let rec find_packed t key =
+  let tb = Atomic.get t.table in
   let h = mix key in
-  let slots = t.slots and recs = t.recs and smask = t.smask and omask = t.omask in
+  let slots = tb.slots and recs = t.recs and smask = tb.smask and omask = tb.omask in
   let want = tag_of h omask in
   let i = ref (h land smask) and found = ref (-2) in
   while !found = -2 do
@@ -169,24 +200,33 @@ let find_packed t key =
       found := (s land omask) - 1
     else i := (!i + 1) land smask
   done;
-  !found
+  if !found < 0 && tb == unbuilt then begin
+    build_table t;
+    find_packed t key
+  end
+  else !found
 
 (* The bucket ordinal of the record [src.(pos) .. src.(pos + width - 1)],
    or -1. *)
-let find_at t src pos =
+let rec find_at t src pos =
   if t.width = 1 then find_packed t src.(pos)
   else begin
+    let tb = Atomic.get t.table in
     let h = hash_ints src pos t.width in
-    let want = tag_of h t.omask in
-    let i = ref (h land t.smask) and found = ref (-2) in
+    let want = tag_of h tb.omask in
+    let i = ref (h land tb.smask) and found = ref (-2) in
     while !found = -2 do
-      let s = Int32.to_int (A1.unsafe_get t.slots !i) in
+      let s = Int32.to_int (A1.unsafe_get tb.slots !i) in
       if s = 0 then found := -1
-      else if s lxor want <= t.omask && compare_record t ((s land t.omask) - 1) src pos = 0 then
-        found := (s land t.omask) - 1
-      else i := (!i + 1) land t.smask
+      else if s lxor want <= tb.omask && compare_record t ((s land tb.omask) - 1) src pos = 0 then
+        found := (s land tb.omask) - 1
+      else i := (!i + 1) land tb.smask
     done;
-    !found
+    if !found < 0 && tb == unbuilt then begin
+      build_table t;
+      find_at t src pos
+    end
+    else !found
   end
 
 (* ---------------- key normalisation ---------------- *)
@@ -363,8 +403,7 @@ let freeze c acc =
       set recs len_at (get recs len_at + 1);
       set payload i nodes.(e))
     order;
-  let slots, smask, omask = probe_table recs ~n:!n ~width in
-  { constr = c; arity; width; n = !n; recs; payload; slots; smask; omask; home = None }
+  make c ~n:!n ~recs ~payload ~home:None
 
 (* ---------------- contributions ---------------- *)
 
@@ -662,14 +701,11 @@ let apply_delta t ~old_graph ~new_graph (delta : Digraph.delta) =
         end)
       groups;
     copy_span !next n;
-    let t' = { t with n = !n'; recs; payload; home = None } in
-    (* Only bucket contents moved: the probe table still maps every key
-       to its ordinal. *)
+    (* When only bucket contents moved, [t]'s table, built or not, still
+       maps every key to its ordinal, so the two share its cell. *)
     let same_keys = List.for_all (fun (_, _, existed, m) -> existed = (m <> [||])) groups in
-    if same_keys then t'
-    else
-      let slots, smask, omask = probe_table recs ~n:!n' ~width:w in
-      { t' with slots; smask; omask }
+    if same_keys then { t with n = !n'; recs; payload; home = None }
+    else make c ~n:!n' ~recs ~payload ~home:None
   end
 
 (* ---------------- filtering ---------------- *)
@@ -706,8 +742,7 @@ let filter t keep =
         incr nk
       end)
     kept;
-  let slots, smask, omask = probe_table recs ~n:!n ~width:t.width in
-  { t with n = !n; recs; payload; slots; smask; omask; home = None }
+  make t.constr ~n:!n ~recs ~payload ~home:None
 
 (* ---------------- serialisation ---------------- *)
 
@@ -724,9 +759,10 @@ let export_buckets t = Array.init t.n (fun o -> (key_record t o, bucket t o))
 (* The invariants lookups rely on — strictly increasing, well-formed key
    records over contiguous non-empty buckets that cover the payload, and
    every key and payload id a node — checked on the bytes as they stream
-   past, while the probe table fills from the same reads.  Lookups then
-   read the windows unchecked.  The region's sizes were checked against
-   the section by the metadata decoder ([Schema.read_meta]). *)
+   past.  Lookups then read the windows unchecked, and the first one
+   builds the probe table from the mapped records.  The region's sizes
+   were checked against the section by the metadata decoder
+   ([Schema.read_meta]). *)
 let load r file ~n_nodes c ~n_keys ~payload_ints =
   let module R = Binfile.Reader in
   let corrupt msg = raise (Binfile.Corrupt ("schema section: " ^ msg)) in
@@ -735,7 +771,6 @@ let load r file ~n_nodes c ~n_keys ~payload_ints =
   let stride = width + 2 in
   if n_keys >= max_keys then corrupt "key records out of range";
   let pos = R.file_pos r in
-  let slots, smask, omask = new_slots n_keys in
   let node_ok v = v >= 0 && v < n_nodes in
   let key_ok buf base =
     let k = buf.(base) in
@@ -769,8 +804,7 @@ let load r file ~n_nodes c ~n_keys ~payload_ints =
         if r > 0 then compare_at buf (base - stride) buf base width < 0
         else !o = 0 || compare_at prev 0 buf base width < 0
       in
-      if not increasing then corrupt "key records not strictly increasing";
-      insert_slot slots smask omask (hash_ints buf base width) (!o + r)
+      if not increasing then corrupt "key records not strictly increasing"
     done;
     Array.blit buf ((k - 1) * stride) prev 0 width;
     o := !o + k
@@ -785,13 +819,7 @@ let load r file ~n_nodes c ~n_keys ~payload_ints =
     done;
     left := !left - k
   done;
-  { constr = c;
-    arity;
-    width;
-    n = n_keys;
-    recs = Binfile.map_sub file ~pos ~len:(n_keys * stride);
-    payload = Binfile.map_sub file ~pos:(pos + (8 * n_keys * stride)) ~len:payload_ints;
-    slots;
-    smask;
-    omask;
-    home = Some (file, pos) }
+  make c ~n:n_keys
+    ~recs:(Binfile.map_sub file ~pos ~len:(n_keys * stride))
+    ~payload:(Binfile.map_sub file ~pos:(pos + (8 * n_keys * stride)) ~len:payload_ints)
+    ~home:(Some (file, pos))

@@ -16,7 +16,10 @@
     ordinals.  A loaded index's windows are the mapped snapshot itself
     ({!load}); a built one's are off-heap arrays of the same layout.  The
     probe table is off-heap too, so an index holds no heap memory beyond
-    its record.
+    its record, and it is built from the key records by the index's
+    first probe, whichever constructor made the index: an index that is
+    never probed never holds one.  Concurrent first probes, from any
+    domains or threads, build exactly one table.
     Maintenance under graph deltas (paper §II, "Maintaining access
     constraints") is functional: {!apply_delta} returns a fresh index,
     or the same one when the delta moves no node between buckets.
@@ -86,8 +89,10 @@ val size : t -> int
     paper's Fig. 5(d/h/l). *)
 
 val probe_bytes : t -> int
-(** Bytes of the off-heap probe table: 4 per slot, at least 1.5 slots
-    per key.  The heap's own counters do not see them. *)
+(** Bytes of the built off-heap probe table: 4 per slot, at least 1.5
+    slots per key; 0 before the first probe (an index over no keys has
+    its one-slot table from the start).  The heap's own counters do not
+    see them. *)
 
 val apply_delta :
   t -> old_graph:Digraph.t -> new_graph:Digraph.t -> Digraph.delta -> t
@@ -98,7 +103,9 @@ val apply_delta :
     the changed buckets are recomputed from the changed nodes'
     neighbourhoods and the rest copied across, so the result equals
     {!build} on [new_graph] exactly, bucket order included (given [t]
-    equals {!build} on [old_graph]).  [t] is never modified. *)
+    equals {!build} on [old_graph]).  [t]'s buckets are never modified;
+    when no key appears or drops out, the two share one probe table, so
+    the first probe of either builds it for both. *)
 
 val iter : t -> (int list -> int array -> unit) -> unit
 (** Iterate over all (key, bucket) pairs — used by satisfaction reports. *)
@@ -158,8 +165,8 @@ val filter : t -> (int array -> bool) -> t
 (** The index holding only the buckets whose native key record the
     predicate accepts, in their order, each bucket unchanged: what a shard file
     stores for the buckets its shard owns.  An ordinary index (off-heap
-    windows and probe table of its own), whatever [t] was loaded
-    from. *)
+    windows of its own, its probe table built on its first probe),
+    whatever [t] was loaded from. *)
 
 (** {1 Serialisation} *)
 
@@ -167,8 +174,8 @@ val emit : Binfile.sink -> t -> unit
 (** The index's region of a snapshot's schema section: {!n_keys} records
     of {!key_width} key ints, bucket start and bucket length, then the
     {!payload_ints} payload ids.  A loaded index copies its bytes from
-    the file it was loaded from, without reading them through the
-    mapping. *)
+    the file it was loaded from while that file is open, without reading
+    them through the mapping ([Binfile.put_mapped]). *)
 
 val export_buckets : t -> (int array * int array) array
 (** Every bucket as [(native key record, payload)] in key-record order —
@@ -188,8 +195,9 @@ val load :
     read once, through the reader: that read checks that the records are
     strictly increasing and well formed for the constraint's arity, that
     the buckets are non-empty, contiguous and cover the payload, and that
-    every key and payload node id lies in [\[0, n_nodes)] — and fills
-    the probe table.  No byte is read through the mapping.  The sizes
+    every key and payload node id lies in [\[0, n_nodes)].  It builds
+    no probe table: the index's first probe does, from the key records
+    in the mapping.  No byte is read through the mapping here.  The sizes
     must describe a region inside the section, as the schema-section
     metadata decoder ([Schema.read_meta]) checks before calling this.
     @raise Binfile.Corrupt naming the first violation, and on an

@@ -158,20 +158,6 @@ let round8 n = (n + 7) land lnot 7
 
 type i64s = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* A read-only private mapping of a whole snapshot, plus what identifies
-   the file it maps: snapshots are only ever replaced by renaming a new
-   file over the old one, so (device, inode, length) names the mapped
-   generation for as long as the mapping keeps that inode alive. *)
-type mapped = {
-  m_path : string;
-  m_dev : int;
-  m_ino : int;
-  m_len : int;
-  m_data : i64s;
-}
-
-let map_sub m ~pos ~len = Bigarray.Array1.sub m.m_data (pos / 8) len
-
 let chunk_size = 65536
 
 (* ---------------- writing ---------------- *)
@@ -227,34 +213,6 @@ let put_i64s s (a : i64s) =
     Bytes.set_int64_le s.chunk s.fill (Bigarray.Array1.unsafe_get a i);
     s.fill <- s.fill + 8
   done
-
-(* Bytes [pos, pos + len) of a mapped snapshot, read with positional
-   reads from the file itself rather than through the mapping: pages
-   touched through a mapping stay resident in this process, pages read
-   into the sink's buffer do not.  When the path no longer names the
-   mapped inode (renamed over), the mapping is the only copy left. *)
-let put_mapped s m ~pos ~len =
-  let through_mapping () = put_i64s s (map_sub m ~pos ~len:(len / 8)) in
-  match open_in_bin m.m_path with
-  | exception Sys_error _ -> through_mapping ()
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let st = Unix.fstat (Unix.descr_of_in_channel ic) in
-        if st.Unix.st_dev <> m.m_dev || st.Unix.st_ino <> m.m_ino || st.Unix.st_size <> m.m_len
-        then through_mapping ()
-        else begin
-          seek_in ic pos;
-          let left = ref len in
-          while !left > 0 do
-            if s.fill = chunk_size then flush_sink s;
-            let k = min !left (chunk_size - s.fill) in
-            really_input ic s.chunk s.fill k;
-            s.fill <- s.fill + k;
-            left := !left - k
-          done
-        end)
 
 type body =
   | Buffered of Buffer.t
@@ -617,17 +575,42 @@ let task f ~weight job =
     | Some v -> v
     | None -> invalid_arg "Binfile.task: result read before the open finished"
 
+(* A read-only private mapping of a whole snapshot, and the open file
+   it maps. *)
+type mapped = {
+  m_file : file;
+  m_data : i64s;
+}
+
+let map_sub m ~pos ~len = Bigarray.Array1.sub m.m_data (pos / 8) len
+
 let mapping f =
   if f.file_len land 7 <> 0 then corrupt "snapshot length %d is not 8-aligned" f.file_len;
   Mutex.protect f.lock @@ fun () ->
   if f.closed then raise (Sys_error (f.path ^ ": file is closed"));
-  let st = Unix.fstat f.fd in
-  let data =
-    Bigarray.array1_of_genarray
-      (Unix.map_file f.fd Bigarray.int64 Bigarray.c_layout false [| f.file_len / 8 |])
-  in
-  { m_path = f.path; m_dev = st.Unix.st_dev; m_ino = st.Unix.st_ino; m_len = f.file_len;
-    m_data = data }
+  { m_file = f;
+    m_data =
+      Bigarray.array1_of_genarray
+        (Unix.map_file f.fd Bigarray.int64 Bigarray.c_layout false [| f.file_len / 8 |]) }
+
+(* Bytes [pos, pos + len) of a mapped snapshot, read from its open file
+   rather than through the mapping: pages touched through a mapping stay
+   resident in this process, pages read into the sink's buffer do not.
+   Once the file is closed, the mapping is the only copy left. *)
+let put_mapped s m ~pos ~len =
+  let f = m.m_file in
+  if Mutex.protect f.lock (fun () -> f.closed) then put_i64s s (map_sub m ~pos ~len:(len / 8))
+  else begin
+    let at = ref pos and left = ref len in
+    while !left > 0 do
+      if s.fill = chunk_size then flush_sink s;
+      let k = min !left (chunk_size - s.fill) in
+      read_into f s.chunk ~at:s.fill ~pos:!at ~len:k;
+      s.fill <- s.fill + k;
+      at := !at + k;
+      left := !left - k
+    done
+  end
 
 (* The plan's tasks and the checksum, largest first, on the pool.  Each
    task keeps its own outcome, so the checksum's verdict is raised ahead

@@ -104,7 +104,8 @@ type i64s = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
     snapshot, or off-heap memory of the same layout. *)
 
 type mapped
-(** A read-only mapping of one whole snapshot file ({!mapping}). *)
+(** A read-only mapping of one whole snapshot file, and the {!file} it
+    was made from ({!mapping}). *)
 
 val map_sub : mapped -> pos:int -> len:int -> i64s
 (** The [len] integers starting at byte offset [pos] (8-aligned) of the
@@ -142,10 +143,9 @@ val put_i64s : sink -> i64s -> unit
 
 val put_mapped : sink -> mapped -> pos:int -> len:int -> unit
 (** Bytes [\[pos, pos + len)] of a mapped snapshot, copied with
-    positional reads from the file rather than through the mapping, so
-    they do not become resident in this process.  If the path names
-    another file by now (renamed over), the bytes come from the mapping,
-    which still holds the original. *)
+    positional reads from the {!file} it was mapped from rather than
+    through the mapping, so they do not become resident in this process.
+    Once that file is closed, the bytes come from the mapping. *)
 
 val write : writer -> string -> int
 (** Serialise to [path] atomically ({!Bpq_util.Atomic_file}), streaming

@@ -72,257 +72,259 @@ let ns_since t0 = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
 
 (* ---------------- worker side ---------------- *)
 
-let serve ?page_cache_mb ~input ~output shard_file =
-  (* A vanished peer must surface as EPIPE (which [Sock.is_disconnect]
-     classifies), not kill the process. *)
-  Sock.ignore_sigpipe ();
+let with_shard ?page_cache_mb shard_file k =
   let p = Paged.open_ ?page_cache_mb shard_file in
   Fun.protect
     ~finally:(fun () -> Paged.close p)
     (fun () ->
       (* Refuses a non-shard file (and pins the partition version) on
          the file the store serves. *)
-      let meta = Shard.read_shard_meta (Paged.file p) in
-      let src = Paged.source p in
-      let cons = Array.of_list src.Exec.constraints in
-      let buf = Buffer.create 4096 in
-      let reply fill =
-        Buffer.clear buf;
-        fill buf;
-        Sock.send_frame output (Buffer.contents buf)
-      in
-      let ok fill = reply (fun b -> Binfile.add_i64 b 0; fill b) in
-      let err msg = reply (fun b -> Binfile.add_i64 b 1; Binfile.add_string b msg) in
-      (* Plan-operation requests carry the schema stamp their plan was
-         built for; a mismatch (e.g. a coordinator replaying a plan from
-         before a snapshot reload) gets a typed rejection, not a wrong
-         answer. *)
-      let stale plan_stamp =
-        reply (fun b ->
-            Binfile.add_i64 b 2;
-            Binfile.add_i64 b src.Exec.stamp;
-            Binfile.add_i64 b plan_stamp)
-      in
-      let owns v = Shard.owner_of_node ~shards:meta.Shard.shards v = meta.Shard.shard in
-      let constraint_of cid =
-        if cid < 0 || cid >= Array.length cons then
-          failwith (Printf.sprintf "unknown constraint id %d" cid);
-        cons.(cid)
-      in
-      let running = ref true in
-      while !running do
-        match Sock.recv_frame input with
-        | None -> running := false
-        | Some frame -> (
-          let c = Binfile.Cur.of_bytes frame in
-          try
-            match Binfile.Cur.i64 c with
-            | op when op = op_hello ->
-              ok (fun b ->
-                  Binfile.add_i64 b meta.Shard.shard;
-                  Binfile.add_i64 b meta.Shard.shards;
-                  Binfile.add_i64 b src.Exec.stamp;
-                  Binfile.add_i64 b (Paged.n_nodes p);
-                  Binfile.add_i64 b meta.Shard.n_edges_global)
-            | op when op = op_fetch ->
-              let con = constraint_of (Binfile.Cur.i64 c) in
-              let arity = Constr.arity con in
-              let nkeys = Binfile.Cur.i64 c in
-              (* Checked against the frame before allocating: a key is
-                 [arity] i64s, and an arity-0 constraint has one key. *)
-              let max_keys =
-                if arity = 0 then 1 else Binfile.Cur.remaining c / (8 * arity)
-              in
-              if nkeys < 0 || nkeys > max_keys then
-                failwith (Printf.sprintf "key count %d exceeds the frame" nkeys);
-              let keys = Array.init nkeys (fun _ -> Binfile.Cur.array c arity) in
-              ok (fun b ->
-                  Binfile.add_i64 b nkeys;
-                  Array.iter
-                    (fun tuple ->
-                      let hits = src.Exec.lookup con (Array.to_list tuple) in
-                      Binfile.add_i64 b (Array.length hits);
-                      Binfile.add_array b hits)
-                    keys)
-            | op when op = op_probe ->
-              let n = Binfile.Cur.i64 c in
-              if n < 0 || n > Binfile.Cur.remaining c / 16 then
-                failwith (Printf.sprintf "pair count %d exceeds the frame" n);
-              let verdicts = Bytes.create n in
-              for i = 0 to n - 1 do
-                let s = Binfile.Cur.i64 c in
-                let d = Binfile.Cur.i64 c in
-                Bytes.set verdicts i (if src.Exec.probe_edge s d then '\001' else '\000')
-              done;
-              ok (fun b ->
-                  Binfile.add_i64 b n;
-                  Binfile.add_string b (Bytes.to_string verdicts))
-            | op when op = op_nodes ->
-              let n = Binfile.Cur.i64 c in
-              if n < 0 then failwith "negative id count";
-              let ids = Binfile.Cur.array c n in
-              ok (fun b ->
-                  Binfile.add_i64 b n;
-                  let vb = Buffer.create 16 in
-                  Array.iter
-                    (fun v ->
-                      Binfile.add_i64 b (src.Exec.node_label v);
-                      Buffer.clear vb;
-                      Graph_io.add_value_blob vb (src.Exec.node_value v);
-                      Binfile.add_string b (Buffer.contents vb))
-                    ids)
-            | op when op = op_exec_fetch ->
-              (* Whole fetch operation: stream this shard's buckets for
-                 the given tuples, apply the predicate to locally-owned
-                 hits, and hand unresolved foreign hits back for the
-                 coordinator's filter round.  Counters mirror the
-                 sequential executor loop: one lookup per tuple, every
-                 bucket entry streamed (duplicates included). *)
-              let plan_stamp = Binfile.Cur.i64 c in
-              if plan_stamp <> src.Exec.stamp then stale plan_stamp
-              else begin
-                let con = constraint_of (Binfile.Cur.i64 c) in
-                let arity = Constr.arity con in
-                let pred = read_pred c in
-                let ntuples = Binfile.Cur.uvarint c in
-                let flat = Binfile.Cur.zigzag_array c in
-                if Array.length flat <> ntuples * arity then
-                  failwith "tuple stream length mismatch";
-                let t0 = Unix.gettimeofday () in
-                let lookups = ref 0 and streamed = ref 0 in
-                let pass = Vec.create ~capacity:64 () in
-                let foreign = Vec.create ~capacity:16 () in
-                for ti = 0 to ntuples - 1 do
-                  let tuple = Array.sub flat (ti * arity) arity in
-                  incr lookups;
-                  src.Exec.lookup_iter con tuple (fun w ->
-                      incr streamed;
-                      if pred = [] then Vec.push pass w
-                      else if owns w then begin
-                        if Predicate.eval pred (src.Exec.node_value w) then Vec.push pass w
-                      end
-                      else Vec.push foreign w)
-                done;
-                (* The coordinator unions and dedups anyway, so ship each
-                   id once, delta-compressed. *)
-                Vec.sort_uniq pass;
-                Vec.sort_uniq foreign;
-                let eval_ns = ns_since t0 in
-                ok (fun b ->
-                    Binfile.add_i64 b eval_ns;
-                    Binfile.add_i64 b !lookups;
-                    Binfile.add_i64 b !streamed;
-                    Binfile.add_sorted_array b (Vec.to_array pass);
-                    Binfile.add_sorted_array b (Vec.to_array foreign))
-              end
-            | op when op = op_filter ->
-              (* Predicate verdicts for nodes this shard owns the values
-                 of — the second phase of a pushed fetch. *)
-              let plan_stamp = Binfile.Cur.i64 c in
-              if plan_stamp <> src.Exec.stamp then stale plan_stamp
-              else begin
-                let pred = read_pred c in
-                let ids = Binfile.Cur.sorted_array c in
-                let n = Array.length ids in
-                let t0 = Unix.gettimeofday () in
-                let verdicts = Bytes.create n in
-                Array.iteri
-                  (fun i v ->
-                    Bytes.set verdicts i
-                      (if Predicate.eval pred (src.Exec.node_value v) then '\001'
-                       else '\000'))
-                  ids;
-                let eval_ns = ns_since t0 in
-                ok (fun b ->
-                    Binfile.add_i64 b eval_ns;
-                    Binfile.add_i64 b n;
-                    Binfile.add_string b (Bytes.to_string verdicts))
-              end
-            | op when op = op_semijoin ->
-              (* Whole edge-operation semijoin: stream this shard's
-                 buckets for the tuples and keep only hits that are also
-                 in the target candidate row, emitting candidate
-                 (other-endpoint, hit) pairs.  Direction is oriented and
-                 probed coordinator-side. *)
-              let plan_stamp = Binfile.Cur.i64 c in
-              if plan_stamp <> src.Exec.stamp then stale plan_stamp
-              else begin
-                let con = constraint_of (Binfile.Cur.i64 c) in
-                let arity = Constr.arity con in
-                let other_slot = Binfile.Cur.i64 c in
-                if other_slot < 0 || other_slot >= arity then failwith "other_slot out of range";
-                let row = Binfile.Cur.sorted_array c in
-                let ntuples = Binfile.Cur.uvarint c in
-                let flat_in = Binfile.Cur.zigzag_array c in
-                if Array.length flat_in <> ntuples * arity then
-                  failwith "tuple stream length mismatch";
-                let t0 = Unix.gettimeofday () in
-                let lookups = ref 0 and cands = ref 0 in
-                (* Pairs recur across tuples; ship each once (node ids
-                   fit 31 bits, so a pair packs into one int key), sorted
-                   so the reply delta-compresses. *)
-                let seen = Hashtbl.create 64 in
-                let packed = Vec.create ~capacity:64 () in
-                for ti = 0 to ntuples - 1 do
-                  let tuple = Array.sub flat_in (ti * arity) arity in
-                  incr lookups;
-                  let v_other = tuple.(other_slot) in
-                  src.Exec.lookup_iter con tuple (fun w ->
-                      if Exec.mem_sorted row w then begin
-                        incr cands;
-                        let pk = (v_other lsl 31) lor w in
-                        if not (Hashtbl.mem seen pk) then begin
-                          Hashtbl.replace seen pk ();
-                          Vec.push packed pk
-                        end
-                      end)
-                done;
-                Vec.sort_uniq packed;
-                let eval_ns = ns_since t0 in
-                ok (fun b ->
-                    Binfile.add_i64 b eval_ns;
-                    Binfile.add_i64 b !lookups;
-                    Binfile.add_i64 b !cands;
-                    Binfile.add_sorted_array b (Vec.to_array packed))
-              end
-            | op when op = op_probe2 ->
-              (* Compact probe: pairs packed into sorted ints (source
-                 id high, destination low) so deltas stay tiny.  Same
-                 verdict bitmask as probe, in request order. *)
-              let packed = Binfile.Cur.sorted_array c in
-              let n = Array.length packed in
-              let verdicts = Bytes.create n in
-              Array.iteri
-                (fun i pk ->
-                  let s = pk lsr 31 and d = pk land ((1 lsl 31) - 1) in
-                  Bytes.set verdicts i (if src.Exec.probe_edge s d then '\001' else '\000'))
-                packed;
-              ok (fun b ->
-                  Binfile.add_i64 b n;
-                  Binfile.add_string b (Bytes.to_string verdicts))
-            | op when op = op_nodes2 ->
-              (* Compact nodes: the id set rides as a sorted delta
-                 array; the attribute records come back as in nodes. *)
-              let ids = Binfile.Cur.sorted_array c in
-              ok (fun b ->
-                  Binfile.add_i64 b (Array.length ids);
-                  let vb = Buffer.create 16 in
-                  Array.iter
-                    (fun v ->
-                      Binfile.add_i64 b (src.Exec.node_label v);
-                      Buffer.clear vb;
-                      Graph_io.add_value_blob vb (src.Exec.node_value v);
-                      Binfile.add_string b (Buffer.contents vb))
-                    ids)
-            | op when op = op_shutdown ->
-              ok (fun _ -> ());
-              running := false
-            | op -> err (Printf.sprintf "unknown opcode %d" op)
-          with
-          | Sock.Frame_too_large _ as e -> raise e
-          | e when Sock.is_disconnect e -> raise e
-          | e -> err (Printexc.to_string e))
-      done)
+      k p (Shard.read_shard_meta (Paged.file p)))
+
+let serve ~input ~output p (meta : Shard.shard_meta) =
+  (* A vanished peer must surface as EPIPE (which [Sock.is_disconnect]
+     classifies), not kill the process. *)
+  Sock.ignore_sigpipe ();
+  let src = Paged.source p in
+  let cons = Array.of_list src.Exec.constraints in
+  let buf = Buffer.create 4096 in
+  let reply fill =
+    Buffer.clear buf;
+    fill buf;
+    Sock.send_frame output (Buffer.contents buf)
+  in
+  let ok fill = reply (fun b -> Binfile.add_i64 b 0; fill b) in
+  let err msg = reply (fun b -> Binfile.add_i64 b 1; Binfile.add_string b msg) in
+  (* Plan-operation requests carry the schema stamp their plan was
+     built for; a mismatch (e.g. a coordinator replaying a plan from
+     before a snapshot reload) gets a typed rejection, not a wrong
+     answer. *)
+  let stale plan_stamp =
+    reply (fun b ->
+        Binfile.add_i64 b 2;
+        Binfile.add_i64 b src.Exec.stamp;
+        Binfile.add_i64 b plan_stamp)
+  in
+  let owns v = Shard.owner_of_node ~shards:meta.Shard.shards v = meta.Shard.shard in
+  let constraint_of cid =
+    if cid < 0 || cid >= Array.length cons then
+      failwith (Printf.sprintf "unknown constraint id %d" cid);
+    cons.(cid)
+  in
+  let running = ref true in
+  while !running do
+    match Sock.recv_frame input with
+    | None -> running := false
+    | Some frame -> (
+      let c = Binfile.Cur.of_bytes frame in
+      try
+        match Binfile.Cur.i64 c with
+        | op when op = op_hello ->
+          ok (fun b ->
+              Binfile.add_i64 b meta.Shard.shard;
+              Binfile.add_i64 b meta.Shard.shards;
+              Binfile.add_i64 b src.Exec.stamp;
+              Binfile.add_i64 b (Paged.n_nodes p);
+              Binfile.add_i64 b meta.Shard.n_edges_global)
+        | op when op = op_fetch ->
+          let con = constraint_of (Binfile.Cur.i64 c) in
+          let arity = Constr.arity con in
+          let nkeys = Binfile.Cur.i64 c in
+          (* Checked against the frame before allocating: a key is
+             [arity] i64s, and an arity-0 constraint has one key. *)
+          let max_keys =
+            if arity = 0 then 1 else Binfile.Cur.remaining c / (8 * arity)
+          in
+          if nkeys < 0 || nkeys > max_keys then
+            failwith (Printf.sprintf "key count %d exceeds the frame" nkeys);
+          let keys = Array.init nkeys (fun _ -> Binfile.Cur.array c arity) in
+          ok (fun b ->
+              Binfile.add_i64 b nkeys;
+              Array.iter
+                (fun tuple ->
+                  let hits = src.Exec.lookup con (Array.to_list tuple) in
+                  Binfile.add_i64 b (Array.length hits);
+                  Binfile.add_array b hits)
+                keys)
+        | op when op = op_probe ->
+          let n = Binfile.Cur.i64 c in
+          if n < 0 || n > Binfile.Cur.remaining c / 16 then
+            failwith (Printf.sprintf "pair count %d exceeds the frame" n);
+          let verdicts = Bytes.create n in
+          for i = 0 to n - 1 do
+            let s = Binfile.Cur.i64 c in
+            let d = Binfile.Cur.i64 c in
+            Bytes.set verdicts i (if src.Exec.probe_edge s d then '\001' else '\000')
+          done;
+          ok (fun b ->
+              Binfile.add_i64 b n;
+              Binfile.add_string b (Bytes.to_string verdicts))
+        | op when op = op_nodes ->
+          let n = Binfile.Cur.i64 c in
+          if n < 0 then failwith "negative id count";
+          let ids = Binfile.Cur.array c n in
+          ok (fun b ->
+              Binfile.add_i64 b n;
+              let vb = Buffer.create 16 in
+              Array.iter
+                (fun v ->
+                  Binfile.add_i64 b (src.Exec.node_label v);
+                  Buffer.clear vb;
+                  Graph_io.add_value_blob vb (src.Exec.node_value v);
+                  Binfile.add_string b (Buffer.contents vb))
+                ids)
+        | op when op = op_exec_fetch ->
+          (* Whole fetch operation: stream this shard's buckets for
+             the given tuples, apply the predicate to locally-owned
+             hits, and hand unresolved foreign hits back for the
+             coordinator's filter round.  Counters mirror the
+             sequential executor loop: one lookup per tuple, every
+             bucket entry streamed (duplicates included). *)
+          let plan_stamp = Binfile.Cur.i64 c in
+          if plan_stamp <> src.Exec.stamp then stale plan_stamp
+          else begin
+            let con = constraint_of (Binfile.Cur.i64 c) in
+            let arity = Constr.arity con in
+            let pred = read_pred c in
+            let ntuples = Binfile.Cur.uvarint c in
+            let flat = Binfile.Cur.zigzag_array c in
+            if Array.length flat <> ntuples * arity then
+              failwith "tuple stream length mismatch";
+            let t0 = Unix.gettimeofday () in
+            let lookups = ref 0 and streamed = ref 0 in
+            let pass = Vec.create ~capacity:64 () in
+            let foreign = Vec.create ~capacity:16 () in
+            for ti = 0 to ntuples - 1 do
+              let tuple = Array.sub flat (ti * arity) arity in
+              incr lookups;
+              src.Exec.lookup_iter con tuple (fun w ->
+                  incr streamed;
+                  if pred = [] then Vec.push pass w
+                  else if owns w then begin
+                    if Predicate.eval pred (src.Exec.node_value w) then Vec.push pass w
+                  end
+                  else Vec.push foreign w)
+            done;
+            (* The coordinator unions and dedups anyway, so ship each
+               id once, delta-compressed. *)
+            Vec.sort_uniq pass;
+            Vec.sort_uniq foreign;
+            let eval_ns = ns_since t0 in
+            ok (fun b ->
+                Binfile.add_i64 b eval_ns;
+                Binfile.add_i64 b !lookups;
+                Binfile.add_i64 b !streamed;
+                Binfile.add_sorted_array b (Vec.to_array pass);
+                Binfile.add_sorted_array b (Vec.to_array foreign))
+          end
+        | op when op = op_filter ->
+          (* Predicate verdicts for nodes this shard owns the values
+             of — the second phase of a pushed fetch. *)
+          let plan_stamp = Binfile.Cur.i64 c in
+          if plan_stamp <> src.Exec.stamp then stale plan_stamp
+          else begin
+            let pred = read_pred c in
+            let ids = Binfile.Cur.sorted_array c in
+            let n = Array.length ids in
+            let t0 = Unix.gettimeofday () in
+            let verdicts = Bytes.create n in
+            Array.iteri
+              (fun i v ->
+                Bytes.set verdicts i
+                  (if Predicate.eval pred (src.Exec.node_value v) then '\001'
+                   else '\000'))
+              ids;
+            let eval_ns = ns_since t0 in
+            ok (fun b ->
+                Binfile.add_i64 b eval_ns;
+                Binfile.add_i64 b n;
+                Binfile.add_string b (Bytes.to_string verdicts))
+          end
+        | op when op = op_semijoin ->
+          (* Whole edge-operation semijoin: stream this shard's
+             buckets for the tuples and keep only hits that are also
+             in the target candidate row, emitting candidate
+             (other-endpoint, hit) pairs.  Direction is oriented and
+             probed coordinator-side. *)
+          let plan_stamp = Binfile.Cur.i64 c in
+          if plan_stamp <> src.Exec.stamp then stale plan_stamp
+          else begin
+            let con = constraint_of (Binfile.Cur.i64 c) in
+            let arity = Constr.arity con in
+            let other_slot = Binfile.Cur.i64 c in
+            if other_slot < 0 || other_slot >= arity then failwith "other_slot out of range";
+            let row = Binfile.Cur.sorted_array c in
+            let ntuples = Binfile.Cur.uvarint c in
+            let flat_in = Binfile.Cur.zigzag_array c in
+            if Array.length flat_in <> ntuples * arity then
+              failwith "tuple stream length mismatch";
+            let t0 = Unix.gettimeofday () in
+            let lookups = ref 0 and cands = ref 0 in
+            (* Pairs recur across tuples; ship each once (node ids
+               fit 31 bits, so a pair packs into one int key), sorted
+               so the reply delta-compresses. *)
+            let seen = Hashtbl.create 64 in
+            let packed = Vec.create ~capacity:64 () in
+            for ti = 0 to ntuples - 1 do
+              let tuple = Array.sub flat_in (ti * arity) arity in
+              incr lookups;
+              let v_other = tuple.(other_slot) in
+              src.Exec.lookup_iter con tuple (fun w ->
+                  if Exec.mem_sorted row w then begin
+                    incr cands;
+                    let pk = (v_other lsl 31) lor w in
+                    if not (Hashtbl.mem seen pk) then begin
+                      Hashtbl.replace seen pk ();
+                      Vec.push packed pk
+                    end
+                  end)
+            done;
+            Vec.sort_uniq packed;
+            let eval_ns = ns_since t0 in
+            ok (fun b ->
+                Binfile.add_i64 b eval_ns;
+                Binfile.add_i64 b !lookups;
+                Binfile.add_i64 b !cands;
+                Binfile.add_sorted_array b (Vec.to_array packed))
+          end
+        | op when op = op_probe2 ->
+          (* Compact probe: pairs packed into sorted ints (source
+             id high, destination low) so deltas stay tiny.  Same
+             verdict bitmask as probe, in request order. *)
+          let packed = Binfile.Cur.sorted_array c in
+          let n = Array.length packed in
+          let verdicts = Bytes.create n in
+          Array.iteri
+            (fun i pk ->
+              let s = pk lsr 31 and d = pk land ((1 lsl 31) - 1) in
+              Bytes.set verdicts i (if src.Exec.probe_edge s d then '\001' else '\000'))
+            packed;
+          ok (fun b ->
+              Binfile.add_i64 b n;
+              Binfile.add_string b (Bytes.to_string verdicts))
+        | op when op = op_nodes2 ->
+          (* Compact nodes: the id set rides as a sorted delta
+             array; the attribute records come back as in nodes. *)
+          let ids = Binfile.Cur.sorted_array c in
+          ok (fun b ->
+              Binfile.add_i64 b (Array.length ids);
+              let vb = Buffer.create 16 in
+              Array.iter
+                (fun v ->
+                  Binfile.add_i64 b (src.Exec.node_label v);
+                  Buffer.clear vb;
+                  Graph_io.add_value_blob vb (src.Exec.node_value v);
+                  Binfile.add_string b (Buffer.contents vb))
+                ids)
+        | op when op = op_shutdown ->
+          ok (fun _ -> ());
+          running := false
+        | op -> err (Printf.sprintf "unknown opcode %d" op)
+      with
+      | Sock.Frame_too_large _ as e -> raise e
+      | e when Sock.is_disconnect e -> raise e
+      | e -> err (Printexc.to_string e))
+  done
 
 (* ---------------- coordinator side ---------------- *)
 

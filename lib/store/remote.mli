@@ -65,16 +65,24 @@ exception Stale_plan of { shard : int; worker_stamp : int; plan_stamp : int }
 
 (** {1 Worker side} *)
 
-val serve :
-  ?page_cache_mb:int -> input:Unix.file_descr -> output:Unix.file_descr -> string -> unit
-(** [serve ~input ~output shard_file] opens the shard with {!Paged} and
-    answers requests from [input] on [output] until a shutdown request
-    or EOF, then closes the store.  Per-request failures (unknown
-    constraint, malformed body) are answered with error replies; only
-    transport failures escape.  Never writes to any other descriptor, so
-    a worker inheriting its socket as stdin/stdout keeps stdout clean.
+val with_shard :
+  ?page_cache_mb:int -> string -> (Paged.t -> Shard.shard_meta -> 'a) -> 'a
+(** [with_shard shard_file k] opens the shard file once with {!Paged},
+    reads its shard meta through that store's file, and applies [k] to
+    both; the store is closed on every exit.
     @raise Binfile.Corrupt if [shard_file] is not a shard file of this
     build's partition version. *)
+
+val serve :
+  input:Unix.file_descr -> output:Unix.file_descr -> Paged.t -> Shard.shard_meta -> unit
+(** [serve ~input ~output p meta] answers requests from [input] on
+    [output], out of the shard store [p] whose shard meta is [meta]
+    ({!with_shard} gives both), until a shutdown request or EOF.  The
+    caller owns [p]: one store may serve many connections in turn, and
+    they all read the one file it opened.  Per-request failures (unknown
+    constraint, malformed body) are answered with error replies; only
+    transport failures escape.  Never writes to any other descriptor, so
+    a worker inheriting its socket as stdin/stdout keeps stdout clean. *)
 
 (** {1 Coordinator side} *)
 

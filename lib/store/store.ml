@@ -8,7 +8,10 @@ type mem = {
   schema : Schema.t;
   sel : Gstats.selectivity option;
   src : Exec.source;
-  file_sum : int option;  (* whole-file checksum of the snapshot it was loaded from *)
+  snapshot : (Binfile.file * int) option;
+      (* the snapshot it was loaded from, open until [close] (a
+         compaction copies untouched index regions from it), and its
+         whole-file checksum *)
 }
 
 type base =
@@ -37,7 +40,9 @@ type t = {
 }
 
 let of_schema ?selectivity schema =
-  { b = In_mem { schema; sel = selectivity; src = Exec.source_of_schema schema; file_sum = None };
+  { b =
+      In_mem
+        { schema; sel = selectivity; src = Exec.source_of_schema schema; snapshot = None };
     path = None;
     ws = None }
 
@@ -63,12 +68,17 @@ let open_snapshot ?(backend = Mem) ?pool ?page_cache_mb ?cache_pages ?readahead 
     | Mem ->
       (* Loading the snapshot checksums the whole file already; keep its
          sum so a delta log pairs with it without a second pass. *)
+      let f = Binfile.open_file path in
       let (schema, sel), sum =
-        Binfile.with_file path (fun f ->
-            refuse_shard f;
-            Schema.load_sum ?pool (Label.create_table ()) f)
+        try
+          refuse_shard f;
+          Schema.load_sum ?pool (Label.create_table ()) f
+        with e ->
+          Binfile.close_file f;
+          raise e
       in
-      In_mem { schema; sel; src = Exec.source_of_schema schema; file_sum = Some sum }
+      In_mem
+        { schema; sel; src = Exec.source_of_schema schema; snapshot = Some (f, sum) }
     | Paged ->
       let p = Paged.open_ ?page_cache_mb ?cache_pages ?readahead path in
       (try refuse_shard (Paged.file p)
@@ -136,7 +146,7 @@ let close t =
     t.ws <- None
   | None -> ());
   match t.b with
-  | In_mem _ -> ()
+  | In_mem m -> Option.iter (fun (f, _) -> Binfile.close_file f) m.snapshot
   | On_disk p -> Paged.close p
   | Sharded_t { r; _ } -> Remote.close r
 
@@ -151,9 +161,9 @@ let close t =
    whole directory). *)
 let base_checksum t =
   match (t.path, t.b) with
-  | None, _ | _, In_mem { file_sum = None; _ } ->
+  | None, _ | _, In_mem { snapshot = None; _ } ->
     failwith "delta logs attach to snapshot-backed stores, not in-memory ones"
-  | Some _, In_mem { file_sum = Some sum; _ } -> sum
+  | Some _, In_mem { snapshot = Some (_, sum); _ } -> sum
   | Some _, On_disk p -> snd (Binfile.run (Paged.file p) ignore)
   | Some path, Sharded_t _ ->
     Binfile.file_sum

@@ -87,9 +87,11 @@ val reset_io : t -> unit
     traffic counters; no-op in memory. *)
 
 val close : t -> unit
-(** Release the file handle (paged) or shut the workers down (sharded),
-    closing the attached delta log first if any; no-op for in-memory
-    backends. *)
+(** Release the snapshot's file handle (mem and paged, which keep it
+    open until here) or shut the workers down (sharded), closing the
+    attached delta log first if any; no-op for a store made by
+    {!of_schema}.  A mem store's schema keeps serving from its mapping
+    after the close. *)
 
 (** {1 The write path}
 

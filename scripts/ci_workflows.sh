@@ -94,6 +94,22 @@ for i in $(seq 100); do [ -S w0.sock ] && [ -S w1.sock ] && break; sleep 0.1; do
   --workers "unix:$D/w0.sock,unix:$D/w1.sock" -q q.txt > workers.out
 diff mem.out workers.out
 wait
+# an external worker opens its shard file once: a file renamed over the
+# path between two connections changes neither the shard it serves nor
+# the answers
+rm -rf shards2r r0.sock r1.sock
+cp -r shards2 shards2r
+"$B" worker --listen "unix:$D/r0.sock" --accept 2 shards2r/shard-0000.snap &
+"$B" worker --listen "unix:$D/r1.sock" --accept 2 shards2r/shard-0001.snap &
+for i in $(seq 100); do [ -S r0.sock ] && [ -S r1.sock ] && break; sleep 0.1; done
+"$B" run -g shards2r --backend sharded \
+  --workers "unix:$D/r0.sock,unix:$D/r1.sock" -q q.txt > renamed1.out
+cp shards2r/shard-0001.snap shards2r/copy.snap
+mv shards2r/copy.snap shards2r/shard-0000.snap
+"$B" run -g shards2r --backend sharded \
+  --workers "unix:$D/r0.sock,unix:$D/r1.sock" -q q.txt > renamed2.out
+diff mem.out renamed1.out && diff renamed1.out renamed2.out
+wait
 # a damaged shard file must fail with a diagnostic, not a backtrace
 dd if=/dev/zero of=shards3/shard-0001.snap bs=1 count=8 seek=100 conv=notrunc 2>/dev/null
 refused '' "$B" run -g shards3 --backend sharded -q q.txt

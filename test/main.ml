@@ -8,7 +8,8 @@
 let () =
   if Array.length Sys.argv >= 4 && Sys.argv.(1) = "--bpq-worker" then begin
     let fd : Unix.file_descr = Obj.magic (int_of_string Sys.argv.(2)) in
-    (try Bpq_store.Remote.serve ~input:fd ~output:fd Sys.argv.(3)
+    (try
+       Bpq_store.Remote.with_shard Sys.argv.(3) (Bpq_store.Remote.serve ~input:fd ~output:fd)
      with e ->
        Printf.eprintf "bpq-worker: %s\n%!" (Printexc.to_string e);
        exit 1);

@@ -520,6 +520,127 @@ let test_probe_table_sizes () =
         [ 0; 1; 3; 4; 5; 31; 32; 33; 2047; 2048; 2049 ])
     [ 0; 1; 2; 3; 4 ]
 
+(* ---------------- probe tables on first probe ---------------- *)
+
+module W = Bpq_workload.Workload
+module Store = Bpq_store.Store
+
+let imdb = lazy (W.imdb ~scale:0.02 ())
+
+(* [f] over the schema of a mem store opened on a snapshot of the
+   IMDb-like world, while the store is open. *)
+let with_mem_schema f =
+  let ds = Lazy.force imdb in
+  Helpers.with_temp_file (fun path ->
+      Schema.save ds.W.schema path;
+      let st = Store.open_snapshot ~backend:Store.Mem path in
+      Fun.protect ~finally:(fun () -> Store.close st) (fun () -> f ds (Option.get (Store.schema st))))
+
+let indexes schema = List.map (fun c -> (c, Schema.index_of schema c)) (Schema.constraints schema)
+
+(* Every key list of [idx] with its bucket, in record order. *)
+let key_buckets idx =
+  let out = ref [] in
+  Index.iter idx (fun key bucket -> out := (key, bucket) :: !out);
+  Array.of_list (List.rev !out)
+
+let test_open_builds_no_table () =
+  with_mem_schema (fun ds schema ->
+      List.iter
+        (fun (c, idx) ->
+          Helpers.check_int (Constr.to_string ds.W.table c ^ ": no table at open") 0
+            (Index.probe_bytes idx))
+        (indexes schema))
+
+(* The first lookup builds its own index's table, the one a fresh build
+   gets, and no other. *)
+let test_lookup_builds_one_table () =
+  with_mem_schema (fun ds schema ->
+      let ranked =
+        List.sort (fun (_, a) (_, b) -> compare (Index.n_keys b) (Index.n_keys a)) (indexes schema)
+      in
+      let c, idx = List.hd ranked in
+      let name = Constr.to_string ds.W.table c in
+      let pairs = key_buckets idx in
+      let key, bucket = pairs.(Array.length pairs / 2) in
+      Helpers.check_true (name ^ ": first lookup answers") (Index.lookup idx key = bucket);
+      List.iter
+        (fun (c', idx') ->
+          if not (Constr.equal c c') then
+            Helpers.check_int (Constr.to_string ds.W.table c' ^ ": still no table") 0
+              (Index.probe_bytes idx'))
+        ranked;
+      let fresh = Index.build ds.W.graph c in
+      Array.iter
+        (fun (key, bucket) ->
+          Helpers.check_true (name ^ ": loaded answer") (Index.lookup idx key = bucket);
+          Helpers.check_true (name ^ ": fresh answer") (Index.lookup fresh key = bucket))
+        pairs;
+      Helpers.check_true (name ^ ": table built") (Index.probe_bytes idx > 0);
+      Helpers.check_int (name ^ ": sized as a fresh build's") (Index.probe_bytes fresh)
+        (Index.probe_bytes idx))
+
+(* Absent keys of [idx]'s arity: key lists shifted to neighbouring node
+   ids, kept when no record holds them. *)
+let absent_keys idx pairs =
+  let present = Hashtbl.create 64 in
+  Array.iter (fun (key, _) -> Hashtbl.replace present (List.sort compare key) ()) pairs;
+  List.filter
+    (fun key -> key <> [] && not (Hashtbl.mem present (List.sort compare key)))
+    (List.concat_map
+       (fun (key, _) -> [ List.map succ key; List.map (fun v -> v + 7) key ])
+       (Array.to_list pairs))
+  |> List.filteri (fun i _ -> i < 2 * Index.n_keys idx + 1)
+
+(* Four domains start probing the same freshly loaded indexes at once,
+   each over every key in its own rotation plus absent keys: every
+   answer is the exported bucket, or empty. *)
+let test_concurrent_first_probes () =
+  let domains = 4 in
+  let pool = Bpq_util.Pool.create domains in
+  Fun.protect ~finally:(fun () -> Bpq_util.Pool.shutdown pool) @@ fun () ->
+  with_mem_schema (fun _ schema ->
+      let work =
+        List.map
+          (fun (_, idx) ->
+            let pairs = key_buckets idx in
+            let exported = Index.export_buckets idx in
+            (idx, pairs, exported, absent_keys idx pairs))
+          (indexes schema)
+      in
+      let arrived = Atomic.make 0 in
+      let wrong =
+        Bpq_util.Pool.map_array pool
+          (fun d ->
+            (* Hold every domain until all have started (or a second
+               has passed), so the first probes race. *)
+            Atomic.incr arrived;
+            let deadline = Unix.gettimeofday () +. 1.0 in
+            while Atomic.get arrived < domains && Unix.gettimeofday () < deadline do
+              Domain.cpu_relax ()
+            done;
+            List.fold_left
+              (fun wrong (idx, pairs, exported, absent) ->
+                let n = Array.length pairs in
+                let wrong = ref wrong in
+                for i = 0 to n - 1 do
+                  let o = (i + (d * n / domains)) mod n in
+                  let key, _ = pairs.(o) in
+                  if Index.lookup_tuple idx (Array.of_list (List.rev key)) <> snd exported.(o)
+                  then incr wrong
+                done;
+                List.iter (fun key -> if Index.lookup idx key <> [||] then incr wrong) absent;
+                !wrong)
+              0 work)
+          (Array.init domains Fun.id)
+      in
+      Helpers.check_int "wrong answers" 0 (Array.fold_left ( + ) 0 wrong);
+      List.iter
+        (fun (idx, pairs, _, _) ->
+          if Array.length pairs > 0 then
+            Helpers.check_true "one table built" (Index.probe_bytes idx > 0))
+        work)
+
 let suite =
   [ Alcotest.test_case "type-1 lookup" `Quick test_type1_lookup;
     Alcotest.test_case "pair lookup" `Quick test_pair_lookup;
@@ -537,4 +658,7 @@ let suite =
     Alcotest.test_case "untouched constraint keeps its index" `Quick test_untouched_delta_shares;
     Alcotest.test_case "type-1 delta adds new nodes" `Quick test_type1_delta_adds_new_nodes;
     Alcotest.test_case "probe tables at key-count boundaries" `Quick test_probe_table_sizes;
-    filter_keeps_accepted_buckets ]
+    filter_keeps_accepted_buckets;
+    Alcotest.test_case "a mem open builds no probe table" `Quick test_open_builds_no_table;
+    Alcotest.test_case "a lookup builds only its own table" `Quick test_lookup_builds_one_table;
+    Alcotest.test_case "concurrent first probes agree" `Quick test_concurrent_first_probes ]
