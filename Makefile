@@ -54,11 +54,12 @@ bench-intra:
 # backends at every scale; cold-cache bytes-read-per-query for the
 # bounded point queries flat (< 2x) while the graph sweep spans >= 10x;
 # the loaded indexes hold at most 1.5 heap words per int of the
-# snapshot's schema section, and a mem-backend open adds at most one
-# live heap word per i64 of the snapshot (counts, not timings).
+# snapshot's schema section, and a mem-backend open adds at most 0.05
+# live heap words per i64 of the snapshot: it keeps neither the graph
+# nor the indexes (counts, not timings).
 bench-store:
 	BENCH_FAST=1 dune exec bench/main.exe -- store --json _bench
-	jq -e '.store.identical and (.store.flatness < 2) and (.store.size_growth >= 10) and (.store.index_words_ratio <= 1.5) and (.store.open_heap_ratio <= 1.0) and (.store.open_probe_bytes == 0)' _bench/BENCH_store.json >/dev/null
+	jq -e '.store.identical and (.store.flatness < 2) and (.store.size_growth >= 10) and (.store.index_words_ratio <= 1.5) and (.store.open_heap_ratio <= 0.05) and (.store.open_probe_bytes == 0)' _bench/BENCH_store.json >/dev/null
 	@echo "bench-store: _bench/BENCH_store.json OK"
 
 # Write-path experiment: a delta log growing to a fixed fraction of |G|

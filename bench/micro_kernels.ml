@@ -6,7 +6,9 @@
    (re-implemented here verbatim: packed-int `Hashtbl` edge set,
    `(int list, Vec.t) Hashtbl` index buckets with a polymorphic sort per
    lookup, list-building tuple recursion, naive input-order VF2), plus a
-   4-domain arm of the verification stage.  Emits the numbers as a text
+   4-domain arm of the verification stage, and the in-place graph reads
+   of a loaded mem store (edge probe, node value) against the heap
+   graph's.  Emits the numbers as a text
    table and, under --json, as a "kernels" array in BENCH_micro.json so
    the perf trajectory is regression-guarded across PRs. *)
 
@@ -18,20 +20,31 @@ module W = Bpq_workload.Workload
 module Vec = Bpq_util.Vec
 module Json = Bpq_util.Jsonx
 
-(* Adaptive per-batch timer: doubles the repetition count until the batch
-   runs long enough to trust the clock, then reports seconds per call. *)
-let time_per_call ?(min_time = 0.2) f =
+(* Adaptive timer: doubles the repetition count until one batch runs
+   long enough to trust the clock, then times [batches] batches of that
+   many calls and reports the median batch's seconds per call, so one
+   batch a busy host slowed does not set the figure. *)
+let time_per_call ?(min_time = 0.04) ?(batches = 5) f =
   f ();
   (* warm caches and any lazy state *)
-  let rec go reps =
+  let batch reps =
     let start = Timer.now () in
     for _ = 1 to reps do
       f ()
     done;
-    let elapsed = Timer.now () -. start in
-    if elapsed >= min_time then elapsed /. float_of_int reps else go (2 * reps)
+    Timer.now () -. start
   in
-  go 1
+  (* The batch that reached [min_time] is the first of the [batches]. *)
+  let rec calibrate reps =
+    let t = batch reps in
+    if t >= min_time then (reps, t) else calibrate (2 * reps)
+  in
+  let reps, first = calibrate 1 in
+  let per_call =
+    Array.init batches (fun i -> (if i = 0 then first else batch reps) /. float_of_int reps)
+  in
+  Array.sort compare per_call;
+  per_call.(batches / 2)
 
 (* ------------------------------------------------------------------ *)
 (* Seed layouts, re-implemented for comparison                         *)
@@ -175,6 +188,44 @@ let bench_index_lookup idx =
   ignore !sink;
   (t_new, Some t_seed)
 
+(* The in-place reads of a loaded mem store (its graph read from the
+   snapshot's mapping) against the same source reads of a built schema,
+   whose graph is on the heap; the "seed layout" column holds the heap
+   figure for these rows.  The same probe pairs and node ids for both. *)
+let with_mapped_source schema k =
+  let path = Filename.temp_file "bpq_micro" ".snap" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Schema.save schema path;
+  let st = Bpq_store.Store.open_snapshot path in
+  Fun.protect
+    ~finally:(fun () -> Bpq_store.Store.close st)
+    (fun () -> k (Bpq_store.Store.source st))
+
+let bench_mapped_probe g (heap : Exec.source) (mapped : Exec.source) =
+  let pairs = edge_probe_sample g in
+  let sink = ref 0 in
+  let probe (src : Exec.source) () =
+    Array.iter (fun (s, d) -> if src.probe_edge s d then incr sink) pairs
+  in
+  let t_mapped = time_per_call (probe mapped) /. float_of_int n_probes in
+  let t_heap = time_per_call (probe heap) /. float_of_int n_probes in
+  ignore !sink;
+  (t_mapped, Some t_heap)
+
+let bench_mapped_value g (heap : Exec.source) (mapped : Exec.source) =
+  let rng = Prng.create 31 in
+  let nodes = Array.init n_probes (fun _ -> Prng.int rng (Digraph.n_nodes g)) in
+  let sink = ref 0 in
+  let read (src : Exec.source) () =
+    Array.iter
+      (fun v -> match src.node_value v with Value.Int i -> sink := !sink + i | _ -> incr sink)
+      nodes
+  in
+  let t_mapped = time_per_call (read mapped) /. float_of_int n_probes in
+  let t_heap = time_per_call (read heap) /. float_of_int n_probes in
+  ignore !sink;
+  (t_mapped, Some t_heap)
+
 let bench_tuple_enum () =
   let rng = Prng.create 7 in
   let cmat = Array.init 3 (fun _ -> Array.init 40 (fun _ -> Prng.int rng 1_000_000)) in
@@ -278,8 +329,15 @@ let run () =
         if List.length c.source = arity && Index.n_keys idx > 0 then Some idx else None)
       ranked
   in
+  let mapped =
+    let heap = Exec.source_of_schema schema in
+    with_mapped_source schema (fun src ->
+        [ ("edge-probe-mapped", bench_mapped_probe g heap src);
+          ("node-value-mapped", bench_mapped_value g heap src) ])
+  in
   let kernels =
     [ ("edge-probe", bench_edge_probe g) ]
+    @ mapped
     @ (match pick 1 with
        | Some idx -> [ ("index-lookup", bench_index_lookup idx) ]
        | None -> [])

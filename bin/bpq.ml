@@ -262,8 +262,8 @@ let constraints_opt =
 let backend_arg =
   Arg.(value & opt backend_conv Store.Mem
        & info [ "backend" ] ~docv:"B"
-           ~doc:"Storage backend: 'mem' loads a snapshot fully, 'paged' serves it \
-                 out-of-core through a page cache, 'sharded' runs worker processes \
+           ~doc:"Storage backend: 'mem' checks a whole snapshot at open and serves it \
+                 from a mapping of the file, 'paged' serves it out-of-core through a page cache, 'sharded' runs worker processes \
                  over a `bpq shard` directory.  Answers are identical in every case.")
 
 let page_cache_arg =
@@ -659,7 +659,7 @@ let run_cmd =
   (* Conventional evaluation needs the whole graph in memory; the paged
      backend deliberately never materialises it. *)
   let run_fallback semantics fb_graph limit q =
-    match fb_graph with
+    match fb_graph () with
     | None ->
       print_endline "# not bounded; --fallback needs the full graph (unavailable with --backend paged)";
       1
@@ -753,7 +753,9 @@ let run_cmd =
     let tbl = Store.table store in
     let queries = List.map (fun path -> (path, load_pattern tbl path)) patterns in
     let src = Store.source store in
-    let fb_graph = Option.map Schema.graph (Store.schema store) in
+    (* Decoded only if the fallback runs: a loaded schema serves its
+       plans from the snapshot in place. *)
+    let fb_graph () = Option.map Schema.graph (Store.schema store) in
     match Store.schema store with
     | Some schema when not (Schema.satisfied schema) ->
       prerr_endline "error: the graph does not satisfy the access constraints:";

@@ -710,39 +710,69 @@ let apply_delta t ~old_graph ~new_graph (delta : Digraph.delta) =
 
 (* ---------------- filtering ---------------- *)
 
+(* The index's ints from the [at]th on, in region order (key records,
+   then payload), as a reader and a skip.  A loaded index reads them
+   from the file it was mapped from, in order through a private buffer,
+   as [emit] copies them, so its pages do not become resident; a built
+   one reads its own windows. *)
+let stream t ~at =
+  let nr = A1.dim t.recs in
+  match t.home with
+  | Some (file, pos) ->
+    let module R = Binfile.Reader in
+    let r = R.of_mapped file { Binfile.tag = 0; off = pos; len = 8 * (nr + A1.dim t.payload) } in
+    R.skip r (8 * at);
+    ((fun () -> R.i64 r), fun k -> R.skip r (8 * k))
+  | None ->
+    let i = ref at in
+    ( (fun () ->
+        let j = !i in
+        incr i;
+        if j < nr then get t.recs j else get t.payload (j - nr)),
+      fun k -> i := !i + k )
+
 (* Kept records in their order, each bucket re-based onto the new
-   payload window: the layout a build over the kept buckets would give. *)
+   payload window: the layout a build over the kept buckets would give.
+   One pass over the key records keeps the accepted ones, a second over
+   the payload copies their buckets. *)
 let filter t keep =
   let stride = t.width + 2 in
-  let kept = Array.init t.n (fun o -> keep (key_record t o)) in
-  let n = ref 0 and p = ref 0 in
-  Array.iteri
-    (fun o k ->
-      if k then begin
-        incr n;
-        p := !p + len_of t o
-      end)
-    kept;
-  let recs = create_i64s (!n * stride) and payload = create_i64s !p in
-  let nk = ref 0 and np = ref 0 in
-  Array.iteri
-    (fun o k ->
-      if k then begin
-        let src = key_at t o and dst = !nk * stride in
-        for j = 0 to t.width - 1 do
-          set recs (dst + j) (get t.recs (src + j))
-        done;
-        let start = start_of t o and len = len_of t o in
-        set recs (dst + t.width) !np;
-        set recs (dst + t.width + 1) len;
-        for i = 0 to len - 1 do
-          set payload (!np + i) (get t.payload (start + i))
-        done;
-        np := !np + len;
-        incr nk
-      end)
-    kept;
-  make t.constr ~n:!n ~recs ~payload ~home:None
+  let kept = Vec.create () in
+  let next, _ = stream t ~at:0 in
+  for _ = 1 to t.n do
+    let key = Array.init t.width (fun _ -> next ()) in
+    let start = next () in
+    let len = next () in
+    if keep key then begin
+      Array.iter (Vec.push kept) key;
+      Vec.push kept start;
+      Vec.push kept len
+    end
+  done;
+  let n = Vec.length kept / stride in
+  let p = ref 0 in
+  for o = 0 to n - 1 do
+    p := !p + Vec.get kept ((o * stride) + t.width + 1)
+  done;
+  let recs = create_i64s (n * stride) and payload = create_i64s !p in
+  let next, skip = stream t ~at:(A1.dim t.recs) in
+  let at = ref 0 and np = ref 0 in
+  for o = 0 to n - 1 do
+    let base = o * stride in
+    for j = 0 to t.width - 1 do
+      set recs (base + j) (Vec.get kept (base + j))
+    done;
+    let start = Vec.get kept (base + t.width) and len = Vec.get kept (base + t.width + 1) in
+    skip (start - !at);
+    for i = 0 to len - 1 do
+      set payload (!np + i) (next ())
+    done;
+    at := start + len;
+    set recs (base + t.width) !np;
+    set recs (base + t.width + 1) len;
+    np := !np + len
+  done;
+  make t.constr ~n ~recs ~payload ~home:None
 
 (* ---------------- serialisation ---------------- *)
 

@@ -166,7 +166,10 @@ val filter : t -> (int array -> bool) -> t
     predicate accepts, in their order, each bucket unchanged: what a shard file
     stores for the buckets its shard owns.  An ordinary index (off-heap
     windows of its own, its probe table built on its first probe),
-    whatever [t] was loaded from. *)
+    whatever [t] was loaded from.  A loaded [t]'s key records and
+    payload are read in order from the file it was mapped from while
+    that is open ({!Binfile.Reader.of_mapped}), so they do not become
+    resident through the mapping. *)
 
 (** {1 Serialisation} *)
 

@@ -1,7 +1,24 @@
 open Bpq_graph
 
+(* A loaded schema's graph stays in the snapshot: its open checked the
+   nodes and CSR sections, and queries read them in place from the
+   mapping.  The [Digraph.t] is decoded by the first caller that asks
+   for the whole graph, under [decoding]: OCaml 5's [Lazy] is not safe
+   to force from several domains at once. *)
+type loaded = {
+  table : Label.table;
+  layout : Graph_io.layout;
+  file : Binfile.mapped;
+  decoded : Digraph.t option Atomic.t;
+  decoding : Mutex.t;
+}
+
+type graph_src =
+  | Built of Digraph.t
+  | Loaded of loaded
+
 type t = {
-  graph : Digraph.t;
+  g : graph_src;
   entries : (Constr.t * Index.t) list;  (* in build order *)
   by_constr : (Constr.t, Index.t) Hashtbl.t;  (* O(1) index_of *)
   stamp : int;  (* identifies the constraint set, see [stamp] below *)
@@ -11,13 +28,13 @@ type t = {
    pool workers. *)
 let next_stamp = Atomic.make 0
 
-let make ?stamp graph entries =
+let make ?stamp g entries =
   let by_constr = Hashtbl.create (max 16 (List.length entries)) in
   List.iter (fun (c, idx) -> Hashtbl.replace by_constr c idx) entries;
   let stamp =
     match stamp with Some s -> s | None -> Atomic.fetch_and_add next_stamp 1
   in
-  { graph; entries; by_constr; stamp }
+  { g; entries; by_constr; stamp }
 
 (* Deduplicate while preserving the caller's order, which [restrict]
    exposes. *)
@@ -27,9 +44,37 @@ let dedup constrs =
        (fun acc c -> if List.exists (Constr.equal c) acc then acc else c :: acc)
        [] constrs)
 
-let build ?pool graph constrs = make graph (Index.build_many ?pool graph (dedup constrs))
+let build ?pool graph constrs = make (Built graph) (Index.build_many ?pool graph (dedup constrs))
 
-let graph t = t.graph
+let graph t =
+  match t.g with
+  | Built g -> g
+  | Loaded l -> (
+    match Atomic.get l.decoded with
+    | Some g -> g
+    | None ->
+      Mutex.protect l.decoding (fun () ->
+          match Atomic.get l.decoded with
+          | Some g -> g
+          | None ->
+            let g = Graph_io.decode l.table l.layout l.file in
+            Atomic.set l.decoded (Some g);
+            g))
+
+type view =
+  | Heap of Digraph.t
+  | Mapped of {
+      table : Label.table;
+      layout : Graph_io.layout;
+      getter : Graph_io.getter;
+    }
+
+let view t =
+  match t.g with
+  | Built g -> Heap g
+  | Loaded l -> Mapped { table = l.table; layout = l.layout; getter = Graph_io.Mapped l.file }
+
+let n_nodes t = match t.g with Built g -> Digraph.n_nodes g | Loaded l -> l.layout.n_nodes
 let stamp t = t.stamp
 let constraints t = List.map fst t.entries
 let cardinality t = List.length t.entries
@@ -67,11 +112,11 @@ let satisfied t = violations t = []
 let total_index_size t =
   List.fold_left (fun acc (_, idx) -> acc + Index.size idx) 0 t.entries
 
-let restrict t k = make t.graph (List.filteri (fun i _ -> i < k) t.entries)
+let restrict t k = make t.g (List.filteri (fun i _ -> i < k) t.entries)
 
 let extend ?pool t constrs =
   let fresh = List.filter (fun c -> not (mem t c)) (dedup constrs) in
-  make t.graph (t.entries @ Index.build_many ?pool t.graph fresh)
+  make t.g (t.entries @ Index.build_many ?pool (graph t) fresh)
 
 (* In-place value upserts never move a node between index buckets (keys
    are node records, populations are label sets), so the indexes and the
@@ -80,7 +125,8 @@ let patch_values t updates =
   match updates with
   | [] -> t
   | _ ->
-    let r = Digraph.Repr.of_graph t.graph in
+    let g = graph t in
+    let r = Digraph.Repr.of_graph g in
     let values = Array.copy r.values in
     List.iter
       (fun (v, value) ->
@@ -89,21 +135,22 @@ let patch_values t updates =
         values.(v) <- value)
       updates;
     let graph =
-      Digraph.Repr.to_graph (Digraph.label_table t.graph) { r with values }
+      Digraph.Repr.to_graph (Digraph.label_table g) { r with values }
     in
-    make ~stamp:t.stamp graph t.entries
+    make ~stamp:t.stamp (Built graph) t.entries
 
 let apply_delta t delta =
-  let new_graph = Digraph.apply_delta t.graph delta in
+  let old_graph = graph t in
+  let new_graph = Digraph.apply_delta old_graph delta in
   let entries =
     List.map
-      (fun (c, idx) -> (c, Index.apply_delta idx ~old_graph:t.graph ~new_graph delta))
+      (fun (c, idx) -> (c, Index.apply_delta idx ~old_graph ~new_graph delta))
       t.entries
   in
   (* The constraint set is unchanged, so the stamp carries over: plans
      generated under this schema stay valid after the delta (results do
      not — the result cache invalidates by label generation instead). *)
-  make ~stamp:t.stamp new_graph entries
+  make ~stamp:t.stamp (Built new_graph) entries
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
@@ -163,7 +210,7 @@ let add_section w ~stamp entries =
 
 let write ?selectivity t path =
   let w = Binfile.writer () in
-  Graph_io.add_graph_sections w t.graph;
+  Graph_io.add_graph_sections w (graph t);
   Option.iter (fun sel -> Gstats.add_selectivity_section w sel) selectivity;
   add_section w ~stamp:t.stamp t.entries;
   Binfile.write w path
@@ -260,14 +307,14 @@ let group_regions ~target regions =
   |> List.rev_map (fun (bytes, g) -> (bytes, List.rev g))
 
 (* A mem open: labels, the graph headers, stats and the schema
-   section's metadata are read on the calling domain; the graph arrays
-   and the index regions, in groups, are decoded by tasks on [pool].
-   The indexes serve from the file's mapping, which nothing reads until
-   the whole file has been checked. *)
+   section's metadata are read on the calling domain; the graph
+   sections and the index regions, in groups, are checked by tasks on
+   [pool].  The graph and the indexes serve from the file's mapping,
+   which nothing reads until the whole file has been checked. *)
 let load_sum ?(pool = Bpq_util.Pool.sequential) tbl f =
   let finish, sum =
     Binfile.run ~pool f @@ fun f ->
-    let l, graph, sel = Graph_io.open_bin tbl f in
+    let l, sel = Graph_io.open_bin tbl f in
     let ss = Binfile.require_sect (Binfile.sects f) Binfile.tag_schema in
     let stamp, regions = read_meta f ss ~map:l.map in
     let file = Binfile.mapping f in
@@ -287,8 +334,22 @@ let load_sum ?(pool = Bpq_util.Pool.sequential) tbl f =
     fun () ->
       let indexes = List.concat_map (fun t -> t ()) indexes in
       register_stamp stamp;
-      (make ~stamp (graph ()) (List.map2 (fun r idx -> (r.constr, idx)) regions indexes), sel)
+      let g =
+        Loaded
+          { table = tbl;
+            layout = l;
+            file;
+            decoded = Atomic.make None;
+            decoding = Mutex.create () }
+      in
+      (make ~stamp g (List.map2 (fun r idx -> (r.constr, idx)) regions indexes), sel)
   in
   (finish (), sum)
 
-let load tbl path = fst (Binfile.with_file path (load_sum tbl))
+(* The graph is decoded while the file is open, so it is read through
+   the descriptor, not the mapping. *)
+let load tbl path =
+  Binfile.with_file path (fun f ->
+      let ((t, _) as loaded), _ = load_sum tbl f in
+      ignore (graph t : Digraph.t);
+      loaded)

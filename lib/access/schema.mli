@@ -16,6 +16,30 @@ val build : ?pool:Bpq_util.Pool.t -> Digraph.t -> Constr.t list -> t
     identical for every pool size (defaults to sequential). *)
 
 val graph : t -> Digraph.t
+(** The whole graph.  A built schema holds it; a {!load}ed one decodes
+    it from its snapshot on the first call ({!Graph_io.decode}), under a
+    mutex, so concurrent first calls get one physically equal graph.
+    The decode reads through the file the schema was loaded from while
+    that is open, else through its mapping, so it still works after
+    the file is closed.  Serving needs none of it: {!view}. *)
+
+(** What the query-serving paths read the graph through. *)
+type view =
+  | Heap of Digraph.t  (** A built schema's graph. *)
+  | Mapped of {
+      table : Label.table;
+      layout : Graph_io.layout;
+      getter : Graph_io.getter;
+    }
+      (** A loaded schema: the snapshot's nodes and CSR sections, read in
+          place ({!Graph_io.label_at}, {!Graph_io.value_at},
+          {!Graph_io.has_out_edge}) from the mapping the open checked. *)
+
+val view : t -> view
+
+val n_nodes : t -> int
+(** Of the graph, without decoding it. *)
+
 val constraints : t -> Constr.t list
 
 val stamp : t -> int
@@ -117,15 +141,18 @@ val load : Label.table -> string -> t * Gstats.selectivity option
     Indexes are checked by {!Index.load} and then served from windows
     of a read-only mapping of the file.  The schema keeps the mapping
     alive; the file must only ever be replaced by rename, never
-    truncated in place.
+    truncated in place.  The graph is decoded ({!graph}) before the
+    file is closed.
     @raise Binfile.Corrupt on malformed or damaged snapshots. *)
 
 val load_sum :
   ?pool:Bpq_util.Pool.t -> Label.table -> Binfile.file -> (t * Gstats.selectivity option) * int
 (** {!load} from an open file, also returning its {!Binfile.file_sum},
-    with the open's tasks ({!Binfile.run}: the checksum, the graph,
-    groups of index regions) on [pool] (default sequential), which the
-    result does not depend on.  The file stays open. *)
+    with the open's tasks ({!Binfile.run}: the checksum, the check of
+    the graph sections, groups of index regions) on [pool] (default
+    sequential), which the result does not depend on.  The file stays
+    open.  No [Digraph.t] is decoded: the schema's {!view} reads the
+    graph in place, and {!graph} decodes it on first use. *)
 
 (** {2 The schema section}
 

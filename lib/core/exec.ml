@@ -134,23 +134,35 @@ type source = {
   label_gen : (Bpq_graph.Label.t -> int) option;
 }
 
+(* A built schema's graph is read from the heap, a loaded one's in
+   place from its snapshot's mapping: serving never decodes a graph. *)
 let source_of_schema schema =
-  let g = Schema.graph schema in
+  let probe_edge, node_label, node_value, table, graph_size =
+    match Schema.view schema with
+    | Schema.Heap g ->
+      (Digraph.has_edge g, Digraph.label g, Digraph.value g, Digraph.label_table g, Digraph.size g)
+    | Schema.Mapped { table; layout = l; getter } ->
+      ( (fun s d -> Graph_io.has_out_edge l getter s d),
+        (fun v -> Graph_io.label_at l getter v),
+        (fun v -> Graph_io.value_at l getter v),
+        table,
+        l.n_nodes + l.n_edges )
+  in
   { lookup = (fun c key -> Index.lookup (Schema.index_of schema c) key);
     lookup_iter =
       (fun c tuple f -> Index.lookup_tuple_iter (Schema.index_of schema c) tuple f);
-    probe_edge = Digraph.has_edge g;
+    probe_edge;
     probe_edges = None;
     prefetch = None;
     push_fetch = None;
     push_semijoin = None;
     warm_nodes = None;
-    node_label = Digraph.label g;
-    node_value = Digraph.value g;
-    table = Digraph.label_table g;
+    node_label;
+    node_value;
+    table;
     constraints = Schema.constraints schema;
     stamp = Schema.stamp schema;
-    graph_size = Digraph.size g;
+    graph_size;
     data_version = 0;
     label_gen = None }
 

@@ -173,7 +173,9 @@ type source = {
 }
 
 val source_of_schema : Schema.t -> source
-(** The in-memory backend: the schema's graph and indexes as a source. *)
+(** The in-memory backend: the schema's graph and indexes as a source.
+    The graph is read through {!Bpq_access.Schema.view}: a loaded
+    schema's in place from its snapshot's mapping, without decoding it. *)
 
 val run_with :
   ?pool:Bpq_util.Pool.t -> ?cache:Fetch_cache.t -> source -> Plan.t -> result

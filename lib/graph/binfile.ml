@@ -498,17 +498,21 @@ let close_file f =
         Unix.close f.fd
       end)
 
-(* Bytes [pos, pos + len) of the file into [b] from [at]. *)
+(* Bytes [pos, pos + len) of the open file into [b] from [at]; call
+   with [f.lock] held. *)
+let read_locked f b ~at ~pos ~len =
+  ignore (unix (fun () -> Unix.lseek f.fd pos Unix.SEEK_SET) f.path : int);
+  let got = ref 0 in
+  while !got < len do
+    let n = unix (fun () -> Unix.read f.fd b (at + !got) (len - !got)) f.path in
+    if n = 0 then corrupt "snapshot shrank while being read";
+    got := !got + n
+  done
+
 let read_into f b ~at ~pos ~len =
   Mutex.protect f.lock (fun () ->
       if f.closed then raise (Sys_error (f.path ^ ": file is closed"));
-      ignore (unix (fun () -> Unix.lseek f.fd pos Unix.SEEK_SET) f.path : int);
-      let got = ref 0 in
-      while !got < len do
-        let n = unix (fun () -> Unix.read f.fd b (at + !got) (len - !got)) f.path in
-        if n = 0 then corrupt "snapshot shrank while being read";
-        got := !got + n
-      done)
+      read_locked f b ~at ~pos ~len)
 
 let read f ~pos ~len = let b = Bytes.create len in read_into f b ~at:0 ~pos ~len; b
 
@@ -582,7 +586,67 @@ type mapped = {
   m_data : i64s;
 }
 
-let map_sub m ~pos ~len = Bigarray.Array1.sub m.m_data (pos / 8) len
+module A1 = Bigarray.Array1
+
+let map_sub m ~pos ~len = A1.sub m.m_data (pos / 8) len
+
+(* Reads of the mapping at any byte offset, bounds-checked in
+   subtraction form.  A byte is shifted out of its word as an int64,
+   logically, before the conversion: [Int64.to_int] drops bit 63, so a
+   byte taken from the converted word would lose its top bit in word
+   position 7.  An unaligned word is the two words around it, joined
+   the same way. *)
+let mapped_len m = 8 * A1.dim m.m_data
+
+let byte m off =
+  if off < 0 || off >= mapped_len m then corrupt "byte %d outside the mapped snapshot" off;
+  Int64.to_int
+    (Int64.shift_right_logical (A1.unsafe_get m.m_data (off lsr 3)) (8 * (off land 7)))
+  land 0xFF
+
+let word m off =
+  if off < 0 || off > mapped_len m - 8 then corrupt "word at %d outside the mapped snapshot" off;
+  let i = off lsr 3 and s = 8 * (off land 7) in
+  if s = 0 then Int64.to_int (A1.unsafe_get m.m_data i)
+  else
+    Int64.to_int
+      (Int64.logor
+         (Int64.shift_right_logical (A1.unsafe_get m.m_data i) s)
+         (Int64.shift_left (A1.unsafe_get m.m_data (i + 1)) (64 - s)))
+
+(* Bytes [pos, pos + len) of the mapping into [b] from [at]: whole words
+   while [pos] is aligned, then byte by byte, each shifted out of its
+   word as in [byte]. *)
+let blit_mapped m ~pos b ~at ~len =
+  if len < 0 || pos < 0 || pos > mapped_len m - len then
+    corrupt "bytes [%d, +%d) outside the mapped snapshot" pos len;
+  let i = ref 0 in
+  if pos land 7 = 0 then
+    while !i + 8 <= len do
+      Bytes.set_int64_le b (at + !i) (A1.unsafe_get m.m_data ((pos + !i) lsr 3));
+      i := !i + 8
+    done;
+  for j = !i to len - 1 do
+    let p = pos + j in
+    let w = Int64.shift_right_logical (A1.unsafe_get m.m_data (p lsr 3)) (8 * (p land 7)) in
+    Bytes.unsafe_set b (at + j) (Char.unsafe_chr (Int64.to_int w land 0xFF))
+  done
+
+let sub m ~pos ~len =
+  let b = Bytes.create (max 0 len) in
+  blit_mapped m ~pos b ~at:0 ~len;
+  b
+
+(* Bytes [pos, pos + len) of a mapped snapshot, read from its open file
+   rather than through the mapping: pages touched through a mapping stay
+   resident in this process, pages read into a private buffer do not.
+   Once the file is closed, the mapping is the only copy left.  The
+   choice is made under the file's lock, so a close cannot fall between
+   it and the read. *)
+let read_mapped m b ~at ~pos ~len =
+  let f = m.m_file in
+  Mutex.protect f.lock (fun () ->
+      if f.closed then blit_mapped m ~pos b ~at ~len else read_locked f b ~at ~pos ~len)
 
 let mapping f =
   if f.file_len land 7 <> 0 then corrupt "snapshot length %d is not 8-aligned" f.file_len;
@@ -593,24 +657,16 @@ let mapping f =
       Bigarray.array1_of_genarray
         (Unix.map_file f.fd Bigarray.int64 Bigarray.c_layout false [| f.file_len / 8 |]) }
 
-(* Bytes [pos, pos + len) of a mapped snapshot, read from its open file
-   rather than through the mapping: pages touched through a mapping stay
-   resident in this process, pages read into the sink's buffer do not.
-   Once the file is closed, the mapping is the only copy left. *)
 let put_mapped s m ~pos ~len =
-  let f = m.m_file in
-  if Mutex.protect f.lock (fun () -> f.closed) then put_i64s s (map_sub m ~pos ~len:(len / 8))
-  else begin
-    let at = ref pos and left = ref len in
-    while !left > 0 do
-      if s.fill = chunk_size then flush_sink s;
-      let k = min !left (chunk_size - s.fill) in
-      read_into f s.chunk ~at:s.fill ~pos:!at ~len:k;
-      s.fill <- s.fill + k;
-      at := !at + k;
-      left := !left - k
-    done
-  end
+  let at = ref pos and left = ref len in
+  while !left > 0 do
+    if s.fill = chunk_size then flush_sink s;
+    let k = min !left (chunk_size - s.fill) in
+    read_mapped m s.chunk ~at:s.fill ~pos:!at ~len:k;
+    s.fill <- s.fill + k;
+    at := !at + k;
+    left := !left - k
+  done
 
 (* The plan's tasks and the checksum, largest first, on the pool.  Each
    task keeps its own outcome, so the checksum's verdict is raised ahead
@@ -646,6 +702,7 @@ module Reader = struct
      partial byte string) to the front before reading on. *)
   type t = {
     file : file;
+    via : mapped option;  (* read as [read_mapped] does *)
     buf : Bytes.t;
     mutable lo : int;
     mutable hi : int;
@@ -654,9 +711,12 @@ module Reader = struct
     sect_end : int;
   }
 
-  let create file (s : sect) =
-    { file; buf = Bytes.create chunk_size; lo = 0; hi = 0; at = s.off; sect_off = s.off;
+  let make file via (s : sect) =
+    { file; via; buf = Bytes.create chunk_size; lo = 0; hi = 0; at = s.off; sect_off = s.off;
       sect_end = s.off + s.len }
+
+  let create file s = make file None s
+  let of_mapped m s = make m.m_file (Some m) s
 
   let file_pos t = t.at - (t.hi - t.lo)
   let remaining t = t.sect_end - file_pos t
@@ -665,7 +725,9 @@ module Reader = struct
     let keep = t.hi - t.lo in
     Bytes.blit t.buf t.lo t.buf 0 keep;
     let n = min (chunk_size - keep) (t.sect_end - t.at) in
-    read_into t.file t.buf ~at:keep ~pos:t.at ~len:n;
+    (match t.via with
+     | None -> read_into t.file t.buf ~at:keep ~pos:t.at ~len:n
+     | Some m -> read_mapped m t.buf ~at:keep ~pos:t.at ~len:n);
     t.lo <- 0;
     t.hi <- keep + n;
     t.at <- t.at + n
@@ -682,6 +744,23 @@ module Reader = struct
     t.lo <- t.lo + 8;
     v
 
+  let byte t =
+    need t 1;
+    if t.lo = t.hi then refill t;
+    let v = Bytes.get_uint8 t.buf t.lo in
+    t.lo <- t.lo + 1;
+    v
+
+  (* Past the buffered bytes, the next refill starts further on. *)
+  let skip t n =
+    need t n;
+    let held = t.hi - t.lo in
+    if n <= held then t.lo <- t.lo + n
+    else begin
+      t.lo <- t.hi;
+      t.at <- t.at + (n - held)
+    end
+
   let read_ints t arr at k =
     if k < 0 || k > remaining t / 8 then
       corrupt "array of %d elements exceeds the payload (%d bytes left)" k (remaining t);
@@ -696,14 +775,6 @@ module Reader = struct
       t.lo <- t.lo + (8 * m);
       i := !i + m
     done
-
-  let array t n =
-    if n < 0 then corrupt "negative array length %d" n;
-    if n > remaining t / 8 then
-      corrupt "array of %d elements exceeds the payload (%d bytes left)" n (remaining t);
-    let arr = Array.make n 0 in
-    read_ints t arr 0 n;
-    arr
 
   let bytes t n =
     need t n;

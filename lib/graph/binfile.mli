@@ -112,6 +112,17 @@ val map_sub : mapped -> pos:int -> len:int -> i64s
     mapped file: a window onto the mapping, not a copy.  Reading it
     faults the touched pages in; nothing else does. *)
 
+(** Reads of the mapping at any byte offset.  Each raises [Corrupt] on a
+    range outside the file. *)
+
+val word : mapped -> int -> int
+(** The i64 at a byte offset, aligned or not, as {!get_i64} decodes it. *)
+
+val byte : mapped -> int -> int
+
+val sub : mapped -> pos:int -> len:int -> Bytes.t
+(** A copy of the bytes [\[pos, pos + len)]. *)
+
 (** {1 Writing} *)
 
 type writer
@@ -264,16 +275,21 @@ module Reader : sig
 
   val create : file -> sect -> t  (** At the start of the range. *)
 
+  val of_mapped : mapped -> sect -> t
+  (** A range of a mapped snapshot, read as {!put_mapped} reads: from the
+      file it was mapped from while that is open, else from the mapping. *)
+
   val remaining : t -> int
   val file_pos : t -> int  (** Of the next byte. *)
 
   val i64 : t -> int
-  val array : t -> int -> int array
 
   val read_ints : t -> int array -> int -> int -> unit
-  (** [read_ints t arr at k]: {!array} into [arr.(at) .. arr.(at + k - 1)]. *)
+  (** [read_ints t arr at k]: the next [k] i64s into [arr.(at) .. arr.(at + k - 1)]. *)
 
   val bytes : t -> int -> Bytes.t
+  val byte : t -> int
+  val skip : t -> int -> unit  (** [skip t n] passes over [n] bytes. *)
 end
 
 val verify : string -> unit

@@ -163,19 +163,6 @@ let save_bin ?selectivity g path =
   Option.iter (fun sel -> Gstats.add_selectivity_section w sel) selectivity;
   ignore (Binfile.write w path : int)
 
-(* CSR offset array sanity: starts at 0, non-decreasing, ends at the adj
-   length, every adjacency entry in [0, bound) — a valid node id.  Cheap (one linear
-   pass) and turns a corrupted-but-checksummed file into a clear error
-   instead of a later out-of-bounds surprise. *)
-let validate_csr ~what n off adj ~bound =
-  let bad msg = raise (Binfile.Corrupt (Printf.sprintf "%s: %s" what msg)) in
-  if Array.length off <> n + 1 then bad "offset array has wrong length";
-  if n >= 0 && (off.(0) <> 0 || off.(n) <> Array.length adj) then bad "offsets do not span adjacency";
-  for v = 0 to n - 1 do
-    if off.(v) > off.(v + 1) then bad "offsets decrease"
-  done;
-  Array.iter (fun w -> if w < 0 || w >= bound then bad "entry out of range") adj
-
 (* Counting sort of node ids into per-label CSR buckets — the freeze-time
    layout, rebuilt here when loading into a table whose label ids differ
    from the stored ones. *)
@@ -220,85 +207,14 @@ let csr_header ~i64 ~len ~n =
     corrupt "csr section too short";
   (m, nbr_len, bl)
 
-(* Decode the nodes and CSR sections into [tbl], whose labels section
-   [layout] has read (a task of [Binfile.run]: its own readers, one per
-   section). *)
-let decode tbl ~map f =
-  let module R = Binfile.Reader in
-  let nlabels_stored = Array.length map in
-  let identity = Array.for_all2 (fun i j -> i = j) map (Array.init nlabels_stored Fun.id) in
-  (* Nodes.  Value entries follow each other in node order, so the blob
-     decodes as it streams past. *)
-  let s = R.create f (Binfile.require_sect (Binfile.sects f) Binfile.tag_nodes) in
-  let n = nodes_header ~i64:(fun () -> R.i64 s) ~len:(R.remaining s) in
-  let labels = R.array s n in
-  let voff = R.array s (n + 1) in
-  if voff.(0) <> 0 then corrupt "nodes section: value offsets out of range";
-  let values =
-    Array.init n (fun v ->
-        let len = voff.(v + 1) - voff.(v) in
-        if len < 0 then corrupt "nodes section: value offsets out of range";
-        if len = 0 then Value.Null else decode_value (R.bytes s len))
-  in
-  Array.iter
-    (fun l -> if l < 0 || l >= nlabels_stored then corrupt "nodes section: label id out of range")
-    labels;
-  (* CSR. *)
-  let s = R.create f (Binfile.require_sect (Binfile.sects f) Binfile.tag_csr) in
-  let m, nbr_len, bl = csr_header ~i64:(fun () -> R.i64 s) ~len:(R.remaining s) ~n in
-  let out_off = R.array s (n + 1) in
-  let out_adj = R.array s m in
-  let in_off = R.array s (n + 1) in
-  let in_adj = R.array s m in
-  let nbr_off = R.array s (n + 1) in
-  let nbr_adj = R.array s nbr_len in
-  let by_label_off = R.array s (bl + 1) in
-  let by_label = R.array s n in
-  validate_csr ~what:"out CSR" n out_off out_adj ~bound:n;
-  validate_csr ~what:"in CSR" n in_off in_adj ~bound:n;
-  validate_csr ~what:"neighbour CSR" n nbr_off nbr_adj ~bound:n;
-  validate_csr ~what:"label CSR" bl by_label_off by_label ~bound:n;
-  let remap l = map.(l) in
-  let labels, by_label_off, by_label =
-    if identity then (labels, by_label_off, by_label)
-    else begin
-      (* The table assigned different ids: remap node labels and rebuild
-         the by-label grouping (entry order within a bucket is ascending
-         node id either way, so the result matches a fresh freeze). *)
-      let labels = Array.map remap labels in
-      let off, adj = build_by_label (Label.count tbl) labels in
-      (labels, off, adj)
-    end
-  in
-  Digraph.Repr.to_graph tbl
-    { labels;
-      values;
-      out_off;
-      out_adj;
-      in_off;
-      in_adj;
-      nbr_off;
-      nbr_adj;
-      by_label_off;
-      by_label;
-      n_edges = m }
-
-let selectivity tbl ~map f =
-  Binfile.find_sect (Binfile.sects f) Binfile.tag_stats
-  |> Option.map (fun (s : Binfile.sect) ->
-         Gstats.selectivity_of_section
-           (Binfile.Cur.of_bytes (Binfile.read f ~pos:s.off ~len:s.len))
-           ~map ~nlabels:(Label.count tbl))
-
-(* ---------------- reading in place ---------------- *)
+(* ---------------- the layout ---------------- *)
 
 type layout = {
   map : int array;
   n_nodes : int;
   n_edges : int;
-  nodes_at : int;
-  blob_len : int;
-  csr_at : int;
+  nodes : Binfile.sect;
+  csr : Binfile.sect;
 }
 
 let layout tbl f =
@@ -311,57 +227,215 @@ let layout tbl f =
   in
   let ls = require Binfile.tag_labels in
   let map = labels_of_cur tbl (Binfile.Cur.of_bytes (Binfile.read f ~pos:ls.off ~len:ls.len)) in
-  let ns = require Binfile.tag_nodes in
-  let n = nodes_header ~i64:(head ns 8) ~len:ns.len in
-  let cs = require Binfile.tag_csr in
-  let m, _, _ = csr_header ~i64:(head cs 32) ~len:cs.len ~n in
-  { map; n_nodes = n; n_edges = m; nodes_at = ns.off; blob_len = ns.len - 16 - (16 * n);
-    csr_at = cs.off }
+  let nodes = require Binfile.tag_nodes in
+  let n = nodes_header ~i64:(head nodes 8) ~len:nodes.len in
+  let csr = require Binfile.tag_csr in
+  let m, _, _ = csr_header ~i64:(head csr 32) ~len:csr.len ~n in
+  { map; n_nodes = n; n_edges = m; nodes; csr }
 
-(* Reads past the open's checks: the node id, the stored label id, the
-   value offsets and the CSR row are each checked here, on access. *)
+(* ---------------- the streamed pass ---------------- *)
+
+(* [n] ints of [r], each given to [f] with its index: into a fresh
+   array under [keep], which is returned, else through [buf] in
+   batches, and [[||]] is returned.  [n] is checked against what the
+   section has left before anything is allocated. *)
+let ints r buf ~keep n f =
+  let module R = Binfile.Reader in
+  if n < 0 || n > R.remaining r / 8 then corrupt "section payload ends early";
+  let out = if keep then Array.make n 0 else [||] in
+  let i = ref 0 in
+  while !i < n do
+    let k = min (n - !i) (Array.length buf) in
+    let dst, at = if keep then (out, !i) else (buf, 0) in
+    R.read_ints r dst at k;
+    for j = 0 to k - 1 do
+      f (!i + j) dst.(at + j)
+    done;
+    i := !i + k
+  done;
+  out
+
+(* A CSR with [rows] rows and [len] entries: offsets from 0, never
+   decreasing, ending at [len]; every entry in [\[0, bound)], a node id. *)
+let csr_arrays r buf ~keep ~what rows len ~bound =
+  let bad msg = corrupt (Printf.sprintf "%s: %s" what msg) in
+  let prev = ref 0 in
+  let off =
+    ints r buf ~keep (rows + 1) (fun i x ->
+        if i = 0 && x <> 0 then bad "offsets do not span adjacency";
+        if x < !prev then bad "offsets decrease";
+        prev := x)
+  in
+  if !prev <> len then bad "offsets do not span adjacency";
+  let adj =
+    ints r buf ~keep len (fun _ w -> if w < 0 || w >= bound then bad "entry out of range")
+  in
+  (off, adj)
+
+(* One pass over the nodes and CSR sections, each read front to back
+   through [reader] (the value blob by a second reader, in step with the
+   value offsets), making every check the in-place reads below rely on:
+   stored label ids, value offsets and entry tags, and all four CSRs'
+   offsets and entries.  A check keeps nothing; a decode ([keep]) also
+   keeps what it reads, as the graph.  Every value offset, array and
+   entry is checked before it is used or allocated. *)
+let scan ~keep tbl l ~reader =
+  let module R = Binfile.Reader in
+  let nlabels_stored = Array.length l.map in
+  let buf = Array.make 8192 0 in
+  let n = l.n_nodes in
+  (* Nodes.  The header was checked by [layout]. *)
+  let s = reader l.nodes in
+  R.skip s 8;
+  let labels =
+    ints s buf ~keep n (fun _ x ->
+        if x < 0 || x >= nlabels_stored then corrupt "nodes section: label id out of range")
+  in
+  let blob_at = 16 + (16 * n) in
+  let blob = reader { l.nodes with off = l.nodes.off + blob_at; len = l.nodes.len - blob_at } in
+  if R.i64 s <> 0 then corrupt "nodes section: value offsets out of range";
+  let values = if keep then Array.make n Value.Null else [||] in
+  let prev = ref 0 in
+  for v = 0 to n - 1 do
+    let next = R.i64 s in
+    let len = next - !prev in
+    if len < 0 then corrupt "nodes section: value offsets out of range";
+    if len > 0 then
+      if keep then values.(v) <- decode_value (R.bytes blob len)
+      else begin
+        (match R.byte blob with
+         | 1 when len = 9 -> ()
+         | 2 -> ()
+         | _ -> corrupt "malformed node value entry");
+        R.skip blob (len - 1)
+      end;
+    prev := next
+  done;
+  (* CSR.  The header was checked by [layout]. *)
+  let s = reader l.csr in
+  let m, nbr_len, bl = csr_header ~i64:(fun () -> R.i64 s) ~len:(R.remaining s) ~n in
+  let csr = csr_arrays s buf ~keep ~bound:n in
+  let out_off, out_adj = csr ~what:"out CSR" n m in
+  let in_off, in_adj = csr ~what:"in CSR" n m in
+  let nbr_off, nbr_adj = csr ~what:"neighbour CSR" n nbr_len in
+  let by_label_off, by_label = csr ~what:"label CSR" bl n in
+  if keep then begin
+    let identity = Array.for_all2 (fun i j -> i = j) l.map (Array.init nlabels_stored Fun.id) in
+    let labels, by_label_off, by_label =
+      if identity then (labels, by_label_off, by_label)
+      else begin
+        (* The table assigned different ids: remap node labels and rebuild
+           the by-label grouping (entry order within a bucket is ascending
+           node id either way, so the result matches a fresh freeze). *)
+        let labels = Array.map (fun x -> l.map.(x)) labels in
+        let off, adj = build_by_label (Label.count tbl) labels in
+        (labels, off, adj)
+      end
+    in
+    Some
+      (Digraph.Repr.to_graph tbl
+         { labels;
+           values;
+           out_off;
+           out_adj;
+           in_off;
+           in_adj;
+           nbr_off;
+           nbr_adj;
+           by_label_off;
+           by_label;
+           n_edges = m })
+  end
+  else None
+
+let decode tbl l m = Option.get (scan ~keep:true tbl l ~reader:(Binfile.Reader.of_mapped m))
+
+let selectivity tbl ~map f =
+  Binfile.find_sect (Binfile.sects f) Binfile.tag_stats
+  |> Option.map (fun (s : Binfile.sect) ->
+         Gstats.selectivity_of_section
+           (Binfile.Cur.of_bytes (Binfile.read f ~pos:s.off ~len:s.len))
+           ~map ~nlabels:(Label.count tbl))
+
+(* For [Binfile.run]'s plan: the labels section, the two headers and
+   the stats section are read now, the node and CSR arrays in one task
+   that checks them, and under [keep] decodes them. *)
+let plan ~keep tbl f =
+  let l = layout tbl f in
+  let weight = l.nodes.len + l.csr.len in
+  let graph =
+    Binfile.task f ~weight (fun () -> scan ~keep tbl l ~reader:(Binfile.Reader.create f))
+  in
+  (l, graph, selectivity tbl ~map:l.map f)
+
+let open_bin tbl f =
+  let l, _, sel = plan ~keep:false tbl f in
+  (l, sel)
+
+let load_bin tbl path =
+  let (_, graph, sel), _ =
+    Binfile.with_file path (fun f -> Binfile.run f (plan ~keep:true tbl))
+  in
+  (Option.get (graph ()), sel)
+
+(* ---------------- reading in place ---------------- *)
+
+type getter =
+  | Mapped of Binfile.mapped
+  | Reads of {
+      get : int -> int;
+      bytes : int -> int -> Bytes.t;
+    }
+
+let[@inline] word g off = match g with Mapped m -> Binfile.word m off | Reads r -> r.get off
+
+(* Reads past a check pass: the node id, the stored label id, the value
+   offsets and the CSR row are each checked here, on access, for the
+   paged store, whose open checks none of them. *)
 let check_node l v = if v < 0 || v >= l.n_nodes then corrupt "node id out of range"
 
-let label_at l ~get v =
+let label_at l g v =
   check_node l v;
-  let s = get (l.nodes_at + 8 + (8 * v)) in
+  let s = word g (l.nodes.off + 8 + (8 * v)) in
   if s < 0 || s >= Array.length l.map then corrupt "nodes section: label id out of range";
   l.map.(s)
 
-let value_at l ~get ~bytes v =
+(* An entry is read whole through [Reads] (one page-cache read), and
+   through [Mapped] as its tag byte, then an Int's two words or a
+   string's bytes. *)
+let value_at l g v =
   check_node l v;
-  let voff = l.nodes_at + 8 + (8 * l.n_nodes) in
-  let lo = get (voff + (8 * v)) and hi = get (voff + (8 * (v + 1))) in
-  if lo < 0 || hi < lo || hi > l.blob_len then corrupt "value offsets out of range";
-  decode_value (bytes (voff + (8 * (l.n_nodes + 1)) + lo) (hi - lo))
+  let n = l.n_nodes in
+  let voff = l.nodes.off + 8 + (8 * n) in
+  let lo = word g (voff + (8 * v)) and hi = word g (voff + (8 * (v + 1))) in
+  if lo < 0 || hi < lo || hi > l.nodes.len - 16 - (16 * n) then
+    corrupt "value offsets out of range";
+  let at = voff + (8 * (n + 1)) + lo and len = hi - lo in
+  if len = 0 then Value.Null
+  else
+    match g with
+    | Reads r -> decode_value (r.bytes at len)
+    | Mapped m -> (
+      match Binfile.byte m at with
+      | 1 when len = 9 -> Value.Int (Binfile.word m (at + 1))
+      | 2 -> Value.Str (Bytes.unsafe_to_string (Binfile.sub m ~pos:(at + 1) ~len:(len - 1)))
+      | _ -> corrupt "malformed node value entry")
 
 (* Out-rows are sorted and deduplicated at freeze, so membership is a
    binary search over the stored row. *)
-let has_out_edge l ~get src dst =
+let has_out_edge l g src dst =
   src >= 0 && src < l.n_nodes
   && begin
-    let out_off = l.csr_at + 32 in
+    let out_off = l.csr.off + 32 in
     let out_adj = out_off + (8 * (l.n_nodes + 1)) in
-    let lo = ref (get (out_off + (8 * src))) and hi = ref (get (out_off + (8 * (src + 1)))) in
+    let lo = ref (word g (out_off + (8 * src))) in
+    let hi = ref (word g (out_off + (8 * (src + 1)))) in
     if !lo < 0 || !hi < !lo || !hi > l.n_edges then corrupt "csr offsets out of range";
     let found = ref false in
     while (not !found) && !hi > !lo do
       let mid = (!lo + !hi) / 2 in
-      let w = get (out_adj + (8 * mid)) in
+      let w = word g (out_adj + (8 * mid)) in
       if w = dst then found := true else if w < dst then lo := mid + 1 else hi := mid
     done;
     !found
   end
-
-(* For [Binfile.run]'s plan: the labels section, the two headers and
-   the stats section are read now, the node and CSR arrays in one task. *)
-let open_bin tbl f =
-  let l = layout tbl f in
-  let bytes tag = (Binfile.require_sect (Binfile.sects f) tag).Binfile.len in
-  let weight = bytes Binfile.tag_nodes + bytes Binfile.tag_csr in
-  let graph = Binfile.task f ~weight (fun () -> decode tbl ~map:l.map f) in
-  (l, graph, selectivity tbl ~map:l.map f)
-
-let load_bin tbl path =
-  let (_, graph, sel), _ = Binfile.with_file path (fun f -> Binfile.run f (open_bin tbl)) in
-  (graph (), sel)

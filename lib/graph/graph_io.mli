@@ -26,14 +26,16 @@ val load : Label.table -> string -> Digraph.t
 
     This module is the one writer of the labels, nodes and CSR sections,
     for snapshots and shard files alike, and their one decoder, whole
-    ({!open_bin}) or in place ({!layout}); both start from {!layout}. *)
+    ({!load_bin}, {!decode}) or in place ({!label_at}, {!value_at},
+    {!has_out_edge}); all start from {!layout}. *)
 
 val save_bin : ?selectivity:Gstats.selectivity -> Digraph.t -> string -> unit
 (** Write graph (and optionally selectivity stats) to a snapshot,
     atomically. *)
 
 val load_bin : Label.table -> string -> Digraph.t * Gstats.selectivity option
-(** Verifies the checksum, validates the CSR invariants, and interns the
+(** Verifies the checksum, validates the CSR invariants (the check pass
+    of {!open_bin}, keeping the arrays), and interns the
     stored label names into [tbl] — remapping node labels (and
     rebuilding the by-label grouping) when the table assigns different
     ids, so a snapshot loads correctly into a non-empty table.
@@ -62,35 +64,52 @@ val labels_of_cur : Label.table -> Binfile.Cur.t -> int array
 val selectivity : Label.table -> map:int array -> Binfile.file -> Gstats.selectivity option
 (** The stats section, if the file has one, read whole. *)
 
-(** {2 Reading in place}
+(** {2 Checking and reading in place}
 
-    For the paged store and the shard workers: [get off] is the i64 at
-    file offset [off], [bytes off len] the bytes there.  Each read checks
-    what the open did not (node id, stored label id, value offsets, row
-    bounds) and raises [Binfile.Corrupt] when one is out of range. *)
+    A mem open checks the nodes and CSR sections in one streamed pass
+    ({!open_bin}) and keeps nothing; its store then reads them in place
+    from the file's mapping, as the paged store and the shard workers
+    read them through their page cache: the same reads below, given a
+    different {!getter}.  Each in-place read checks what a paged open
+    did not (node id, stored label id, value offsets, row bounds) and
+    raises [Binfile.Corrupt] when one is out of range. *)
 
 type layout = private {
   map : int array;  (** Stored label id -> table id. *)
   n_nodes : int;
   n_edges : int;  (** Out-CSR entries. *)
-  nodes_at : int;
-  blob_len : int;
-  csr_at : int;
+  nodes : Binfile.sect;
+  csr : Binfile.sect;
 }
 
 val layout : Label.table -> Binfile.file -> layout
 (** Decodes the labels section into the table and checks the nodes and
     CSR headers, one read each. *)
 
-val open_bin :
-  Label.table -> Binfile.file -> layout * (unit -> Digraph.t) * Gstats.selectivity option
-(** For a {!Binfile.run} plan: {!layout} and {!selectivity} now, and
-    the getter of a task that decodes the graph as {!load_bin} does. *)
+val open_bin : Label.table -> Binfile.file -> layout * Gstats.selectivity option
+(** For a {!Binfile.run} plan: {!layout} and {!selectivity} now, and a
+    task that streams the nodes and CSR sections through its own reader,
+    making every check {!load_bin}'s decode makes (label ids, value
+    offsets and entry tags, all four CSRs' offsets and entries), and
+    keeps nothing. *)
 
-val label_at : layout -> get:(int -> int) -> int -> int
-val value_at : layout -> get:(int -> int) -> bytes:(int -> int -> Bytes.t) -> int -> Value.t
+val decode : Label.table -> layout -> Binfile.mapped -> Digraph.t
+(** The graph of a file {!open_bin} checked: the same pass, keeping the
+    arrays, read from the mapped file as {!Binfile.Reader.of_mapped}
+    reads.  [tbl] is the table the {!layout} interned into. *)
 
-val has_out_edge : layout -> get:(int -> int) -> int -> int -> bool
+(** Where an in-place read takes its bytes. *)
+type getter =
+  | Mapped of Binfile.mapped  (** The mapped snapshot ({!Binfile.word}, {!Binfile.byte}). *)
+  | Reads of {
+      get : int -> int;  (** The i64 at an 8-aligned file offset. *)
+      bytes : int -> int -> Bytes.t;  (** [bytes off len]: the bytes there. *)
+    }
+
+val label_at : layout -> getter -> int -> int
+val value_at : layout -> getter -> int -> Value.t
+
+val has_out_edge : layout -> getter -> int -> int -> bool
 (** [false] for a source outside the graph. *)
 
 val add_value_blob : Buffer.t -> Value.t -> unit

@@ -195,22 +195,21 @@ let lookup_tuple t c tuple =
         ~n_nodes:t.g.n_nodes tuple)
 
 let source t =
-  let get = read_i64 t in
+  let g = Graph_io.Reads { get = read_i64 t; bytes = read_bytes t } in
   { Exec.lookup = (fun c key -> lookup_tuple t c (Array.of_list key));
     lookup_iter =
       (* Materialise under the lock, then stream: executor callbacks read
          node values and probe edges mid-iteration, which must not
          deadlock on the store's mutex. *)
       (fun c tuple f -> Array.iter f (lookup_tuple t c tuple));
-    probe_edge = (fun s d -> with_lock t (fun () -> Graph_io.has_out_edge t.g ~get s d));
+    probe_edge = (fun s d -> with_lock t (fun () -> Graph_io.has_out_edge t.g g s d));
     probe_edges = None;
     prefetch = None;
     push_fetch = None;
     push_semijoin = None;
     warm_nodes = None;
-    node_label = (fun v -> with_lock t (fun () -> Graph_io.label_at t.g ~get v));
-    node_value =
-      (fun v -> with_lock t (fun () -> Graph_io.value_at t.g ~get ~bytes:(read_bytes t) v));
+    node_label = (fun v -> with_lock t (fun () -> Graph_io.label_at t.g g v));
+    node_value = (fun v -> with_lock t (fun () -> Graph_io.value_at t.g g v));
     table = t.table;
     constraints = List.map (fun (r : Schema.region) -> r.constr) t.regions;
     stamp = t.stamp;

@@ -77,7 +77,10 @@ val manifest_path : string -> string
 
 val partition : shards:int -> snapshot:string -> dir:string -> manifest
 (** Split [snapshot] into [shards] worker files under [dir] (created if
-    missing) and write the manifest last, as the commit point.
+    missing) and write the manifest last, as the commit point.  The
+    snapshot stays open until the last shard is written, and its graph
+    and index regions are read through that descriptor, in order, not
+    through a mapping, so they do not stay resident.
     @raise Invalid_argument on a non-positive shard count.
     @raise Binfile.Corrupt on a damaged input snapshot. *)
 

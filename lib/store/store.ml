@@ -111,7 +111,7 @@ let stamp t = (base_source t).Exec.stamp
 
 let base_nodes t =
   match t.b with
-  | In_mem m -> Digraph.n_nodes (Schema.graph m.schema)
+  | In_mem m -> Schema.n_nodes m.schema
   | On_disk p -> Paged.n_nodes p
   | Sharded_t { r; _ } -> (Remote.manifest r).Shard.n_nodes
 

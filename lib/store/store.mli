@@ -14,7 +14,9 @@ open Bpq_access
 open Bpq_core
 
 type backend =
-  | Mem  (** Load the snapshot fully: rebuilt graph + indexes. *)
+  | Mem
+      (** Check the whole snapshot at open, then serve its graph and
+          indexes in place from a mapping of the file. *)
   | Paged  (** Serve from the file through a page cache ({!Paged}). *)
   | Sharded
       (** Serve from a {!Shard} directory through worker processes

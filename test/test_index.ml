@@ -641,6 +641,31 @@ let test_concurrent_first_probes () =
             Helpers.check_true "one table built" (Index.probe_bytes idx > 0))
         work)
 
+(* A loaded index is filtered from the file it was mapped from while
+   that is open, and from the mapping once it is closed: either way the
+   result is the built index's filter. *)
+let filter_of_loaded_index =
+  Helpers.qcheck ~count:30 "filter of a loaded index equals the built one's, open or closed"
+    QCheck2.Gen.(pair (int_range 1 500) (int_range 2 4))
+    (fun (seed, modulus) ->
+      let _, g, labels, r = messy_world seed in
+      let constrs = List.init 3 (fun _ -> random_constr r labels) in
+      let schema = Schema.build g constrs in
+      let keep record = Hashtbl.hash record mod modulus = 0 in
+      let filtered schema =
+        List.map
+          (fun c -> Index.export_buckets (Index.filter (Schema.index_of schema c) keep))
+          (Schema.constraints schema)
+      in
+      let want = filtered schema in
+      Helpers.with_temp_file (fun path ->
+          Schema.save schema path;
+          let st = Store.open_snapshot ~backend:Store.Mem path in
+          let loaded = Option.get (Store.schema st) in
+          let while_open = filtered loaded in
+          Store.close st;
+          while_open = want && filtered loaded = want))
+
 let suite =
   [ Alcotest.test_case "type-1 lookup" `Quick test_type1_lookup;
     Alcotest.test_case "pair lookup" `Quick test_pair_lookup;
@@ -661,4 +686,5 @@ let suite =
     filter_keeps_accepted_buckets;
     Alcotest.test_case "a mem open builds no probe table" `Quick test_open_builds_no_table;
     Alcotest.test_case "a lookup builds only its own table" `Quick test_lookup_builds_one_table;
-    Alcotest.test_case "concurrent first probes agree" `Quick test_concurrent_first_probes ]
+    Alcotest.test_case "concurrent first probes agree" `Quick test_concurrent_first_probes;
+    filter_of_loaded_index ]

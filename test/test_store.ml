@@ -363,6 +363,134 @@ let test_cli_limit_single_equals_batch () =
             "single run prints the batch's first block" single
             (List.filteri (fun i _ -> i < 3) batch)))
 
+(* ---------------- the mem store reads its graph in place ---------------- *)
+
+(* Values whose blob entries cross word boundaries every way: ints with
+   bit 63 set in a stored word (-1, [min_int], bytes >= 0x80), and
+   strings of length 0-17 made of bytes >= 0x80.  Each is placed at
+   every blob offset mod 8 by a padding string before it. *)
+let awkward_values =
+  let high i = (0x80 lor (i * 37)) land 0xFF in
+  let every_byte_high =
+    List.fold_left (fun acc i -> acc lor (high i lsl (8 * i))) 0 (List.init 7 Fun.id)
+  in
+  [ Value.Null; Value.Int (-1); Value.Int min_int; Value.Int max_int; Value.Int 0;
+    Value.Int every_byte_high; Value.Int (every_byte_high lor (0x55 lsl 56)) ]
+  @ List.init 18 (fun len -> Value.Str (String.init len (fun i -> Char.chr (high (i + len)))))
+
+let awkward_graph () =
+  let tbl = Label.create_table () in
+  let blob_len = function Value.Null -> 0 | Value.Int _ -> 9 | Value.Str s -> 1 + String.length s in
+  let off = ref 0 and nodes = ref [] in
+  let add lbl v =
+    nodes := (lbl, v) :: !nodes;
+    off := !off + blob_len v
+  in
+  List.iter
+    (fun v ->
+      for r = 0 to 7 do
+        (* A padding string of 0-7 bytes puts [v]'s entry at offset
+           [r] mod 8. *)
+        add "pad" (Value.Str (String.make ((r - !off - 1) land 7) '\xff'));
+        add "val" v
+      done)
+    awkward_values;
+  let nodes = List.rev !nodes in
+  let n = List.length nodes in
+  let r = Bpq_util.Prng.create 11 in
+  let edges = List.init (4 * n) (fun _ -> (Bpq_util.Prng.int r n, Bpq_util.Prng.int r n)) in
+  Helpers.graph tbl nodes edges
+
+let test_mapped_reads_agree () =
+  let g = awkward_graph () in
+  let n = Digraph.n_nodes g in
+  Helpers.with_temp_file (fun path ->
+      Schema.save (Schema.build g []) path;
+      let decoded, _ = Graph_io.load_bin (Label.create_table ()) path in
+      let mem = Store.open_snapshot ~backend:Store.Mem path in
+      let paged = Store.open_snapshot ~backend:Store.Paged ~page_cache_mb:1 path in
+      Fun.protect
+        ~finally:(fun () ->
+          Store.close mem;
+          Store.close paged)
+        (fun () ->
+          Helpers.check_true "the mem store reads in place"
+            (match Schema.view (Option.get (Store.schema mem)) with
+             | Schema.Mapped _ -> true
+             | Schema.Heap _ -> false);
+          let m = Store.source mem and p = Store.source paged in
+          let name src v = Label.name src.Exec.table (src.Exec.node_label v) in
+          for v = 0 to n - 1 do
+            let want = Label.name (Digraph.label_table decoded) (Digraph.label decoded v) in
+            if name m v <> want || name p v <> want then
+              Alcotest.failf "node %d: label differs across readers" v;
+            let value = Digraph.value decoded v in
+            if
+              value <> Digraph.value g v
+              || m.Exec.node_value v <> value
+              || p.Exec.node_value v <> value
+            then Alcotest.failf "node %d: value differs across readers" v
+          done;
+          let r = Bpq_util.Prng.create 5 in
+          let pairs =
+            List.init 3000 (fun _ -> (Bpq_util.Prng.int r n, Bpq_util.Prng.int r n))
+            @ List.concat
+                (List.init n (fun s ->
+                     Array.to_list (Array.map (fun d -> (s, d)) (Digraph.out_neighbours g s))))
+          in
+          List.iter
+            (fun (s, d) ->
+              let want = Digraph.has_edge decoded s d in
+              if m.Exec.probe_edge s d <> want || p.Exec.probe_edge s d <> want then
+                Alcotest.failf "edge (%d, %d): probe differs across readers" s d)
+            pairs;
+          Helpers.check_false "a source outside the graph"
+            (m.Exec.probe_edge n 0 || m.Exec.probe_edge (-1) 0)))
+
+let repr g = Digraph.Repr.of_graph g
+
+let test_schema_graph_around_close () =
+  let _, g, constrs, _ = Helpers.random_instance 77 in
+  Helpers.with_temp_file (fun path ->
+      Schema.save (Schema.build g constrs) path;
+      let want = repr (fst (Graph_io.load_bin (Label.create_table ()) path)) in
+      let before = Store.open_snapshot path in
+      let got = Schema.graph (Option.get (Store.schema before)) in
+      Store.close before;
+      Helpers.check_true "decoded while open" (repr got = want);
+      let after = Store.open_snapshot path in
+      Store.close after;
+      Helpers.check_true "decoded after the close"
+        (repr (Schema.graph (Option.get (Store.schema after))) = want))
+
+let test_concurrent_first_graph () =
+  let _, g, constrs, _ = Helpers.random_instance 78 in
+  let domains = 4 in
+  let pool = Pool.create domains in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  Helpers.with_temp_file (fun path ->
+      Schema.save (Schema.build g constrs) path;
+      let st = Store.open_snapshot path in
+      Fun.protect ~finally:(fun () -> Store.close st) @@ fun () ->
+      let schema = Option.get (Store.schema st) in
+      let arrived = Atomic.make 0 in
+      let graphs =
+        Pool.map_array pool
+          (fun _ ->
+            (* Hold every domain until all have started (or a second
+               has passed), so the first calls race. *)
+            Atomic.incr arrived;
+            let deadline = Unix.gettimeofday () +. 1.0 in
+            while Atomic.get arrived < domains && Unix.gettimeofday () < deadline do
+              Domain.cpu_relax ()
+            done;
+            Schema.graph schema)
+          (Array.init domains Fun.id)
+      in
+      Helpers.check_true "one graph" (Array.for_all (fun g' -> g' == graphs.(0)) graphs);
+      Helpers.check_true "the stored graph"
+        (repr graphs.(0) = repr (fst (Graph_io.load_bin (Label.create_table ()) path))))
+
 let suite =
   [ backends_identical;
     answers_identical;
@@ -377,4 +505,9 @@ let suite =
     Alcotest.test_case "unified store handle" `Quick test_store_handle;
     Alcotest.test_case "paged close idempotent, use-after-close typed" `Quick test_paged_close;
     Alcotest.test_case "bpq run --limit: one -q prints the batch's first matches" `Quick
-      test_cli_limit_single_equals_batch ]
+      test_cli_limit_single_equals_batch;
+    Alcotest.test_case "mapped reads agree with the decoded graph" `Quick test_mapped_reads_agree;
+    Alcotest.test_case "Schema.graph of a mem store, before and after close" `Quick
+      test_schema_graph_around_close;
+    Alcotest.test_case "concurrent first Schema.graph calls share one graph" `Quick
+      test_concurrent_first_graph ]
