@@ -21,10 +21,13 @@ module Vec = Bpq_util.Vec
 module Json = Bpq_util.Jsonx
 
 (* Adaptive timer: doubles the repetition count until one batch runs
-   long enough to trust the clock, then times [batches] batches of that
+   for at least [min_time] seconds, then times [batches] batches of that
    many calls and reports the median batch's seconds per call, so one
    batch a busy host slowed does not set the figure. *)
-let time_per_call ?(min_time = 0.04) ?(batches = 5) f =
+let min_time = 0.04
+let batches = 5
+
+let time_per_call f =
   f ();
   (* warm caches and any lazy state *)
   let batch reps =

@@ -733,46 +733,48 @@ let stream t ~at =
 
 (* Kept records in their order, each bucket re-based onto the new
    payload window: the layout a build over the kept buckets would give.
-   One pass over the key records keeps the accepted ones, a second over
-   the payload copies their buckets. *)
+   A pass over the key records marks the accepted ones; a second reads
+   the marked records again beside the payload and copies them and
+   their buckets.  Only the marks are held between the passes. *)
 let filter t keep =
   let stride = t.width + 2 in
-  let kept = Vec.create () in
+  let kept = Array.make t.n false in
+  let n = ref 0 and p = ref 0 in
   let next, _ = stream t ~at:0 in
-  for _ = 1 to t.n do
+  for o = 0 to t.n - 1 do
     let key = Array.init t.width (fun _ -> next ()) in
-    let start = next () in
+    let _start = next () in
     let len = next () in
     if keep key then begin
-      Array.iter (Vec.push kept) key;
-      Vec.push kept start;
-      Vec.push kept len
+      kept.(o) <- true;
+      incr n;
+      p := !p + len
     end
   done;
-  let n = Vec.length kept / stride in
-  let p = ref 0 in
-  for o = 0 to n - 1 do
-    p := !p + Vec.get kept ((o * stride) + t.width + 1)
-  done;
-  let recs = create_i64s (n * stride) and payload = create_i64s !p in
+  let recs = create_i64s (!n * stride) and payload = create_i64s !p in
+  let next_rec, skip_rec = stream t ~at:0 in
   let next, skip = stream t ~at:(A1.dim t.recs) in
-  let at = ref 0 and np = ref 0 in
-  for o = 0 to n - 1 do
-    let base = o * stride in
-    for j = 0 to t.width - 1 do
-      set recs (base + j) (Vec.get kept (base + j))
-    done;
-    let start = Vec.get kept (base + t.width) and len = Vec.get kept (base + t.width + 1) in
-    skip (start - !at);
-    for i = 0 to len - 1 do
-      set payload (!np + i) (next ())
-    done;
-    at := start + len;
-    set recs (base + t.width) !np;
-    set recs (base + t.width + 1) len;
-    np := !np + len
+  let at = ref 0 and np = ref 0 and base = ref 0 in
+  for o = 0 to t.n - 1 do
+    if kept.(o) then begin
+      for j = 0 to t.width - 1 do
+        set recs (!base + j) (next_rec ())
+      done;
+      let start = next_rec () in
+      let len = next_rec () in
+      skip (start - !at);
+      for i = 0 to len - 1 do
+        set payload (!np + i) (next ())
+      done;
+      at := start + len;
+      set recs (!base + t.width) !np;
+      set recs (!base + t.width + 1) len;
+      np := !np + len;
+      base := !base + stride
+    end
+    else skip_rec stride
   done;
-  make t.constr ~n ~recs ~payload ~home:None
+  make t.constr ~n:!n ~recs ~payload ~home:None
 
 (* ---------------- serialisation ---------------- *)
 

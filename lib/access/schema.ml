@@ -66,13 +66,13 @@ type view =
   | Mapped of {
       table : Label.table;
       layout : Graph_io.layout;
-      getter : Graph_io.getter;
+      file : Binfile.mapped;
     }
 
 let view t =
   match t.g with
   | Built g -> Heap g
-  | Loaded l -> Mapped { table = l.table; layout = l.layout; getter = Graph_io.Mapped l.file }
+  | Loaded l -> Mapped { table = l.table; layout = l.layout; file = l.file }
 
 let n_nodes t = match t.g with Built g -> Digraph.n_nodes g | Loaded l -> l.layout.n_nodes
 let stamp t = t.stamp
@@ -309,12 +309,13 @@ let group_regions ~target regions =
 (* A mem open: labels, the graph headers, stats and the schema
    section's metadata are read on the calling domain; the graph
    sections and the index regions, in groups, are checked by tasks on
-   [pool].  The graph and the indexes serve from the file's mapping,
-   which nothing reads until the whole file has been checked. *)
-let load_sum ?(pool = Bpq_util.Pool.sequential) tbl f =
+   [pool], the graph's also decoded under [decode].  The graph and the
+   indexes serve from the file's mapping, which nothing reads until the
+   whole file has been checked. *)
+let load_sum ?(pool = Bpq_util.Pool.sequential) ?(decode = false) tbl f =
   let finish, sum =
     Binfile.run ~pool f @@ fun f ->
-    let l, sel = Graph_io.open_bin tbl f in
+    let l, graph, sel = Graph_io.open_bin ~keep:decode tbl f in
     let ss = Binfile.require_sect (Binfile.sects f) Binfile.tag_schema in
     let stamp, regions = read_meta f ss ~map:l.map in
     let file = Binfile.mapping f in
@@ -339,17 +340,11 @@ let load_sum ?(pool = Bpq_util.Pool.sequential) tbl f =
           { table = tbl;
             layout = l;
             file;
-            decoded = Atomic.make None;
+            decoded = Atomic.make (graph ());
             decoding = Mutex.create () }
       in
       (make ~stamp g (List.map2 (fun r idx -> (r.constr, idx)) regions indexes), sel)
   in
   (finish (), sum)
 
-(* The graph is decoded while the file is open, so it is read through
-   the descriptor, not the mapping. *)
-let load tbl path =
-  Binfile.with_file path (fun f ->
-      let ((t, _) as loaded), _ = load_sum tbl f in
-      ignore (graph t : Digraph.t);
-      loaded)
+let load tbl path = fst (Binfile.with_file path (load_sum ~decode:true tbl))

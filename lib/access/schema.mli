@@ -29,7 +29,7 @@ type view =
   | Mapped of {
       table : Label.table;
       layout : Graph_io.layout;
-      getter : Graph_io.getter;
+      file : Binfile.mapped;
     }
       (** A loaded schema: the snapshot's nodes and CSR sections, read in
           place ({!Graph_io.label_at}, {!Graph_io.value_at},
@@ -141,18 +141,24 @@ val load : Label.table -> string -> t * Gstats.selectivity option
     Indexes are checked by {!Index.load} and then served from windows
     of a read-only mapping of the file.  The schema keeps the mapping
     alive; the file must only ever be replaced by rename, never
-    truncated in place.  The graph is decoded ({!graph}) before the
-    file is closed.
+    truncated in place.  The graph is decoded ({!graph}) in the open's
+    one pass over its sections.
     @raise Binfile.Corrupt on malformed or damaged snapshots. *)
 
 val load_sum :
-  ?pool:Bpq_util.Pool.t -> Label.table -> Binfile.file -> (t * Gstats.selectivity option) * int
+  ?pool:Bpq_util.Pool.t ->
+  ?decode:bool ->
+  Label.table ->
+  Binfile.file ->
+  (t * Gstats.selectivity option) * int
 (** {!load} from an open file, also returning its {!Binfile.file_sum},
     with the open's tasks ({!Binfile.run}: the checksum, the check of
     the graph sections, groups of index regions) on [pool] (default
     sequential), which the result does not depend on.  The file stays
-    open.  No [Digraph.t] is decoded: the schema's {!view} reads the
-    graph in place, and {!graph} decodes it on first use. *)
+    open.  By default no [Digraph.t] is decoded: the schema's {!view}
+    reads the graph in place, and {!graph} decodes it on first use.
+    Under [decode] (for callers that will ask for the whole graph) the
+    check of the graph sections keeps what it reads, as {!graph}. *)
 
 (** {2 The schema section}
 

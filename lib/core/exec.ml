@@ -141,7 +141,8 @@ let source_of_schema schema =
     match Schema.view schema with
     | Schema.Heap g ->
       (Digraph.has_edge g, Digraph.label g, Digraph.value g, Digraph.label_table g, Digraph.size g)
-    | Schema.Mapped { table; layout = l; getter } ->
+    | Schema.Mapped { table; layout = l; file } ->
+      let getter = Graph_io.Mapped file in
       ( (fun s d -> Graph_io.has_out_edge l getter s d),
         (fun v -> Graph_io.label_at l getter v),
         (fun v -> Graph_io.value_at l getter v),
@@ -195,7 +196,8 @@ let intersect_sorted (a : int array) (b : int array) =
 (* G_Q node ids fit 31 bits (they are dense graph ids), so a directed edge
    packs into one int for the dedup set. *)
 let pack_edge s d = (s lsl 31) lor d
-let unpack_edge k = (k lsr 31, k land ((1 lsl 31) - 1))
+let edge_src k = k lsr 31
+let edge_dst k = k land ((1 lsl 31) - 1)
 
 module Int_tbl = Hashtbl.Make (struct
   type t = int
@@ -358,6 +360,12 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
      probes into the sorted candidate rows. *)
   let edge_lookups = ref 0 and edge_candidates = ref 0 in
   let gq_edges = Int_tbl.create 256 in
+  (* Each check's distinct candidate pairs, in first-appearance order
+     (pairs recur across tuples; one probe per distinct pair suffices).
+     Cleared per check, not reallocated: their storage grows once per
+     run, not once per check. *)
+  let distinct = Vec.create ~capacity:64 () in
+  let seen = Int_tbl.create 64 in
   List.iter
     (fun (ec : Plan.edge_check) ->
       let u1, u2 = ec.edge in
@@ -376,10 +384,8 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
       let row = cmat.(ec.target_side) in
       let arrays = anchor_rows cmat ec.anchors in
       let total = total_tuples arrays in
-      (* Distinct candidate pairs in first-appearance order (pairs recur
-         across tuples; one probe per distinct pair suffices). *)
-      let distinct = Vec.create ~capacity:64 () in
-      let seen = Int_tbl.create 64 in
+      Vec.clear distinct;
+      Int_tbl.clear seen;
       let note packed =
         if not (Int_tbl.mem seen packed) then begin
           Int_tbl.replace seen packed ();
@@ -450,20 +456,16 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
               incr edge_lookups;
               edge_candidates := !edge_candidates + collect note tuple)
       end;
-      let pairs = Vec.to_array distinct in
-      let verdicts =
-        match src.probe_edges with
-        | Some f when Array.length pairs > 0 -> f (Array.map unpack_edge pairs)
-        | _ ->
-          Array.map
-            (fun packed ->
-              let e_src, e_dst = unpack_edge packed in
-              csrc.probe_edge e_src e_dst)
-            pairs
-      in
-      Array.iteri
-        (fun i packed -> if verdicts.(i) then Int_tbl.replace gq_edges packed ())
-        pairs;
+      let certify packed = Int_tbl.replace gq_edges packed () in
+      (match src.probe_edges with
+      | Some f when not (Vec.is_empty distinct) ->
+        let pairs = Vec.to_array distinct in
+        let verdicts = f (Array.map (fun k -> (edge_src k, edge_dst k)) pairs) in
+        Array.iteri (fun i packed -> if verdicts.(i) then certify packed) pairs
+      | _ ->
+        Vec.iter
+          (fun packed -> if csrc.probe_edge (edge_src packed) (edge_dst packed) then certify packed)
+          distinct);
       trace :=
         { op = `Edge ec.edge;
           estimate = ec.est;
@@ -489,14 +491,17 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
   (match src.warm_nodes with
   | Some wn when Array.length from_gq > 0 -> wn from_gq
   | _ -> ());
-  let b = Digraph.Builder.create ~node_hint:!count src.table in
+  let b =
+    Digraph.Builder.create ~node_hint:!count ~edge_hint:(Int_tbl.length gq_edges) src.table
+  in
   Array.iter
     (fun v -> ignore (Digraph.Builder.add_node b (src.node_label v) (src.node_value v)))
     from_gq;
   Int_tbl.iter
     (fun packed () ->
-      let e_src, e_dst = unpack_edge packed in
-      Digraph.Builder.add_edge b (Int_tbl.find to_gq e_src) (Int_tbl.find to_gq e_dst))
+      Digraph.Builder.add_edge b
+        (Int_tbl.find to_gq (edge_src packed))
+        (Int_tbl.find to_gq (edge_dst packed)))
     gq_edges;
   let gq = Digraph.Builder.freeze b in
   let candidates_gq = Array.map (Array.map (Int_tbl.find to_gq)) cmat in

@@ -34,12 +34,12 @@ module Builder = struct
     mutable frozen : bool;
   }
 
-  let create ?(node_hint = 64) table =
+  let create ?(node_hint = 64) ?(edge_hint = 8) table =
     { table;
       labels = Vec.create ~capacity:node_hint ();
       values = Array.make (max node_hint 1) Value.Null;
-      srcs = Vec.create ();
-      dsts = Vec.create ();
+      srcs = Vec.create ~capacity:edge_hint ();
+      dsts = Vec.create ~capacity:edge_hint ();
       frozen = false }
 
   let n_nodes b = Vec.length b.labels
@@ -66,23 +66,40 @@ module Builder = struct
     Vec.push b.srcs src;
     Vec.push b.dsts dst
 
-  (* Counting sort of [keys] into CSR offsets over [n] buckets. *)
-  let csr n keys nkeys payloads =
+  (* The first [n] entries of [a], without a copy when that is all
+     of it: a frozen builder never writes its arrays again. *)
+  let prefix a n = if Array.length a = n then a else Array.sub a 0 n
+
+  (* Turn per-bucket counts in [off.(k + 1)] into row starts. *)
+  let prefix_sums off n =
+    for i = 1 to n do
+      off.(i) <- off.(i) + off.(i - 1)
+    done
+
+  (* After a fill that advanced each [off.(k)] past its row, shift the
+     row ends back into row starts: [off] served as its own cursor. *)
+  let unshift off n =
+    for i = n downto 1 do
+      off.(i) <- off.(i - 1)
+    done;
+    off.(0) <- 0
+
+  (* Counting sort of [keys] into CSR offsets over [n] buckets, a
+     bucket's payloads in key order. *)
+  let csr n keys nkeys payload =
     let off = Array.make (n + 1) 0 in
     for i = 0 to nkeys - 1 do
       off.(keys.(i) + 1) <- off.(keys.(i) + 1) + 1
     done;
-    for i = 1 to n do
-      off.(i) <- off.(i) + off.(i - 1)
-    done;
+    prefix_sums off n;
     let adj = Array.make (max 1 nkeys) 0 in
-    let cursor = Array.copy off in
     for i = 0 to nkeys - 1 do
       let k = keys.(i) in
-      adj.(cursor.(k)) <- payloads.(i);
-      cursor.(k) <- cursor.(k) + 1
+      adj.(off.(k)) <- payload i;
+      off.(k) <- off.(k) + 1
     done;
-    (off, if nkeys = Array.length adj then adj else Array.sub adj 0 nkeys)
+    unshift off n;
+    (off, prefix adj nkeys)
 
   (* Sort each CSR row and drop duplicate entries, compacting [adj] and
      rewriting [off] in place.  Returns the compacted length. *)
@@ -106,83 +123,79 @@ module Builder = struct
     if b.frozen then invalid_arg "Digraph.Builder.freeze: builder already frozen";
     b.frozen <- true;
     let n = n_nodes b in
-    let labels = Vec.to_array b.labels in
-    let values = Array.sub b.values 0 n in
+    let labels = prefix (Vec.unsafe_data b.labels) n in
+    let values = prefix b.values n in
     let raw = Vec.length b.srcs in
     (* Out CSR from the raw multi-edge list; rows sorted, duplicates
        collapse row-locally. *)
-    let out_off, out_adj = csr n (Vec.unsafe_data b.srcs) raw (Vec.unsafe_data b.dsts) in
+    let dsts = Vec.unsafe_data b.dsts in
+    let out_off, out_adj = csr n (Vec.unsafe_data b.srcs) raw (Array.unsafe_get dsts) in
     let m = sort_dedup_rows n out_off out_adj in
-    let out_adj = if m = Array.length out_adj then out_adj else Array.sub out_adj 0 m in
+    let out_adj = prefix out_adj m in
     (* In CSR from the deduplicated edges.  Filling dst buckets while
        scanning sources in ascending order leaves every in row sorted. *)
     let in_off = Array.make (n + 1) 0 in
     for i = 0 to m - 1 do
       in_off.(out_adj.(i) + 1) <- in_off.(out_adj.(i) + 1) + 1
     done;
-    for i = 1 to n do
-      in_off.(i) <- in_off.(i) + in_off.(i - 1)
-    done;
+    prefix_sums in_off n;
     let in_adj = Array.make (max 1 m) 0 in
-    let cursor = Array.copy in_off in
     for v = 0 to n - 1 do
       for i = out_off.(v) to out_off.(v + 1) - 1 do
         let w = out_adj.(i) in
-        in_adj.(cursor.(w)) <- v;
-        cursor.(w) <- cursor.(w) + 1
+        in_adj.(in_off.(w)) <- v;
+        in_off.(w) <- in_off.(w) + 1
       done
     done;
-    let in_adj = if m = Array.length in_adj then in_adj else Array.sub in_adj 0 m in
-    (* Merged-neighbour CSR: sorted union of each node's out and in rows. *)
-    let nbr_off = Array.make (n + 1) 0 in
-    let nbr_adj = Array.make (max 1 (2 * m)) 0 in
-    let cursor = ref 0 in
-    for v = 0 to n - 1 do
-      nbr_off.(v) <- !cursor;
+    unshift in_off n;
+    let in_adj = prefix in_adj m in
+    (* Merged-neighbour CSR: sorted union of each node's out and in rows,
+       merged once to size it and once to fill it. *)
+    let merge_row v emit =
       let i = ref out_off.(v) and j = ref in_off.(v) in
       let ihi = out_off.(v + 1) and jhi = in_off.(v + 1) in
       while !i < ihi || !j < jhi do
-        let x =
-          if !j >= jhi then begin
-            let x = out_adj.(!i) in
-            incr i;
-            x
+        if !j >= jhi then begin
+          emit out_adj.(!i);
+          incr i
+        end
+        else if !i >= ihi then begin
+          emit in_adj.(!j);
+          incr j
+        end
+        else begin
+          let a = out_adj.(!i) and b = in_adj.(!j) in
+          if a < b then begin
+            emit a;
+            incr i
           end
-          else if !i >= ihi then begin
-            let x = in_adj.(!j) in
-            incr j;
-            x
+          else if b < a then begin
+            emit b;
+            incr j
           end
           else begin
-            let a = out_adj.(!i) and b = in_adj.(!j) in
-            if a < b then begin
-              incr i;
-              a
-            end
-            else if b < a then begin
-              incr j;
-              b
-            end
-            else begin
-              incr i;
-              incr j;
-              a
-            end
+            emit a;
+            incr i;
+            incr j
           end
-        in
-        if !cursor = nbr_off.(v) || nbr_adj.(!cursor - 1) <> x then begin
-          nbr_adj.(!cursor) <- x;
-          incr cursor
         end
       done
-    done;
-    nbr_off.(n) <- !cursor;
-    let nbr_adj =
-      if !cursor = Array.length nbr_adj then nbr_adj else Array.sub nbr_adj 0 !cursor
     in
+    let nbr_off = Array.make (n + 1) 0 in
+    for v = 0 to n - 1 do
+      merge_row v (fun _ -> nbr_off.(v + 1) <- nbr_off.(v + 1) + 1)
+    done;
+    prefix_sums nbr_off n;
+    let nbr_adj = Array.make (max 1 nbr_off.(n)) 0 in
+    for v = 0 to n - 1 do
+      let cursor = ref nbr_off.(v) in
+      merge_row v (fun x ->
+          nbr_adj.(!cursor) <- x;
+          incr cursor)
+    done;
+    let nbr_adj = prefix nbr_adj nbr_off.(n) in
     let nlabels = Label.count b.table in
-    let ids = Array.init n (fun i -> i) in
-    let by_label_off, by_label = csr nlabels labels n ids in
+    let by_label_off, by_label = csr nlabels labels n Fun.id in
     { table = b.table;
       labels;
       values;

@@ -24,7 +24,11 @@ module Builder : sig
   type graph := t
   type t
 
-  val create : ?node_hint:int -> Label.table -> t
+  val create : ?node_hint:int -> ?edge_hint:int -> Label.table -> t
+  (** The hints size the node and edge stores up front.  When a frozen
+      builder added exactly [node_hint] nodes, the graph keeps its node
+      stores without a copy. *)
+
   val add_node : t -> Label.t -> Value.t -> int
   (** Returns the new node's identifier. *)
 

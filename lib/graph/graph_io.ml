@@ -360,7 +360,7 @@ let selectivity tbl ~map f =
 (* For [Binfile.run]'s plan: the labels section, the two headers and
    the stats section are read now, the node and CSR arrays in one task
    that checks them, and under [keep] decodes them. *)
-let plan ~keep tbl f =
+let open_bin ~keep tbl f =
   let l = layout tbl f in
   let weight = l.nodes.len + l.csr.len in
   let graph =
@@ -368,13 +368,9 @@ let plan ~keep tbl f =
   in
   (l, graph, selectivity tbl ~map:l.map f)
 
-let open_bin tbl f =
-  let l, _, sel = plan ~keep:false tbl f in
-  (l, sel)
-
 let load_bin tbl path =
   let (_, graph, sel), _ =
-    Binfile.with_file path (fun f -> Binfile.run f (plan ~keep:true tbl))
+    Binfile.with_file path (fun f -> Binfile.run f (open_bin ~keep:true tbl))
   in
   (Option.get (graph ()), sel)
 

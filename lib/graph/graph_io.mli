@@ -86,12 +86,18 @@ val layout : Label.table -> Binfile.file -> layout
 (** Decodes the labels section into the table and checks the nodes and
     CSR headers, one read each. *)
 
-val open_bin : Label.table -> Binfile.file -> layout * Gstats.selectivity option
+val open_bin :
+  keep:bool ->
+  Label.table ->
+  Binfile.file ->
+  layout * (unit -> Digraph.t option) * Gstats.selectivity option
 (** For a {!Binfile.run} plan: {!layout} and {!selectivity} now, and a
     task that streams the nodes and CSR sections through its own reader,
     making every check {!load_bin}'s decode makes (label ids, value
-    offsets and entry tags, all four CSRs' offsets and entries), and
-    keeps nothing. *)
+    offsets and entry tags, all four CSRs' offsets and entries).  Under
+    [keep] the task also keeps the arrays, and the returned function
+    gives the graph once the run has finished; else it keeps nothing
+    and the function gives [None]. *)
 
 val decode : Label.table -> layout -> Binfile.mapped -> Digraph.t
 (** The graph of a file {!open_bin} checked: the same pass, keeping the

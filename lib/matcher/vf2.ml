@@ -140,45 +140,50 @@ let try_assign p st deadline u v k =
     st.mapping.(u) <- -1
   end
 
-(* Candidates for [u] come from the adjacency of an already-matched
-   pattern neighbour when one exists (the cheapest such anchor), else
-   from the label universe / supplied candidate array. *)
-let enumerate p st deadline u k =
+(* Candidates for [u], each handed to [try_v]: from the adjacency of an
+   already-matched pattern neighbour when one exists (the cheapest such
+   anchor), else from the label universe / supplied candidate array. *)
+let enumerate p st u try_v =
   let anchor = ref (-1) in
   let anchor_deg = ref max_int in
-  Array.iter
-    (fun u' ->
-      let m = st.mapping.(u') in
-      if m >= 0 then begin
-        let d = Digraph.degree p.g m in
-        if d < !anchor_deg then begin
-          anchor := u';
-          anchor_deg := d
-        end
-      end)
-    p.radj.nbrs.(u);
+  let nbrs = p.radj.nbrs.(u) in
+  for i = 0 to Array.length nbrs - 1 do
+    let u' = nbrs.(i) in
+    let m = st.mapping.(u') in
+    if m >= 0 then begin
+      let d = Digraph.degree p.g m in
+      if d < !anchor_deg then begin
+        anchor := u';
+        anchor_deg := d
+      end
+    end
+  done;
   if !anchor >= 0 then begin
     let u' = !anchor in
     let v' = st.mapping.(u') in
-    if Pattern.has_edge p.q u' u then
-      Digraph.iter_out p.g v' (fun v -> try_assign p st deadline u v k)
-    else Digraph.iter_in p.g v' (fun v -> try_assign p st deadline u v k)
+    if Pattern.has_edge p.q u' u then Digraph.iter_out p.g v' try_v
+    else Digraph.iter_in p.g v' try_v
   end
   else
     match p.candidates with
-    | Some c -> Array.iter (fun v -> try_assign p st deadline u v k) c.(u)
+    | Some c -> Array.iter try_v c.(u)
     | None ->
-      if p.blind then Digraph.iter_nodes p.g (fun v -> try_assign p st deadline u v k)
-      else
-        Digraph.iter_label p.g (Pattern.label p.q u) (fun v ->
-            try_assign p st deadline u v k)
+      if p.blind then Digraph.iter_nodes p.g try_v
+      else Digraph.iter_label p.g (Pattern.label p.q u) try_v
 
 (* Assign [order.(from)..order.(stop - 1)], yielding the mapping at depth
    [stop].  The full search is [search p st dl 0 p.nq yield]; prefix
-   collection stops early; prefix continuation starts late. *)
-let rec search p st deadline from stop yield =
-  if from = stop then yield st.mapping
-  else enumerate p st deadline p.order.(from) (fun () -> search p st deadline (from + 1) stop yield)
+   collection stops early; prefix continuation starts late.  Each depth's
+   step (try a candidate, then descend) is one closure built before the
+   descent, so visiting a state allocates nothing. *)
+let search p st deadline from stop yield =
+  let step = Array.make (max stop 1) ignore in
+  let descend d = if d = stop then yield st.mapping else enumerate p st p.order.(d) step.(d) in
+  for d = from to stop - 1 do
+    let u = p.order.(d) and next () = descend (d + 1) in
+    step.(d) <- (fun v -> try_assign p st deadline u v next)
+  done;
+  descend from
 
 let iter_matches ?(deadline = Timer.no_deadline) ?(blind = false) ?candidates g q yield =
   if Pattern.n_nodes q = 0 then yield [||]

@@ -6,7 +6,12 @@ type t = atom list
 let true_ = []
 let atom op const = [ { op; const } ]
 let conj a b = a @ b
-let eval p v = List.for_all (fun a -> Value.test a.op v a.const) p
+(* A loop, not [List.for_all] with a closure over [v]: the matchers
+   evaluate a predicate per candidate node. *)
+let rec eval p v =
+  match p with
+  | [] -> true
+  | a :: rest -> Value.test a.op v a.const && eval rest v
 let arity = List.length
 
 let atom_to_string a = Value.op_to_string a.op ^ " " ^ Value.to_string a.const

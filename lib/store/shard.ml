@@ -98,11 +98,11 @@ let write_shard ~dir ~shards ~stamp ~s g indexes =
 
 let partition ~shards ~snapshot ~dir =
   if shards <= 0 then invalid_arg "Shard.partition: shards must be positive";
-  (* Open until the last shard is written: the graph decode and every
-     [Index.filter] read the snapshot through this descriptor, not
-     through its mapping. *)
+  (* Open until the last shard is written: every [Index.filter] reads
+     the snapshot through this descriptor, not through its mapping.  The
+     graph is decoded in the open's one pass. *)
   Binfile.with_file snapshot @@ fun f ->
-  let (schema, selectivity), _ = Schema.load_sum (Label.create_table ()) f in
+  let (schema, selectivity), _ = Schema.load_sum ~decode:true (Label.create_table ()) f in
   let g = Schema.graph schema in
   let tbl = Digraph.label_table g in
   let cons = Schema.constraints schema in

@@ -344,7 +344,8 @@ let compact ?out t =
           let schema =
             match t.b with
             | In_mem m -> m.schema
-            | On_disk p -> fst (fst (Schema.load_sum (Label.create_table ()) (Paged.file p)))
+            | On_disk p ->
+              fst (fst (Schema.load_sum ~decode:true (Label.create_table ()) (Paged.file p)))
             | Sharded_t _ -> assert false
           in
           let folded = fold_ops schema ops in

@@ -123,6 +123,52 @@ let test_builder_node_hint_overshoot () =
   done;
   Helpers.check_true "edge kept" (Digraph.has_edge g 0 2)
 
+(* The frozen CSR against lists built edge by edge: rows sorted and
+   deduplicated, in-rows and merged rows their transposes and unions,
+   label groups ascending.  Node and edge hints, exact or over, leave the
+   graph as it is without them. *)
+let freeze_matches_reference =
+  Helpers.qcheck "freeze equals a list reference, with or without hints"
+    QCheck2.Gen.(int_range 1 60)
+    (fun seed ->
+      let module Prng = Bpq_util.Prng in
+      let r = Prng.create seed in
+      let tbl = Label.create_table () in
+      let n = Prng.int r 40 in
+      let labels = Array.init n (fun _ -> Label.intern tbl (string_of_int (Prng.int r 4))) in
+      let edges =
+        List.init (Prng.int r (3 * (n + 1))) (fun _ ->
+            if n = 0 then None else Some (Prng.int r n, Prng.int r n))
+        |> List.filter_map Fun.id
+      in
+      let build ?node_hint ?edge_hint () =
+        let b = Digraph.Builder.create ?node_hint ?edge_hint tbl in
+        Array.iteri (fun i l -> ignore (Digraph.Builder.add_node b l (Value.Int i))) labels;
+        List.iter (fun (s, d) -> Digraph.Builder.add_edge b s d) edges;
+        Digraph.Builder.freeze b
+      in
+      let g = build () in
+      let m = List.length edges in
+      let same g' = Digraph.Repr.of_graph g' = Digraph.Repr.of_graph g in
+      let row v sel = List.sort_uniq compare (List.filter_map (sel v) edges) in
+      let out v = row v (fun v (s, d) -> if s = v then Some d else None) in
+      let inn v = row v (fun v (s, d) -> if d = v then Some s else None) in
+      same (build ~node_hint:n ~edge_hint:m ())
+      && same (build ~node_hint:(2 * n + 1) ~edge_hint:(m + 5) ())
+      && Digraph.n_edges g = List.length (List.sort_uniq compare edges)
+      && List.for_all
+           (fun v ->
+             Array.to_list (Digraph.out_neighbours g v) = out v
+             && Array.to_list (Digraph.in_neighbours g v) = inn v
+             && Array.to_list (Digraph.neighbours g v) = List.sort_uniq compare (out v @ inn v)
+             && Digraph.value g v = Value.Int v)
+           (List.init n Fun.id)
+      && List.for_all
+           (fun l ->
+             Array.to_list (Digraph.nodes_with_label g l)
+             = List.filter (fun v -> labels.(v) = l) (List.init n Fun.id))
+           (Label.all tbl))
+
 let test_builder_rejects_bad_edge () =
   let tbl = Label.create_table () in
   let b = Digraph.Builder.create tbl in
@@ -265,6 +311,7 @@ let suite =
     Alcotest.test_case "builder freeze-twice rejected" `Quick test_builder_freeze_twice_rejected;
     Alcotest.test_case "builder node_hint overshoot" `Quick test_builder_node_hint_overshoot;
     sorted_csr_matches_oracle;
+    freeze_matches_reference;
     csr_consistency;
     edge_membership_agrees;
     delta_matches_rebuild ]

@@ -463,6 +463,23 @@ let test_schema_graph_around_close () =
       Helpers.check_true "decoded after the close"
         (repr (Schema.graph (Option.get (Store.schema after))) = want))
 
+(* A decoding open keeps the graph its one pass over the sections read,
+   so the schema needs neither the file nor the mapping for it. *)
+let test_decoding_open () =
+  let _, g, constrs, _ = Helpers.random_instance 79 in
+  Helpers.with_temp_file (fun path ->
+      Schema.save (Schema.build g constrs) path;
+      let want = repr (fst (Graph_io.load_bin (Label.create_table ()) path)) in
+      let schema =
+        Binfile.with_file path (fun f ->
+            fst (fst (Schema.load_sum ~decode:true (Label.create_table ()) f)))
+      in
+      let got = Schema.graph schema in
+      Helpers.check_true "the stored graph" (repr got = want);
+      Helpers.check_true "one graph" (Schema.graph schema == got);
+      Helpers.check_true "Schema.load agrees"
+        (repr (Schema.graph (fst (Schema.load (Label.create_table ()) path))) = want))
+
 let test_concurrent_first_graph () =
   let _, g, constrs, _ = Helpers.random_instance 78 in
   let domains = 4 in
@@ -510,4 +527,5 @@ let suite =
     Alcotest.test_case "Schema.graph of a mem store, before and after close" `Quick
       test_schema_graph_around_close;
     Alcotest.test_case "concurrent first Schema.graph calls share one graph" `Quick
-      test_concurrent_first_graph ]
+      test_concurrent_first_graph;
+    Alcotest.test_case "a decoding open keeps its pass's graph" `Quick test_decoding_open ]
