@@ -66,11 +66,14 @@ bench-store:
 # while reads serve through the overlay.  jq gates the invariants, not
 # the timings: mem- and paged-backend overlay reads byte-identical, the
 # compacted generation reproduces the overlay's answers exactly, the
-# write loop really ran, and read p50 at the final overlay fraction
-# stays within 6x of the pure-snapshot baseline.
+# write loop really ran, read p50 at the final overlay fraction stays
+# within 6x of the pure-snapshot baseline, and the compaction allocates
+# at most 1.5 major-heap words per i64 of the base snapshot (a fold that
+# decodes the base graph allocates about 3).
 bench-write:
 	BENCH_FAST=1 dune exec bench/main.exe -- write --json _bench
 	jq -e '.write.identical and .write.compact_identical and .write.writes_per_s > 0 and (.write.p50_ratio < 6)' _bench/BENCH_write.json >/dev/null
+	jq -e '.write.compact_heap_words_per_i64 <= 1.5' _bench/BENCH_write.json >/dev/null
 	@echo "bench-write: _bench/BENCH_write.json OK"
 
 # Distributed-execution experiment: the same scale axis with the graph

@@ -21,13 +21,18 @@ module Vec = Bpq_util.Vec
 module Json = Bpq_util.Jsonx
 
 (* Adaptive timer: doubles the repetition count until one batch runs
-   for at least [min_time] seconds, then times [batches] batches of that
-   many calls and reports the median batch's seconds per call, so one
-   batch a busy host slowed does not set the figure. *)
+   for at least [min_time] seconds, then times up to [batches] batches
+   of that many calls and reports the median batch's seconds per call,
+   so one batch a busy host slowed does not set the figure.  An arm
+   stops timing batches once it has spent [budget] seconds, warm-up
+   and calibration included, keeping at least the calibrating one: a
+   kernel of seconds per call is timed once, not five times. *)
 let min_time = 0.04
 let batches = 5
+let budget = 1.0
 
 let time_per_call f =
+  let start = Timer.now () in
   f ();
   (* warm caches and any lazy state *)
   let batch reps =
@@ -43,11 +48,13 @@ let time_per_call f =
     if t >= min_time then (reps, t) else calibrate (2 * reps)
   in
   let reps, first = calibrate 1 in
-  let per_call =
-    Array.init batches (fun i -> (if i = 0 then first else batch reps) /. float_of_int reps)
-  in
+  let per_call = ref [ first ] in
+  while List.length !per_call < batches && Timer.now () -. start < budget do
+    per_call := batch reps :: !per_call
+  done;
+  let per_call = Array.of_list (List.map (fun t -> t /. float_of_int reps) !per_call) in
   Array.sort compare per_call;
-  per_call.(batches / 2)
+  per_call.(Array.length per_call / 2)
 
 (* ------------------------------------------------------------------ *)
 (* Seed layouts, re-implemented for comparison                         *)

@@ -19,7 +19,9 @@
      - identical / compact_identical as above;
      - p50_ratio: overlay read p50 over baseline p50 at the final
        (fixed) overlay fraction — CI requires < 6;
-     - writes_per_s > 0 (the write loop really ran). *)
+     - writes_per_s > 0 (the write loop really ran);
+     - compact_heap_words_per_i64: major-heap words the compaction
+       allocates per i64 of the base snapshot — CI requires <= 1.5. *)
 
 open Bpq_graph
 open Bpq_access
@@ -169,7 +171,14 @@ let run () =
   Store.close paged;
   (* Compaction: folded-generation reads must reproduce the overlay's
      answers exactly, and return to snapshot-speed serving. *)
+  (* Major-heap words the fold allocates (promotions included), whole
+     and per i64 of the base snapshot. *)
+  let _, _, major0 = Gc.counters () in
   ignore (Store.compact ~out:folded_path st);
+  let _, _, major1 = Gc.counters () in
+  let compact_heap_words = int_of_float (major1 -. major0) in
+  let base_i64s = (Unix.stat snap).Unix.st_size / 8 in
+  let compact_heap_ratio = float_of_int compact_heap_words /. float_of_int base_i64s in
   let folded = Exec.source_of_schema (fst (Schema.load (Label.create_table ()) folded_path)) in
   let compact_identical =
     List.for_all2
@@ -185,16 +194,20 @@ let run () =
      the pool size. *)
   Printf.printf
     "\nbaseline p50 %s; final overlay p50 %s (%.2fx); post-compaction p50 %s; %.0f writes/s;\n\
-     %d ops logged; backends identical: %b; compaction identical: %b\n"
+     %d ops logged; backends identical: %b; compaction identical: %b;\n\
+     compaction allocated %d major-heap words (%.4f per i64 of the %d-i64 base)\n"
     (Table.cell_time (base_p50 /. 1e3))
     (Table.cell_time (last.sp_p50_ms /. 1e3))
     last.sp_ratio
     (Table.cell_time (compact_p50 /. 1e3))
-    last.sp_writes_per_s !written identical compact_identical;
+    last.sp_writes_per_s !written identical compact_identical compact_heap_words
+    compact_heap_ratio base_i64s;
   push_json_field "write"
     (Json.Obj
        [ ("identical", Json.Bool identical);
          ("compact_identical", Json.Bool compact_identical);
+         ("compact_heap_words", Json.Int compact_heap_words);
+         ("compact_heap_words_per_i64", Json.Float compact_heap_ratio);
          ("read_p50_ms_base", Json.Float base_p50);
          ("read_p50_ms_overlay", Json.Float last.sp_p50_ms);
          ("read_p50_ms_compacted", Json.Float compact_p50);

@@ -407,6 +407,15 @@ let freeze c acc =
 
 (* ---------------- contributions ---------------- *)
 
+(* What the contributions read of a graph: node labels and merged
+   neighbour rows. *)
+type view = {
+  label : int -> Label.t;
+  iter_nbrs : int -> (int -> unit) -> unit;
+}
+
+let graph_view g = { label = Digraph.label g; iter_nbrs = Digraph.iter_neighbours g }
+
 (* All S-labeled sets drawn from the distinct neighbours of [w]: one node
    per source label (labels in S are distinct, so the sets are).  Keys of
    arity <= 2 go to [packed], wider ones to [spilled] as sorted id
@@ -414,13 +423,12 @@ let freeze c acc =
 let iter_contribution_keys (c : Constr.t) g w ~packed ~spilled =
   match (Constr.arity c, c.source) with
   | 0, _ -> packed 0
-  | 1, [ s ] ->
-    Digraph.iter_neighbours g w (fun v -> if Digraph.label g v = s then packed v)
+  | 1, [ s ] -> g.iter_nbrs w (fun v -> if g.label v = s then packed v)
   | 2, [ s1; s2 ] ->
     (* One pass over the merged-neighbour row splits the two groups. *)
     let g1 = Vec.create ~capacity:4 () and g2 = Vec.create ~capacity:4 () in
-    Digraph.iter_neighbours g w (fun v ->
-        let l = Digraph.label g v in
+    g.iter_nbrs w (fun v ->
+        let l = g.label v in
         if l = s1 then Vec.push g1 v
         else if l = s2 then Vec.push g2 v);
     Vec.iter (fun a -> Vec.iter (fun b -> packed (pack2 a b)) g2) g1
@@ -429,8 +437,7 @@ let iter_contribution_keys (c : Constr.t) g w ~packed ~spilled =
       List.map
         (fun s ->
           let grp = Vec.create ~capacity:4 () in
-          Digraph.iter_neighbours g w (fun v ->
-              if Digraph.label g v = s then Vec.push grp v);
+          g.iter_nbrs w (fun v -> if g.label v = s then Vec.push grp v);
           grp)
         source
     in
@@ -443,8 +450,9 @@ let iter_contribution_keys (c : Constr.t) g w ~packed ~spilled =
     end
 
 let fill (c : Constr.t) g acc =
+  let view = graph_view g in
   Digraph.iter_label g c.target (fun w ->
-      iter_contribution_keys c g w
+      iter_contribution_keys c view w
         ~packed:(fun key -> push_packed acc key w)
         ~spilled:(fun key ->
           List.iter (Vec.push acc.a_keys) key;
@@ -569,145 +577,6 @@ let iter t f =
     f (key_list t o) (bucket t o)
   done
 
-(* ---------------- functional maintenance ---------------- *)
-
-(* Sorted distinct key records (each an array) of [w]'s contributions. *)
-let contribution_records c g w =
-  let out = ref [] in
-  iter_contribution_keys c g w
-    ~packed:(fun k -> out := [| k |] :: !out)
-    ~spilled:(fun l -> out := Array.of_list l :: !out);
-  List.sort_uniq (fun a b -> compare_at a 0 b 0 (Array.length a)) !out
-
-(* Elements of sorted [a] missing from sorted [b]. *)
-let rec sorted_diff cmp a b =
-  match (a, b) with
-  | [], _ -> []
-  | _, [] -> a
-  | x :: a', y :: b' ->
-    let c = cmp x y in
-    if c < 0 then x :: sorted_diff cmp a' b
-    else if c > 0 then sorted_diff cmp a b'
-    else sorted_diff cmp a' b'
-
-let apply_delta t ~old_graph ~new_graph (delta : Digraph.delta) =
-  let c = t.constr and w = t.width in
-  let stride = w + 2 in
-  let n_old = Digraph.n_nodes old_graph in
-  (* Contributions of a target-labeled node depend only on its own
-     neighbourhood, so only target-labeled endpoints of changed edges
-     (and fresh target-labeled nodes) can move between buckets. *)
-  let affected = Vec.create () in
-  let note v = if Digraph.label new_graph v = c.target then Vec.push affected v in
-  List.iter (fun (s, d) -> note s; note d) delta.added_edges;
-  List.iter (fun (s, d) -> note s; note d) delta.removed_edges;
-  List.iteri (fun i (l, _) -> if l = c.target then Vec.push affected (n_old + i)) delta.added_nodes;
-  Vec.sort_uniq affected;
-  let cmp a b = compare_at a 0 b 0 w in
-  (* (key record, node, is_add) for every bucket membership that flips. *)
-  let changes = ref [] in
-  Vec.iter
-    (fun v ->
-      let before = if v < n_old then contribution_records c old_graph v else [] in
-      let after = contribution_records c new_graph v in
-      List.iter (fun k -> changes := (k, v, false) :: !changes) (sorted_diff cmp before after);
-      List.iter (fun k -> changes := (k, v, true) :: !changes) (sorted_diff cmp after before))
-    affected;
-  if !changes = [] then t
-  else begin
-    let changes = Array.of_list !changes in
-    Array.sort
-      (fun (ka, va, _) (kb, vb, _) ->
-        let d = cmp ka kb in
-        if d <> 0 then d else Int.compare va vb)
-      changes;
-    (* One group per changed key, in key order: the key, its ordinal in
-       [t] (or where it would go), whether [t] has it, and the bucket it
-       gets — sorted, empty when the key drops out. *)
-    let n = t.n in
-    let groups = ref [] and i = ref 0 in
-    while !i < Array.length changes do
-      let key, _, _ = changes.(!i) in
-      let j = ref !i in
-      while !j < Array.length changes && (let k, _, _ = changes.(!j) in cmp k key = 0) do
-        incr j
-      done;
-      let group = Array.to_list (Array.sub changes !i (!j - !i)) in
-      let found = search ~get:(get t.recs) ~width:w ~n key in
-      let existed = found >= 0 in
-      let o = if existed then found else -found - 1 in
-      let kept =
-        if existed then
-          List.filter
-            (fun v -> not (List.exists (fun (_, u, add) -> (not add) && u = v) group))
-            (Array.to_list (bucket t o))
-        else []
-      in
-      let members =
-        Array.of_list (kept @ List.filter_map (fun (_, u, add) -> if add then Some u else None) group)
-      in
-      Int_sort.sort members;
-      groups := (key, o, existed, members) :: !groups;
-      i := !j
-    done;
-    let groups = List.rev !groups in
-    (* Exact output sizes, so each window is allocated once. *)
-    let n' = ref n and p' = ref (payload_ints t) in
-    List.iter
-      (fun (_, o, existed, members) ->
-        if existed then begin
-          decr n';
-          p' := !p' - len_of t o
-        end;
-        if members <> [||] then begin
-          incr n';
-          p' := !p' + Array.length members
-        end)
-      groups;
-    let recs = create_i64s (!n' * stride) and payload = create_i64s !p' in
-    let nk = ref 0 and np = ref 0 in
-    (* Unchanged buckets [o1, o2) move across as blits; only their bucket
-       starts shift. *)
-    let copy_span o1 o2 =
-      if o2 > o1 then begin
-        let p1 = start_of t o1 in
-        let p2 = if o2 = n then payload_ints t else start_of t o2 in
-        A1.blit (A1.sub t.recs (o1 * stride) ((o2 - o1) * stride))
-          (A1.sub recs (!nk * stride) ((o2 - o1) * stride));
-        A1.blit (A1.sub t.payload p1 (p2 - p1)) (A1.sub payload !np (p2 - p1));
-        for o = !nk to !nk + (o2 - o1) - 1 do
-          let at = (o * stride) + w in
-          set recs at (get recs at - p1 + !np)
-        done;
-        nk := !nk + (o2 - o1);
-        np := !np + (p2 - p1)
-      end
-    in
-    let next = ref 0 (* first ordinal of [t] not yet emitted *) in
-    List.iter
-      (fun (key, o, existed, members) ->
-        copy_span !next o;
-        next := if existed then o + 1 else o;
-        if members <> [||] then begin
-          let base = !nk * stride in
-          for j = 0 to w - 1 do
-            set recs (base + j) key.(j)
-          done;
-          set recs (base + w) !np;
-          set recs (base + w + 1) (Array.length members);
-          Array.iteri (fun k v -> set payload (!np + k) v) members;
-          np := !np + Array.length members;
-          incr nk
-        end)
-      groups;
-    copy_span !next n;
-    (* When only bucket contents moved, [t]'s table, built or not, still
-       maps every key to its ordinal, so the two share its cell. *)
-    let same_keys = List.for_all (fun (_, _, existed, m) -> existed = (m <> [||])) groups in
-    if same_keys then { t with n = !n'; recs; payload; home = None }
-    else make c ~n:!n' ~recs ~payload ~home:None
-  end
-
 (* ---------------- filtering ---------------- *)
 
 (* The index's ints from the [at]th on, in region order (key records,
@@ -775,6 +644,184 @@ let filter t keep =
     else skip_rec stride
   done;
   make t.constr ~n:!n ~recs ~payload ~home:None
+
+(* ---------------- repair under a delta ---------------- *)
+
+type region = {
+  n_keys : int;
+  payload_ints : int;
+  get : int -> int;
+  stream : int -> unit -> int;
+}
+
+let region t =
+  let nr = A1.dim t.recs in
+  { n_keys = t.n;
+    payload_ints = payload_ints t;
+    get = (fun i -> if i < nr then get t.recs i else get t.payload (i - nr));
+    stream = (fun at -> fst (stream t ~at)) }
+
+(* One changed key: the nodes its bucket gains and loses, ascending,
+   and its bucket's length after (0 when the key drops out). *)
+type group = {
+  key : int array;
+  adds : int array;
+  dels : int array;
+  len : int;
+}
+
+type repair = {
+  width : int;
+  groups : group list;  (* by key, ascending *)
+  keys_after : int;
+  payload_after : int;
+}
+
+let unchanged r = r.groups = []
+let sizes r = (r.keys_after, r.payload_after)
+
+(* Sorted distinct key records (each an array) of [w]'s contributions. *)
+let contribution_records c g w =
+  let out = ref [] in
+  iter_contribution_keys c g w
+    ~packed:(fun k -> out := [| k |] :: !out)
+    ~spilled:(fun l -> out := Array.of_list l :: !out);
+  List.sort_uniq (fun a b -> compare_at a 0 b 0 (Array.length a)) !out
+
+(* Elements of sorted [a] missing from sorted [b]. *)
+let rec sorted_diff cmp a b =
+  match (a, b) with
+  | [], _ -> []
+  | _, [] -> a
+  | x :: a', y :: b' ->
+    let c = cmp x y in
+    if c < 0 then x :: sorted_diff cmp a' b
+    else if c > 0 then sorted_diff cmp a b'
+    else sorted_diff cmp a' b'
+
+(* Contributions of a target-labeled node depend only on its own
+   merged-neighbour row and the labels there, so only touched
+   target-labeled nodes can move between buckets: each one's key
+   records before and after, and the difference.  A changed key's base
+   record gives its bucket's length; the bucket itself is read only by
+   the splice, as it streams past. *)
+let apply_delta (c : Constr.t) (base : region) ~before ~after ~n_before ~touched =
+  let w = width_of_arity (Constr.arity c) in
+  let cmp a b = compare_at a 0 b 0 w in
+  let touched = List.sort_uniq Int.compare (Array.to_list touched) in
+  let changes = ref [] in
+  List.iter
+    (fun v ->
+      if after.label v = c.target then begin
+        let old_keys = if v < n_before then contribution_records c before v else [] in
+        let new_keys = contribution_records c after v in
+        List.iter (fun k -> changes := (k, v, false) :: !changes) (sorted_diff cmp old_keys new_keys);
+        List.iter (fun k -> changes := (k, v, true) :: !changes) (sorted_diff cmp new_keys old_keys)
+      end)
+    touched;
+  let changes = Array.of_list !changes in
+  Array.sort
+    (fun (ka, va, _) (kb, vb, _) ->
+      let d = cmp ka kb in
+      if d <> 0 then d else Int.compare va vb)
+    changes;
+  let groups = ref [] and i = ref 0 in
+  let n' = ref base.n_keys and p' = ref base.payload_ints in
+  while !i < Array.length changes do
+    let key, _, _ = changes.(!i) in
+    let j = ref !i in
+    while !j < Array.length changes && (let k, _, _ = changes.(!j) in cmp k key = 0) do
+      incr j
+    done;
+    let group = Array.to_list (Array.sub changes !i (!j - !i)) in
+    let nodes add = Array.of_list (List.filter_map (fun (_, u, a) -> if a = add then Some u else None) group) in
+    let adds = nodes true and dels = nodes false in
+    let o = search ~get:base.get ~width:w ~n:base.n_keys key in
+    let old_len = if o < 0 then 0 else base.get ((o * (w + 2)) + w + 1) in
+    let len = old_len - Array.length dels + Array.length adds in
+    if len < 0 || old_len < 0 || old_len > base.payload_ints then
+      raise (Binfile.Corrupt "schema section: bucket lacks a node the delta removes");
+    if o >= 0 then decr n';
+    if len > 0 then incr n';
+    p' := !p' + len - old_len;
+    groups := { key; adds; dels; len } :: !groups;
+    i := !j
+  done;
+  { width = w; groups = List.rev !groups; keys_after = !n'; payload_after = !p' }
+
+(* The base's key records in order, with the changed groups merged in by
+   key: [on_new] for a group whose key the base lacks, [on_base] for
+   each base record with the group that replaces it, if any. *)
+let merge_keys r (base : region) ~on_new ~on_base =
+  let w = r.width in
+  let key = Array.make w 0 in
+  let next = base.stream 0 in
+  let rest = ref r.groups in
+  for _ = 1 to base.n_keys do
+    for j = 0 to w - 1 do
+      key.(j) <- next ()
+    done;
+    ignore (next () : int);
+    let len = next () in
+    let replacing = ref None and more = ref true in
+    while !more do
+      match !rest with
+      | g :: tl when compare_at g.key 0 key 0 w <= 0 ->
+        if compare_at g.key 0 key 0 w = 0 then replacing := Some g else on_new g;
+        rest := tl
+      | _ -> more := false
+    done;
+    on_base key len !replacing
+  done;
+  List.iter on_new !rest
+
+(* Two passes, as the region is laid out: the key records, each bucket
+   start shifted by the buckets before it, then the payload, a changed
+   bucket merged with its gains and losses as it streams past. *)
+let splice r (base : region) put =
+  let np = ref 0 in
+  let record key len =
+    if len > 0 then begin
+      Array.iter put key;
+      put !np;
+      put len;
+      np := !np + len
+    end
+  in
+  merge_keys r base
+    ~on_new:(fun g -> record g.key g.len)
+    ~on_base:(fun key len g -> record key (match g with None -> len | Some g -> g.len));
+  let next = base.stream (base.n_keys * (r.width + 2)) in
+  merge_keys r base
+    ~on_new:(fun g -> Array.iter put g.adds)
+    ~on_base:(fun _ len g ->
+      let adds, dels = match g with None -> ([||], [||]) | Some g -> (g.adds, g.dels) in
+      let j = ref 0 and d = ref 0 in
+      for _ = 1 to len do
+        let x = next () in
+        while !j < Array.length adds && adds.(!j) < x do
+          put adds.(!j);
+          incr j
+        done;
+        if !d < Array.length dels && dels.(!d) = x then incr d else put x
+      done;
+      if !d < Array.length dels then
+        raise (Binfile.Corrupt "schema section: bucket lacks a node the delta removes");
+      for i = !j to Array.length adds - 1 do
+        put adds.(i)
+      done)
+
+let repaired (t : t) r =
+  if unchanged r then t
+  else begin
+    let nr = r.keys_after * (t.width + 2) in
+    let recs = create_i64s nr and payload = create_i64s r.payload_after in
+    let i = ref 0 in
+    splice r (region t) (fun v ->
+        if !i < nr then set recs !i v else set payload (!i - nr) v;
+        incr i);
+    make t.constr ~n:r.keys_after ~recs ~payload ~home:None
+  end
 
 (* ---------------- serialisation ---------------- *)
 

@@ -21,8 +21,8 @@
     never probed never holds one.  Concurrent first probes, from any
     domains or threads, build exactly one table.
     Maintenance under graph deltas (paper §II, "Maintaining access
-    constraints") is functional: {!apply_delta} returns a fresh index,
-    or the same one when the delta moves no node between buckets.
+    constraints") is a repair from the changed neighbourhoods
+    ({!apply_delta}), streamed over the base's region ({!splice}).
 
     Keys of arity <= 2 — the overwhelming majority — are packed into a
     single immediate int (a 2-set normalises with one min/max, no sort);
@@ -94,18 +94,77 @@ val probe_bytes : t -> int
     its one-slot table from the start).  The heap's own counters do not
     see them. *)
 
+(** {1 Repair under a graph delta}
+
+    Paper §II, "Maintaining access constraints": a delta moves only the
+    target-labeled nodes whose neighbourhood it changes between
+    buckets, so an index is repaired from those neighbourhoods alone,
+    seen twice, before and after, and the base's buckets for the keys
+    that change.  The repair reads no whole graph and builds no index:
+    {!splice} streams the repaired region from the base's, which is how
+    a compaction writes it; {!repaired} fills an index with it. *)
+
+type view = {
+  label : int -> Label.t;
+  iter_nbrs : int -> (int -> unit) -> unit;
+      (** A node's distinct neighbours, either direction, ascending. *)
+}
+(** What the repair reads of a graph, for the nodes it is told about and
+    their neighbours. *)
+
+val graph_view : Digraph.t -> view
+
+(** An {!emit} region, read through [get] ([get i] is its [i]th int: the
+    key records, then the payload) for the records of changed keys, and
+    through [stream] ([stream i] yields the ints from the [i]th on) for
+    a splice. *)
+type region = {
+  n_keys : int;
+  payload_ints : int;
+  get : int -> int;
+  stream : int -> unit -> int;
+}
+
+val region : t -> region
+(** An index's own. *)
+
+type repair
+(** The changed buckets: each changed key, in key order, with its bucket
+    after the delta, empty when the key drops out. *)
+
 val apply_delta :
-  t -> old_graph:Digraph.t -> new_graph:Digraph.t -> Digraph.delta -> t
-(** The index over [new_graph] (compaction's fold), which must be
-    [Digraph.apply_delta old_graph delta].  Returns [t] itself, physically,
-    when no bucket membership changes — in particular for every constraint
-    whose target label no changed edge or fresh node carries.  Otherwise
-    the changed buckets are recomputed from the changed nodes'
-    neighbourhoods and the rest copied across, so the result equals
-    {!build} on [new_graph] exactly, bucket order included (given [t]
-    equals {!build} on [old_graph]).  [t]'s buckets are never modified;
-    when no key appears or drops out, the two share one probe table, so
-    the first probe of either builds it for both. *)
+  Constr.t -> region -> before:view -> after:view -> n_before:int -> touched:int array -> repair
+(** The constraint's index over the graph [after] shows, given its
+    [region] over the graph [before] shows, as the buckets that change.
+    [touched] must hold every node whose merged-neighbour row differs
+    between the two views and every node [after] adds (ids from
+    [n_before] on); other nodes may be listed too.  Only the
+    target-labeled ones among them are read: their rows in both views
+    and the labels there; of the region, the key record of each key
+    whose membership moves (a binary search through [get]), not its
+    bucket.
+    @raise Bpq_graph.Binfile.Corrupt when a bucket cannot lose a node
+    the delta removes from it. *)
+
+val unchanged : repair -> bool
+(** No bucket membership moved: the region stays as it is. *)
+
+val sizes : repair -> int * int
+(** The repaired region's key and payload counts. *)
+
+val splice : repair -> region -> (int -> unit) -> unit
+(** The repaired region's ints, in {!emit}'s order, to the callback: the
+    base's key records and payload read in order through [stream], a
+    changed bucket merged with its gains and losses as it passes, a new
+    key's spliced in by key, every bucket start shifted by the buckets
+    before it.  Equal to {!build} over the graph [after] shows, bucket
+    order included, when the region is {!build}'s over [before].
+    @raise Bpq_graph.Binfile.Corrupt when a bucket lacks a node the
+    repair removes from it. *)
+
+val repaired : t -> repair -> t
+(** The repaired index ({!splice} into fresh windows), or [t] itself,
+    physically, when it is {!unchanged}.  [t] is never modified. *)
 
 val iter : t -> (int list -> int array -> unit) -> unit
 (** Iterate over all (key, bucket) pairs — used by satisfaction reports. *)

@@ -118,40 +118,6 @@ let extend ?pool t constrs =
   let fresh = List.filter (fun c -> not (mem t c)) (dedup constrs) in
   make t.g (t.entries @ Index.build_many ?pool (graph t) fresh)
 
-(* In-place value upserts never move a node between index buckets (keys
-   are node records, populations are label sets), so the indexes and the
-   stamp both carry over; only the value blob is rewritten. *)
-let patch_values t updates =
-  match updates with
-  | [] -> t
-  | _ ->
-    let g = graph t in
-    let r = Digraph.Repr.of_graph g in
-    let values = Array.copy r.values in
-    List.iter
-      (fun (v, value) ->
-        if v < 0 || v >= Array.length values then
-          invalid_arg "Schema.patch_values: node out of range";
-        values.(v) <- value)
-      updates;
-    let graph =
-      Digraph.Repr.to_graph (Digraph.label_table g) { r with values }
-    in
-    make ~stamp:t.stamp (Built graph) t.entries
-
-let apply_delta t delta =
-  let old_graph = graph t in
-  let new_graph = Digraph.apply_delta old_graph delta in
-  let entries =
-    List.map
-      (fun (c, idx) -> (c, Index.apply_delta idx ~old_graph ~new_graph delta))
-      t.entries
-  in
-  (* The constraint set is unchanged, so the stamp carries over: plans
-     generated under this schema stay valid after the delta (results do
-     not — the result cache invalidates by label generation instead). *)
-  make ~stamp:t.stamp (Built new_graph) entries
-
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -180,33 +146,43 @@ let put_constr put (c : Constr.t) =
   put c.target;
   put c.bound
 
-let add_section w ~stamp entries =
+(* The section over regions given as (constraint, key count, payload
+   ints, writer of the region's bytes): built indexes emit themselves, a
+   fold copies or splices the base file's regions. *)
+let add_regions w ~stamp regions =
   let meta_bytes =
-    List.fold_left (fun acc (c, _) -> acc + (8 * (Constr.arity c + 8))) 16 entries
+    List.fold_left (fun acc (c, _, _, _) -> acc + (8 * (Constr.arity c + 8))) 16 regions
   in
   let off = ref meta_bytes in
   let located =
     List.map
-      (fun (c, idx) ->
+      (fun (c, n_keys, payload_ints, emit) ->
+        let width = Index.width_of_arity (Constr.arity c) in
         let keys_off = !off in
-        let payloads_off = keys_off + (8 * Index.n_keys idx * (Index.key_width idx + 2)) in
-        off := payloads_off + (8 * Index.payload_ints idx);
-        (c, idx, keys_off, payloads_off))
-      entries
+        let payloads_off = keys_off + (8 * n_keys * (width + 2)) in
+        off := payloads_off + (8 * payload_ints);
+        (c, width, n_keys, payload_ints, emit, keys_off, payloads_off))
+      regions
   in
   Binfile.stream_section w ~tag:Binfile.tag_schema ~len:!off (fun s ->
       Binfile.put_i64 s stamp;
       Binfile.put_i64 s (List.length located);
       List.iter
-        (fun (c, idx, keys_off, payloads_off) ->
+        (fun (c, width, n_keys, payload_ints, _, keys_off, payloads_off) ->
           put_constr (Binfile.put_i64 s) c;
-          Binfile.put_i64 s (Index.key_width idx);
-          Binfile.put_i64 s (Index.n_keys idx);
+          Binfile.put_i64 s width;
+          Binfile.put_i64 s n_keys;
           Binfile.put_i64 s keys_off;
           Binfile.put_i64 s payloads_off;
-          Binfile.put_i64 s (Index.payload_ints idx))
+          Binfile.put_i64 s payload_ints)
         located;
-      List.iter (fun (_, idx, _, _) -> Index.emit s idx) located)
+      List.iter (fun (_, _, _, _, emit, _, _) -> emit s) located)
+
+let add_section w ~stamp entries =
+  add_regions w ~stamp
+    (List.map
+       (fun (c, idx) -> (c, Index.n_keys idx, Index.payload_ints idx, fun s -> Index.emit s idx))
+       entries)
 
 let write ?selectivity t path =
   let w = Binfile.writer () in
@@ -348,3 +324,73 @@ let load_sum ?(pool = Bpq_util.Pool.sequential) ?(decode = false) tbl f =
   (finish (), sum)
 
 let load tbl path = fst (Binfile.with_file path (load_sum ~decode:true tbl))
+
+(* ------------------------------------------------------------------ *)
+(* Folding a delta into a new generation                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Memoised by node: every constraint's repair reads the same few rows. *)
+let memo f =
+  let h = Hashtbl.create 64 in
+  fun v ->
+    match Hashtbl.find_opt h v with
+    | Some x -> x
+    | None ->
+      let x = f v in
+      Hashtbl.add h v x;
+      x
+
+let rows_view ~label ~row =
+  let row = memo row in
+  { Index.label = memo label; iter_nbrs = (fun v f -> Array.iter f (row v)) }
+
+(* The graph sections stream from the base file ([Graph_io]); each index
+   region is repaired from the two neighbourhood views, then copied
+   verbatim when nothing moved, else spliced from the base's records and
+   payload.  The base regions are read through [f] in order, and point
+   reads (row probes, the records of changed keys) go through [get]. *)
+let fold f get edits path =
+  let fd = Graph_io.fold f get edits in
+  let l = Graph_io.fold_layout fd in
+  let ss = Binfile.require_sect (Binfile.sects f) Binfile.tag_schema in
+  let stamp, regions = read_meta f ss ~map:l.map in
+  let before = rows_view ~label:(Graph_io.label_at l get) ~row:(Graph_io.nbr_row l get) in
+  let after = rows_view ~label:(Graph_io.fold_label fd) ~row:(Graph_io.fold_nbrs fd) in
+  let touched = Graph_io.fold_touched fd in
+  let regions =
+    List.map
+      (fun r ->
+        let at = ss.off + r.keys_at and len = region_bytes r in
+        let sect = { ss with off = at; len } in
+        let base =
+          { Index.n_keys = r.n_keys;
+            payload_ints = r.payload_ints;
+            get =
+              (fun i ->
+                if i < 0 || i >= len / 8 then corrupt "index region read out of range";
+                Graph_io.get_i64 get (at + (8 * i)));
+            stream =
+              (* The key records on one buffer, the payload on the
+                 other: a splice reads one of each at a time. *)
+              (fun i ->
+                let rd = Graph_io.fold_reader fd (if i < len / 8 - r.payload_ints then 0 else 1) sect in
+                Binfile.Reader.skip rd (8 * i);
+                fun () -> Binfile.Reader.i64 rd) }
+        in
+        let repair =
+          Index.apply_delta r.constr base ~before ~after ~n_before:l.n_nodes ~touched
+        in
+        if Index.unchanged repair then
+          ( r.constr,
+            r.n_keys,
+            r.payload_ints,
+            fun s -> Binfile.put_file s f ~pos:at ~len )
+        else
+          let n_keys, payload_ints = Index.sizes repair in
+          (r.constr, n_keys, payload_ints, fun s -> Index.splice repair base (Binfile.put_i64 s)))
+      regions
+  in
+  let w = Binfile.writer () in
+  Graph_io.add_fold_sections w fd;
+  add_regions w ~stamp regions;
+  Binfile.write w path

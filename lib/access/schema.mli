@@ -44,10 +44,10 @@ val constraints : t -> Constr.t list
 
 val stamp : t -> int
 (** Generation stamp identifying the schema's {e constraint set}: fresh
-    for every {!build}, {!extend} and {!restrict}, but preserved across
-    {!apply_delta} (a delta changes the graph and repairs the indexes, not
-    the constraints) — so a plan cached under a stamp stays valid along
-    the whole delta lineage of the schema it was generated for.  Two
+    for every {!build}, {!extend} and {!restrict}, but preserved by
+    {!fold} (a delta changes the graph and repairs the indexes, not the
+    constraints) — so a plan cached under a stamp stays valid along the
+    whole delta lineage of the schema it was generated for.  Two
     schemas built independently never share a stamp, even with equal
     constraint lists (conservative: a stamp never aliases). *)
 
@@ -87,19 +87,6 @@ val restrict : t -> int -> t
 val extend : ?pool:Bpq_util.Pool.t -> t -> Constr.t list -> t
 (** Builds indexes for the new constraints against the same graph and
     appends them; existing indexes are shared, not copied. *)
-
-val patch_values : t -> (int * Value.t) list -> t
-(** Overwrite node attribute values in place (last write wins).  Values
-    never participate in index keys or bucket membership, so the built
-    indexes and the stamp carry over unchanged — the compaction path
-    uses this to fold [Set_value] log records without a rebuild.
-    @raise Invalid_argument on an out-of-range node id. *)
-
-val apply_delta : t -> Digraph.delta -> t
-(** New schema over the updated graph, stamp preserved.  Each index goes
-    through {!Index.apply_delta}: a constraint the delta does not touch
-    keeps its very index value (shared, not copied), a touched one gets
-    fresh arrays equal to a rebuild over the new graph. *)
 
 (** {1 Snapshots}
 
@@ -201,3 +188,22 @@ val read_meta : Binfile.file -> Binfile.sect -> map:int array -> int * region li
     (right after the metadata or the previous region) and inside the
     section, in subtraction form.  The region contents are not read.
     @raise Binfile.Corrupt naming the first violation. *)
+
+(** {2 Folding a delta into a new generation} *)
+
+val fold : Binfile.file -> Graph_io.getter -> Graph_io.edits -> string -> int
+(** [fold f get edits path] writes the snapshot [f] with the edits
+    folded in to [path] (atomically) and returns its
+    {!Binfile.file_sum}.  The result is byte for byte {!write} of the
+    base's constraints built over [Digraph.apply_delta] of the base
+    graph with the values patched, under the base's stamp, with that
+    graph's {!Gstats.selectivity}; its labels are the base's, then
+    those the appended nodes introduce, in order.  Nothing is decoded
+    whole and no index is built: the graph sections stream from [f]
+    ({!Graph_io.add_fold_sections}), each index is repaired from the
+    neighbourhoods the delta changes ({!Index.apply_delta}) and written
+    as the base's region copied or spliced ({!Index.splice}), all
+    through bounded readers of [f].  Point reads go through [get],
+    which must read the same file.  [f] must stay open until this
+    returns.
+    @raise Binfile.Corrupt on a malformed base. *)

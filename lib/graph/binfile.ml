@@ -657,16 +657,21 @@ let mapping f =
       Bigarray.array1_of_genarray
         (Unix.map_file f.fd Bigarray.int64 Bigarray.c_layout false [| f.file_len / 8 |]) }
 
-let put_mapped s m ~pos ~len =
+(* Bytes [pos, pos + len) read by [read] straight into the sink's
+   chunk, a chunk at a time. *)
+let put_read s read ~pos ~len =
   let at = ref pos and left = ref len in
   while !left > 0 do
     if s.fill = chunk_size then flush_sink s;
     let k = min !left (chunk_size - s.fill) in
-    read_mapped m s.chunk ~at:s.fill ~pos:!at ~len:k;
+    read s.chunk ~at:s.fill ~pos:!at ~len:k;
     s.fill <- s.fill + k;
     at := !at + k;
     left := !left - k
   done
+
+let put_mapped s m ~pos ~len = put_read s (read_mapped m) ~pos ~len
+let put_file s f ~pos ~len = put_read s (read_into f) ~pos ~len
 
 (* The plan's tasks and the checksum, largest first, on the pool.  Each
    task keeps its own outcome, so the checksum's verdict is raised ahead
@@ -711,11 +716,11 @@ module Reader = struct
     sect_end : int;
   }
 
-  let make file via (s : sect) =
-    { file; via; buf = Bytes.create chunk_size; lo = 0; hi = 0; at = s.off; sect_off = s.off;
-      sect_end = s.off + s.len }
+  let make ?(buf = Bytes.create chunk_size) file via (s : sect) =
+    if Bytes.length buf < 8 then invalid_arg "Binfile.Reader: buffer under 8 bytes";
+    { file; via; buf; lo = 0; hi = 0; at = s.off; sect_off = s.off; sect_end = s.off + s.len }
 
-  let create file s = make file None s
+  let create ?buf file s = make ?buf file None s
   let of_mapped m s = make m.m_file (Some m) s
 
   let file_pos t = t.at - (t.hi - t.lo)
@@ -724,7 +729,7 @@ module Reader = struct
   let refill t =
     let keep = t.hi - t.lo in
     Bytes.blit t.buf t.lo t.buf 0 keep;
-    let n = min (chunk_size - keep) (t.sect_end - t.at) in
+    let n = min (Bytes.length t.buf - keep) (t.sect_end - t.at) in
     (match t.via with
      | None -> read_into t.file t.buf ~at:keep ~pos:t.at ~len:n
      | Some m -> read_mapped m t.buf ~at:keep ~pos:t.at ~len:n);
@@ -789,3 +794,18 @@ module Reader = struct
     done;
     out
 end
+
+(* Bytes of a reader copied to a sink through the reader's buffer, so a
+   stretch of a file streams into a new one without being decoded. *)
+let put_reader s (r : Reader.t) n =
+  Reader.need r n;
+  let left = ref n in
+  while !left > 0 do
+    if r.lo = r.hi then Reader.refill r;
+    if s.fill = chunk_size then flush_sink s;
+    let k = min !left (min (r.hi - r.lo) (chunk_size - s.fill)) in
+    Bytes.blit r.buf r.lo s.chunk s.fill k;
+    r.lo <- r.lo + k;
+    s.fill <- s.fill + k;
+    left := !left - k
+  done

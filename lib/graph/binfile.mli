@@ -273,7 +273,10 @@ val mapping : file -> mapped
 module Reader : sig
   type t
 
-  val create : file -> sect -> t  (** At the start of the range. *)
+  val create : ?buf:Bytes.t -> file -> sect -> t
+  (** At the start of the range.  [buf] (at least 8 bytes) is read into
+      instead of a fresh 64 KiB buffer, for callers that run many
+      readers one after another; no two live readers may share one. *)
 
   val of_mapped : mapped -> sect -> t
   (** A range of a mapped snapshot, read as {!put_mapped} reads: from the
@@ -291,6 +294,16 @@ module Reader : sig
   val byte : t -> int
   val skip : t -> int -> unit  (** [skip t n] passes over [n] bytes. *)
 end
+
+val put_file : sink -> file -> pos:int -> len:int -> unit
+(** Bytes [\[pos, pos + len)] of an open file, read straight into the
+    sink: a stretch copied from one snapshot into another. *)
+
+val put_reader : sink -> Reader.t -> int -> unit
+(** [put_reader s r n] copies the reader's next [n] bytes to the sink
+    verbatim, through the reader's buffer: a stretch of one file
+    streamed into another without decoding it.
+    @raise Corrupt if the reader's range ends first. *)
 
 val verify : string -> unit
 (** {!run} with a plan that reads nothing, on the file at a path.

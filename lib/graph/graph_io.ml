@@ -213,6 +213,8 @@ type layout = {
   map : int array;
   n_nodes : int;
   n_edges : int;
+  n_nbr : int;
+  label_rows : int;
   nodes : Binfile.sect;
   csr : Binfile.sect;
 }
@@ -230,8 +232,8 @@ let layout tbl f =
   let nodes = require Binfile.tag_nodes in
   let n = nodes_header ~i64:(head nodes 8) ~len:nodes.len in
   let csr = require Binfile.tag_csr in
-  let m, _, _ = csr_header ~i64:(head csr 32) ~len:csr.len ~n in
-  { map; n_nodes = n; n_edges = m; nodes; csr }
+  let m, n_nbr, label_rows = csr_header ~i64:(head csr 32) ~len:csr.len ~n in
+  { map; n_nodes = n; n_edges = m; n_nbr; label_rows; nodes; csr }
 
 (* ---------------- the streamed pass ---------------- *)
 
@@ -435,3 +437,431 @@ let has_out_edge l g src dst =
     done;
     !found
   end
+
+let get_i64 = word
+
+(* ---------------- the CSR arrays in place ---------------- *)
+
+(* Byte offsets of the CSR section's eight arrays, after its header:
+   out, in and merged-neighbour offsets and entries, then the by-label
+   offsets and entries. *)
+type arrays = {
+  out_off : int;
+  out_adj : int;
+  in_off : int;
+  in_adj : int;
+  nbr_off : int;
+  nbr_adj : int;
+  bl_off : int;
+  bl_adj : int;
+}
+
+let arrays l =
+  let n = l.n_nodes and m = l.n_edges in
+  let out_off = l.csr.off + 32 in
+  let out_adj = out_off + (8 * (n + 1)) in
+  let in_off = out_adj + (8 * m) in
+  let in_adj = in_off + (8 * (n + 1)) in
+  let nbr_off = in_adj + (8 * m) in
+  let nbr_adj = nbr_off + (8 * (n + 1)) in
+  let bl_off = nbr_adj + (8 * l.n_nbr) in
+  let bl_adj = bl_off + (8 * (l.label_rows + 1)) in
+  { out_off; out_adj; in_off; in_adj; nbr_off; nbr_adj; bl_off; bl_adj }
+
+let nbr_row l g v =
+  check_node l v;
+  let a = arrays l in
+  let lo = word g (a.nbr_off + (8 * v)) and hi = word g (a.nbr_off + (8 * (v + 1))) in
+  if lo < 0 || hi < lo || hi > l.n_nbr then corrupt "csr offsets out of range";
+  Array.init (hi - lo) (fun i ->
+      let w = word g (a.nbr_adj + (8 * (lo + i))) in
+      if w < 0 || w >= l.n_nodes then corrupt "neighbour CSR: entry out of range";
+      w)
+
+(* ---------------- folding a delta into a new snapshot ---------------- *)
+
+type edits = {
+  new_nodes : (string * Value.t) list;
+  set_values : (int * Value.t) list;
+  edges : (int * int * bool) list;
+}
+
+(* One CSR's changes: the changed rows ascending, each with its sorted
+   added entries and its sorted removed ones. *)
+type rows = {
+  ids : int array;
+  adds : int array array;
+  dels : int array array;
+}
+
+(* From (row, entry, added) triples, each (row, entry) once. *)
+let rows_of changes =
+  let a = Array.of_list changes in
+  Array.sort
+    (fun (r, e, _) (r', e', _) -> if r <> r' then Int.compare r r' else Int.compare e e')
+    a;
+  let groups = ref [] and i = ref 0 in
+  while !i < Array.length a do
+    let r, _, _ = a.(!i) in
+    let j = ref !i in
+    while !j < Array.length a && (let r', _, _ = a.(!j) in r' = r) do
+      incr j
+    done;
+    let part add =
+      Array.of_list
+        (List.filter_map (fun (_, e, ad) -> if ad = add then Some e else None)
+           (Array.to_list (Array.sub a !i (!j - !i))))
+    in
+    groups := (r, part true, part false) :: !groups;
+    i := !j
+  done;
+  let groups = Array.of_list (List.rev !groups) in
+  { ids = Array.map (fun (r, _, _) -> r) groups;
+    adds = Array.map (fun (_, a, _) -> a) groups;
+    dels = Array.map (fun (_, _, d) -> d) groups }
+
+let net_len rows =
+  let s = ref 0 in
+  Array.iteri (fun i a -> s := !s + Array.length a - Array.length rows.dels.(i)) rows.adds;
+  !s
+
+let row_index rows v =
+  let lo = ref 0 and hi = ref (Array.length rows.ids) in
+  while !hi > !lo do
+    let mid = (!lo + !hi) / 2 in
+    if rows.ids.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length rows.ids && rows.ids.(!lo) = v then !lo else -1
+
+(* The [k] sorted entries [next] yields, less [dels], with the disjoint
+   [adds] merged in, to [put]: a base row after its changes. *)
+let merge_row ~put ~next k adds dels =
+  let j = ref 0 and d = ref 0 in
+  for _ = 1 to k do
+    let x = next () in
+    while !j < Array.length adds && adds.(!j) < x do
+      put adds.(!j);
+      incr j
+    done;
+    if !d < Array.length dels && dels.(!d) = x then incr d else put x
+  done;
+  for i = !j to Array.length adds - 1 do
+    put adds.(i)
+  done
+
+type fold = {
+  file : Binfile.file;
+  bufs : Bytes.t array;  (* the two buffers every reader of the fold reads into *)
+  table : Label.table;
+  base : layout;
+  get : getter;
+  added_labels : int array;
+  added_values : Value.t array;
+  patched : (int * Value.t * int * int) array;
+      (* base node, its new value, its old entry's blob bounds; ascending *)
+  blob_len : int;  (* of the base's value blob *)
+  out_rows : rows;
+  in_rows : rows;
+  nbr_rows : rows;
+  label_rows : rows;  (* by label: the appended nodes *)
+}
+
+(* Point reads only: the labels section, the headers, the value
+   offsets of patched nodes, one out-row probe per written edge and its
+   reverse.  The net delta is what differs from the base: an edge
+   written present that the base lacks, or absent that it has; a
+   merged-neighbour row changes where a pair's adjacency, either
+   direction, flips. *)
+let fold f g edits =
+  let table = Label.create_table () in
+  let l = layout table f in
+  Array.iteri (fun i x -> if x <> i then corrupt "labels section: a label named twice") l.map;
+  let n = l.n_nodes and m = l.n_edges in
+  let fixed = 32 + (8 * ((3 * (n + 1)) + (2 * m) + 1 + n)) in
+  if fixed > l.csr.len || (l.csr.len - fixed) / 8 <> l.n_nbr + l.label_rows then
+    corrupt "csr section: arrays disagree with its header";
+  let voff = l.nodes.off + 8 + (8 * n) in
+  let value_off v = word g (voff + (8 * v)) in
+  let blob_len = value_off n in
+  if blob_len < 0 || blob_len > l.nodes.len - 16 - (16 * n) then corrupt "value offsets out of range";
+  let added = Array.of_list edits.new_nodes in
+  let n' = n + Array.length added in
+  let added_labels = Array.map (fun (name, _) -> Label.intern table name) added in
+  let added_values = Array.map snd added in
+  let check v = if v < 0 || v >= n' then invalid_arg "Graph_io.fold: node out of range" in
+  let vals = Hashtbl.create 16 in
+  List.iter
+    (fun (v, value) ->
+      check v;
+      if v >= n then added_values.(v - n) <- value else Hashtbl.replace vals v value)
+    edits.set_values;
+  let patched =
+    Hashtbl.fold (fun v value acc -> (v, value) :: acc) vals []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map (fun (v, value) ->
+           let lo = value_off v and hi = value_off (v + 1) in
+           if lo < 0 || hi < lo || hi > blob_len then corrupt "value offsets out of range";
+           (v, value, lo, hi))
+    |> Array.of_list
+  in
+  let final = Hashtbl.create 64 in
+  List.iter
+    (fun (u, v, present) ->
+      check u;
+      check v;
+      Hashtbl.replace final (u, v) present)
+    edits.edges;
+  let probed = Hashtbl.create 64 in
+  let in_base u v =
+    u < n && v < n
+    &&
+    match Hashtbl.find_opt probed (u, v) with
+    | Some b -> b
+    | None ->
+      let b = has_out_edge l g u v in
+      Hashtbl.add probed (u, v) b;
+      b
+  in
+  let now u v = match Hashtbl.find_opt final (u, v) with Some p -> p | None -> in_base u v in
+  let out_ch = ref [] and in_ch = ref [] and pairs = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun (u, v) present ->
+      if present <> in_base u v then begin
+        out_ch := (u, v, present) :: !out_ch;
+        in_ch := (v, u, present) :: !in_ch;
+        Hashtbl.replace pairs (min u v, max u v) ()
+      end)
+    final;
+  let nbr_ch = ref [] in
+  Hashtbl.iter
+    (fun (u, v) () ->
+      let was = in_base u v || in_base v u and is = now u v || now v u in
+      if was <> is then begin
+        nbr_ch := (u, v, is) :: !nbr_ch;
+        if u <> v then nbr_ch := (v, u, is) :: !nbr_ch
+      end)
+    pairs;
+  { file = f;
+    bufs = [| Bytes.create 65536; Bytes.create 65536 |];
+    table;
+    base = l;
+    get = g;
+    added_labels;
+    added_values;
+    patched;
+    blob_len;
+    out_rows = rows_of !out_ch;
+    in_rows = rows_of !in_ch;
+    nbr_rows = rows_of !nbr_ch;
+    label_rows = rows_of (List.mapi (fun i lbl -> (lbl, n + i, true)) (Array.to_list added_labels)) }
+
+let fold_layout fd = fd.base
+let fold_nodes fd = fd.base.n_nodes + Array.length fd.added_labels
+
+let fold_label fd v =
+  if v < fd.base.n_nodes then label_at fd.base fd.get v else fd.added_labels.(v - fd.base.n_nodes)
+
+let fold_nbrs fd v =
+  let base = if v < fd.base.n_nodes then nbr_row fd.base fd.get v else [||] in
+  match row_index fd.nbr_rows v with
+  | -1 -> base
+  | i ->
+    let adds = fd.nbr_rows.adds.(i) in
+    let out = Bpq_util.Vec.create ~capacity:(Array.length base + Array.length adds) () in
+    let at = ref 0 in
+    merge_row ~put:(Bpq_util.Vec.push out)
+      ~next:(fun () ->
+        incr at;
+        base.(!at - 1))
+      (Array.length base) adds fd.nbr_rows.dels.(i);
+    Bpq_util.Vec.to_array out
+
+let fold_touched fd =
+  let n = fd.base.n_nodes in
+  Array.append
+    (Array.of_list (List.filter (fun v -> v < n) (Array.to_list fd.nbr_rows.ids)))
+    (Array.init (Array.length fd.added_labels) (fun i -> n + i))
+
+(* ---------------- the folded sections, streamed ---------------- *)
+
+(* Readers of the base file on the fold's two buffers: the passes
+   below hold at most two readers at a time, one on each. *)
+let fold_reader fd i sect = Binfile.Reader.create ~buf:fd.bufs.(i) fd.file sect
+let reader fd i at k = fold_reader fd i { Binfile.tag = 0; off = at; len = 8 * k }
+
+(* One CSR of [rows'] rows: the base's [rows] rows (offsets at [off_at],
+   [len] entries at [adj_at]) with [ch]'s changes merged in, then rows
+   of added entries alone.  The offsets are the base's plus a running
+   shift; the entries of an unchanged row are copied as bytes, a
+   changed row's stream through the merge.  A second reader re-reads
+   the offsets beside the entries. *)
+let put_csr s fd ~off_at ~adj_at ~rows ~len ~rows' ch =
+  let module R = Binfile.Reader in
+  let offs = reader fd 0 off_at (rows + 1) in
+  let c = ref 0 and shift = ref 0 and prev = ref 0 in
+  for v = 0 to rows' do
+    let o =
+      if v > rows then len
+      else begin
+        let o = R.i64 offs in
+        if (v = 0 && o <> 0) || o < !prev || o > len then corrupt "csr offsets out of range";
+        prev := o;
+        o
+      end
+    in
+    Binfile.put_i64 s (o + !shift);
+    if !c < Array.length ch.ids && ch.ids.(!c) = v then begin
+      shift := !shift + Array.length ch.adds.(!c) - Array.length ch.dels.(!c);
+      incr c
+    end
+  done;
+  if !prev <> len then corrupt "csr offsets do not span adjacency";
+  let offs = reader fd 0 off_at (rows + 1) and adj = reader fd 1 adj_at len in
+  let next () = R.i64 adj in
+  let c = ref 0 and lo = ref (R.i64 offs) in
+  for v = 0 to rows' - 1 do
+    let k =
+      if v >= rows then 0
+      else begin
+        let hi = R.i64 offs in
+        let k = hi - !lo in
+        lo := hi;
+        k
+      end
+    in
+    if !c < Array.length ch.ids && ch.ids.(!c) = v then begin
+      merge_row ~put:(Binfile.put_i64 s) ~next k ch.adds.(!c) ch.dels.(!c);
+      incr c
+    end
+    else Binfile.put_reader s adj (8 * k)
+  done
+
+(* Labels as stored, then the appended nodes'; value offsets shifted
+   past each patched entry; the blob with patched entries spliced in,
+   then the appended values. *)
+let put_nodes s fd =
+  let module R = Binfile.Reader in
+  let l = fd.base in
+  let n = l.n_nodes in
+  Binfile.put_i64 s (fold_nodes fd);
+  Binfile.put_file s fd.file ~pos:(l.nodes.off + 8) ~len:(8 * n);
+  Array.iter (Binfile.put_i64 s) fd.added_labels;
+  let offs = reader fd 0 (l.nodes.off + 8 + (8 * n)) (n + 1) in
+  let shift = ref 0 and p = ref 0 in
+  let prev = ref 0 in
+  for v = 0 to n do
+    let o = R.i64 offs in
+    if o < !prev || o > fd.blob_len then corrupt "value offsets out of range";
+    prev := o;
+    Binfile.put_i64 s (o + !shift);
+    if !p < Array.length fd.patched then begin
+      let u, value, lo, hi = fd.patched.(!p) in
+      if u = v then begin
+        shift := !shift + value_blob_len value - (hi - lo);
+        incr p
+      end
+    end
+  done;
+  let at = ref (fd.blob_len + !shift) in
+  Array.iter
+    (fun value ->
+      at := !at + value_blob_len value;
+      Binfile.put_i64 s !at)
+    fd.added_values;
+  let blob = fold_reader fd 1 { l.nodes with off = l.nodes.off + 16 + (16 * n); len = fd.blob_len } in
+  let pos = ref 0 in
+  Array.iter
+    (fun (_, value, lo, hi) ->
+      Binfile.put_reader s blob (lo - !pos);
+      R.skip blob (hi - lo);
+      put_value_blob s value;
+      pos := hi)
+    fd.patched;
+  Binfile.put_reader s blob (fd.blob_len - !pos);
+  Array.iter (put_value_blob s) fd.added_values
+
+(* Exact statistics of the folded graph from one pass over the base's
+   labels and out-rows: each base edge counted, then each changed row's
+   added and removed entries.  The labels are held one to four bytes a
+   node, by the label count, not as a [Digraph.t] would hold them. *)
+let fold_selectivity fd =
+  let module R = Binfile.Reader in
+  let l = fd.base in
+  let n = l.n_nodes and n' = fold_nodes fd in
+  let nl = Label.count fd.table in
+  let width = if nl <= 0x100 then 1 else if nl <= 0x10000 then 2 else 4 in
+  let store = Bytes.create (n' * width) in
+  let set v x =
+    match width with
+    | 1 -> Bytes.set_uint8 store v x
+    | 2 -> Bytes.set_uint16_le store (2 * v) x
+    | _ -> Bytes.set_int32_le store (4 * v) (Int32.of_int x)
+  in
+  let lab v =
+    match width with
+    | 1 -> Bytes.get_uint8 store v
+    | 2 -> Bytes.get_uint16_le store (2 * v)
+    | _ -> Int32.to_int (Bytes.get_int32_le store (4 * v))
+  in
+  let r = reader fd 0 (l.nodes.off + 8) n in
+  for v = 0 to n - 1 do
+    let x = R.i64 r in
+    if x < 0 || x >= Array.length l.map then corrupt "nodes section: label id out of range";
+    set v x
+  done;
+  Array.iteri (fun i x -> set (n + i) x) fd.added_labels;
+  let sel = Gstats.empty_selectivity ~labels:nl in
+  let a = arrays l in
+  let offs = reader fd 0 a.out_off (n + 1) and adj = reader fd 1 a.out_adj l.n_edges in
+  let ch = fd.out_rows and c = ref 0 and lo = ref (R.i64 offs) in
+  for v = 0 to n' - 1 do
+    let src = lab v in
+    let deg = ref 0 in
+    if v < n then begin
+      let hi = R.i64 offs in
+      if hi < !lo || hi > l.n_edges then corrupt "csr offsets out of range";
+      deg := hi - !lo;
+      lo := hi;
+      for _ = 1 to !deg do
+        let w = R.i64 adj in
+        if w < 0 || w >= n then corrupt "out CSR: entry out of range";
+        Gstats.count_pair sel ~src ~dst:(lab w) 1
+      done
+    end;
+    if !c < Array.length ch.ids && ch.ids.(!c) = v then begin
+      Array.iter (fun w -> Gstats.count_pair sel ~src ~dst:(lab w) 1) ch.adds.(!c);
+      Array.iter (fun w -> Gstats.count_pair sel ~src ~dst:(lab w) (-1)) ch.dels.(!c);
+      deg := !deg + Array.length ch.adds.(!c) - Array.length ch.dels.(!c);
+      incr c
+    end;
+    Gstats.count_node sel src ~out_degree:!deg
+  done;
+  sel
+
+let add_fold_sections w fd =
+  let l = fd.base in
+  let n = l.n_nodes and n' = fold_nodes fd in
+  add_labels_section w fd.table;
+  let blob' =
+    Array.fold_left
+      (fun acc (_, value, lo, hi) -> acc + value_blob_len value - (hi - lo))
+      fd.blob_len fd.patched
+    + Array.fold_left (fun acc v -> acc + value_blob_len v) 0 fd.added_values
+  in
+  Binfile.stream_section w ~tag:Binfile.tag_nodes
+    ~len:(8 + (8 * n') + (8 * (n' + 1)) + blob')
+    (fun s -> put_nodes s fd);
+  let m' = l.n_edges + net_len fd.out_rows and nbr' = l.n_nbr + net_len fd.nbr_rows in
+  let bl' = Label.count fd.table in
+  if l.label_rows > bl' then corrupt "label CSR: more rows than labels";
+  Binfile.stream_section w ~tag:Binfile.tag_csr
+    ~len:(8 * (4 + (3 * (n' + 1)) + (2 * m') + nbr' + bl' + 1 + n'))
+    (fun s ->
+      List.iter (Binfile.put_i64 s) [ n'; m'; nbr'; bl' ];
+      let a = arrays l in
+      let csr = put_csr s fd in
+      csr ~off_at:a.out_off ~adj_at:a.out_adj ~rows:n ~len:l.n_edges ~rows':n' fd.out_rows;
+      csr ~off_at:a.in_off ~adj_at:a.in_adj ~rows:n ~len:l.n_edges ~rows':n' fd.in_rows;
+      csr ~off_at:a.nbr_off ~adj_at:a.nbr_adj ~rows:n ~len:l.n_nbr ~rows':n' fd.nbr_rows;
+      csr ~off_at:a.bl_off ~adj_at:a.bl_adj ~rows:l.label_rows ~len:n ~rows':bl' fd.label_rows);
+  Gstats.add_selectivity_section w (fold_selectivity fd)

@@ -78,6 +78,8 @@ type layout = private {
   map : int array;  (** Stored label id -> table id. *)
   n_nodes : int;
   n_edges : int;  (** Out-CSR entries. *)
+  n_nbr : int;  (** Merged-neighbour CSR entries (0 in a shard file). *)
+  label_rows : int;  (** By-label CSR rows (0 in a shard file). *)
   nodes : Binfile.sect;
   csr : Binfile.sect;
 }
@@ -117,6 +119,76 @@ val value_at : layout -> getter -> int -> Value.t
 
 val has_out_edge : layout -> getter -> int -> int -> bool
 (** [false] for a source outside the graph. *)
+
+val nbr_row : layout -> getter -> int -> int array
+(** A node's merged-neighbour row: its distinct neighbours, either
+    direction, ascending. *)
+
+val get_i64 : getter -> int -> int
+(** The i64 at a file offset, through the getter. *)
+
+(** {2 Folding a delta into a new generation}
+
+    A compaction writes base + delta as a new snapshot without decoding
+    the base: {!fold} works out the net delta from point reads through a
+    getter, and {!add_fold_sections} streams the labels, nodes, CSR and
+    stats sections of the result from the base file through bounded
+    {!Binfile.Reader}s, merging each changed row as it passes.  Nothing
+    the size of the graph is held but the stats pass's node labels, one
+    to four bytes each.  The sections are byte for byte those
+    {!add_graph_sections} and {!Gstats.add_selectivity_section} write
+    for [Digraph.apply_delta] of the base with the values patched, over
+    the base's labels followed by the new ones in order. *)
+
+type edits = {
+  new_nodes : (string * Value.t) list;
+      (** Appended in order, ids from the base's node count: label name, value. *)
+  set_values : (int * Value.t) list;  (** In order, the last write to a node wins. *)
+  edges : (int * int * bool) list;
+      (** Edges written present or absent, in order, the last write to an
+          edge wins. *)
+}
+
+type fold
+(** The net delta of some edits against one snapshot file. *)
+
+val fold : Binfile.file -> getter -> edits -> fold
+(** The base's labels section and headers through the file, into a
+    fresh label table that the new labels extend; the value offsets of
+    patched nodes and an out-row probe per written edge and its reverse
+    through the getter, which reads the same file.
+    @raise Binfile.Corrupt on a labels section naming a label twice or
+    a CSR section whose arrays disagree with its header.
+    @raise Invalid_argument on an edit naming a node out of range. *)
+
+val fold_layout : fold -> layout
+(** The base's (its [map] is the identity). *)
+
+val fold_nodes : fold -> int
+(** Nodes after the fold. *)
+
+val fold_label : fold -> int -> int
+(** A node's label after the fold, in the folded file's label ids. *)
+
+val fold_nbrs : fold -> int -> int array
+(** A node's merged-neighbour row after the fold. *)
+
+val fold_touched : fold -> int array
+(** Ascending: the base nodes whose merged-neighbour row the fold
+    changes, then every appended node. *)
+
+val fold_reader : fold -> int -> Binfile.sect -> Binfile.Reader.t
+(** A reader of a range of the base file on the fold's buffer 0 or 1,
+    for streaming the rest of the base: the fold's own passes hold two
+    readers at most, one on each buffer, and so may a caller's, while
+    no pass of the fold runs. *)
+
+val add_fold_sections : Binfile.writer -> fold -> unit
+(** Add the folded labels, nodes, CSR and stats sections.  The stats are
+    counted now, in one pass over the base's labels and out-rows; the
+    nodes and CSR sections stream from the base file when the writer
+    writes, so it must still be open then.
+    @raise Binfile.Corrupt on offsets or entries out of range. *)
 
 val add_value_blob : Buffer.t -> Value.t -> unit
 

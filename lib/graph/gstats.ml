@@ -68,25 +68,31 @@ type selectivity = {
 
 let pack_pair sel src dst = (src * sel.labels) + dst
 
+let empty_selectivity ~labels =
+  { labels = max 1 labels;
+    node_counts = Array.make (max 1 labels) 0;
+    out_deg_sum = Array.make (max 1 labels) 0;
+    pair_freqs = Hashtbl.create 256 }
+
+let count_node sel l ~out_degree =
+  sel.node_counts.(l) <- sel.node_counts.(l) + 1;
+  sel.out_deg_sum.(l) <- sel.out_deg_sum.(l) + out_degree
+
+(* A pair whose count reaches 0 leaves the table, so a count built up
+   and taken down again serialises as one never seen. *)
+let count_pair sel ~src ~dst k =
+  let key = pack_pair sel src dst in
+  let c = k + Option.value ~default:0 (Hashtbl.find_opt sel.pair_freqs key) in
+  if c = 0 then Hashtbl.remove sel.pair_freqs key else Hashtbl.replace sel.pair_freqs key c
+
+(* One CSR sweep: per node its label count and out-degree sum, and per
+   out-edge the (src label, dst label) frequency. *)
 let selectivity g =
-  let tbl = Digraph.label_table g in
-  let labels = max 1 (Label.count tbl) in
-  let sel =
-    { labels;
-      node_counts = Array.make labels 0;
-      out_deg_sum = Array.make labels 0;
-      pair_freqs = Hashtbl.create 256 }
-  in
-  (* One CSR sweep: per node bump its label count and out-degree sum, and
-     per out-edge the (src label, dst label) frequency. *)
+  let sel = empty_selectivity ~labels:(Label.count (Digraph.label_table g)) in
   Digraph.iter_nodes g (fun v ->
       let l = Digraph.label g v in
-      sel.node_counts.(l) <- sel.node_counts.(l) + 1;
-      sel.out_deg_sum.(l) <- sel.out_deg_sum.(l) + Digraph.out_degree g v;
-      Digraph.iter_out g v (fun w ->
-          let key = pack_pair sel l (Digraph.label g w) in
-          Hashtbl.replace sel.pair_freqs key
-            (1 + Option.value ~default:0 (Hashtbl.find_opt sel.pair_freqs key))));
+      count_node sel l ~out_degree:(Digraph.out_degree g v);
+      Digraph.iter_out g v (fun w -> count_pair sel ~src:l ~dst:(Digraph.label g w) 1));
   sel
 
 let node_count sel l = if l >= 0 && l < sel.labels then sel.node_counts.(l) else 0

@@ -37,6 +37,19 @@ type selectivity
 val selectivity : Digraph.t -> selectivity
 (** One pass over the CSR: O(|V| + |E|). *)
 
+val empty_selectivity : labels:int -> selectivity
+(** Statistics of no nodes over [labels] labels (at least one slot), to
+    be filled by the two counters below: what a streamed pass over a
+    CSR builds instead of a [Digraph.t]. *)
+
+val count_node : selectivity -> Label.t -> out_degree:int -> unit
+(** One node of the label, with its out-degree. *)
+
+val count_pair : selectivity -> src:Label.t -> dst:Label.t -> int -> unit
+(** Add [k] (negative to take edges away) to a label pair's edge
+    frequency; a frequency that reaches 0 is dropped, as if never
+    counted. *)
+
 val node_count : selectivity -> Label.t -> int
 (** Nodes carrying the label; [0] for labels unseen at compute time. *)
 

@@ -194,6 +194,12 @@ let lookup_tuple t c tuple =
         ~arity:(Constr.arity c) ~n_keys:r.n_keys ~payload_ints:r.payload_ints
         ~n_nodes:t.g.n_nodes tuple)
 
+(* Reads through the page cache, each under the store's mutex. *)
+let getter t =
+  Graph_io.Reads
+    { get = (fun off -> with_lock t (fun () -> read_i64 t off));
+      bytes = (fun off len -> with_lock t (fun () -> read_bytes t off len)) }
+
 let source t =
   let g = Graph_io.Reads { get = read_i64 t; bytes = read_bytes t } in
   { Exec.lookup = (fun c key -> lookup_tuple t c (Array.of_list key));

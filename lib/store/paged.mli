@@ -63,6 +63,10 @@ val file : t -> Binfile.file
 (** The store's open file: the generation it serves, whatever the path
     names now.  Closed by {!close}. *)
 
+val getter : t -> Graph_io.getter
+(** In-place reads of {!file} through the page cache, each taking the
+    store's mutex, so they may run beside serving. *)
+
 val source : t -> Exec.source
 (** The query-serving interface.  Unknown constraints raise [Not_found]
     and wrong-arity keys find nothing, exactly like the in-memory

@@ -290,40 +290,19 @@ let apply_ops t ops =
           ws.ops_rev <- List.rev_append ops ws.ops_rev;
           Ok (List.length ops))
 
-(* Fold a batch of log records into an in-memory schema: net edge flips
-   become one [Digraph.delta] (index repair included, stamp preserved),
-   value upserts patch the value blob afterwards ([Schema.patch_values],
-   also stamp-preserving) — so the folded schema's stamp equals the
-   base's and warm plan-tier entries survive the generation roll. *)
-let fold_ops schema ops =
-  let g = Schema.graph schema in
-  let n = Digraph.n_nodes g in
-  let tbl = Digraph.label_table g in
-  let edges = Hashtbl.create 64 in
-  let added_nodes = ref [] in
-  let vals = Hashtbl.create 16 in
+(* The log's records as the edits a fold takes: appended nodes in
+   order, and every value and edge write in order (the fold keeps the
+   last write to each). *)
+let edits_of_ops ops =
+  let nodes = ref [] and vals = ref [] and edges = ref [] in
   List.iter
     (function
-      | Wal.Add_node { label; value } ->
-        added_nodes := (Label.intern tbl label, value) :: !added_nodes
-      | Wal.Add_edge (u, v) -> Hashtbl.replace edges (u, v) true
-      | Wal.Remove_edge (u, v) -> Hashtbl.replace edges (u, v) false
-      | Wal.Set_value (v, value) -> Hashtbl.replace vals v value)
+      | Wal.Add_node { label; value } -> nodes := (label, value) :: !nodes
+      | Wal.Add_edge (u, v) -> edges := (u, v, true) :: !edges
+      | Wal.Remove_edge (u, v) -> edges := (u, v, false) :: !edges
+      | Wal.Set_value (v, value) -> vals := (v, value) :: !vals)
     ops;
-  let added_edges = ref [] and removed_edges = ref [] in
-  Hashtbl.iter
-    (fun (u, v) present ->
-      let in_base = u < n && v < n && Digraph.has_edge g u v in
-      if present && not in_base then added_edges := (u, v) :: !added_edges
-      else if (not present) && in_base then removed_edges := (u, v) :: !removed_edges)
-    edges;
-  let schema =
-    Schema.apply_delta schema
-      { Digraph.added_nodes = List.rev !added_nodes;
-        added_edges = !added_edges;
-        removed_edges = !removed_edges }
-  in
-  Schema.patch_values schema (Hashtbl.fold (fun v value acc -> (v, value) :: acc) vals [])
+  { Graph_io.new_nodes = List.rev !nodes; set_values = List.rev !vals; edges = List.rev !edges }
 
 let compact ?out t =
   match t.b with
@@ -340,18 +319,19 @@ let compact ?out t =
       with_write_lock ws (fun () ->
           if ws.retired then
             failwith "store was compacted in place already; reopen it first";
-          let ops = List.rev ws.ops_rev in
-          let schema =
+          (* The generation this store serves, through the file it
+             opened: sequential reads through the file, point reads as
+             serving makes them. *)
+          let f, get =
             match t.b with
-            | In_mem m -> m.schema
-            | On_disk p ->
-              fst (fst (Schema.load_sum ~decode:true (Label.create_table ()) (Paged.file p)))
-            | Sharded_t _ -> assert false
+            | In_mem { snapshot = Some (f, _); schema; _ } -> (
+              match Schema.view schema with
+              | Schema.Mapped { file; _ } -> (f, Graph_io.Mapped file)
+              | Schema.Heap _ -> assert false)
+            | On_disk p -> (Paged.file p, Paged.getter p)
+            | In_mem { snapshot = None; _ } | Sharded_t _ -> assert false
           in
-          let folded = fold_ops schema ops in
-          let sum =
-            Schema.write ~selectivity:(Gstats.selectivity (Schema.graph folded)) folded out
-          in
+          let sum = Schema.fold f get (edits_of_ops (List.rev ws.ops_rev)) out in
           if out = path then begin
             (* In-place generation roll: the folded-in records leave the
                log, and its header now names the new snapshot.  This
@@ -359,8 +339,7 @@ let compact ?out t =
                overlay value is untouched) but refuses further writes;
                callers that want the new generation reopen the snapshot
                and [attach_wal ~carry:(overlay t)]. *)
-            Wal.truncate ws.wal ~base_sum:sum
-              ~base_stamp:(Schema.stamp folded);
+            Wal.truncate ws.wal ~base_sum:sum ~base_stamp:(stamp t);
             ws.retired <- true
           end);
       out)

@@ -130,19 +130,18 @@ val apply_ops : t -> Wal.op list -> (int, string) result
 val compact : ?out:string -> t -> string
 (** Fold base + log into one snapshot at [out] (default: over the
     store's own snapshot path, via the atomic temp+rename discipline)
-    and return the written path.  The folded schema preserves the
-    stamp, so plan caches keyed by it stay warm across the roll.  When
+    and return the written path.  The new generation streams from the
+    file this store serves ({!Bpq_access.Schema.fold}): a mem store
+    reads it through its open file and probes its mapping, a paged one
+    reads through its file and page cache; neither decodes the graph or
+    builds an index, and both write the same bytes.  The folded schema
+    preserves the stamp, so plan caches keyed by it stay warm across
+    the roll.  When
     compacting in place, the log is truncated to pair with the new
     generation and this handle stops accepting writes (it keeps serving
     its frozen pre-compaction view); reopen the snapshot and
     [attach_wal ~carry:(Option.get (overlay t))] to continue.
     @raise Failure (one line) for sharded and in-memory stores. *)
-
-val fold_ops : Schema.t -> Wal.op list -> Schema.t
-(** The fold {!compact} writes out: net edge flips become one
-    [Digraph.delta] through {!Schema.apply_delta} (constraints the ops do
-    not touch keep their index values), value upserts patch the value
-    blob.  The stamp is preserved. *)
 
 val wal : t -> Wal.t option
 val overlay : t -> Overlay.t option

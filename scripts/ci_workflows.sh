@@ -117,8 +117,17 @@ refused '' "$B" run -g shards3 --backend sharded -q q.txt
 echo "== write workflow (delta log; overlay reads byte-identical across backends and compaction)"
 cp g.snap w.snap
 rm -f w.wal w2.wal ws.wal
-cat > ops.jsonl <<'OPS'
+# node N is the first appended: a movie, with an edge to node N + 1,
+# appended under a label the snapshot does not have
+N=$(python3 -c 'import struct, sys
+d = open(sys.argv[1], "rb").read()
+for i in range(struct.unpack_from("<q", d, 16)[0]):
+    tag, off, _ = struct.unpack_from("<qqq", d, 24 + 24 * i)
+    if tag == 2: print(struct.unpack_from("<q", d, off)[0])' w.snap)
+cat > ops.jsonl <<OPS
 {"op":"add_node","label":"movie","value":"ci-movie"}
+{"op":"add_node","label":"ci-award","value":"ci-award"}
+{"op":"add_edge","src":$N,"dst":$((N + 1))}
 {"op":"add_edge","src":0,"dst":1}
 {"op":"set_value","node":0,"value":42}
 {"op":"remove_edge","src":2,"dst":3}
@@ -128,10 +137,21 @@ OPS
 "$B" run -g w.snap --wal w.wal -q q.txt > overlay_mem.out
 "$B" run -g w.snap --wal w.wal --backend paged --page-cache 1 -q q.txt > overlay_paged.out
 diff overlay_mem.out overlay_paged.out
-# compaction folds the log in place; the new generation answers identically
+# a fold is one file whichever backend writes it, and the same file twice
+"$B" compact -g w.snap --wal w.wal -o w1.snap
+"$B" compact -g w.snap --wal w.wal -o w2.snap
+"$B" compact -g w.snap --wal w.wal -o wp.snap --backend paged
+cmp w1.snap w2.snap && cmp w1.snap wp.snap
+# compaction folds the log in place; the new generation is that file,
+# and answers identically on both backends
 "$B" compact -g w.snap --wal w.wal
+cmp w.snap w1.snap
 "$B" run -g w.snap -q q.txt > folded.out
-diff overlay_mem.out folded.out
+"$B" run -g w.snap -q q.txt --backend paged --page-cache 1 > folded_paged.out
+diff overlay_mem.out folded.out && diff folded.out folded_paged.out
+# the node under the new label and its edge are in the folded graph
+printf 'n m movie\nn a ci-award\ne m a\n' > qa.txt
+"$B" run -g w.snap -q qa.txt --fallback | grep -q 'found 1 matches'
 # the truncated log pairs with the new generation: writes keep flowing
 "$B" apply -g w.snap --wal w.wal ops.jsonl
 "$B" run -g w.snap --wal w.wal -q q.txt > /dev/null

@@ -125,3 +125,64 @@ let write base ov delta =
   match Bpq_store.Overlay.apply ~base ov (ops_of_delta base.Bpq_core.Exec.table delta) with
   | Ok ov -> ov
   | Error e -> Alcotest.failf "overlay write refused: %s" e
+
+(* The index over [new_graph], repaired from [idx] over [old_graph]
+   through the repair entry point, with the delta's edge endpoints and
+   fresh nodes as the touched nodes. *)
+let repair_index idx ~old_graph ~new_graph (d : Digraph.delta) =
+  let module Index = Bpq_access.Index in
+  let n = Digraph.n_nodes old_graph in
+  let touched =
+    List.concat_map (fun (s, t) -> [ s; t ]) (d.added_edges @ d.removed_edges)
+    @ List.mapi (fun i _ -> n + i) d.added_nodes
+  in
+  Index.repaired idx
+    (Index.apply_delta (Index.constr idx) (Index.region idx)
+       ~before:(Index.graph_view old_graph) ~after:(Index.graph_view new_graph) ~n_before:n
+       ~touched:(Array.of_list touched))
+
+(* The reference a compaction of [ops] into the snapshot at [snap] must
+   write, byte for byte, built the long way: the net delta against the
+   decoded base graph through [Digraph.apply_delta] (new labels after the
+   file's, in order), the value writes patched in, every constraint's
+   index built afresh over the result and written under the base's
+   stamp, with that graph's selectivity. *)
+let reference_fold snap ops path =
+  let module Schema = Bpq_access.Schema in
+  let module Wal = Bpq_store.Wal in
+  let base, _ = Schema.load (Label.create_table ()) snap in
+  let g = Schema.graph base in
+  let tbl = Digraph.label_table g and n = Digraph.n_nodes g in
+  let added = ref [] and edges = Hashtbl.create 16 and vals = Hashtbl.create 16 in
+  List.iter
+    (function
+      | Wal.Add_node { label; value } -> added := (Label.intern tbl label, value) :: !added
+      | Wal.Add_edge (u, v) -> Hashtbl.replace edges (u, v) true
+      | Wal.Remove_edge (u, v) -> Hashtbl.replace edges (u, v) false
+      | Wal.Set_value (v, value) -> Hashtbl.replace vals v value)
+    ops;
+  let flips present =
+    Hashtbl.fold
+      (fun (u, v) p acc ->
+        if p = present && p <> (u < n && v < n && Digraph.has_edge g u v) then (u, v) :: acc
+        else acc)
+      edges []
+  in
+  let g' =
+    Digraph.apply_delta g
+      { Digraph.added_nodes = List.rev !added;
+        added_edges = flips true;
+        removed_edges = flips false }
+  in
+  let r = Digraph.Repr.of_graph g' in
+  let values = Array.copy r.values in
+  Hashtbl.iter (fun v value -> values.(v) <- value) vals;
+  let g' = Digraph.Repr.to_graph tbl { r with values } in
+  let w = Binfile.writer () in
+  Graph_io.add_graph_sections w g';
+  Gstats.add_selectivity_section w (Gstats.selectivity g');
+  Schema.add_section w ~stamp:(Schema.stamp base)
+    (Bpq_access.Index.build_many g' (Schema.constraints base));
+  ignore (Binfile.write w path : int)
+
+let file_bytes path = In_channel.with_open_bin path In_channel.input_all

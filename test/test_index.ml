@@ -127,7 +127,7 @@ let incremental_matches_rebuild =
             removed_edges = List.filteri (fun i _ -> i < 4) existing }
         in
         let g' = Digraph.apply_delta g delta in
-        let idx = Index.apply_delta idx ~old_graph:g ~new_graph:g' delta in
+        let idx = Helpers.repair_index idx ~old_graph:g ~new_graph:g' delta in
         (* Every key, bucket and bucket order of both indexes. *)
         Index.export_buckets idx = Index.export_buckets (Index.build g' c)
       end)
@@ -256,7 +256,7 @@ let delta_matches_rebuild_edge_cases =
             :: List.filteri (fun i _ -> i < 5) existing }
       in
       let g' = Digraph.apply_delta g delta in
-      same_buckets (Index.apply_delta idx ~old_graph:g ~new_graph:g' delta) (Index.build g' c))
+      same_buckets (Helpers.repair_index idx ~old_graph:g ~new_graph:g' delta) (Index.build g' c))
 
 (* Keys of <= 2 nodes pack into one int; >= 3 are sorted id records.
    Both paths must behave identically to the definition. *)
@@ -392,7 +392,7 @@ let test_delta_leaves_input_intact () =
   let idx = Index.build g c in
   let delta = { Digraph.empty_delta with removed_edges = [ (3, 5) ] } in
   let g' = Digraph.apply_delta g delta in
-  let idx' = Index.apply_delta idx ~old_graph:g ~new_graph:g' delta in
+  let idx' = Helpers.repair_index idx ~old_graph:g ~new_graph:g' delta in
   Helpers.check_int "result lost the edge" 0 (Index.lookup_count idx' [ 3 ]);
   Helpers.check_int "input kept it" 1 (Index.lookup_count idx [ 3 ])
 
@@ -410,11 +410,11 @@ let test_untouched_delta_shares () =
     (fun c ->
       let idx = Index.build g c in
       Helpers.check_true "no bucket moved: same value"
-        (Index.apply_delta idx ~old_graph:g ~new_graph:g' delta == idx))
+        (Helpers.repair_index idx ~old_graph:g ~new_graph:g' delta == idx))
     [ by_year; actors ];
   let pair = Constr.make ~source:[ l "year"; l "award" ] ~target:(l "movie") ~bound:5 in
   let idx = Index.build g pair in
-  let idx' = Index.apply_delta idx ~old_graph:g ~new_graph:g' delta in
+  let idx' = Helpers.repair_index idx ~old_graph:g ~new_graph:g' delta in
   Helpers.check_false "a moved bucket: fresh value" (idx' == idx);
   Helpers.check_true "fresh value equals a rebuild" (same_buckets idx' (Index.build g' pair))
 
@@ -425,7 +425,7 @@ let test_type1_delta_adds_new_nodes () =
   let idx = Index.build g c in
   let delta = { Digraph.empty_delta with added_nodes = [ (movie, Value.Null) ] } in
   let g' = Digraph.apply_delta g delta in
-  let idx' = Index.apply_delta idx ~old_graph:g ~new_graph:g' delta in
+  let idx' = Helpers.repair_index idx ~old_graph:g ~new_graph:g' delta in
   Helpers.check_int "three movies now" 3 (Index.lookup_count idx' []);
   Helpers.check_true "in node order" (Index.lookup idx' [] = [| 3; 4; 6 |])
 
@@ -503,7 +503,7 @@ let test_probe_table_sizes () =
                    | _ -> []) }
             in
             let g' = Digraph.apply_delta g delta in
-            let idx' = Index.apply_delta idx ~old_graph:g ~new_graph:g' delta in
+            let idx' = Helpers.repair_index idx ~old_graph:g ~new_graph:g' delta in
             let rebuilt = Index.build g' c in
             let assoc' =
               (match assoc with _ :: rest -> rest | [] -> [])

@@ -68,15 +68,32 @@ let test_index_of_unknown_raises () =
   Alcotest.check_raises "unknown constraint" Not_found (fun () ->
       ignore (Schema.index_of schema (Constr.make ~source:[] ~target:c ~bound:1)))
 
+(* A delta reaches a schema as a compaction: through a delta log over
+   its snapshot, folded into a new generation, loaded back. *)
+let apply_delta tbl schema delta =
+  Helpers.with_temp_file @@ fun snap ->
+  Helpers.with_temp_file @@ fun walp ->
+  Helpers.with_temp_file @@ fun out ->
+  let module Store = Bpq_store.Store in
+  Schema.save schema snap;
+  let st = Store.open_snapshot snap in
+  Fun.protect ~finally:(fun () -> Store.close st) @@ fun () ->
+  ignore (Store.attach_wal st walp : int);
+  (match Store.apply_ops st (Helpers.ops_of_delta tbl delta) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "apply: %s" e);
+  ignore (Store.compact ~out st : string);
+  fst (Schema.load (Label.create_table ()) out)
+
 let test_apply_delta_repairs_indexes () =
-  let _, g, a, b, c = world () in
+  let tbl, g, a, b, c = world () in
   let k = Constr.make ~source:[ b ] ~target:c ~bound:2 in
   let schema = Schema.build g [ k; Constr.make ~source:[] ~target:a ~bound:2 ] in
   (* Add a second C adjacent to the B node. *)
   let delta =
     { Digraph.added_nodes = [ (c, Value.Null) ]; added_edges = [ (2, 4) ]; removed_edges = [] }
   in
-  let schema' = Schema.apply_delta schema delta in
+  let schema' = apply_delta tbl schema delta in
   Helpers.check_int "repaired lookup" 2 (Index.lookup_count (Schema.index_of schema' k) [ 2 ]);
   Helpers.check_int "original untouched" 1 (Index.lookup_count (Schema.index_of schema k) [ 2 ]);
   Helpers.check_int "graph updated" 5 (Digraph.n_nodes (Schema.graph schema'))
@@ -96,7 +113,7 @@ let schema_delta_matches_rebuild =
         { Digraph.empty_delta with
           added_edges = List.init 4 (fun _ -> (Prng.int r n, Prng.int r n)) }
       in
-      let schema' = Schema.apply_delta schema delta in
+      let schema' = apply_delta tbl schema delta in
       let fresh = Schema.build (Schema.graph schema') constrs in
       List.for_all
         (fun c ->
