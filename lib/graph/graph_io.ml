@@ -782,8 +782,11 @@ let put_nodes s fd =
 
 (* Exact statistics of the folded graph from one pass over the base's
    labels and out-rows: each base edge counted, then each changed row's
-   added and removed entries.  The labels are held one to four bytes a
-   node, by the label count, not as a [Digraph.t] would hold them. *)
+   added and removed entries.  It runs before the write, not inside the
+   CSR section's pass: the stats section's length (its pair count) must
+   be known when the file's directory is written.  The labels are held
+   one to four bytes a node, by the label count, not as a [Digraph.t]
+   would hold them. *)
 let fold_selectivity fd =
   let module R = Binfile.Reader in
   let l = fd.base in
