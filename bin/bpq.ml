@@ -441,15 +441,15 @@ let compact_cmd =
              ~doc:"Write the folded snapshot here instead of over the input; the input \
                    snapshot and the log are then left untouched.")
   in
-  let run graph wal out backend =
+  let run graph wal out =
     guard @@ fun () ->
-    if backend = Store.Sharded || Sys.is_directory graph then
+    if Sys.is_directory graph then
       failwith
         "sharded stores cannot be compacted through the coordinator; compact the \
          unsharded snapshot, then re-shard";
     if not (Binfile.is_snapshot graph) then
       failwith (Printf.sprintf "%s: not a snapshot (build one with `bpq freeze`)" graph);
-    let store = with_file graph (fun () -> Store.open_snapshot ~backend graph) in
+    let store = with_file graph (fun () -> Store.open_snapshot ~backend:Store.Mem graph) in
     Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
     attach_wal_or_fail store wal;
     let ov = Option.get (Store.overlay store) in
@@ -463,9 +463,8 @@ let compact_cmd =
   Cmd.v
     (Cmd.info "compact"
        ~doc:"Fold base snapshot + delta log into one fresh snapshot generation (atomic \
-             temp+rename; the schema stamp is preserved, so plan caches stay warm).  The \
-             file written is the same whichever backend folds it.")
-    Term.(const run $ graph_arg $ wal_req $ out $ backend_arg)
+             temp+rename; the schema stamp is preserved, so plan caches stay warm).")
+    Term.(const run $ graph_arg $ wal_req $ out)
 
 (* freeze *)
 

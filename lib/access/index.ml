@@ -651,28 +651,35 @@ type region = {
   n_keys : int;
   payload_ints : int;
   get : int -> int;
-  stream : int -> unit -> int;
 }
 
 let region t =
   let nr = A1.dim t.recs in
   { n_keys = t.n;
     payload_ints = payload_ints t;
-    get = (fun i -> if i < nr then get t.recs i else get t.payload (i - nr));
-    stream = (fun at -> fst (stream t ~at)) }
+    get = (fun i -> if i < nr then get t.recs i else get t.payload (i - nr)) }
 
 (* One changed key: the nodes its bucket gains and loses, ascending,
-   and its bucket's length after (0 when the key drops out). *)
+   and its bucket's length after (0 when the key drops out); where it
+   sits in the base: its ordinal there, or the one it would take, and
+   its bucket's start and length there (the start the next key's bucket
+   has, and 0, when the base lacks it). *)
 type group = {
   key : int array;
   adds : int array;
   dels : int array;
   len : int;
+  o : int;
+  existed : bool;
+  at : int;
+  old_len : int;
 }
 
 type repair = {
   width : int;
   groups : group list;  (* by key, ascending *)
+  base_keys : int;
+  base_payload : int;
   keys_after : int;
   payload_after : int;
 }
@@ -699,14 +706,17 @@ let rec sorted_diff cmp a b =
     else if c > 0 then sorted_diff cmp a b'
     else sorted_diff cmp a' b'
 
+let bucket_corrupt () = raise (Binfile.Corrupt "schema section: bucket lacks a node the delta removes")
+
 (* Contributions of a target-labeled node depend only on its own
    merged-neighbour row and the labels there, so only touched
    target-labeled nodes can move between buckets: each one's key
    records before and after, and the difference.  A changed key's base
-   record gives its bucket's length; the bucket itself is read only by
-   the splice, as it streams past. *)
+   record gives its bucket's place and length; the bucket itself is
+   read only by the splice. *)
 let apply_delta (c : Constr.t) (base : region) ~before ~after ~n_before ~touched =
   let w = width_of_arity (Constr.arity c) in
+  let stride = w + 2 in
   let cmp a b = compare_at a 0 b 0 w in
   let touched = List.sort_uniq Int.compare (Array.to_list touched) in
   let changes = ref [] in
@@ -726,7 +736,7 @@ let apply_delta (c : Constr.t) (base : region) ~before ~after ~n_before ~touched
       if d <> 0 then d else Int.compare va vb)
     changes;
   let groups = ref [] and i = ref 0 in
-  let n' = ref base.n_keys and p' = ref base.payload_ints in
+  let n' = ref base.n_keys and p' = ref base.payload_ints and seen = ref 0 in
   while !i < Array.length changes do
     let key, _, _ = changes.(!i) in
     let j = ref !i in
@@ -736,91 +746,157 @@ let apply_delta (c : Constr.t) (base : region) ~before ~after ~n_before ~touched
     let group = Array.to_list (Array.sub changes !i (!j - !i)) in
     let nodes add = Array.of_list (List.filter_map (fun (_, u, a) -> if a = add then Some u else None) group) in
     let adds = nodes true and dels = nodes false in
-    let o = search ~get:base.get ~width:w ~n:base.n_keys key in
-    let old_len = if o < 0 then 0 else base.get ((o * (w + 2)) + w + 1) in
+    let found = search ~get:base.get ~width:w ~n:base.n_keys key in
+    let existed = found >= 0 in
+    let o = if existed then found else -found - 1 in
+    let at = if o < base.n_keys then base.get ((o * stride) + w) else base.payload_ints in
+    let old_len = if existed then base.get ((o * stride) + w + 1) else 0 in
     let len = old_len - Array.length dels + Array.length adds in
-    if len < 0 || old_len < 0 || old_len > base.payload_ints then
-      raise (Binfile.Corrupt "schema section: bucket lacks a node the delta removes");
-    if o >= 0 then decr n';
+    if at < !seen || old_len < 0 || old_len > base.payload_ints - at then
+      raise (Binfile.Corrupt "schema section: bucket out of range");
+    if len < 0 then bucket_corrupt ();
+    seen := at + old_len;
+    if existed then decr n';
     if len > 0 then incr n';
     p' := !p' + len - old_len;
-    groups := { key; adds; dels; len } :: !groups;
+    groups := { key; adds; dels; len; o; existed; at; old_len } :: !groups;
     i := !j
   done;
-  { width = w; groups = List.rev !groups; keys_after = !n'; payload_after = !p' }
+  { width = w;
+    groups = List.rev !groups;
+    base_keys = base.n_keys;
+    base_payload = base.payload_ints;
+    keys_after = !n';
+    payload_after = !p' }
 
-(* The base's key records in order, with the changed groups merged in by
-   key: [on_new] for a group whose key the base lacks, [on_base] for
-   each base record with the group that replaces it, if any. *)
-let merge_keys r (base : region) ~on_new ~on_base =
-  let w = r.width in
-  let key = Array.make w 0 in
-  let next = base.stream 0 in
-  let rest = ref r.groups in
-  for _ = 1 to base.n_keys do
-    for j = 0 to w - 1 do
-      key.(j) <- next ()
-    done;
-    ignore (next () : int);
-    let len = next () in
-    let replacing = ref None and more = ref true in
-    while !more do
-      match !rest with
-      | g :: tl when compare_at g.key 0 key 0 w <= 0 ->
-        if compare_at g.key 0 key 0 w = 0 then replacing := Some g else on_new g;
-        rest := tl
-      | _ -> more := false
-    done;
-    on_base key len !replacing
-  done;
-  List.iter on_new !rest
-
-(* Two passes, as the region is laid out: the key records, each bucket
-   start shifted by the buckets before it, then the payload, a changed
-   bucket merged with its gains and losses as it streams past. *)
-let splice r (base : region) put =
-  let np = ref 0 in
-  let record key len =
-    if len > 0 then begin
-      Array.iter put key;
-      put !np;
-      put len;
-      np := !np + len
-    end
+(* The repaired region as runs of the base's, in [emit]'s order: the
+   key records, [recs o1 o2 shift] for the base's records [o1, o2) with
+   their bucket starts moved by [shift] and [record] for a changed
+   key's; then the payload, [payload p1 p2] for the base's [p1, p2) and
+   [bucket] for a changed key's. *)
+let walk r ~recs ~record ~payload ~bucket =
+  let o1 = ref 0 and p1 = ref 0 and np = ref 0 in
+  let run o at =
+    if o > !o1 then recs !o1 o (!np - !p1);
+    np := !np + at - !p1
   in
-  merge_keys r base
-    ~on_new:(fun g -> record g.key g.len)
-    ~on_base:(fun key len g -> record key (match g with None -> len | Some g -> g.len));
-  let next = base.stream (base.n_keys * (r.width + 2)) in
-  merge_keys r base
-    ~on_new:(fun g -> Array.iter put g.adds)
-    ~on_base:(fun _ len g ->
-      let adds, dels = match g with None -> ([||], [||]) | Some g -> (g.adds, g.dels) in
-      let j = ref 0 and d = ref 0 in
-      for _ = 1 to len do
-        let x = next () in
-        while !j < Array.length adds && adds.(!j) < x do
-          put adds.(!j);
-          incr j
-        done;
-        if !d < Array.length dels && dels.(!d) = x then incr d else put x
-      done;
-      if !d < Array.length dels then
-        raise (Binfile.Corrupt "schema section: bucket lacks a node the delta removes");
-      for i = !j to Array.length adds - 1 do
-        put adds.(i)
-      done)
+  List.iter
+    (fun g ->
+      run g.o g.at;
+      if g.len > 0 then begin
+        record g.key !np g.len;
+        np := !np + g.len
+      end;
+      o1 := if g.existed then g.o + 1 else g.o;
+      p1 := g.at + g.old_len)
+    r.groups;
+  run r.base_keys r.base_payload;
+  let p1 = ref 0 in
+  List.iter
+    (fun g ->
+      if g.at > !p1 then payload !p1 g.at;
+      bucket g;
+      p1 := g.at + g.old_len)
+    r.groups;
+  if r.base_payload > !p1 then payload !p1 r.base_payload
 
+(* A changed key's bucket: the base's [g.old_len] nodes [next] yields,
+   less [g.dels], with the disjoint [g.adds] merged in, to [put]. *)
+let merge_bucket g ~next ~put =
+  let adds = g.adds and dels = g.dels in
+  let j = ref 0 and d = ref 0 in
+  for _ = 1 to g.old_len do
+    let x = next () in
+    while !j < Array.length adds && adds.(!j) < x do
+      put adds.(!j);
+      incr j
+    done;
+    if !d < Array.length dels && dels.(!d) = x then incr d else put x
+  done;
+  if !d < Array.length dels then bucket_corrupt ();
+  for i = !j to Array.length adds - 1 do
+    put adds.(i)
+  done
+
+(* One forward reader over the base region serves both passes: the
+   runs and changed buckets come in region order. *)
+let splice r rd s =
+  let module R = Binfile.Reader in
+  let w = r.width in
+  let stride = w + 2 in
+  let nr = r.base_keys * stride in
+  let at = ref 0 in
+  let seek i =
+    R.skip rd (8 * (i - !at));
+    at := i
+  in
+  walk r
+    ~recs:(fun o1 o2 shift ->
+      seek (o1 * stride);
+      if shift = 0 then Binfile.put_reader s rd (8 * stride * (o2 - o1))
+      else
+        for _ = o1 to o2 - 1 do
+          Binfile.put_reader s rd (8 * w);
+          Binfile.put_i64 s (R.i64 rd + shift);
+          Binfile.put_reader s rd 8
+        done;
+      at := o2 * stride)
+    ~record:(fun key start len ->
+      Array.iter (Binfile.put_i64 s) key;
+      Binfile.put_i64 s start;
+      Binfile.put_i64 s len)
+    ~payload:(fun p1 p2 ->
+      seek (nr + p1);
+      Binfile.put_reader s rd (8 * (p2 - p1));
+      at := nr + p2)
+    ~bucket:(fun g ->
+      seek (nr + g.at);
+      merge_bucket g ~next:(fun () -> R.i64 rd) ~put:(Binfile.put_i64 s);
+      at := nr + g.at + g.old_len)
+
+(* The same runs as blits between windows, the moved bucket starts
+   rewritten in place.  When only bucket contents moved, [t]'s table,
+   built or not, still maps every key to its ordinal, so the two share
+   its cell. *)
 let repaired (t : t) r =
   if unchanged r then t
   else begin
-    let nr = r.keys_after * (t.width + 2) in
-    let recs = create_i64s nr and payload = create_i64s r.payload_after in
-    let i = ref 0 in
-    splice r (region t) (fun v ->
-        if !i < nr then set recs !i v else set payload (!i - nr) v;
-        incr i);
-    make t.constr ~n:r.keys_after ~recs ~payload ~home:None
+    let w = t.width in
+    let stride = w + 2 in
+    let recs = create_i64s (r.keys_after * stride) and payload = create_i64s r.payload_after in
+    let nk = ref 0 and np = ref 0 in
+    walk r
+      ~recs:(fun o1 o2 shift ->
+        let k = (o2 - o1) * stride in
+        A1.blit (A1.sub t.recs (o1 * stride) k) (A1.sub recs (!nk * stride) k);
+        if shift <> 0 then
+          for o = !nk to !nk + (o2 - o1) - 1 do
+            let at = (o * stride) + w in
+            set recs at (get recs at + shift)
+          done;
+        nk := !nk + (o2 - o1))
+      ~record:(fun key start len ->
+        let base = !nk * stride in
+        Array.iteri (fun j x -> set recs (base + j) x) key;
+        set recs (base + w) start;
+        set recs (base + w + 1) len;
+        incr nk)
+      ~payload:(fun p1 p2 ->
+        A1.blit (A1.sub t.payload p1 (p2 - p1)) (A1.sub payload !np (p2 - p1));
+        np := !np + (p2 - p1))
+      ~bucket:(fun g ->
+        let i = ref g.at in
+        merge_bucket g
+          ~next:(fun () ->
+            let x = get t.payload !i in
+            incr i;
+            x)
+          ~put:(fun x ->
+            set payload !np x;
+            incr np));
+    if List.for_all (fun g -> g.existed = (g.len > 0)) r.groups then
+      { t with n = r.keys_after; recs; payload; home = None }
+    else make t.constr ~n:r.keys_after ~recs ~payload ~home:None
   end
 
 (* ---------------- serialisation ---------------- *)

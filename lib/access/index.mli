@@ -115,14 +115,11 @@ type view = {
 val graph_view : Digraph.t -> view
 
 (** An {!emit} region, read through [get] ([get i] is its [i]th int: the
-    key records, then the payload) for the records of changed keys, and
-    through [stream] ([stream i] yields the ints from the [i]th on) for
-    a splice. *)
+    key records, then the payload) for the records of changed keys. *)
 type region = {
   n_keys : int;
   payload_ints : int;
   get : int -> int;
-  stream : int -> unit -> int;
 }
 
 val region : t -> region
@@ -152,19 +149,23 @@ val unchanged : repair -> bool
 val sizes : repair -> int * int
 (** The repaired region's key and payload counts. *)
 
-val splice : repair -> region -> (int -> unit) -> unit
-(** The repaired region's ints, in {!emit}'s order, to the callback: the
-    base's key records and payload read in order through [stream], a
-    changed bucket merged with its gains and losses as it passes, a new
-    key's spliced in by key, every bucket start shifted by the buckets
-    before it.  Equal to {!build} over the graph [after] shows, bucket
-    order included, when the region is {!build}'s over [before].
+val splice : repair -> Binfile.Reader.t -> Binfile.sink -> unit
+(** [splice r rd s] writes the repaired region to [s] in {!emit}'s
+    order, reading the base region forward through [rd] (a reader of
+    the whole region, at its start): the runs of key records between
+    changed keys copied as bytes, their bucket starts shifted by the
+    buckets before them, a changed key's record in its place; then the
+    payload runs between changed buckets copied as bytes, a changed
+    bucket merged with its gains and losses as it passes.  Equal to
+    {!build} over the graph [after] shows, bucket order included, when
+    the region is {!build}'s over [before].
     @raise Bpq_graph.Binfile.Corrupt when a bucket lacks a node the
     repair removes from it. *)
 
 val repaired : t -> repair -> t
-(** The repaired index ({!splice} into fresh windows), or [t] itself,
-    physically, when it is {!unchanged}.  [t] is never modified. *)
+(** The repaired index, the same runs as {!splice}'s blitted into fresh
+    windows, or [t] itself, physically, when it is {!unchanged}.  [t]
+    is never modified. *)
 
 val iter : t -> (int list -> int array -> unit) -> unit
 (** Iterate over all (key, bucket) pairs — used by satisfaction reports. *)

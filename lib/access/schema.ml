@@ -349,8 +349,8 @@ let rows_view ~label ~row =
    verbatim when nothing moved, else spliced from the base's records and
    payload.  The base regions are read through [f] in order, and point
    reads (row probes, the records of changed keys) go through [get]. *)
-let fold f get edits path =
-  let fd = Graph_io.fold f get edits in
+let fold tbl f get edits path =
+  let fd = Graph_io.fold tbl f get edits in
   let l = Graph_io.fold_layout fd in
   let ss = Binfile.require_sect (Binfile.sects f) Binfile.tag_schema in
   let stamp, regions = read_meta f ss ~map:l.map in
@@ -368,14 +368,7 @@ let fold f get edits path =
             get =
               (fun i ->
                 if i < 0 || i >= len / 8 then corrupt "index region read out of range";
-                Graph_io.get_i64 get (at + (8 * i)));
-            stream =
-              (* The key records on one buffer, the payload on the
-                 other: a splice reads one of each at a time. *)
-              (fun i ->
-                let rd = Graph_io.fold_reader fd (if i < len / 8 - r.payload_ints then 0 else 1) sect in
-                Binfile.Reader.skip rd (8 * i);
-                fun () -> Binfile.Reader.i64 rd) }
+                Graph_io.get_i64 get (at + (8 * i))) }
         in
         let repair =
           Index.apply_delta r.constr base ~before ~after ~n_before:l.n_nodes ~touched
@@ -387,7 +380,7 @@ let fold f get edits path =
             fun s -> Binfile.put_file s f ~pos:at ~len )
         else
           let n_keys, payload_ints = Index.sizes repair in
-          (r.constr, n_keys, payload_ints, fun s -> Index.splice repair base (Binfile.put_i64 s)))
+          (r.constr, n_keys, payload_ints, fun s -> Index.splice repair (Graph_io.fold_reader fd 0 sect) s))
       regions
   in
   let w = Binfile.writer () in

@@ -191,14 +191,16 @@ val read_meta : Binfile.file -> Binfile.sect -> map:int array -> int * region li
 
 (** {2 Folding a delta into a new generation} *)
 
-val fold : Binfile.file -> Graph_io.getter -> Graph_io.edits -> string -> int
-(** [fold f get edits path] writes the snapshot [f] with the edits
+val fold :
+  Label.table -> Binfile.file -> Graph_io.getter -> Graph_io.edits -> string -> int
+(** [fold tbl f get edits path] writes the snapshot [f] with the edits
     folded in to [path] (atomically) and returns its
     {!Binfile.file_sum}.  The result is byte for byte {!write} of the
     base's constraints built over [Digraph.apply_delta] of the base
-    graph with the values patched, under the base's stamp, with that
-    graph's {!Gstats.selectivity}; its labels are the base's, then
-    those the appended nodes introduce, in order.  Nothing is decoded
+    graph, its labels in [tbl], with the values patched, under the
+    base's stamp, with that graph's {!Gstats.selectivity}: its labels
+    are [tbl]'s as they stand (see {!Graph_io.fold}), then those the
+    appended nodes introduce, in order.  Nothing is decoded
     whole and no index is built: the graph sections stream from [f]
     ({!Graph_io.add_fold_sections}), each index is repaired from the
     neighbourhoods the delta changes ({!Index.apply_delta}) and written

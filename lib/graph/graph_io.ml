@@ -571,11 +571,14 @@ type fold = {
    reverse.  The net delta is what differs from the base: an edge
    written present that the base lacks, or absent that it has; a
    merged-neighbour row changes where a pair's adjacency, either
-   direction, flips. *)
-let fold f g edits =
-  let table = Label.create_table () in
+   direction, flips.  The labels are a copy of [tbl] as it stands, so a
+   label interned there later (a query's) shifts no id the fold writes. *)
+let fold tbl f g edits =
+  let table = Label.copy tbl in
   let l = layout table f in
-  Array.iteri (fun i x -> if x <> i then corrupt "labels section: a label named twice") l.map;
+  Array.iteri
+    (fun i x -> if x <> i then corrupt "labels section: a label named twice or not as the table names it")
+    l.map;
   let n = l.n_nodes and m = l.n_edges in
   let fixed = 32 + (8 * ((3 * (n + 1)) + (2 * m) + 1 + n)) in
   if fixed > l.csr.len || (l.csr.len - fixed) / 8 <> l.n_nbr + l.label_rows then

@@ -138,7 +138,7 @@ val get_i64 : getter -> int -> int
     to four bytes each.  The sections are byte for byte those
     {!add_graph_sections} and {!Gstats.add_selectivity_section} write
     for [Digraph.apply_delta] of the base with the values patched, over
-    the base's labels followed by the new ones in order. *)
+    the label table the fold is given. *)
 
 type edits = {
   new_nodes : (string * Value.t) list;
@@ -152,13 +152,19 @@ type edits = {
 type fold
 (** The net delta of some edits against one snapshot file. *)
 
-val fold : Binfile.file -> getter -> edits -> fold
-(** The base's labels section and headers through the file, into a
-    fresh label table that the new labels extend; the value offsets of
-    patched nodes and an out-row probe per written edge and its reverse
-    through the getter, which reads the same file.
+val fold : Label.table -> Binfile.file -> getter -> edits -> fold
+(** [fold tbl f get edits]: the base's labels section and headers
+    through the file, into a copy of [tbl] taken now, which the new
+    labels extend and which the folded file names in full, every label
+    under the id it has in [tbl]; the value offsets of patched nodes
+    and an out-row probe per written edge and its reverse through the
+    getter, which reads the same file.  [tbl] is the table the file was
+    opened into (a serving store's, so ids its queries and caches hold
+    stay valid in the new generation) or a fresh one; it is not
+    modified.
     @raise Binfile.Corrupt on a labels section naming a label twice or
-    a CSR section whose arrays disagree with its header.
+    other than as [tbl] numbers it, or a CSR section whose arrays
+    disagree with its header.
     @raise Invalid_argument on an edit naming a node out of range. *)
 
 val fold_layout : fold -> layout

@@ -24,6 +24,16 @@ let intern tbl name =
     Hashtbl.replace tbl.by_name name id;
     id
 
+(* From the names below the count, read first: [intern] stores a name
+   before it counts it, so a copy taken while another thread interns
+   still pairs every name it has with that name's id. *)
+let copy tbl =
+  let next = tbl.next in
+  let names = Array.sub tbl.names 0 next in
+  let t = create_table () in
+  Array.iter (fun name -> ignore (intern t name : int)) names;
+  t
+
 let find tbl name = Hashtbl.find_opt tbl.by_name name
 
 let name tbl id =

@@ -17,6 +17,10 @@ val intern : table -> string -> t
 (** [intern tbl name] returns the identifier for [name], allocating a fresh
     one on first sight. *)
 
+val copy : table -> table
+(** A table with the same labels under the same identifiers, interning
+    into which leaves the original as it is. *)
+
 val find : table -> string -> t option
 (** Lookup without allocating. *)
 

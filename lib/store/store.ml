@@ -331,7 +331,10 @@ let compact ?out t =
             | On_disk p -> (Paged.file p, Paged.getter p)
             | In_mem { snapshot = None; _ } | Sharded_t _ -> assert false
           in
-          let sum = Schema.fold f get (edits_of_ops (List.rev ws.ops_rev)) out in
+          (* The serving table, queries' labels and all, so every label
+             keeps its id across the roll: cached answers and a carried
+             overlay's per-label generations are keyed by those ids. *)
+          let sum = Schema.fold (table t) f get (edits_of_ops (List.rev ws.ops_rev)) out in
           if out = path then begin
             (* In-place generation roll: the folded-in records leave the
                log, and its header now names the new snapshot.  This

@@ -134,9 +134,11 @@ val compact : ?out:string -> t -> string
     file this store serves ({!Bpq_access.Schema.fold}): a mem store
     reads it through its open file and probes its mapping, a paged one
     reads through its file and page cache; neither decodes the graph or
-    builds an index, and both write the same bytes.  The folded schema
-    preserves the stamp, so plan caches keyed by it stay warm across
-    the roll.  When
+    builds an index, and both write the same bytes.  The new file names
+    every label of the store's {!table} as it stands, queried names
+    included, each under the id it has there, and preserves the stamp,
+    so plan and result caches keyed by both stay valid across the
+    roll.  When
     compacting in place, the log is truncated to pair with the new
     generation and this handle stops accepting writes (it keeps serving
     its frozen pre-compaction view); reopen the snapshot and

@@ -137,11 +137,10 @@ OPS
 "$B" run -g w.snap --wal w.wal -q q.txt > overlay_mem.out
 "$B" run -g w.snap --wal w.wal --backend paged --page-cache 1 -q q.txt > overlay_paged.out
 diff overlay_mem.out overlay_paged.out
-# a fold is one file whichever backend writes it, and the same file twice
+# folding the same log twice writes the same file
 "$B" compact -g w.snap --wal w.wal -o w1.snap
 "$B" compact -g w.snap --wal w.wal -o w2.snap
-"$B" compact -g w.snap --wal w.wal -o wp.snap --backend paged
-cmp w1.snap w2.snap && cmp w1.snap wp.snap
+cmp w1.snap w2.snap
 # compaction folds the log in place; the new generation is that file,
 # and answers identically on both backends
 "$B" compact -g w.snap --wal w.wal

@@ -143,14 +143,15 @@ let repair_index idx ~old_graph ~new_graph (d : Digraph.delta) =
 
 (* The reference a compaction of [ops] into the snapshot at [snap] must
    write, byte for byte, built the long way: the net delta against the
-   decoded base graph through [Digraph.apply_delta] (new labels after the
-   file's, in order), the value writes patched in, every constraint's
-   index built afresh over the result and written under the base's
-   stamp, with that graph's selectivity. *)
-let reference_fold snap ops path =
+   base graph decoded into a copy of [table] (the serving store's;
+   default a fresh one) through [Digraph.apply_delta] (new labels after
+   the table's, in order), the value writes patched in, every
+   constraint's index built afresh over the result and written under
+   the base's stamp, with that graph's selectivity. *)
+let reference_fold ?(table = Label.create_table ()) snap ops path =
   let module Schema = Bpq_access.Schema in
   let module Wal = Bpq_store.Wal in
-  let base, _ = Schema.load (Label.create_table ()) snap in
+  let base, _ = Schema.load (Label.copy table) snap in
   let g = Schema.graph base in
   let tbl = Digraph.label_table g and n = Digraph.n_nodes g in
   let added = ref [] and edges = Hashtbl.create 16 and vals = Hashtbl.create 16 in

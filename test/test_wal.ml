@@ -400,13 +400,23 @@ let ops_avoiding r g tbl avoid count =
   done;
   List.rev !ops
 
+(* A constraint's index region as the snapshot at [path] stores it. *)
+let stored_region path c =
+  Binfile.with_file path @@ fun f ->
+  let l = Graph_io.layout (Label.create_table ()) f in
+  let ss = Binfile.require_sect (Binfile.sects f) Binfile.tag_schema in
+  let _, regions = Schema.read_meta f ss ~map:l.map in
+  let r = List.find (fun (r : Schema.region) -> r.constr = c) regions in
+  let width = if Constr.arity c <= 2 then 1 else Constr.arity c in
+  Binfile.read f ~pos:(ss.off + r.keys_at) ~len:(8 * ((r.n_keys * (width + 2)) + r.payload_ints))
+
 (* Compaction repairs the indexes from the changed neighbourhoods: the
    written generation must hold exactly the indexes a from-scratch build
    over the folded graph produces, bucket order included, as the
    reference fold does, and a constraint the ops never touch must keep
-   its region as it was. *)
+   its region's bytes as they were. *)
 let compaction_equals_rebuild =
-  Helpers.qcheck ~count:15 "compaction equals a rebuild, shares untouched indexes"
+  Helpers.qcheck ~count:15 "compaction equals a rebuild, shares untouched regions' bytes"
     QCheck2.Gen.(int_range 1 100_000) (fun seed ->
       let tbl, g, constrs, r = Helpers.random_instance seed in
       match constrs with
@@ -432,15 +442,18 @@ let compaction_equals_rebuild =
           fst (Schema.load (Label.create_table ()) ref_path)
         in
         let reopened, _ = Schema.load (Label.create_table ()) out in
-        (try Sys.remove out with Sys_error _ -> ());
         let rebuilt = Schema.build (Schema.graph reopened) (Schema.constraints reopened) in
         let exact s c = Index.export_buckets (Schema.index_of s c) in
-        List.for_all
-          (fun c ->
-            exact reopened c = exact rebuilt c
-            && exact folded c = exact rebuilt c
-            && (c.Constr.target <> avoid || exact reopened c = exact before c))
-          (Schema.constraints before))
+        let ok =
+          List.for_all
+            (fun c ->
+              exact reopened c = exact rebuilt c
+              && exact folded c = exact rebuilt c
+              && (c.Constr.target <> avoid || stored_region out c = stored_region snap c))
+            (Schema.constraints before)
+        in
+        (try Sys.remove out with Sys_error _ -> ());
+        ok)
 
 (* Ops that reach the fold's corner cases: appends under labels new to
    the file, strings with high bytes, value writes to appended nodes,
@@ -499,7 +512,9 @@ let copy_file src dst =
 
 (* The compacted file is byte for byte the reference fold, whichever
    backend folds it, in place or to another path, and after another
-   snapshot was renamed over the path the store opened. *)
+   snapshot was renamed over the path the store opened.  Queries may
+   have interned labels into the serving table; the file names them
+   too. *)
 let compaction_is_reference_fold =
   Helpers.qcheck ~count:20 "compaction writes the reference fold byte for byte"
     QCheck2.Gen.(int_range 1 100_000) (fun seed ->
@@ -524,8 +539,7 @@ let compaction_is_reference_fold =
        Fun.protect ~finally:(fun () -> Store.close st) @@ fun () ->
        ignore (Store.attach_wal st wal0 : int);
        match Store.apply_ops st ops with Ok _ -> () | Error e -> Alcotest.failf "apply: %s" e);
-      Helpers.reference_fold base ops ref_path;
-      let want = Helpers.file_bytes ref_path in
+      let queried = Array.init (Bpq_util.Prng.int r 3) (Printf.sprintf "queried-%d") in
       List.for_all
         (fun (backend, in_place, renamed) ->
           copy_file base snap;
@@ -537,8 +551,10 @@ let compaction_is_reference_fold =
             Unix.rename (snap ^ ".tmp") snap
           end;
           ignore (Store.attach_wal st walp : int);
+          Array.iter (fun name -> ignore (Label.intern (Store.table st) name : Label.t)) queried;
+          Helpers.reference_fold ~table:(Store.table st) base ops ref_path;
           let written = Store.compact ?out:(if in_place then None else Some out) st in
-          Helpers.file_bytes written = want)
+          Helpers.file_bytes written = Helpers.file_bytes ref_path)
         [ (Store.Mem, false, false); (Store.Mem, true, false); (Store.Mem, false, true);
           (Store.Mem, true, true); (Store.Paged, false, false); (Store.Paged, true, false);
           (Store.Paged, false, true); (Store.Paged, true, true) ])
@@ -720,6 +736,54 @@ let test_cache_generations () =
     (before.Qcache.result_hits + 2) s.Qcache.result_hits;
   Store.close st2
 
+(* An in-place roll keeps every label's id, a query's included: the
+   folded file names the serving table's labels as they stand, so a
+   label a later write introduces does not take the id of one a query
+   interned first.  Cached entries and the carried overlay's per-label
+   generations are keyed by those ids. *)
+let test_roll_keeps_query_label_ids () =
+  let _, _, _, schema = tiny_instance () in
+  List.iter
+    (fun backend ->
+      with_temp ".snap" @@ fun snap ->
+      with_temp ".wal" @@ fun walp ->
+      Schema.save schema snap;
+      let cache = Qcache.create () in
+      let st = Store.open_snapshot ~backend snap in
+      ignore (Store.attach_wal st walp);
+      let tbl = Store.table st in
+      let q tbl name = Helpers.pattern tbl [ ("a", []); (name, []) ] [ (0, 1) ] in
+      let eval src p = Qcache.eval_with cache Actualized.Subgraph src p in
+      Helpers.check_true "a label no constraint names is not bounded"
+        (eval (Store.source st) (q tbl "foo") = None);
+      (match
+         Store.apply_ops st
+           [ Wal.Add_node { label = "bar"; value = Value.Null };
+             Wal.Add_node { label = "b"; value = Value.Null };
+             Wal.Add_edge (0, 6);
+             Wal.Add_edge (0, 7) ]
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "apply: %s" e);
+      let foo = Label.find tbl "foo" and bar = Label.find tbl "bar" in
+      Helpers.check_true "the written label follows the queried one"
+        (Option.get bar = Option.get foo + 1);
+      Helpers.check_int "the written edge answered" 3 (eval_count cache (Store.source st) (q tbl "b"));
+      ignore (Store.compact st : string);
+      let carry = Option.get (Store.overlay st) in
+      Store.close st;
+      let st2 = Store.open_snapshot ~backend snap in
+      Fun.protect ~finally:(fun () -> Store.close st2) @@ fun () ->
+      ignore (Store.attach_wal ~carry st2 walp);
+      let tbl2 = Store.table st2 in
+      Helpers.check_true "the queried label keeps its id" (Label.find tbl2 "foo" = foo);
+      Helpers.check_true "the written label keeps its id" (Label.find tbl2 "bar" = bar);
+      Helpers.check_int "the written edge after the roll" 3
+        (eval_count cache (Store.source st2) (q tbl2 "b"));
+      Helpers.check_true "still not bounded after the roll"
+        (eval (Store.source st2) (q tbl2 "foo") = None))
+    [ Store.Mem; Store.Paged ]
+
 let test_fetch_tiers () =
   let _, _, _, schema = tiny_instance () in
   let cache = Qcache.create () in
@@ -882,6 +946,8 @@ let suite =
       test_paged_rename_pairs_served_file;
     Alcotest.test_case "caches across writes and generation swaps" `Quick
       test_cache_generations;
+    Alcotest.test_case "an in-place roll keeps a query's label ids" `Quick
+      test_roll_keeps_query_label_ids;
     Alcotest.test_case "per-version fetch tiers" `Quick test_fetch_tiers;
     Alcotest.test_case "serve write and compact ops" `Quick test_serve_write_path;
     Alcotest.test_case "write refused without --wal" `Quick
