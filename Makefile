@@ -56,10 +56,13 @@ bench-intra:
 # the loaded indexes hold at most 1.5 heap words per int of the
 # snapshot's schema section, and a mem-backend open adds at most 0.05
 # live heap words per i64 of the snapshot: it keeps neither the graph
-# nor the indexes (counts, not timings).
+# nor the indexes; and at every scale a mem open hashes exactly the
+# blocks before the first index region, none of the index regions
+# (counts, not timings).
 bench-store:
 	BENCH_FAST=1 dune exec bench/main.exe -- store --json _bench
 	jq -e '.store.identical and (.store.flatness < 2) and (.store.size_growth >= 10) and (.store.index_words_ratio <= 1.5) and (.store.open_heap_ratio <= 0.05) and (.store.open_probe_bytes == 0)' _bench/BENCH_store.json >/dev/null
+	jq -e '.store.points | length > 0 and all(.[]; .open_checked_bytes == .open_head_bytes and .open_head_bytes < .snapshot_bytes)' _bench/BENCH_store.json >/dev/null
 	@echo "bench-store: _bench/BENCH_store.json OK"
 
 # Write-path experiment: a delta log growing to a fixed fraction of |G|

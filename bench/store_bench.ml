@@ -35,10 +35,17 @@
        first probe of its index, not by the open);
      - open_heap_ratio: worst live heap words a mem-backend open adds
        (after a full major GC) per i64 of the snapshot.  The open checks
-       the graph and index sections and keeps neither: both are read in
-       place from the mapping, so what is left is the label table,
-       statistics, constraint metadata and the schema's records (CI
-       requires <= 0.05; a decoded graph alone is about 0.8).
+       the graph sections and keeps them not: they are read in place
+       from the mapping, as the indexes are, so what is left is the
+       label table, statistics, constraint metadata and the schema's
+       records (CI requires <= 0.05; a decoded graph alone is about 0.8);
+     - open_checked_bytes / open_head_bytes, per point: the bytes of the
+       blocks a mem open hashes against the block table
+       ([Binfile.checked_bytes]; the graph sections it validates lie
+       inside them), and every byte before the first index region
+       rounded up to whole 64 KiB blocks.  CI requires them equal at
+       every scale: an exact count, so an open that checks any index
+       region, let alone the whole file, fails it.
 
    Reported, not gated: the mem open's wall time on a pool of 1 and of
    2 slots (median of 5 in-process opens), and the checksum pass alone
@@ -87,6 +94,7 @@ type point = {
   index_words_ratio : float;
   open_probe_bytes : int;
   open_heap_ratio : float;
+  open_checked : int * int;  (* bytes checked, the head's blocks *)
   open_s : float * float;  (* pool of 1, pool of 2 *)
   sum_mb_per_s : float;
   identical : bool;
@@ -138,6 +146,21 @@ let open_footprint path snapshot_bytes =
   Bpq_store.Store.close st;
   (float_of_int live /. float_of_int (snapshot_bytes / 8), probe_bytes)
 
+(* The bytes a mem open checks ([Schema.load_sum], as [Store] opens a
+   mem snapshot), and the head's length rounded up to whole blocks: the
+   first index region's offset, read from the schema section's
+   metadata, capped at the block table. *)
+let open_checked path =
+  Binfile.with_file path @@ fun f ->
+  let tbl = Label.create_table () in
+  ignore (Schema.load_sum tbl f : (Schema.t * Gstats.selectivity option) * int);
+  let ss = Binfile.require_sect (Binfile.sects f) Binfile.tag_schema in
+  let _, regions = Schema.read_meta f ss ~map:(Array.init (Label.count tbl) Fun.id) in
+  let head = match regions with r :: _ -> ss.off + r.Schema.keys_at | [] -> ss.off + ss.len in
+  let bs = Binfile.block_size in
+  ( Binfile.checked_bytes f,
+    min (Binfile.require_sect (Binfile.sects f) Binfile.tag_blocks).off ((head + bs - 1) / bs * bs) )
+
 let median_of_5 f =
   let a = Array.init 5 (fun _ -> let t = Unix.gettimeofday () in f (); Unix.gettimeofday () -. t) in
   Array.sort compare a;
@@ -172,6 +195,7 @@ let measure scale =
          comfortable cache, paged with a starved one. *)
       let schema2, _ = Schema.load (Label.create_table ()) path in
       let open_heap_ratio, open_probe_bytes = open_footprint path snapshot_bytes in
+      let open_checked = open_checked path in
       let open_s = (open_seconds path 1, open_seconds path 2) in
       let sum_mb_per_s = sum_mb_per_s path snapshot_bytes in
       (* Readahead off: this experiment charges each bounded query its
@@ -216,6 +240,7 @@ let measure scale =
             index_words_ratio;
             open_probe_bytes;
             open_heap_ratio;
+            open_checked;
             open_s;
             sum_mb_per_s;
             identical;
@@ -234,6 +259,7 @@ let run () =
   let table =
     Table.create
       ([ "scale"; "|G|"; "snapshot B"; "index words/int"; "open probe B"; "open words/i64";
+         "open checked B"; "head blocks B";
          "open 1 slot";
          "open 2 slots"; "sum MB/s" ]
       @ List.concat_map (fun n -> [ n ^ " B"; n ^ " items" ]) qnames
@@ -248,6 +274,8 @@ let run () =
            Printf.sprintf "%.2f" pt.index_words_ratio;
            string_of_int pt.open_probe_bytes;
            Printf.sprintf "%.2f" pt.open_heap_ratio;
+           string_of_int (fst pt.open_checked);
+           string_of_int (snd pt.open_checked);
            Printf.sprintf "%.1fms" (1e3 *. fst pt.open_s);
            Printf.sprintf "%.1fms" (1e3 *. snd pt.open_s);
            Printf.sprintf "%.0f" pt.sum_mb_per_s ]
@@ -298,6 +326,8 @@ let run () =
                       ("index_words_ratio", Json.Float p.index_words_ratio);
                       ("open_heap_ratio", Json.Float p.open_heap_ratio);
                       ("open_probe_bytes", Json.Int p.open_probe_bytes);
+                      ("open_checked_bytes", Json.Int (fst p.open_checked));
+                      ("open_head_bytes", Json.Int (snd p.open_checked));
                       ("open_s_pool1", Json.Float (fst p.open_s));
                       ("open_s_pool2", Json.Float (snd p.open_s));
                       ("checksum_mb_per_s", Json.Float p.sum_mb_per_s);

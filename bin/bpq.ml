@@ -754,8 +754,9 @@ let run_cmd =
     let queries = List.map (fun path -> (path, load_pattern tbl path)) patterns in
     let src = Store.source store in
     (* Decoded only if the fallback runs: a loaded schema serves its
-       plans from the snapshot in place. *)
-    let fb_graph () = Option.map Schema.graph (Store.schema store) in
+       plans from the snapshot in place.  The delta log's edits are
+       applied, as the overlay serves them. *)
+    let fb_graph () = Store.graph store in
     match Store.schema store with
     | Some schema when not (Schema.satisfied schema) ->
       prerr_endline "error: the graph does not satisfy the access constraints:";

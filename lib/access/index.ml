@@ -17,7 +17,10 @@ module A1 = Bigarray.Array1
    through an open-addressing table of 32-bit slots over bucket
    ordinals, off-heap too, built from the key records the first time
    something probes the index: a plan reads only the indexes of the
-   constraints it names, so an index no plan names costs no table. *)
+   constraints it names, so an index no plan names costs no table.  A
+   loaded index's region is checked by that same first probe, or by the
+   first traversal, whichever comes first, so an index no plan names is
+   not read at all. *)
 
 let half_width = 31
 let half_mask = (1 lsl half_width) - 1
@@ -45,10 +48,12 @@ type t = {
   recs : Binfile.i64s;  (* n records of [width + 2] ints, keys strictly increasing *)
   payload : Binfile.i64s;
   table : table Atomic.t;  (* [unbuilt] until the first probe builds it *)
-  building : Mutex.t;  (* held while a first probe builds the table *)
+  building : Mutex.t;  (* held while a first probe builds the table or runs the check *)
   home : (Binfile.mapped * int) option;
       (* the mapped snapshot and byte offset the records (then the
          payload) were loaded from *)
+  unchecked : (unit -> unit) option Atomic.t;
+      (* a loaded region's check, until it passes *)
 }
 
 let constr t = t.constr
@@ -136,9 +141,10 @@ let probe_table recs ~n ~width =
 let unbuilt = probe_table (create_i64s 0) ~n:0 ~width:1
 
 (* The index over [n] records in [recs] and their [payload].  Its table
-   is built by its first probe, except over no keys: that table reads no
-   record and is one slot, so it is made up front. *)
-let make c ~n ~recs ~payload ~home =
+   is built by its first probe, except over no keys when there is no
+   [check] to run first: that table reads no record and is one slot, so
+   it is made up front. *)
+let make ?check c ~n ~recs ~payload ~home =
   let arity = Constr.arity c in
   let width = width_of_arity arity in
   { constr = c;
@@ -147,14 +153,31 @@ let make c ~n ~recs ~payload ~home =
     n;
     recs;
     payload;
-    table = Atomic.make (if n = 0 then probe_table recs ~n ~width else unbuilt);
+    table = Atomic.make (if n = 0 && Option.is_none check then probe_table recs ~n ~width else unbuilt);
     building = Mutex.create ();
-    home }
+    home;
+    unchecked = Atomic.make check }
 
-(* Concurrent first probes queue on [building]: the first builds and
-   publishes the table, the rest find it published. *)
+(* Run the region's check if it has not passed yet; call with
+   [building] held.  A failure raises and leaves the check pending. *)
+let check_locked t =
+  match Atomic.get t.unchecked with
+  | None -> ()
+  | Some check ->
+    check ();
+    Atomic.set t.unchecked None
+
+(* What every traversal that reads records without probing runs first. *)
+let checked t =
+  if Option.is_some (Atomic.get t.unchecked) then Mutex.protect t.building (fun () -> check_locked t)
+
+(* Concurrent first probes queue on [building]: the first checks the
+   region, then builds and publishes the table, the rest find it
+   published.  A failed check publishes nothing, so every later probe
+   misses on [unbuilt] and checks again. *)
 let build_table t =
   Mutex.protect t.building (fun () ->
+      check_locked t;
       if Atomic.get t.table == unbuilt then
         Atomic.set t.table (probe_table t.recs ~n:t.n ~width:t.width))
 
@@ -552,6 +575,7 @@ let lookup_tuple t vs = bucket t (ordinal_of_tuple t vs)
 (* ---------------- whole-index traversal ---------------- *)
 
 let max_bucket t =
+  checked t;
   let m = ref 0 in
   for o = 0 to t.n - 1 do
     m := max !m (len_of t o)
@@ -573,6 +597,7 @@ let key_list t o =
   | _ -> Array.to_list (key_record t o)
 
 let iter t f =
+  checked t;
   for o = 0 to t.n - 1 do
     f (key_list t o) (bucket t o)
   done
@@ -585,6 +610,7 @@ let iter t f =
    as [emit] copies them, so its pages do not become resident; a built
    one reads its own windows. *)
 let stream t ~at =
+  checked t;
   let nr = A1.dim t.recs in
   match t.home with
   | Some (file, pos) ->
@@ -606,6 +632,7 @@ let stream t ~at =
    the marked records again beside the payload and copies them and
    their buckets.  Only the marks are held between the passes. *)
 let filter t keep =
+  checked t;
   let stride = t.width + 2 in
   let kept = Array.make t.n false in
   let n = ref 0 and p = ref 0 in
@@ -654,6 +681,7 @@ type region = {
 }
 
 let region t =
+  checked t;
   let nr = A1.dim t.recs in
   { n_keys = t.n;
     payload_ints = payload_ints t;
@@ -859,6 +887,7 @@ let splice r rd s =
    built or not, still maps every key to its ordinal, so the two share
    its cell. *)
 let repaired (t : t) r =
+  checked t;
   if unchanged r then t
   else begin
     let w = t.width in
@@ -902,6 +931,7 @@ let repaired (t : t) r =
 (* ---------------- serialisation ---------------- *)
 
 let emit s t =
+  checked t;
   match t.home with
   | Some (file, pos) ->
     Binfile.put_mapped s file ~pos ~len:(8 * (A1.dim t.recs + A1.dim t.payload))
@@ -909,23 +939,20 @@ let emit s t =
     Binfile.put_i64s s t.recs;
     Binfile.put_i64s s t.payload
 
-let export_buckets t = Array.init t.n (fun o -> (key_record t o, bucket t o))
+let export_buckets t =
+  checked t;
+  Array.init t.n (fun o -> (key_record t o, bucket t o))
 
 (* The invariants lookups rely on — strictly increasing, well-formed key
    records over contiguous non-empty buckets that cover the payload, and
    every key and payload id a node — checked on the bytes as they stream
-   past.  Lookups then read the windows unchecked, and the first one
-   builds the probe table from the mapped records.  The region's sizes
-   were checked against the section by the metadata decoder
-   ([Schema.read_meta]). *)
-let load r file ~n_nodes c ~n_keys ~payload_ints =
+   past.  Lookups then read the windows unchecked. *)
+let validate r ~n_nodes c ~n_keys ~payload_ints =
   let module R = Binfile.Reader in
   let corrupt msg = raise (Binfile.Corrupt ("schema section: " ^ msg)) in
   let arity = Constr.arity c in
   let width = width_of_arity arity in
   let stride = width + 2 in
-  if n_keys >= max_keys then corrupt "key records out of range";
-  let pos = R.file_pos r in
   let node_ok v = v >= 0 && v < n_nodes in
   let key_ok buf base =
     let k = buf.(base) in
@@ -973,8 +1000,23 @@ let load r file ~n_nodes c ~n_keys ~payload_ints =
       if not (node_ok buf.(i)) then corrupt "payload node id out of range"
     done;
     left := !left - k
-  done;
-  make c ~n:n_keys
+  done
+
+(* Windows onto the mapping now; the region's blocks and [validate] run
+   on the first probe or traversal, both reading through the file, so
+   the open reads no byte of the region.  The region's sizes were
+   checked against the section by the metadata decoder
+   ([Schema.read_meta]). *)
+let load file ~pos ~n_nodes c ~n_keys ~payload_ints =
+  let stride = width_of_arity (Constr.arity c) + 2 in
+  if n_keys >= max_keys then
+    raise (Binfile.Corrupt "schema section: key records out of range");
+  let len = 8 * ((n_keys * stride) + payload_ints) in
+  let check () =
+    Binfile.check_mapped file { Binfile.tag = Binfile.tag_schema; off = pos; len } (fun r ->
+        validate r ~n_nodes c ~n_keys ~payload_ints)
+  in
+  make ~check c ~n:n_keys
     ~recs:(Binfile.map_sub file ~pos ~len:(n_keys * stride))
     ~payload:(Binfile.map_sub file ~pos:(pos + (8 * n_keys * stride)) ~len:payload_ints)
     ~home:(Some (file, pos))

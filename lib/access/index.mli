@@ -236,9 +236,10 @@ val filter : t -> (int array -> bool) -> t
 val emit : Binfile.sink -> t -> unit
 (** The index's region of a snapshot's schema section: {!n_keys} records
     of {!key_width} key ints, bucket start and bucket length, then the
-    {!payload_ints} payload ids.  A loaded index copies its bytes from
-    the file it was loaded from while that file is open, without reading
-    them through the mapping ([Binfile.put_mapped]). *)
+    {!payload_ints} payload ids.  A loaded index copies its bytes, once
+    its region has passed its check ({!load}), from the file it was
+    loaded from while that file is open, without reading them through
+    the mapping ([Binfile.put_mapped]). *)
 
 val export_buckets : t -> (int array * int array) array
 (** Every bucket as [(native key record, payload)] in key-record order —
@@ -246,23 +247,32 @@ val export_buckets : t -> (int array * int array) array
     preserve, so lookups stream identically on every backend. *)
 
 val load :
-  Binfile.Reader.t ->
   Binfile.mapped ->
+  pos:int ->
   n_nodes:int ->
   Constr.t ->
   n_keys:int ->
   payload_ints:int ->
   t
-(** The index whose {!emit} region starts at the reader's position,
-    served from windows of the mapping of the same file.  The region is
-    read once, through the reader: that read checks that the records are
-    strictly increasing and well formed for the constraint's arity, that
-    the buckets are non-empty, contiguous and cover the payload, and that
-    every key and payload node id lies in [\[0, n_nodes)].  It builds
-    no probe table: the index's first probe does, from the key records
-    in the mapping.  No byte is read through the mapping here.  The sizes
-    must describe a region inside the section, as the schema-section
-    metadata decoder ([Schema.read_meta]) checks before calling this.
-    @raise Binfile.Corrupt naming the first violation, and on an
-    [n_keys] of 2{^30} or more, which a 32-bit probe slot cannot
-    address. *)
+(** The index whose {!emit} region starts at byte [pos] of a mapped
+    snapshot, served from windows of the mapping.  Nothing of the region
+    is read here: its first probe, or the first call of any function
+    above that reads its records without probing ({!iter},
+    {!max_bucket}, {!satisfied}, {!region}, {!repaired}, {!filter},
+    {!emit}, {!export_buckets}), checks it once, under the index's
+    mutex, before anything else reads it.  The check reads through the
+    file while that is open ({!Binfile.check_mapped},
+    {!Binfile.Reader.of_mapped}), so no page of the region becomes
+    resident: the region's blocks against the block table, then the
+    region itself, that the records are strictly increasing and well
+    formed for the constraint's arity, that the buckets are non-empty,
+    contiguous and cover the payload, and that every key and payload
+    node id lies in [\[0, n_nodes)].  A failed check raises
+    [Binfile.Corrupt] from that probe or traversal and marks nothing,
+    so every later one checks again and raises again.  The probe table
+    is built after the check, from the key records in the mapping.  The
+    sizes must describe a region inside the section, as the
+    schema-section metadata decoder ([Schema.read_meta]) checks before
+    calling this.
+    @raise Binfile.Corrupt on an [n_keys] of 2{^30} or more, which a
+    32-bit probe slot cannot address. *)

@@ -269,47 +269,37 @@ let read_meta f (ss : Binfile.sect) ~map =
   in
   (stamp, regions)
 
-(* Consecutive regions in groups of at least [target] bytes, with their
-   byte lengths.  Each task allocates its own reader buffer: one per
-   region left 3-4 MB more resident, and fewer than about four per
-   slot left largest-first too little to balance. *)
-let group_regions ~target regions =
-  List.fold_left
-    (fun groups r ->
-      match groups with
-      | (bytes, g) :: rest when bytes < target -> (bytes + region_bytes r, r :: g) :: rest
-      | _ -> (region_bytes r, [ r ]) :: groups)
-    [] regions
-  |> List.rev_map (fun (bytes, g) -> (bytes, List.rev g))
-
 (* A mem open: labels, the graph headers, stats and the schema
-   section's metadata are read on the calling domain; the graph
-   sections and the index regions, in groups, are checked by tasks on
-   [pool], the graph's also decoded under [decode].  The graph and the
-   indexes serve from the file's mapping, which nothing reads until the
-   whole file has been checked. *)
+   section's metadata are read on the calling domain, and the nodes and
+   CSR sections are checked by a task on [pool] (and decoded under
+   [decode]) beside the check of the blocks that hold those bytes: the
+   head, everything before the first index region.  No index region is
+   read: each is checked when something first reads it ([Index.load]).
+   The graph serves from the file's mapping, which nothing reads until
+   the head has been checked. *)
 let load_sum ?(pool = Bpq_util.Pool.sequential) ?(decode = false) tbl f =
   let finish, sum =
     Binfile.run ~pool f @@ fun f ->
     let l, graph, sel = Graph_io.open_bin ~keep:decode tbl f in
     let ss = Binfile.require_sect (Binfile.sects f) Binfile.tag_schema in
     let stamp, regions = read_meta f ss ~map:l.map in
+    let first = match regions with r :: _ -> ss.off + r.keys_at | [] -> ss.off + ss.len in
+    Binfile.check_upto f
+      (List.fold_left
+         (fun acc (s : Binfile.sect) ->
+           if s.tag = Binfile.tag_schema || s.tag = Binfile.tag_blocks then acc
+           else max acc (s.off + s.len))
+         first (Binfile.sects f));
     let file = Binfile.mapping f in
-    let load_group (len, group) =
-      let off = ss.off + (List.hd group).keys_at in
-      Binfile.task f ~weight:len (fun () ->
-          let r = Binfile.Reader.create f { ss with off; len } in
-          List.map
-            (fun g ->
-              Index.load r file ~n_nodes:l.n_nodes g.constr ~n_keys:g.n_keys
-                ~payload_ints:g.payload_ints)
-            group)
+    let indexes =
+      List.map
+        (fun r ->
+          ( r.constr,
+            Index.load file ~pos:(ss.off + r.keys_at) ~n_nodes:l.n_nodes r.constr ~n_keys:r.n_keys
+              ~payload_ints:r.payload_ints ))
+        regions
     in
-    let index_bytes = List.fold_left (fun acc r -> acc + region_bytes r) 0 regions in
-    let target = index_bytes / (4 * Bpq_util.Pool.size pool) in
-    let indexes = List.map load_group (group_regions ~target regions) in
     fun () ->
-      let indexes = List.concat_map (fun t -> t ()) indexes in
       register_stamp stamp;
       let g =
         Loaded
@@ -319,7 +309,7 @@ let load_sum ?(pool = Bpq_util.Pool.sequential) ?(decode = false) tbl f =
             decoded = Atomic.make (graph ());
             decoding = Mutex.create () }
       in
-      (make ~stamp g (List.map2 (fun r idx -> (r.constr, idx)) regions indexes), sel)
+      (make ~stamp g indexes, sel)
   in
   (finish (), sum)
 
@@ -344,16 +334,37 @@ let rows_view ~label ~row =
   let row = memo row in
   { Index.label = memo label; iter_nbrs = (fun v f -> Array.iter f (row v)) }
 
+(* The lineage section: the checksum of the generation a fold read, and
+   how many bytes of its delta log it folded. *)
+let add_folded w ~base_sum ~log_bytes =
+  Binfile.section ~size:16 w ~tag:Binfile.tag_folded (fun b ->
+      Binfile.add_i64 b base_sum;
+      Binfile.add_i64 b log_bytes)
+
+let folded f =
+  Binfile.find_sect (Binfile.sects f) Binfile.tag_folded
+  |> Option.map (fun (s : Binfile.sect) ->
+         if s.len <> 16 then raise (Binfile.Corrupt "lineage section: not two integers");
+         let b = Binfile.read f ~pos:s.off ~len:16 in
+         (Binfile.get_i64 b 0, Binfile.get_i64 b 8))
+
 (* The graph sections stream from the base file ([Graph_io]); each index
    region is repaired from the two neighbourhood views, then copied
    verbatim when nothing moved, else spliced from the base's records and
    payload.  The base regions are read through [f] in order, and point
-   reads (row probes, the records of changed keys) go through [get]. *)
-let fold tbl f get edits path =
+   reads (row probes, the records of changed keys) go through [get].
+   Every byte copied is checked against the base's block table first
+   (a mem store's open and probes checked most of them already), so no
+   damage is sealed under the new generation's sums. *)
+let fold ~log_bytes tbl f get edits path =
+  let ss = Binfile.require_sect (Binfile.sects f) Binfile.tag_schema in
+  let check = Binfile.check ~buf:(Bytes.create Binfile.block_size) f in
+  check ~pos:0 ~len:ss.off;
   let fd = Graph_io.fold tbl f get edits in
   let l = Graph_io.fold_layout fd in
-  let ss = Binfile.require_sect (Binfile.sects f) Binfile.tag_schema in
   let stamp, regions = read_meta f ss ~map:l.map in
+  let head = match regions with r :: _ -> r.keys_at | [] -> ss.len in
+  check ~pos:ss.off ~len:head;
   let before = rows_view ~label:(Graph_io.label_at l get) ~row:(Graph_io.nbr_row l get) in
   let after = rows_view ~label:(Graph_io.fold_label fd) ~row:(Graph_io.fold_nbrs fd) in
   let touched = Graph_io.fold_touched fd in
@@ -361,6 +372,7 @@ let fold tbl f get edits path =
     List.map
       (fun r ->
         let at = ss.off + r.keys_at and len = region_bytes r in
+        check ~pos:at ~len;
         let sect = { ss with off = at; len } in
         let base =
           { Index.n_keys = r.n_keys;
@@ -385,5 +397,6 @@ let fold tbl f get edits path =
   in
   let w = Binfile.writer () in
   Graph_io.add_fold_sections w fd;
+  add_folded w ~base_sum:(Binfile.trailer f) ~log_bytes;
   add_regions w ~stamp regions;
   Binfile.write w path

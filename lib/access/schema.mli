@@ -111,7 +111,7 @@ val save : ?selectivity:Gstats.selectivity -> t -> string -> unit
     from a snapshot copies its bytes from that file. *)
 
 val write : ?selectivity:Gstats.selectivity -> t -> string -> int
-(** {!save}, returning the written file's {!Binfile.file_sum} (hashed
+(** {!save}, returning the written file's {!Binfile.trailer} (hashed
     while writing, not by re-reading the file). *)
 
 val load : Label.table -> string -> t * Gstats.selectivity option
@@ -125,12 +125,15 @@ val load : Label.table -> string -> t * Gstats.selectivity option
     buckets, every key and payload node id must lie in [\[0, n)], and
     each constraint's region must sit where {!save} puts it.
 
-    Indexes are checked by {!Index.load} and then served from windows
-    of a read-only mapping of the file.  The schema keeps the mapping
-    alive; the file must only ever be replaced by rename, never
-    truncated in place.  The graph is decoded ({!graph}) in the open's
-    one pass over its sections.
-    @raise Binfile.Corrupt on malformed or damaged snapshots. *)
+    The open checks the file's head (everything before the first index
+    region) against the block table and the graph sections' contents;
+    each index is served from windows of a read-only mapping of the
+    file and checked by its first probe or traversal ({!Index.load}), so
+    damage in an index region raises [Binfile.Corrupt] there rather than
+    here.  The schema keeps the mapping alive; the file must only ever
+    be replaced by rename, never truncated in place.  The graph is
+    decoded ({!graph}) in the open's one pass over its sections.
+    @raise Binfile.Corrupt on a malformed or damaged head. *)
 
 val load_sum :
   ?pool:Bpq_util.Pool.t ->
@@ -138,14 +141,19 @@ val load_sum :
   Label.table ->
   Binfile.file ->
   (t * Gstats.selectivity option) * int
-(** {!load} from an open file, also returning its {!Binfile.file_sum},
-    with the open's tasks ({!Binfile.run}: the checksum, the check of
-    the graph sections, groups of index regions) on [pool] (default
-    sequential), which the result does not depend on.  The file stays
-    open.  By default no [Digraph.t] is decoded: the schema's {!view}
-    reads the graph in place, and {!graph} decodes it on first use.
-    Under [decode] (for callers that will ask for the whole graph) the
-    check of the graph sections keeps what it reads, as {!graph}. *)
+(** {!load} from an open file, also returning its {!Binfile.trailer},
+    with the open's two tasks ({!Binfile.run}: the check of the head's
+    blocks, and the check of the graph sections) on [pool] (default
+    sequential), which the result does not depend on.  The head is
+    every byte before the first index region (and any other section
+    that lies past it), rounded up to whole blocks: no index region is
+    read, and {!Binfile.checked_bytes} counts exactly the head's blocks
+    when this returns.  The file stays open; the indexes' first probes
+    read their regions through it.  By default no [Digraph.t] is
+    decoded: the schema's {!view} reads the graph in place, and {!graph}
+    decodes it on first use.  Under [decode] (for callers that will ask
+    for the whole graph) the check of the graph sections keeps what it
+    reads, as {!graph}. *)
 
 (** {2 The schema section}
 
@@ -191,16 +199,38 @@ val read_meta : Binfile.file -> Binfile.sect -> map:int array -> int * region li
 
 (** {2 Folding a delta into a new generation} *)
 
+val add_folded : Binfile.writer -> base_sum:int -> log_bytes:int -> unit
+(** The lineage section ({!Binfile.tag_folded}) of a generation folded
+    from the one whose {!Binfile.trailer} is [base_sum], with the first
+    [log_bytes] bytes of its delta log. *)
+
+val folded : Binfile.file -> (int * int) option
+(** A file's lineage section, if it has one: [(base_sum, log_bytes)].
+    What lets [Bpq_store.Wal.open_] drop the records a generation
+    already holds.
+    @raise Binfile.Corrupt on a malformed section. *)
+
 val fold :
-  Label.table -> Binfile.file -> Graph_io.getter -> Graph_io.edits -> string -> int
-(** [fold tbl f get edits path] writes the snapshot [f] with the edits
-    folded in to [path] (atomically) and returns its
-    {!Binfile.file_sum}.  The result is byte for byte {!write} of the
+  log_bytes:int ->
+  Label.table ->
+  Binfile.file ->
+  Graph_io.getter ->
+  Graph_io.edits ->
+  string ->
+  int
+(** [fold ~log_bytes tbl f get edits path] writes the snapshot [f] with
+    the edits folded in to [path] (atomically) and returns its
+    {!Binfile.trailer}.  The result is byte for byte {!write} of the
     base's constraints built over [Digraph.apply_delta] of the base
     graph, its labels in [tbl], with the values patched, under the
-    base's stamp, with that graph's {!Gstats.selectivity}: its labels
+    base's stamp, with that graph's {!Gstats.selectivity}, with the
+    lineage section ({!add_folded}) of [f]'s trailer and [log_bytes]
+    (the length of the delta log the edits came from) before the schema
+    section: its labels
     are [tbl]'s as they stand (see {!Graph_io.fold}), then those the
-    appended nodes introduce, in order.  Nothing is decoded
+    appended nodes introduce, in order.  Every byte of [f] the result
+    copies is first checked against [f]'s block table ({!Binfile.check};
+    blocks already checked are not read again).  Nothing is decoded
     whole and no index is built: the graph sections stream from [f]
     ({!Graph_io.add_fold_sections}), each index is repaired from the
     neighbourhoods the delta changes ({!Index.apply_delta}) and written
@@ -208,4 +238,5 @@ val fold :
     through bounded readers of [f].  Point reads go through [get],
     which must read the same file.  [f] must stay open until this
     returns.
-    @raise Binfile.Corrupt on a malformed base. *)
+    @raise Binfile.Corrupt on a malformed or damaged base, before the
+    target is replaced. *)

@@ -508,7 +508,7 @@ let samples t =
       counter "served" "bpq_queries_served_total" "Queries answered successfully." t.served;
       counter "rejected" "bpq_queries_rejected_total" "Requests refused by admission control."
         t.rejected;
-      counter "errors" "bpq_errors_total" "Requests that raised an internal error." t.errors;
+      counter "errors" "bpq_errors_total" "Requests that raised an error (internal, or corrupt snapshot bytes)." t.errors;
       counter "timeouts" "bpq_timeouts_total" "Queries that exceeded the time budget." t.timeouts;
       counter "reloads" "bpq_reloads_total" "Live snapshot reloads." t.reloads;
       counter "writes" "bpq_writes_total" "Accepted write batches." t.writes;
@@ -627,7 +627,11 @@ let handle_line t line =
         Mutex.lock t.mu;
         t.errors <- t.errors + 1;
         Mutex.unlock t.mu;
-        error_response "internal" (Printexc.to_string e))
+        (* Damage an index's first probe found in its snapshot region:
+           typed, and raised again by every later probe of it. *)
+        match e with
+        | Bpq_graph.Binfile.Corrupt msg -> error_response "corrupt" msg
+        | e -> error_response "internal" (Printexc.to_string e))
     | Ok _ -> error_response "bad_request" "request must be a JSON object"
     | Error msg -> error_response "parse" ("invalid JSON: " ^ msg)
   in

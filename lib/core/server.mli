@@ -14,8 +14,9 @@
     back verbatim.  Responses are [{"ok":true, ...}] or
     [{"ok":false, "error":CODE, "message":...}] with codes
     [parse], [bad_request], [unbounded], [overloaded], [timeout],
-    [shutting_down], [reload_failed], [write_failed], [compact_failed]
-    and [internal].  [metrics] returns the counters as a Prometheus
+    [shutting_down], [reload_failed], [write_failed], [compact_failed],
+    [corrupt] (a query read an index region that fails its snapshot
+    check, see {!Bpq_access.Index.load}) and [internal].  [metrics] returns the counters as a Prometheus
     text-format page in its ["text"] field; both render {!samples}.
 
     A plain [GET /metrics] HTTP request on the same socket is answered

@@ -5,12 +5,14 @@ exception Corrupt of string
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 let magic = "BPQSNAP1"
-let version = 2
+let version = 3
 let tag_labels = 1
 let tag_nodes = 2
 let tag_csr = 3
 let tag_stats = 4
 let tag_schema = 5
+let tag_blocks = 6
+let tag_folded = 7
 
 (* FNV-1a folded into OCaml's 63-bit int range (same truncated basis as
    the spill-key hash in [Index]): the WAL's per-record checksum. *)
@@ -160,6 +162,12 @@ type i64s = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let chunk_size = 65536
 
+(* The block table: one sum per [block_size] bytes of everything before
+   it, then the sum of those entries. *)
+let block_size = 65536
+let blocks_of data_end = (data_end + block_size - 1) / block_size
+let table_len data_end = 8 * (blocks_of data_end + 1)
+
 (* ---------------- writing ---------------- *)
 
 (* A bounded output buffer: bytes are hashed and written in 64 KiB
@@ -170,13 +178,30 @@ type sink = {
   mutable fill : int;
   mutable flushed : int;
   sum : sum;
+  mutable block : sum option;  (* the current block's, until the data ends *)
+  sums : Buffer.t;  (* the finished blocks' *)
 }
 
 let emitted s = s.flushed + s.fill
 
+let seal_block s st =
+  add_i64 s.sums (digest st);
+  s.block <- Some (sum ())
+
+(* Every flushed byte feeds the file's sum and, until the data ends, its
+   block's: a flush may straddle a block boundary. *)
 let flush_sink s =
   if s.fill > 0 then begin
     feed_bytes s.sum s.chunk 0 s.fill;
+    let pos = ref 0 in
+    while Option.is_some s.block && !pos < s.fill do
+      let at = s.flushed + !pos in
+      let k = min (s.fill - !pos) (block_size - (at mod block_size)) in
+      let st = Option.get s.block in
+      feed_bytes st s.chunk !pos k;
+      pos := !pos + k;
+      if (at + k) mod block_size = 0 then seal_block s st
+    done;
     output s.oc s.chunk 0 s.fill;
     s.flushed <- s.flushed + s.fill;
     s.fill <- 0
@@ -235,26 +260,38 @@ let stream_section w ~tag ~len f =
   w.sections <- (tag, len, Streamed f) :: w.sections
 
 (* Header and sections go to the temp file through one sink, hashed on
-   the way; a streamed section must emit exactly its declared length. *)
+   the way, as a whole and block by block; a streamed section must emit
+   exactly its declared length.  The block table, whose size the data's
+   length fixes, is the directory's last entry. *)
 let write w path =
   let sections = List.rev w.sections in
-  let n = List.length sections in
+  let n = List.length sections + 1 in
   let header_len = 8 + 8 + 8 + (24 * n) in
   let header = Buffer.create header_len in
   Buffer.add_string header magic;
   add_i64 header version;
   add_i64 header n;
   let off = ref header_len in
-  List.iter
-    (fun (tag, len, _) ->
-      add_i64 header tag;
-      add_i64 header !off;
-      add_i64 header (round8 len);
-      off := !off + round8 len)
-    sections;
+  let entry tag len =
+    add_i64 header tag;
+    add_i64 header !off;
+    add_i64 header (round8 len);
+    off := !off + round8 len
+  in
+  List.iter (fun (tag, len, _) -> entry tag len) sections;
+  let data_end = !off in
+  entry tag_blocks (table_len data_end);
   let whole = ref 0 in
   Atomic_file.write path (fun oc ->
-      let s = { oc; chunk = Bytes.create chunk_size; fill = 0; flushed = 0; sum = sum () } in
+      let s =
+        { oc;
+          chunk = Bytes.create chunk_size;
+          fill = 0;
+          flushed = 0;
+          sum = sum ();
+          block = Some (sum ());
+          sums = Buffer.create (table_len data_end) }
+      in
       put_buffer s header;
       List.iter
         (fun (tag, len, body) ->
@@ -271,9 +308,15 @@ let write w path =
           done)
         sections;
       flush_sink s;
-      put_i64 s (digest s.sum);
+      Option.iter (fun st -> if s.flushed mod block_size <> 0 then seal_block s st) s.block;
+      s.block <- None;
+      assert (Buffer.length s.sums = 8 * blocks_of data_end);
+      add_i64 s.sums (sum_string (Buffer.contents s.sums));
+      put_buffer s s.sums;
       flush_sink s;
-      whole := digest s.sum);
+      whole := digest s.sum;
+      put_i64 s !whole;
+      flush_sink s);
   !whole
 
 (* ---------------- directory parsing ---------------- *)
@@ -290,27 +333,42 @@ let read_directory ~pread ~file_len =
   let m = Bytes.sub_string head 0 8 in
   if m <> magic then corrupt "not a bpq snapshot (bad magic %S)" m;
   let v = get_i64 head 8 in
-  if v = 1 then
+  if v = 1 || v = 2 then
     corrupt
-      "snapshot format version 1 (FNV-1a checksum) is no longer read; this build reads \
-       version %d: re-freeze the snapshot with `bpq freeze`, or re-shard the directory with \
-       `bpq shard`"
+      "snapshot format version %d (%s) is no longer read; this build reads version %d: \
+       re-freeze the snapshot with `bpq freeze`, or re-shard the directory with `bpq shard`"
+      v
+      (if v = 1 then "FNV-1a checksum" else "no block checksums")
       version;
   if v <> version then corrupt "unsupported snapshot version %d (this build reads %d)" v version;
   let n = get_i64 head 16 in
-  if n < 0 || n > 1_000_000 then corrupt "implausible section count %d" n;
+  if n < 1 || n > 1_000_000 then corrupt "implausible section count %d" n;
   let header_len = 24 + (24 * n) in
   if header_len > file_len - 8 then corrupt "truncated snapshot directory";
   let dir = pread ~pos:24 ~len:(24 * n) in
-  List.init n (fun i ->
-      let tag = get_i64 dir (24 * i) in
-      let off = get_i64 dir ((24 * i) + 8) in
-      let len = get_i64 dir ((24 * i) + 16) in
-      (* Subtraction form: for an [off] near [max_int], [off + len]
-         wraps negative and would pass. *)
-      if off < header_len || off land 7 <> 0 || len < 0 || len > file_len - 8 - off then
-        corrupt "section %d (tag %d) out of range" i tag;
-      { tag; off; len })
+  let sects =
+    List.init n (fun i ->
+        let tag = get_i64 dir (24 * i) in
+        let off = get_i64 dir ((24 * i) + 8) in
+        let len = get_i64 dir ((24 * i) + 16) in
+        (* Subtraction form: for an [off] near [max_int], [off + len]
+           wraps negative and would pass. *)
+        if off < header_len || off land 7 <> 0 || len < 0 || len > file_len - 8 - off then
+          corrupt "section %d (tag %d) out of range" i tag;
+        { tag; off; len })
+  in
+  (* The block table is the last entry and ends at the trailer, sized
+     for the bytes before it, and every other section lies in those
+     bytes: each is covered by the blocks. *)
+  let t = List.nth sects (n - 1) in
+  if t.tag <> tag_blocks || t.off + t.len <> file_len - 8 || t.len <> table_len t.off then
+    corrupt "block table missing or out of place";
+  List.iteri
+    (fun i s ->
+      if i < n - 1 && (s.tag = tag_blocks || s.len > t.off - s.off) then
+        corrupt "section %d (tag %d) overlaps the block table" i s.tag)
+    sects;
+  sects
 
 let find_sect sects tag = List.find_opt (fun s -> s.tag = tag) sects
 
@@ -459,12 +517,20 @@ end
 
 module Pool = Bpq_util.Pool
 
+type blocks = {
+  sums : int array;
+  ok : Bytes.t;  (* '\001' once checked *)
+  data_end : int;  (* the blocks cover [0, data_end) *)
+}
+
 (* An open file.  Every read is a seek and reads on its one descriptor,
    under [lock], into the reader's own buffer: readers on other domains
    share the descriptor, nothing else, and a rename of the path while it
    is open cannot swap the file under them.  [closed] is read and set
    under [lock], so no read reaches a descriptor number after [close]
-   has released it. *)
+   has released it.  The block table is read and checked against its
+   own sum on first use, and a block is marked once its bytes matched
+   its sum. *)
 type file = {
   fd : Unix.file_descr;
   path : string;
@@ -473,6 +539,10 @@ type file = {
   mutable closed : bool;
   sects : sect list;
   mutable tasks : (int * (unit -> unit)) list;  (* weight and job, newest first *)
+  mutable head : int option;  (* set by a run's plan: check no further *)
+  mutable blocks : blocks option;
+  blk_lock : Mutex.t;  (* guards [blocks] and the marks; taken before [lock] *)
+  checked : int Atomic.t;  (* bytes of the blocks marked *)
 }
 
 let rec unix f path =
@@ -486,7 +556,17 @@ let open_raw path =
   let fd = unix (fun () -> Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0) path in
   match (Unix.fstat fd).Unix.st_size with
   | file_len ->
-    { fd; path; file_len; lock = Mutex.create (); closed = false; sects = []; tasks = [] }
+    { fd;
+      path;
+      file_len;
+      lock = Mutex.create ();
+      closed = false;
+      sects = [];
+      tasks = [];
+      head = None;
+      blocks = None;
+      blk_lock = Mutex.create ();
+      checked = Atomic.make 0 }
   | exception e ->
     Unix.close fd;
     raise e
@@ -554,22 +634,94 @@ let hash_prefix f st len =
 
 let file_sum path =
   with_raw path @@ fun f ->
-  let st = sum () in
-  hash_prefix f st f.file_len;
-  digest st
-
-(* The body's sum against the trailer (compared as stored, all 64
-   bits); returns the whole file's sum. *)
-let check_sum f =
+  if f.file_len < 8 then corrupt "truncated snapshot (%d bytes)" f.file_len;
   let st = sum () in
   hash_prefix f st (f.file_len - 8);
-  let trailer = read f ~pos:(f.file_len - 8) ~len:8 in
-  let stored = Bytes.get_int64_le trailer 0 and computed = digest st in
+  digest st
+
+let trailer f = get_i64 (read f ~pos:(f.file_len - 8) ~len:8) 0
+
+(* ---------------- block checks ----------------
+
+   [read b ~at ~pos ~len] reads the file's bytes [pos, pos + len) into
+   [b] from [at]: through the descriptor, or as a mapped snapshot's
+   readers do. *)
+
+let block_table read f =
+  Mutex.protect f.blk_lock @@ fun () ->
+  match f.blocks with
+  | Some b -> b
+  | None ->
+    let t = require_sect f.sects tag_blocks in
+    let raw = Bytes.create t.len in
+    read raw ~at:0 ~pos:t.off ~len:t.len;
+    let n = (t.len / 8) - 1 in
+    let st = sum () in
+    feed_bytes st raw 0 (8 * n);
+    let stored = Bytes.get_int64_le raw (8 * n) and computed = digest st in
+    if stored <> Int64.of_int computed then
+      corrupt
+        "checksum mismatch in the block table (stored %016Lx, computed %016x) — snapshot is \
+         damaged"
+        stored computed;
+    let b =
+      { sums = Array.init n (fun i -> get_i64 raw (8 * i)); ok = Bytes.make n '\000'; data_end = t.off }
+    in
+    f.blocks <- Some b;
+    b
+
+(* Block [i], [k] bytes long, in [buf]: against its sum, then marked. *)
+let check_block f b buf i k =
+  let st = sum () in
+  feed_bytes st buf 0 k;
+  let lo = i * block_size in
+  if digest st <> b.sums.(i) then
+    corrupt "checksum mismatch in block %d (bytes %d to %d) — snapshot is damaged" i lo (lo + k);
+  Mutex.protect f.blk_lock (fun () ->
+      if Bytes.get b.ok i = '\000' then begin
+        Bytes.set b.ok i '\001';
+        ignore (Atomic.fetch_and_add f.checked k : int)
+      end)
+
+(* Every unmarked block that meets [pos, pos + len), read into [buf]
+   (a block long).  Two domains may both hash a block; only one marks
+   it. *)
+let check_blocks read f buf ~pos ~len =
+  let b = block_table read f in
+  if pos < 0 || len < 0 || len > b.data_end - pos then
+    corrupt "bytes %d to %d are not covered by the block table" pos (pos + len);
+  if len > 0 then
+    for i = pos / block_size to (pos + len - 1) / block_size do
+      if Bytes.get b.ok i = '\000' then begin
+        let k = min block_size (b.data_end - (i * block_size)) in
+        read buf ~at:0 ~pos:(i * block_size) ~len:k;
+        check_block f b buf i k
+      end
+    done
+
+(* Every block, the table and the trailer in one pass over the file,
+   through [buf]: the whole-file check. *)
+let check_all read f buf =
+  let b = block_table read f in
+  let whole = sum () in
+  let body = f.file_len - 8 and pos = ref 0 in
+  while !pos < body do
+    let k = min block_size ((if !pos < b.data_end then b.data_end else body) - !pos) in
+    read buf ~at:0 ~pos:!pos ~len:k;
+    feed_bytes whole buf 0 k;
+    if !pos < b.data_end then check_block f b buf (!pos / block_size) k;
+    pos := !pos + k
+  done;
+  let trailer = Bytes.create 8 in
+  read trailer ~at:0 ~pos:body ~len:8;
+  let stored = Bytes.get_int64_le trailer 0 and computed = digest whole in
   if stored <> Int64.of_int computed then
     corrupt "checksum mismatch (stored %016Lx, computed %016x) — snapshot is damaged" stored
-      computed;
-  feed_bytes st trailer 0 8;
-  digest st
+      computed
+
+let check ?(buf = Bytes.create block_size) f ~pos ~len = check_blocks (read_into f) f buf ~pos ~len
+let check_upto f n = f.head <- Some n
+let checked_bytes f = Atomic.get f.checked
 
 let task f ~weight job =
   let result = ref None in
@@ -673,20 +825,27 @@ let put_read s read ~pos ~len =
 let put_mapped s m ~pos ~len = put_read s (read_mapped m) ~pos ~len
 let put_file s f ~pos ~len = put_read s (read_into f) ~pos ~len
 
-(* The plan's tasks and the checksum, largest first, on the pool.  Each
-   task keeps its own outcome, so the checksum's verdict is raised ahead
-   of any task's, and a task's exception does not stop the others. *)
+(* The plan's tasks and the check, largest first, on the pool: of the
+   whole file, or of the blocks before the plan's [check_upto].  Each
+   task keeps its own outcome, so the check's verdict is raised ahead of
+   any task's, and a task's exception does not stop the others. *)
 let run ?(pool = Pool.sequential) f plan =
   f.tasks <- [];
+  f.head <- None;
+  let read = read_into f in
   match plan f with
   | exception (Corrupt _ as e) ->
     let bt = Printexc.get_raw_backtrace () in
     (* Damage that broke a decoder is reported as damage. *)
-    ignore (check_sum f : int);
+    check_all read f (Bytes.create block_size);
     Printexc.raise_with_backtrace e bt
   | v ->
-    let whole = ref 0 in
-    let tasks = Array.of_list ((f.file_len, fun () -> whole := check_sum f) :: List.rev f.tasks) in
+    let check =
+      match f.head with
+      | None -> (f.file_len, fun () -> check_all read f (Bytes.create block_size))
+      | Some n -> (n, fun () -> check_blocks read f (Bytes.create block_size) ~pos:0 ~len:n)
+    in
+    let tasks = Array.of_list (check :: List.rev f.tasks) in
     f.tasks <- [];
     let outcomes = Array.make (Array.length tasks) None in
     let order = Array.init (Array.length tasks) Fun.id in
@@ -695,7 +854,7 @@ let run ?(pool = Pool.sequential) f plan =
       (fun i -> try snd tasks.(i) () with e -> outcomes.(i) <- Some (e, Printexc.get_raw_backtrace ()))
       order;
     Array.iter (Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt)) outcomes;
-    (v, !whole)
+    (v, trailer f)
 
 let verify path = with_file path (fun f -> ignore (run f ignore : unit * int))
 
@@ -721,7 +880,7 @@ module Reader = struct
     { file; via; buf; lo = 0; hi = 0; at = s.off; sect_off = s.off; sect_end = s.off + s.len }
 
   let create ?buf file s = make ?buf file None s
-  let of_mapped m s = make m.m_file (Some m) s
+  let of_mapped ?buf m s = make ?buf m.m_file (Some m) s
 
   let file_pos t = t.at - (t.hi - t.lo)
   let remaining t = t.sect_end - file_pos t
@@ -809,3 +968,10 @@ let put_reader s (r : Reader.t) n =
     s.fill <- s.fill + k;
     left := !left - k
   done
+
+(* The range's blocks, then the range through a reader, both through one
+   buffer. *)
+let check_mapped m (s : sect) k =
+  let buf = Bytes.create block_size in
+  check_blocks (read_mapped m) m.m_file buf ~pos:s.off ~len:s.len;
+  k (Reader.of_mapped ~buf m s)

@@ -9,16 +9,29 @@
     section count               i64
     directory                   (tag, offset, length) x count
     section payloads            back to back, 8-aligned
+    block table                 the last section (tag_blocks): one
+                                {!sum_string} per 64 KiB block of the
+                                bytes before it (the last block may be
+                                short), then the sum of those entries
     checksum                    i64, {!sum_string} of everything above
     v}
     Offsets are absolute file positions, so an out-of-core reader can
-    serve any section slice without touching the rest of the file.  The
-    mem open ({!run}) always verifies the trailing checksum;
-    {!open_file} only validates the header and directory, which is
-    what lets a paged store open a multi-gigabyte snapshot without
-    scanning it.  Format version 2 (this one) is the xxHash64 checksum;
-    a version 1 file (FNV-1a) is refused with [Corrupt], naming the
-    commands that rebuild it.
+    serve any section slice without touching the rest of the file.
+
+    What is checked when: {!open_file} validates the header and
+    directory only (the block table must be the last entry and every
+    other section must lie before it), which is what lets a paged store
+    open a multi-gigabyte snapshot without scanning it.  {!run} checks
+    the whole file (every block, the table, the trailer) unless its plan
+    narrows that to a prefix ({!check_upto}): a mem open checks the
+    blocks of its head, and each index region's blocks are checked by
+    {!check_mapped} or {!check} when something first reads it.  A
+    block, once it matched its sum, is not hashed again while its
+    {!file} stays open.
+
+    Format version 3 (this one) added the block table; version 1 (FNV-1a
+    checksum) and version 2 (xxHash64, no block table) files are refused
+    with [Corrupt], naming the commands that rebuild them.
 
     Snapshots are immutable once written: they are replaced only by
     renaming a new file over the old one ({!Bpq_util.Atomic_file}), never
@@ -56,10 +69,10 @@ val digest : sum -> int  (** Of the bytes fed so far; [st] is unchanged. *)
 val sum_string : string -> int
 
 val file_sum : string -> int
-(** Of an entire file (trailer included): the content identity that
-    pairs a delta log with its snapshot generation.
+(** Of everything before the trailer, hashed from the file: what its
+    trailer stores when the file is intact, and what {!write} returned.
     @raise Sys_error if the file cannot be opened.
-    @raise Corrupt if it shrinks while being read. *)
+    @raise Corrupt if it is under 8 bytes or shrinks while being read. *)
 
 (** Section tags, fixed across the format version. *)
 
@@ -72,6 +85,13 @@ val tag_csr : int  (** The frozen adjacency arrays. *)
 val tag_stats : int  (** {!Gstats} selectivity statistics. *)
 
 val tag_schema : int  (** Constraints + built index buckets. *)
+
+val tag_blocks : int  (** The block table, written by {!write} itself. *)
+
+val tag_folded : int
+(** A compacted generation's lineage: what it folded ([Schema.fold]). *)
+
+val block_size : int  (** 64 KiB: the bytes one block-table entry covers. *)
 
 (** {1 Encoding helpers} *)
 
@@ -160,8 +180,9 @@ val put_mapped : sink -> mapped -> pos:int -> len:int -> unit
 
 val write : writer -> string -> int
 (** Serialise to [path] atomically ({!Bpq_util.Atomic_file}), streaming
-    the header and sections through one bounded sink while hashing them.
-    Returns the written file's {!file_sum}. *)
+    the header and sections through one bounded sink while hashing them,
+    as a whole and block by block, then the block table and the trailer.
+    Returns the trailer, which is the written file's {!file_sum}. *)
 
 (** {1 Decoding byte buffers} *)
 
@@ -249,15 +270,41 @@ val read : file -> pos:int -> len:int -> Bytes.t
 
 val run : ?pool:Bpq_util.Pool.t -> file -> (file -> 'a) -> 'a * int
 (** [run ?pool f plan] applies [plan] (which reads small parts and
-    registers {!task}s), then runs the tasks and a pass that checks the
-    checksum on [pool] (default sequential), largest first.  Returns the
-    plan's result and the {!file_sum}; the tasks' getters work from then
-    on.  The checksum mismatch is raised in place of any [Corrupt] from
-    the plan or a task; otherwise the first task's exception in
-    registration order.  No domain is spawned.  One [run] at a time per
-    file.
+    registers {!task}s), then runs the tasks and a check on [pool]
+    (default sequential), largest first: of the whole file (every block,
+    the block table and the trailer), or, if the plan called
+    {!check_upto}, of the blocks of that prefix.  Returns the plan's
+    result and the file's {!trailer}; the tasks' getters work from then
+    on.  A checksum mismatch is raised in place of any [Corrupt] from
+    the plan (after which the whole file is checked) or a task;
+    otherwise the first task's exception in registration order.  No
+    domain is spawned.  One [run] at a time per file.
     @raise Corrupt on any malformed or damaged input.
     @raise Sys_error if the file cannot be read. *)
+
+val check_upto : file -> int -> unit
+(** Called by a {!run}'s plan: the run checks only the blocks that meet
+    bytes [\[0, n)], leaving the rest to {!check} and {!check_mapped}
+    when something reads them. *)
+
+val trailer : file -> int
+(** The stored whole-file sum, read in O(1): the content identity that
+    pairs a delta log with its snapshot generation.  Equal to
+    {!file_sum} on an intact file. *)
+
+val check : ?buf:Bytes.t -> file -> pos:int -> len:int -> unit
+(** Check every block that meets bytes [\[pos, pos + len)] and is not
+    checked yet against the block table (itself checked against its own
+    sum on first use), reading through the descriptor; then mark it.
+    Marks nothing on a failure, so a later call checks again.  [buf]
+    ({!block_size} bytes) is read into instead of a fresh buffer, for a
+    caller that checks many ranges one after another.
+    @raise Corrupt naming the first block that does not match, or a
+    range outside the blocks. *)
+
+val checked_bytes : file -> int
+(** Bytes of the blocks checked so far: after a mem open, its head
+    rounded up to whole blocks. *)
 
 val task : file -> weight:int -> (unit -> 'a) -> unit -> 'a
 (** Register a task, weighted by the bytes it reads; returns its
@@ -266,6 +313,7 @@ val task : file -> weight:int -> (unit -> 'a) -> unit -> 'a
 val mapping : file -> mapped
 (** A private read-only mapping, made from the descriptor.  It may be
     read only once {!run} has returned, and outlives {!close_file}. *)
+
 
 (** A byte range read front to back through a private 64 KiB buffer.
     Reads raise [Corrupt] past its end, and on lengths the rest cannot
@@ -278,9 +326,10 @@ module Reader : sig
       instead of a fresh 64 KiB buffer, for callers that run many
       readers one after another; no two live readers may share one. *)
 
-  val of_mapped : mapped -> sect -> t
+  val of_mapped : ?buf:Bytes.t -> mapped -> sect -> t
   (** A range of a mapped snapshot, read as {!put_mapped} reads: from the
-      file it was mapped from while that is open, else from the mapping. *)
+      file it was mapped from while that is open, else from the mapping.
+      [buf] as for {!create}. *)
 
   val remaining : t -> int
   val file_pos : t -> int  (** Of the next byte. *)
@@ -294,6 +343,14 @@ module Reader : sig
   val byte : t -> int
   val skip : t -> int -> unit  (** [skip t n] passes over [n] bytes. *)
 end
+
+val check_mapped : mapped -> sect -> (Reader.t -> 'a) -> 'a
+(** [check_mapped m s k]: {!check} of the range [s] on the file the
+    mapping was made from, then [k] applied to a reader of the range
+    ({!Reader.of_mapped}).  Both read as {!put_mapped} does: through the
+    descriptor while the file is open, so no page of the range becomes
+    resident, else through the mapping; and both through one 64 KiB
+    buffer. *)
 
 val put_file : sink -> file -> pos:int -> len:int -> unit
 (** Bytes [\[pos, pos + len)] of an open file, read straight into the

@@ -9,9 +9,9 @@ type mem = {
   sel : Gstats.selectivity option;
   src : Exec.source;
   snapshot : (Binfile.file * int) option;
-      (* the snapshot it was loaded from, open until [close] (a
-         compaction copies untouched index regions from it), and its
-         whole-file checksum *)
+      (* the snapshot it was loaded from, open until [close] (indexes
+         check their regions through it on first use, and a compaction
+         copies untouched regions from it), and its trailer *)
 }
 
 type base =
@@ -66,8 +66,7 @@ let open_snapshot ?(backend = Mem) ?pool ?page_cache_mb ?cache_pages ?readahead 
   let b =
     match backend with
     | Mem ->
-      (* Loading the snapshot checksums the whole file already; keep its
-         sum so a delta log pairs with it without a second pass. *)
+      (* The open reads the trailer a delta log pairs with. *)
       let f = Binfile.open_file path in
       let (schema, sel), sum =
         try
@@ -128,6 +127,40 @@ let selectivity t =
 
 let schema t = match t.b with In_mem m -> Some m.schema | On_disk _ | Sharded_t _ -> None
 
+(* The net effect of [ops] on [g], as a compaction folds them: appended
+   nodes in order, then the last write to each edge that changes it,
+   then the last write to each value. *)
+let fold_ops g ops =
+  let tbl = Digraph.label_table g and n = Digraph.n_nodes g in
+  let added = ref [] and edges = Hashtbl.create 16 and vals = Hashtbl.create 16 in
+  List.iter
+    (function
+      | Wal.Add_node { label; value } -> added := (Label.intern tbl label, value) :: !added
+      | Wal.Add_edge (u, v) -> Hashtbl.replace edges (u, v) true
+      | Wal.Remove_edge (u, v) -> Hashtbl.replace edges (u, v) false
+      | Wal.Set_value (v, value) -> Hashtbl.replace vals v value)
+    ops;
+  let flips present =
+    Hashtbl.fold
+      (fun (u, v) p acc ->
+        if p = present && p <> (u < n && v < n && Digraph.has_edge g u v) then (u, v) :: acc
+        else acc)
+      edges []
+  in
+  let g' =
+    Digraph.apply_delta g
+      { Digraph.added_nodes = List.rev !added;
+        added_edges = flips true;
+        removed_edges = flips false }
+  in
+  if Hashtbl.length vals = 0 then g'
+  else begin
+    let r = Digraph.Repr.of_graph g' in
+    let values = Array.copy r.values in
+    Hashtbl.iter (fun v value -> values.(v) <- value) vals;
+    Digraph.Repr.to_graph tbl { r with values }
+  end
+
 let io_counters t =
   match t.b with On_disk p -> Some (Paged.io_counters p) | In_mem _ | Sharded_t _ -> None
 
@@ -154,25 +187,27 @@ let close t =
 (* The write path                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Content identity of the generation behind this store: the snapshot
-   file's checksum (computed when an in-memory store read it, checked on
-   the file a paged store serves), or the shard manifest's (any shard
-   edit rewrites the manifest checksums, so the manifest stands for the
-   whole directory). *)
-let base_checksum t =
+(* Content identity of the generation behind this store: the trailer of
+   the snapshot file it serves (the whole-file sum its writer stored,
+   read in O(1)), or of the shard manifest (any shard edit rewrites the
+   manifest checksums, so the manifest stands for the whole directory);
+   and the lineage of a compacted snapshot. *)
+let base_identity t =
   match (t.path, t.b) with
   | None, _ | _, In_mem { snapshot = None; _ } ->
     failwith "delta logs attach to snapshot-backed stores, not in-memory ones"
-  | Some _, In_mem { snapshot = Some (_, sum); _ } -> sum
-  | Some _, On_disk p -> snd (Binfile.run (Paged.file p) ignore)
+  | Some _, In_mem { snapshot = Some (f, sum); _ } -> (sum, Schema.folded f)
+  | Some _, On_disk p -> (Binfile.trailer (Paged.file p), Schema.folded (Paged.file p))
   | Some path, Sharded_t _ ->
-    Binfile.file_sum
-      (if Sys.is_directory path then Filename.concat path "MANIFEST" else path)
+    ( Binfile.with_file
+        (if Sys.is_directory path then Filename.concat path "MANIFEST" else path)
+        Binfile.trailer,
+      None )
 
 let attach_wal ?carry t wal_path =
   if t.ws <> None then failwith "store already has a delta log attached";
-  let base_sum = base_checksum t in
-  let wal, ops, dropped = Wal.open_ ~base_sum ~base_stamp:(stamp t) wal_path in
+  let base_sum, folded = base_identity t in
+  let wal, ops, dropped = Wal.open_ ?folded ~base_sum ~base_stamp:(stamp t) wal_path in
   let base = base_source t in
   let ov0 =
     Overlay.empty ?carry ~base_n:(base_nodes t) ~base_size:(base_source t).Exec.graph_size ()
@@ -191,6 +226,13 @@ let attach_wal ?carry t wal_path =
           retired = false;
           wmu = Mutex.create () };
     dropped
+
+let graph t =
+  Option.map
+    (fun s ->
+      let g = Schema.graph s in
+      match t.ws with None -> g | Some ws -> fold_ops g (List.rev ws.ops_rev))
+    (schema t)
 
 let wal t = Option.map (fun ws -> ws.wal) t.ws
 let overlay t = Option.map (fun ws -> ws.ov) t.ws
@@ -334,7 +376,11 @@ let compact ?out t =
           (* The serving table, queries' labels and all, so every label
              keeps its id across the roll: cached answers and a carried
              overlay's per-label generations are keyed by those ids. *)
-          let sum = Schema.fold (table t) f get (edits_of_ops (List.rev ws.ops_rev)) out in
+          let sum =
+            Schema.fold ~log_bytes:(Wal.bytes ws.wal) (table t) f get
+              (edits_of_ops (List.rev ws.ops_rev))
+              out
+          in
           if out = path then begin
             (* In-place generation roll: the folded-in records leave the
                log, and its header now names the new snapshot.  This

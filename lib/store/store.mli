@@ -15,8 +15,9 @@ open Bpq_core
 
 type backend =
   | Mem
-      (** Check the whole snapshot at open, then serve its graph and
-          indexes in place from a mapping of the file. *)
+      (** Check the snapshot's head at open and each index region at its
+          first probe, and serve the graph and indexes in place from a
+          mapping of the file. *)
   | Paged  (** Serve from the file through a page cache ({!Paged}). *)
   | Sharded
       (** Serve from a {!Shard} directory through worker processes
@@ -50,7 +51,8 @@ val open_snapshot :
   t
 (** Open a {!Bpq_access.Schema.save} snapshot, once: every check below
     reads the descriptor the store then serves from.  [backend] defaults
-    to [Mem], which loads and verifies the whole file on [pool]
+    to [Mem], which loads the file on [pool], checking its head there
+    and each index region at the index's first probe
     ({!Bpq_access.Schema.load_sum}).  [Paged] serves it through a page
     cache sized by [page_cache_mb] / [cache_pages], with [readahead] its
     sequential prefetch depth ({!Paged.open_}; all three ignored under
@@ -75,6 +77,18 @@ val selectivity : t -> Gstats.selectivity option
 val schema : t -> Schema.t option
 (** The in-memory schema — [None] for the paged backend, whose whole
     point is not materialising one. *)
+
+val graph : t -> Digraph.t option
+(** The whole graph a mem store serves, decoded ({!Schema.graph}), with
+    the attached delta log's edits applied ({!fold_ops}): what a
+    conventional evaluation of an unbounded query runs over.  [None] for
+    the paged and sharded backends. *)
+
+val fold_ops : Digraph.t -> Wal.op list -> Digraph.t
+(** The graph with the ops' net effect applied, as a compaction folds
+    them: appended nodes in order (labels interned into the graph's
+    table), the last write to each edge where it changes the edge, and
+    the last write to each value. *)
 
 val io_counters : t -> Paged.io_counters option
 (** Page-cache counters — [None] for in-memory and sharded backends. *)
@@ -112,9 +126,12 @@ val close : t -> unit
 
 val attach_wal : ?carry:Overlay.t -> t -> string -> int
 (** [attach_wal t path] opens (creating if absent) the delta log at
-    [path], pairing it with this store's snapshot generation (content
-    checksum + schema stamp — a log written against another generation
-    or schema is refused with a one-line [Failure]), replays its records
+    [path], pairing it with this store's snapshot generation (the
+    snapshot's stored trailer, {!Binfile.trailer}, read in O(1), and the
+    schema stamp — a log written against another generation or schema is
+    refused with a one-line [Failure], except a log the generation
+    records it folded ({!Bpq_access.Schema.folded}), whose folded
+    records are dropped: {!Wal.open_}), replays its records
     into a fresh overlay, and returns the number of torn-tail bytes that
     recovery discarded (0 for a clean log).  [?carry] inherits per-label
     write generations from a pre-compaction overlay

@@ -2,12 +2,14 @@
 
    One log pairs with one snapshot generation.  The header records the
    base snapshot's whole-file checksum (and its schema stamp), so a log can
-   never be replayed against the wrong generation — in particular, a
-   crash that lands between a compaction's snapshot rename and the log
-   truncation leaves a log whose base checksum no longer matches the
-   (already folded-in) snapshot; replaying it would double-apply the
-   non-idempotent [Add_node] records, so the mismatch is a hard typed
-   error instead.
+   never be replayed against the wrong generation.  A crash that lands
+   between a compaction's snapshot rename and the log truncation leaves
+   a log whose header names the generation the compaction folded, not
+   the one now on disk; replaying its folded records would double-apply
+   the non-idempotent [Add_node]s.  The new generation records what it
+   folded (that generation's checksum and the log length then), so the
+   open drops exactly those records and keeps the later ones; any other
+   mismatch is a hard typed error.
 
    Records are individually checksummed ([len | payload | fnv64]), and
    recovery scans from the header forward, stopping at the first record
@@ -182,9 +184,10 @@ let read_file path =
       let n = in_channel_length ic in
       really_input_string ic n)
 
-(* Scan the record region of raw log bytes, returning the replayable ops
-   and the length of the valid prefix.  Anything past the first bad
-   length/checksum/decode is a torn tail. *)
+(* Scan the record region of raw log bytes, returning the replayable ops,
+   each with the offset just past it, and the length of the valid
+   prefix.  Anything past the first bad length/checksum/decode is a torn
+   tail. *)
 let scan raw =
   let size = String.length raw in
   let get_i64 pos = Binfile.get_i64 (Bytes.unsafe_of_string raw) pos in
@@ -200,53 +203,81 @@ let scan raw =
       else
         match decode_op payload with
         | op ->
-          ops := op :: !ops;
-          pos := !pos + 16 + len
+          pos := !pos + 16 + len;
+          ops := (op, !pos) :: !ops
         | exception Binfile.Corrupt _ -> stop := true
     end
   done;
   (List.rev !ops, !pos)
 
-let open_ ~base_sum ~base_stamp path =
+(* The log rewritten, atomically, to pair with [base_sum]: the records
+   from byte [upto] on, which the generation that folded the rest did
+   not hold.  Returns the torn-tail bytes left out. *)
+let rebase path raw ~upto ~base_sum ~base_stamp =
+  let recs, valid = scan raw in
+  if valid < upto then
+    failf "delta log %s is shorter (%d bytes) than the %d bytes its next generation folded"
+      path valid upto;
+  if upto <> header_len && not (List.exists (fun (_, e) -> e = upto) recs) then
+    failf "delta log %s has no record boundary at byte %d, where its next generation folded it"
+      path upto;
+  Bpq_util.Atomic_file.write path (fun oc ->
+      output_string oc (header base_sum base_stamp);
+      output_substring oc raw upto (valid - upto));
+  String.length raw - valid
+
+(* Whether a log's header pairs it with the store's generation, or
+   names the generation that generation folded, up to which byte. *)
+let pairing ?folded ~base_sum ~base_stamp path raw =
+  if String.sub raw 0 8 <> magic then failf "%s is not a bpq delta log (bad magic)" path;
+  let got_sum = Binfile.get_i64 (Bytes.unsafe_of_string raw) 8 in
+  let got_stamp = Binfile.get_i64 (Bytes.unsafe_of_string raw) 16 in
+  let pairing =
+    match folded with
+    | _ when got_sum = base_sum -> `Paired
+    | Some (from, upto) when from = got_sum -> `Folded upto
+    | _ ->
+      failf
+        "delta log %s was written against a different snapshot generation (base checksum \
+         %x, store has %x) — compact or discard it"
+        path got_sum base_sum
+  in
+  if got_stamp <> base_stamp then
+    failf "delta log %s was written against a different access schema (stamp %d, store has %d)"
+      path got_stamp base_stamp;
+  pairing
+
+let rec open_ ?folded ~base_sum ~base_stamp path =
   let expect = header base_sum base_stamp in
   let raw = if Sys.file_exists path then read_file path else "" in
   let fresh = String.length raw < header_len in
-  if not fresh then begin
-    if String.sub raw 0 8 <> magic then
-      failf "%s is not a bpq delta log (bad magic)" path;
-    let got_sum = Binfile.get_i64 (Bytes.unsafe_of_string raw) 8 in
-    let got_stamp = Binfile.get_i64 (Bytes.unsafe_of_string raw) 16 in
-    if got_sum <> base_sum then
-      failf
-        "delta log %s was written against a different snapshot generation \
-         (base checksum %x, store has %x) — compact or discard it"
-        path got_sum base_sum;
-    if got_stamp <> base_stamp then
-      failf
-        "delta log %s was written against a different access schema (stamp %d, \
-         store has %d)"
-        path got_stamp base_stamp
-  end;
-  let ops, valid = if fresh then ([], header_len) else scan raw in
-  let dropped = if fresh then 0 else String.length raw - valid in
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  (try
-     if fresh then begin
-       Unix.ftruncate fd 0;
-       write_all fd expect;
-       Unix.fsync fd
-     end
-     else if dropped > 0 then begin
-       (* Physically drop the torn tail so later appends extend the valid
-          prefix instead of burying garbage mid-file. *)
-       Unix.ftruncate fd valid;
-       Unix.fsync fd
-     end;
-     ignore (Unix.lseek fd valid Unix.SEEK_SET)
-   with e ->
-     Unix.close fd;
-     raise e);
-  ({ path; fd; bytes = valid; records = List.length ops }, ops, dropped)
+  match if fresh then `Paired else pairing ?folded ~base_sum ~base_stamp path raw with
+  | `Folded upto ->
+    let torn = rebase path raw ~upto ~base_sum ~base_stamp in
+    let t, ops, dropped = open_ ~base_sum ~base_stamp path in
+    (t, ops, dropped + torn)
+  | `Paired ->
+    let ops, valid = if fresh then ([], header_len) else scan raw in
+    let ops = List.map fst ops in
+    let dropped = if fresh then 0 else String.length raw - valid in
+    let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+    (try
+       if fresh then begin
+         Unix.ftruncate fd 0;
+         write_all fd expect;
+         Unix.fsync fd
+       end
+       else if dropped > 0 then begin
+         (* Physically drop the torn tail so later appends extend the valid
+            prefix instead of burying garbage mid-file. *)
+         Unix.ftruncate fd valid;
+         Unix.fsync fd
+       end;
+       ignore (Unix.lseek fd valid Unix.SEEK_SET)
+     with e ->
+       Unix.close fd;
+       raise e);
+    ({ path; fd; bytes = valid; records = List.length ops }, ops, dropped)
 
 let append ?(sync = true) t ops =
   match ops with

@@ -4,16 +4,19 @@
     Layout:
     {v
     magic "BPQWAL01"     8 bytes
-    base checksum        i64   — Binfile.file_sum of the paired snapshot
+    base checksum        i64   — Binfile.trailer of the paired snapshot
     base schema stamp    i64
     records              [len | payload | fnv64(payload)] ...
     v}
 
     The base checksum pairs the log with exactly one snapshot
     generation: {!open_} refuses (with a one-line [Failure]) a log whose
-    header does not match the live store, which is what makes a crash
-    between a compaction's snapshot rename and the log truncation safe —
-    the stale log is rejected instead of double-applied.
+    header does not match the live store, so a log is never replayed
+    against another generation.  The one mismatch it repairs is the one
+    a crash between a compaction's snapshot rename and the log
+    truncation leaves: the new generation names the generation and log
+    length it folded ([?folded]), and the log's folded records are
+    dropped rather than applied twice.
 
     Recovery scans records forward and stops at the first bad length or
     checksum; a torn tail from a crash mid-append is dropped (and
@@ -35,12 +38,23 @@ type op =
 
 type t
 
-val open_ : base_sum:int -> base_stamp:int -> string -> t * op list * int
+val open_ :
+  ?folded:int * int -> base_sum:int -> base_stamp:int -> string -> t * op list * int
 (** [open_ ~base_sum ~base_stamp path] opens (creating if absent) the
     log for appending and returns [(log, ops, dropped_bytes)]: the
     replayable record prefix in append order, and how many torn-tail
     bytes were discarded (0 for a clean log).
-    @raise Failure (one line) on a base checksum or stamp mismatch. *)
+
+    [folded = (sum, bytes)] is what the store's generation folded: the
+    generation with checksum [sum], and its log's first [bytes] bytes
+    (header included).  A log whose header names [sum] instead of
+    [base_sum] was left behind by a compaction that renamed the new
+    generation into place and stopped before truncating the log: its
+    first [bytes] bytes are dropped, the records after them kept, and
+    the log rewritten atomically under a header naming [base_sum], then
+    opened as usual.
+    @raise Failure (one line) on a base checksum or stamp mismatch, and
+    on a log shorter than [bytes] or with no record ending there. *)
 
 val append : ?sync:bool -> t -> op list -> unit
 (** Append one batch as consecutive records — a single write, fsync'd

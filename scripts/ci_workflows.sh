@@ -73,6 +73,24 @@ test -s jobs1.out && diff jobs1.out jobs2.out
 cp g.snap v1.snap
 printf '\001' | dd of=v1.snap bs=1 seek=8 count=1 conv=notrunc 2>/dev/null
 refused '.*version 1' "$B" run -g v1.snap -q q.txt
+# so is a version 2 snapshot (no block checksums)
+cp g.snap v2.snap
+printf '\002' | dd of=v2.snap bs=1 seek=8 count=1 conv=notrunc 2>/dev/null
+refused '.*version 2' "$B" run -g v2.snap -q q.txt
+# a byte flipped at the end of the schema section (the last index
+# region): the mem open checks only the head, and the index's first use
+# (here `run`'s satisfaction report, which reads every index) fails on
+# the block's checksum with a diagnostic
+python3 - g.snap badregion.snap <<'PY'
+import struct, sys
+d = bytearray(open(sys.argv[1], 'rb').read())
+for i in range(struct.unpack_from('<q', d, 16)[0]):
+    tag, off, length = struct.unpack_from('<qqq', d, 24 + 24 * i)
+    if tag == 5:
+        d[off + length - 4] ^= 0x10
+open(sys.argv[2], 'wb').write(d)
+PY
+refused '.*checksum mismatch' "$B" run -g badregion.snap -q q.txt
 
 echo "== sharded workflow (partition a snapshot, spawned and external workers, identical output)"
 rm -rf shards3 shards2

@@ -142,48 +142,104 @@ let repair_index idx ~old_graph ~new_graph (d : Digraph.delta) =
        ~touched:(Array.of_list touched))
 
 (* The reference a compaction of [ops] into the snapshot at [snap] must
-   write, byte for byte, built the long way: the net delta against the
-   base graph decoded into a copy of [table] (the serving store's;
-   default a fresh one) through [Digraph.apply_delta] (new labels after
-   the table's, in order), the value writes patched in, every
+   write, byte for byte, built the long way: the net delta applied to
+   the base graph decoded into a copy of [table] (the serving store's;
+   default a fresh one) by [Store.fold_ops] (new labels after the
+   table's, in order, through [Digraph.apply_delta]), every
    constraint's index built afresh over the result and written under
-   the base's stamp, with that graph's selectivity. *)
-let reference_fold ?(table = Label.create_table ()) snap ops path =
+   the base's stamp, with that graph's selectivity, and with [folded]
+   (the served generation's trailer and the log length a compaction
+   folded) as its lineage section. *)
+let reference_fold ?(table = Label.create_table ()) ?folded snap ops path =
   let module Schema = Bpq_access.Schema in
-  let module Wal = Bpq_store.Wal in
   let base, _ = Schema.load (Label.copy table) snap in
-  let g = Schema.graph base in
-  let tbl = Digraph.label_table g and n = Digraph.n_nodes g in
-  let added = ref [] and edges = Hashtbl.create 16 and vals = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Wal.Add_node { label; value } -> added := (Label.intern tbl label, value) :: !added
-      | Wal.Add_edge (u, v) -> Hashtbl.replace edges (u, v) true
-      | Wal.Remove_edge (u, v) -> Hashtbl.replace edges (u, v) false
-      | Wal.Set_value (v, value) -> Hashtbl.replace vals v value)
-    ops;
-  let flips present =
-    Hashtbl.fold
-      (fun (u, v) p acc ->
-        if p = present && p <> (u < n && v < n && Digraph.has_edge g u v) then (u, v) :: acc
-        else acc)
-      edges []
-  in
-  let g' =
-    Digraph.apply_delta g
-      { Digraph.added_nodes = List.rev !added;
-        added_edges = flips true;
-        removed_edges = flips false }
-  in
-  let r = Digraph.Repr.of_graph g' in
-  let values = Array.copy r.values in
-  Hashtbl.iter (fun v value -> values.(v) <- value) vals;
-  let g' = Digraph.Repr.to_graph tbl { r with values } in
+  let g' = Bpq_store.Store.fold_ops (Schema.graph base) ops in
   let w = Binfile.writer () in
   Graph_io.add_graph_sections w g';
   Gstats.add_selectivity_section w (Gstats.selectivity g');
+  Option.iter (fun (base_sum, log_bytes) -> Schema.add_folded w ~base_sum ~log_bytes) folded;
   Schema.add_section w ~stamp:(Schema.stamp base)
     (Bpq_access.Index.build_many g' (Schema.constraints base));
   ignore (Binfile.write w path : int)
 
 let file_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+(* ------------------------------------------------------------------ *)
+(* Snapshot surgery                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let set_i64 data pos v =
+  let b = Buffer.create 8 in
+  Binfile.add_i64 b v;
+  Bytes.blit_string (Buffer.contents b) 0 data pos 8
+
+(* A snapshot's bytes before its block table, sealed as [Binfile.write]
+   seals them: the directory's last entry (the table's) set to follow
+   [body], then one sum per block of [body], the table's own sum and the
+   trailer appended.  Damage sealed this way passes every checksum and
+   reaches the decoders. *)
+let seal body =
+  let bs = Binfile.block_size and data_end = Bytes.length body in
+  let body = Bytes.copy body in
+  let entry = 24 + (24 * (Binfile.get_i64 body 16 - 1)) in
+  let blocks = (data_end + bs - 1) / bs in
+  set_i64 body (entry + 8) data_end;
+  set_i64 body (entry + 16) (8 * (blocks + 1));
+  let b = Buffer.create (data_end + (8 * blocks) + 16) in
+  Buffer.add_bytes b body;
+  for i = 0 to blocks - 1 do
+    let lo = i * bs in
+    Binfile.add_i64 b (Binfile.sum_string (Bytes.sub_string body lo (min bs (data_end - lo))))
+  done;
+  Binfile.add_i64 b (Binfile.sum_string (Buffer.sub b data_end (8 * blocks)));
+  Binfile.add_i64 b (Binfile.sum_string (Buffer.contents b));
+  Buffer.to_bytes b
+
+(* Where [data]'s block table starts, read from the directory's last
+   entry whatever the other entries hold. *)
+let table_at data = Binfile.get_i64 data (24 + (24 * (Binfile.get_i64 data 16 - 1)) + 8)
+
+(* [data] re-sealed in place after surgery that kept its length: every
+   block sum, the table's sum and the trailer. *)
+let reseal data =
+  let sealed = seal (Bytes.sub data 0 (table_at data)) in
+  Bytes.blit sealed 0 data 0 (Bytes.length data)
+
+(* Only the trailer re-sealed: the block table still holds the sums of
+   the bytes before the surgery, so a block check sees the damage. *)
+let reseal_trailer data =
+  let len = Bytes.length data in
+  set_i64 data (len - 8) (Binfile.sum_string (Bytes.sub_string data 0 (len - 8)))
+
+(* Section [tag]'s directory entry in the snapshot [data]. *)
+let sect_of data tag =
+  let pread ~pos ~len = Bytes.sub data pos len in
+  List.find
+    (fun s -> s.Binfile.tag = tag)
+    (Binfile.read_directory ~pread ~file_len:(Bytes.length data))
+
+(* Each constraint's metadata and index region in the snapshot [data],
+   as byte ranges [(lo, hi)], in constraint order ([Schema.add_section]'s
+   layout: per constraint, arity, sources, target, bound, key width, key
+   count, keys offset, payload offset, payload ints). *)
+let constraint_ranges data =
+  let ss = sect_of data Binfile.tag_schema in
+  let at i = ss.Binfile.off + (8 * i) in
+  let field i = Binfile.get_i64 data (at i) in
+  List.init (field 1) Fun.id
+  |> List.fold_left
+       (fun (p, acc) _ ->
+         let arity = field p in
+         let region =
+           (at 0 + field (p + arity + 5), at 0 + field (p + arity + 6) + (8 * field (p + arity + 7)))
+         in
+         (p + arity + 8, ((at p, at (p + arity + 8)), region) :: acc))
+       (2, [])
+  |> snd |> List.rev
+
+(* The bytes a mem open checks: everything before the first index
+   region, rounded up to whole blocks. *)
+let head_blocks data =
+  let bs = Binfile.block_size in
+  let head = match constraint_ranges data with (_, (lo, _)) :: _ -> lo | [] -> table_at data in
+  min (table_at data) ((head + bs - 1) / bs * bs)

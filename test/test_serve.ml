@@ -810,6 +810,64 @@ let test_registry_every_backend () =
       ("wal", "write_path.wal_bytes");
       ("wal", "overlay.lookups") ]
 
+(* A mem snapshot with one byte flipped in an index region past the
+   head, its block sums left as they were: the open succeeds; a query
+   whose plan names that index gets the typed [corrupt] error, every
+   time, and never an answer; a query over other indexes is answered as
+   on the clean file; the daemon keeps serving. *)
+let test_corrupt_region () =
+  let ds = Lazy.force ds in
+  let schema = ds.W.schema in
+  let constrs = Schema.constraints schema in
+  let q0 = W.q0 ds.W.table in
+  let plan = Qplan.generate_exn Actualized.Subgraph q0 ds.W.constrs in
+  let named =
+    List.map (fun (f : Plan.fetch) -> f.constr) plan.fetches
+    @ List.map (fun (e : Plan.edge_check) -> e.via) plan.edge_checks
+  in
+  Helpers.with_temp_file @@ fun snap ->
+  Schema.save schema snap;
+  let data = Helpers.file_bytes snap |> Bytes.of_string in
+  let ranges = List.combine constrs (Helpers.constraint_ranges data) in
+  (* A region of the plan's past the blocks the open checks. *)
+  let victim, (_, (lo, hi)) =
+    List.find
+      (fun (c, (_, (lo, hi))) -> List.mem c named && lo >= Helpers.head_blocks data && hi > lo)
+      ranges
+  in
+  let at = (lo + hi) / 2 in
+  Bytes.set data at (Char.chr (Char.code (Bytes.get data at) lxor 0x04));
+  Out_channel.with_open_bin snap (fun oc -> Out_channel.output_bytes oc data);
+  (* Another bounded query whose plan does not name the damaged index. *)
+  let other =
+    List.find
+      (fun text ->
+        match
+          Qplan.generate Actualized.Subgraph (Pattern_parser.parse_string ds.W.table text) ds.W.constrs
+        with
+        | Some p ->
+          List.for_all (fun (f : Plan.fetch) -> not (Constr.equal f.constr victim)) p.fetches
+          && List.for_all (fun (e : Plan.edge_check) -> not (Constr.equal e.via victim)) p.edge_checks
+        | None -> false)
+      [ "n y year\n"; "n c country\n"; "n a award\n"; "n c certificate\n"; "n g genre\n" ]
+  in
+  let st = Bpq_store.Store.open_snapshot snap in
+  Fun.protect ~finally:(fun () -> Bpq_store.Store.close st) @@ fun () ->
+  let server =
+    Server.create ~pool:Pool.sequential
+      { Server.src = Bpq_store.Store.source st; costs = None; close = ignore }
+  in
+  let query text = Json.to_string (Json.Obj [ ("op", Json.Str "query"); ("pattern", Json.Str text) ]) in
+  check_error server (query (q0_text ())) "corrupt";
+  check_error server (query (q0_text ())) "corrupt";
+  let j = response server (query other) in
+  Helpers.check_true "the other query is answered" (Json.member "ok" j = Some (Json.Bool true));
+  Helpers.check_true "its answer is the clean file's"
+    (decode_matches j = Some (direct_matches schema other));
+  check_error server (query (q0_text ())) "corrupt";
+  let st = response server "{\"op\":\"stats\"}" in
+  Helpers.check_true "the daemon still answers" (Json.member "ok" st = Some (Json.Bool true))
+
 let suite =
   [ Alcotest.test_case "protocol routing" `Quick test_protocol;
     Alcotest.test_case "admission control" `Quick test_admission;
@@ -826,4 +884,6 @@ let suite =
     Alcotest.test_case "prometheus metrics page" `Quick test_metrics;
     Alcotest.test_case "http GET /metrics scrape" `Quick test_http_metrics;
     Alcotest.test_case "one registry renders stats and /metrics on every backend" `Quick
-      test_registry_every_backend ]
+      test_registry_every_backend;
+    Alcotest.test_case "a damaged index region answers corrupt, others still answer" `Quick
+      test_corrupt_region ]

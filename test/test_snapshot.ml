@@ -325,22 +325,13 @@ let test_sum_values () =
 
 (* ---------------- hostile index bytes ---------------- *)
 
-(* Snapshot surgery: overwrite one i64 and re-seal the trailing checksum,
-   so the damage reaches the decoders instead of the checksum. *)
-let set_i64 data pos v =
-  let b = Buffer.create 8 in
-  Binfile.add_i64 b v;
-  Bytes.blit_string (Buffer.contents b) 0 data pos 8
+(* Snapshot surgery: overwrite one i64 and re-seal every checksum (the
+   block sums, the block table's own and the trailer), so the damage
+   reaches the decoders instead of a checksum. *)
+let set_i64 = Helpers.set_i64
+let reseal = Helpers.reseal
 
-let reseal data =
-  let len = Bytes.length data in
-  set_i64 data (len - 8) (Binfile.sum_string (Bytes.sub_string data 0 (len - 8)))
-
-let sect_of data tag =
-  let pread ~pos ~len = Bytes.sub data pos len in
-  List.find
-    (fun s -> s.Binfile.tag = tag)
-    (Binfile.read_directory ~pread ~file_len:(Bytes.length data))
+let sect_of = Helpers.sect_of
 
 let schema_sect data = sect_of data Binfile.tag_schema
 
@@ -349,9 +340,23 @@ let dir_entry data tag =
   let n = Binfile.get_i64 data 16 in
   24 + (24 * List.find (fun i -> Binfile.get_i64 data (24 + (24 * i)) = tag) (List.init n Fun.id))
 
+let constraint_ranges = Helpers.constraint_ranges
+
+(* The position, in constraint order, of the constraint whose metadata
+   or index region holds byte [pos] of [data]: damage there can only
+   reach that constraint's index. *)
+let region_holding data pos =
+  let inside (lo, hi) = pos >= lo && pos < hi in
+  List.find_index (fun (meta, region) -> inside meta || inside region) (constraint_ranges data)
+
+let raises_corrupt f = match f () with exception Binfile.Corrupt _ -> true | _ -> false
+
 (* Either the load refuses with [Corrupt], or every key and bucket node
-   it hands out is a real node and every key finds its own bucket. *)
-let loads_in_range ?pool path =
+   it hands out is a real node and every key finds its own bucket;
+   except that the index at position [damaged] (the region an edit hit)
+   may instead raise [Corrupt] at its first traversal, and then at every
+   later traversal and probe. *)
+let loads_in_range ?pool ?damaged path =
   match fst (load_sum ?pool path) with
   | exception Binfile.Corrupt _ -> true
   | schema, _ ->
@@ -359,14 +364,21 @@ let loads_in_range ?pool path =
     let n = Digraph.n_nodes g in
     let node_ok v = v >= 0 && v < n && (ignore (Digraph.label g v); true) in
     List.for_all
-      (fun c ->
+      (fun (i, c) ->
         let idx = Schema.index_of schema c in
         let ok = ref true in
-        Index.iter idx (fun key bucket ->
-            if not (List.for_all node_ok key && Array.for_all node_ok bucket) then ok := false;
-            if Index.lookup idx key <> bucket then ok := false);
-        !ok)
-      (Schema.constraints schema)
+        match
+          Index.iter idx (fun key bucket ->
+              if not (List.for_all node_ok key && Array.for_all node_ok bucket) then ok := false;
+              if Index.lookup idx key <> bucket then ok := false)
+        with
+        | () -> !ok
+        | exception Binfile.Corrupt _ ->
+          damaged = Some i
+          && raises_corrupt (fun () -> Index.iter idx (fun _ _ -> ()))
+          && raises_corrupt (fun () -> Index.lookup idx (List.init (Constr.arity c) Fun.id))
+          && raises_corrupt (fun () -> Index.max_bucket idx))
+      (List.mapi (fun i c -> (i, c)) (Schema.constraints schema))
 
 (* The overwriting value: just past the last node, a small or huge
    out-of-range id, the old value nudged, or an arbitrary node id. *)
@@ -382,14 +394,17 @@ let hostile_value n at old kind =
   | _ -> min_int
 
 (* One i64 of [data]'s section [tag] (the [at]th, modulo its length)
-   overwritten with a {!hostile_value}, the checksum re-sealed, and the
-   result written to [path]. *)
+   overwritten with a {!hostile_value}, the checksums re-sealed, and the
+   result written to [path].  Returns the position of the constraint
+   whose metadata or index region the edit hit, if any. *)
 let write_hostile path data tag ~n ~at ~kind =
   let sect = sect_of data tag in
   let pos = sect.Binfile.off + (8 * (at mod (sect.Binfile.len / 8))) in
+  let damaged = if tag = Binfile.tag_schema then region_holding data pos else None in
   set_i64 data pos (hostile_value n at (Binfile.get_i64 data pos) kind);
   reseal data;
-  write_all path data
+  write_all path data;
+  damaged
 
 let hostile_index_bytes =
   Helpers.qcheck ~count:200 "hostile schema-section i64 raises Corrupt or loads in range"
@@ -399,13 +414,15 @@ let hostile_index_bytes =
       let n = Digraph.n_nodes g in
       Helpers.with_temp_file (fun path ->
           Schema.save (Schema.build g constrs) path;
-          write_hostile path (read_all path) Binfile.tag_schema ~n ~at ~kind;
-          loads_in_range path))
+          let damaged = write_hostile path (read_all path) Binfile.tag_schema ~n ~at ~kind in
+          loads_in_range ?damaged path))
 
 (* The shapes the index decoder must name: a payload id past the last
    node, a key count no 32-bit probe slot can address, a key record that
    does not increase, a bucket that starts somewhere else than the last
-   one ended. *)
+   one ended.  The key counts are metadata, refused at the open; the
+   region's own shapes are refused by the index's first probe, and by
+   every probe and traversal after it, whichever comes first. *)
 let test_hostile_index_shapes () =
   let tbl = Label.create_table () in
   let g =
@@ -425,17 +442,31 @@ let test_hostile_index_shapes () =
       let meta i = Binfile.get_i64 clean (base + (8 * i)) in
       let keys_off = base + meta 8 and payloads_off = base + meta 9 in
       List.iter
-        (fun (what, pos, v) ->
+        (fun (what, pos, v, at_open) ->
           let data = Bytes.copy clean in
           set_i64 data pos v;
           reseal data;
           write_all path data;
-          expect_corrupt what (fun () -> Schema.load (Label.create_table ()) path))
-        [ ("payload id = n", payloads_off, Digraph.n_nodes g);
-          ("key count 2^30", base + (8 * 7), 1 lsl 30);
-          ("key count max_int", base + (8 * 7), max_int);
-          ("key records not increasing", keys_off + 24, Binfile.get_i64 clean keys_off);
-          ("bucket starts not contiguous", keys_off + 32, Binfile.get_i64 clean (keys_off + 32) + 1) ])
+          if at_open then expect_corrupt what (fun () -> Schema.load (Label.create_table ()) path)
+          else begin
+            let loaded, _ = Schema.load (Label.create_table ()) path in
+            let idx = Schema.index_of loaded c in
+            expect_corrupt (what ^ ", first probe") (fun () -> Index.lookup idx [ 0 ]);
+            expect_corrupt (what ^ ", second probe") (fun () -> Index.lookup idx [ 1 ]);
+            expect_corrupt (what ^ ", traversal") (fun () -> Index.iter idx (fun _ _ -> ()));
+            let loaded, _ = Schema.load (Label.create_table ()) path in
+            let idx = Schema.index_of loaded c in
+            expect_corrupt (what ^ ", first traversal") (fun () -> Index.export_buckets idx);
+            expect_corrupt (what ^ ", probe after it") (fun () -> Index.lookup idx [ 0 ])
+          end)
+        [ ("payload id = n", payloads_off, Digraph.n_nodes g, false);
+          ("key count 2^30", base + (8 * 7), 1 lsl 30, true);
+          ("key count max_int", base + (8 * 7), max_int, true);
+          ("key records not increasing", keys_off + 24, Binfile.get_i64 clean keys_off, false);
+          ( "bucket starts not contiguous",
+            keys_off + 32,
+            Binfile.get_i64 clean (keys_off + 32) + 1,
+            false ) ])
 
 let test_rejects_truncation () =
   let _, g = random_graph 3 in
@@ -470,22 +501,36 @@ let test_rejects_bad_version () =
       write_all path data;
       expect_corrupt "bad version" (fun () -> Graph_io.load_bin (Label.create_table ()) path))
 
-(* A version 1 file (byte 8 patched back to 1) is refused with a message
-   naming the version and the commands that rebuild it. *)
+(* A version 1 or 2 file (byte 8 patched back) is refused, by the mem
+   and the paged open alike, with a message naming the version and the
+   commands that rebuild it. *)
 let test_rejects_version_1 () =
   let _, g = random_graph 5 in
   Helpers.with_temp_file (fun path ->
-      Graph_io.save_bin g path;
-      let data = read_all path in
-      Helpers.check_int "this build writes version 2" 2 (Binfile.get_i64 data 8);
-      Bytes.set data 8 '\x01';
-      write_all path data;
-      match Graph_io.load_bin (Label.create_table ()) path with
-      | exception Binfile.Corrupt msg ->
-        List.iter
-          (fun part -> Helpers.check_true (Printf.sprintf "%S names %S" msg part) (Helpers.contains msg part))
-          [ "version 1"; "bpq freeze"; "bpq shard" ]
-      | _ -> Alcotest.fail "a version 1 file loaded")
+      Schema.save (Schema.build g []) path;
+      let clean = read_all path in
+      Helpers.check_int "this build writes version 3" 3 (Binfile.get_i64 clean 8);
+      List.iter
+        (fun v ->
+          let data = Bytes.copy clean in
+          Bytes.set data 8 (Char.chr v);
+          write_all path data;
+          List.iter
+            (fun (what, open_) ->
+              match open_ () with
+              | exception Binfile.Corrupt msg ->
+                List.iter
+                  (fun part ->
+                    Helpers.check_true (Printf.sprintf "%s: %S names %S" what msg part) (Helpers.contains msg part))
+                  [ Printf.sprintf "version %d" v; "bpq freeze"; "bpq shard" ]
+              | _ -> Alcotest.failf "%s: a version %d file loaded" what v)
+            [ ("graph load", fun () -> ignore (Graph_io.load_bin (Label.create_table ()) path));
+              ("mem open", fun () -> Bpq_store.Store.close (Bpq_store.Store.open_snapshot path));
+              ( "paged open",
+                fun () ->
+                  Bpq_store.Store.close
+                    (Bpq_store.Store.open_snapshot ~backend:Bpq_store.Store.Paged path) ) ])
+        [ 1; 2 ])
 
 let flipped_byte_rejected =
   Helpers.qcheck ~count:25 "any flipped byte fails the checksum"
@@ -617,10 +662,12 @@ let keys_by_position schema =
       !keys)
     (Schema.constraints schema)
 
-(* One i64 of the nodes, CSR or schema section overwritten, the checksum
-   re-sealed, then opened by the mem backend, sequentially and on two
-   slots: either the open raises [Corrupt], or every graph access and
-   every index lookup stays in range. *)
+(* One i64 of the nodes, CSR or schema section overwritten, the
+   checksums re-sealed, then opened by the mem backend, sequentially and
+   on two slots: either the open raises [Corrupt], or every graph access
+   and every index lookup stays in range, except that the lookups of the
+   index whose region the edit hit may raise [Corrupt] instead, every
+   one of them. *)
 let hostile_graph_bytes =
   Helpers.qcheck ~count:200 "hostile graph-section i64: mem open raises Corrupt or stays in range"
     QCheck2.Gen.(quad (int_range 1 100_000) (int_range 0 1_000_000) (int_range 0 7) (int_range 0 2))
@@ -630,9 +677,11 @@ let hostile_graph_bytes =
       let n = Digraph.n_nodes g in
       Helpers.with_temp_file (fun path ->
           Schema.save schema path;
-          write_hostile path (read_all path)
-            [| Binfile.tag_nodes; Binfile.tag_csr; Binfile.tag_schema |].(which)
-            ~n ~at ~kind;
+          let damaged =
+            write_hostile path (read_all path)
+              [| Binfile.tag_nodes; Binfile.tag_csr; Binfile.tag_schema |].(which)
+              ~n ~at ~kind
+          in
           List.for_all
             (fun pool ->
           match Bpq_store.Store.open_snapshot ~pool path with
@@ -655,15 +704,19 @@ let hostile_graph_bytes =
                 Digraph.iter_neighbours g' v node);
             List.iter (fun l -> Digraph.iter_label g' l node) (Label.all (Digraph.label_table g'));
             let src = Bpq_store.Store.source st in
-            List.iter2
-              (fun c keys ->
-                List.iter
-                  (fun key -> src.Exec.lookup_iter c (Array.of_list key) node)
-                  keys)
-              (Schema.constraints schema')
-              (List.filteri
-                 (fun i _ -> i < List.length (Schema.constraints schema'))
-                 (keys_by_position schema));
+            List.iteri
+              (fun i (c, keys) ->
+                let lookup key () = src.Exec.lookup_iter c (Array.of_list key) node in
+                match List.iter (fun key -> lookup key ()) keys with
+                | () -> ()
+                | exception Binfile.Corrupt _ ->
+                  if not (damaged = Some i && List.for_all (fun key -> raises_corrupt (lookup key)) keys)
+                  then ok := false)
+              (List.combine
+                 (Schema.constraints schema')
+                 (List.filteri
+                    (fun i _ -> i < List.length (Schema.constraints schema'))
+                    (keys_by_position schema)));
             Bpq_store.Store.close st;
             !ok)
             [ Pool.sequential; Lazy.force pool2 ]))
@@ -680,7 +733,8 @@ let test_noncanonical_regions () =
       let entry = dir_entry data Binfile.tag_schema in
       let off = Binfile.get_i64 data (entry + 8) in
       let len = Binfile.get_i64 data (entry + 16) in
-      Helpers.check_int "schema section is last" (Bytes.length data - 8) (off + len);
+      Helpers.check_int "schema section is last before the block table" (Helpers.table_at data)
+        (off + len);
       (* Walk the metadata, moving every keys_off / payloads_off by 8. *)
       let ncons = Binfile.get_i64 data (off + 8) in
       let p = ref (off + 16) in
@@ -693,23 +747,23 @@ let test_noncanonical_regions () =
       done;
       set_i64 data (entry + 16) (len + 8);
       let shifted =
-        Bytes.concat Bytes.empty
-          [ Bytes.sub data 0 !p; Bytes.make 8 '\000';
-            Bytes.sub data !p (Bytes.length data - !p) ]
+        Helpers.seal
+          (Bytes.concat Bytes.empty
+             [ Bytes.sub data 0 !p; Bytes.make 8 '\000'; Bytes.sub data !p (off + len - !p) ])
       in
-      reseal shifted;
       write_all path shifted;
       expect_corrupt "schema load" (fun () -> Schema.load (Label.create_table ()) path);
       expect_corrupt "mem open" (fun () -> Bpq_store.Store.open_snapshot path);
       expect_corrupt "paged open" (fun () -> Bpq_store.Paged.open_ path))
 
-(* One i64 of the nodes, CSR or schema section overwritten, the checksum
-   re-sealed, then opened by the paged reader, which reads no section
-   whole: either the open raises [Corrupt], or every node's label, value
-   and edge probes and every index lookup raise [Corrupt] or stay in
-   range.  The file is the snapshot or, as a shard worker reads it, the
-   first file of its 2-shard partition.  The mem open on two slots must
-   also raise [Corrupt] or load in range. *)
+(* One i64 of the nodes, CSR or schema section overwritten, the
+   checksums re-sealed, then opened by the paged reader, which reads no
+   section whole: either the open raises [Corrupt], or every node's
+   label, value and edge probes and every index lookup raise [Corrupt]
+   or stay in range.  The file is the snapshot or, as a shard worker
+   reads it, the first file of its 2-shard partition.  The mem open on
+   two slots must also raise [Corrupt] or load in range
+   ({!loads_in_range}). *)
 let hostile_paged_lookups =
   Helpers.qcheck ~count:200 "hostile schema-section i64: paged lookups raise Corrupt or stay in range"
     QCheck2.Gen.(
@@ -729,10 +783,12 @@ let hostile_paged_lookups =
                   let m = Bpq_store.Shard.partition ~shards:2 ~snapshot:path ~dir in
                   read_all (Filename.concat dir m.files.(0).file))
           in
-          write_hostile path data
-            [| Binfile.tag_nodes; Binfile.tag_csr; Binfile.tag_schema |].(which)
-            ~n ~at ~kind;
-          loads_in_range ~pool:(Lazy.force pool2) path
+          let damaged =
+            write_hostile path data
+              [| Binfile.tag_nodes; Binfile.tag_csr; Binfile.tag_schema |].(which)
+              ~n ~at ~kind
+          in
+          loads_in_range ~pool:(Lazy.force pool2) ?damaged path
           &&
           match Bpq_store.Paged.open_ ~cache_pages:4 path with
           | exception Binfile.Corrupt _ -> true
@@ -796,7 +852,7 @@ let hostile_stats_bytes =
       let n = Digraph.n_nodes g in
       Helpers.with_temp_file (fun path ->
           Schema.save ~selectivity:(Gstats.selectivity g) (Schema.build g constrs) path;
-          write_hostile path (read_all path) Binfile.tag_stats ~n ~at ~kind;
+          ignore (write_hostile path (read_all path) Binfile.tag_stats ~n ~at ~kind : int option);
           List.for_all
             (fun (backend, pool) ->
               match Bpq_store.Store.open_snapshot ~backend ~pool path with
@@ -826,16 +882,18 @@ let expect_checksum_mismatch what f =
   | exception e -> Alcotest.failf "%s: expected Binfile.Corrupt, got %s" what (Printexc.to_string e)
   | _ -> Alcotest.failf "%s: expected Binfile.Corrupt, got a value" what
 
-(* A graph whose schema section spans many 64 KiB reads, so the open
-   splits its index regions into several tasks. *)
+(* A graph whose schema section spans many 64 KiB blocks. *)
 let big_instance () =
   let g = Generators.random ~seed:17 ~nodes:4000 ~edges:16000 ~labels:6 (Label.create_table ()) in
   (g, Bpq_access.Discovery.discover ~max_bound:64 g)
 
-(* A clean snapshot of [big_instance] and four damaged copies: a flipped
-   byte, a truncation, a directory entry out of range (re-sealed), and a
-   payload id the index decoder rejects (re-sealed, so the checksum
-   passes). *)
+(* A clean snapshot of [big_instance] and damaged copies, each with
+   whether a checksum fails: a flipped byte, a truncation, a directory
+   entry out of range (re-sealed), a flipped byte in the block table
+   (the trailer re-sealed, so only the table's own sum sees it), a
+   payload id the index decoder rejects (re-sealed, so every checksum
+   passes), and the same payload id with nothing re-sealed (so its
+   block's sum sees it first). *)
 let damaged_variants () =
   let g, constrs = big_instance () in
   let schema = Schema.build g constrs in
@@ -850,20 +908,37 @@ let damaged_variants () =
       set_i64 dir (dir_entry dir Binfile.tag_schema + 8) (max_int - 100);
       reseal dir;
       let decoder = Bytes.copy clean in
-      let base = (schema_sect clean).Binfile.off in
-      let ncons = Binfile.get_i64 clean (base + 8) in
-      let arity = Binfile.get_i64 clean (base + 16) in
-      Helpers.check_true "a constraint to damage" (ncons > 0);
-      (* The first constraint's payload region: its offset is the
-         metadata's [arity + 6]th field. *)
-      let payloads_off = base + Binfile.get_i64 clean (base + 16 + (8 * (arity + 6))) in
-      set_i64 decoder payloads_off (Digraph.n_nodes g);
+      (* The last payload id of the last index region, blocks away from
+         the head a mem open checks. *)
+      let ranges = constraint_ranges clean in
+      let _, (head, _) = List.hd ranges and _, (_, region_end) = List.hd (List.rev ranges) in
+      Helpers.check_true "a payload id past the head's blocks"
+        (region_end - 8 >= ((head / Binfile.block_size) + 1) * Binfile.block_size);
+      set_i64 decoder (region_end - 8) (Digraph.n_nodes g);
+      let unsealed = Bytes.copy decoder in
       reseal decoder;
+      let table = Bytes.copy clean in
+      let at = Helpers.table_at table + 3 in
+      Bytes.set table at (Char.chr (Char.code (Bytes.get table at) lxor 0x01));
+      Helpers.reseal_trailer table;
       ( clean,
         [ ("flipped byte", flipped, true);
           ("truncated", Bytes.sub clean 0 (Bytes.length clean / 2), true);
           ("hostile directory", dir, true);
-          ("re-sealed decoder Corrupt", decoder, false) ] ))
+          ("damaged block table", table, true);
+          ("re-sealed decoder Corrupt", decoder, false);
+          ("unsealed decoder Corrupt", unsealed, true) ] ))
+
+(* Every index of a loaded schema traversed once: what makes each one
+   check its region. *)
+let use_indexes schema =
+  List.iter (fun c -> Index.iter (Schema.index_of schema c) (fun _ _ -> ())) (Schema.constraints schema)
+
+(* A mem open of [path], then every index traversed. *)
+let open_and_use ?pool path =
+  let st = Bpq_store.Store.open_snapshot ?pool path in
+  Fun.protect ~finally:(fun () -> Bpq_store.Store.close st) @@ fun () ->
+  use_indexes (Option.get (Bpq_store.Store.schema st))
 
 (* Runs [f] while every further domain the runtime allows is running
    (blocked until [f] returns), passing it their count. *)
@@ -883,10 +958,11 @@ let with_domains_exhausted f =
     (fun () -> f (List.length held))
 
 (* With no domain left to spawn, opens on a 2-slot pool through the mem
-   open, [Binfile.verify] and [Shard.load_manifest] give their verdicts
-   (a spawn would fail with [Failure]): the open runs on the pool's
-   domains and spawns none of its own.  After the failing opens the pool
-   still maps, and a good open on it succeeds. *)
+   open (and, for damage in an index region, the first use of the
+   index), [Binfile.verify] and [Shard.load_manifest] give their
+   verdicts (a spawn would fail with [Failure]): the open runs on the
+   pool's domains and spawns none of its own.  After the failing opens
+   the pool still maps, and a good open on it succeeds. *)
 let test_opens_spawn_no_domain () =
   let clean, variants = damaged_variants () in
   let pool = Pool.create 2 in
@@ -897,8 +973,8 @@ let test_opens_spawn_no_domain () =
           List.iter
             (fun (what, bytes, damaged) ->
               write_all path bytes;
-              expect_corrupt ("mem open, " ^ what) (fun () ->
-                  Bpq_store.Store.open_snapshot ~pool path);
+              expect_corrupt ("mem open or first use, " ^ what) (fun () ->
+                  open_and_use ~pool path);
               if damaged then expect_corrupt ("verify, " ^ what) (fun () -> Binfile.verify path)
               else Binfile.verify path;
               expect_corrupt ("manifest, " ^ what) (fun () -> Bpq_store.Shard.load_manifest path))
@@ -906,27 +982,33 @@ let test_opens_spawn_no_domain () =
           Helpers.check_true "the pool still maps"
             (Pool.map_array pool succ [| 1; 2; 3 |] = [| 2; 3; 4 |]);
           write_all path clean;
-          Bpq_store.Store.close (Bpq_store.Store.open_snapshot ~pool path)))
+          open_and_use ~pool path))
 
 (* A decoder that trips over damage reports the checksum's verdict, not
-   its own: a flipped byte in an index's payload, left unsealed; on the
-   sequential pool and on two slots. *)
+   its own: a payload id in an index region, left unsealed, at the
+   index's first use and at every use after it; a flipped byte in the
+   block table, at the open; on the sequential pool and on two slots. *)
 let test_checksum_verdict_wins () =
-  let clean, variants = damaged_variants () in
-  let _, decoder, _ = List.nth variants 3 in
-  let len = Bytes.length clean in
-  let unsealed = Bytes.cat (Bytes.sub decoder 0 (len - 8)) (Bytes.sub clean (len - 8) 8) in
+  let _, variants = damaged_variants () in
+  let variant name = List.assoc name (List.map (fun (n, b, _) -> (n, b)) variants) in
   Helpers.with_temp_file (fun path ->
-      write_all path unsealed;
+      write_all path (variant "unsealed decoder Corrupt");
       List.iter
         (fun (slots, pool) ->
           let what s = Printf.sprintf "%s, %d slots" s slots in
-          expect_checksum_mismatch (what "schema load") (fun () ->
-              load_sum ~pool path);
-          expect_checksum_mismatch (what "mem open") (fun () ->
+          let (schema, _), _ = load_sum ~pool path in
+          expect_checksum_mismatch (what "schema load, first use") (fun () -> use_indexes schema);
+          expect_checksum_mismatch (what "schema load, second use") (fun () -> use_indexes schema);
+          expect_checksum_mismatch (what "mem open, first use") (fun () -> open_and_use ~pool path))
+        [ (1, Pool.sequential); (2, Lazy.force pool2) ];
+      expect_checksum_mismatch "verify" (fun () -> Binfile.verify path);
+      write_all path (variant "damaged block table");
+      List.iter
+        (fun (slots, pool) ->
+          expect_checksum_mismatch (Printf.sprintf "block table, mem open, %d slots" slots) (fun () ->
               Bpq_store.Store.open_snapshot ~pool path))
         [ (1, Pool.sequential); (2, Lazy.force pool2) ];
-      expect_checksum_mismatch "verify" (fun () -> Binfile.verify path))
+      expect_checksum_mismatch "block table, verify" (fun () -> Binfile.verify path))
 
 (* What an open yields that a pool could change: the graph arrays, every
    index's buckets, the stamp, the checksum and the answers. *)
@@ -969,7 +1051,7 @@ let test_open_pool_identity () =
 
 (* With every domain the runtime allows already running, a sequential
    open loads exactly what a 2-slot open loads, with the same checksum,
-   and gives the same verdicts. *)
+   and gives the same verdicts, at the open or the indexes' first use. *)
 let test_inline_reader () =
   let clean, variants = damaged_variants () in
   Helpers.with_temp_file (fun path ->
@@ -981,8 +1063,113 @@ let test_inline_reader () =
           List.iter
             (fun (what, bytes, _) ->
               write_all path bytes;
-              expect_corrupt what (fun () -> Schema.load (Label.create_table ()) path))
+              expect_corrupt what (fun () ->
+                  use_indexes (fst (Schema.load (Label.create_table ()) path))))
             variants))
+
+(* The blocks that meet bytes [lo, hi) of a file whose blocks end at
+   [data_end], and their total length. *)
+let block_bytes ~data_end blocks =
+  List.fold_left
+    (fun acc i -> acc + min Binfile.block_size (data_end - (i * Binfile.block_size)))
+    0 blocks
+
+let blocks_of (lo, hi) =
+  if hi <= lo then []
+  else List.init (((hi - 1) / Binfile.block_size) - (lo / Binfile.block_size) + 1) (fun k -> (lo / Binfile.block_size) + k)
+
+(* A mem open hashes exactly its head's blocks, and reads no index
+   region beyond them; an index's first probe then checks exactly the
+   blocks of its region not checked yet, once. *)
+let test_open_checks_head_only () =
+  let module W = Bpq_workload.Workload in
+  let ds = W.imdb ~scale:0.03 () in
+  Helpers.with_temp_file (fun path ->
+      Schema.save ds.W.schema path;
+      let data = read_all path in
+      let data_end = Helpers.table_at data in
+      let head = Helpers.head_blocks data in
+      Helpers.check_true "the index regions reach past the head" (head < data_end);
+      Binfile.with_file path @@ fun f ->
+      let (schema, _), _ = Schema.load_sum (Label.create_table ()) f in
+      Helpers.check_int "open checks the head's blocks" head (Binfile.checked_bytes f);
+      let ranges = List.combine (Schema.constraints schema) (Helpers.constraint_ranges data) in
+      let c, (_, region) = List.nth ranges (List.length ranges - 1) in
+      let idx = Schema.index_of schema c in
+      ignore (Index.lookup idx (List.init (Constr.arity c) Fun.id) : int array);
+      let checked =
+        List.sort_uniq compare (blocks_of (0, head) @ blocks_of region)
+      in
+      Helpers.check_int "a first probe checks its region's blocks" (block_bytes ~data_end checked)
+        (Binfile.checked_bytes f);
+      Index.iter idx (fun _ _ -> ());
+      ignore (Index.lookup idx (List.init (Constr.arity c) Fun.id) : int array);
+      Helpers.check_int "and never again" (block_bytes ~data_end checked) (Binfile.checked_bytes f))
+
+(* One byte flipped in the last index region, the block sums left as
+   they were, on a snapshot whose queries below never probe that index:
+   the mem open succeeds and those queries answer as on the clean file;
+   [Binfile.verify] finds the damage; a compaction, which copies the
+   region, raises [Corrupt] instead of sealing it under fresh sums, and
+   leaves its target as it was, on both backends, in place or not. *)
+let test_unprobed_damage () =
+  let module W = Bpq_workload.Workload in
+  let module Store = Bpq_store.Store in
+  let ds = W.imdb ~scale:0.03 () in
+  let constrs = Schema.constraints ds.W.schema in
+  Helpers.with_temp_file @@ fun path ->
+  Helpers.with_temp_file @@ fun wal ->
+  Helpers.with_temp_file @@ fun out ->
+  Schema.save ds.W.schema path;
+  let clean = read_all path in
+  let victim, (_, (lo, hi)) =
+    List.nth (List.combine constrs (Helpers.constraint_ranges clean)) (List.length constrs - 1)
+  in
+  Helpers.check_true "the region lies past the head" (lo >= Helpers.head_blocks clean && hi > lo);
+  let damaged = Bytes.copy clean in
+  let at = (lo + hi) / 2 in
+  Bytes.set damaged at (Char.chr (Char.code (Bytes.get damaged at) lxor 0x20));
+  let queries =
+    List.filter_map
+      (fun text ->
+        match
+          Qplan.generate Actualized.Subgraph
+            (Bpq_pattern.Pattern_parser.parse_string ds.W.table text)
+            ds.W.constrs
+        with
+        | Some p
+          when List.for_all (fun (f : Plan.fetch) -> not (Constr.equal f.constr victim)) p.fetches
+               && List.for_all (fun (e : Plan.edge_check) -> not (Constr.equal e.via victim)) p.edge_checks
+          -> Some p
+        | _ -> None)
+      [ "n y year\n"; "n c country\n"; "n a award\n"; "n c certificate\n"; "n g genre\n";
+        Bpq_pattern.Pattern_parser.to_source (W.q0 ds.W.table) ]
+  in
+  Helpers.check_true "queries that do not probe it" (queries <> []);
+  let answers src = List.map (fun p -> Helpers.canon (Exec.run_with src p)) queries in
+  let expected = answers (Exec.source_of_schema ds.W.schema) in
+  write_all path damaged;
+  let st = Store.open_snapshot path in
+  Fun.protect ~finally:(fun () -> Store.close st) (fun () ->
+      Helpers.check_true "unprobed damage answers as the clean file" (answers (Store.source st) = expected));
+  expect_checksum_mismatch "verify" (fun () -> Binfile.verify path);
+  List.iter
+    (fun (backend, in_place) ->
+      write_all path damaged;
+      (try Sys.remove wal with Sys_error _ -> ());
+      write_all out (Bytes.of_string "untouched");
+      let st = Store.open_snapshot ~backend path in
+      Fun.protect ~finally:(fun () -> Store.close st) @@ fun () ->
+      ignore (Store.attach_wal st wal : int);
+      (match Store.apply_ops st [ Bpq_store.Wal.Add_node { label = "new"; value = Value.Null } ] with
+       | Ok _ -> ()
+       | Error e -> Alcotest.failf "apply: %s" e);
+      let what = Printf.sprintf "compaction (%s)" (if in_place then "in place" else "to another path") in
+      expect_checksum_mismatch what (fun () ->
+          Store.compact ?out:(if in_place then None else Some out) st);
+      Helpers.check_true (what ^ " leaves its target") (read_all (if in_place then path else out)
+                                                         = if in_place then damaged else Bytes.of_string "untouched"))
+    [ (Store.Mem, false); (Store.Mem, true); (Store.Paged, false); (Store.Paged, true) ]
 
 (* A read past the end of the file (what a file that shrank mid-open
    gives) is a typed [Corrupt], not [End_of_file]: the one read loop
@@ -1044,4 +1231,8 @@ let suite =
       test_checksum_verdict_wins;
     Alcotest.test_case "opens read inline at the domain limit" `Quick test_inline_reader;
     Alcotest.test_case "opens on 1, 2 and 4 slots are identical" `Quick test_open_pool_identity;
-    Alcotest.test_case "a short read raises Corrupt" `Quick test_short_read ]
+    Alcotest.test_case "a short read raises Corrupt" `Quick test_short_read;
+    Alcotest.test_case "a mem open checks its head, a first probe its region" `Quick
+      test_open_checks_head_only;
+    Alcotest.test_case "damage no query probes: verify and compaction catch it" `Quick
+      test_unprobed_damage ]

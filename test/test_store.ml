@@ -174,12 +174,12 @@ let test_pinned_io_counters () =
           [ 1; 8; 65536 ]
       in
       let pinned =
-        [ ((1, 0), (44141, 84761, 0, 180801536));
-          ((1, 8), (47981, 80921, 50976, 405327872));
-          ((8, 0), (1219, 127683, 0, 4993024));
-          ((8, 8), (3068, 125834, 4216, 29835264));
-          ((65536, 0), (96, 128806, 0, 393216));
-          ((65536, 8), (68, 128834, 46, 466944)) ]
+        [ ((1, 0), (43633, 85269, 0, 178720768));
+          ((1, 8), (47192, 81710, 49128, 394526720));
+          ((8, 0), (1208, 127694, 0, 4947968));
+          ((8, 8), (3049, 125853, 4186, 29634560));
+          ((65536, 0), (95, 128807, 0, 389120));
+          ((65536, 8), (67, 128835, 47, 466944)) ]
       in
       List.iter2
         (fun ((cap, ra), want) (_, got) ->

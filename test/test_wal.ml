@@ -552,7 +552,9 @@ let compaction_is_reference_fold =
           end;
           ignore (Store.attach_wal st walp : int);
           Array.iter (fun name -> ignore (Label.intern (Store.table st) name : Label.t)) queried;
-          Helpers.reference_fold ~table:(Store.table st) base ops ref_path;
+          Helpers.reference_fold ~table:(Store.table st)
+            ~folded:(Binfile.file_sum base, (Unix.stat walp).Unix.st_size)
+            base ops ref_path;
           let written = Store.compact ?out:(if in_place then None else Some out) st in
           Helpers.file_bytes written = Helpers.file_bytes ref_path)
         [ (Store.Mem, false, false); (Store.Mem, true, false); (Store.Mem, false, true);
@@ -660,6 +662,90 @@ let test_store_errors () =
   Helpers.check_int "folded edge visible in the new generation" 1
     (if Digraph.has_edge (Schema.graph (Option.get (Store.schema st2))) 0 3 then 1 else 0);
   Store.close st2
+
+(* A kill between an in-place compaction's rename and its log
+   truncation, reproduced by compacting to another path and renaming
+   that over the snapshot by hand: the reopened store pairs the log with
+   the new generation through the lineage the compaction recorded.  The
+   folded op is applied exactly once (it is in the new base, and the log
+   no longer replays it), ops written after the compaction are kept, and
+   the rewritten log then pairs plainly; on both backends. *)
+let test_compaction_crash_recovers () =
+  let _, g, _, schema = tiny_instance () in
+  let n = Digraph.n_nodes g in
+  List.iter
+    (fun (backend, later) ->
+      let what s = Printf.sprintf "%s (%s, %d later ops)" s
+          (if backend = Store.Mem then "mem" else "paged") (if later then 2 else 0) in
+      with_temp ".snap" @@ fun snap ->
+      with_temp ".wal" @@ fun walp ->
+      with_temp ".tmp" @@ fun tmp ->
+      Schema.save schema snap;
+      let st = Store.open_snapshot ~backend snap in
+      ignore (Store.attach_wal st walp : int);
+      let write ops =
+        match Store.apply_ops st ops with Ok _ -> () | Error e -> Alcotest.failf "apply: %s" e
+      in
+      write [ Wal.Add_node { label = "a"; value = Value.Int 1 } ];
+      ignore (Store.compact ~out:tmp st : string);
+      if later then write [ Wal.Add_node { label = "b"; value = Value.Int 2 }; Wal.Add_edge (0, n + 1) ];
+      Store.close st;
+      Unix.rename tmp snap;
+      let reopen () =
+        let st = Store.open_snapshot ~backend snap in
+        Fun.protect ~finally:(fun () -> Store.close st) @@ fun () ->
+        Helpers.check_int (what "no torn tail") 0 (Store.attach_wal st walp);
+        ( Overlay.n_ops (Option.get (Store.overlay st)),
+          Store.graph_size st,
+          Option.map (fun g -> Digraph.n_nodes g) (Store.graph st) )
+      in
+      let ops, size, nodes = reopen () in
+      Helpers.check_int (what "replayed ops") (if later then 2 else 0) ops;
+      Helpers.check_int (what "|G| with each op once")
+        (Digraph.size g + 1 + if later then 2 else 0)
+        size;
+      if backend = Store.Mem then
+        Helpers.check_true (what "nodes with each op once")
+          (nodes = Some (n + 1 + if later then 1 else 0));
+      Helpers.check_true (what "the rewritten log pairs plainly") (reopen () = (ops, size, nodes)))
+    [ (Store.Mem, false); (Store.Mem, true); (Store.Paged, false); (Store.Paged, true) ]
+
+(* [bpq run --fallback] evaluates an unbounded query over the graph the
+   store serves, the delta log's edits included: an edge written only to
+   the log is found. *)
+let test_cli_fallback_reads_log () =
+  let bpq = Filename.concat (Filename.dirname Sys.executable_name) "../bin/bpq.exe" in
+  let ds = Bpq_workload.Workload.imdb ~scale:0.02 () in
+  let schema = Schema.build ds.graph (Discovery.discover ~max_bound:64 ds.graph) in
+  let n = Digraph.n_nodes ds.graph in
+  with_temp ".snap" @@ fun snap ->
+  with_temp ".wal" @@ fun walp ->
+  with_temp ".q" @@ fun q ->
+  Schema.save schema snap;
+  let st = Store.open_snapshot snap in
+  ignore (Store.attach_wal st walp : int);
+  (match
+     Store.apply_ops st
+       [ Wal.Add_node { label = "movie"; value = Value.Str "ci-movie" };
+         Wal.Add_node { label = "ci-award"; value = Value.Str "ci-award" };
+         Wal.Add_edge (n, n + 1) ]
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "apply: %s" e);
+  Helpers.check_true "the served graph has the logged edge"
+    (match Store.graph st with Some g -> Digraph.has_edge g n (n + 1) | None -> false);
+  Store.close st;
+  Out_channel.with_open_text q (fun oc -> output_string oc "n m movie\nn a ci-award\ne m a\n");
+  let run args =
+    let ic = Unix.open_process_args_in bpq (Array.of_list (bpq :: "run" :: "-q" :: q :: args)) in
+    let out = In_channel.input_all ic in
+    ignore (Unix.close_process_in ic);
+    out
+  in
+  let with_log = run [ "-g"; snap; "--wal"; walp; "--fallback" ] in
+  Helpers.check_true ("with the log: " ^ with_log) (Helpers.contains with_log "found 1 matches");
+  let base = run [ "-g"; snap; "--fallback" ] in
+  Helpers.check_true ("the base alone: " ^ base) (Helpers.contains base "found 0 matches")
 
 (* ------------------------------------------------------------------ *)
 (* Caches across writes and generation swaps                           *)
@@ -942,6 +1028,9 @@ let suite =
     compaction_is_reference_fold;
     in_place_compaction_keeps_mapping;
     Alcotest.test_case "typed write-path errors" `Quick test_store_errors;
+    Alcotest.test_case "a crash between the rename and the log truncation recovers" `Quick
+      test_compaction_crash_recovers;
+    Alcotest.test_case "bpq run --fallback reads the delta log" `Quick test_cli_fallback_reads_log;
     Alcotest.test_case "paged log and compaction pair with the served file" `Quick
       test_paged_rename_pairs_served_file;
     Alcotest.test_case "caches across writes and generation swaps" `Quick
