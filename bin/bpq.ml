@@ -560,11 +560,7 @@ let worker_cmd =
              ~doc:"With --listen, serve N coordinator connections (one at a time) then \
                    exit; 0 keeps accepting forever.")
   in
-  let page_cache =
-    Arg.(value & opt int 16
-         & info [ "page-cache" ] ~docv:"MB" ~doc:"Page-cache budget for the shard file.")
-  in
-  let run shard_file listen accept page_cache =
+  let run shard_file listen accept =
     guard @@ fun () ->
     Sock.ignore_sigpipe ();
     let addr =
@@ -574,11 +570,11 @@ let worker_cmd =
         listen
     in
     (* One open of the shard file serves every connection. *)
-    Remote.with_shard ~page_cache_mb:page_cache shard_file @@ fun p meta ->
+    Remote.with_shard shard_file @@ fun ~n_nodes src meta ->
     match addr with
     | None ->
       (* Stdout is the protocol channel: nothing else may print there. *)
-      (try Remote.serve ~input:Unix.stdin ~output:Unix.stdout p meta
+      (try Remote.serve ~input:Unix.stdin ~output:Unix.stdout ~n_nodes src meta
        with e when Sock.is_disconnect e -> ());
       0
     | Some addr ->
@@ -589,7 +585,7 @@ let worker_cmd =
       let served = ref 0 in
       while accept = 0 || !served < accept do
         let conn, _ = Unix.accept lfd in
-        (try Remote.serve ~input:conn ~output:conn p meta
+        (try Remote.serve ~input:conn ~output:conn ~n_nodes src meta
          with e when Sock.is_disconnect e -> ());
         (try Unix.close conn with Unix.Unix_error _ -> ());
         incr served
@@ -599,8 +595,10 @@ let worker_cmd =
   Cmd.v
     (Cmd.info "worker"
        ~doc:"Serve one shard file over the framed fetch protocol (spawned by a sharded \
-             coordinator, or started standalone with --listen).")
-    Term.(const run $ shard_file $ listen $ accept $ page_cache)
+             coordinator, or started standalone with --listen).  The shard file is read \
+             in place from a mapping, as the mem backend reads a snapshot: the open checks \
+             its head, and each index region is checked on its first probe.")
+    Term.(const run $ shard_file $ listen $ accept)
 
 (* run *)
 
@@ -757,8 +755,12 @@ let run_cmd =
        plans from the snapshot in place.  The delta log's edits are
        applied, as the overlay serves them. *)
     let fb_graph () = Store.graph store in
+    (* A text graph's constraints are checked here; a snapshot's were
+       checked when `bpq freeze` built its indexes, and asking again
+       would check every index region before the first answer, whatever
+       the plans probe.  Serve skips it for snapshots too. *)
     match Store.schema store with
-    | Some schema when not (Schema.satisfied schema) ->
+    | Some schema when (not (Binfile.is_snapshot graph)) && not (Schema.satisfied schema) ->
       prerr_endline "error: the graph does not satisfy the access constraints:";
       List.iter
         (fun (c, realised) ->

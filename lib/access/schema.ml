@@ -272,24 +272,31 @@ let read_meta f (ss : Binfile.sect) ~map =
 (* A mem open: labels, the graph headers, stats and the schema
    section's metadata are read on the calling domain, and the nodes and
    CSR sections are checked by a task on [pool] (and decoded under
-   [decode]) beside the check of the blocks that hold those bytes: the
-   head, everything before the first index region.  No index region is
+   [decode]; neither without [scan]) beside the check of the blocks that
+   hold those bytes: the head, everything before the first index region.
+   A section past the first index region (a shard file's identity) is
+   checked by its own blocks, on the calling domain.  No index region is
    read: each is checked when something first reads it ([Index.load]).
    The graph serves from the file's mapping, which nothing reads until
    the head has been checked. *)
-let load_sum ?(pool = Bpq_util.Pool.sequential) ?(decode = false) tbl f =
+let load_sum ?(pool = Bpq_util.Pool.sequential) ?(decode = false) ?(scan = true) tbl f =
   let finish, sum =
     Binfile.run ~pool f @@ fun f ->
-    let l, graph, sel = Graph_io.open_bin ~keep:decode tbl f in
+    let l, graph, sel =
+      if scan || decode then Graph_io.open_bin ~keep:decode tbl f
+      else
+        let l = Graph_io.layout tbl f in
+        (l, (fun () -> None), Graph_io.selectivity tbl ~map:l.map f)
+    in
     let ss = Binfile.require_sect (Binfile.sects f) Binfile.tag_schema in
     let stamp, regions = read_meta f ss ~map:l.map in
     let first = match regions with r :: _ -> ss.off + r.keys_at | [] -> ss.off + ss.len in
-    Binfile.check_upto f
-      (List.fold_left
-         (fun acc (s : Binfile.sect) ->
-           if s.tag = Binfile.tag_schema || s.tag = Binfile.tag_blocks then acc
-           else max acc (s.off + s.len))
-         first (Binfile.sects f));
+    Binfile.check_upto f first;
+    List.iter
+      (fun (s : Binfile.sect) ->
+        if s.tag <> Binfile.tag_schema && s.tag <> Binfile.tag_blocks && s.off + s.len > first
+        then Binfile.check f ~pos:s.off ~len:s.len)
+      (Binfile.sects f);
     let file = Binfile.mapping f in
     let indexes =
       List.map

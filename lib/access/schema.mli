@@ -138,6 +138,7 @@ val load : Label.table -> string -> t * Gstats.selectivity option
 val load_sum :
   ?pool:Bpq_util.Pool.t ->
   ?decode:bool ->
+  ?scan:bool ->
   Label.table ->
   Binfile.file ->
   (t * Gstats.selectivity option) * int
@@ -145,15 +146,22 @@ val load_sum :
     with the open's two tasks ({!Binfile.run}: the check of the head's
     blocks, and the check of the graph sections) on [pool] (default
     sequential), which the result does not depend on.  The head is
-    every byte before the first index region (and any other section
-    that lies past it), rounded up to whole blocks: no index region is
-    read, and {!Binfile.checked_bytes} counts exactly the head's blocks
-    when this returns.  The file stays open; the indexes' first probes
+    every byte before the first index region, rounded up to whole
+    blocks; a section that lies past it (a shard file's identity
+    section) is checked by its own blocks.  No index region is read
+    but for the blocks it shares with those, and
+    {!Binfile.checked_bytes} counts exactly these blocks when this
+    returns.  The file stays open; the indexes' first probes
     read their regions through it.  By default no [Digraph.t] is
     decoded: the schema's {!view} reads the graph in place, and {!graph}
     decodes it on first use.  Under [decode] (for callers that will ask
     for the whole graph) the check of the graph sections keeps what it
-    reads, as {!graph}. *)
+    reads, as {!graph}.  With [~scan:false] (a shard worker's open,
+    unless [decode]) there is no check of the graph sections' contents:
+    their blocks are still checked against their sums, and the in-place
+    reads check what they read ({!Graph_io.label_at},
+    {!Graph_io.value_at}, {!Graph_io.has_out_edge}), as the paged
+    store's do. *)
 
 (** {2 The schema section}
 

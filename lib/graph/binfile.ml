@@ -13,6 +13,7 @@ let tag_stats = 4
 let tag_schema = 5
 let tag_blocks = 6
 let tag_folded = 7
+let tag_shard_meta = 9
 
 (* FNV-1a folded into OCaml's 63-bit int range (same truncated basis as
    the spill-key hash in [Index]): the WAL's per-record checksum. *)

@@ -91,6 +91,10 @@ val tag_blocks : int  (** The block table, written by {!write} itself. *)
 val tag_folded : int
 (** A compacted generation's lineage: what it folded ([Schema.fold]). *)
 
+val tag_shard_meta : int
+(** A shard file's identity ([Bpq_store.Shard]).  A file that carries
+    it stores its CSR as out-rows alone ({!Graph_io.layout}). *)
+
 val block_size : int  (** 64 KiB: the bytes one block-table entry covers. *)
 
 (** {1 Encoding helpers} *)

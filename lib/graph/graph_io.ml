@@ -215,6 +215,7 @@ type layout = {
   n_edges : int;
   n_nbr : int;
   label_rows : int;
+  out_only : bool;
   nodes : Binfile.sect;
   csr : Binfile.sect;
 }
@@ -233,7 +234,12 @@ let layout tbl f =
   let n = nodes_header ~i64:(head nodes 8) ~len:nodes.len in
   let csr = require Binfile.tag_csr in
   let m, n_nbr, label_rows = csr_header ~i64:(head csr 32) ~len:csr.len ~n in
-  { map; n_nodes = n; n_edges = m; n_nbr; label_rows; nodes; csr }
+  (* The shape is the file's kind, not the header's: only a file with a
+     shard-meta section may store its out-rows alone, and it must. *)
+  let out_only = Binfile.find_sect (Binfile.sects f) Binfile.tag_shard_meta <> None in
+  if out_only && (n_nbr <> 0 || label_rows <> 0) then
+    corrupt "csr section: a shard file stores its out-rows alone";
+  { map; n_nodes = n; n_edges = m; n_nbr; label_rows; out_only; nodes; csr }
 
 (* ---------------- the streamed pass ---------------- *)
 
@@ -278,9 +284,10 @@ let csr_arrays r buf ~keep ~what rows len ~bound =
    through [reader] (the value blob by a second reader, in step with the
    value offsets), making every check the in-place reads below rely on:
    stored label ids, value offsets and entry tags, and all four CSRs'
-   offsets and entries.  A check keeps nothing; a decode ([keep]) also
-   keeps what it reads, as the graph.  Every value offset, array and
-   entry is checked before it is used or allocated. *)
+   offsets and entries (a shard file's out-CSR alone).  A check keeps
+   nothing; a decode ([keep]) also keeps what it reads, as the graph (a
+   shard file's: every node, and the owned out-rows).  Every value
+   offset, array and entry is checked before it is used or allocated. *)
 let scan ~keep tbl l ~reader =
   let module R = Binfile.Reader in
   let nlabels_stored = Array.length l.map in
@@ -318,37 +325,55 @@ let scan ~keep tbl l ~reader =
   let m, nbr_len, bl = csr_header ~i64:(fun () -> R.i64 s) ~len:(R.remaining s) ~n in
   let csr = csr_arrays s buf ~keep ~bound:n in
   let out_off, out_adj = csr ~what:"out CSR" n m in
-  let in_off, in_adj = csr ~what:"in CSR" n m in
-  let nbr_off, nbr_adj = csr ~what:"neighbour CSR" n nbr_len in
-  let by_label_off, by_label = csr ~what:"label CSR" bl n in
-  if keep then begin
-    let identity = Array.for_all2 (fun i j -> i = j) l.map (Array.init nlabels_stored Fun.id) in
-    let labels, by_label_off, by_label =
-      if identity then (labels, by_label_off, by_label)
-      else begin
-        (* The table assigned different ids: remap node labels and rebuild
-           the by-label grouping (entry order within a bucket is ascending
-           node id either way, so the result matches a fresh freeze). *)
-        let labels = Array.map (fun x -> l.map.(x)) labels in
-        let off, adj = build_by_label (Label.count tbl) labels in
-        (labels, off, adj)
-      end
-    in
-    Some
-      (Digraph.Repr.to_graph tbl
-         { labels;
-           values;
-           out_off;
-           out_adj;
-           in_off;
-           in_adj;
-           nbr_off;
-           nbr_adj;
-           by_label_off;
-           by_label;
-           n_edges = m })
+  if l.out_only then begin
+    if keep then begin
+      (* A shard file's graph: every node, and the owned out-rows. *)
+      let b = Digraph.Builder.create ~node_hint:n ~edge_hint:m tbl in
+      Array.iteri
+        (fun v x -> ignore (Digraph.Builder.add_node b l.map.(x) values.(v) : int))
+        labels;
+      for v = 0 to n - 1 do
+        for i = out_off.(v) to out_off.(v + 1) - 1 do
+          Digraph.Builder.add_edge b v out_adj.(i)
+        done
+      done;
+      Some (Digraph.Builder.freeze b)
+    end
+    else None
   end
-  else None
+  else begin
+    let in_off, in_adj = csr ~what:"in CSR" n m in
+    let nbr_off, nbr_adj = csr ~what:"neighbour CSR" n nbr_len in
+    let by_label_off, by_label = csr ~what:"label CSR" bl n in
+    if keep then begin
+      let identity = Array.for_all2 (fun i j -> i = j) l.map (Array.init nlabels_stored Fun.id) in
+      let labels, by_label_off, by_label =
+        if identity then (labels, by_label_off, by_label)
+        else begin
+          (* The table assigned different ids: remap node labels and rebuild
+             the by-label grouping (entry order within a bucket is ascending
+             node id either way, so the result matches a fresh freeze). *)
+          let labels = Array.map (fun x -> l.map.(x)) labels in
+          let off, adj = build_by_label (Label.count tbl) labels in
+          (labels, off, adj)
+        end
+      in
+      Some
+        (Digraph.Repr.to_graph tbl
+           { labels;
+             values;
+             out_off;
+             out_adj;
+             in_off;
+             in_adj;
+             nbr_off;
+             nbr_adj;
+             by_label_off;
+             by_label;
+             n_edges = m })
+    end
+    else None
+  end
 
 let decode tbl l m = Option.get (scan ~keep:true tbl l ~reader:(Binfile.Reader.of_mapped m))
 

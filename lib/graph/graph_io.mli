@@ -66,11 +66,11 @@ val selectivity : Label.table -> map:int array -> Binfile.file -> Gstats.selecti
 
 (** {2 Checking and reading in place}
 
-    A mem open checks the nodes and CSR sections in one streamed pass
-    ({!open_bin}) and keeps nothing; its store then reads them in place
-    from the file's mapping, as the paged store and the shard workers
-    read them through their page cache: the same reads below, given a
-    different {!getter}.  Each in-place read checks what a paged open
+    A mem open (a snapshot store's, or a shard worker's) checks the
+    nodes and CSR sections in one streamed pass ({!open_bin}) and keeps
+    nothing; its store then reads them in place from the file's mapping,
+    as the paged store reads them through its page cache: the same reads
+    below, given a different {!getter}.  Each in-place read checks what a paged open
     did not (node id, stored label id, value offsets, row bounds) and
     raises [Binfile.Corrupt] when one is out of range. *)
 
@@ -80,6 +80,11 @@ type layout = private {
   n_edges : int;  (** Out-CSR entries. *)
   n_nbr : int;  (** Merged-neighbour CSR entries (0 in a shard file). *)
   label_rows : int;  (** By-label CSR rows (0 in a shard file). *)
+  out_only : bool;
+      (** A shard file's CSR: the out-CSR alone, behind the header
+          [n, m, 0, 0].  Set exactly when the file has a shard-meta
+          section ({!Binfile.tag_shard_meta}); any other file must
+          carry all four CSRs. *)
   nodes : Binfile.sect;
   csr : Binfile.sect;
 }
@@ -96,10 +101,12 @@ val open_bin :
 (** For a {!Binfile.run} plan: {!layout} and {!selectivity} now, and a
     task that streams the nodes and CSR sections through its own reader,
     making every check {!load_bin}'s decode makes (label ids, value
-    offsets and entry tags, all four CSRs' offsets and entries).  Under
-    [keep] the task also keeps the arrays, and the returned function
-    gives the graph once the run has finished; else it keeps nothing
-    and the function gives [None]. *)
+    offsets and entry tags, all four CSRs' offsets and entries; in a
+    shard file, the out-CSR's).  Under [keep] the task also keeps the
+    arrays, and the returned function gives the graph once the run has
+    finished; else it keeps nothing and the function gives [None].  A
+    shard file's graph is every node, with the owned nodes' values and
+    out-edges. *)
 
 val decode : Label.table -> layout -> Binfile.mapped -> Digraph.t
 (** The graph of a file {!open_bin} checked: the same pass, keeping the

@@ -22,8 +22,9 @@ let () =
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Binfile.Corrupt s)) fmt
 
-(* Request opcodes; replies open with 0 (ok), 1 (error + message) or
-   2 (stale plan stamp: worker stamp + request stamp follow). *)
+(* Request opcodes; replies open with 0 (ok), 1 (error + message),
+   2 (stale plan stamp: worker stamp + request stamp follow) or 3 (the
+   shard file is damaged + message). *)
 let op_hello = 1
 let op_fetch = 2
 let op_probe = 3
@@ -72,20 +73,39 @@ let ns_since t0 = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
 
 (* ---------------- worker side ---------------- *)
 
-let with_shard ?page_cache_mb shard_file k =
-  let p = Paged.open_ ?page_cache_mb shard_file in
-  Fun.protect
-    ~finally:(fun () -> Paged.close p)
-    (fun () ->
-      (* Refuses a non-shard file (and pins the partition version) on
-         the file the store serves. *)
-      k p (Shard.read_shard_meta (Paged.file p)))
+(* The mem reader's open: the blocks of the head (labels, nodes and
+   out-CSR) and of the shard-meta section are checked now, each index
+   region on its first probe, and everything is read in place from the
+   mapping.  The graph sections are not scanned: the in-place reads
+   check what they read, and a worker's open is on the coordinator's
+   start-up path.  The shard-meta read first refuses a non-shard file
+   before any hashing. *)
+let with_shard shard_file k =
+  Binfile.with_file shard_file @@ fun f ->
+  let meta = Shard.read_shard_meta f in
+  let (schema, _), _ = Schema.load_sum ~scan:false (Label.create_table ()) f in
+  k ~n_nodes:(Schema.n_nodes schema) (Exec.source_of_schema schema) meta
 
-let serve ~input ~output p (meta : Shard.shard_meta) =
+(* A read of the shard file that fails its check (a block against its
+   sum, a record out of range) is damage, not a malformed request: it is
+   answered with status 3, which the coordinator raises as
+   [Binfile.Corrupt]. *)
+exception Damaged of string
+
+let damage_as_status (src : Exec.source) =
+  let read f = try f () with Binfile.Corrupt msg -> raise (Damaged msg) in
+  { src with
+    Exec.lookup = (fun c key -> read (fun () -> src.lookup c key));
+    lookup_iter = (fun c tuple f -> read (fun () -> src.lookup_iter c tuple f));
+    probe_edge = (fun s d -> read (fun () -> src.probe_edge s d));
+    node_label = (fun v -> read (fun () -> src.node_label v));
+    node_value = (fun v -> read (fun () -> src.node_value v)) }
+
+let serve ~input ~output ~n_nodes src (meta : Shard.shard_meta) =
   (* A vanished peer must surface as EPIPE (which [Sock.is_disconnect]
      classifies), not kill the process. *)
   Sock.ignore_sigpipe ();
-  let src = Paged.source p in
+  let src = damage_as_status src in
   let cons = Array.of_list src.Exec.constraints in
   let buf = Buffer.create 4096 in
   let reply fill =
@@ -124,7 +144,7 @@ let serve ~input ~output p (meta : Shard.shard_meta) =
               Binfile.add_i64 b meta.Shard.shard;
               Binfile.add_i64 b meta.Shard.shards;
               Binfile.add_i64 b src.Exec.stamp;
-              Binfile.add_i64 b (Paged.n_nodes p);
+              Binfile.add_i64 b n_nodes;
               Binfile.add_i64 b meta.Shard.n_edges_global)
         | op when op = op_fetch ->
           let con = constraint_of (Binfile.Cur.i64 c) in
@@ -323,6 +343,10 @@ let serve ~input ~output p (meta : Shard.shard_meta) =
       with
       | Sock.Frame_too_large _ as e -> raise e
       | e when Sock.is_disconnect e -> raise e
+      | Damaged msg ->
+        reply (fun b ->
+            Binfile.add_i64 b 3;
+            Binfile.add_string b msg)
       | e -> err (Printexc.to_string e))
   done
 
@@ -394,6 +418,7 @@ let open_reply shard b =
     let worker_stamp = Binfile.Cur.i64 c in
     let plan_stamp = Binfile.Cur.i64 c in
     raise (Stale_plan { shard; worker_stamp; plan_stamp })
+  | 3 -> corrupt "shard %d: %s" shard (Binfile.Cur.str c)
   | s -> corrupt "shard %d: unknown reply status %d" shard s);
   c
 
@@ -402,9 +427,11 @@ let open_reply shard b =
    straggler, not a sum. *)
 let round t reqs =
   List.iter (fun (shard, payload) -> send t shard payload) reqs;
-  let replies = List.map (fun (shard, _) -> (shard, open_reply shard (recv t shard))) reqs in
+  (* Every reply is read before any is opened: an error reply from one
+     shard must not leave another's reply queued for the next round. *)
+  let frames = List.map (fun (shard, _) -> (shard, recv t shard)) reqs in
   if reqs <> [] then t.rounds <- t.rounds + 1;
-  replies
+  List.map (fun (shard, b) -> (shard, open_reply shard b)) frames
 
 let frame fill =
   let b = Buffer.create 256 in
@@ -487,7 +514,7 @@ let node_attrs t v =
 let cid_of t con =
   match Hashtbl.find_opt t.cid_of con with
   | Some cid -> cid
-  | None -> raise Not_found (* like Schema.index_of / Paged on unknown constraints *)
+  | None -> raise Not_found (* like Schema.index_of on unknown constraints *)
 
 (* Resolve one key right now (prefetch miss or un-prefetched path):
    its own one-frame round to the owning shard. *)

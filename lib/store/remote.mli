@@ -13,8 +13,8 @@
     and the [probe_edges] hook verifies an edge operation's distinct
     candidate pairs in one probe round.  Answers are byte-identical to
     the single-process backends: workers serve the same sorted buckets
-    ({!Paged} over a shard file), and batching only moves {e when} a
-    lookup happens, never what it returns.
+    (the mem reader over a shard file), and batching only moves {e when}
+    a lookup happens, never what it returns.
 
     {b Worker-side pushdown} (the default) moves whole plan operations
     to the shards instead of shipping raw buckets: an [exec_fetch]
@@ -42,9 +42,10 @@
     Ops 6-10 — the pushdown path — carry varint payloads (LEB128
     lengths, sorted-delta id arrays, zigzag tuple streams); ops 2-4
     keep the raw-i64 encoding as the batched baseline.  Replies open
-    with a status — 0 then the result, 1 then an error string, or 2
-    (stale plan stamp) then the worker's stamp and the request's
-    stamp.
+    with a status — 0 then the result, 1 then an error string, 2
+    (stale plan stamp) then the worker's stamp and the request's stamp,
+    or 3 (a read of the shard file failed its check) then the worker's
+    message, which the coordinator raises as [Binfile.Corrupt].
 
     A coordinator may serve several pool domains concurrently: one
     mutex guards the connections, and every operation materialises its
@@ -66,23 +67,39 @@ exception Stale_plan of { shard : int; worker_stamp : int; plan_stamp : int }
 (** {1 Worker side} *)
 
 val with_shard :
-  ?page_cache_mb:int -> string -> (Paged.t -> Shard.shard_meta -> 'a) -> 'a
-(** [with_shard shard_file k] opens the shard file once with {!Paged},
-    reads its shard meta through that store's file, and applies [k] to
-    both; the store is closed on every exit.
+  string -> (n_nodes:int -> Exec.source -> Shard.shard_meta -> 'a) -> 'a
+(** [with_shard shard_file k] opens the shard file once with the mem
+    reader ({!Bpq_access.Schema.load_sum}) and applies [k] to the file's
+    node count (all of G's nodes: a shard file keeps every node's label),
+    the source that serves it in place from the file's mapping
+    ({!Bpq_core.Exec.source_of_schema}) and its shard meta; the file is
+    closed on every exit.  The open checks the file's head (labels,
+    nodes and out-CSR) and its shard-meta section against their block
+    sums, not the index regions: each of those is checked by its first
+    probe, so a damaged region fails the requests that read it, and
+    only those.  No page cache: the bytes a worker reads stay in the
+    kernel's page cache, mapped, not copied into the heap.
     @raise Binfile.Corrupt if [shard_file] is not a shard file of this
-    build's partition version. *)
+    build's partition version, or its head is damaged. *)
 
 val serve :
-  input:Unix.file_descr -> output:Unix.file_descr -> Paged.t -> Shard.shard_meta -> unit
-(** [serve ~input ~output p meta] answers requests from [input] on
-    [output], out of the shard store [p] whose shard meta is [meta]
-    ({!with_shard} gives both), until a shutdown request or EOF.  The
-    caller owns [p]: one store may serve many connections in turn, and
-    they all read the one file it opened.  Per-request failures (unknown
-    constraint, malformed body) are answered with error replies; only
-    transport failures escape.  Never writes to any other descriptor, so
-    a worker inheriting its socket as stdin/stdout keeps stdout clean. *)
+  input:Unix.file_descr ->
+  output:Unix.file_descr ->
+  n_nodes:int ->
+  Exec.source ->
+  Shard.shard_meta ->
+  unit
+(** [serve ~input ~output ~n_nodes src meta] answers requests from
+    [input] on [output], out of the shard source [src] whose shard meta
+    is [meta] and whose node count the hello reports as [n_nodes]
+    ({!with_shard} gives all three), until a shutdown request or EOF.
+    The caller owns [src]: one open shard may serve many connections in
+    turn, and they all read the one file it opened.  Per-request
+    failures (unknown constraint, malformed body) are answered with
+    error replies, and a read that fails the shard file's check
+    ([Binfile.Corrupt]) with a damage reply; only transport failures
+    escape.  Never writes to any other descriptor, so a worker
+    inheriting its socket as stdin/stdout keeps stdout clean. *)
 
 (** {1 Coordinator side} *)
 
@@ -124,7 +141,9 @@ val source : ?pushdown:bool -> t -> Exec.source
     protocol exactly.  Answers, stats and traces are byte-identical
     either way (trace [pushed] flags excepted).
     @raise Worker_died if a worker's connection breaks.
-    @raise Stale_plan if a worker rejects a pushed operation's stamp. *)
+    @raise Stale_plan if a worker rejects a pushed operation's stamp.
+    @raise Binfile.Corrupt naming the shard if a worker's read of its
+    shard file fails the file's check (a damaged index region). *)
 
 (** {1 Traffic accounting} *)
 

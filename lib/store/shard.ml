@@ -4,8 +4,7 @@ open Bpq_access
 let format_version = 2
 let partition_version = 1
 
-(* Private section tags (disjoint from the graph/schema tags 1-5). *)
-let tag_shard_meta = 9
+(* The manifest's private section tag (disjoint from [Binfile]'s). *)
 let tag_manifest = 10
 
 type shard_file = {
@@ -82,7 +81,7 @@ let write_shard ~dir ~shards ~stamp ~s g indexes =
       indexes
   in
   Schema.add_section w ~stamp owned;
-  Binfile.section w ~tag:tag_shard_meta (fun b ->
+  Binfile.section w ~tag:Binfile.tag_shard_meta (fun b ->
       Binfile.add_i64 b format_version;
       Binfile.add_i64 b partition_version;
       Binfile.add_i64 b s;
@@ -102,6 +101,8 @@ let partition ~shards ~snapshot ~dir =
      the snapshot through this descriptor, not through its mapping.  The
      graph is decoded in the open's one pass. *)
   Binfile.with_file snapshot @@ fun f ->
+  if Binfile.find_sect (Binfile.sects f) Binfile.tag_shard_meta <> None then
+    corrupt "%s is a shard file, not a snapshot" snapshot;
   let (schema, selectivity), _ = Schema.load_sum ~decode:true (Label.create_table ()) f in
   let g = Schema.graph schema in
   let tbl = Digraph.label_table g in
@@ -213,7 +214,7 @@ let verify_files m =
 
 let find_shard_meta f =
   let path = Binfile.path f in
-  Binfile.find_sect (Binfile.sects f) tag_shard_meta
+  Binfile.find_sect (Binfile.sects f) Binfile.tag_shard_meta
   |> Option.map (fun (s : Binfile.sect) ->
          let c = Binfile.Cur.of_bytes (Binfile.read f ~pos:s.off ~len:s.len) in
          let fv = Binfile.Cur.i64 c in

@@ -13,15 +13,19 @@
       {!owner_of_node} names for its source node, which is also where
       the node's label and value attributes live.
 
-    Each shard file is a snapshot container that {!Paged.open_} accepts,
-    written by the same code as a snapshot:
-    {!Bpq_graph.Graph_io.add_graph_sections} under the shard's ownership
-    filter (the full label table and node-label array, the owned nodes'
-    values and out-rows) and {!Bpq_access.Schema.add_section} over each
-    index's {!Bpq_access.Index.filter} (every constraint, the owned
-    buckets in record order).  {!Bpq_graph.Binfile.write}'s checksum is the
-    manifest's checksum, so no file is re-read.  A shard file is not a
-    snapshot: [Store.open_snapshot] refuses it.
+    Each shard file is a snapshot container that the mem reader
+    ({!Bpq_access.Schema.load_sum}, what a {!Remote} worker serves it
+    with) and {!Paged.open_} accept, written by the same code as a
+    snapshot: {!Bpq_graph.Graph_io.add_graph_sections} under the
+    shard's ownership filter (the full label table and node-label array,
+    the owned nodes' values and out-rows) and
+    {!Bpq_access.Schema.add_section} over each index's
+    {!Bpq_access.Index.filter} (every constraint, the owned buckets in
+    record order), then the shard-meta section
+    ({!Bpq_graph.Binfile.tag_shard_meta}), whose presence is what lets
+    the CSR hold out-rows alone.  {!Bpq_graph.Binfile.write}'s checksum
+    is the manifest's checksum, so no file is re-read.  A shard file is
+    not a snapshot: [Store.open_snapshot] refuses it.
 
     The manifest ([MANIFEST] in the output directory) records the
     partition-function version, shard count, schema stamp, global sizes,
@@ -82,7 +86,7 @@ val partition : shards:int -> snapshot:string -> dir:string -> manifest
     and index regions are read through that descriptor, in order, not
     through a mapping, so they do not stay resident.
     @raise Invalid_argument on a non-positive shard count.
-    @raise Binfile.Corrupt on a damaged input snapshot. *)
+    @raise Binfile.Corrupt on a damaged input snapshot, or a shard file. *)
 
 val load_manifest : string -> manifest
 (** Read and fully verify a manifest (path of the file or of its

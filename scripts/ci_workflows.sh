@@ -78,9 +78,14 @@ cp g.snap v2.snap
 printf '\002' | dd of=v2.snap bs=1 seek=8 count=1 conv=notrunc 2>/dev/null
 refused '.*version 2' "$B" run -g v2.snap -q q.txt
 # a byte flipped at the end of the schema section (the last index
-# region): the mem open checks only the head, and the index's first use
-# (here `run`'s satisfaction report, which reads every index) fails on
-# the block's checksum with a diagnostic
+# region, {award, actress} -> (movie, 9)): the mem open checks only the
+# head, so a query whose plan never probes that region answers, and one
+# whose plan does fails on the block's checksum with a diagnostic
+printf 'n m movie\nn w award\nn a actress\nn c country\ne m w\ne m a\ne a c\n' > qa.txt
+"$B" plan -a a.txt -g g.snap -q qa.txt | grep -qF '{award, actress} -> (movie, 9)'
+if "$B" plan -a a.txt -g g.snap -q q.txt | grep -qF '{award, actress} -> (movie, 9)'; then
+  echo "q.txt's plan probes the damaged region" >&2; exit 1
+fi
 python3 - g.snap badregion.snap <<'PY'
 import struct, sys
 d = bytearray(open(sys.argv[1], 'rb').read())
@@ -90,7 +95,9 @@ for i in range(struct.unpack_from('<q', d, 16)[0]):
         d[off + length - 4] ^= 0x10
 open(sys.argv[2], 'wb').write(d)
 PY
-refused '.*checksum mismatch' "$B" run -g badregion.snap -q q.txt
+refused '.*checksum mismatch' "$B" run -g badregion.snap -q qa.txt
+"$B" run -g badregion.snap -q q.txt > badregion.out
+diff mem.out badregion.out
 
 echo "== sharded workflow (partition a snapshot, spawned and external workers, identical output)"
 rm -rf shards3 shards2
@@ -128,6 +135,36 @@ mv shards2r/copy.snap shards2r/shard-0000.snap
   --workers "unix:$D/r0.sock,unix:$D/r1.sock" -q q.txt > renamed2.out
 diff mem.out renamed1.out && diff renamed1.out renamed2.out
 wait
+# a byte flipped inside one shard's {award, actress} -> (movie, 9)
+# region, in a block no other region shares: a worker checks each index
+# region on its first probe, so the query that probes it fails on the
+# block's checksum and the one that does not answers
+rm -rf shards2d
+cp -r shards2 shards2d
+python3 - shards2d/shard-0000.snap <<'PY'
+import struct, sys
+d = bytearray(open(sys.argv[1], 'rb').read())
+for i in range(struct.unpack_from('<q', d, 16)[0]):
+    tag, off, _ = struct.unpack_from('<qqq', d, 24 + 24 * i)
+    if tag == 5:
+        schema = off
+i64 = lambda p: struct.unpack_from('<q', d, schema + p)[0]
+# the schema section: stamp, constraint count, then per constraint its
+# arity, sources, target, bound, key width, key count, key offset,
+# payload offset and payload length; the last constraint's region is last
+p = 16
+for _ in range(i64(8)):
+    p += 8 * (i64(p) + 8)
+lo = schema + i64(p - 24)
+hi = schema + i64(p - 16) + 8 * i64(p - 8)
+block = lo // 65536 + 1
+assert (block + 1) * 65536 <= hi, 'no whole block inside the region'
+d[block * 65536] ^= 0x01
+open(sys.argv[1], 'wb').write(d)
+PY
+"$B" run -g shards2d --backend sharded -q q.txt > shard_damaged.out
+diff mem.out shard_damaged.out
+refused '.*checksum mismatch' "$B" run -g shards2d --backend sharded -q qa.txt
 # a damaged shard file must fail with a diagnostic, not a backtrace
 dd if=/dev/zero of=shards3/shard-0001.snap bs=1 count=8 seek=100 conv=notrunc 2>/dev/null
 refused '' "$B" run -g shards3 --backend sharded -q q.txt

@@ -58,11 +58,14 @@ let reap workers =
       try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ())
     workers
 
-let with_remote_at ?selectivity schema shards f =
+(* [prepare] sees the shard files after the partition, before any
+   worker opens them. *)
+let with_remote_at ?selectivity ?(prepare = ignore) schema shards f =
   Helpers.with_temp_file (fun snap ->
       Schema.save ?selectivity schema snap;
       Helpers.with_temp_dir (fun dir ->
           let m = Shard.partition ~shards ~snapshot:snap ~dir in
+          prepare m;
           let workers = fork_workers m in
           let r =
             try Remote.attach m (Array.map (fun w -> w.fd) workers)
@@ -257,9 +260,9 @@ let test_graph_sections_pinned () =
           [ 230337546975394741; 3192053755839800852 ] ]
         got)
 
-(* A shard file passes the paged open but holds a fraction of G: both
-   single-node backends refuse it, naming the directory to serve with
-   the sharded backend. *)
+(* A shard file passes the paged and mem reads but holds a fraction of
+   G: both single-node backends refuse it, naming the directory to serve
+   with the sharded backend, and so does a partition of it. *)
 let test_shard_file_is_not_a_snapshot () =
   let _, g, constrs, _ = Helpers.random_instance 42 in
   Helpers.with_temp_file (fun snap ->
@@ -277,7 +280,12 @@ let test_shard_file_is_not_a_snapshot () =
                 Helpers.check_true "names the sharded backend"
                   (Helpers.contains msg "--backend sharded");
                 Helpers.check_true "names the shard directory" (Helpers.contains msg dir))
-            [ Bpq_store.Store.Mem; Bpq_store.Store.Paged ]))
+            [ Bpq_store.Store.Mem; Bpq_store.Store.Paged ];
+          Helpers.with_temp_dir (fun out ->
+              Helpers.check_true "a shard file is not partitioned again"
+                (match Shard.partition ~shards:2 ~snapshot:file ~dir:out with
+                | _ -> false
+                | exception Binfile.Corrupt _ -> true))))
 
 (* ---------------- multi-process execution ---------------- *)
 
@@ -446,6 +454,73 @@ let test_worker_death_is_clean () =
         | _ -> false
         | exception Remote.Worker_died _ -> true))
 
+(* One byte flipped inside an index region of shard 0, in a block no
+   other region (nor the worker's open) reads: the worker checks each
+   region on its first probe, so a query whose plan probes that region
+   fails with [Binfile.Corrupt] naming the checksum mismatch, pushed or
+   batched, and a query that avoids it still answers exactly as the
+   single node does, before and after the failure. *)
+let test_damaged_region_fails_only_its_queries () =
+  let ds = Bpq_workload.Workload.imdb ~scale:0.02 () in
+  let cons = Schema.constraints ds.schema in
+  let rng = Bpq_util.Prng.create 3 in
+  let plans =
+    List.filter_map
+      (fun _ ->
+        Qplan.generate Actualized.Subgraph (Bpq_pattern.Qgen.from_walk rng ds.graph) cons)
+      (List.init 60 Fun.id)
+  in
+  let probes (p : Plan.t) c =
+    List.exists (fun (f : Plan.fetch) -> Constr.equal f.constr c) p.fetches
+    || List.exists (fun (e : Plan.edge_check) -> Constr.equal e.via c) p.edge_checks
+  in
+  let bs = Binfile.block_size in
+  let read_all path = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  let damaged = ref None in
+  (* The first constraint some plan probes whose region in shard 0 holds
+     a whole block, and a plan that never probes it. *)
+  let prepare (m : Shard.manifest) =
+    let path = Filename.concat m.dir m.files.(0).file in
+    let data = read_all path in
+    let pick =
+      List.find_map
+        (fun (c, (_, (lo, hi))) ->
+          let block = (lo / bs) + 1 in
+          match
+            ( (block + 1) * bs <= hi,
+              List.find_opt (fun p -> probes p c) plans,
+              List.find_opt (fun p -> not (probes p c)) plans )
+          with
+          | true, Some hit, Some miss -> Some (block, hit, miss)
+          | _ -> None)
+        (List.combine cons (Helpers.constraint_ranges data))
+    in
+    match pick with
+    | None -> Alcotest.fail "no region of shard 0 holds a whole block a plan probes"
+    | Some (block, hit, miss) ->
+      Bytes.set data (block * bs)
+        (Char.chr (Char.code (Bytes.get data (block * bs)) lxor 1));
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc data);
+      damaged := Some (hit, miss)
+  in
+  with_remote_at ~prepare ds.schema 2 (fun _ _ r _ ->
+      let hit, miss = Option.get !damaged in
+      let reference = canon (Exec.run_with (Exec.source_of_schema ds.schema) miss) in
+      let answers () =
+        Helpers.check_true "the plan that avoids the region answers"
+          (canon (Exec.run_with (Remote.source r) miss) = reference)
+      in
+      answers ();
+      List.iter
+        (fun pushdown ->
+          match Exec.run_with (Remote.source ~pushdown r) hit with
+          | _ -> Alcotest.fail "a plan probing the damaged region answered"
+          | exception Binfile.Corrupt msg ->
+            Helpers.check_true ("names the checksum mismatch: " ^ msg)
+              (Helpers.contains msg "checksum mismatch"))
+        [ true; false ];
+      answers ())
+
 let test_stale_plan_rejected () =
   let _, g, constrs, _ = Helpers.random_instance 11 in
   let schema = Schema.build g constrs in
@@ -530,6 +605,8 @@ let suite =
       test_sharded_plans_with_snapshot_stats;
     Alcotest.test_case "worker death is clean" `Quick test_worker_death_is_clean;
     Alcotest.test_case "stale plan stamp rejected" `Quick test_stale_plan_rejected;
+    Alcotest.test_case "a damaged index region fails only the plans that probe it" `Quick
+      test_damaged_region_fails_only_its_queries;
     Alcotest.test_case "worker rejects hostile counts" `Quick
       test_worker_rejects_hostile_counts;
     Alcotest.test_case "attach rejects wrong workers" `Quick

@@ -567,6 +567,29 @@ let test_schema_section_required () =
       expect_corrupt "missing schema section" (fun () ->
           Schema.load (Label.create_table ()) path))
 
+(* A snapshot whose CSR has a shard file's shape (the header [n, m, 0,
+   0], the section cut to the out-CSR), written by the shard writer and
+   sealed with valid sums, but with no shard-meta section: only a shard
+   file may store its out-rows alone, so a mem open refuses it. *)
+let test_out_only_csr_needs_shard_meta () =
+  let _, g, constrs, _ = Helpers.random_instance 3 in
+  let schema = Schema.build g constrs in
+  Helpers.with_temp_file (fun path ->
+      let w = Binfile.writer () in
+      Graph_io.add_graph_sections ~owns:(fun _ -> true) w g;
+      Schema.add_section w ~stamp:(Schema.stamp schema)
+        (List.map (fun c -> (c, Schema.index_of schema c)) (Schema.constraints schema));
+      ignore (Binfile.write w path : int);
+      let data = read_all path in
+      let csr = Helpers.sect_of data Binfile.tag_csr in
+      let header i = Binfile.get_i64 data (csr.Binfile.off + (8 * i)) in
+      let n = Digraph.n_nodes g and m = Digraph.n_edges g in
+      Alcotest.(check (list int)) "the shard file's CSR header" [ n; m; 0; 0 ]
+        (List.init 4 header);
+      Helpers.check_int "the out-CSR alone" (8 * (4 + n + 1 + m)) csr.Binfile.len;
+      expect_corrupt "schema load" (fun () -> Schema.load (Label.create_table ()) path);
+      expect_corrupt "mem open" (fun () -> Bpq_store.Store.open_snapshot path))
+
 (* ---------------- atomic writes ---------------- *)
 
 let test_atomic_no_leftovers () =
@@ -763,7 +786,9 @@ let test_noncanonical_regions () =
    or stay in range.  The file is the snapshot or, as a shard worker
    reads it, the first file of its 2-shard partition.  The mem open on
    two slots must also raise [Corrupt] or load in range
-   ({!loads_in_range}). *)
+   ({!loads_in_range}), and a shard file's reads through a worker's open
+   ([Remote.with_shard], which checks block sums but scans no section)
+   must raise [Corrupt] or stay in range as the paged reads must. *)
 let hostile_paged_lookups =
   Helpers.qcheck ~count:200 "hostile schema-section i64: paged lookups raise Corrupt or stay in range"
     QCheck2.Gen.(
@@ -788,44 +813,54 @@ let hostile_paged_lookups =
               [| Binfile.tag_nodes; Binfile.tag_csr; Binfile.tag_schema |].(which)
               ~n ~at ~kind
           in
+          (* Reads through a source over the damaged file: each raises
+             [Corrupt] or stays in range. *)
+          let reads_in_range (src : Exec.source) =
+            let nlabels = Label.count src.Exec.table in
+            let ok f = match f () with exception Binfile.Corrupt _ -> true | b -> b in
+            let nodes_ok =
+              List.for_all
+                (fun v ->
+                  ok (fun () ->
+                      let l = src.Exec.node_label v in
+                      l >= 0 && l < nlabels)
+                  && ok (fun () ->
+                         ignore (src.Exec.node_value v);
+                         true)
+                  && List.for_all
+                       (fun w ->
+                         ok (fun () ->
+                             ignore (src.Exec.probe_edge v w);
+                             true))
+                       (0 :: Array.to_list (Digraph.out_neighbours g v)))
+                (List.init n Fun.id)
+            in
+            let keys = keys_by_position schema in
+            nodes_ok
+            && List.for_all
+                 (fun (i, c) ->
+                   let keys = if i < List.length keys then List.nth keys i else [] in
+                   List.for_all
+                     (fun key ->
+                       ok (fun () ->
+                           Array.for_all (fun v -> v >= 0 && v < n) (src.Exec.lookup c key)))
+                     ([] :: [ 0 ] :: [ n; 0 ] :: keys))
+                 (List.mapi (fun i c -> (i, c)) src.Exec.constraints)
+          in
           loads_in_range ~pool:(Lazy.force pool2) ?damaged path
-          &&
-          match Bpq_store.Paged.open_ ~cache_pages:4 path with
-          | exception Binfile.Corrupt _ -> true
-          | p ->
-            Fun.protect
-              ~finally:(fun () -> Bpq_store.Paged.close p)
-              (fun () ->
-                let src = Bpq_store.Paged.source p in
-                let nlabels = Label.count src.Exec.table in
-                let ok f = match f () with exception Binfile.Corrupt _ -> true | b -> b in
-                let nodes_ok =
-                  List.for_all
-                    (fun v ->
-                      ok (fun () ->
-                          let l = src.Exec.node_label v in
-                          l >= 0 && l < nlabels)
-                      && ok (fun () ->
-                             ignore (src.Exec.node_value v);
-                             true)
-                      && List.for_all
-                           (fun w ->
-                             ok (fun () ->
-                                 ignore (src.Exec.probe_edge v w);
-                                 true))
-                           (0 :: Array.to_list (Digraph.out_neighbours g v)))
-                    (List.init n Fun.id)
-                in
-                let keys = keys_by_position schema in
-                nodes_ok
-                && List.for_all
-                     (fun (i, c) ->
-                       let keys = if i < List.length keys then List.nth keys i else [] in
-                       List.for_all
-                         (fun key ->
-                           ok (fun () -> Array.for_all (fun v -> v >= 0 && v < n) (src.Exec.lookup c key)))
-                         ([] :: [ 0 ] :: [ n; 0 ] :: keys))
-                     (List.mapi (fun i c -> (i, c)) src.Exec.constraints))))
+          && (match Bpq_store.Paged.open_ ~cache_pages:4 path with
+              | exception Binfile.Corrupt _ -> true
+              | p ->
+                Fun.protect
+                  ~finally:(fun () -> Bpq_store.Paged.close p)
+                  (fun () -> reads_in_range (Bpq_store.Paged.source p)))
+          && ((not shard)
+              ||
+              match
+                Bpq_store.Remote.with_shard path (fun ~n_nodes:_ src _ -> reads_in_range src)
+              with
+              | exception Binfile.Corrupt _ -> true
+              | ok -> ok)))
 
 (* ---------------- hostile statistics ---------------- *)
 
@@ -1207,6 +1242,8 @@ let suite =
     flipped_byte_rejected;
     Alcotest.test_case "verify detects damage" `Quick test_verify;
     Alcotest.test_case "schema section required" `Quick test_schema_section_required;
+    Alcotest.test_case "an out-only CSR without shard meta is refused" `Quick
+      test_out_only_csr_needs_shard_meta;
     Alcotest.test_case "atomic writes leave no temp files" `Quick test_atomic_no_leftovers;
     Alcotest.test_case "failed write leaves target intact" `Quick test_failed_write_leaves_target;
     Alcotest.test_case "snapshot sniffing" `Quick test_is_snapshot_sniff;
