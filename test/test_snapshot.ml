@@ -1242,8 +1242,6 @@ let suite =
     flipped_byte_rejected;
     Alcotest.test_case "verify detects damage" `Quick test_verify;
     Alcotest.test_case "schema section required" `Quick test_schema_section_required;
-    Alcotest.test_case "an out-only CSR without shard meta is refused" `Quick
-      test_out_only_csr_needs_shard_meta;
     Alcotest.test_case "atomic writes leave no temp files" `Quick test_atomic_no_leftovers;
     Alcotest.test_case "failed write leaves target intact" `Quick test_failed_write_leaves_target;
     Alcotest.test_case "snapshot sniffing" `Quick test_is_snapshot_sniff;
@@ -1272,4 +1270,6 @@ let suite =
     Alcotest.test_case "a mem open checks its head, a first probe its region" `Quick
       test_open_checks_head_only;
     Alcotest.test_case "damage no query probes: verify and compaction catch it" `Quick
-      test_unprobed_damage ]
+      test_unprobed_damage;
+    Alcotest.test_case "an out-only CSR without shard meta is refused" `Quick
+      test_out_only_csr_needs_shard_meta ]
