@@ -1,9 +1,9 @@
 # Development entry points.  `make ci` runs the CI workflow's gated
-# make/dune steps: the tree check, build, tests, the six jq-gated
+# make/dune steps: the tree check, build, tests, the five jq-gated
 # bench-* experiments and the CLI workflows script (the workflow's
 # example and daemon smoke steps live only in .github/workflows/ci.yml).
 
-.PHONY: all build test bench-fast bench-micro bench-cache bench-intra bench-store bench-write bench-distributed clean check-tree ci workflows
+.PHONY: all build test bench-fast bench-micro bench-cache bench-store bench-write bench-distributed clean check-tree ci workflows
 
 all: build
 
@@ -37,16 +37,6 @@ bench-cache:
 	jq -e '.cache.identical and .cache.warm_hit_rate > 0' _bench/BENCH_cache.json >/dev/null
 	jq -e '.cache.cache_heap_words_per_bucket <= 2 and .cache.cache_resident_bytes <= .cache.cache_budget_bytes' _bench/BENCH_cache.json >/dev/null
 	@echo "bench-cache: _bench/BENCH_cache.json OK"
-
-# Intra-query parallelism experiment: one heavy query on pools of
-# 1/2/4/8 domains.  Byte-identity of the answers across pool sizes and
-# cache on/off is unconditional; the 4-domain speedup gate only binds on
-# hosts that actually offer 4 domains (CI runners do, laptops throttled
-# to fewer cores skip it).
-bench-intra:
-	BENCH_FAST=1 dune exec bench/main.exe -- intra --json _bench
-	jq -e '.intra.identical and ((.intra.cpus < 4) or (.intra.speedup_4 >= 1.5))' _bench/BENCH_intra.json >/dev/null
-	@echo "bench-intra: _bench/BENCH_intra.json OK"
 
 # Storage-engine experiment: snapshot + paged store on the Fig. 5 scale
 # axis.  jq gates the invariants: results byte-identical across the
@@ -109,4 +99,4 @@ check-tree:
 workflows:
 	scripts/ci_workflows.sh
 
-ci: check-tree build test bench-micro bench-cache bench-intra bench-store bench-write bench-distributed workflows
+ci: check-tree build test bench-micro bench-cache bench-store bench-write bench-distributed workflows

@@ -671,7 +671,6 @@ let () =
       ("abl-incr", abl_incremental);
       ("cache", exp_cache);
       ("micro", Micro_kernels.run);
-      ("intra", Intra_bench.run);
       ("store", Store_bench.run);
       ("write", Write_bench.run);
       ("distributed", Distributed_bench.run);

@@ -243,8 +243,7 @@ let bench_tuple_enum () =
   let tuples = 40 * 40 * 40 in
   let sink = ref 0 in
   let fresh () =
-    Exec.iter_tuples_slice cmat ~lo:0 ~hi:tuples (fun t ->
-        sink := !sink + t.(0) + t.(1) + t.(2))
+    Exec.iter_tuples cmat (fun t -> sink := !sink + t.(0) + t.(1) + t.(2))
   in
   let seed () =
     seed_iter_tuples cmat anchors (fun t -> sink := !sink + List.fold_left ( + ) 0 t)
@@ -280,32 +279,6 @@ let bench_match_verify schema plan =
   ignore !sink;
   (t_new, Some t_seed)
 
-(* The same verification stage on 4 domains vs sequential: the "seed"
-   column is this PR's own sequential matcher, so the speedup cell reads
-   as the intra-query scaling factor.  Counts must be identical at both
-   pool sizes (the Vf2 determinism contract). *)
-let bench_match_verify_par schema plan =
-  let r = Exec.run_with (Exec.source_of_schema schema) plan in
-  let pool = Pool.create 4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let seq () =
-    Bpq_matcher.Vf2.count_matches ~candidates:r.candidates_gq r.gq plan.Plan.pattern
-  in
-  let par () =
-    Bpq_matcher.Vf2.count_matches ~pool ~candidates:r.candidates_gq r.gq
-      plan.Plan.pattern
-  in
-  let n_seq = seq () and n_par = par () in
-  if n_seq <> n_par then
-    failwith
-      (Printf.sprintf "match-verify-par4: parallel counted %d matches, sequential %d"
-         n_par n_seq);
-  let sink = ref 0 in
-  let t_par = time_per_call (fun () -> sink := !sink + par ()) in
-  let t_seq = time_per_call (fun () -> sink := !sink + seq ()) in
-  ignore !sink;
-  (t_par, Some t_seq)
-
 (* ------------------------------------------------------------------ *)
 
 let cell_ns s = Printf.sprintf "%.0fns" (s *. 1e9)
@@ -319,8 +292,8 @@ let run () =
   let schema = Schema.build g a0 in
   let plan = Qplan.generate_exn Actualized.Subgraph (W.q0 ds.W.table) a0 in
   (* The widened-window instantiation of the Q0 template: every year
-     qualifies, so G_Q and the verification search are heavy enough for
-     domain scaling to show (Q0 proper verifies in microseconds). *)
+     qualifies, so G_Q and the verification search are heavy enough to
+     time (Q0 proper verifies in microseconds). *)
   let wide =
     Bpq_pattern.Template.instantiate (W.t0 ds.W.table)
       [ ("lo", Value.Int 1900); ("hi", Value.Int 2100) ]
@@ -356,8 +329,7 @@ let run () =
        | None -> [])
     @ [ ("tuple-enum", bench_tuple_enum ());
         ("match-verify", bench_match_verify schema plan);
-        ("match-verify-wide", bench_match_verify schema wide_plan);
-        ("match-verify-par4", bench_match_verify_par schema wide_plan) ]
+        ("match-verify-wide", bench_match_verify schema wide_plan) ]
   in
   let table = Table.create [ "kernel"; "current"; "seed layout"; "speedup" ] in
   let json =

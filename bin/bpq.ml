@@ -288,10 +288,10 @@ let jobs_arg =
   Arg.(value & opt int (Pool.default_jobs ())
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Evaluate on N domains — batched queries and concurrent clients' \
-                 queries fan out across the pool, and each query's own plan execution \
-                 and match search parallelise on it too (default: \\$BPQ_JOBS or the \
-                 recommended domain count; 1 forces sequential evaluation).  Answers \
-                 are identical for every N.")
+                 queries are spread across the pool, each query running whole on one \
+                 domain; snapshot opens and index builds also use it (default: \
+                 \\$BPQ_JOBS or the recommended domain count; 1 forces sequential \
+                 evaluation).  Answers are identical for every N.")
 
 let cache_arg =
   Arg.(value & opt int 64
@@ -672,7 +672,7 @@ let run_cmd =
            (Bpq_matcher.Gsim.relation_size sim));
       0
   in
-  let run_single pool costs semantics fb_graph (src : Exec.source) q limit fallback explain cache =
+  let run_single costs semantics fb_graph (src : Exec.source) q limit fallback explain cache =
     let plan =
       match cache with
       | Some c -> Qcache.plan_for_with c ?costs semantics src q
@@ -681,18 +681,18 @@ let run_cmd =
     let fetch = Option.map Qcache.fetch_tier cache in
     match plan with
     | Some plan when explain ->
-      let analysis = Explain.analyze_with ~pool ?costs src plan in
+      let analysis = Explain.analyze_with ?costs src plan in
       print_string analysis.Explain.report;
       0
     | Some plan ->
       (match semantics with
        | Actualized.Subgraph ->
-         let matches, stats = Bounded_eval.matches_with ~pool ?limit ?cache:fetch src plan in
+         let matches, stats = Bounded_eval.matches_with ?limit ?cache:fetch src plan in
          print_matches matches;
          Printf.printf "# %d matches, accessed %d data items (graph size %d)\n"
            (List.length matches) (Exec.accessed stats) src.Exec.graph_size
        | Actualized.Simulation ->
-         let sim, stats = Bounded_eval.sim_with ~pool ?cache:fetch src plan in
+         let sim, stats = Bounded_eval.sim_with ?cache:fetch src plan in
          print_relation sim;
          Printf.printf "# relation size %d, accessed %d data items (graph size %d)\n"
            (Bpq_matcher.Gsim.relation_size sim)
@@ -709,7 +709,7 @@ let run_cmd =
      sequential (--jobs 1) run. *)
   let run_batch pool semantics fb_graph src queries limit fallback cache =
     let outcomes =
-      Batch.run_patterns ~pool ~intra:pool ?cache ?limit semantics src (List.map snd queries)
+      Batch.run_patterns ~pool ?cache ?limit semantics src (List.map snd queries)
     in
     let status = ref 0 in
     List.iter2
@@ -771,14 +771,14 @@ let run_cmd =
       let status =
         match queries with
         | [ (_, q) ] ->
-          run_single pool costs semantics fb_graph src q limit fallback explain cache
+          run_single costs semantics fb_graph src q limit fallback explain cache
         | _ when explain ->
           List.iter
             (fun (path, q) ->
               Printf.printf "== %s ==\n" path;
               match Qplan.generate ?costs semantics q src.Exec.constraints with
               | Some plan ->
-                print_string (Explain.analyze_with ~pool ?costs src plan).Explain.report
+                print_string (Explain.analyze_with ?costs src plan).Explain.report
               | None -> print_endline "# not effectively bounded (see `bpq check`)")
             queries;
           0

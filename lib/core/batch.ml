@@ -22,28 +22,24 @@ let answer_size = function
 let plan_all ?(pool = Pool.sequential) semantics constrs patterns =
   Pool.map_list pool (fun q -> (q, Qplan.generate semantics q constrs)) patterns
 
-let run ?(pool = Pool.sequential) ?intra ?cache ?timeout ?limit (src : Exec.source) items =
+let run ?(pool = Pool.sequential) ?cache ?timeout ?limit (src : Exec.source) items =
   Pool.map_list pool
     (fun it ->
       (* The deadline is private to this item: deadlines are mutable and
          must never cross domains.  The cache is shared — it shards itself
-         per domain, so workers never contend (see Qcache).  [intra], when
-         given, additionally parallelises each item's own execution and
-         match search; answers stay byte-identical, so the two levels of
-         parallelism compose freely (nested submissions drain through the
-         same pool without deadlock). *)
+         per domain, so workers never contend (see Qcache). *)
       let deadline = Option.map Timer.deadline_after timeout in
       let start = Timer.now () in
       match
         match cache with
-        | Some c -> Qcache.eval_plan_with c ?pool:intra ?deadline ?limit src it.plan
-        | None -> Bounded_eval.run ?pool:intra ?deadline ?limit src it.plan
+        | Some c -> Qcache.eval_plan_with c ?deadline ?limit src it.plan
+        | None -> Bounded_eval.run ?deadline ?limit src it.plan
       with
       | answer -> Answer (answer, Timer.now () -. start)
       | exception Timer.Timeout -> Timeout (Timer.now () -. start))
     items
 
-let run_patterns ?pool ?intra ?cache ?timeout ?limit semantics (src : Exec.source) patterns =
+let run_patterns ?pool ?cache ?timeout ?limit semantics (src : Exec.source) patterns =
   let planned =
     match cache with
     | Some c ->
@@ -56,7 +52,7 @@ let run_patterns ?pool ?intra ?cache ?timeout ?limit semantics (src : Exec.sourc
   let items =
     List.filter_map (fun (_, p) -> Option.map (item semantics) p) planned
   in
-  let outcomes = ref (run ?pool ?intra ?cache ?timeout ?limit src items) in
+  let outcomes = ref (run ?pool ?cache ?timeout ?limit src items) in
   List.map
     (fun (q, p) ->
       match p with

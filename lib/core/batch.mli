@@ -50,7 +50,6 @@ val plan_all :
 
 val run :
   ?pool:Pool.t ->
-  ?intra:Pool.t ->
   ?cache:Qcache.t ->
   ?timeout:float ->
   ?limit:int ->
@@ -62,15 +61,12 @@ val run :
     match counts).  [cache] routes evaluation through
     {!Qcache.eval_plan_with} — result and fetch tiers — and is safe to
     share across the pool's workers (it shards itself per domain);
-    answers stay identical to the uncached, sequential run.  [intra]
-    additionally parallelises each item's own plan execution and match
-    search ({!Exec} / {!Bpq_matcher.Vf2}); passing the same pool for both
-    levels is safe — nested submissions drain through it without
-    deadlock. *)
+    answers stay identical to the uncached, sequential run.  Each item
+    runs whole on one domain: the pool parallelises across items, never
+    within one. *)
 
 val run_patterns :
   ?pool:Pool.t ->
-  ?intra:Pool.t ->
   ?cache:Qcache.t ->
   ?timeout:float ->
   ?limit:int ->

@@ -7,24 +7,21 @@ type answer =
 (* Every evaluator funnels through the source seam: one [Exec.run_with]
    building G_Q, then the conventional matcher on it. *)
 
-let matches_with ?pool ?deadline ?limit ?cache src (plan : Plan.t) =
-  let r = Exec.run_with ?pool ?cache src plan in
-  let ms =
-    Vf2.matches ?pool ?deadline ?limit ~candidates:r.candidates_gq r.gq plan.Plan.pattern
-  in
+let matches_with ?deadline ?limit ?cache src (plan : Plan.t) =
+  let r = Exec.run_with ?cache src plan in
+  let ms = Vf2.matches ?deadline ?limit ~candidates:r.candidates_gq r.gq plan.Plan.pattern in
   (List.map (Array.map (fun v -> r.from_gq.(v))) ms, r.stats)
 
-let sim_with ?pool ?deadline ?cache src (plan : Plan.t) =
-  let r = Exec.run_with ?pool ?cache src plan in
+let sim_with ?deadline ?cache src (plan : Plan.t) =
+  let r = Exec.run_with ?cache src plan in
   let sim = Gsim.run ?deadline ~candidates:r.candidates_gq r.gq plan.Plan.pattern in
   (Array.map (Array.map (fun v -> r.from_gq.(v))) sim, r.stats)
 
-let run ?pool ?deadline ?limit ?cache src (plan : Plan.t) =
+let run ?deadline ?limit ?cache src (plan : Plan.t) =
   match plan.Plan.semantics with
-  | Actualized.Subgraph -> Matches (fst (matches_with ?pool ?deadline ?limit ?cache src plan))
-  | Actualized.Simulation -> Relation (fst (sim_with ?pool ?deadline ?cache src plan))
+  | Actualized.Subgraph -> Matches (fst (matches_with ?deadline ?limit ?cache src plan))
+  | Actualized.Simulation -> Relation (fst (sim_with ?deadline ?cache src plan))
 
-let count_with ?pool ?deadline ?limit ?cache src (plan : Plan.t) =
-  let r = Exec.run_with ?pool ?cache src plan in
-  Vf2.count_matches ?pool ?deadline ?limit ~candidates:r.candidates_gq r.gq
-    plan.Plan.pattern
+let count_with ?deadline ?limit ?cache src (plan : Plan.t) =
+  let r = Exec.run_with ?cache src plan in
+  Vf2.count_matches ?deadline ?limit ~candidates:r.candidates_gq r.gq plan.Plan.pattern

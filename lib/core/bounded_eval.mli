@@ -13,17 +13,16 @@ open Bpq_util
     ({!Exec.source_of_schema}), paged snapshot, sharded store — and reads
     the data only through its bounded lookups, edge probes and attribute
     reads.  Each accepts [?cache], a fetch-level lookup cache (see
-    {!Fetch_cache}), and [?pool], which parallelises the plan execution
-    ({!Exec.run_with}) and — for bVF2 — the match search ({!Vf2.matches})
-    within the single query; answers are byte-identical with the cache
-    absent, present, or at any capacity, and at every pool size. *)
+    {!Fetch_cache}); answers are byte-identical with the cache absent,
+    present, or at any capacity.  A query runs on the calling domain;
+    callers that want parallelism run several queries at once
+    ({!Batch}, {!Server}). *)
 
 type answer =
   | Matches of int array list  (** Subgraph semantics. *)
   | Relation of int array array  (** Simulation semantics. *)
 
 val run :
-  ?pool:Pool.t ->
   ?deadline:Timer.deadline ->
   ?limit:int ->
   ?cache:Fetch_cache.t ->
@@ -40,7 +39,6 @@ val run :
 (** {1 Subgraph queries (bVF2)} *)
 
 val matches_with :
-  ?pool:Pool.t ->
   ?deadline:Timer.deadline ->
   ?limit:int ->
   ?cache:Fetch_cache.t ->
@@ -51,7 +49,6 @@ val matches_with :
     node ids, with the execution stats the CLI reports. *)
 
 val count_with :
-  ?pool:Pool.t ->
   ?deadline:Timer.deadline ->
   ?limit:int ->
   ?cache:Fetch_cache.t ->
@@ -64,7 +61,6 @@ val count_with :
 (** {1 Simulation queries (bSim)} *)
 
 val sim_with :
-  ?pool:Pool.t ->
   ?deadline:Timer.deadline ->
   ?cache:Fetch_cache.t ->
   Exec.source ->

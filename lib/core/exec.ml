@@ -2,7 +2,6 @@ open Bpq_graph
 open Bpq_pattern
 open Bpq_access
 module Vec = Bpq_util.Vec
-module Pool = Bpq_util.Pool
 
 type stats = {
   fetch_lookups : int;
@@ -30,60 +29,41 @@ type result = {
   trace : op_trace list;
 }
 
-(* Enumerate the cartesian product of the anchor rows as an index-array
-   odometer, restricted to the linear tuple indices [lo, hi).  The yielded
-   tuple (one concrete node per anchor, in anchor order) is a single
-   reused buffer — callers must read it, not retain it.  Tuple positions
-   form a mixed-radix number (digit [i] has base [length arrays.(i)], last
-   digit fastest), so the concatenation of the slices over a partition of
-   [0, total) reproduces the full lexicographic order exactly.  This is
-   the unit of intra-query parallelism: contiguous index ranges are handed
-   to pool domains. *)
-let iter_tuples_slice (arrays : int array array) ~lo ~hi yield =
+(* Enumerate the cartesian product of the anchor rows lexicographically
+   as an index-array odometer, last position fastest.  The yielded tuple
+   (one concrete node per anchor, in anchor order) is a single reused
+   buffer — callers must read it, not retain it. *)
+let iter_tuples (arrays : int array array) yield =
   let k = Array.length arrays in
-  if k = 0 then begin
-    if lo <= 0 && hi >= 1 then yield [||]
-  end
-  else if lo < hi && not (Array.exists (fun arr -> Array.length arr = 0) arrays) then begin
-    let tuple = Array.make k 0 in
+  if k = 0 then yield [||]
+  else if not (Array.exists (fun arr -> Array.length arr = 0) arrays) then begin
+    let tuple = Array.map (fun arr -> arr.(0)) arrays in
     let idx = Array.make k 0 in
-    let rem = ref lo in
-    for i = k - 1 downto 0 do
-      let len = Array.length arrays.(i) in
-      idx.(i) <- !rem mod len;
-      tuple.(i) <- arrays.(i).(idx.(i));
-      rem := !rem / len
-    done;
-    let remaining = ref (hi - lo) in
     let continue_outer = ref true in
     while !continue_outer do
       yield tuple;
-      decr remaining;
-      if !remaining = 0 then continue_outer := false
-      else begin
-        (* Advance the odometer; digit [k-1] spins fastest. *)
-        let i = ref (k - 1) in
-        let continue_ = ref true in
-        while !continue_ do
-          if !i < 0 then begin
-            continue_outer := false;
+      (* Advance the odometer; digit [k-1] spins fastest. *)
+      let i = ref (k - 1) in
+      let continue_ = ref true in
+      while !continue_ do
+        if !i < 0 then begin
+          continue_outer := false;
+          continue_ := false
+        end
+        else begin
+          let p = idx.(!i) + 1 in
+          if p < Array.length arrays.(!i) then begin
+            idx.(!i) <- p;
+            tuple.(!i) <- arrays.(!i).(p);
             continue_ := false
           end
           else begin
-            let p = idx.(!i) + 1 in
-            if p < Array.length arrays.(!i) then begin
-              idx.(!i) <- p;
-              tuple.(!i) <- arrays.(!i).(p);
-              continue_ := false
-            end
-            else begin
-              idx.(!i) <- 0;
-              tuple.(!i) <- arrays.(!i).(0);
-              decr i
-            end
+            idx.(!i) <- 0;
+            tuple.(!i) <- arrays.(!i).(0);
+            decr i
           end
-        done
-      end
+        end
+      done
     done
   end
 
@@ -222,14 +202,6 @@ let cached_source cache src =
       (fun c tuple f ->
         Fetch_cache.lookup_iter cache c tuple (fun k -> src.lookup_iter c tuple k) f) }
 
-(* Minimum tuple count before an operation fans out across the pool:
-   below this, dispatch overhead dominates the per-tuple index probes. *)
-let par_threshold = 256
-
-(* Contiguous linear-index ranges covering [0, total), one per chunk. *)
-let chunk_ranges total chunks =
-  Array.init chunks (fun c -> (c * total / chunks, (c + 1) * total / chunks))
-
 let anchor_rows (cmat : int array array) anchors =
   let k = List.length anchors in
   let arrays = Array.make k [||] in
@@ -239,24 +211,10 @@ let anchor_rows (cmat : int array array) anchors =
 let total_tuples (arrays : int array array) =
   Array.fold_left (fun acc a -> Plan.sat_mul acc (Array.length a)) 1 arrays
 
-let run_with ?pool ?cache (src : source) (plan : Plan.t) =
-  let slots = match pool with None -> 1 | Some p -> Pool.size p in
-  (* The cache dispatches each lookup to the arena of the domain it runs
-     on, so fanned-out ranges share it without locks.  It is
-     stats-transparent — it replays exact index buckets — so results are
-     byte-identical whichever arena, or none, answers a lookup. *)
+let run_with ?pool:_ ?cache (src : source) (plan : Plan.t) =
+  (* The cache is stats-transparent — it replays exact index buckets — so
+     results are byte-identical whether it answers a lookup or not. *)
   let csrc = match cache with None -> src | Some c -> cached_source c src in
-  (* Fan an operation's anchor-tuple odometer out across the pool as
-     contiguous linear-index ranges; [task lo hi] must be independent of
-     every other range.  Returns [None] when the operation stays
-     sequential (no pool, too few tuples, or a saturated tuple count). *)
-  let fan_out total task =
-    match pool with
-    | Some p when slots > 1 && total >= par_threshold && total < max_int ->
-      let ranges = chunk_ranges total (min total (4 * slots)) in
-      Some (Pool.map_array p (fun (lo, hi) -> task lo hi) ranges)
-    | Some _ | None -> None
-  in
   (* Batching hint: before each operation drives its lookups, hand the
      source the constraint and the full anchor rows, so a remote backend
      can resolve every key of the operation in one round trip per shard
@@ -295,47 +253,14 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
         | None ->
           (* Hits accumulate (with duplicates) into a vector; a monomorphic
              sort_uniq then yields the same sorted distinct set the old
-             hashtable produced, without per-hit boxing.  The parallel path
-             concatenates per-range vectors in range order first, so the
-             multiset reaching sort_uniq — hence the resulting set — is the
-             sequential one. *)
+             hashtable produced, without per-hit boxing. *)
           let hits = Vec.create ~capacity:64 () in
-          let streamed_of hits tuple =
-            let streamed = ref 0 in
-            csrc.lookup_iter f.constr tuple (fun w ->
-                incr streamed;
-                if Predicate.eval pred (csrc.node_value w) then Vec.push hits w);
-            !streamed
-          in
-          if f.anchors = [] then begin
-            maybe_prefetch f.constr [||];
-            incr fetch_lookups;
-            fetched := !fetched + streamed_of hits [||]
-          end
-          else begin
-            let total = total_tuples arrays in
-            maybe_prefetch f.constr arrays;
-            match
-              fan_out total (fun lo hi ->
-                  let local = Vec.create ~capacity:64 () in
-                  let lookups = ref 0 and streamed = ref 0 in
-                  iter_tuples_slice arrays ~lo ~hi (fun tuple ->
-                      incr lookups;
-                      streamed := !streamed + streamed_of local tuple);
-                  (local, !lookups, !streamed))
-            with
-            | Some parts ->
-              Array.iter
-                (fun (local, lookups, streamed) ->
-                  fetch_lookups := !fetch_lookups + lookups;
-                  fetched := !fetched + streamed;
-                  Vec.iter (Vec.push hits) local)
-                parts
-            | None ->
-              iter_tuples_slice arrays ~lo:0 ~hi:total (fun tuple ->
-                  incr fetch_lookups;
-                  fetched := !fetched + streamed_of hits tuple)
-          end;
+          maybe_prefetch f.constr arrays;
+          iter_tuples arrays (fun tuple ->
+              incr fetch_lookups;
+              csrc.lookup_iter f.constr tuple (fun w ->
+                  incr fetched;
+                  if Predicate.eval pred (csrc.node_value w) then Vec.push hits w));
           Vec.sort_uniq hits;
           Vec.to_array hits
       in
@@ -383,7 +308,6 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
       in
       let row = cmat.(ec.target_side) in
       let arrays = anchor_rows cmat ec.anchors in
-      let total = total_tuples arrays in
       Vec.clear distinct;
       Int_tbl.clear seen;
       let note packed =
@@ -420,41 +344,17 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
            and since probes are pure, the certified set (hence the dedup
            table, the realized count and every counter) is the same as the
            old probe-as-you-go loop. *)
-        let collect push tuple =
-          let v_other = tuple.(other_slot) in
-          let cands = ref 0 in
-          csrc.lookup_iter ec.via tuple (fun w ->
-              if mem_sorted row w then begin
-                incr cands;
-                let e_src, e_dst =
-                  if ec.target_side = u2 then (v_other, w) else (w, v_other)
-                in
-                push (pack_edge e_src e_dst)
-              end);
-          !cands
-        in
-        match
-          fan_out total (fun lo hi ->
-              let pairs = Vec.create ~capacity:64 () in
-              let lookups = ref 0 and cands = ref 0 in
-              iter_tuples_slice arrays ~lo ~hi (fun tuple ->
-                  incr lookups;
-                  cands := !cands + collect (Vec.push pairs) tuple);
-              (pairs, !lookups, !cands))
-        with
-        | Some parts ->
-          (* Candidate pairs merge in range order, so the distinct-pair
-             sequence matches the sequential pass. *)
-          Array.iter
-            (fun (pairs, lookups, cands) ->
-              edge_lookups := !edge_lookups + lookups;
-              edge_candidates := !edge_candidates + cands;
-              Vec.iter note pairs)
-            parts
-        | None ->
-          iter_tuples_slice arrays ~lo:0 ~hi:total (fun tuple ->
-              incr edge_lookups;
-              edge_candidates := !edge_candidates + collect note tuple)
+        iter_tuples arrays (fun tuple ->
+            incr edge_lookups;
+            let v_other = tuple.(other_slot) in
+            csrc.lookup_iter ec.via tuple (fun w ->
+                if mem_sorted row w then begin
+                  incr edge_candidates;
+                  let e_src, e_dst =
+                    if ec.target_side = u2 then (v_other, w) else (w, v_other)
+                  in
+                  note (pack_edge e_src e_dst)
+                end))
       end;
       let certify packed = Int_tbl.replace gq_edges packed () in
       (match src.probe_edges with

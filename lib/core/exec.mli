@@ -184,17 +184,12 @@ val run_with :
     [src.constraints] (plans must be executed against the source they
     were generated for).
 
-    [pool] enables intra-query parallelism: each fetch or edge-check
-    operation whose anchor-tuple odometer is large enough is partitioned
-    into contiguous tuple-index ranges across the pool's domains, each
-    range accumulating hits (or certified edges) locally through the
-    fetch cache's arena for the domain it runs on; fragments merge
-    deterministically in range order (fetch hits through one
-    [sort_uniq], edges through one dedup set), so the result — candidate
-    sets, [G_Q], stats, trace — is byte-identical to the sequential run
-    at every pool size.  A [source] driven in parallel must tolerate
-    concurrent read-only use from several domains, as the frozen graph
-    and indexes do.
+    The plan runs on the calling domain: a bounded query's work is
+    small, so parallelism belongs between queries (one query per pool
+    worker, {!Server} and {!Batch}), not within one.  [pool] is ignored.
+    It is kept only for the one caller that still passes it,
+    [perfbench/harness/trace.ml]'s [~pool:Pool.sequential]; ROADMAP item
+    1's benchmark change removes both that argument and this parameter.
 
     [cache] memoises index lookups across calls (see {!Fetch_cache}); the
     result — candidate sets, [G_Q], stats, trace — is byte-identical with
@@ -203,16 +198,11 @@ val run_with :
 
 (**/**)
 
-val iter_tuples_slice :
-  int array array -> lo:int -> hi:int -> (int array -> unit) -> unit
+val iter_tuples : int array array -> (int array -> unit) -> unit
 (** Enumerate the cartesian product of [arrays] lexicographically (last
-    position fastest), yielding one {e reused} tuple buffer, restricted
-    to the linear tuple indices in [\[lo, hi)] (mixed-radix, last digit
-    fastest): concatenating the slices of any partition of
-    [\[0, total_tuples arrays)] reproduces the full enumeration.  Yields
-    nothing if any row is empty and a single empty tuple for [[||]] when
-    the range covers index 0.  Exposed for backends, the microbench
-    harness and property tests. *)
+    position fastest), yielding one {e reused} tuple buffer.  Yields
+    nothing if any row is empty and a single empty tuple for [[||]].
+    Exposed for backends, the microbench harness and property tests. *)
 
 val mem_sorted : int array -> int -> bool
 (** Membership in a sorted distinct row by binary search.  Exposed for

@@ -47,8 +47,8 @@ let describe ?costs (plan : Plan.t) =
 
 type analysis = { report : string; result : Exec.result }
 
-let analyze_with ?pool ?costs (src : Exec.source) (plan : Plan.t) =
-  let result = Exec.run_with ?pool src plan in
+let analyze_with ?costs (src : Exec.source) (plan : Plan.t) =
+  let result = Exec.run_with src plan in
   let q = plan.pattern in
   let annotated = Option.map (fun c -> Costs.annotate c plan) costs in
   let header = [ "op"; "worst case" ] in

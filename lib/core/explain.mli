@@ -20,11 +20,9 @@ type analysis = {
   result : Exec.result;  (** The execution behind it, for further use. *)
 }
 
-val analyze_with :
-  ?pool:Bpq_util.Pool.t -> ?costs:Costs.t -> Exec.source -> Plan.t -> analysis
-(** Executes the plan against the source ([pool] parallelises the
-    execution, see {!Exec.run_with}) and renders estimate-vs-realised per
-    operation; the accessed fraction uses the source's [graph_size].  The
+val analyze_with : ?costs:Costs.t -> Exec.source -> Plan.t -> analysis
+(** Executes the plan against the source and renders estimate-vs-realised
+    per operation; the accessed fraction uses the source's [graph_size].  The
     realised numbers are always within the static estimates (a property
     the test suite pins down); the cost model's estimates carry no such
     guarantee — that is the point of printing them. *)

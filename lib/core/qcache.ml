@@ -312,7 +312,7 @@ let flight_key ?limit semantics ~stamp q =
     ((stamp : int), sem_tag semantics, fp, nodes, Pattern.edges q, limit)
     []
 
-let eval_plan_with t ?pool ?deadline ?limit (src : Exec.source) (plan : Plan.t) =
+let eval_plan_with t ?deadline ?limit (src : Exec.source) (plan : Plan.t) =
   let s = shard_for t in
   let key = result_key src.Exec.stamp plan limit in
   (* Generations come from the data itself when the source carries them
@@ -327,7 +327,7 @@ let eval_plan_with t ?pool ?deadline ?limit (src : Exec.source) (plan : Plan.t) 
   in
   let evaluate () =
     let cache = fetch_tier_for t src in
-    let answer = Bounded_eval.run ?pool ?deadline ?limit ~cache src plan in
+    let answer = Bounded_eval.run ?deadline ?limit ~cache src plan in
     Fifo_map.add s.results key { flat = flatten answer; gens = fresh_gens () };
     answer
   in
@@ -343,10 +343,10 @@ let eval_plan_with t ?pool ?deadline ?limit (src : Exec.source) (plan : Plan.t) 
     s.result_misses <- s.result_misses + 1;
     evaluate ()
 
-let eval_with t ?pool ?costs ?deadline ?limit semantics src q =
+let eval_with t ?costs ?deadline ?limit semantics src q =
   match plan_for_with t ?costs semantics src q with
   | None -> None
-  | Some plan -> Some (eval_plan_with t ?pool ?deadline ?limit src plan)
+  | Some plan -> Some (eval_plan_with t ?deadline ?limit src plan)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)

@@ -93,7 +93,6 @@ val plan_for_with :
 
 val eval_plan_with :
   t ->
-  ?pool:Pool.t ->
   ?deadline:Timer.deadline ->
   ?limit:int ->
   Exec.source ->
@@ -101,15 +100,13 @@ val eval_plan_with :
   answer
 (** Result-tier + fetch-tier evaluation of an already-generated plan.
     Raises [Timer.Timeout] like {!Bounded_eval} (nothing is stored then);
-    a result-cache hit returns without touching graph or indexes.
-    [pool] parallelises a miss's evaluation within the query
-    ({!Bounded_eval}); answers — and hence cached entries — are
-    byte-identical at every pool size, so warm hits serve runs with any
+    a result-cache hit returns without touching graph or indexes.  A
+    miss is evaluated on the calling domain; since answers do not depend
+    on which domain computed them, warm hits serve runs with any
     [BPQ_JOBS] setting. *)
 
 val eval_with :
   t ->
-  ?pool:Pool.t ->
   ?costs:Costs.t ->
   ?deadline:Timer.deadline ->
   ?limit:int ->

@@ -8,8 +8,9 @@
    - each accepted connection gets a *systhread* (cheap, I/O-bound: it
      reads request lines, writes response lines, and blocks);
    - each admitted query is scheduled onto the existing domain *pool*
-     ({!Bpq_util.Pool.async}), where plan execution and match search
-     additionally parallelise intra-query exactly as in `bpq run`.
+     ({!Bpq_util.Pool.async}) and runs whole on the one worker domain
+     that picks it up: a bounded query is small, so the pool's
+     parallelism is between queries, never within one.
 
    The split is what keeps {!Qcache} safe without a global lock: the
    cache shards itself per domain, and routing every query onto pool
@@ -323,8 +324,8 @@ let evaluate_in_slot t sem (s : slot) q : eval_outcome =
         let deadline = Option.map Timer.deadline_after t.query_timeout in
         (match
            match t.cache with
-           | Some c -> Qcache.eval_plan_with c ~pool:t.pool ?deadline src plan
-           | None -> Bounded_eval.run ~pool:t.pool ?deadline src plan
+           | Some c -> Qcache.eval_plan_with c ?deadline src plan
+           | None -> Bounded_eval.run ?deadline src plan
          with
         | answer -> `Answer answer
         | exception Timer.Timeout -> `Timeout))

@@ -140,13 +140,13 @@ let sim_reduced_candidates schema q =
   if pass () then ignore (pass ());
   cand
 
-let opt_vf2_count ?pool ?deadline ?limit schema q =
+let opt_vf2_count ?deadline ?limit schema q =
   let candidates = reduced_candidates schema q in
-  Vf2.count_matches ?pool ?deadline ?limit ~candidates (Schema.graph schema) q
+  Vf2.count_matches ?deadline ?limit ~candidates (Schema.graph schema) q
 
-let opt_vf2_matches ?pool ?deadline ?limit schema q =
+let opt_vf2_matches ?deadline ?limit schema q =
   let candidates = reduced_candidates schema q in
-  Vf2.matches ?pool ?deadline ?limit ~candidates (Schema.graph schema) q
+  Vf2.matches ?deadline ?limit ~candidates (Schema.graph schema) q
 
 let opt_gsim ?deadline schema q =
   let candidates = sim_reduced_candidates schema q in

@@ -26,18 +26,9 @@ val sim_reduced_candidates : Schema.t -> Pattern.t -> int array array
     indexed neighbour at all inside some child's candidate set — a
     necessary condition for the forward-simulation witness. *)
 
-val opt_vf2_count :
-  ?pool:Pool.t -> ?deadline:Timer.deadline -> ?limit:int -> Schema.t -> Pattern.t -> int
+val opt_vf2_count : ?deadline:Timer.deadline -> ?limit:int -> Schema.t -> Pattern.t -> int
 
 val opt_vf2_matches :
-  ?pool:Pool.t ->
-  ?deadline:Timer.deadline ->
-  ?limit:int ->
-  Schema.t ->
-  Pattern.t ->
-  int array list
-(** [pool] splits the VF2 search by root candidate ({!Vf2.count_matches});
-    results are byte-identical to the sequential run at every pool
-    size. *)
+  ?deadline:Timer.deadline -> ?limit:int -> Schema.t -> Pattern.t -> int array list
 
 val opt_gsim : ?deadline:Timer.deadline -> Schema.t -> Pattern.t -> int array array

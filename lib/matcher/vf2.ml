@@ -60,8 +60,8 @@ let compute_order ?(use_stats = true) q radj base_count =
   done;
   order
 
-(* Everything a search reads but never writes — shareable across domains
-   once built (frozen graph, resolved pattern, candidate bitsets, order). *)
+(* Everything a search reads but never writes (frozen graph, resolved
+   pattern, candidate bitsets, order). *)
 type prep = {
   g : Digraph.t;
   q : Pattern.t;
@@ -94,7 +94,7 @@ let prepare ?(blind = false) ?candidates g q =
   let order = compute_order ~use_stats:(not blind) q radj base_count in
   { g; q; nq; n; blind; candidates; cand_sets; radj; order }
 
-(* Per-search mutable state; one per domain in parallel runs. *)
+(* Per-search mutable state. *)
 type state = {
   mapping : int array;
   used : Bitset.t;
@@ -171,128 +171,33 @@ let enumerate p st u try_v =
       if p.blind then Digraph.iter_nodes p.g try_v
       else Digraph.iter_label p.g (Pattern.label p.q u) try_v
 
-(* Assign [order.(from)..order.(stop - 1)], yielding the mapping at depth
-   [stop].  The full search is [search p st dl 0 p.nq yield]; prefix
-   collection stops early; prefix continuation starts late.  Each depth's
-   step (try a candidate, then descend) is one closure built before the
-   descent, so visiting a state allocates nothing. *)
-let search p st deadline from stop yield =
-  let step = Array.make (max stop 1) ignore in
-  let descend d = if d = stop then yield st.mapping else enumerate p st p.order.(d) step.(d) in
-  for d = from to stop - 1 do
+(* Assign [order.(0)..order.(nq - 1)], yielding each complete mapping.
+   Each depth's step (try a candidate, then descend) is one closure built
+   before the descent, so visiting a state allocates nothing. *)
+let search p st deadline yield =
+  let step = Array.make p.nq ignore in
+  let descend d = if d = p.nq then yield st.mapping else enumerate p st p.order.(d) step.(d) in
+  for d = 0 to p.nq - 1 do
     let u = p.order.(d) and next () = descend (d + 1) in
     step.(d) <- (fun v -> try_assign p st deadline u v next)
   done;
-  descend from
+  descend 0
 
 let iter_matches ?(deadline = Timer.no_deadline) ?(blind = false) ?candidates g q yield =
   if Pattern.n_nodes q = 0 then yield [||]
   else begin
     let p = prepare ~blind ?candidates g q in
-    search p (make_state p) deadline 0 p.nq yield
+    search p (make_state p) deadline yield
   end
 
-(* ------------------------------------------------------------------ *)
-(* Intra-query parallelism: root-candidate splitting.                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The root's unanchored enumeration base, mirroring [enumerate]'s
-   fallback branch (at depth 0 nothing is matched, so the root is always
-   unanchored). *)
-let root_base p =
-  let u = p.order.(0) in
-  match p.candidates with
-  | Some c -> c.(u)
-  | None ->
-    if p.blind then Array.init p.n Fun.id
-    else Digraph.nodes_with_label p.g (Pattern.label p.q u)
-
-(* Valid depth-[d] prefixes in sequential enumeration order, flattened
-   ([d] values per prefix).  When the root row alone is too small to feed
-   the pool, prefixes extend to depth 2, which multiplies the task count
-   by the root's branch factor.  Collection runs the same machinery the
-   search itself would, so concatenating the subtrees of the prefixes in
-   this order reproduces the sequential match order exactly. *)
-let collect_prefixes p deadline d =
-  let acc = Vec.create ~capacity:256 () in
-  search p (make_state p) deadline 0 d (fun mapping ->
-      for j = 0 to d - 1 do
-        Vec.push acc mapping.(p.order.(j))
-      done);
-  acc
-
-let set_prefix p st data off d on =
-  for j = 0 to d - 1 do
-    let u = p.order.(j) and v = data.(off + j) in
-    if on then begin
-      st.mapping.(u) <- v;
-      Bitset.add st.used v
-    end
-    else begin
-      st.mapping.(u) <- -1;
-      Bitset.remove st.used v
-    end
-  done
-
-(* Run [yield] over every match, splitting the work across [pool] as
-   contiguous prefix ranges; [yield] runs on worker domains and must only
-   touch chunk-local state.  Chunks outnumber slots 4:1 so uneven
-   subtrees rebalance dynamically. *)
-let par_chunks pool p deadline chunk =
-  let slots = Pool.size pool in
-  let base = root_base p in
-  let d = if p.nq >= 2 && Array.length base < 4 * slots then 2 else 1 in
-  let prefixes = collect_prefixes p deadline d in
-  let np = Vec.length prefixes / d in
-  if np = 0 then [||]
-  else begin
-    let chunks = min np (4 * slots) in
-    let ranges = Array.init chunks (fun c -> (c * np / chunks, (c + 1) * np / chunks)) in
-    let data = Vec.unsafe_data prefixes in
-    Pool.map_array pool
-      (fun (lo, hi) ->
-        let dl = Timer.clone deadline in
-        let st = make_state p in
-        chunk (fun yield ->
-            for pi = lo to hi - 1 do
-              set_prefix p st data (pi * d) d true;
-              search p st dl d p.nq yield;
-              set_prefix p st data (pi * d) d false
-            done))
-      ranges
-  end
-
-let use_pool pool q =
-  match pool with
-  | Some pool when Pool.size pool > 1 && Pattern.n_nodes q > 0 -> Some pool
-  | Some _ | None -> None
-
-let count_matches ?pool ?(deadline = Timer.no_deadline) ?blind ?candidates ?limit g q =
-  match use_pool pool q with
-  | Some pool ->
-    let p = prepare ?blind ?candidates g q in
-    let parts =
-      par_chunks pool p deadline (fun drive ->
-          let count = ref 0 in
-          (try
-             drive (fun _ ->
-                 incr count;
-                 match limit with
-                 | Some l when !count >= l -> raise Stop
-                 | Some _ | None -> ())
-           with Stop -> ());
-          !count)
-    in
-    let total = Array.fold_left ( + ) 0 parts in
-    (match limit with Some l -> min l total | None -> total)
-  | None ->
-    let count = ref 0 in
-    (try
-       iter_matches ~deadline ?blind ?candidates g q (fun _ ->
-           incr count;
-           match limit with Some l when !count >= l -> raise Stop | Some _ | None -> ())
-     with Stop -> ());
-    !count
+let count_matches ?deadline ?blind ?candidates ?limit g q =
+  let count = ref 0 in
+  (try
+     iter_matches ?deadline ?blind ?candidates g q (fun _ ->
+         incr count;
+         match limit with Some l when !count >= l -> raise Stop | Some _ | None -> ())
+   with Stop -> ());
+  !count
 
 let find_first ?deadline ?blind ?candidates g q =
   let result = ref None in
@@ -303,42 +208,12 @@ let find_first ?deadline ?blind ?candidates g q =
    with Stop -> ());
   !result
 
-let matches ?pool ?(deadline = Timer.no_deadline) ?blind ?candidates ?limit g q =
-  match use_pool pool q with
-  | Some pool ->
-    let p = prepare ?blind ?candidates g q in
-    let parts =
-      par_chunks pool p deadline (fun drive ->
-          let acc = ref [] and count = ref 0 in
-          (try
-             drive (fun m ->
-                 acc := Array.copy m :: !acc;
-                 incr count;
-                 match limit with
-                 | Some l when !count >= l -> raise Stop
-                 | Some _ | None -> ())
-           with Stop -> ());
-          !acc)
-    in
-    (* Each part is most-recent-first within its chunk and chunks are in
-       sequential prefix order, so chronological order is the
-       concatenation of the reversed parts — reassemble exactly what the
-       sequential run returns. *)
-    (match limit with
-    | None -> List.concat (List.rev (Array.to_list parts))
-    | Some l ->
-      let chron = List.concat_map List.rev (Array.to_list parts) in
-      let rec take_rev k acc = function
-        | x :: tl when k > 0 -> take_rev (k - 1) (x :: acc) tl
-        | _ -> acc
-      in
-      take_rev l [] chron)
-  | None ->
-    let acc = ref [] and count = ref 0 in
-    (try
-       iter_matches ~deadline ?blind ?candidates g q (fun m ->
-           acc := Array.copy m :: !acc;
-           incr count;
-           match limit with Some l when !count >= l -> raise Stop | Some _ | None -> ())
-     with Stop -> ());
-    !acc
+let matches ?deadline ?blind ?candidates ?limit g q =
+  let acc = ref [] and count = ref 0 in
+  (try
+     iter_matches ?deadline ?blind ?candidates g q (fun m ->
+         acc := Array.copy m :: !acc;
+         incr count;
+         match limit with Some l when !count >= l -> raise Stop | Some _ | None -> ())
+   with Stop -> ());
+  !acc

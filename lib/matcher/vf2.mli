@@ -26,17 +26,7 @@
     driven by realized candidate counts: nodes attached to the matched
     prefix come first, then smaller candidate universes (the per-label
     count, or the supplied candidate row), with richer predicates and
-    higher pattern degree breaking remaining ties.
-
-    [pool] (on {!count_matches} and {!matches}) splits the search across
-    domains by root candidate: the shared node order and candidate
-    bitsets are computed once, the root's candidate row — extended to
-    depth-2 prefixes when the row alone is too narrow to feed the pool —
-    is partitioned into contiguous ranges, and each range is searched
-    independently with its own mutable state and deadline clone.  Ranges
-    concatenate in sequential enumeration order, so counts and match
-    lists (including under [limit]) are byte-identical to the sequential
-    run at every pool size. *)
+    higher pattern degree breaking remaining ties. *)
 
 open Bpq_util
 open Bpq_graph
@@ -55,7 +45,6 @@ val iter_matches :
     it.  @raise Timer.Timeout when the deadline expires. *)
 
 val count_matches :
-  ?pool:Pool.t ->
   ?deadline:Timer.deadline ->
   ?blind:bool ->
   ?candidates:int array array ->
@@ -74,7 +63,6 @@ val find_first :
   int array option
 
 val matches :
-  ?pool:Pool.t ->
   ?deadline:Timer.deadline ->
   ?blind:bool ->
   ?candidates:int array array ->

@@ -571,7 +571,7 @@ let do_prefetch t con arrays =
             let shards = t.m.Shard.shards in
             let pending = Array.make shards [] in
             let seen = Hashtbl.create 64 in
-            Exec.iter_tuples_slice arrays ~lo:0 ~hi:total (fun tuple ->
+            Exec.iter_tuples arrays (fun tuple ->
                 match Index.native_record ~arity tuple with
                 | None -> ()
                 | Some record ->
@@ -705,7 +705,7 @@ let partition_tuples t ~cid arrays =
     else begin
       let shards = t.m.Shard.shards in
       let pending = Array.make shards [] in
-      Exec.iter_tuples_slice arrays ~lo:0 ~hi:total (fun tuple ->
+      Exec.iter_tuples arrays (fun tuple ->
           match Index.native_record ~arity tuple with
           | None -> ()
           | Some record ->

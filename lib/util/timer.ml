@@ -51,17 +51,6 @@ let deadline_after s =
   let stride = first_stride ~limit ~at:start in
   Until { limit; budget = s; countdown = stride; stride; last_check = start }
 
-(* A [deadline] carries mutable stride state and must not be shared across
-   domains.  Parallel matchers hand each worker a clone: same absolute
-   cut-off, fresh stride bookkeeping — except that a clone of an expired
-   deadline keeps the minimum stride, so it too trips on first use. *)
-let clone = function
-  | Never -> Never
-  | Until d ->
-    let t = now () in
-    let stride = first_stride ~limit:d.limit ~at:t in
-    Until { limit = d.limit; budget = d.budget; countdown = stride; stride; last_check = t }
-
 let expired = function
   | Never -> false
   | Until d ->

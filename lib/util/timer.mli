@@ -22,13 +22,6 @@ val deadline_after : float -> deadline
     {!expired} consultation reports [true] (pinned by property tests —
     no stride warm-up window survives it). *)
 
-val clone : deadline -> deadline
-(** Same absolute cut-off, fresh stride bookkeeping.  A [deadline]'s stride
-    state is mutable and single-domain; parallel matchers give each worker
-    its own clone instead of sharing one record across domains.  Cloning
-    an already-expired deadline yields one whose first {!expired} call
-    reports [true]. *)
-
 val expired : deadline -> bool
 (** Cheap check: consults the clock only every [stride] calls, where the
     stride adapts so consultations land roughly 10ms of wall clock apart

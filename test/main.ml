@@ -47,7 +47,6 @@ let () =
       ("fetch-cache", Test_fetch_cache.suite);
       ("qcache", Test_qcache.suite);
       ("costs", Test_costs.suite);
-      ("parallel", Test_parallel.suite);
       ("paper-examples", Test_paper_examples.suite);
       ("workload", Test_workload.suite);
       ("extensions", Test_extensions.suite);

@@ -198,8 +198,7 @@ let iter_tuples_matches_recursion =
           (List.map (fun len -> Array.init len (fun _ -> Prng.int r 100)) row_sizes)
       in
       let got = ref [] in
-      Exec.iter_tuples_slice cmat ~lo:0 ~hi:(Exec.total_tuples cmat) (fun tuple ->
-          got := Array.to_list tuple :: !got);
+      Exec.iter_tuples cmat (fun tuple -> got := Array.to_list tuple :: !got);
       List.rev !got = Helpers.tuples_oracle cmat)
 
 let suite =

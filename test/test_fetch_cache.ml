@@ -2,7 +2,7 @@
    bucket, hits and misses and evictions match a Hashtbl + FIFO queue
    that drops the oldest entries until a bucket fits, and no arena grows
    past its byte budget.  Then the per-domain arenas: several domains on
-   one cache, and a fanned-out Exec run whose lookups all reach it. *)
+   one cache; and an Exec run whose lookups all reach it. *)
 
 open Bpq_graph
 open Bpq_access
@@ -151,9 +151,9 @@ let test_domains_share_one_cache () =
         s.evictions)
     [ 2; 3; 4 ]
 
-(* A fanned-out run's lookups all land in the caller's cache: no private
-   per-call caches that are dropped with the query. *)
-let test_fanned_out_lookups_counted () =
+(* A run's lookups all land in the caller's cache: no private per-call
+   caches that are dropped with the query. *)
+let test_lookups_counted () =
   let ds = Bpq_workload.Workload.imdb ~scale:0.03 () in
   let a0 = Bpq_workload.Workload.a0 ds.table in
   let schema = Schema.build ds.graph a0 in
@@ -162,15 +162,12 @@ let test_fanned_out_lookups_counted () =
       [ ("lo", Value.Int 1900); ("hi", Value.Int 2100) ]
   in
   let plan = Qplan.generate_exn Actualized.Subgraph wide a0 in
-  let pool = Pool.create 2 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let cache = Fetch_cache.create ~capacity:65536 () in
-  let r = Exec.run_with ~pool ~cache (Exec.source_of_schema schema) plan in
+  let r = Exec.run_with ~cache (Exec.source_of_schema schema) plan in
   let lookups = r.stats.fetch_lookups + r.stats.edge_lookups in
-  Helpers.check_true "an operation fans out (>= 256 tuples)" (lookups >= 256);
   let s = Fetch_cache.stats cache in
   Helpers.check_int "every lookup reaches the cache" lookups (s.hits + s.misses + s.bypasses);
-  let warm = Exec.run_with ~pool ~cache (Exec.source_of_schema schema) plan in
+  let warm = Exec.run_with ~cache (Exec.source_of_schema schema) plan in
   Helpers.check_true "warm run is identical"
     (warm.stats = r.stats && warm.candidates_g = r.candidates_g);
   Helpers.check_true "warm run hits" ((Fetch_cache.stats cache).hits > s.hits)
@@ -179,4 +176,4 @@ let suite =
   [ model_test;
     Alcotest.test_case "small budget wraps both rings" `Quick test_small_budget_wraps;
     Alcotest.test_case "domains share one cache" `Quick test_domains_share_one_cache;
-    Alcotest.test_case "fanned-out lookups are counted" `Quick test_fanned_out_lookups_counted ]
+    Alcotest.test_case "every lookup reaches the cache" `Quick test_lookups_counted ]

@@ -58,7 +58,7 @@ let q0_setup () =
   let plan = Qplan.generate_exn Actualized.Subgraph (Bpq_workload.Workload.q0 ds.table) a0 in
   (schema, plan)
 
-let test_q0_parity_and_pools () =
+let test_q0_parity () =
   let schema, plan = q0_setup () in
   Helpers.with_temp_file (fun path ->
       Schema.save schema path;
@@ -66,17 +66,7 @@ let test_q0_parity_and_pools () =
       with_paged ~page_cache_mb:1 path (fun p ->
           let src = Paged.source p in
           Helpers.check_true "sequential paged run identical"
-            (Helpers.canon (Exec.run_with src plan) = reference);
-          let pools = List.map (fun j -> (j, Pool.create j)) [ 2; 4 ] in
-          Fun.protect
-            ~finally:(fun () -> List.iter (fun (_, p) -> Pool.shutdown p) pools)
-            (fun () ->
-              List.iter
-                (fun (j, pool) ->
-                  Helpers.check_true
-                    (Printf.sprintf "paged run identical on %d domains" j)
-                    (Helpers.canon (Exec.run_with ~pool src plan) = reference))
-                pools)))
+            (Helpers.canon (Exec.run_with src plan) = reference)))
 
 let test_io_counters () =
   let schema, plan = q0_setup () in
@@ -511,7 +501,7 @@ let test_concurrent_first_graph () =
 let suite =
   [ backends_identical;
     answers_identical;
-    Alcotest.test_case "q0 parity across pools" `Quick test_q0_parity_and_pools;
+    Alcotest.test_case "q0 parity across pools" `Quick test_q0_parity;
     Alcotest.test_case "io counters" `Quick test_io_counters;
     Alcotest.test_case "sequential readahead" `Quick test_readahead;
     Alcotest.test_case "paged page traffic pinned" `Quick test_pinned_io_counters;

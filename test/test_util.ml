@@ -394,18 +394,6 @@ let timer_nonpositive_budget_first_call =
     QCheck2.Gen.(float_bound_inclusive 1000.0)
     (fun mag -> Timer.expired (Timer.deadline_after (-.Float.abs mag)))
 
-let test_timer_clone_after_expiry () =
-  let d = Timer.deadline_after 0.0 in
-  Helpers.check_true "original expired" (Timer.expired d);
-  (* A clone of an expired deadline must trip on its own first
-     consultation too — parallel matchers hand clones to workers, and a
-     worker starting after the cut-off must not run a fresh stride. *)
-  Helpers.check_true "clone trips on first call" (Timer.expired (Timer.clone d));
-  (* Cloning a live deadline keeps it live. *)
-  let live = Timer.deadline_after 1000.0 in
-  Helpers.check_false "clone of live deadline is live" (Timer.expired (Timer.clone live));
-  Helpers.check_false "clone of Never never expires" (Timer.expired (Timer.clone Timer.no_deadline))
-
 (* The plain statistics return nan on empty input, so float arithmetic
    over an empty series degrades instead of raising; Jsonx prints it as
    null ("nan is null" below). *)
@@ -676,7 +664,6 @@ let suite =
     Alcotest.test_case "timer adaptive stride" `Quick test_timer_adaptive_stride;
     Alcotest.test_case "timer degenerate budgets" `Quick test_timer_degenerate_budgets;
     timer_nonpositive_budget_first_call;
-    Alcotest.test_case "timer clone after expiry" `Quick test_timer_clone_after_expiry;
     Alcotest.test_case "stats are nan on empty" `Quick test_stats_empty;
     Alcotest.test_case "jsonx print" `Quick test_jsonx_print;
     Alcotest.test_case "jsonx parse" `Quick test_jsonx_parse;

@@ -258,8 +258,8 @@ let random_ops r g tbl count =
 
 (* The tentpole identity: base + overlay serves byte-identical results
    to the compacted generation and to a from-scratch index rebuild over
-   the mutated graph — through the in-memory backend, the paged backend
-   at several cache capacities, and at several pool sizes. *)
+   the mutated graph — through the in-memory backend and the paged
+   backend at several cache capacities. *)
 let overlay_identity =
   Helpers.qcheck ~count:15 "overlay == compacted == from-scratch rebuild"
     QCheck2.Gen.(int_range 1 100_000) (fun seed ->
@@ -282,12 +282,6 @@ let overlay_identity =
         | Ok _ -> ()
         | Error e -> Alcotest.failf "apply: %s" e);
         let via_mem = canon (Exec.run_with (Store.source st) plan) in
-        let pool = Pool.create 2 in
-        let via_pool =
-          Fun.protect
-            ~finally:(fun () -> Pool.shutdown pool)
-            (fun () -> canon (Exec.run_with ~pool (Store.source st) plan))
-        in
         Store.close st;
         (* Reader: replay the log over the paged backend. *)
         let via_paged cap =
@@ -310,7 +304,7 @@ let overlay_identity =
         let rebuilt = Schema.build (Schema.graph folded) (Schema.constraints folded) in
         let via_scratch = canon (Exec.run_with (Exec.source_of_schema rebuilt) plan) in
         (try Sys.remove out with Sys_error _ -> ());
-        via_mem = via_pool && paged_ok && via_mem = via_compacted
+        paged_ok && via_mem = via_compacted
         && via_mem = via_scratch)
 
 (* A paged store serves the file it opened, and its write path pairs
